@@ -173,6 +173,15 @@ def read_truth_bundle(matrices_path, index_path, sigma: float = 0.0) -> tuple:
     return blocks, np.asarray(index, dtype=int)
 
 
+def write_clusters_csv(outdir, labels, manifest: str) -> None:
+    """One (window, label) row per window of the temporal modes."""
+    with open(os.path.join(outdir, "clusters.csv"), "w", encoding="utf-8") as fh:
+        fh.write(f"# {manifest}\n")
+        fh.write("window,label\n")
+        for w, lab in enumerate(labels):
+            fh.write(f"{w},{lab}\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -274,11 +283,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fh.write(summary)
     if opts["clusters"]:
         labels = cluster_temporal_modes(normalized.factors.U3, k=opts["clusters"], seed=opts["seed"])
-        with open(os.path.join(args.out, "clusters.csv"), "w", encoding="utf-8") as fh:
-            fh.write(f"# {manifest}\n")
-            fh.write("window,label\n")
-            for w, lab in enumerate(labels):
-                fh.write(f"{w},{lab}\n")
+        write_clusters_csv(args.out, labels, manifest)
     if args.verbose:
         print(summary)
     return 0
@@ -339,16 +344,7 @@ def _compare_one(task: dict) -> dict:
         pair = build_snapshots(series, M=task["window"])
         kind, rank = _parse_method(task["method"])
         if kind == "lowrank":
-            params = Hyperparams(
-                R=rank,
-                eta=task["eta"],
-                reg=Regularizer(task["reg"], task["beta"]),
-                max_outer_iters=task["max_iters"],
-                rtol=task["rtol"],
-                atol=task["atol"],
-                seed=task["seed"],
-            )
-            model, _ = fit(pair, params)
+            model, _ = fit(pair, _hyperparams_from({**task, "rank": rank}, task["seed"]))
             est = model_estimate(model)
         else:
             est = independent_fit(pair, rank=rank)
@@ -474,12 +470,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     U3 = read_matrix_csv(opts["u3"])
     labels = cluster_temporal_modes(U3, k=opts["k"], seed=opts["seed"])
     os.makedirs(args.out, exist_ok=True)
-    manifest = manifest_line("cluster", opts)
-    with open(os.path.join(args.out, "clusters.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {manifest}\n")
-        fh.write("window,label\n")
-        for w, lab in enumerate(labels):
-            fh.write(f"{w},{lab}\n")
+    write_clusters_csv(args.out, labels, manifest_line("cluster", opts))
     if args.verbose:
         print("labels:", ",".join(str(v) for v in labels))
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveEtaError
+from .errors import NonFiniteError, NonPositiveEtaError
 
 REGULARIZER_KINDS = ("none", "tv", "spline")
 
@@ -30,6 +30,8 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in REGULARIZER_KINDS:
             raise ValueError(f"kind must be one of {REGULARIZER_KINDS}, got {self.kind!r}")
+        if not np.isfinite(self.beta):
+            raise NonFiniteError(f"beta must be finite, got {self.beta}")
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
 
@@ -60,7 +62,8 @@ def spline_penalty(U3: np.ndarray) -> float:
 
 
 def apply_diff(v: np.ndarray) -> np.ndarray:
-    """First-difference matrix with free boundaries: (Dv)_k = v_k - v_{k+1}."""
+    """First-difference matrix with free boundaries: (Dv)_k = v_k - v_{k+1},
+    down axis 0 (each column of a matrix separately)."""
     v = np.asarray(v, dtype=float)
     if v.shape[0] < 2:
         raise ValueError("apply_diff needs a vector of length >= 2")
@@ -68,9 +71,9 @@ def apply_diff(v: np.ndarray) -> np.ndarray:
 
 
 def apply_diff_transpose(w: np.ndarray) -> np.ndarray:
-    """Exact adjoint of :func:`apply_diff`; maps length T-1 to length T."""
+    """Exact adjoint of :func:`apply_diff`; maps T-1 rows to T rows down axis 0."""
     w = np.asarray(w, dtype=float)
-    out = np.empty(w.shape[0] + 1, dtype=float)
+    out = np.empty((w.shape[0] + 1,) + w.shape[1:], dtype=float)
     out[0] = w[0]
     out[1:-1] = w[1:] - w[:-1]
     out[-1] = -w[-1]

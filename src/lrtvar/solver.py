@@ -8,10 +8,10 @@ The regularized cost is
 
 minimized by cycling exact or iterative solves over the three factor
 blocks: a dense R x R solve for U1, matrix-free conjugate gradients on a
-Sylvester-type system for U2, and per-window solves (no smoothing), CG
-(spline smoothing), or accelerated proximal gradient (total-variation
-smoothing) for U3.  Every update is non-increasing in C, so the outer cost
-trace descends monotonically up to subproblem tolerances.
+Sylvester-type system for U2, and per-window solves (no smoothing), the same
+CG routine (spline smoothing), or monotone FISTA with the exact fixed step
+1/L (total-variation smoothing) for U3.  Every update is non-increasing in C,
+so the outer cost trace descends monotonically up to subproblem tolerances.
 
 Nothing in the fit path ever forms an N x N or N_in x N_in matrix; all
 contractions go through the data tensors and the R-column factors, which is
@@ -22,14 +22,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .cp_model import CpFactors
-from .errors import DegenerateDataError, DimensionMismatchError, NonPositiveEtaError
-from .regularizers import Regularizer, tv_prox_columns
+from .errors import DegenerateDataError, DimensionMismatchError, NonFiniteError, NonPositiveEtaError
+from .regularizers import Regularizer, apply_diff, apply_diff_transpose, tikhonov_penalty, tv_prox_columns
 from .windowing import SnapshotPair
+
+# CG stops once the residual falls to this fraction of the right-hand side.
+CG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,6 @@ class WarmRestart:
     solution is expected to have nearly equal spatial modes."""
 
     at_iter: int
-    copy_U1_to_U2: bool = True
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,6 @@ class Hyperparams:
     atol: float = 1e-6
     cg_max_iters: int = 24
     pg_max_iters: int = 40
-    cg_tol: float = 1e-9
     seed: int = 0
     init_noise_spatial: Optional[float] = None
     init_noise_temporal: Optional[float] = None
@@ -68,6 +70,9 @@ class Hyperparams:
     def __post_init__(self):
         if self.R < 1:
             raise ValueError(f"rank must be >= 1, got {self.R}")
+        for name in ("eta", "rtol", "atol"):
+            if not np.isfinite(getattr(self, name)):
+                raise NonFiniteError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta <= 0:
             raise NonPositiveEtaError(f"eta must be > 0, got {self.eta}")
         for name in ("max_outer_iters", "cg_max_iters", "pg_max_iters"):
@@ -122,17 +127,17 @@ def _check_dims(model: CpFactors, data: SnapshotPair) -> None:
         )
 
 
-def _predictions(model: CpFactors, data: SnapshotPair) -> np.ndarray:
-    """Stack of per-window predictions U1 diag(U3[k]) U2' X_k, shape (N, M, T)."""
-    G = np.einsum("imk,ir->rmk", data.X, model.U2)  # U2' X_k
-    G *= model.U3.T[:, None, :]  # diag scaling by window loadings
-    return np.einsum("ir,rmk->imk", model.U1, G)
+def _scaled_projection(model: CpFactors, data: SnapshotPair) -> np.ndarray:
+    """Stack of H_k = diag(U3[k]) U2' X_k, shape (R, M, T)."""
+    H = np.einsum("imk,ir->rmk", data.X, model.U2)  # U2' X_k
+    H *= model.U3.T[:, None, :]  # diag scaling by window loadings
+    return H
 
 
 def loss(model: CpFactors, data: SnapshotPair) -> float:
     """Unregularized squared error: 1/2 sum_k ||Y_k - A_k X_k||_F^2."""
     _check_dims(model, data)
-    resid = data.Y - _predictions(model, data)
+    resid = data.Y - np.einsum("ir,rmk->imk", model.U1, _scaled_projection(model, data))
     return 0.5 * float(np.sum(resid * resid))
 
 
@@ -144,8 +149,6 @@ def rmse(model: CpFactors, data: SnapshotPair) -> float:
 
 def cost(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> float:
     """Full regularized objective: loss + ridge + beta * temporal penalty."""
-    from .regularizers import tikhonov_penalty
-
     return (
         loss(model, data)
         + tikhonov_penalty(model.U1, model.U2, model.U3, params.eta)
@@ -157,13 +160,19 @@ def cost(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> float:
 # block gradients (smooth part of the cost: loss + ridge [+ spline])
 
 
+def _left_normal_equations(model: CpFactors, data: SnapshotPair) -> tuple[np.ndarray, np.ndarray]:
+    """S = sum_k H_k H_k' and B = sum_k Y_k H_k', so the loss in U1 is
+    1/2 tr(U1 S U1') - tr(B' U1) + const."""
+    H = _scaled_projection(model, data)
+    S = np.einsum("rmk,smk->rs", H, H)
+    B = np.einsum("imk,rmk->ir", data.Y, H)
+    return S, B
+
+
 def grad_left(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
     """Gradient of (loss + ridge) in U1."""
     _check_dims(model, data)
-    H = np.einsum("imk,ir->rmk", data.X, model.U2)
-    H *= model.U3.T[:, None, :]  # H_k = diag(U3[k]) U2' X_k
-    S = np.einsum("rmk,smk->rs", H, H)
-    B = np.einsum("imk,rmk->ir", data.Y, H)
+    S, B = _left_normal_equations(model, data)
     return model.U1 @ S - B + model.U1 / eta
 
 
@@ -178,10 +187,8 @@ def grad_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> 
     when that regularizer is active (the TV term is nonsmooth and excluded)."""
     _check_dims(model, data)
     C, b = _temporal_quadratic(model, data)
-    g = np.einsum("krs,ks->kr", C, model.U3) - b + model.U3 / params.eta
-    if params.reg.kind == "spline" and params.reg.beta > 0:
-        g += params.reg.beta * _second_difference(model.U3)
-    return g
+    spline_beta = params.reg.beta if _active_penalty(params, model.T) == "spline" else 0.0
+    return _temporal_operator(C, params.eta, spline_beta, model.U3) - b
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +198,7 @@ def grad_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> 
 def update_left(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
     """Exact minimizer of the cost over U1 (R x R ridge-damped solve)."""
     _check_dims(model, data)
-    H = np.einsum("imk,ir->rmk", data.X, model.U2)
-    H *= model.U3.T[:, None, :]
-    S = np.einsum("rmk,smk->rs", H, H)
-    B = np.einsum("imk,rmk->ir", data.Y, H)
+    S, B = _left_normal_equations(model, data)
     S[np.diag_indices_from(S)] += 1.0 / eta
     return np.linalg.solve(S, B.T).T
 
@@ -216,8 +220,37 @@ def _right_rhs(model: CpFactors, data: SnapshotPair) -> np.ndarray:
     return np.einsum("imk,mrk->ir", data.X, F)
 
 
+def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = CG_TOL) -> tuple[np.ndarray, int]:
+    """Conjugate gradients on operate(x) = rhs for a symmetric positive-definite
+    ``operate``, warm-started at ``x0``.
+
+    Stops when the residual norm reaches ``tol * ||rhs||`` or after
+    ``max_iters`` steps.  Every step lowers the quadratic 1/2 x'Ax - rhs'x,
+    so the result is never worse than ``x0``.  Returns (x, iterations used).
+    """
+    x = x0.copy()
+    r = rhs - operate(x)
+    p = r.copy()
+    rs = float(np.sum(r * r))
+    rhs_norm = float(np.linalg.norm(rhs))
+    threshold = tol * rhs_norm if rhs_norm > 0 else 0.0
+    n_iters = 0
+    for _ in range(max_iters):
+        if np.sqrt(rs) <= threshold:
+            break
+        Ap = operate(p)
+        alpha = rs / float(np.sum(p * Ap))
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = float(np.sum(r * r))
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+        n_iters += 1
+    return x, n_iters
+
+
 def update_right(
-    model: CpFactors, data: SnapshotPair, eta: float, max_iters: int = 24, tol: float = 1e-9
+    model: CpFactors, data: SnapshotPair, eta: float, max_iters: int = 24, tol: float = CG_TOL
 ) -> tuple[np.ndarray, int]:
     """Approximate minimizer of the cost over U2 by matrix-valued CG.
 
@@ -227,26 +260,8 @@ def update_right(
     cost) never increases.  Returns (new U2, CG iterations used).
     """
     _check_dims(model, data)
-    B = _right_rhs(model, data)
-    U = model.U2.copy()
-    r = B - _right_operator(model, data, eta, U)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    b_norm = float(np.linalg.norm(B))
-    threshold = tol * b_norm if b_norm > 0 else 0.0
-    n_iters = 0
-    for _ in range(max_iters):
-        if np.sqrt(rs) <= threshold:
-            break
-        Ap = _right_operator(model, data, eta, p)
-        alpha = rs / float(np.sum(p * Ap))
-        U += alpha * p
-        r -= alpha * Ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        n_iters += 1
-    return U, n_iters
+    operate = partial(_right_operator, model, data, eta)
+    return _cg(operate, _right_rhs(model, data), model.U2, max_iters, tol)
 
 
 def _temporal_quadratic(model: CpFactors, data: SnapshotPair) -> tuple[np.ndarray, np.ndarray]:
@@ -262,129 +277,83 @@ def _temporal_quadratic(model: CpFactors, data: SnapshotPair) -> tuple[np.ndarra
     return C, b
 
 
-def _second_difference(U3: np.ndarray) -> np.ndarray:
-    """D'D applied to each column (free boundaries)."""
-    out = np.empty_like(U3)
-    d = U3[:-1] - U3[1:]
-    out[0] = d[0]
-    out[1:-1] = d[1:] - d[:-1]
-    out[-1] = -d[-1]
+def _temporal_operator(C: np.ndarray, eta: float, spline_beta: float, U: np.ndarray) -> np.ndarray:
+    """Apply the Hessian of the smooth cost in U3: (C_k + I/eta) u_k window by
+    window, plus spline_beta * D'D U."""
+    out = np.einsum("krs,ks->kr", C, U) + U / eta
+    if spline_beta:
+        out += spline_beta * apply_diff_transpose(apply_diff(U))
     return out
+
+
+def _active_penalty(params: Hyperparams, T: int) -> str:
+    """The temporal penalty in effect: "none" when beta is 0 or a single
+    window leaves no differences to penalize."""
+    return params.reg.kind if params.reg.beta > 0 and T >= 2 else "none"
 
 
 def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> tuple[np.ndarray, int]:
     """Minimize the cost over U3; returns (new U3, inner iterations used).
 
-    Without temporal smoothing the problem decouples into T exact R x R
-    ridge solves.  The spline penalty couples the windows through a
-    tridiagonal term and is solved by warm-started CG; the TV penalty is
-    handled by monotone FISTA with backtracking, using the exact 1-D TV
-    prox column by column.
+    Without temporal smoothing (or with a single window, where no difference
+    exists) the problem decouples into T exact R x R ridge solves.  The
+    spline penalty couples the windows through a block-tridiagonal term and
+    is solved by warm-started CG; the TV penalty is handled by monotone FISTA
+    with the fixed step 1/L, using the exact 1-D TV prox column by column.
     """
     _check_dims(model, data)
     C, b = _temporal_quadratic(model, data)
-    eta = params.eta
-    beta = params.reg.beta
+    kind = _active_penalty(params, model.T)
 
-    if params.reg.kind == "none" or beta == 0.0:
+    if kind == "none":
         A = C.copy()
         idx = np.arange(model.R)
-        A[:, idx, idx] += 1.0 / eta
+        A[:, idx, idx] += 1.0 / params.eta
         return np.linalg.solve(A, b[..., None])[..., 0], 0
 
-    if params.reg.kind == "spline":
-        return _temporal_cg_spline(C, b, model.U3, eta, beta, params.cg_max_iters, params.cg_tol)
+    if kind == "spline":
+        operate = partial(_temporal_operator, C, params.eta, params.reg.beta)
+        return _cg(operate, b, model.U3, params.cg_max_iters)
 
-    return _temporal_fista_tv(C, b, model.U3, eta, beta, params.pg_max_iters)
-
-
-def _temporal_cg_spline(C, b, U3_init, eta, beta, max_iters, tol):
-    def operate(U):
-        out = np.einsum("krs,ks->kr", C, U) + U / eta
-        out += beta * _second_difference(U)
-        return out
-
-    U = U3_init.copy()
-    r = b - operate(U)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    b_norm = float(np.linalg.norm(b))
-    threshold = tol * b_norm if b_norm > 0 else 0.0
-    n_iters = 0
-    for _ in range(max_iters):
-        if np.sqrt(rs) <= threshold:
-            break
-        Ap = operate(p)
-        alpha = rs / float(np.sum(p * Ap))
-        U += alpha * p
-        r -= alpha * Ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        n_iters += 1
-    return U, n_iters
+    return _temporal_fista_tv(C, b, model.U3, params.eta, params.reg, params.pg_max_iters)
 
 
-def _temporal_fista_tv(C, b, U3_init, eta, beta, max_iters):
-    """Monotone FISTA with backtracking on the smooth quadratic part.
+def _temporal_fista_tv(C, b, U3_init, eta, reg, max_iters):
+    """Monotone FISTA (Beck & Teboulle 2009) with the fixed step 1/L.
 
-    Nesterov momentum restarts whenever the objective would increase, in
-    which case a plain proximal-gradient step from the previous iterate is
-    taken instead; that step cannot increase the objective, so the returned
-    point never exceeds the starting objective.
+    The Hessian of the smooth part is block-diagonal, diag(C_k + I/eta), so
+    L = max_k lambda_max(C_k) + 1/eta is its exact Lipschitz constant.  When
+    the momentum step would raise the objective, momentum restarts and a
+    plain prox-gradient step from the previous iterate is taken instead;
+    with step 1/L that step cannot raise the objective (up to rounding), so
+    the returned point never exceeds the starting objective.
     """
-    from .regularizers import tv_penalty
-
-    def f_smooth(U):
-        return float(0.5 * np.einsum("ks,krs,kr->", U, C, U) - np.sum(b * U) + np.sum(U * U) / (2 * eta))
-
-    def grad(U):
-        return np.einsum("krs,ks->kr", C, U) - b + U / eta
+    hessian = partial(_temporal_operator, C, eta, 0.0)
+    L = float(np.linalg.eigvalsh(C).max()) + 1.0 / eta
 
     def objective(U):
-        return f_smooth(U) + beta * tv_penalty(U)
+        return float(0.5 * np.sum(U * hessian(U)) - np.sum(b * U)) + reg.penalty(U)
+
+    def prox_step(U):
+        return tv_prox_columns(U - (hessian(U) - b) / L, reg.beta / L)
 
     u_prev = U3_init.copy()
-    z = u_prev.copy()
+    z = u_prev
     obj_prev = objective(u_prev)
     t_momentum = 1.0
-    step = 1.0
-    n_iters = 0
-
     for _ in range(max_iters):
-        g = grad(z)
-        fz = f_smooth(z)
-        while True:
-            candidate = tv_prox_columns(z - step * g, beta * step)
-            diff = candidate - z
-            quad = fz + float(np.sum(g * diff)) + float(np.sum(diff * diff)) / (2 * step)
-            if f_smooth(candidate) <= quad + 1e-12 * (1 + abs(quad)):
-                break
-            step *= 0.5
+        candidate = prox_step(z)
         obj_candidate = objective(candidate)
         if obj_candidate > obj_prev:
-            # restart: momentum off, plain prox step from the previous iterate
             t_momentum = 1.0
-            g = grad(u_prev)
-            fz = f_smooth(u_prev)
-            while True:
-                candidate = tv_prox_columns(u_prev - step * g, beta * step)
-                diff = candidate - u_prev
-                quad = fz + float(np.sum(g * diff)) + float(np.sum(diff * diff)) / (2 * step)
-                if f_smooth(candidate) <= quad + 1e-12 * (1 + abs(quad)):
-                    break
-                step *= 0.5
+            candidate = prox_step(u_prev)
             obj_candidate = objective(candidate)
-            if obj_candidate > obj_prev:
-                candidate = u_prev
-                obj_candidate = obj_prev
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
         z = candidate + ((t_momentum - 1.0) / t_next) * (candidate - u_prev)
         u_prev = candidate
         obj_prev = obj_candidate
         t_momentum = t_next
-        n_iters += 1
-    return u_prev, n_iters
+    return u_prev, max_iters
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +422,7 @@ def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple
     absolute tolerance or the iteration cap is reached.  ``verbose`` prints
     one line per outer iteration.
     """
-    if params.warm_restart is not None and params.warm_restart.copy_U1_to_U2 and data.N != data.N_in:
+    if params.warm_restart is not None and data.N != data.N_in:
         raise ValueError("warm restart copies U1 into U2 and needs N_in == N (no lags, no affine row)")
 
     t_start = time.perf_counter()
@@ -468,7 +437,7 @@ def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple
     for it in range(1, params.max_outer_iters + 1):
         U1 = update_left(model, data, params.eta)
         model = CpFactors(U1=U1, U2=model.U2, U3=model.U3, affine=model.affine)
-        U2, cg_iters = update_right(model, data, params.eta, params.cg_max_iters, params.cg_tol)
+        U2, cg_iters = update_right(model, data, params.eta, params.cg_max_iters)
         model = CpFactors(U1=model.U1, U2=U2, U3=model.U3, affine=model.affine)
         U3, inner_iters = update_temporal(model, data, params)
         model = CpFactors(U1=model.U1, U2=model.U2, U3=U3, affine=model.affine)
@@ -492,8 +461,7 @@ def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple
         prev_cost = c
 
         if params.warm_restart is not None and it == params.warm_restart.at_iter:
-            if params.warm_restart.copy_U1_to_U2:
-                model = CpFactors(U1=model.U1, U2=model.U1.copy(), U3=model.U3, affine=model.affine)
+            model = CpFactors(U1=model.U1, U2=model.U1.copy(), U3=model.U3, affine=model.affine)
             prev_cost = None  # cost jumped; do not stop on the next comparison
 
     report = FitReport(

@@ -122,6 +122,18 @@ class TestDiffOperators:
             w = rng.standard_normal(T - 1)
             assert np.dot(apply_diff(v), w) == pytest.approx(np.dot(v, apply_diff_transpose(w)), abs=1e-14)
 
+    def test_adjoint_identity_columnwise(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            T = int(rng.integers(2, 40))
+            R = int(rng.integers(1, 5))
+            V = rng.standard_normal((T, R))
+            W = rng.standard_normal((T - 1, R))
+            assert apply_diff_transpose(W).shape == (T, R)
+            assert np.sum(apply_diff(V) * W) == pytest.approx(np.sum(V * apply_diff_transpose(W)), abs=1e-13)
+            D = dense_diff_matrix(T)
+            assert np.allclose(apply_diff_transpose(W), D.T @ W, atol=1e-15)
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             apply_diff(np.array([1.0]))

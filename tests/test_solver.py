@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lrtvar.cp_model import CpFactors
-from lrtvar.errors import DegenerateDataError, DimensionMismatchError
-from lrtvar.regularizers import Regularizer
+from lrtvar.errors import DegenerateDataError, DimensionMismatchError, NonFiniteError
+from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import (
     Hyperparams,
     WarmRestart,
@@ -212,6 +212,27 @@ def temporal_dense_oracle(model, data, eta):
     return U3
 
 
+def temporal_window_matrix(model, data, k):
+    """C_k = (U2'X_k X_k'U2) * (U1'U1), the loss Hessian of window k in U3."""
+    Gk = model.U2.T @ data.X[:, :, k]
+    return (Gk @ Gk.T) * (model.U1.T @ model.U1)
+
+
+def spline_dense_oracle(model, data, eta, beta):
+    """Dense solve of blockdiag(C_k + I/eta) + beta (D'D kron I_R) for the
+    spline-smoothed U3, with U3 vectorized row by row (window-major)."""
+    T, R = model.T, model.R
+    A = np.zeros((T * R, T * R))
+    rhs = np.zeros(T * R)
+    for k in range(T):
+        block = slice(k * R, (k + 1) * R)
+        A[block, block] = temporal_window_matrix(model, data, k) + np.eye(R) / eta
+        rhs[block] = np.diag(model.U2.T @ data.X[:, :, k] @ data.Y[:, :, k].T @ model.U1)
+    D = np.eye(T - 1, T) - np.eye(T - 1, T, k=1)
+    A += beta * np.kron(D.T @ D, np.eye(R))
+    return np.linalg.solve(A, rhs).reshape(T, R)
+
+
 class TestUpdateRight:
     def test_matches_kronecker_oracle(self):
         rng = np.random.default_rng(50)
@@ -296,6 +317,31 @@ class TestUpdateTemporal:
             U3, _ = update_temporal(model, data, params)
             after = cost(CpFactors(model.U1, model.U2, U3), data, params)
             assert after <= before + 1e-8 * (1 + abs(before))
+
+    def test_spline_matches_dense_block_tridiagonal_oracle(self):
+        rng = np.random.default_rng(72)
+        for _ in range(10):
+            N = int(rng.integers(2, 7))
+            R = int(rng.integers(1, 4))
+            T = int(rng.integers(2, 9))
+            model = random_model(rng, N, N, T, R)
+            data = random_data(rng, N, 4, T)
+            params = Hyperparams(R=R, eta=0.7, reg=Regularizer("spline", 2.0), cg_max_iters=500)
+            out, _ = update_temporal(model, data, params)
+            ref = spline_dense_oracle(model, data, eta=0.7, beta=2.0)
+            assert np.allclose(out, ref, atol=1e-6), (N, R, T)
+
+    def test_tv_reaches_prox_gradient_fixed_point(self):
+        rng = np.random.default_rng(73)
+        for _ in range(5):
+            model = random_model(rng, 4, 4, 6, 2)
+            data = random_data(rng, 4, 5, 6)
+            params = Hyperparams(R=2, eta=0.7, reg=Regularizer("tv", 1.5), pg_max_iters=5000)
+            U3, _ = update_temporal(model, data, params)
+            C = np.stack([temporal_window_matrix(model, data, k) for k in range(data.T)])
+            L = max(np.linalg.eigvalsh(Ck).max() for Ck in C) + 1 / 0.7
+            g = grad_temporal(CpFactors(model.U1, model.U2, U3), data, params)
+            assert np.linalg.norm(U3 - tv_prox_columns(U3 - g / L, 1.5 / L)) <= 1e-8
 
     def test_tv_never_increases_cost(self):
         rng = np.random.default_rng(57)
@@ -444,6 +490,14 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(data, params)
 
+    def test_single_window_spline_matches_unregularized(self):
+        rng = np.random.default_rng(74)
+        data = random_data(rng, 3, 8, 1)
+        common = dict(R=2, eta=0.5, seed=2, max_outer_iters=20)
+        _, plain = fit(data, Hyperparams(**common))
+        _, spline = fit(data, Hyperparams(**common, reg=Regularizer("spline", 3.0)))
+        assert spline.cost_trace == plain.cost_trace
+
     def test_warm_restart_runs_and_converges(self):
         rng = np.random.default_rng(70)
         model = random_model(rng, 4, 4, 4, 2)
@@ -471,6 +525,23 @@ class TestHyperparams:
             Hyperparams(R=1, eta=0.0)
         with pytest.raises(ValueError):
             Hyperparams(R=1, eta=1.0, max_outer_iters=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Hyperparams(R=1, eta=float("nan")),
+            lambda: Hyperparams(R=1, eta=float("inf")),
+            lambda: Hyperparams(R=1, eta=1.0, rtol=float("nan")),
+            lambda: Hyperparams(R=1, eta=1.0, atol=float("inf")),
+            lambda: Regularizer("tv", float("nan")),
+            lambda: Regularizer("tv", float("inf")),
+            lambda: Regularizer("spline", float("-inf")),
+        ],
+        ids=["eta-nan", "eta-inf", "rtol-nan", "atol-inf", "beta-nan", "beta-inf", "beta-neg-inf"],
+    )
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(NonFiniteError):
+            make()
 
     def test_defaults_match_documented_values(self):
         p = Hyperparams(R=2, eta=1.0)
