@@ -73,6 +73,8 @@ def apply_diff(v: np.ndarray) -> np.ndarray:
 def apply_diff_transpose(w: np.ndarray) -> np.ndarray:
     """Exact adjoint of :func:`apply_diff`; maps T-1 rows to T rows down axis 0."""
     w = np.asarray(w, dtype=float)
+    if w.ndim == 0 or w.shape[0] < 1:
+        raise ValueError("apply_diff_transpose needs a vector of length >= 1")
     out = np.empty((w.shape[0] + 1,) + w.shape[1:], dtype=float)
     out[0] = w[0]
     out[1:-1] = w[1:] - w[:-1]

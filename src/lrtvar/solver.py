@@ -15,7 +15,12 @@ so the outer cost trace descends monotonically up to subproblem tolerances.
 
 Nothing in the fit path ever forms an N x N or N_in x N_in matrix; all
 contractions go through the data tensors and the R-column factors, which is
-what makes large state dimensions tractable.
+what makes large state dimensions tractable.  Each contraction is a BLAS
+matmul of a 2-D (M*T, channels) view of a data tensor with an R-column
+factor (the MTTKRP view of CP-ALS); diag(U3[k]) is a broadcast multiply on
+the (M, T, R) view of the product, and the per-window R x R blocks are one
+batched matmul.  ``fit`` evaluates the loss once per outer iteration and
+derives both the cost and the RMSE from it.
 """
 
 from __future__ import annotations
@@ -80,6 +85,14 @@ class Hyperparams:
                 raise ValueError(f"{name} must be >= 1")
         if self.rtol < 0 or self.atol < 0:
             raise ValueError("tolerances must be >= 0")
+        for name in ("init_noise_spatial", "init_noise_temporal"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not np.isfinite(value):
+                raise NonFiniteError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -127,33 +140,52 @@ def _check_dims(model: CpFactors, data: SnapshotPair) -> None:
         )
 
 
+def _transitions(A: np.ndarray) -> np.ndarray:
+    """A (channels, M, T) data tensor as the (M*T, channels) matrix whose row
+    m*T + k is column m of window k.  This is a view of the memory layout
+    ``build_snapshots`` produces and one copy of any other layout."""
+    return A.transpose(1, 2, 0).reshape(-1, A.shape[0])
+
+
+def _scale_windows(W: np.ndarray, U3: np.ndarray) -> np.ndarray:
+    """Multiply the rows of an (M*T, R) matrix that belong to window k by
+    U3[k], which applies diag(U3[k]) to every transition of window k."""
+    return (W.reshape(-1, *U3.shape) * U3).reshape(W.shape)
+
+
 def _scaled_projection(model: CpFactors, data: SnapshotPair) -> np.ndarray:
-    """Stack of H_k = diag(U3[k]) U2' X_k, shape (R, M, T)."""
-    H = np.einsum("imk,ir->rmk", data.X, model.U2)  # U2' X_k
-    H *= model.U3.T[:, None, :]  # diag scaling by window loadings
-    return H
+    """The (M*T, R) matrix of the rows of H_k' = X_k' U2 diag(U3[k])."""
+    return _scale_windows(_transitions(data.X) @ model.U2, model.U3)
+
+
+def _rmse_from_loss(value: float, data: SnapshotPair) -> float:
+    """RMSE per channel and transition of a fit whose loss is ``value``."""
+    return float(np.sqrt(2.0 * value / (data.N * data.M * data.T)))
 
 
 def loss(model: CpFactors, data: SnapshotPair) -> float:
     """Unregularized squared error: 1/2 sum_k ||Y_k - A_k X_k||_F^2."""
     _check_dims(model, data)
-    resid = data.Y - np.einsum("ir,rmk->imk", model.U1, _scaled_projection(model, data))
+    resid = _transitions(data.Y) - _scaled_projection(model, data) @ model.U1.T
     return 0.5 * float(np.sum(resid * resid))
 
 
 def rmse(model: CpFactors, data: SnapshotPair) -> float:
     """Average one-step prediction error per channel:
     sqrt(sum_k ||Y_k - A_k X_k||_F^2 / (N M T))."""
-    return float(np.sqrt(2.0 * loss(model, data) / (data.N * data.M * data.T)))
+    return _rmse_from_loss(loss(model, data), data)
 
 
 def cost(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> float:
     """Full regularized objective: loss + ridge + beta * temporal penalty."""
-    return (
-        loss(model, data)
-        + tikhonov_penalty(model.U1, model.U2, model.U3, params.eta)
-        + params.reg.penalty(model.U3)
-    )
+    return _cost_and_rmse(model, data, params)[0]
+
+
+def _cost_and_rmse(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> tuple[float, float]:
+    """(cost, rmse) of the model from a single loss evaluation."""
+    value = loss(model, data)
+    regularization = tikhonov_penalty(model.U1, model.U2, model.U3, params.eta) + params.reg.penalty(model.U3)
+    return value + regularization, _rmse_from_loss(value, data)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +196,7 @@ def _left_normal_equations(model: CpFactors, data: SnapshotPair) -> tuple[np.nda
     """S = sum_k H_k H_k' and B = sum_k Y_k H_k', so the loss in U1 is
     1/2 tr(U1 S U1') - tr(B' U1) + const."""
     H = _scaled_projection(model, data)
-    S = np.einsum("rmk,smk->rs", H, H)
-    B = np.einsum("imk,rmk->ir", data.Y, H)
-    return S, B
+    return H.T @ H, _transitions(data.Y).T @ H
 
 
 def grad_left(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
@@ -205,19 +235,16 @@ def update_left(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
 
 def _right_operator(model: CpFactors, data: SnapshotPair, eta: float, U: np.ndarray) -> np.ndarray:
     """Apply U -> sum_k X_k X_k' U R_k + U/eta with R_k = diag(U3[k]) U1'U1 diag(U3[k])."""
-    P = model.U1.T @ model.U1
-    W = np.einsum("imk,ir->mrk", data.X, U)  # X_k' U
-    W *= model.U3.T[None, :, :]
-    Z = np.einsum("mrk,rs->msk", W, P)
-    Z *= model.U3.T[None, :, :]
-    return np.einsum("imk,msk->is", data.X, Z) + U / eta
+    X = _transitions(data.X)
+    W = _scale_windows(X @ U, model.U3)  # rows of X_k' U diag(U3[k])
+    Z = _scale_windows(W @ (model.U1.T @ model.U1), model.U3)
+    return X.T @ Z + U / eta
 
 
 def _right_rhs(model: CpFactors, data: SnapshotPair) -> np.ndarray:
     """B = sum_k X_k Y_k' U1 diag(U3[k])."""
-    F = np.einsum("imk,ir->mrk", data.Y, model.U1)  # Y_k' U1
-    F *= model.U3.T[None, :, :]
-    return np.einsum("imk,mrk->ir", data.X, F)
+    F = _scale_windows(_transitions(data.Y) @ model.U1, model.U3)  # rows of Y_k' U1 diag(U3[k])
+    return _transitions(data.X).T @ F
 
 
 def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = CG_TOL) -> tuple[np.ndarray, int]:
@@ -268,19 +295,18 @@ def _temporal_quadratic(model: CpFactors, data: SnapshotPair) -> tuple[np.ndarra
     """Per-window quadratic data: C[k] = (U2'X_k X_k'U2) * (U1'U1) (Hadamard)
     and b[k] = diag(U2' X_k Y_k' U1), so the smooth loss in U3 is
     sum_k 1/2 u_k' C_k u_k - b_k' u_k + const with u_k = U3[k]."""
-    G = np.einsum("imk,ir->rmk", data.X, model.U2)  # U2' X_k
-    GG = np.einsum("rmk,smk->krs", G, G)
-    P = model.U1.T @ model.U1
-    C = GG * P[None, :, :]
-    F = np.einsum("imk,ir->mrk", data.Y, model.U1)  # Y_k' U1
-    b = np.einsum("rmk,mrk->kr", G, F)
+    shape = (-1, model.T, model.R)
+    G = (_transitions(data.X) @ model.U2).reshape(shape).transpose(1, 0, 2)  # G[k] = X_k' U2
+    F = (_transitions(data.Y) @ model.U1).reshape(shape).transpose(1, 0, 2)  # F[k] = Y_k' U1
+    C = (G.transpose(0, 2, 1) @ G) * (model.U1.T @ model.U1)
+    b = np.sum(G * F, axis=1)
     return C, b
 
 
 def _temporal_operator(C: np.ndarray, eta: float, spline_beta: float, U: np.ndarray) -> np.ndarray:
     """Apply the Hessian of the smooth cost in U3: (C_k + I/eta) u_k window by
     window, plus spline_beta * D'D U."""
-    out = np.einsum("krs,ks->kr", C, U) + U / eta
+    out = (C @ U[:, :, None])[:, :, 0] + U / eta
     if spline_beta:
         out += spline_beta * apply_diff_transpose(apply_diff(U))
     return out
@@ -414,6 +440,14 @@ def initialize(data: SnapshotPair, params: Hyperparams) -> CpFactors:
     return CpFactors(U1=U1, U2=U2, U3=U3, affine=data.affine)
 
 
+def _timed(seconds: list, func, *args):
+    """Call func(*args) and append its wall time to ``seconds``."""
+    start = time.perf_counter()
+    result = func(*args)
+    seconds.append(time.perf_counter() - start)
+    return result
+
+
 def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple[CpFactors, FitReport]:
     """Alternating block minimization of the regularized cost.
 
@@ -421,35 +455,44 @@ def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple
     each full cycle, until the cost decrease falls below the relative or
     absolute tolerance or the iteration cap is reached.  ``verbose`` prints
     one line per outer iteration.
+
+    ``subproblem_stats`` holds one entry per outer iteration under each key:
+    the inner iterations of the U2 and U3 updates (``cg_iters_right``,
+    ``inner_iters_temporal``) and the wall seconds of the U1, U2 and U3
+    updates and of the objective evaluation (``seconds_left``,
+    ``seconds_right``, ``seconds_temporal``, ``seconds_objective``).
     """
     if params.warm_restart is not None and data.N != data.N_in:
         raise ValueError("warm restart copies U1 into U2 and needs N_in == N (no lags, no affine row)")
 
     t_start = time.perf_counter()
     model = initialize(data, params)
-    cost_trace = [cost(model, data, params)]
-    rmse_trace = [rmse(model, data)]
-    stats = {"cg_iters_right": [], "inner_iters_temporal": []}
+    c, r = _cost_and_rmse(model, data, params)
+    cost_trace = [c]
+    rmse_trace = [r]
+    keys = ("cg_iters_right", "inner_iters_temporal", "seconds_left", "seconds_right", "seconds_temporal",
+            "seconds_objective")
+    stats = {key: [] for key in keys}
 
     termination = "max_iters"
     iterations = 0
     prev_cost: Optional[float] = cost_trace[0]
     for it in range(1, params.max_outer_iters + 1):
-        U1 = update_left(model, data, params.eta)
+        U1 = _timed(stats["seconds_left"], update_left, model, data, params.eta)
         model = CpFactors(U1=U1, U2=model.U2, U3=model.U3, affine=model.affine)
-        U2, cg_iters = update_right(model, data, params.eta, params.cg_max_iters)
+        U2, cg_iters = _timed(stats["seconds_right"], update_right, model, data, params.eta, params.cg_max_iters)
         model = CpFactors(U1=model.U1, U2=U2, U3=model.U3, affine=model.affine)
-        U3, inner_iters = update_temporal(model, data, params)
+        U3, inner_iters = _timed(stats["seconds_temporal"], update_temporal, model, data, params)
         model = CpFactors(U1=model.U1, U2=model.U2, U3=U3, affine=model.affine)
 
         iterations = it
-        c = cost(model, data, params)
+        c, r = _timed(stats["seconds_objective"], _cost_and_rmse, model, data, params)
         cost_trace.append(c)
-        rmse_trace.append(rmse(model, data))
+        rmse_trace.append(r)
         stats["cg_iters_right"].append(cg_iters)
         stats["inner_iters_temporal"].append(inner_iters)
         if verbose:
-            print(f"iter {it}: cost={c:.17g} rmse={rmse_trace[-1]:.17g} cg={cg_iters} inner={inner_iters}")
+            print(f"iter {it}: cost={c:.17g} rmse={r:.17g} cg={cg_iters} inner={inner_iters}")
 
         if prev_cost is not None:
             if prev_cost > 0 and abs(c - prev_cost) / prev_cost < params.rtol:

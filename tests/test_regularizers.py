@@ -137,6 +137,10 @@ class TestDiffOperators:
     def test_too_short(self):
         with pytest.raises(ValueError):
             apply_diff(np.array([1.0]))
+        with pytest.raises(ValueError):
+            apply_diff_transpose(np.zeros(0))
+        with pytest.raises(ValueError):
+            apply_diff_transpose(np.zeros((0, 3)))
 
 
 class TestTikhonov:

@@ -18,8 +18,9 @@ from lrtvar.solver import (
     update_left,
     update_right,
     update_temporal,
+    _temporal_quadratic,
 )
-from lrtvar.windowing import SnapshotPair
+from lrtvar.windowing import SnapshotPair, TimeSeries, build_snapshots
 
 
 def random_model(rng, N, N_in, T, R):
@@ -300,8 +301,6 @@ class TestUpdateTemporal:
         U3, _ = update_temporal(model, data, params)
         assert np.all(np.abs(U3 - U3[0]) < 1e-6)
         # unique minimizer over constant-column matrices
-        from lrtvar.solver import _temporal_quadratic
-
         C, b = _temporal_quadratic(model, data)
         A = C.sum(axis=0) + (data.T / 0.5) * np.eye(2)
         c_star = np.linalg.solve(A, b.sum(axis=0))
@@ -517,6 +516,36 @@ class TestFit:
         assert np.allclose(rows[:, 1], report.cost_trace)
 
 
+class TestWindowedSeriesLayout:
+    """The contractions on tensors from ``build_snapshots``, whose memory is
+    not C-ordered (N_in, M, T) as in ``random_data``: lags with an affine row
+    (N_in = 2N + 1), and windows of a single transition."""
+
+    @pytest.mark.parametrize(
+        "M, P, affine, reg",
+        [(4, 2, True, Regularizer("tv", 0.5)), (1, 1, False, Regularizer("spline", 2.0))],
+        ids=["lags-affine", "single-transition-windows"],
+    )
+    def test_contractions_match_oracles(self, M, P, affine, reg):
+        rng = np.random.default_rng(80)
+        N, T, R = 3, 5, 2
+        data = build_snapshots(TimeSeries(rng.standard_normal((N, P + M * T))), M=M, P=P, affine=affine)
+        assert data.N_in == N * P + affine and data.T == T
+        model = random_model(rng, N, data.N_in, T, R)
+
+        out, _ = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
+        assert np.allclose(out, kron_oracle_right(model, data, eta=0.5), atol=1e-6)
+        C, _ = _temporal_quadratic(model, data)
+        for k in range(T):
+            assert np.allclose(C[k], temporal_window_matrix(model, data, k), rtol=1e-12, atol=1e-12)
+        assert loss(model, data) == pytest.approx(loss_entrywise(model, data), rel=1e-12)
+
+        params = Hyperparams(R=R, eta=0.5, reg=reg, max_outer_iters=8, seed=3)
+        fitted, report = fit(data, params)
+        assert report.cost_trace[-1] == cost(fitted, data, params)
+        assert report.rmse_trace[-1] == rmse(fitted, data)
+
+
 class TestHyperparams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -525,6 +554,11 @@ class TestHyperparams:
             Hyperparams(R=1, eta=0.0)
         with pytest.raises(ValueError):
             Hyperparams(R=1, eta=1.0, max_outer_iters=0)
+        with pytest.raises(ValueError):
+            Hyperparams(R=2, eta=1.0, init_noise_spatial=-1.0)
+        with pytest.raises(ValueError):
+            Hyperparams(R=2, eta=1.0, init_noise_temporal=-1.0)
+        Hyperparams(R=2, eta=1.0, init_noise_spatial=0.0, init_noise_temporal=0.0)
 
     @pytest.mark.parametrize(
         "make",
@@ -536,8 +570,20 @@ class TestHyperparams:
             lambda: Regularizer("tv", float("nan")),
             lambda: Regularizer("tv", float("inf")),
             lambda: Regularizer("spline", float("-inf")),
+            lambda: Hyperparams(R=2, eta=1.0, init_noise_spatial=float("nan")),
+            lambda: Hyperparams(R=2, eta=1.0, init_noise_temporal=float("inf")),
         ],
-        ids=["eta-nan", "eta-inf", "rtol-nan", "atol-inf", "beta-nan", "beta-inf", "beta-neg-inf"],
+        ids=[
+            "eta-nan",
+            "eta-inf",
+            "rtol-nan",
+            "atol-inf",
+            "beta-nan",
+            "beta-inf",
+            "beta-neg-inf",
+            "init-noise-spatial-nan",
+            "init-noise-temporal-inf",
+        ],
     )
     def test_non_finite_rejected(self, make):
         with pytest.raises(NonFiniteError):
