@@ -26,19 +26,17 @@ from .evaluation import (
     model_estimate,
     operator_norm_error,
 )
-from .regularizers import Regularizer
+from .regularizers import REGULARIZER_KINDS, Regularizer
 from .solver import Hyperparams, WarmRestart, fit
 from .synthetic import GroundTruth, simulate_smooth, simulate_switching
-from .windowing import build_snapshots, read_series_csv, write_series_csv
+from .windowing import build_snapshots, format_cell, read_csv, read_series_csv, write_csv, write_series_csv
 
 
 def fmt(x) -> str:
-    """17-significant-digit text for floats; comma-join for lists."""
-    if isinstance(x, float):
-        return f"{x:.17g}"
+    """Manifest text of one option value: CSV cell text, lists comma-joined."""
     if isinstance(x, (list, tuple)):
-        return ",".join(fmt(v) for v in x)
-    return str(x)
+        return ",".join(map(format_cell, x))
+    return format_cell(x)
 
 
 def smooth_beta_default(N: int) -> float:
@@ -47,13 +45,6 @@ def smooth_beta_default(N: int) -> float:
 
 
 BENCHMARKS = ("switching", "smooth")
-
-
-def benchmark_fit_defaults(benchmark: str, N: int) -> dict:
-    """Fit settings that reproduce the two synthetic problems' parameter rows."""
-    if benchmark == "switching":
-        return {"window": 20, "rank": 8, "eta": 1.0 / N, "beta": 5.0, "reg": "tv"}
-    return {"window": 1, "rank": 4, "eta": 6.0 / N, "beta": smooth_beta_default(N), "reg": "spline"}
 
 
 def benchmark_compare_defaults(benchmark: str, N: int) -> dict:
@@ -91,19 +82,23 @@ def resolve_options(args: argparse.Namespace, known: dict) -> dict:
     """Merge per-command defaults, config file, and explicit CLI flags.
 
     ``known`` maps option name -> (parser, default).  Config-file keys must
-    be known; explicit flags win over the file, the file wins over defaults.
+    be known and their values must parse; explicit flags win over the file,
+    the file wins over defaults.
     """
     resolved = {name: default for name, (_, default) in known.items()}
-    if getattr(args, "config", None):
+    if args.config:
         file_options = read_config_file(args.config)
         unknown = set(file_options) - set(known)
         if unknown:
             raise SystemExit(f"error: unknown config keys: {', '.join(sorted(unknown))}")
         for key, text in file_options.items():
             parser, _ = known[key]
-            resolved[key] = parser(text)
+            try:
+                resolved[key] = parser(text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise SystemExit(f"error: config key {key}: {exc}") from None
     for name in known:
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name)
         if value is not None:
             resolved[name] = value
     return resolved
@@ -123,6 +118,17 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def one_of(choices: tuple):
+    """Parser that accepts exactly the strings in ``choices``."""
+
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(choices)}, got {text!r}")
+        return text
+
+    return parse
+
+
 def parse_int_list(text: str) -> list:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -137,79 +143,60 @@ def parse_str_list(text: str) -> list:
 
 def write_truth_bundle(outdir, truth: GroundTruth, manifest: str) -> None:
     n = truth.unique_matrices[0].shape[0]
-    with open(os.path.join(outdir, "truth_matrices.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {manifest}\n")
-        fh.write(f"# {len(truth.unique_matrices)} blocks of {n} rows each; block b spans rows b*{n}..(b+1)*{n}-1\n")
-        for block in truth.unique_matrices:
-            for row in block:
-                fh.write(",".join(fmt(float(v)) for v in row) + "\n")
-    with open(os.path.join(outdir, "truth_index.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {manifest}\n")
-        fh.write("transition,block\n")
-        for t, b in enumerate(truth.matrix_index):
-            fh.write(f"{t},{int(b)}\n")
+    write_csv(
+        os.path.join(outdir, "truth_matrices.csv"),
+        (row for block in truth.unique_matrices for row in block),
+        manifest=manifest,
+        comments=[f"{len(truth.unique_matrices)} blocks of {n} rows each; block b spans rows b*{n}..(b+1)*{n}-1"],
+    )
+    write_csv(
+        os.path.join(outdir, "truth_index.csv"),
+        ((t, int(b)) for t, b in enumerate(truth.matrix_index)),
+        header=["transition", "block"],
+        manifest=manifest,
+    )
 
 
-def read_truth_bundle(matrices_path, index_path, sigma: float = 0.0) -> tuple:
+def read_truth_bundle(matrices_path, index_path) -> tuple:
     """Read back (unique_matrices, matrix_index) written by the generator."""
-    rows = []
-    with open(matrices_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    flat = np.asarray(rows)
+    _, flat = read_csv(matrices_path)
     n = flat.shape[1]
     if flat.shape[0] % n:
         raise ValueError(f"{matrices_path}: {flat.shape[0]} rows do not stack into {n}x{n} blocks")
     blocks = [flat[b * n : (b + 1) * n] for b in range(flat.shape[0] // n)]
-    index = []
-    with open(index_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip() or line.startswith("transition"):
-                continue
-            _, _, b = line.partition(",")
-            index.append(int(b))
-    return blocks, np.asarray(index, dtype=int)
+    _, index = read_csv(index_path)
+    return blocks, index[:, 1].astype(int)
 
 
 def write_clusters_csv(outdir, labels, manifest: str) -> None:
     """One (window, label) row per window of the temporal modes."""
-    with open(os.path.join(outdir, "clusters.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"# {manifest}\n")
-        fh.write("window,label\n")
-        for w, lab in enumerate(labels):
-            fh.write(f"{w},{lab}\n")
+    write_csv(os.path.join(outdir, "clusters.csv"), enumerate(labels), header=["window", "label"], manifest=manifest)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+GENERATE_KNOWN = {
+    "benchmark": (one_of(BENCHMARKS), "switching"),
+    "N": (int, None),
+    "tau": (int, None),
+    "sigma": (float, None),
+    "seed": (int, 0),
+    "theta1": (float, None),
+    "theta2": (float, None),
+    "lengthscale": (float, 30.0),
+}
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    known = {
-        "benchmark": (str, "switching"),
-        "N": (int, None),
-        "tau": (int, None),
-        "sigma": (float, None),
-        "seed": (int, 0),
-        "theta1": (float, None),
-        "theta2": (float, None),
-        "lengthscale": (float, 30.0),
-    }
-    opts = resolve_options(args, known)
-    if opts["benchmark"] not in BENCHMARKS:
-        raise SystemExit(f"error: benchmark must be one of {BENCHMARKS}")
+    opts = resolve_options(args, GENERATE_KNOWN)
     for key, value in benchmark_generate_defaults(opts["benchmark"]).items():
         if opts[key] is None:
             opts[key] = value
 
     if opts["benchmark"] == "switching":
-        kwargs = {}
-        if opts["theta1"] is not None:
-            kwargs["theta1"] = opts["theta1"]
-        if opts["theta2"] is not None:
-            kwargs["theta2"] = opts["theta2"]
+        kwargs = {key: opts[key] for key in ("theta1", "theta2") if opts[key] is not None}
         truth = simulate_switching(N=opts["N"], tau=opts["tau"], sigma=opts["sigma"], seed=opts["seed"], **kwargs)
     else:
         truth = simulate_smooth(
@@ -249,7 +236,7 @@ FIT_KNOWN = {
     "window": (int, None),
     "eta": (float, None),
     "beta": (float, 0.0),
-    "reg": (str, "none"),
+    "reg": (one_of(REGULARIZER_KINDS), "none"),
     "affine": (parse_bool, False),
     "lags": (int, 1),
     "rtol": (float, 1e-4),
@@ -290,7 +277,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 COMPARE_KNOWN = {
-    "benchmark": (str, None),
+    "benchmark": (one_of(BENCHMARKS), None),
     "input": (str, None),
     "truth_matrices": (str, None),
     "truth_index": (str, None),
@@ -300,7 +287,7 @@ COMPARE_KNOWN = {
     "window": (int, None),
     "eta": (float, None),
     "beta": (float, None),
-    "reg": (str, None),
+    "reg": (one_of(REGULARIZER_KINDS), None),
     "sigma": (float, None),
     "tau": (int, None),
     "max_iters": (int, 1000),
@@ -325,7 +312,8 @@ def _parse_method(tag: str) -> tuple:
 
 
 def _compare_one(task: dict) -> dict:
-    """One sweep row: fit one method on one instance; returns the row dict."""
+    """One sweep row: fit one method on one instance; returns the row dict.
+    Benchmark instances are simulated here, ``--input`` ones come in the task."""
     t0 = time.perf_counter()
     row = {"method": task["method"], "N": task["N"], "seed": task["seed"], "error": "", "rmse": "", "status": "ok"}
     try:
@@ -336,11 +324,7 @@ def _compare_one(task: dict) -> dict:
             truth = simulate_smooth(N=task["N"], tau=task["tau"], sigma=task["sigma"], seed=task["seed"])
             series = truth.series
         else:
-            series = read_series_csv(task["input"])
-            truth = None
-            if task["truth_matrices"]:
-                blocks, index = read_truth_bundle(task["truth_matrices"], task["truth_index"])
-                truth = GroundTruth(series=series, unique_matrices=blocks, matrix_index=index, sigma=0.0)
+            series, truth = task["series"], task["truth"]
         pair = build_snapshots(series, M=task["window"])
         kind, rank = _parse_method(task["method"])
         if kind == "lowrank":
@@ -361,15 +345,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     opts = resolve_options(args, COMPARE_KNOWN)
     if (opts["benchmark"] is None) == (opts["input"] is None):
         raise SystemExit("error: compare needs exactly one of --benchmark or --input")
+    if (opts["truth_matrices"] is None) != (opts["truth_index"] is None):
+        raise SystemExit("error: --truth-matrices and --truth-index go together")
     for tag in opts["methods"]:
         try:
             _parse_method(tag)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}") from None
 
+    series = truth = None
     if opts["benchmark"] is not None:
-        if opts["benchmark"] not in BENCHMARKS:
-            raise SystemExit(f"error: benchmark must be one of {BENCHMARKS}")
         gen_defaults = benchmark_generate_defaults(opts["benchmark"])
         if opts["tau"] is None:
             opts["tau"] = gen_defaults["tau"]
@@ -379,7 +364,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             opts["N_list"] = [gen_defaults["N"]]
         n_values = opts["N_list"]
     else:
-        n_values = [read_series_csv(opts["input"]).n_channels]
+        series = read_series_csv(opts["input"])
+        if opts["truth_matrices"]:
+            blocks, index = read_truth_bundle(opts["truth_matrices"], opts["truth_index"])
+            truth = GroundTruth(series=series, unique_matrices=blocks, matrix_index=index, sigma=0.0)
+        n_values = [series.n_channels]
 
     tasks = []
     for N in n_values:
@@ -398,26 +387,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             per_n["reg"] = "none"
         for seed in opts["seeds"]:
             for method in opts["methods"]:
-                tasks.append(
-                    {
-                        "method": method,
-                        "N": N,
-                        "seed": seed,
-                        "benchmark": opts["benchmark"],
-                        "input": opts["input"],
-                        "truth_matrices": opts["truth_matrices"],
-                        "truth_index": opts["truth_index"],
-                        "tau": per_n["tau"],
-                        "sigma": per_n["sigma"],
-                        "window": per_n["window"],
-                        "eta": per_n["eta"],
-                        "beta": per_n["beta"],
-                        "reg": per_n["reg"],
-                        "max_iters": per_n["max_iters"],
-                        "rtol": per_n["rtol"],
-                        "atol": per_n["atol"],
-                    }
-                )
+                tasks.append({**per_n, "method": method, "N": N, "seed": seed, "series": series, "truth": truth})
 
     if opts["workers"] > 1:
         with ProcessPoolExecutor(max_workers=opts["workers"]) as pool:
@@ -428,14 +398,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     manifest = manifest_line("compare", {k: v for k, v in opts.items() if k != "workers"})
-    results_path = os.path.join(args.out, "compare_results.csv")
-    with open(results_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {manifest}\n")
-        fh.write("method,N,seed,mean_operator_norm_error,rmse,status\n")
-        for row in rows:
-            err = fmt(row["error"]) if row["error"] != "" else ""
-            rm = fmt(row["rmse"]) if row["rmse"] != "" else ""
-            fh.write(f"{row['method']},{row['N']},{row['seed']},{err},{rm},{row['status']}\n")
+    write_csv(
+        os.path.join(args.out, "compare_results.csv"),
+        ([r["method"], r["N"], r["seed"], r["error"], r["rmse"], r["status"]] for r in rows),
+        header=["method", "N", "seed", "mean_operator_norm_error", "rmse", "status"],
+        manifest=manifest,
+    )
     with open(os.path.join(args.out, "compare_timing.log"), "w", encoding="utf-8") as fh:
         fh.write(f"# {manifest}\n")
         for row in rows:
@@ -446,28 +414,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    """Read a numeric matrix CSV, skipping '#' comments and one header row."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            try:
-                rows.append([float(tok) for tok in line.strip().split(",")])
-            except ValueError:
-                if rows:
-                    raise
-                continue  # header row
-    return np.asarray(rows)
+CLUSTER_KNOWN = {"u3": (str, None), "k": (int, 2), "seed": (int, 0)}
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    known = {"u3": (str, None), "k": (int, 2), "seed": (int, 0)}
-    opts = resolve_options(args, known)
+    opts = resolve_options(args, CLUSTER_KNOWN)
     if opts["u3"] is None:
         raise SystemExit("error: --u3 is required for cluster")
-    U3 = read_matrix_csv(opts["u3"])
+    _, U3 = read_csv(opts["u3"])
     labels = cluster_temporal_modes(U3, k=opts["k"], seed=opts["seed"])
     os.makedirs(args.out, exist_ok=True)
     write_clusters_csv(args.out, labels, manifest_line("cluster", opts))
@@ -477,69 +431,28 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per option-table key (``max_iters`` -> ``--max-iters``), each
+    defaulting to None so :func:`resolve_options` can tell it was not given."""
     parser = argparse.ArgumentParser(prog="lrtvar", description="Low-rank time-varying autoregression toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p):
-        p.add_argument("--seed", type=int, default=None)
+    commands = (
+        ("generate", cmd_generate, GENERATE_KNOWN, "write a synthetic benchmark series plus its truth bundle"),
+        ("fit", cmd_fit, FIT_KNOWN, "fit the factored model to a series CSV"),
+        ("compare", cmd_compare, COMPARE_KNOWN, "sweep methods over a benchmark or a series CSV"),
+        ("cluster", cmd_cluster, CLUSTER_KNOWN, "k-means labels for the rows of a temporal-mode CSV"),
+    )
+    for name, func, known, help_text in commands:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", type=str, default=".")
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--verbose", action="store_true")
-
-    g = sub.add_parser("generate", help="write a synthetic benchmark series plus its truth bundle")
-    add_shared(g)
-    g.add_argument("--benchmark", choices=BENCHMARKS, default=None)
-    g.add_argument("--N", type=int, default=None)
-    g.add_argument("--tau", type=int, default=None)
-    g.add_argument("--sigma", type=float, default=None)
-    g.add_argument("--theta1", type=float, default=None)
-    g.add_argument("--theta2", type=float, default=None)
-    g.add_argument("--lengthscale", type=float, default=None)
-    g.set_defaults(func=cmd_generate)
-
-    f = sub.add_parser("fit", help="fit the factored model to a series CSV")
-    add_shared(f)
-    f.add_argument("--input", type=str, default=None)
-    f.add_argument("--rank", type=int, default=None)
-    f.add_argument("--window", type=int, default=None)
-    f.add_argument("--eta", type=float, default=None)
-    f.add_argument("--beta", type=float, default=None)
-    f.add_argument("--reg", choices=("none", "tv", "spline"), default=None)
-    f.add_argument("--affine", action="store_const", const=True, default=None)
-    f.add_argument("--lags", type=int, default=None)
-    f.add_argument("--rtol", type=float, default=None)
-    f.add_argument("--atol", type=float, default=None)
-    f.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    f.add_argument("--warm-restart-at", dest="warm_restart_at", type=int, default=None)
-    f.add_argument("--clusters", type=int, default=None)
-    f.set_defaults(func=cmd_fit)
-
-    c = sub.add_parser("compare", help="sweep methods over a benchmark or a series CSV")
-    add_shared(c)
-    c.add_argument("--benchmark", choices=BENCHMARKS, default=None)
-    c.add_argument("--input", type=str, default=None)
-    c.add_argument("--truth-matrices", dest="truth_matrices", type=str, default=None)
-    c.add_argument("--truth-index", dest="truth_index", type=str, default=None)
-    c.add_argument("--N-list", dest="N_list", type=parse_int_list, default=None)
-    c.add_argument("--seeds", type=parse_int_list, default=None)
-    c.add_argument("--methods", type=parse_str_list, default=None)
-    c.add_argument("--window", type=int, default=None)
-    c.add_argument("--eta", type=float, default=None)
-    c.add_argument("--beta", type=float, default=None)
-    c.add_argument("--reg", choices=("none", "tv", "spline"), default=None)
-    c.add_argument("--sigma", type=float, default=None)
-    c.add_argument("--tau", type=int, default=None)
-    c.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    c.add_argument("--rtol", type=float, default=None)
-    c.add_argument("--atol", type=float, default=None)
-    c.add_argument("--workers", type=int, default=None)
-    c.set_defaults(func=cmd_compare)
-
-    k = sub.add_parser("cluster", help="k-means labels for the rows of a temporal-mode CSV")
-    add_shared(k)
-    k.add_argument("--u3", type=str, default=None)
-    k.add_argument("--k", type=int, default=None)
-    k.set_defaults(func=cmd_cluster)
+        for key, (parse, _) in known.items():
+            flag = "--" + key.replace("_", "-")
+            if parse is parse_bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True, default=None)
+            else:
+                p.add_argument(flag, dest=key, type=parse, default=None)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteError, TensorTooLargeError
+from .windowing import write_csv
 
 DENSE_ENTRY_CAP = 100_000_000
 
@@ -173,22 +174,13 @@ def export_factors(normalized: NormalizedCp, outdir, manifest: Optional[str] = N
         ("U2.csv", f.U2, "input channel (last row = offset loading)" if f.affine else "input channel"),
         ("U3.csv", f.U3, "window"),
     ]
+    header = [f"component_{r}" for r in range(f.R)]
     for fname, mat, rowkind in specs:
         path = os.path.join(outdir, fname)
-        with open(path, "w", encoding="utf-8") as fh:
-            if manifest:
-                fh.write(f"# {manifest}\n")
-            fh.write(f"# rows: {rowkind}; columns: components by descending scale\n")
-            fh.write(",".join(f"component_{r}" for r in range(f.R)) + "\n")
-            for row in mat:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        comment = f"rows: {rowkind}; columns: components by descending scale"
+        write_csv(path, mat, header=header, manifest=manifest, comments=[comment])
         paths.append(path)
     path = os.path.join(outdir, "lambda.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        if manifest:
-            fh.write(f"# {manifest}\n")
-        fh.write("component,scale\n")
-        for r, lam_r in enumerate(normalized.lam):
-            fh.write(f"{r},{lam_r:.17g}\n")
+    write_csv(path, enumerate(normalized.lam), header=["component", "scale"], manifest=manifest)
     paths.append(path)
     return paths

@@ -35,7 +35,7 @@ import numpy as np
 from .cp_model import CpFactors
 from .errors import DegenerateDataError, DimensionMismatchError, NonFiniteError, NonPositiveEtaError
 from .regularizers import Regularizer, apply_diff, apply_diff_transpose, tikhonov_penalty, tv_prox_columns
-from .windowing import SnapshotPair
+from .windowing import SnapshotPair, write_csv
 
 # CG stops once the residual falls to this fraction of the right-hand side.
 CG_TOL = 1e-9
@@ -114,12 +114,8 @@ class FitReport:
     def write_trace_csv(self, path, manifest: Optional[str] = None) -> None:
         """Trace as CSV with columns (iteration, cost, rmse); row 0 is the
         initialization."""
-        with open(path, "w", encoding="utf-8") as fh:
-            if manifest:
-                fh.write(f"# {manifest}\n")
-            fh.write("iteration,cost,rmse\n")
-            for i, (c, r) in enumerate(zip(self.cost_trace, self.rmse_trace)):
-                fh.write(f"{i},{c:.17g},{r:.17g}\n")
+        rows = ((i, c, r) for i, (c, r) in enumerate(zip(self.cost_trace, self.rmse_trace)))
+        write_csv(path, rows, header=["iteration", "cost", "rmse"], manifest=manifest)
 
     def summary(self) -> str:
         lines = [

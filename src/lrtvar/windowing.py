@@ -5,6 +5,9 @@ of M transitions each.  Window k collects the predictors X[:, j, k] and the
 one-step-ahead targets Y[:, j, k].  With ``lags=P`` each predictor column
 stacks the P most recent states; with ``affine=True`` a row of ones is
 appended so a constant offset can be fit.
+
+The package's CSV codec lives here too: every CSV file it reads or writes
+goes through :func:`read_csv` and :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -196,13 +199,31 @@ def standardize(series: TimeSeries) -> tuple[TimeSeries, Standardization]:
     return out, transform
 
 
-def read_series_csv(path) -> TimeSeries:
-    """Read a time series from CSV: one row per sample, one column per channel.
+def format_cell(value) -> str:
+    """CSV text of one cell: 17 significant digits for floats, ``str`` for the rest."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
-    UTF-8, comma-separated.  Lines starting with ``#`` are skipped (output
-    files carry a manifest comment).  A single header row is detected by a
-    non-numeric first data line.  Missing or non-finite cells are a hard
-    error.
+
+def write_csv(path, rows, header=None, manifest: Optional[str] = None, comments=()) -> None:
+    """Write ``rows`` as UTF-8 CSV: a ``# manifest`` line, ``#`` comments, an
+    optional header row, then one line per row of cells."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if manifest:
+            fh.write(f"# {manifest}\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_cell, row)) + "\n")
+
+
+def read_csv(path) -> tuple:
+    """Read a numeric CSV as ``(header or None, 2-D float array)``.
+
+    Lines starting with ``#`` are skipped.  A single header row is detected
+    by a non-numeric first data line.  A bad cell (reported with its line
+    number), ragged rows, a non-finite cell or no data rows is a hard error.
     """
     rows = []
     header = None
@@ -226,18 +247,20 @@ def read_series_csv(path) -> TimeSeries:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
-    data = np.asarray(rows, dtype=float).T  # rows are samples -> channels x samples
+    data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{path}: non-finite cell in data")
-    return TimeSeries(values=data, channel_names=header)
+    return header, data
+
+
+def read_series_csv(path) -> TimeSeries:
+    """Read a time series from CSV (:func:`read_csv`): one row per sample, one
+    column per channel; an optional header row names the channels."""
+    header, data = read_csv(path)
+    return TimeSeries(values=data.T, channel_names=header)  # rows are samples
 
 
 def write_series_csv(path, series: TimeSeries, manifest: Optional[str] = None) -> None:
     """Write a series as CSV (rows = samples, columns = channels), 17 significant digits."""
     names = series.channel_names or [f"ch{i}" for i in range(series.n_channels)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if manifest:
-            fh.write(f"# {manifest}\n")
-        fh.write(",".join(names) + "\n")
-        for col in series.values.T:
-            fh.write(",".join(f"{v:.17g}" for v in col) + "\n")
+    write_csv(path, series.values.T, header=names, manifest=manifest)

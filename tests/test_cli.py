@@ -3,7 +3,20 @@ import os
 import numpy as np
 import pytest
 
-from lrtvar.cli import main, read_truth_bundle, smooth_beta_default
+import lrtvar.cli
+from lrtvar.cli import (
+    CLUSTER_KNOWN,
+    COMPARE_KNOWN,
+    FIT_KNOWN,
+    GENERATE_KNOWN,
+    build_parser,
+    main,
+    read_truth_bundle,
+    resolve_options,
+    smooth_beta_default,
+    write_truth_bundle,
+)
+from lrtvar.synthetic import simulate_smooth, simulate_switching
 from lrtvar.windowing import read_series_csv
 
 
@@ -224,6 +237,11 @@ class TestCompare:
         with pytest.raises(SystemExit):
             run(["compare", "--out", str(tmp_path)])
 
+    def test_truth_needs_both_files(self, tmp_path):
+        with pytest.raises(SystemExit, match="--truth-index"):
+            run(["compare", "--input", str(tmp_path / "series.csv"), "--truth-matrices", str(tmp_path / "m.csv"),
+                 "--window", "10", "--eta", "0.2", "--out", str(tmp_path / "x")])
+
     def test_rerun_byte_identical(self, tmp_path):
         outs = [tmp_path / "c1", tmp_path / "c2"]
         for out in outs:
@@ -238,6 +256,36 @@ class TestCompare:
         run(argv + ["--out", str(serial)])
         run(argv + ["--workers", "2", "--out", str(pooled)])
         assert read_bytes(serial / "compare_results.csv") == read_bytes(pooled / "compare_results.csv")
+
+    def test_seed_flag_is_the_seeds_option(self, tmp_path):
+        # compare has no --seed; argparse reads it as an abbreviation of --seeds
+        outs = [tmp_path / "seed", tmp_path / "seeds"]
+        for flag, out in zip(("--seed", "--seeds"), outs):
+            run(["compare", "--benchmark", "switching", "--N-list", "6", "--tau", "80",
+                 "--methods", "indep-full", flag, "3", "--out", str(out)])
+        text = read_bytes(outs[0] / "compare_results.csv")
+        assert text == read_bytes(outs[1] / "compare_results.csv")
+        assert b"seeds=3" in text and b"indep-full,6,3," in text
+
+    def test_input_files_read_once(self, tmp_path, monkeypatch):
+        gen = tmp_path / "gen"
+        run(["generate", "--benchmark", "switching", "--N", "6", "--tau", "80", "--seed", "1", "--out", str(gen)])
+        calls = {"read_series_csv": 0, "read_truth_bundle": 0}
+        for name in calls:
+            original = getattr(lrtvar.cli, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(lrtvar.cli, name, counted)
+        code = run(["compare", "--input", str(gen / "series.csv"),
+                    "--truth-matrices", str(gen / "truth_matrices.csv"),
+                    "--truth-index", str(gen / "truth_index.csv"), "--window", "10", "--eta", "0.2",
+                    "--methods", "lowrank-r3,indep-full,indep-r2", "--seeds", "0,1", "--max-iters", "5",
+                    "--out", str(tmp_path / "cmp")])
+        assert code == 0
+        assert calls == {"read_series_csv": 1, "read_truth_bundle": 1}
 
 
 class TestCluster:
@@ -282,3 +330,66 @@ class TestDefaults:
         assert proc.returncode == 0
         for sub in ("generate", "fit", "compare", "cluster"):
             assert sub in proc.stdout
+
+
+@pytest.mark.parametrize("simulate", [simulate_switching, simulate_smooth])
+def test_truth_bundle_round_trip(simulate, tmp_path):
+    truth = simulate(N=4, tau=30, sigma=0.1, seed=5)
+    write_truth_bundle(tmp_path, truth, "manifest tool=test")
+    blocks, index = read_truth_bundle(tmp_path / "truth_matrices.csv", tmp_path / "truth_index.csv")
+    assert len(blocks) == len(truth.unique_matrices)
+    assert all(np.array_equal(b, a) for b, a in zip(blocks, truth.unique_matrices))
+    assert np.array_equal(index, truth.matrix_index)
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("fit", "rank=abc"), ("fit", "affine=maybe"), ("fit", "reg=bogus"), ("generate", "benchmark=bogus")],
+)
+def test_bad_config_value_is_a_usage_error(command, line, tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    key = line.partition("=")[0]
+    # the input file does not exist: options are checked before any data is read
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command == "fit":
+        argv += ["--input", str(tmp_path / "missing.csv"), "--window", "5", "--eta", "0.1"]
+    with pytest.raises(SystemExit, match=f"error: config key {key}: "):
+        run(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, allowed",
+    [(["fit", "--reg", "bogus"], ("none", "tv", "spline")), (["generate", "--benchmark", "bogus"], ("switching", "smooth"))],
+)
+def test_flag_outside_its_choices_exits_2(argv, allowed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(choice in err for choice in allowed)
+
+
+# one text per option key, each different from that option's default
+OPTION_TEXT = {
+    "benchmark": "smooth", "N": "7", "tau": "90", "sigma": "0.25", "seed": "3", "theta1": "0.5",
+    "theta2": "1.5", "lengthscale": "12.5", "input": "series.csv", "rank": "3", "window": "5",
+    "eta": "0.125", "beta": "2.5", "reg": "spline", "affine": "true", "lags": "2", "rtol": "0.001",
+    "atol": "1e-07", "max_iters": "17", "warm_restart_at": "4", "clusters": "2",
+    "truth_matrices": "m.csv", "truth_index": "i.csv", "N_list": "6,8", "seeds": "1,2",
+    "methods": "indep-full,lowrank-r2", "workers": "2", "u3": "U3.csv", "k": "3",
+}
+TABLES = {"generate": GENERATE_KNOWN, "fit": FIT_KNOWN, "compare": COMPARE_KNOWN, "cluster": CLUSTER_KNOWN}
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, known in TABLES.items() for k in known])
+def test_flag_and_config_key_resolve_alike(command, key, tmp_path):
+    known = TABLES[command]
+    text = OPTION_TEXT[key]
+    flag = ["--" + key.replace("_", "-")] + ([] if key == "affine" else [text])
+    via_flag = resolve_options(build_parser().parse_args([command, *flag]), known)[key]
+    config = tmp_path / "one.cfg"
+    config.write_text(f"{key}={text}\n")
+    via_config = resolve_options(build_parser().parse_args([command, "--config", str(config)]), known)[key]
+    assert via_flag == via_config
+    assert via_flag != known[key][1]

@@ -6,8 +6,10 @@ from lrtvar.windowing import (
     SnapshotPair,
     TimeSeries,
     build_snapshots,
+    read_csv,
     read_series_csv,
     standardize,
+    write_csv,
     write_series_csv,
 )
 
@@ -179,6 +181,35 @@ class TestSeriesCsv:
         path.write_text("# only a comment\n")
         with pytest.raises(SeriesTooShortError):
             read_series_csv(path)
+
+
+class TestCsvCodec:
+    def test_write_golden_text(self, tmp_path):
+        path = tmp_path / "golden.csv"
+        rows = [[0.1, 3, "ok"], [np.float64(1.0) / 3, np.int64(-2), ""], [2.5e-300, 0, "a b"]]
+        write_csv(path, rows, header=["x", "n", "s"], manifest="manifest tool=demo", comments=["rows: cases"])
+        assert path.read_text(encoding="utf-8") == (
+            "# manifest tool=demo\n"
+            "# rows: cases\n"
+            "x,n,s\n"
+            "0.10000000000000001,3,ok\n"
+            "0.33333333333333331,-2,\n"
+            "2.5e-300,0,a b\n"
+        )
+
+    def test_read_header_and_values(self, tmp_path):
+        path = tmp_path / "m.csv"
+        values = np.random.default_rng(31).standard_normal((4, 3))
+        write_csv(path, values, header=["a", "b", "c"], manifest="m", comments=["c"])
+        header, back = read_csv(path)
+        assert header == ["a", "b", "c"]
+        assert np.array_equal(back, values)
+
+    def test_bad_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# manifest\na,b\n1.0,2.0\n3.0,x\n")
+        with pytest.raises(ValueError, match="line 4"):
+            read_csv(path)
 
 
 class TestSnapshotPairValidation:
