@@ -311,34 +311,43 @@ def _parse_method(tag: str) -> tuple:
     raise ValueError(f"unknown method {tag!r} (expected lowrank-rK, indep-full, indep-rK)")
 
 
-def _compare_one(task: dict) -> dict:
-    """One sweep row: fit one method on one instance; returns the row dict.
-    Benchmark instances are simulated here, ``--input`` ones come in the task."""
-    t0 = time.perf_counter()
-    row = {"method": task["method"], "N": task["N"], "seed": task["seed"], "error": "", "rmse": "", "status": "ok"}
+def _failure(exc: Exception) -> str:
+    return "failed: " + str(exc).replace(",", ";").replace("\n", " ")
+
+
+def _compare_instance(task: dict) -> list:
+    """The sweep rows of one (N, seed) instance, one per method.  A benchmark
+    instance is simulated here, an ``--input`` one comes in the task; either is
+    windowed once.  A row's ``wall_seconds`` covers its own fit and scoring."""
+    rows = [{"method": m, "N": task["N"], "seed": task["seed"], "error": "", "rmse": "", "status": "ok"}
+            for m in task["methods"]]
     try:
+        series, truth = task["series"], task["truth"]
         if task["benchmark"] == "switching":
             truth = simulate_switching(N=task["N"], tau=task["tau"], sigma=task["sigma"], seed=task["seed"])
             series = truth.series
         elif task["benchmark"] == "smooth":
             truth = simulate_smooth(N=task["N"], tau=task["tau"], sigma=task["sigma"], seed=task["seed"])
             series = truth.series
-        else:
-            series, truth = task["series"], task["truth"]
         pair = build_snapshots(series, M=task["window"])
-        kind, rank = _parse_method(task["method"])
-        if kind == "lowrank":
-            model, _ = fit(pair, _hyperparams_from({**task, "rank": rank}, task["seed"]))
-            est = model_estimate(model)
-        else:
-            est = independent_fit(pair, rank=rank)
-        row["rmse"] = estimate_rmse(est, pair)
-        if truth is not None:
-            row["error"] = operator_norm_error(est, truth)
-    except Exception as exc:  # recorded per row; the sweep continues
-        row["status"] = "failed: " + str(exc).replace(",", ";").replace("\n", " ")
-    row["wall_seconds"] = time.perf_counter() - t0
-    return row
+    except Exception as exc:  # every row of the instance records it; the sweep continues
+        return [{**row, "status": _failure(exc), "wall_seconds": 0.0} for row in rows]
+    for row in rows:
+        t0 = time.perf_counter()
+        try:
+            kind, rank = _parse_method(row["method"])
+            if kind == "lowrank":
+                model, _ = fit(pair, _hyperparams_from({**task, "rank": rank}, task["seed"]))
+                est = model_estimate(model)
+            else:
+                est = independent_fit(pair, rank=rank)
+            row["rmse"] = estimate_rmse(est, pair)
+            if truth is not None:
+                row["error"] = operator_norm_error(est, truth)
+        except Exception as exc:  # recorded per row; the sweep continues
+            row["status"] = _failure(exc)
+        row["wall_seconds"] = time.perf_counter() - t0
+    return rows
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -386,14 +395,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if per_n["reg"] is None:
             per_n["reg"] = "none"
         for seed in opts["seeds"]:
-            for method in opts["methods"]:
-                tasks.append({**per_n, "method": method, "N": N, "seed": seed, "series": series, "truth": truth})
+            tasks.append({**per_n, "N": N, "seed": seed, "series": series, "truth": truth})
 
     if opts["workers"] > 1:
         with ProcessPoolExecutor(max_workers=opts["workers"]) as pool:
-            rows = list(pool.map(_compare_one, tasks))
+            rows = [row for rows in pool.map(_compare_instance, tasks) for row in rows]
     else:
-        rows = [_compare_one(task) for task in tasks]
+        rows = [row for task in tasks for row in _compare_instance(task)]
     rows.sort(key=lambda r: (r["method"], r["N"], r["seed"]))
 
     os.makedirs(args.out, exist_ok=True)

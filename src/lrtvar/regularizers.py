@@ -4,6 +4,7 @@ The loadings matrix has one row per window; penalties act on first
 differences down each column.  The total-variation penalty prefers
 piecewise-constant columns (switching dynamics), the spline penalty prefers
 smoothly varying ones, and the ridge term keeps all factor entries bounded.
+The exact TV prox is Johnson's dynamic program, linear time in the length.
 """
 
 from __future__ import annotations
@@ -90,134 +91,93 @@ def tikhonov_penalty(U1: np.ndarray, U2: np.ndarray, U3: np.ndarray, eta: float)
     return total / (2.0 * eta)
 
 
+def _tv_dp(y: list, gamma: float) -> list:
+    """Johnson's dynamic program (JCGS 2013) for the TV prox of ``y``; gamma > 0, n >= 2.
+
+    The forward pass keeps the derivative of the cost-to-come of entry k, an
+    increasing piecewise-linear function of its value, as knots ``x[lo:hi]``
+    with the slope and intercept jumps ``a``, ``b`` across each.  Clipping it
+    to [-gamma, gamma] drops the knots beyond the clip points ``tm[k]``,
+    ``tp[k]`` and adds one at each, so every knot is added and removed once.
+    The backward pass clips each entry into ``[tm[k], tp[k]]``.
+    """
+    n = len(y)
+    x, a, b = [0.0] * (2 * n), [0.0] * (2 * n), [0.0] * (2 * n)
+    tm, tp = [0.0] * (n - 1), [0.0] * (n - 1)
+    lo = hi = n
+    clip = 0.0  # the end pieces are u - y[k] -+ clip; nothing is clipped before entry 0
+    for k in range(n - 1):
+        # walk in from the left end to where the derivative crosses -gamma ...
+        alo, blo = 1.0, -y[k] - clip
+        j = lo
+        while j < hi and alo * x[j] + blo <= -gamma:
+            alo += a[j]
+            blo += b[j]
+            j += 1
+        # ... and in from the right end, with negated coefficients, to +gamma
+        ahi, bhi = -1.0, y[k] - clip
+        i = hi - 1
+        while i >= j and -ahi * x[i] - bhi >= gamma:
+            ahi += a[i]
+            bhi += b[i]
+            i -= 1
+        lo, hi = j - 1, i + 2
+        tm[k] = x[lo] = (-gamma - blo) / alo
+        tp[k] = x[hi - 1] = (gamma + bhi) / -ahi
+        a[lo], b[lo] = alo, blo + gamma
+        a[hi - 1], b[hi - 1] = ahi, bhi + gamma
+        clip = gamma
+    alo, blo = 1.0, -y[-1] - gamma
+    j = lo
+    while j < hi and alo * x[j] + blo <= 0.0:
+        alo += a[j]
+        blo += b[j]
+        j += 1
+    u = -blo / alo
+    out = [u] * n
+    for k in range(n - 2, -1, -1):
+        out[k] = u = tp[k] if u > tp[k] else tm[k] if u < tm[k] else u
+    return out
+
+
 def tv_prox_1d(v: np.ndarray, gamma: float) -> np.ndarray:
     """Exact prox of the 1-D total variation: argmin_u 1/2 ||u - v||^2 + gamma ||Du||_1.
 
-    The minimizer is the derivative of the taut string through the tube of
-    half-width ``gamma`` around the running sums of ``v``, pinned at (0, 0)
-    and (n, sum(v)).  That string is the Euclidean shortest path through the
-    corridor, computed here with a funnel walk (an apex plus a convex upper
-    chain and a concave lower chain of corridor vertices), which is direct,
-    non-iterative, and linear time.
-
-    Parameters
-    ----------
-    v : ndarray, 1-D
-    gamma : float
-        Penalty weight, >= 0.  ``gamma = 0`` returns a copy of ``v``.
-
-    Returns
-    -------
-    ndarray
-        The minimizer; piecewise constant with the same mean as ``v``.
+    Johnson's linear-time dynamic program, run by :func:`tv_prox_columns` on
+    ``v`` as one column.  The minimizer is piecewise constant with the same
+    mean as ``v``; ``gamma >= 0``, and ``gamma = 0`` returns a copy of ``v``.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("tv_prox_1d expects a 1-D vector")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    n = v.shape[0]
-    if gamma == 0.0 or n < 2:
-        return v.copy()
-
-    r = np.cumsum(v)
-    out = np.empty_like(v)
-
-    ax, ay = 0, 0.0  # apex: the last pinned point of the string
-    upper: list = []  # corridor vertices; slopes from apex increase along the chain
-    lower: list = []  # corridor vertices; slopes from apex decrease along the chain
-    u0 = l0 = 0  # chain head indices (the funnel mouth)
-
-    def emit(bx: int, by: float):
-        nonlocal ax, ay
-        out[ax:bx] = (by - ay) / (bx - ax)
-        ax, ay = bx, by
-
-    for k in range(1, n):
-        hy = r[k - 1] + gamma
-        ly = r[k - 1] - gamma
-
-        # insert (k, hy) into the upper chain
-        while len(upper) - u0 >= 2:
-            x1, y1 = upper[-2]
-            x2, y2 = upper[-1]
-            if (y2 - y1) * (k - x2) >= (hy - y2) * (x2 - x1):
-                upper.pop()
-            else:
-                break
-        if len(upper) - u0 == 1:
-            x2, y2 = upper[-1]
-            if (y2 - ay) * (k - x2) >= (hy - y2) * (x2 - ax):
-                upper.pop()
-        if len(upper) == u0:
-            # the new vertex bounds the funnel's first upper edge; if it cuts
-            # below the lower chain the string is pinned along that chain
-            while l0 < len(lower):
-                lx, lyv = lower[l0]
-                if (hy - ay) * (lx - ax) < (lyv - ay) * (k - ax):
-                    emit(lx, lyv)
-                    l0 += 1
-                else:
-                    break
-            upper = [(k, hy)]
-            u0 = 0
-        else:
-            upper.append((k, hy))
-
-        # insert (k, ly) into the lower chain (mirror image)
-        while len(lower) - l0 >= 2:
-            x1, y1 = lower[-2]
-            x2, y2 = lower[-1]
-            if (y2 - y1) * (k - x2) <= (ly - y2) * (x2 - x1):
-                lower.pop()
-            else:
-                break
-        if len(lower) - l0 == 1:
-            x2, y2 = lower[-1]
-            if (y2 - ay) * (k - x2) <= (ly - y2) * (x2 - ax):
-                lower.pop()
-        if len(lower) == l0:
-            while u0 < len(upper):
-                ux, uy = upper[u0]
-                if (ly - ay) * (ux - ax) > (uy - ay) * (k - ax):
-                    emit(ux, uy)
-                    u0 += 1
-                else:
-                    break
-            lower = [(k, ly)]
-            l0 = 0
-        else:
-            lower.append((k, ly))
-
-    # walk out to the pinned endpoint (n, r[n-1]), bending around whichever
-    # chain blocks the straight segment; a bend can jump past vertices of the
-    # other chain, which are then behind the apex and provably satisfied
-    ey = r[n - 1]
-    while ax < n:
-        while l0 < len(lower) and lower[l0][0] <= ax:
-            l0 += 1
-        while u0 < len(upper) and upper[u0][0] <= ax:
-            u0 += 1
-        if l0 < len(lower):
-            lx, lyv = lower[l0]
-            if (ey - ay) * (lx - ax) < (lyv - ay) * (n - ax):
-                emit(lx, lyv)
-                l0 += 1
-                continue
-        if u0 < len(upper):
-            ux, uy = upper[u0]
-            if (ey - ay) * (ux - ax) > (uy - ay) * (n - ax):
-                emit(ux, uy)
-                u0 += 1
-                continue
-        emit(n, ey)
-    return out
+    return tv_prox_columns(v[:, None], gamma)[:, 0]
 
 
 def tv_prox_columns(V: np.ndarray, gamma: float) -> np.ndarray:
-    """Apply :func:`tv_prox_1d` independently to every column of a matrix."""
+    """Exact TV prox of each column of a matrix, in linear time per column.
+
+    A column whose centred running sums all lie within ``gamma`` in absolute
+    value is saturated: its prox is exactly its mean, which it gets directly,
+    free of the ``gamma * eps`` rounding of the dynamic program that every
+    other column goes through.  A NaN ``gamma`` or a non-finite entry raises
+    :class:`NonFiniteError`; ``gamma = inf`` saturates every column.
+    """
     V = np.asarray(V, dtype=float)
+    if V.ndim != 2:
+        raise ValueError("tv_prox_columns expects a 2-D matrix")
+    if np.isnan(gamma):
+        raise NonFiniteError("gamma must not be NaN")
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not np.isfinite(V).all():
+        raise NonFiniteError("tv_prox_columns input contains non-finite entries")
+    n = V.shape[0]
+    if gamma == 0.0 or n < 2:
+        return V.copy()
+    mean = np.cumsum(V, axis=0)[-1] / n  # an in-order sum: a column alone or in a matrix gets the same mean
+    saturated = gamma >= np.abs(np.cumsum(V - mean, axis=0)[:-1]).max(axis=0)
     out = np.empty_like(V)
-    for r in range(V.shape[1]):
-        out[:, r] = tv_prox_1d(V[:, r], gamma)
+    out[:, saturated] = mean[saturated]
+    for r in np.flatnonzero(~saturated):
+        out[:, r] = _tv_dp(V[:, r].tolist(), float(gamma))
     return out

@@ -29,6 +29,20 @@ def read_bytes(path):
         return fh.read()
 
 
+def count_calls(monkeypatch, names):
+    """Wrap each named ``lrtvar.cli`` binding in a call counter; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(lrtvar.cli, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lrtvar.cli, name, counted)
+    return calls
+
+
 class TestGenerate:
     def test_switching_defaults(self, tmp_path):
         out = tmp_path / "gen"
@@ -270,15 +284,7 @@ class TestCompare:
     def test_input_files_read_once(self, tmp_path, monkeypatch):
         gen = tmp_path / "gen"
         run(["generate", "--benchmark", "switching", "--N", "6", "--tau", "80", "--seed", "1", "--out", str(gen)])
-        calls = {"read_series_csv": 0, "read_truth_bundle": 0}
-        for name in calls:
-            original = getattr(lrtvar.cli, name)
-
-            def counted(*args, _original=original, _name=name):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(lrtvar.cli, name, counted)
+        calls = count_calls(monkeypatch, ("read_series_csv", "read_truth_bundle"))
         code = run(["compare", "--input", str(gen / "series.csv"),
                     "--truth-matrices", str(gen / "truth_matrices.csv"),
                     "--truth-index", str(gen / "truth_index.csv"), "--window", "10", "--eta", "0.2",
@@ -286,6 +292,14 @@ class TestCompare:
                     "--out", str(tmp_path / "cmp")])
         assert code == 0
         assert calls == {"read_series_csv": 1, "read_truth_bundle": 1}
+
+    def test_each_instance_simulated_and_windowed_once(self, tmp_path, monkeypatch):
+        # 2 sizes x 2 seeds are 4 instances, shared by the 3 methods
+        calls = count_calls(monkeypatch, ("simulate_switching", "build_snapshots"))
+        code = run(["compare", "--benchmark", "switching", "--N-list", "6,8", "--tau", "80", "--seeds", "0,1",
+                    "--methods", "indep-full,indep-r2,lowrank-r2", "--max-iters", "5", "--out", str(tmp_path / "cmp")])
+        assert code == 0
+        assert calls == {"simulate_switching": 4, "build_snapshots": 4}
 
 
 class TestCluster:

@@ -1,9 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from lrtvar.errors import NonPositiveEtaError
+from lrtvar.errors import NonFiniteError, NonPositiveEtaError
 from lrtvar.regularizers import (
     Regularizer,
     apply_diff,
@@ -212,10 +213,19 @@ class TestTvProx:
         # optimality: u - v = -gamma * D'w with |w| <= 1 and w matching the
         # jump signs of Du wherever Du is nonzero
         rng = np.random.default_rng(15)
+        cases = []
         for _ in range(100):
             T = int(rng.integers(2, 201))
             v = np.cumsum(rng.standard_normal(T)) if rng.random() < 0.5 else 2 * rng.standard_normal(T)
-            gamma = float(rng.uniform(1e-3, 1.0))
+            cases.append((v, float(rng.uniform(1e-3, 1.0))))
+        # ramps, sawtooths, integer values (ties) and flat plateaus, short to
+        # long and from barely to fully saturated
+        for T in (7, 200, 5000):
+            k = np.arange(T, dtype=float)
+            plateaus = np.repeat(rng.integers(-5, 6, T // 5 + 1).astype(float), 5)[:T]
+            for v in (k, k % 13, rng.integers(-3, 4, T).astype(float), plateaus):
+                cases.extend((v, gamma) for gamma in (1e-3, 1e-1, 10.0, 1e4))
+        for v, gamma in cases:
             u = tv_prox_1d(v, gamma)
             w = -np.cumsum(u - v)[:-1] / gamma
             assert np.abs(np.sum(u - v)) < 1e-9 * (1 + np.abs(v).sum())
@@ -223,6 +233,39 @@ class TestTvProx:
             jumps = u[:-1] - u[1:]
             big = np.abs(jumps) > 1e-9
             assert np.allclose(w[big], np.sign(jumps[big]), atol=1e-8)
+
+    def test_saturated_prox_is_the_mean(self):
+        # from gamma = max_k |sum_{i<=k} (v_i - mean v)| up, the prox is the
+        # mean; integer data with an integer mean makes that threshold exact
+        rng = np.random.default_rng(23)
+        ints = rng.integers(-9, 10, 1000).astype(float)
+        ints[-1] -= ints.sum() % ints.size
+        for v in (np.array([1.0, 0.0, 2.0, 5.0]), ints, 2.0**40 * ints):
+            threshold = np.abs(np.cumsum(v - v.mean())[:-1]).max()
+            for gamma in (threshold, 1e6, 1e12, 1e300, np.inf):
+                if gamma >= threshold:
+                    u = tv_prox_1d(v, gamma)
+                    assert np.abs(u - v.mean()).max() <= 1e-15 * (1 + np.abs(v).max()), (v.size, gamma)
+
+    @pytest.mark.parametrize(
+        "v, gamma",
+        [
+            ([1.0, 0.0, 2.0, 5.0], np.nan),
+            ([1.0, np.nan, 2.0, 5.0], 0.5),
+            ([1.0, np.inf, 2.0, 5.0], 0.5),
+            ([1.0, 0.0, 2.0, 5.0], np.inf),
+        ],
+        ids=["nan-gamma", "nan-entry", "inf-entry", "inf-gamma"],
+    )
+    def test_non_finite_input(self, v, gamma):
+        # a NaN gamma or a non-finite entry is rejected; gamma = inf gives the mean without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if gamma == np.inf:
+                assert np.array_equal(tv_prox_1d(v, gamma), np.full(4, 2.0))
+            else:
+                with pytest.raises(NonFiniteError):
+                    tv_prox_1d(v, gamma)
 
     def test_mean_preserved(self):
         rng = np.random.default_rng(16)
@@ -257,8 +300,10 @@ class TestTvProx:
     def test_columnwise_application(self):
         rng = np.random.default_rng(19)
         V = rng.standard_normal((12, 3))
+        V = np.column_stack([V, 0.01 * rng.standard_normal(12)])  # a saturated column
         out = tv_prox_columns(V, 0.4)
-        for r in range(3):
+        assert np.ptp(out[:, 3]) == 0.0 and np.ptp(out[:, :3], axis=0).min() > 0.0
+        for r in range(4):
             assert np.array_equal(out[:, r], tv_prox_1d(V[:, r], 0.4))
 
 
