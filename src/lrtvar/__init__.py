@@ -20,7 +20,6 @@ from .errors import (
     NonPositiveEtaError,
     SeriesTooShortError,
     ShapeMismatchError,
-    TensorTooLargeError,
     ZeroVarianceError,
 )
 from .evaluation import (
@@ -40,7 +39,7 @@ from .regularizers import (
     tv_penalty,
     tv_prox_1d,
 )
-from .solver import FitReport, Hyperparams, WarmRestart, cost, fit, initialize, loss, rmse
+from .solver import FitReport, Hyperparams, cost, fit, initialize, loss, rmse
 from .synthetic import (
     GroundTruth,
     gp_covariance,

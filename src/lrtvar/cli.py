@@ -27,7 +27,7 @@ from .evaluation import (
     operator_norm_error,
 )
 from .regularizers import REGULARIZER_KINDS, Regularizer
-from .solver import Hyperparams, WarmRestart, fit
+from .solver import Hyperparams, fit
 from .synthetic import GroundTruth, simulate_smooth, simulate_switching
 from .windowing import build_snapshots, format_cell, read_csv, read_series_csv, write_csv, write_series_csv
 
@@ -215,9 +215,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _hyperparams_from(opts: dict, seed: int) -> Hyperparams:
-    warm = None
-    if opts.get("warm_restart_at"):
-        warm = WarmRestart(at_iter=opts["warm_restart_at"])
     return Hyperparams(
         R=opts["rank"],
         eta=opts["eta"],
@@ -226,7 +223,6 @@ def _hyperparams_from(opts: dict, seed: int) -> Hyperparams:
         rtol=opts["rtol"],
         atol=opts["atol"],
         seed=seed,
-        warm_restart=warm,
     )
 
 
@@ -242,7 +238,6 @@ FIT_KNOWN = {
     "rtol": (float, 1e-4),
     "atol": (float, 1e-6),
     "max_iters": (int, 1000),
-    "warm_restart_at": (int, None),
     "clusters": (int, None),
     "seed": (int, 0),
 }
@@ -343,7 +338,7 @@ def _compare_instance(task: dict) -> list:
                 est = independent_fit(pair, rank=rank)
             row["rmse"] = estimate_rmse(est, pair)
             if truth is not None:
-                row["error"] = operator_norm_error(est, truth)
+                row["error"] = operator_norm_error(est, truth, window_length=task["window"])
         except Exception as exc:  # recorded per row; the sweep continues
             row["status"] = _failure(exc)
         row["wall_seconds"] = time.perf_counter() - t0

@@ -15,10 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, TensorTooLargeError
+from .errors import NonFiniteError
 from .windowing import write_csv
-
-DENSE_ENTRY_CAP = 100_000_000
 
 
 @dataclass
@@ -90,19 +88,6 @@ class CpFactors:
             raise IndexError(f"window index {k} out of range [0, {self.T})")
         return (self.U1 * self.U3[k]) @ self.U2.T
 
-    def reconstruct(self, entry_cap: int = DENSE_ENTRY_CAP) -> np.ndarray:
-        """Dense (N, N_in, T) tensor; diagnostic use only.
-
-        Raises
-        ------
-        TensorTooLargeError
-            If N * N_in * T exceeds ``entry_cap``.
-        """
-        n_entries = self.N * self.N_in * self.T
-        if n_entries > entry_cap:
-            raise TensorTooLargeError(f"{n_entries} entries exceeds cap {entry_cap}")
-        return np.einsum("ir,jr,kr->ijk", self.U1, self.U2, self.U3)
-
     def normalize(self) -> "NormalizedCp":
         """Unit-column factors with scales split off, sorted by descending scale.
 
@@ -153,11 +138,6 @@ class NormalizedCp:
 
     factors: CpFactors
     lam: np.ndarray
-
-    def rescaled(self) -> CpFactors:
-        """Fold the scales back into the left spatial modes."""
-        f = self.factors
-        return CpFactors(U1=f.U1 * self.lam, U2=f.U2.copy(), U3=f.U3.copy(), affine=f.affine)
 
 
 def export_factors(normalized: NormalizedCp, outdir, manifest: Optional[str] = None) -> list:

@@ -21,10 +21,6 @@ class DimensionMismatchError(LrtvarError, ValueError):
     """Factor matrices and data tensors have inconsistent shapes."""
 
 
-class TensorTooLargeError(LrtvarError, ValueError):
-    """Dense reconstruction would exceed the configured entry cap."""
-
-
 class DegenerateDataError(LrtvarError, ValueError):
     """Snapshot data is identically zero; no model can be initialized."""
 

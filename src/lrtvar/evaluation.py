@@ -129,13 +129,10 @@ def operator_norm_error(
 ) -> float:
     """Mean over windows of the largest singular value of (estimate - truth).
 
-    Per-transition truth is averaged into the estimate's windows first; when
-    the estimate has one matrix per transition the comparison is direct.
+    Per-transition truth is averaged into the estimate's windows first; with
+    one window per transition that is the per-transition truth itself.
     """
-    if est.T == truth.n_transitions:
-        ref = truth.stacked_matrices()
-    else:
-        ref = truth_window_average(truth, est.T, window_length)
+    ref = truth_window_average(truth, est.T, window_length)
     if ref.shape != est.matrices.shape:
         raise ShapeMismatchError(f"estimate {est.matrices.shape} vs truth {ref.shape}")
     diffs = est.matrices - ref

@@ -42,18 +42,10 @@ CG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class WarmRestart:
-    """Optional mid-run restart: after ``at_iter`` outer iterations the right
-    spatial modes are overwritten with the left ones, which helps when the
-    solution is expected to have nearly equal spatial modes."""
-
-    at_iter: int
-
-
-@dataclass(frozen=True)
 class Hyperparams:
     """All solver and model knobs.
 
+    ``atol`` is relative to the initial cost, like ``rtol`` to the previous one.
     ``init_noise_spatial``/``init_noise_temporal`` default to 0.5/sqrt(dim)
     of the factor they perturb (dim = N or N_in for spatial, T for temporal)
     when left as None.
@@ -70,7 +62,6 @@ class Hyperparams:
     seed: int = 0
     init_noise_spatial: Optional[float] = None
     init_noise_temporal: Optional[float] = None
-    warm_restart: Optional[WarmRestart] = None
 
     def __post_init__(self):
         if self.R < 1:
@@ -100,8 +91,8 @@ class FitReport:
     """Per-run diagnostics.
 
     ``cost_trace[0]`` is the cost at initialization; each outer iteration
-    appends one entry after its temporal update.  Without a warm restart the
-    trace is non-increasing up to a slack of 1e-8 * (1 + |C|) per step.
+    appends one entry after its temporal update.  The trace is
+    non-increasing up to a slack of 1e-8 * (1 + |C|) per step.
     """
 
     cost_trace: list
@@ -345,10 +336,11 @@ def _temporal_fista_tv(C, b, U3_init, eta, reg, max_iters):
 
     The Hessian of the smooth part is block-diagonal, diag(C_k + I/eta), so
     L = max_k lambda_max(C_k) + 1/eta is its exact Lipschitz constant.  When
-    the momentum step would raise the objective, momentum restarts and a
-    plain prox-gradient step from the previous iterate is taken instead;
-    with step 1/L that step cannot raise the objective (up to rounding), so
-    the returned point never exceeds the starting objective.
+    the momentum step would raise the objective by more than a rounding slack
+    of 1e-12 (1 + |obj|), momentum restarts and a plain prox-gradient step
+    from the previous iterate is taken instead; with step 1/L that step
+    cannot raise the objective (up to rounding), so no step rises by more
+    than the slack.  Without it, last-bit ties at a fixed point restart.
     """
     hessian = partial(_temporal_operator, C, eta, 0.0)
     L = float(np.linalg.eigvalsh(C).max()) + 1.0 / eta
@@ -366,7 +358,7 @@ def _temporal_fista_tv(C, b, U3_init, eta, reg, max_iters):
     for _ in range(max_iters):
         candidate = prox_step(z)
         obj_candidate = objective(candidate)
-        if obj_candidate > obj_prev:
+        if obj_candidate > obj_prev + 1e-12 * (1.0 + abs(obj_prev)):
             t_momentum = 1.0
             candidate = prox_step(u_prev)
             obj_candidate = objective(candidate)
@@ -448,9 +440,9 @@ def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple
     """Alternating block minimization of the regularized cost.
 
     Cycles U1 -> U2 -> U3 updates, recording cost and prediction error after
-    each full cycle, until the cost decrease falls below the relative or
-    absolute tolerance or the iteration cap is reached.  ``verbose`` prints
-    one line per outer iteration.
+    each full cycle, until the cost decrease falls below ``rtol`` times the
+    previous cost or ``atol`` times the initial cost, or the iteration cap
+    is reached.  ``verbose`` prints one line per outer iteration.
 
     ``subproblem_stats`` holds one entry per outer iteration under each key:
     the inner iterations of the U2 and U3 updates (``cg_iters_right``,
@@ -458,9 +450,6 @@ def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple
     updates and of the objective evaluation (``seconds_left``,
     ``seconds_right``, ``seconds_temporal``, ``seconds_objective``).
     """
-    if params.warm_restart is not None and data.N != data.N_in:
-        raise ValueError("warm restart copies U1 into U2 and needs N_in == N (no lags, no affine row)")
-
     t_start = time.perf_counter()
     model = initialize(data, params)
     c, r = _cost_and_rmse(model, data, params)
@@ -472,7 +461,7 @@ def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple
 
     termination = "max_iters"
     iterations = 0
-    prev_cost: Optional[float] = cost_trace[0]
+    prev_cost = cost_trace[0]
     for it in range(1, params.max_outer_iters + 1):
         U1 = _timed(stats["seconds_left"], update_left, model, data, params.eta)
         model = CpFactors(U1=U1, U2=model.U2, U3=model.U3, affine=model.affine)
@@ -490,18 +479,13 @@ def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple
         if verbose:
             print(f"iter {it}: cost={c:.17g} rmse={r:.17g} cg={cg_iters} inner={inner_iters}")
 
-        if prev_cost is not None:
-            if prev_cost > 0 and abs(c - prev_cost) / prev_cost < params.rtol:
-                termination = "rtol"
-                break
-            if abs(c - prev_cost) < params.atol:
-                termination = "atol"
-                break
+        if prev_cost > 0 and abs(c - prev_cost) / prev_cost < params.rtol:
+            termination = "rtol"
+            break
+        if abs(c - prev_cost) < params.atol * cost_trace[0]:
+            termination = "atol"
+            break
         prev_cost = c
-
-        if params.warm_restart is not None and it == params.warm_restart.at_iter:
-            model = CpFactors(U1=model.U1, U2=model.U1.copy(), U3=model.U3, affine=model.affine)
-            prev_cost = None  # cost jumped; do not stop on the next comparison
 
     report = FitReport(
         cost_trace=cost_trace,

@@ -51,10 +51,6 @@ class GroundTruth:
         """Dense system matrix for transition t (0-based)."""
         return self.unique_matrices[self.matrix_index[t]]
 
-    def stacked_matrices(self) -> np.ndarray:
-        """All per-transition matrices as an (n_transitions, N, N) array."""
-        return np.stack([self.matrix_at(t) for t in range(self.n_transitions)])
-
 
 def rotation_2x2(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)

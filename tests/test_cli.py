@@ -16,8 +16,9 @@ from lrtvar.cli import (
     smooth_beta_default,
     write_truth_bundle,
 )
-from lrtvar.synthetic import simulate_smooth, simulate_switching
-from lrtvar.windowing import read_series_csv
+from lrtvar.evaluation import independent_fit, operator_norm_error
+from lrtvar.synthetic import GroundTruth, simulate_smooth, simulate_switching
+from lrtvar.windowing import build_snapshots, read_series_csv
 
 
 def run(argv):
@@ -232,6 +233,26 @@ class TestCompare:
         _, _, _, err, _, status = lines[1].split(",")
         assert status == "ok" and float(err) > 0
 
+    def test_truth_windows_follow_dropped_tail(self, tmp_path):
+        # 200 transitions: windows of 30 leave a tail of 20, windows of 49 a tail of 4
+        gen = tmp_path / "gen"
+        run(["generate", "--benchmark", "switching", "--N", "6", "--seed", "0", "--out", str(gen)])
+        series = read_series_csv(gen / "series.csv")
+        blocks, index = read_truth_bundle(gen / "truth_matrices.csv", gen / "truth_index.csv")
+        truth = GroundTruth(series=series, unique_matrices=blocks, matrix_index=index, sigma=0.0)
+        for window in (30, 49):
+            out = tmp_path / f"cmp{window}"
+            code = run(["compare", "--input", str(gen / "series.csv"),
+                        "--truth-matrices", str(gen / "truth_matrices.csv"),
+                        "--truth-index", str(gen / "truth_index.csv"), "--window", str(window), "--eta", "0.2",
+                        "--methods", "indep-full", "--out", str(out)])
+            assert code == 0
+            lines = [l for l in (out / "compare_results.csv").read_text().splitlines() if l and not l.startswith("#")]
+            _, _, _, err, _, status = lines[1].split(",")
+            assert status == "ok"
+            est = independent_fit(build_snapshots(series, M=window))
+            assert float(err) == pytest.approx(operator_norm_error(est, truth, window_length=window), rel=1e-12)
+
     def test_partial_failure_recorded_and_sweep_continues(self, tmp_path):
         out = tmp_path / "cmp"
         code = run(["compare", "--benchmark", "switching", "--N-list", "6", "--seeds", "0", "--tau", "80",
@@ -389,7 +410,7 @@ OPTION_TEXT = {
     "benchmark": "smooth", "N": "7", "tau": "90", "sigma": "0.25", "seed": "3", "theta1": "0.5",
     "theta2": "1.5", "lengthscale": "12.5", "input": "series.csv", "rank": "3", "window": "5",
     "eta": "0.125", "beta": "2.5", "reg": "spline", "affine": "true", "lags": "2", "rtol": "0.001",
-    "atol": "1e-07", "max_iters": "17", "warm_restart_at": "4", "clusters": "2",
+    "atol": "1e-07", "max_iters": "17", "clusters": "2",
     "truth_matrices": "m.csv", "truth_index": "i.csv", "N_list": "6,8", "seeds": "1,2",
     "methods": "indep-full,lowrank-r2", "workers": "2", "u3": "U3.csv", "k": "3",
 }

@@ -16,6 +16,11 @@ from lrtvar.synthetic import GroundTruth, simulate_switching
 from lrtvar.windowing import SnapshotPair, TimeSeries, build_snapshots
 
 
+def stacked_truth(truth):
+    """All per-transition truth matrices as an (n_transitions, N, N) array."""
+    return np.stack([truth.matrix_at(t) for t in range(truth.n_transitions)])
+
+
 def stationary_data(rng, A, M, T, sigma=0.0):
     """Trajectory under one fixed matrix A, optionally noisy."""
     N = A.shape[0]
@@ -100,19 +105,19 @@ class TestIndependentFit:
 class TestOperatorNormError:
     def test_zero_for_exact_estimate(self):
         truth = simulate_switching(N=4, tau=40, sigma=0.1, seed=84)
-        est = WindowedEstimate(matrices=truth.stacked_matrices(), method="truth")
+        est = WindowedEstimate(matrices=stacked_truth(truth), method="truth")
         assert operator_norm_error(est, truth) == 0.0
 
     def test_scaled_identity_shift(self):
         truth = simulate_switching(N=4, tau=40, sigma=0.1, seed=85)
         eps = 0.37
-        est = WindowedEstimate(matrices=truth.stacked_matrices() + eps * np.eye(4), method="shifted")
+        est = WindowedEstimate(matrices=stacked_truth(truth) + eps * np.eye(4), method="shifted")
         assert operator_norm_error(est, truth) == pytest.approx(eps, abs=1e-12)
 
     def test_matches_dense_svd_oracle(self):
         rng = np.random.default_rng(86)
         truth = simulate_switching(N=5, tau=20, sigma=0.2, seed=86)
-        est = WindowedEstimate(matrices=truth.stacked_matrices() + 0.3 * rng.standard_normal((20, 5, 5)), method="x")
+        est = WindowedEstimate(matrices=stacked_truth(truth) + 0.3 * rng.standard_normal((20, 5, 5)), method="x")
         expected = 0.0
         for t in range(20):
             diff = est.matrices[t] - truth.matrix_at(t)
@@ -138,7 +143,7 @@ class TestOperatorNormError:
     def test_pseudometric_properties(self):
         rng = np.random.default_rng(89)
         truth = simulate_switching(N=4, tau=20, sigma=0.1, seed=89)
-        base = truth.stacked_matrices()
+        base = stacked_truth(truth)
         a = WindowedEstimate(base + 0.2 * rng.standard_normal(base.shape), "a")
         b = WindowedEstimate(base + 0.2 * rng.standard_normal(base.shape), "b")
         truth_a = GroundTruth(series=truth.series, unique_matrices=list(a.matrices), matrix_index=np.arange(20), sigma=0)

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lrtvar.cp_model import CpFactors
 from lrtvar.errors import DegenerateDataError, DimensionMismatchError, NonFiniteError
+import lrtvar.solver
 from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import (
     Hyperparams,
-    WarmRestart,
     cost,
     fit,
     grad_left,
@@ -20,6 +22,8 @@ from lrtvar.solver import (
     update_temporal,
     _temporal_quadratic,
 )
+from lrtvar.evaluation import model_estimate, operator_norm_error
+from lrtvar.synthetic import simulate_switching
 from lrtvar.windowing import SnapshotPair, TimeSeries, build_snapshots
 
 
@@ -353,6 +357,25 @@ class TestUpdateTemporal:
             after = cost(CpFactors(model.U1, model.U2, U3), data, params)
             assert after <= before + 1e-8 * (1 + abs(before))
 
+    def test_tv_fixed_point_takes_one_prox_per_iteration(self, monkeypatch):
+        # criterion-1 instance, seed 1: rounding at the converged U3 must not
+        # restart momentum, which would cost a second prox call
+        truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=1)
+        data = build_snapshots(truth.series, M=20)
+        params = Hyperparams(R=8, eta=0.1, reg=Regularizer("tv", 5.0), seed=1, max_outer_iters=3)
+        model, _ = fit(data, params)
+        U3, _ = update_temporal(model, data, replace(params, pg_max_iters=3000))
+        model = CpFactors(model.U1, model.U2, U3)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tv_prox_columns(*args)
+
+        monkeypatch.setattr(lrtvar.solver, "tv_prox_columns", counted)
+        update_temporal(model, data, params)
+        assert len(calls) == params.pg_max_iters
+
 
 class TestGradients:
     def test_all_blocks_match_central_differences(self):
@@ -482,13 +505,6 @@ class TestFit:
         assert report.termination in ("rtol", "atol")
         assert report.iterations <= params.max_outer_iters
 
-    def test_warm_restart_requires_square(self):
-        rng = np.random.default_rng(69)
-        data = SnapshotPair(X=rng.standard_normal((5, 4, 3)), Y=rng.standard_normal((4, 4, 3)), M=4, T=3, P=1, affine=True)
-        params = Hyperparams(R=2, eta=0.5, warm_restart=WarmRestart(at_iter=2))
-        with pytest.raises(ValueError):
-            fit(data, params)
-
     def test_single_window_spline_matches_unregularized(self):
         rng = np.random.default_rng(74)
         data = random_data(rng, 3, 8, 1)
@@ -497,13 +513,19 @@ class TestFit:
         _, spline = fit(data, Hyperparams(**common, reg=Regularizer("spline", 3.0)))
         assert spline.cost_trace == plain.cost_trace
 
-    def test_warm_restart_runs_and_converges(self):
-        rng = np.random.default_rng(70)
-        model = random_model(rng, 4, 4, 4, 2)
-        data = exact_data(rng, model, M=6)
-        params = Hyperparams(R=2, eta=10.0, seed=5, warm_restart=WarmRestart(at_iter=3), max_outer_iters=50)
-        _, report = fit(data, params)
-        assert report.iterations > 3
+    def test_atol_is_relative_to_initial_cost(self):
+        # the series scaled by s, eta by 1/s^2 and beta by s^2 is the same
+        # problem with the cost multiplied by s^2
+        truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=0)
+        runs = []
+        for s in (1e-4, 1e-2, 1.0, 1e3, 1e6):
+            data = build_snapshots(TimeSeries(values=s * truth.series.values), M=20)
+            params = Hyperparams(R=8, eta=0.1 / s**2, reg=Regularizer("tv", 5.0 * s**2), seed=0)
+            model, report = fit(data, params)
+            runs.append((report.iterations, report.termination, operator_norm_error(model_estimate(model), truth)))
+        assert len({(n, why) for n, why, _ in runs}) == 1
+        errors = [err for _, _, err in runs]
+        assert max(errors) - min(errors) <= 1e-4 * min(errors)
 
     def test_trace_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)

@@ -169,7 +169,7 @@ class TestSmooth:
 class TestGroundTruth:
     def test_stacked_matrices(self):
         truth = simulate_switching(N=3, tau=10, sigma=0.1, seed=17)
-        stacked = truth.stacked_matrices()
+        stacked = np.stack([truth.matrix_at(t) for t in range(truth.n_transitions)])
         assert stacked.shape == (10, 3, 3)
         assert np.array_equal(stacked[0], truth.unique_matrices[0])
         assert np.array_equal(stacked[-1], truth.unique_matrices[1])
