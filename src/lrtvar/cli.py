@@ -10,6 +10,7 @@ with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 import time
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cp_model import export_factors
+from .errors import ShapeMismatchError
 from .evaluation import (
     cluster_temporal_modes,
     estimate_rmse,
@@ -158,14 +160,28 @@ def write_truth_bundle(outdir, truth: GroundTruth, manifest: str) -> None:
 
 
 def read_truth_bundle(matrices_path, index_path) -> tuple:
-    """Read back (unique_matrices, matrix_index) written by the generator."""
+    """Read back (unique_matrices, matrix_index) written by the generator.
+
+    The index must list transitions 0..n-1 in order, each with an integer
+    block id in [0, n_blocks); the first row that does not is named.
+    """
     _, flat = read_csv(matrices_path)
     n = flat.shape[1]
     if flat.shape[0] % n:
         raise ValueError(f"{matrices_path}: {flat.shape[0]} rows do not stack into {n}x{n} blocks")
     blocks = [flat[b * n : (b + 1) * n] for b in range(flat.shape[0] // n)]
     _, index = read_csv(index_path)
-    return blocks, index[:, 1].astype(int)
+    if index.shape[1] != 2:
+        raise ValueError(f"{index_path}: expected 2 columns (transition, block), got {index.shape[1]}")
+    transition, block = index.T
+    bad = (transition != np.arange(len(index))) | (block != np.round(block)) | (block < 0) | (block >= len(blocks))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"{index_path}: data row {row}: expected transition {row} with an integer block in "
+            f"[0, {len(blocks)}), got ({format_cell(transition[row])}, {format_cell(block[row])})"
+        )
+    return blocks, block.astype(int)
 
 
 def write_clusters_csv(outdir, labels, manifest: str) -> None:
@@ -251,7 +267,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     series = read_series_csv(opts["input"])
     pair = build_snapshots(series, M=opts["window"], P=opts["lags"], affine=opts["affine"])
     params = _hyperparams_from(opts, opts["seed"])
-    model, report = fit(pair, params, verbose=args.verbose)
+    model, report = fit(pair, params)
     normalized = model.normalize()
 
     os.makedirs(args.out, exist_ok=True)
@@ -371,7 +387,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         series = read_series_csv(opts["input"])
         if opts["truth_matrices"]:
             blocks, index = read_truth_bundle(opts["truth_matrices"], opts["truth_index"])
-            truth = GroundTruth(series=series, unique_matrices=blocks, matrix_index=index, sigma=0.0)
+            if len(index) != series.n_samples - 1:
+                raise ShapeMismatchError(
+                    f"{opts['truth_index']}: {len(index)} transitions, but {opts['input']} has "
+                    f"{series.n_samples} samples ({series.n_samples - 1} transitions)"
+                )
+            truth = GroundTruth(series=series, unique_matrices=blocks, matrix_index=index)
         n_values = [series.n_channels]
 
     tasks = []
@@ -461,6 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.verbose:  # shows the solver's per-iteration lines on stderr
+        logging.basicConfig(level=logging.INFO, format="%(message)s")
     return args.func(args)
 
 

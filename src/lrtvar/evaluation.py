@@ -20,14 +20,15 @@ from .synthetic import GroundTruth
 from .windowing import SnapshotPair
 
 PINV_RTOL = 1e-12
+KMEANS_RESTARTS = 100  # independent k-means++ restarts per clustering
+KMEANS_MAX_ITERS = 100  # Lloyd steps per restart
 
 
 @dataclass
 class WindowedEstimate:
-    """Per-window system matrices from any estimator, plus a method tag."""
+    """Per-window system matrices from any estimator."""
 
     matrices: np.ndarray  # (T, N, N_in)
-    method: str
 
     def __post_init__(self):
         self.matrices = np.asarray(self.matrices, dtype=float)
@@ -80,14 +81,13 @@ def independent_fit(data: SnapshotPair, rank: Optional[int] = None) -> WindowedE
             Cy = Ur.T @ Yk
             B = Cy @ _pinv(Cx)
             matrices[k] = Ur @ B @ Ur.T
-    tag = "indep-full" if rank is None else f"indep-r{rank}"
-    return WindowedEstimate(matrices=matrices, method=tag)
+    return WindowedEstimate(matrices=matrices)
 
 
 def model_estimate(model: CpFactors) -> WindowedEstimate:
     """Per-window matrices of a fitted factored model."""
     matrices = np.stack([model.slice(k) for k in range(model.T)])
-    return WindowedEstimate(matrices=matrices, method=f"lowrank-r{model.R}")
+    return WindowedEstimate(matrices=matrices)
 
 
 def estimate_rmse(est: WindowedEstimate, data: SnapshotPair) -> float:
@@ -105,7 +105,9 @@ def truth_window_average(truth: GroundTruth, T: int, window_length: Optional[int
     """Per-window truth: average the per-transition matrices inside each window.
 
     ``window_length`` defaults to n_transitions // T, which is exact when the
-    windowing dropped no tail.
+    windowing dropped no tail.  The dense work is one product of the stacked
+    unique matrices with a (T, n_blocks) weight matrix: the share of window
+    k's transitions that block b generated.
     """
     if window_length is None:
         if truth.n_transitions % T:
@@ -117,11 +119,10 @@ def truth_window_average(truth: GroundTruth, T: int, window_length: Optional[int
         raise ShapeMismatchError(
             f"{T} windows of {window_length} transitions exceed the {truth.n_transitions} available"
         )
-    out = np.empty((T, *truth.unique_matrices[0].shape))
-    for k in range(T):
-        block = range(k * window_length, (k + 1) * window_length)
-        out[k] = sum(truth.matrix_at(t) for t in block) / window_length
-    return out
+    index = truth.matrix_index[: T * window_length].reshape(T, window_length)
+    counts = np.zeros((T, len(truth.unique_matrices)))  # counts[k, b]: transitions of window k made by block b
+    np.add.at(counts, (np.arange(T)[:, None], index), 1.0)
+    return np.tensordot(counts / window_length, np.asarray(truth.unique_matrices), axes=1)
 
 
 def operator_norm_error(
@@ -139,7 +140,7 @@ def operator_norm_error(
     return float(np.mean([np.linalg.norm(d, 2) for d in diffs]))
 
 
-def _kmeans_single(X: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 100):
+def _kmeans_single(X: np.ndarray, k: int, rng: np.random.Generator):
     """One k-means run with k-means++ seeding; returns (labels, inertia, history).
 
     ``history`` is the within-cluster sum of squares after every assignment
@@ -160,7 +161,7 @@ def _kmeans_single(X: np.ndarray, k: int, rng: np.random.Generator, max_iters: i
 
     labels = np.zeros(n, dtype=int)
     history = []
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), labels].sum()))
@@ -175,13 +176,13 @@ def _kmeans_single(X: np.ndarray, k: int, rng: np.random.Generator, max_iters: i
     return labels, history[-1], history
 
 
-def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0, n_restarts: int = 100) -> np.ndarray:
+def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Cluster the rows of the temporal-mode matrix into k regimes.
 
-    k-means with k-means++ seeding, ``n_restarts`` independent restarts, and
-    the lowest within-cluster sum of squares wins.  Labels are canonicalized
-    by first occurrence (the first row is always labeled 0), so runs are
-    comparable across seeds.
+    k-means with k-means++ seeding, ``KMEANS_RESTARTS`` independent
+    restarts, and the lowest within-cluster sum of squares wins.  Labels are
+    canonicalized by first occurrence (the first row is always labeled 0),
+    so runs are comparable across seeds.
     """
     U3 = np.asarray(U3, dtype=float)
     T = U3.shape[0]
@@ -189,7 +190,7 @@ def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0, n_restarts: in
         raise ValueError(f"need 1 <= k <= {T}, got {k}")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_restarts):
+    for _ in range(KMEANS_RESTARTS):
         labels, inertia, _ = _kmeans_single(U3, k, rng)
         if inertia < best_inertia - 1e-15:
             best_labels, best_inertia = labels, inertia

@@ -25,6 +25,7 @@ derives both the cost and the RMSE from it.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -40,15 +41,15 @@ from .windowing import SnapshotPair, write_csv
 # CG stops once the residual falls to this fraction of the right-hand side.
 CG_TOL = 1e-9
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class Hyperparams:
     """All solver and model knobs.
 
     ``atol`` is relative to the initial cost, like ``rtol`` to the previous one.
-    ``init_noise_spatial``/``init_noise_temporal`` default to 0.5/sqrt(dim)
-    of the factor they perturb (dim = N or N_in for spatial, T for temporal)
-    when left as None.
+    ``seed`` fixes the initialization noise (see :func:`initialize`).
     """
 
     R: int
@@ -60,8 +61,6 @@ class Hyperparams:
     cg_max_iters: int = 24
     pg_max_iters: int = 40
     seed: int = 0
-    init_noise_spatial: Optional[float] = None
-    init_noise_temporal: Optional[float] = None
 
     def __post_init__(self):
         if self.R < 1:
@@ -76,14 +75,6 @@ class Hyperparams:
                 raise ValueError(f"{name} must be >= 1")
         if self.rtol < 0 or self.atol < 0:
             raise ValueError("tolerances must be >= 0")
-        for name in ("init_noise_spatial", "init_noise_temporal"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not np.isfinite(value):
-                raise NonFiniteError(f"{name} must be finite, got {value}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -374,16 +365,14 @@ def _temporal_fista_tv(C, b, U3_init, eta, reg, max_iters):
 # initialization and the outer loop
 
 
-def initialize(data: SnapshotPair, params: Hyperparams) -> CpFactors:
-    """Spectral initialization from a single global linear fit.
+def _spectral_factors(data: SnapshotPair, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Noise-free (U1, U2, U3) from a single global linear fit.
 
     All windows are concatenated into global snapshot matrices X, Y; the
     one-model fit A = Y pinv(X) is formed in factored form (never as a dense
     N x N_in matrix) and its leading R singular vectors seed the spatial
-    modes.  Temporal modes start as the constant matrix 1/sqrt(T).  Extra
-    columns beyond the available spectrum are filled with constant unit
-    vectors, and Gaussian noise (seeded, with the configured scales) breaks
-    the column symmetry.
+    modes.  Temporal modes are the constant matrix 1/sqrt(T).  Extra columns
+    beyond the available spectrum are filled with constant unit vectors.
     """
     Xg = data.X.transpose(0, 2, 1).reshape(data.N_in, data.T * data.M)
     Yg = data.Y.transpose(0, 2, 1).reshape(data.N, data.T * data.M)
@@ -403,28 +392,26 @@ def initialize(data: SnapshotPair, params: Hyperparams) -> CpFactors:
     U_A = Q @ Uc
     V_A = Vtc.T
 
-    R = params.R
     N, N_in, T = data.N, data.N_in, data.T
-    q = U_A.shape[1]
     U1 = np.empty((N, R))
     U2 = np.empty((N_in, R))
-    take = min(R, q)
+    take = min(R, U_A.shape[1])
     U1[:, :take] = U_A[:, :take]
     U2[:, :take] = V_A[:, :take]
     if R > take:
         U1[:, take:] = 1.0 / np.sqrt(N)
         U2[:, take:] = 1.0 / np.sqrt(N_in)
     U3 = np.full((T, R), 1.0 / np.sqrt(T))
+    return U1, U2, U3
 
-    sd1 = params.init_noise_spatial
-    sd3 = params.init_noise_temporal
+
+def initialize(data: SnapshotPair, params: Hyperparams) -> CpFactors:
+    """Spectral initialization (:func:`_spectral_factors`) plus Gaussian noise
+    of scale 0.5/sqrt(rows), drawn from ``params.seed`` for U1, U2, U3 in that
+    order, which breaks the column symmetry."""
     rng = np.random.default_rng(params.seed)
-    noise_u1 = rng.standard_normal((N, R))
-    noise_u2 = rng.standard_normal((N_in, R))
-    noise_u3 = rng.standard_normal((T, R))
-    U1 += (0.5 / np.sqrt(N) if sd1 is None else sd1) * noise_u1
-    U2 += (0.5 / np.sqrt(N_in) if sd1 is None else sd1) * noise_u2
-    U3 += (0.5 / np.sqrt(T) if sd3 is None else sd3) * noise_u3
+    U1, U2, U3 = (U + (0.5 / np.sqrt(U.shape[0])) * rng.standard_normal(U.shape)
+                  for U in _spectral_factors(data, params.R))
     return CpFactors(U1=U1, U2=U2, U3=U3, affine=data.affine)
 
 
@@ -436,13 +423,14 @@ def _timed(seconds: list, func, *args):
     return result
 
 
-def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple[CpFactors, FitReport]:
+def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     """Alternating block minimization of the regularized cost.
 
     Cycles U1 -> U2 -> U3 updates, recording cost and prediction error after
     each full cycle, until the cost decrease falls below ``rtol`` times the
     previous cost or ``atol`` times the initial cost, or the iteration cap
-    is reached.  ``verbose`` prints one line per outer iteration.
+    is reached.  Each outer iteration logs one INFO line on the
+    ``lrtvar.solver`` logger.
 
     ``subproblem_stats`` holds one entry per outer iteration under each key:
     the inner iterations of the U2 and U3 updates (``cg_iters_right``,
@@ -476,8 +464,7 @@ def fit(data: SnapshotPair, params: Hyperparams, verbose: bool = False) -> tuple
         rmse_trace.append(r)
         stats["cg_iters_right"].append(cg_iters)
         stats["inner_iters_temporal"].append(inner_iters)
-        if verbose:
-            print(f"iter {it}: cost={c:.17g} rmse={r:.17g} cg={cg_iters} inner={inner_iters}")
+        logger.info("iter %d: cost=%.17g rmse=%.17g cg=%d inner=%d", it, c, r, cg_iters, inner_iters)
 
         if prev_cost > 0 and abs(c - prev_cost) / prev_cost < params.rtol:
             termination = "rtol"

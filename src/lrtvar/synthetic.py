@@ -15,7 +15,7 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from .windowing import TimeSeries
 BURN_IN_STEPS = 200
 DEFAULT_THETA1 = 0.1 * np.pi
 DEFAULT_THETA2 = 0.37 * np.pi
+GP_JITTER = 0.001  # added to the GP covariance diagonal so its Cholesky factorization is stable
 
 
 @dataclass
@@ -34,14 +35,14 @@ class GroundTruth:
 
     ``matrix_index[t]`` names which entry of ``unique_matrices`` generated
     transition t (x(t) -> x(t+1)); storing unique matrices keeps the bundle
-    small even when N is large and most transitions share a matrix.
+    small even when N is large and most transitions share a matrix.  The
+    generators' settings (noise scale, angles, seed) are not stored; the
+    CLI records them in each file's manifest.
     """
 
     series: TimeSeries
     unique_matrices: list
     matrix_index: np.ndarray
-    sigma: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_transitions(self) -> int:
@@ -141,40 +142,25 @@ def simulate_switching(
         series=TimeSeries(values=observed),
         unique_matrices=[A1, A2],
         matrix_index=index,
-        sigma=sigma,
-        meta={
-            "kind": "switching",
-            "N": N,
-            "tau": tau,
-            "sigma": sigma,
-            "theta1": theta1,
-            "theta2": theta2,
-            "seed": seed,
-        },
     )
 
 
-def gp_covariance(tau: int, lengthscale: float = 30.0, jitter: float = 0.001) -> np.ndarray:
+def gp_covariance(tau: int, lengthscale: float = 30.0) -> np.ndarray:
     """Squared-exponential covariance K(t, t') = exp(-((t-t')/lengthscale)^2)
-    plus ``jitter`` on the diagonal (stabilizes the Cholesky factorization)."""
+    plus ``GP_JITTER`` on the diagonal."""
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     t = np.arange(tau, dtype=float)
     K = np.exp(-(((t[:, None] - t[None, :]) / lengthscale) ** 2))
-    K[np.diag_indices(tau)] += jitter
+    K[np.diag_indices(tau)] += GP_JITTER
     return K
 
 
-def sample_gp_angle(
-    tau: int,
-    lengthscale: float = 30.0,
-    jitter: float = 0.001,
-    seed_or_rng=0,
-) -> np.ndarray:
+def sample_gp_angle(tau: int, lengthscale: float = 30.0, seed_or_rng=0) -> np.ndarray:
     """Draw a smooth angle path from a centered Gaussian process with the
     :func:`gp_covariance` kernel."""
     rng = np.random.default_rng(seed_or_rng) if not isinstance(seed_or_rng, np.random.Generator) else seed_or_rng
-    L = np.linalg.cholesky(gp_covariance(tau, lengthscale, jitter))
+    L = np.linalg.cholesky(gp_covariance(tau, lengthscale))
     return L @ rng.standard_normal(tau)
 
 
@@ -217,13 +203,4 @@ def simulate_smooth(
         series=TimeSeries(values=observed),
         unique_matrices=matrices,
         matrix_index=np.arange(tau),
-        sigma=sigma,
-        meta={
-            "kind": "smooth",
-            "N": N,
-            "tau": tau,
-            "sigma": sigma,
-            "lengthscale": lengthscale,
-            "seed": seed,
-        },
     )

@@ -31,13 +31,12 @@ class TimeSeries:
         One row per channel, one column per time sample.  All entries finite.
     channel_names : list of str, optional
         Labels for the N channels.
-    dt : float, optional
-        Sample spacing; metadata only, never used in computations.
+
+    Samples are taken as equally spaced; no sample spacing is stored.
     """
 
     values: np.ndarray
     channel_names: Optional[list] = None
-    dt: Optional[float] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -65,12 +64,12 @@ class Standardization:
     """Per-channel affine transform recorded by :func:`standardize`.
 
     ``apply`` maps raw values to standardized ones; ``invert`` undoes it, so
-    model predictions can be mapped back to the original units.
+    model predictions can be mapped back to the original units.  ``std`` is
+    the sample (ddof=1) standard deviation.
     """
 
     mean: np.ndarray
     std: np.ndarray
-    ddof: int = 1
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean[:, None]) / self.std[:, None]
@@ -164,13 +163,10 @@ def build_snapshots(series: TimeSeries, M: int, P: int = 1, affine: bool = False
     # for column j of window k; the target is the next sample.
     s = np.arange(T * M).reshape(T, M).T
     idx = (P - 1) + s
-    if P == 1 and not affine:
-        X = values[:, idx]
-    else:
-        blocks = [values[:, idx - lag] for lag in range(P)]
-        if affine:
-            blocks.append(np.ones((1, M, T)))
-        X = np.concatenate(blocks, axis=0)
+    blocks = [values[:, idx - lag] for lag in range(P)]
+    if affine:
+        blocks.append(np.ones((1, M, T)))
+    X = np.concatenate(blocks, axis=0)
     Y = values[:, idx + 1]
     return SnapshotPair(X=X, Y=Y, M=M, T=T, P=P, affine=affine, dropped=dropped)
 
@@ -195,7 +191,7 @@ def standardize(series: TimeSeries) -> tuple[TimeSeries, Standardization]:
         name = series.channel_names[i] if series.channel_names else f"channel {i}"
         raise ZeroVarianceError(f"{name} has zero variance")
     transform = Standardization(mean=mean, std=std)
-    out = TimeSeries(values=transform.apply(values), channel_names=series.channel_names, dt=series.dt)
+    out = TimeSeries(values=transform.apply(values), channel_names=series.channel_names)
     return out, transform
 
 

@@ -16,6 +16,7 @@ from lrtvar.cli import (
     smooth_beta_default,
     write_truth_bundle,
 )
+from lrtvar.errors import ShapeMismatchError
 from lrtvar.evaluation import independent_fit, operator_norm_error
 from lrtvar.synthetic import GroundTruth, simulate_smooth, simulate_switching
 from lrtvar.windowing import build_snapshots, read_series_csv
@@ -239,7 +240,7 @@ class TestCompare:
         run(["generate", "--benchmark", "switching", "--N", "6", "--seed", "0", "--out", str(gen)])
         series = read_series_csv(gen / "series.csv")
         blocks, index = read_truth_bundle(gen / "truth_matrices.csv", gen / "truth_index.csv")
-        truth = GroundTruth(series=series, unique_matrices=blocks, matrix_index=index, sigma=0.0)
+        truth = GroundTruth(series=series, unique_matrices=blocks, matrix_index=index)
         for window in (30, 49):
             out = tmp_path / f"cmp{window}"
             code = run(["compare", "--input", str(gen / "series.csv"),
@@ -375,6 +376,44 @@ def test_truth_bundle_round_trip(simulate, tmp_path):
     assert len(blocks) == len(truth.unique_matrices)
     assert all(np.array_equal(b, a) for b, a in zip(blocks, truth.unique_matrices))
     assert np.array_equal(index, truth.matrix_index)
+
+
+def corrupt_bundle_argv(tmp_path, edit):
+    """Generate a switching bundle (20 transitions, 2 blocks), pass the data
+    rows of its index through ``edit``, and return a ``compare`` argv on it."""
+    gen = tmp_path / "gen"
+    run(["generate", "--benchmark", "switching", "--N", "6", "--tau", "20", "--seed", "0", "--out", str(gen)])
+    lines = (gen / "truth_index.csv").read_text().splitlines()
+    head = [line for line in lines if line.startswith("#") or line == "transition,block"]
+    (gen / "truth_index.csv").write_text("\n".join(head + edit(lines[len(head):])) + "\n")
+    return ["compare", "--input", str(gen / "series.csv"), "--truth-matrices", str(gen / "truth_matrices.csv"),
+            "--truth-index", str(gen / "truth_index.csv"), "--window", "10", "--eta", "0.2",
+            "--methods", "lowrank-r2,indep-full", "--out", str(tmp_path / "cmp")]
+
+
+@pytest.mark.parametrize(
+    "row, text",
+    [(15, "15,5"), (3, "3,-1"), (3, "3,0.7"), (4, "7,0")],
+    ids=["block-out-of-range", "block-negative", "block-not-integer", "transition-out-of-order"],
+)
+def test_corrupt_truth_index_rejected_before_any_fit(row, text, tmp_path, monkeypatch):
+    def edit(rows):
+        rows[row] = text
+        return rows
+
+    argv = corrupt_bundle_argv(tmp_path, edit)
+    calls = count_calls(monkeypatch, ("fit", "independent_fit"))
+    with pytest.raises(ValueError, match=rf"truth_index.csv: data row {row}: expected transition {row} .*\[0, 2\)"):
+        run(argv)
+    assert calls == {"fit": 0, "independent_fit": 0}
+
+
+def test_truth_index_must_cover_every_transition(tmp_path, monkeypatch):
+    argv = corrupt_bundle_argv(tmp_path, lambda rows: rows[:-1])
+    calls = count_calls(monkeypatch, ("fit", "independent_fit"))
+    with pytest.raises(ShapeMismatchError, match="19 transitions, but .* has 21 samples"):
+        run(argv)
+    assert calls == {"fit": 0, "independent_fit": 0}
 
 
 @pytest.mark.parametrize(

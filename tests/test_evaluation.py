@@ -12,7 +12,7 @@ from lrtvar.evaluation import (
     operator_norm_error,
     truth_window_average,
 )
-from lrtvar.synthetic import GroundTruth, simulate_switching
+from lrtvar.synthetic import GroundTruth, simulate_smooth, simulate_switching
 from lrtvar.windowing import SnapshotPair, TimeSeries, build_snapshots
 
 
@@ -32,15 +32,6 @@ def stationary_data(rng, A, M, T, sigma=0.0):
     values = np.stack(cols, axis=1)
     values = values + sigma * rng.standard_normal(values.shape)
     return build_snapshots(TimeSeries(values=values), M=M)
-
-
-def truth_from_constant(A, n_transitions, sigma, series):
-    return GroundTruth(
-        series=series,
-        unique_matrices=[A],
-        matrix_index=np.zeros(n_transitions, dtype=int),
-        sigma=sigma,
-    )
 
 
 class TestIndependentFit:
@@ -105,19 +96,19 @@ class TestIndependentFit:
 class TestOperatorNormError:
     def test_zero_for_exact_estimate(self):
         truth = simulate_switching(N=4, tau=40, sigma=0.1, seed=84)
-        est = WindowedEstimate(matrices=stacked_truth(truth), method="truth")
+        est = WindowedEstimate(matrices=stacked_truth(truth))
         assert operator_norm_error(est, truth) == 0.0
 
     def test_scaled_identity_shift(self):
         truth = simulate_switching(N=4, tau=40, sigma=0.1, seed=85)
         eps = 0.37
-        est = WindowedEstimate(matrices=stacked_truth(truth) + eps * np.eye(4), method="shifted")
+        est = WindowedEstimate(matrices=stacked_truth(truth) + eps * np.eye(4))
         assert operator_norm_error(est, truth) == pytest.approx(eps, abs=1e-12)
 
     def test_matches_dense_svd_oracle(self):
         rng = np.random.default_rng(86)
         truth = simulate_switching(N=5, tau=20, sigma=0.2, seed=86)
-        est = WindowedEstimate(matrices=stacked_truth(truth) + 0.3 * rng.standard_normal((20, 5, 5)), method="x")
+        est = WindowedEstimate(matrices=stacked_truth(truth) + 0.3 * rng.standard_normal((20, 5, 5)))
         expected = 0.0
         for t in range(20):
             diff = est.matrices[t] - truth.matrix_at(t)
@@ -131,12 +122,27 @@ class TestOperatorNormError:
         per_window = truth_window_average(truth, T=4)
         assert np.allclose(per_window[0], truth.unique_matrices[0])
         assert np.allclose(per_window[3], truth.unique_matrices[1])
-        est = WindowedEstimate(matrices=per_window, method="avg")
+        est = WindowedEstimate(matrices=per_window)
         assert operator_norm_error(est, truth) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "make, T, window_length",
+        [
+            (lambda: simulate_switching(N=5, tau=200, sigma=0.5, seed=3), 10, None),
+            (lambda: simulate_smooth(N=4, tau=60, sigma=0.2, seed=3), 12, None),
+            (lambda: simulate_switching(N=5, tau=200, sigma=0.5, seed=4), 4, 49),  # window 2 straddles the switch
+        ],
+        ids=["switching", "smooth", "dropped-tail"],
+    )
+    def test_window_average_matches_per_transition_loop(self, make, T, window_length):
+        truth = make()
+        M = window_length or truth.n_transitions // T
+        loop = [sum(truth.matrix_at(t) for t in range(k * M, (k + 1) * M)) / M for k in range(T)]
+        assert np.max(np.abs(truth_window_average(truth, T, window_length) - loop)) <= 1e-15
 
     def test_shape_mismatch(self):
         truth = simulate_switching(N=3, tau=40, sigma=0.1, seed=88)
-        est = WindowedEstimate(matrices=np.zeros((7, 3, 3)), method="bad")
+        est = WindowedEstimate(matrices=np.zeros((7, 3, 3)))
         with pytest.raises(ShapeMismatchError):
             operator_norm_error(est, truth)
 
@@ -144,15 +150,15 @@ class TestOperatorNormError:
         rng = np.random.default_rng(89)
         truth = simulate_switching(N=4, tau=20, sigma=0.1, seed=89)
         base = stacked_truth(truth)
-        a = WindowedEstimate(base + 0.2 * rng.standard_normal(base.shape), "a")
-        b = WindowedEstimate(base + 0.2 * rng.standard_normal(base.shape), "b")
-        truth_a = GroundTruth(series=truth.series, unique_matrices=list(a.matrices), matrix_index=np.arange(20), sigma=0)
-        truth_b = GroundTruth(series=truth.series, unique_matrices=list(b.matrices), matrix_index=np.arange(20), sigma=0)
+        a = WindowedEstimate(base + 0.2 * rng.standard_normal(base.shape))
+        b = WindowedEstimate(base + 0.2 * rng.standard_normal(base.shape))
+        truth_a = GroundTruth(series=truth.series, unique_matrices=list(a.matrices), matrix_index=np.arange(20))
+        truth_b = GroundTruth(series=truth.series, unique_matrices=list(b.matrices), matrix_index=np.arange(20))
         d_ab = operator_norm_error(a, truth_b)
         d_ba = operator_norm_error(b, truth_a)
         assert d_ab == pytest.approx(d_ba, rel=1e-12)
-        c = WindowedEstimate(base + 0.2 * rng.standard_normal(base.shape), "c")
-        truth_c = GroundTruth(series=truth.series, unique_matrices=list(c.matrices), matrix_index=np.arange(20), sigma=0)
+        c = WindowedEstimate(base + 0.2 * rng.standard_normal(base.shape))
+        truth_c = GroundTruth(series=truth.series, unique_matrices=list(c.matrices), matrix_index=np.arange(20))
         assert operator_norm_error(a, truth_c) <= operator_norm_error(a, truth_b) + operator_norm_error(b, truth_c) + 1e-12
 
 
@@ -160,7 +166,6 @@ class TestModelEstimate:
     def test_zero_model(self):
         model = CpFactors(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((4, 2)))
         est = model_estimate(model)
-        assert est.method == "lowrank-r2"
         assert np.array_equal(est.matrices, np.zeros((4, 3, 3)))
 
     def test_matches_slices(self):

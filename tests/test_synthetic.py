@@ -73,9 +73,10 @@ class TestSwitching:
         assert np.array_equal(majority, [0] * 5 + [1] * 5)
 
     def test_default_angles(self):
+        # a rank-2 rotation by theta has trace 2 cos(theta)
         truth = simulate_switching(N=4, tau=20, sigma=0.0, seed=8)
-        assert truth.meta["theta1"] == pytest.approx(0.1 * np.pi)
-        assert truth.meta["theta2"] == pytest.approx(0.37 * np.pi)
+        angles = [np.arccos(np.trace(A) / 2) for A in truth.unique_matrices]
+        assert angles == pytest.approx([0.1 * np.pi, 0.37 * np.pi])
 
     def test_noise_variance_monte_carlo(self):
         # pooled variance of (noisy - noiseless) over 1000 paired draws
