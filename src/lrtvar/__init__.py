@@ -15,6 +15,7 @@ from .errors import (
     DegenerateProjectionError,
     DegenerateWindowError,
     DimensionMismatchError,
+    ExtremeScaleError,
     LrtvarError,
     NonFiniteError,
     NonPositiveEtaError,
@@ -42,6 +43,7 @@ from .regularizers import (
 from .solver import FitReport, Hyperparams, cost, fit, initialize, loss, rmse
 from .synthetic import (
     GroundTruth,
+    factor_blocks,
     gp_covariance,
     make_rank2_rotation,
     sample_gp_angle,

@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .regularizers import REGULARIZER_KINDS, Regularizer
 from .solver import Hyperparams, fit
-from .synthetic import GroundTruth, simulate_smooth, simulate_switching
+from .synthetic import GroundTruth, factor_blocks, simulate_smooth, simulate_switching
 from .windowing import build_snapshots, format_cell, read_csv, read_series_csv, write_csv, write_series_csv
 
 
@@ -144,12 +144,13 @@ def parse_str_list(text: str) -> list:
 
 
 def write_truth_bundle(outdir, truth: GroundTruth, manifest: str) -> None:
-    n = truth.unique_matrices[0].shape[0]
+    blocks = truth.unique_matrices
+    n = blocks[0].shape[0]
     write_csv(
         os.path.join(outdir, "truth_matrices.csv"),
-        (row for block in truth.unique_matrices for row in block),
+        (row for block in blocks for row in block),
         manifest=manifest,
-        comments=[f"{len(truth.unique_matrices)} blocks of {n} rows each; block b spans rows b*{n}..(b+1)*{n}-1"],
+        comments=[f"{len(blocks)} blocks of {n} rows each; block b spans rows b*{n}..(b+1)*{n}-1"],
     )
     write_csv(
         os.path.join(outdir, "truth_index.csv"),
@@ -392,7 +393,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     f"{opts['truth_index']}: {len(index)} transitions, but {opts['input']} has "
                     f"{series.n_samples} samples ({series.n_samples - 1} transitions)"
                 )
-            truth = GroundTruth(series=series, unique_matrices=blocks, matrix_index=index)
+            truth = GroundTruth(series, *factor_blocks(blocks), matrix_index=index)
         n_values = [series.n_channels]
 
     tasks = []

@@ -39,3 +39,7 @@ class ShapeMismatchError(LrtvarError, ValueError):
 
 class NonPositiveEtaError(LrtvarError, ValueError):
     """The ridge scale eta must be strictly positive."""
+
+
+class ExtremeScaleError(LrtvarError, ValueError):
+    """Data or hyperparameters are too large or too small for float64 arithmetic."""

@@ -26,6 +26,7 @@ derives both the cost and the RMSE from it.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .cp_model import CpFactors
-from .errors import DegenerateDataError, DimensionMismatchError, NonFiniteError, NonPositiveEtaError
+from .errors import DegenerateDataError, DimensionMismatchError, ExtremeScaleError, NonFiniteError, NonPositiveEtaError
 from .regularizers import Regularizer, apply_diff, apply_diff_transpose, tikhonov_penalty, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
 
@@ -376,8 +377,7 @@ def _spectral_factors(data: SnapshotPair, R: int) -> tuple[np.ndarray, np.ndarra
     """
     Xg = data.X.transpose(0, 2, 1).reshape(data.N_in, data.T * data.M)
     Yg = data.Y.transpose(0, 2, 1).reshape(data.N, data.T * data.M)
-    x_norm = np.linalg.norm(Xg)
-    if x_norm == 0.0:
+    if not np.any(Xg):
         raise DegenerateDataError("predictor tensor is identically zero")
 
     # A = Y pinv(X) = (Y V S^-1) Ux'; its SVD comes from a QR of the thin
@@ -415,6 +415,39 @@ def initialize(data: SnapshotPair, params: Hyperparams) -> CpFactors:
     return CpFactors(U1=U1, U2=U2, U3=U3, affine=data.affine)
 
 
+# float64 normals run from 2^-1022 up to, not including, 2^1024
+_LOG2_NORMAL_RANGE = (-1022.0, 1024.0)
+
+
+def _log2_square_norm(values: np.ndarray) -> float:
+    """log2 of ||values||_F^2, computed on values / max|values| so that nothing
+    overflows or underflows; -inf for all-zero values."""
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        return -math.inf
+    return 2.0 * (math.log2(peak) + math.log2(float(np.linalg.norm(values / peak))))
+
+
+def _check_scales(data: SnapshotPair, params: Hyperparams) -> None:
+    """Reject data and hyperparameters whose squares are not normal float64s.
+
+    ||X||^2, ||Y||^2, (1/eta)^2 and, with the spline penalty, (4 beta)^2 set
+    the scale of every quantity the fit forms; zero data is left to
+    :func:`_spectral_factors`.
+    """
+    scales = {"||X||^2": _log2_square_norm(data.X), "||Y||^2": _log2_square_norm(data.Y),
+              "(1/eta)^2": -2.0 * math.log2(params.eta)}
+    if _active_penalty(params, data.T) == "spline":
+        scales["(4 beta)^2"] = 2.0 * math.log2(4.0 * params.reg.beta)
+    low, high = _LOG2_NORMAL_RANGE
+    for name, log2_value in scales.items():
+        if log2_value != -math.inf and not low <= log2_value < high:
+            raise ExtremeScaleError(
+                f"{name} = 2^{log2_value:.0f} is outside the float64 range [2^{low:.0f}, 2^{high:.0f}); "
+                "rescale the series (lrtvar.standardize) and eta and beta with it"
+            )
+
+
 def _timed(seconds: list, func, *args):
     """Call func(*args) and append its wall time to ``seconds``."""
     start = time.perf_counter()
@@ -430,7 +463,8 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     each full cycle, until the cost decrease falls below ``rtol`` times the
     previous cost or ``atol`` times the initial cost, or the iteration cap
     is reached.  Each outer iteration logs one INFO line on the
-    ``lrtvar.solver`` logger.
+    ``lrtvar.solver`` logger.  Data or hyperparameters whose squares float64
+    cannot carry raise :class:`ExtremeScaleError` before any update.
 
     ``subproblem_stats`` holds one entry per outer iteration under each key:
     the inner iterations of the U2 and U3 updates (``cg_iters_right``,
@@ -439,6 +473,7 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     ``seconds_right``, ``seconds_temporal``, ``seconds_objective``).
     """
     t_start = time.perf_counter()
+    _check_scales(data, params)
     model = initialize(data, params)
     c, r = _cost_and_rmse(model, data, params)
     cost_trace = [c]

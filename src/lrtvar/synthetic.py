@@ -8,6 +8,12 @@ draw.  States are normalized to norm sqrt(N) so the per-entry signal scale
 is 1 for every N, keeping the signal-to-noise ratio independent of the
 system size.
 
+Every A(t) is stored as the factor pair it is drawn as, (W Rot(theta), W),
+so scoring never needs it as an N x N matrix; dense blocks are formed on
+demand for the truth bundle, and the simulation itself still iterates the
+dense A = (W Rot(theta)) W'.  Dense matrices read from outside are factored
+once by :func:`factor_blocks`.
+
 Randomness is split into named child streams of one seed (matrices, angle
 process, observation noise), so each ingredient is independently
 reproducible.
@@ -33,24 +39,47 @@ GP_JITTER = 0.001  # added to the GP covariance diagonal so its Cholesky factori
 class GroundTruth:
     """A noisy trajectory together with the exact per-transition dynamics.
 
-    ``matrix_index[t]`` names which entry of ``unique_matrices`` generated
-    transition t (x(t) -> x(t+1)); storing unique matrices keeps the bundle
-    small even when N is large and most transitions share a matrix.  The
-    generators' settings (noise scale, angles, seed) are not stored; the
-    CLI records them in each file's manifest.
+    Block b of the dynamics is ``left[b] @ right[b].T``, with ``left`` of
+    shape (n_blocks, N, q) and ``right`` of shape (n_blocks, N_in, q), and
+    ``matrix_index[t]`` names the block that generated transition t
+    (x(t) -> x(t+1)).  Storing unique blocks keeps the bundle small when most
+    transitions share a matrix; storing them factored keeps every block
+    O(N q).  The generators' settings (noise scale, angles, seed) are not
+    stored; the CLI records them in each file's manifest.
     """
 
     series: TimeSeries
-    unique_matrices: list
+    left: np.ndarray
+    right: np.ndarray
     matrix_index: np.ndarray
 
     @property
     def n_transitions(self) -> int:
         return self.matrix_index.shape[0]
 
+    @property
+    def unique_matrices(self) -> list:
+        """Every block as a dense matrix, formed on each access."""
+        return [L @ R.T for L, R in zip(self.left, self.right)]
+
     def matrix_at(self, t: int) -> np.ndarray:
         """Dense system matrix for transition t (0-based)."""
-        return self.unique_matrices[self.matrix_index[t]]
+        b = self.matrix_index[t]
+        return self.left[b] @ self.right[b].T
+
+
+def factor_blocks(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Factor dense (n_blocks, N, N_in) matrices as ``left[b] @ right[b].T``.
+
+    A truncated SVD keeps the singular values above s_1 * max(N, N_in) * eps
+    (numpy's ``matrix_rank`` tolerance) and folds them into ``left``; blocks
+    of lower rank are zero-padded to the largest rank kept.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    U, s, Vt = np.linalg.svd(blocks, full_matrices=False)
+    keep = s > s[:, :1] * max(blocks.shape[1:]) * np.finfo(float).eps
+    q = int(keep.sum(axis=1).max(initial=0))
+    return U[:, :, :q] * (s * keep)[:, None, :q], Vt[:, :q].transpose(0, 2, 1) * keep[:, None, :q]
 
 
 def rotation_2x2(theta: float) -> np.ndarray:
@@ -58,18 +87,23 @@ def rotation_2x2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _random_plane(N: int, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal N x 2 basis: the left singular vectors of a Gaussian N x 2 draw."""
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
+    W, _, _ = np.linalg.svd(rng.standard_normal((N, 2)), full_matrices=False)
+    return W
+
+
 def make_rank2_rotation(N: int, theta: float, seed_or_rng) -> np.ndarray:
     """Random rank-2 rotation in N dimensions: W Rot(theta) W'.
 
-    W holds the left singular vectors of a Gaussian N x 2 draw, so the
-    result rotates by ``theta`` inside a random plane and annihilates its
-    orthogonal complement.  Singular values are {1, 1, 0, ...}.
+    The result rotates by ``theta`` inside the random plane W of
+    :func:`_random_plane` and annihilates its orthogonal complement.
+    Singular values are {1, 1, 0, ...}.
     """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
     rng = np.random.default_rng(seed_or_rng) if not isinstance(seed_or_rng, np.random.Generator) else seed_or_rng
-    Z = rng.standard_normal((N, 2))
-    W, _, _ = np.linalg.svd(Z, full_matrices=False)
+    W = _random_plane(N, rng)
     return W @ rotation_2x2(theta) @ W.T
 
 
@@ -120,8 +154,9 @@ def simulate_switching(
     if tau % 2:
         raise ValueError(f"tau must be even, got {tau}")
     rng_mat, rng_noise = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
-    A1 = make_rank2_rotation(N, theta1, rng_mat)
-    A2 = make_rank2_rotation(N, theta2, rng_mat)
+    right = np.stack([_random_plane(N, rng_mat), _random_plane(N, rng_mat)])
+    left = right @ np.array([rotation_2x2(theta1), rotation_2x2(theta2)])
+    A1, A2 = left @ right.transpose(0, 2, 1)
 
     half = tau // 2
     states = np.empty((N, tau + 1))
@@ -140,7 +175,8 @@ def simulate_switching(
     index = np.where(np.arange(tau) < half, 0, 1)
     return GroundTruth(
         series=TimeSeries(values=observed),
-        unique_matrices=[A1, A2],
+        left=left,
+        right=right,
         matrix_index=index,
     )
 
@@ -180,11 +216,8 @@ def simulate_smooth(
     sqrt(N).  All matrices share the invariant plane, so no mid-trajectory
     renormalization is needed.
     """
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
     rng_mat, rng_gp, rng_noise = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
-    Z = rng_mat.standard_normal((N, 2))
-    W, _, _ = np.linalg.svd(Z, full_matrices=False)
+    W = _random_plane(N, rng_mat)
     if angles is None:
         angles = sample_gp_angle(tau, lengthscale=lengthscale, seed_or_rng=rng_gp)
     else:
@@ -192,7 +225,8 @@ def simulate_smooth(
         if angles.shape != (tau,):
             raise ValueError(f"angles must have shape ({tau},), got {angles.shape}")
 
-    matrices = [W @ rotation_2x2(a) @ W.T for a in angles]
+    left = W @ np.array([rotation_2x2(a) for a in angles])
+    matrices = left @ W.T
     states = np.empty((N, tau + 1))
     states[:, 0] = _burned_in_start(matrices[0], N)
     for t in range(tau):
@@ -201,6 +235,7 @@ def simulate_smooth(
     observed = states + sigma * rng_noise.standard_normal(states.shape)
     return GroundTruth(
         series=TimeSeries(values=observed),
-        unique_matrices=matrices,
+        left=left,
+        right=np.broadcast_to(W, left.shape),
         matrix_index=np.arange(tau),
     )

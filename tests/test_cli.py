@@ -18,7 +18,7 @@ from lrtvar.cli import (
 )
 from lrtvar.errors import ShapeMismatchError
 from lrtvar.evaluation import independent_fit, operator_norm_error
-from lrtvar.synthetic import GroundTruth, simulate_smooth, simulate_switching
+from lrtvar.synthetic import GroundTruth, factor_blocks, simulate_smooth, simulate_switching
 from lrtvar.windowing import build_snapshots, read_series_csv
 
 
@@ -240,7 +240,7 @@ class TestCompare:
         run(["generate", "--benchmark", "switching", "--N", "6", "--seed", "0", "--out", str(gen)])
         series = read_series_csv(gen / "series.csv")
         blocks, index = read_truth_bundle(gen / "truth_matrices.csv", gen / "truth_index.csv")
-        truth = GroundTruth(series=series, unique_matrices=blocks, matrix_index=index)
+        truth = GroundTruth(series, *factor_blocks(blocks), matrix_index=index)
         for window in (30, 49):
             out = tmp_path / f"cmp{window}"
             code = run(["compare", "--input", str(gen / "series.csv"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lrtvar.cp_model import CpFactors
-from lrtvar.errors import DegenerateDataError, DimensionMismatchError, LrtvarError, NonFiniteError
+from lrtvar.errors import DegenerateDataError, DimensionMismatchError, ExtremeScaleError, LrtvarError, NonFiniteError
 import lrtvar.solver
 from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import (
@@ -525,6 +525,24 @@ class TestFit:
         assert len({(n, why) for n, why, _ in runs}) == 1
         errors = [err for _, _, err in runs]
         assert max(errors) - min(errors) <= 1e-4 * min(errors)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scale, changes",
+        [
+            (1e160, {}),  # ||X||^2 overflows
+            (1.0, {"eta": 1e-300}),  # (1/eta)^2 overflows
+            (1.0, {"reg": Regularizer("spline", 1e300)}),  # (4 beta)^2 overflows
+            (1e-170, {}),  # ||X||^2 underflows: tiny data, not zero data
+        ],
+        ids=["series-1e160", "eta-1e-300", "spline-beta-1e300", "series-1e-170"],
+    )
+    def test_extreme_scales_rejected_at_entry(self, scale, changes):
+        truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=0)
+        data = build_snapshots(TimeSeries(values=scale * truth.series.values), M=20)
+        params = replace(Hyperparams(R=8, eta=0.1, seed=0), **changes)
+        with pytest.raises(ExtremeScaleError, match="standardize"):
+            fit(data, params)
 
     def test_logs_one_line_per_outer_iteration(self, caplog):
         rng = np.random.default_rng(72)
