@@ -16,6 +16,7 @@ from .errors import (
     DegenerateWindowError,
     DimensionMismatchError,
     ExtremeScaleError,
+    InvalidHyperparameterError,
     LrtvarError,
     NonFiniteError,
     NonPositiveEtaError,

@@ -43,3 +43,7 @@ class NonPositiveEtaError(LrtvarError, ValueError):
 
 class ExtremeScaleError(LrtvarError, ValueError):
     """Data or hyperparameters are too large or too small for float64 arithmetic."""
+
+
+class InvalidHyperparameterError(LrtvarError, ValueError):
+    """A solver hyperparameter has the wrong type or is out of range."""

@@ -4,12 +4,17 @@ The loadings matrix has one row per window; penalties act on first
 differences down each column.  The total-variation penalty prefers
 piecewise-constant columns (switching dynamics), the spline penalty prefers
 smoothly varying ones, and the ridge term keeps all factor entries bounded.
-The exact TV prox is Johnson's dynamic program, linear time in the length.
+The exact TV prox, with a positive weight on each entry's squared error,
+is Johnson's dynamic program, linear time in the length; the solver's TV
+update of the loadings runs it on one weighted column at a time.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import chain
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -91,31 +96,37 @@ def tikhonov_penalty(U1: np.ndarray, U2: np.ndarray, U3: np.ndarray, eta: float)
     return total / (2.0 * eta)
 
 
-def _tv_dp(y: list, gamma: float) -> list:
-    """Johnson's dynamic program (JCGS 2013) for the TV prox of ``y``; gamma > 0, n >= 2.
+def _tv_dp(y: list, w: list, gamma: float) -> list:
+    """Johnson's dynamic program (JCGS 2013) for the weighted TV prox of ``y``:
+    argmin_u sum_k w[k]/2 (u_k - y[k])^2 + gamma sum_k |u_k - u_{k+1}|;
+    gamma > 0, weights > 0, n >= 2.
 
     The forward pass keeps the derivative of the cost-to-come of entry k, an
     increasing piecewise-linear function of its value, as knots ``x[lo:hi]``
-    with the slope and intercept jumps ``a``, ``b`` across each.  Clipping it
-    to [-gamma, gamma] drops the knots beyond the clip points ``tm[k]``,
-    ``tp[k]`` and adds one at each, so every knot is added and removed once.
-    The backward pass clips each entry into ``[tm[k], tp[k]]``.
+    with the slope and intercept jumps ``a``, ``b`` across each.  Its end
+    pieces are seeded with the slope ``w[k]`` of entry k's loss, the only
+    place the weights enter.  Clipping it to [-gamma, gamma] drops the knots
+    beyond the clip points ``tm[k]``, ``tp[k]`` and adds one at each, so
+    every knot is added and removed once.  The backward pass clips each
+    entry into ``[tm[k], tp[k]]``.
     """
     n = len(y)
     x, a, b = [0.0] * (2 * n), [0.0] * (2 * n), [0.0] * (2 * n)
     tm, tp = [0.0] * (n - 1), [0.0] * (n - 1)
     lo = hi = n
-    clip = 0.0  # the end pieces are u - y[k] -+ clip; nothing is clipped before entry 0
+    clip = 0.0  # the end pieces are w[k] (u - y[k]) -+ clip; nothing is clipped before entry 0
     for k in range(n - 1):
+        wk = w[k]
+        wy = wk * y[k]
         # walk in from the left end to where the derivative crosses -gamma ...
-        alo, blo = 1.0, -y[k] - clip
+        alo, blo = wk, -wy - clip
         j = lo
         while j < hi and alo * x[j] + blo <= -gamma:
             alo += a[j]
             blo += b[j]
             j += 1
         # ... and in from the right end, with negated coefficients, to +gamma
-        ahi, bhi = -1.0, y[k] - clip
+        ahi, bhi = -wk, wy - clip
         i = hi - 1
         while i >= j and -ahi * x[i] - bhi >= gamma:
             ahi += a[i]
@@ -127,7 +138,7 @@ def _tv_dp(y: list, gamma: float) -> list:
         a[lo], b[lo] = alo, blo + gamma
         a[hi - 1], b[hi - 1] = ahi, bhi + gamma
         clip = gamma
-    alo, blo = 1.0, -y[-1] - gamma
+    alo, blo = w[-1], -w[-1] * y[-1] - gamma
     j = lo
     while j < hi and alo * x[j] + blo <= 0.0:
         alo += a[j]
@@ -138,6 +149,24 @@ def _tv_dp(y: list, gamma: float) -> list:
     for k in range(n - 2, -1, -1):
         out[k] = u = tp[k] if u > tp[k] else tm[k] if u < tm[k] else u
     return out
+
+
+def _tv_prox_list(y: list, w: list, gamma: float) -> list:
+    """Weighted TV prox of one column held as Python lists (see :func:`tv_prox_columns`).
+
+    The column is saturated when every weighted running sum
+    sum_{j<=k} w[j] (y[j] - m) about the weighted mean m lies within
+    ``gamma``: then m is the exact prox, and it is returned directly, free
+    of the ``gamma * eps`` rounding of the dynamic program.  Both the test
+    and the sums run in order, in O(n).
+    """
+    mean = sum([wk * yk for wk, yk in zip(w, y)], 0.0) / sum(w, 0.0)
+    running = 0.0
+    for wk, yk in zip(w[:-1], y):
+        running += wk * (yk - mean)
+        if abs(running) > gamma:
+            return _tv_dp(y, w, gamma)
+    return [mean] * len(y)
 
 
 def tv_prox_1d(v: np.ndarray, gamma: float) -> np.ndarray:
@@ -153,31 +182,42 @@ def tv_prox_1d(v: np.ndarray, gamma: float) -> np.ndarray:
     return tv_prox_columns(v[:, None], gamma)[:, 0]
 
 
-def tv_prox_columns(V: np.ndarray, gamma: float) -> np.ndarray:
-    """Exact TV prox of each column of a matrix, in linear time per column.
+def tv_prox_columns(V: np.ndarray, gamma: float, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact weighted TV prox of each column of a matrix, in linear time per column.
 
-    A column whose centred running sums all lie within ``gamma`` in absolute
-    value is saturated: its prox is exactly its mean, which it gets directly,
-    free of the ``gamma * eps`` rounding of the dynamic program that every
-    other column goes through.  A NaN ``gamma`` or a non-finite entry raises
+    Column r of the result is argmin_u sum_k w_k/2 (u_k - V[k, r])^2 +
+    gamma sum_k |u_k - u_{k+1}| with w = ``weights[:, r]``, positive and
+    finite, of the shape of ``V``; ``weights=None`` means unit weights.  A
+    saturated column (see :func:`_tv_prox_list`) gets its weighted mean
+    exactly.  A NaN ``gamma`` or a non-finite entry or weight raises
     :class:`NonFiniteError`; ``gamma = inf`` saturates every column.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise ValueError("tv_prox_columns expects a 2-D matrix")
-    if np.isnan(gamma):
+    gamma = float(gamma)
+    if math.isnan(gamma):
         raise NonFiniteError("gamma must not be NaN")
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if not np.isfinite(V).all():
+    # checked on Python lists: for the few short columns of a loadings matrix
+    # that is cheaper than a NumPy reduction per call
+    columns = V.T.tolist()
+    if not all(map(math.isfinite, chain.from_iterable(columns))):
         raise NonFiniteError("tv_prox_columns input contains non-finite entries")
     n = V.shape[0]
+    if weights is None:
+        weight_columns = [[1.0] * n] * V.shape[1]
+    else:
+        W = np.asarray(weights, dtype=float)
+        if W.shape != V.shape:
+            raise ValueError(f"weights must have the shape {V.shape} of the matrix, got {W.shape}")
+        weight_columns = W.T.tolist()
+        if not all(map(math.isfinite, chain.from_iterable(weight_columns))):
+            raise NonFiniteError("tv_prox_columns weights contain non-finite entries")
+        if min(chain.from_iterable(weight_columns), default=1.0) <= 0.0:
+            raise ValueError("tv_prox_columns weights must be > 0")
     if gamma == 0.0 or n < 2:
         return V.copy()
-    mean = np.cumsum(V, axis=0)[-1] / n  # an in-order sum: a column alone or in a matrix gets the same mean
-    saturated = gamma >= np.abs(np.cumsum(V - mean, axis=0)[:-1]).max(axis=0)
-    out = np.empty_like(V)
-    out[:, saturated] = mean[saturated]
-    for r in np.flatnonzero(~saturated):
-        out[:, r] = _tv_dp(V[:, r].tolist(), float(gamma))
-    return out
+    out = [_tv_prox_list(y, w, gamma) for y, w in zip(columns, weight_columns)]
+    return np.array(out, dtype=float).reshape(V.shape[::-1]).T

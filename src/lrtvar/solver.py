@@ -9,9 +9,10 @@ The regularized cost is
 minimized by cycling exact or iterative solves over the three factor
 blocks: a dense R x R solve for U1, matrix-free conjugate gradients on a
 Sylvester-type system for U2, and per-window solves (no smoothing), the same
-CG routine (spline smoothing), or monotone FISTA with the exact fixed step
-1/L (total-variation smoothing) for U3.  Every update is non-increasing in C,
-so the outer cost trace descends monotonically up to subproblem tolerances.
+CG routine (spline smoothing), or exact minimization one column at a time by
+the weighted TV prox (total-variation smoothing) for U3.  Every update is
+non-increasing in C, so the outer cost trace descends monotonically up to
+subproblem tolerances.
 
 Nothing in the fit path ever forms an N x N or N_in x N_in matrix; all
 contractions go through the data tensors and the R-column factors, which is
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -35,12 +37,22 @@ from typing import Optional
 import numpy as np
 
 from .cp_model import CpFactors
-from .errors import DegenerateDataError, DimensionMismatchError, ExtremeScaleError, NonFiniteError, NonPositiveEtaError
+from .errors import (
+    DegenerateDataError,
+    DimensionMismatchError,
+    ExtremeScaleError,
+    InvalidHyperparameterError,
+    NonFiniteError,
+    NonPositiveEtaError,
+)
 from .regularizers import Regularizer, apply_diff, apply_diff_transpose, tikhonov_penalty, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
 
 # CG stops once the residual falls to this fraction of the right-hand side.
 CG_TOL = 1e-9
+# The TV sweeps of U3 stop once a sweep moves no entry by more than this
+# fraction of the largest entry.
+SWEEP_TOL = 1e-10
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +62,11 @@ class Hyperparams:
     """All solver and model knobs.
 
     ``atol`` is relative to the initial cost, like ``rtol`` to the previous one.
+    ``cg_max_iters`` caps the CG steps of the U2 update and of the spline U3
+    update; ``pg_max_iters`` caps the column sweeps of the TV U3 update.
     ``seed`` fixes the initialization noise (see :func:`initialize`).
+    ``R``, the caps and ``seed`` must be integers (not bools), and a value
+    out of range raises :class:`InvalidHyperparameterError`.
     """
 
     R: int
@@ -64,18 +80,22 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.R < 1:
-            raise ValueError(f"rank must be >= 1, got {self.R}")
+        for name in ("R", "max_outer_iters", "cg_max_iters", "pg_max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidHyperparameterError(f"{name} must be an integer, got {value!r}")
+        for name in ("R", "max_outer_iters", "cg_max_iters", "pg_max_iters"):
+            if getattr(self, name) < 1:
+                raise InvalidHyperparameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise InvalidHyperparameterError(f"seed must be >= 0, got {self.seed}")
         for name in ("eta", "rtol", "atol"):
             if not np.isfinite(getattr(self, name)):
                 raise NonFiniteError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta <= 0:
             raise NonPositiveEtaError(f"eta must be > 0, got {self.eta}")
-        for name in ("max_outer_iters", "cg_max_iters", "pg_max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.rtol < 0 or self.atol < 0:
-            raise ValueError("tolerances must be >= 0")
+            raise InvalidHyperparameterError("tolerances must be >= 0")
 
 
 @dataclass
@@ -301,65 +321,62 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -
     """Minimize the cost over U3; returns (new U3, inner iterations used).
 
     Without temporal smoothing (or with a single window, where no difference
-    exists) the problem decouples into T exact R x R ridge solves.  The
-    spline penalty couples the windows through a block-tridiagonal term and
-    is solved by warm-started CG; the TV penalty is handled by monotone FISTA
-    with the fixed step 1/L, using the exact 1-D TV prox column by column.
+    exists) the problem decouples into T exact R x R ridge solves with
+    H_k = C_k + I/eta, and 0 inner iterations are reported.  The spline
+    penalty couples the windows through a block-tridiagonal term and is
+    solved by warm-started CG, whose steps are reported.  The TV penalty is
+    minimized exactly one column at a time by :func:`_temporal_tv_sweeps`,
+    whose sweeps are reported; ``params.pg_max_iters`` caps them.
     """
     _check_dims(model, data)
     C, b = _temporal_quadratic(model, data)
     kind = _active_penalty(params, model.T)
 
-    if kind == "none":
-        A = C.copy()
-        idx = np.arange(model.R)
-        A[:, idx, idx] += 1.0 / params.eta
-        return np.linalg.solve(A, b[..., None])[..., 0], 0
-
     if kind == "spline":
         operate = partial(_temporal_operator, C, params.eta, params.reg.beta)
         return _cg(operate, b, model.U3, params.cg_max_iters)
 
-    return _temporal_fista_tv(C, b, model.U3, params.eta, params.reg, params.pg_max_iters)
+    H = C  # completed in place to the Hessian C_k + I/eta of the smooth part
+    idx = np.arange(model.R)
+    H[:, idx, idx] += 1.0 / params.eta
+    if kind == "none":
+        return np.linalg.solve(H, b[..., None])[..., 0], 0
+    return _temporal_tv_sweeps(H, b, model.U3, params.reg.beta, params.pg_max_iters)
 
 
-def _temporal_fista_tv(C, b, U3_init, eta, reg, max_iters):
-    """Monotone FISTA (Beck & Teboulle 2009) with the fixed step 1/L.
+def _temporal_tv_sweeps(H, b, U3_init, beta, max_sweeps):
+    """Cyclic exact minimization over the columns of U3 of
+    sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U3), with u_k = U3[k].
 
-    The Hessian of the smooth part is block-diagonal, diag(C_k + I/eta), so
-    L = max_k lambda_max(C_k) + 1/eta is its exact Lipschitz constant.  When
-    the momentum step would raise the objective by more than a rounding slack
-    of 1e-12 (1 + |obj|), momentum restarts and a plain prox-gradient step
-    from the previous iterate is taken instead; with step 1/L that step
-    cannot raise the objective (up to rounding), so no step rises by more
-    than the slack.  Without it, last-bit ties at a fixed point restart.
+    The TV term is a sum over columns and the quadratic is strictly convex,
+    so cycling exact column minimizations converges to the block minimizer
+    (Tseng 2001; Friedman et al. 2007, pathwise coordinate descent for the
+    fused lasso) and no step raises the objective.  Column r given the
+    others is the weighted TV prox of y_k = U[k, r] - G[k, r] / w_k with
+    weights w_k = H_k[r, r] and G = H U - b, kept up to date after every
+    column.  Sweeps stop once one moves no entry by more than
+    ``SWEEP_TOL * max|U3|``, which certifies the minimizer, or after
+    ``max_sweeps``; returns (U3, sweeps run).
     """
-    hessian = partial(_temporal_operator, C, eta, 0.0)
-    L = float(np.linalg.eigvalsh(C).max()) + 1.0 / eta
-
-    def objective(U):
-        return float(0.5 * np.sum(U * hessian(U)) - np.sum(b * U)) + reg.penalty(U)
-
-    def prox_step(U):
-        return tv_prox_columns(U - (hessian(U) - b) / L, reg.beta / L)
-
-    u_prev = U3_init.copy()
-    z = u_prev
-    obj_prev = objective(u_prev)
-    t_momentum = 1.0
-    for _ in range(max_iters):
-        candidate = prox_step(z)
-        obj_candidate = objective(candidate)
-        if obj_candidate > obj_prev + 1e-12 * (1.0 + abs(obj_prev)):
-            t_momentum = 1.0
-            candidate = prox_step(u_prev)
-            obj_candidate = objective(candidate)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-        z = candidate + ((t_momentum - 1.0) / t_next) * (candidate - u_prev)
-        u_prev = candidate
-        obj_prev = obj_candidate
-        t_momentum = t_next
-    return u_prev, max_iters
+    R = U3_init.shape[1]
+    weights = H.diagonal(axis1=1, axis2=2)
+    # U3 is held as a list of (T, 1) columns and G is stored divided by the
+    # weights: each column step then costs a few small array operations
+    scaled_gradient = ((H @ U3_init[:, :, None])[:, :, 0] - b) / weights
+    columns = [U3_init[:, r:r + 1].copy() for r in range(R)]
+    column_weights = [weights[:, r:r + 1].copy() for r in range(R)]
+    couplings = [H[:, :, r] / weights for r in range(R)]  # change of G / w per unit step of column r
+    for sweeps in range(1, max_sweeps + 1):
+        steps = []
+        for r in range(R):
+            new = tv_prox_columns(columns[r] - scaled_gradient[:, r:r + 1], beta, column_weights[r])
+            steps.append(new - columns[r])
+            columns[r] = new
+            scaled_gradient += couplings[r] * steps[-1]
+        U = np.hstack(columns)
+        if np.abs(np.hstack(steps)).max() <= SWEEP_TOL * np.abs(U).max():
+            break
+    return U, sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +485,12 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
 
     ``subproblem_stats`` holds one entry per outer iteration under each key:
     the inner iterations of the U2 and U3 updates (``cg_iters_right``,
-    ``inner_iters_temporal``) and the wall seconds of the U1, U2 and U3
-    updates and of the objective evaluation (``seconds_left``,
-    ``seconds_right``, ``seconds_temporal``, ``seconds_objective``).
+    ``inner_iters_temporal``), whether each used its whole budget
+    (``capped_right``, ``capped_temporal``: ``cg_max_iters`` for CG,
+    ``pg_max_iters`` for TV sweeps; the exact unsmoothed U3 solve is never
+    capped) and the wall seconds of the U1, U2 and U3 updates and of the
+    objective evaluation (``seconds_left``, ``seconds_right``,
+    ``seconds_temporal``, ``seconds_objective``).
     """
     t_start = time.perf_counter()
     _check_scales(data, params)
@@ -478,9 +498,10 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     c, r = _cost_and_rmse(model, data, params)
     cost_trace = [c]
     rmse_trace = [r]
-    keys = ("cg_iters_right", "inner_iters_temporal", "seconds_left", "seconds_right", "seconds_temporal",
-            "seconds_objective")
+    keys = ("cg_iters_right", "inner_iters_temporal", "capped_right", "capped_temporal", "seconds_left",
+            "seconds_right", "seconds_temporal", "seconds_objective")
     stats = {key: [] for key in keys}
+    temporal_budget = {"spline": params.cg_max_iters, "tv": params.pg_max_iters}.get(_active_penalty(params, data.T))
 
     termination = "max_iters"
     iterations = 0
@@ -497,9 +518,14 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         c, r = _timed(stats["seconds_objective"], _cost_and_rmse, model, data, params)
         cost_trace.append(c)
         rmse_trace.append(r)
+        capped_right = bool(cg_iters >= params.cg_max_iters)
+        capped_temporal = bool(temporal_budget is not None and inner_iters >= temporal_budget)
         stats["cg_iters_right"].append(cg_iters)
         stats["inner_iters_temporal"].append(inner_iters)
-        logger.info("iter %d: cost=%.17g rmse=%.17g cg=%d inner=%d", it, c, r, cg_iters, inner_iters)
+        stats["capped_right"].append(capped_right)
+        stats["capped_temporal"].append(capped_temporal)
+        logger.info("iter %d: cost=%.17g rmse=%.17g cg=%d capped_right=%s inner=%d capped_temporal=%s",
+                    it, c, r, cg_iters, capped_right, inner_iters, capped_temporal)
 
         if prev_cost > 0 and abs(c - prev_cost) / prev_cost < params.rtol:
             termination = "rtol"

@@ -26,6 +26,115 @@ def dense_diff_matrix(T):
     return D
 
 
+def long_prox_cases():
+    """(v, gamma) pairs: random walks and noise of length 2 to 200, then
+    ramps, sawtooths, integer values (ties) and flat plateaus, short to long
+    and from barely to fully saturated."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for _ in range(100):
+        T = int(rng.integers(2, 201))
+        v = np.cumsum(rng.standard_normal(T)) if rng.random() < 0.5 else 2 * rng.standard_normal(T)
+        cases.append((v, float(rng.uniform(1e-3, 1.0))))
+    for T in (7, 200, 5000):
+        k = np.arange(T, dtype=float)
+        plateaus = np.repeat(rng.integers(-5, 6, T // 5 + 1).astype(float), 5)[:T]
+        for v in (k, k % 13, rng.integers(-3, 4, T).astype(float), plateaus):
+            cases.extend((v, gamma) for gamma in (1e-3, 1e-1, 10.0, 1e4))
+    return cases
+
+
+def unit_tv_prox_reference(v, gamma):
+    """The unit-weight TV prox as implemented before weights were added:
+    a saturated vector gets its in-order mean, any other goes through
+    Johnson's dynamic program with unit slope seeds."""
+    v = np.asarray(v, dtype=float)
+    n = v.size
+    if gamma == 0.0 or n < 2:
+        return v.copy()
+    mean = np.cumsum(v)[-1] / n
+    if gamma >= np.abs(np.cumsum(v - mean)[:-1]).max():
+        return np.full(n, mean)
+    y = v.tolist()
+    x, a, b = [0.0] * (2 * n), [0.0] * (2 * n), [0.0] * (2 * n)
+    tm, tp = [0.0] * (n - 1), [0.0] * (n - 1)
+    lo = hi = n
+    clip = 0.0
+    for k in range(n - 1):
+        alo, blo = 1.0, -y[k] - clip
+        j = lo
+        while j < hi and alo * x[j] + blo <= -gamma:
+            alo += a[j]
+            blo += b[j]
+            j += 1
+        ahi, bhi = -1.0, y[k] - clip
+        i = hi - 1
+        while i >= j and -ahi * x[i] - bhi >= gamma:
+            ahi += a[i]
+            bhi += b[i]
+            i -= 1
+        lo, hi = j - 1, i + 2
+        tm[k] = x[lo] = (-gamma - blo) / alo
+        tp[k] = x[hi - 1] = (gamma + bhi) / -ahi
+        a[lo], b[lo] = alo, blo + gamma
+        a[hi - 1], b[hi - 1] = ahi, bhi + gamma
+        clip = gamma
+    alo, blo = 1.0, -y[-1] - gamma
+    j = lo
+    while j < hi and alo * x[j] + blo <= 0.0:
+        alo += a[j]
+        blo += b[j]
+        j += 1
+    u = -blo / alo
+    out = [u] * n
+    for k in range(n - 2, -1, -1):
+        out[k] = u = tp[k] if u > tp[k] else tm[k] if u < tm[k] else u
+    return np.array(out)
+
+
+def weighted_prox_objective(u, v, w, gamma):
+    return float(0.5 * np.sum(w * (u - v) ** 2) + gamma * np.abs(np.diff(u)).sum())
+
+
+def weighted_tv_prox_dual_oracle(v, w, gamma, pg_steps=200):
+    """Weighted TV prox from its dual, the box QP
+    min_s 1/2 s'Qs - s'Dv over |s| <= gamma with Q = D W^-1 D'; the primal
+    solution is u = v - W^-1 D's.
+
+    Projected gradient steps give a starting point; primal-dual active-set
+    iterations (Hintermueller, Ito & Kunisch 2003) then solve the QP exactly,
+    each one fixing the coordinates guessed at a bound and solving for the
+    rest, until the guess repeats.  The KKT conditions of the result are
+    checked before it is returned.
+    """
+    T = v.size
+    D = dense_diff_matrix(T)
+    Q = D @ np.diag(1.0 / w) @ D.T
+    c = D @ v
+    step = 1.0 / np.linalg.eigvalsh(Q).max()
+    s = np.zeros(T - 1)
+    for _ in range(pg_steps):
+        s = np.clip(s - step * (Q @ s - c), -gamma, gamma)
+    mu = c - Q @ s  # the bound multipliers, zero at the free coordinates
+    pattern = None
+    for _ in range(10 * T):
+        new_pattern = np.where(s + mu > gamma, 1, np.where(s + mu < -gamma, -1, 0))
+        if pattern is not None and np.array_equal(new_pattern, pattern):
+            break
+        pattern = new_pattern
+        free = pattern == 0
+        s = gamma * pattern.astype(float)
+        if free.any():
+            s[free] = np.linalg.solve(Q[np.ix_(free, free)], c[free] - Q[np.ix_(free, ~free)] @ s[~free])
+        mu = c - Q @ s
+        mu[free] = 0.0
+    else:
+        raise AssertionError("active-set iterations did not settle")
+    scale = gamma + np.abs(c).max()
+    assert np.all(np.abs(s) <= gamma * (1 + 1e-12))
+    assert np.all(pattern * mu >= -1e-12 * scale)
+    return v - (D.T @ s) / w
+
 def tv_prox_oracle(v, gamma, tol=1e-9):
     """Exact TV prox for small vectors via active-set enumeration of the dual.
 
@@ -212,20 +321,7 @@ class TestTvProx:
     def test_dual_certificate_long_vectors(self):
         # optimality: u - v = -gamma * D'w with |w| <= 1 and w matching the
         # jump signs of Du wherever Du is nonzero
-        rng = np.random.default_rng(15)
-        cases = []
-        for _ in range(100):
-            T = int(rng.integers(2, 201))
-            v = np.cumsum(rng.standard_normal(T)) if rng.random() < 0.5 else 2 * rng.standard_normal(T)
-            cases.append((v, float(rng.uniform(1e-3, 1.0))))
-        # ramps, sawtooths, integer values (ties) and flat plateaus, short to
-        # long and from barely to fully saturated
-        for T in (7, 200, 5000):
-            k = np.arange(T, dtype=float)
-            plateaus = np.repeat(rng.integers(-5, 6, T // 5 + 1).astype(float), 5)[:T]
-            for v in (k, k % 13, rng.integers(-3, 4, T).astype(float), plateaus):
-                cases.extend((v, gamma) for gamma in (1e-3, 1e-1, 10.0, 1e4))
-        for v, gamma in cases:
+        for v, gamma in long_prox_cases():
             u = tv_prox_1d(v, gamma)
             w = -np.cumsum(u - v)[:-1] / gamma
             assert np.abs(np.sum(u - v)) < 1e-9 * (1 + np.abs(v).sum())
@@ -305,6 +401,56 @@ class TestTvProx:
         assert np.ptp(out[:, 3]) == 0.0 and np.ptp(out[:, :3], axis=0).min() > 0.0
         for r in range(4):
             assert np.array_equal(out[:, r], tv_prox_1d(V[:, r], 0.4))
+
+
+    def test_weighted_prox_matches_dual_oracle(self):
+        rng = np.random.default_rng(31)
+        for trial in range(200):
+            T = int(rng.integers(2, 13))
+            v = 3.0 * rng.standard_normal(T)
+            w = rng.lognormal(0.0, 1.0, T)
+            gamma = (0.01, 0.3, 1.0, 5.0)[trial % 4]
+            u = tv_prox_columns(v[:, None], gamma, w[:, None])[:, 0]
+            ref = weighted_tv_prox_dual_oracle(v, w, gamma)
+            f, f_ref = weighted_prox_objective(u, v, w, gamma), weighted_prox_objective(ref, v, w, gamma)
+            assert abs(f - f_ref) <= 1e-10 * f_ref, (trial, T, gamma)
+
+    def test_unit_weights_reproduce_unweighted_prox(self):
+        rng = np.random.default_rng(32)
+        cases = long_prox_cases()
+        for _ in range(100):
+            T = int(rng.integers(1, 7))
+            cases.append((3.0 * rng.standard_normal(T), float(rng.uniform(0.0, 2.0))))
+        for v, gamma in cases:
+            ref = unit_tv_prox_reference(v, gamma)
+            assert np.array_equal(tv_prox_1d(v, gamma), ref)
+            assert np.array_equal(tv_prox_columns(v[:, None], gamma, np.ones((v.size, 1)))[:, 0], ref)
+
+    def test_weighted_saturated_prox_is_the_weighted_mean(self):
+        # integer data and weights with an integer weighted mean make the
+        # threshold max_k |sum_{i<=k} w_i (v_i - m)| exact
+        rng = np.random.default_rng(33)
+        for T in (2, 4, 1000):
+            v = rng.integers(-9, 10, T).astype(float)
+            w = rng.integers(1, 6, T).astype(float)
+            w[-1] = 1.0
+            v[-1] -= np.sum(w * v) % np.sum(w)
+            mean = np.sum(w * v) / np.sum(w)
+            threshold = np.abs(np.cumsum(w * (v - mean))[:-1]).max()
+            for gamma in (threshold, 1e300, np.inf):
+                u = tv_prox_columns(v[:, None], gamma, w[:, None])[:, 0]
+                assert np.array_equal(u, np.full(T, mean)), (T, gamma)
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [(np.array([[1.0], [0.0]]), ValueError), (np.array([[1.0], [-2.0]]), ValueError),
+         (np.array([[1.0], [np.nan]]), NonFiniteError), (np.array([[np.inf], [1.0]]), NonFiniteError),
+         (np.ones((2, 2)), ValueError)],
+        ids=["zero", "negative", "nan", "inf", "shape"],
+    )
+    def test_bad_weights_rejected(self, weights, error):
+        with pytest.raises(error):
+            tv_prox_columns(np.array([[1.0], [2.0]]), 0.5, weights)
 
 
 class TestRegularizer:

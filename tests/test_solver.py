@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from lrtvar.cp_model import CpFactors
-from lrtvar.errors import DegenerateDataError, DimensionMismatchError, ExtremeScaleError, LrtvarError, NonFiniteError
+from lrtvar.errors import (
+    DegenerateDataError,
+    DimensionMismatchError,
+    ExtremeScaleError,
+    InvalidHyperparameterError,
+    LrtvarError,
+    NonFiniteError,
+)
 import lrtvar.solver
 from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import (
@@ -26,7 +33,7 @@ from lrtvar.solver import (
     _temporal_quadratic,
 )
 from lrtvar.evaluation import model_estimate, operator_norm_error
-from lrtvar.synthetic import simulate_switching
+from lrtvar.synthetic import simulate_smooth, simulate_switching
 from lrtvar.windowing import SnapshotPair, TimeSeries, build_snapshots
 
 
@@ -360,14 +367,15 @@ class TestUpdateTemporal:
             after = cost(CpFactors(model.U1, model.U2, U3), data, params)
             assert after <= before + 1e-8 * (1 + abs(before))
 
-    def test_tv_fixed_point_takes_one_prox_per_iteration(self, monkeypatch):
-        # criterion-1 instance, seed 1: rounding at the converged U3 must not
-        # restart momentum, which would cost a second prox call
+    def test_tv_fixed_point_takes_one_sweep(self, monkeypatch):
+        # criterion-1 instance, seed 1: from a converged U3 the first sweep
+        # moves nothing beyond rounding, which certifies the minimizer
         truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=1)
         data = build_snapshots(truth.series, M=20)
         params = Hyperparams(R=8, eta=0.1, reg=Regularizer("tv", 5.0), seed=1, max_outer_iters=3)
         model, _ = fit(data, params)
-        U3, _ = update_temporal(model, data, replace(params, pg_max_iters=3000))
+        U3, sweeps = update_temporal(model, data, replace(params, pg_max_iters=3000))
+        assert sweeps < 3000
         model = CpFactors(model.U1, model.U2, U3)
         calls = []
 
@@ -376,8 +384,10 @@ class TestUpdateTemporal:
             return tv_prox_columns(*args)
 
         monkeypatch.setattr(lrtvar.solver, "tv_prox_columns", counted)
-        update_temporal(model, data, params)
-        assert len(calls) == params.pg_max_iters
+        U3_again, sweeps = update_temporal(model, data, params)
+        assert type(sweeps) is int and sweeps == 1
+        assert len(calls) == params.R
+        assert np.abs(U3_again - U3).max() <= 1e-10 * np.abs(U3).max()
 
 
 class TestGradients:
@@ -553,6 +563,34 @@ class TestFit:
         assert report.iterations == 4
         assert [line.split(":")[0] for line in lines] == ["iter 1", "iter 2", "iter 3", "iter 4"]
         assert lines[-1].startswith(f"iter 4: cost={report.cost_trace[-1]:.17g} rmse={report.rmse_trace[-1]:.17g} ")
+        stats = report.subproblem_stats
+        assert lines[-1].endswith(f"capped_right={stats['capped_right'][-1]} inner=0 capped_temporal=False")
+
+    @pytest.mark.parametrize(
+        "changes, key",
+        [({"reg": Regularizer("tv", 0.5), "pg_max_iters": 1}, "capped_temporal"), ({"cg_max_iters": 1}, "capped_right")],
+        ids=["tv-one-sweep", "cg-one-step"],
+    )
+    def test_inner_solves_report_hitting_their_cap(self, changes, key):
+        rng = np.random.default_rng(75)
+        data = random_data(rng, 3, 5, 4)
+        _, report = fit(data, Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=5, **changes))
+        stats = report.subproblem_stats
+        assert all(type(flag) is bool for name in ("capped_right", "capped_temporal") for flag in stats[name])
+        assert stats[key] == [True] * report.iterations
+        if "reg" not in changes:
+            assert stats["capped_temporal"] == [False] * report.iterations  # the exact solve has no cap
+
+    def test_smooth_spline_fit_caps_every_temporal_cg(self):
+        # the smooth benchmark's settings: the U3 CG uses all 24 steps on every outer iteration
+        N = 10
+        truth = simulate_smooth(N=N, tau=160, sigma=0.2, seed=0)
+        data = build_snapshots(truth.series, M=1)
+        params = Hyperparams(R=4, eta=6.0 / N, reg=Regularizer("spline", 600.0 * np.log10(N) ** 2), seed=0)
+        _, report = fit(data, params)
+        stats = report.subproblem_stats
+        assert stats["capped_temporal"] == [True] * report.iterations
+        assert stats["inner_iters_temporal"] == [params.cg_max_iters] * report.iterations
 
     def test_trace_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -629,6 +667,21 @@ class TestHyperparams:
         with pytest.raises(NonFiniteError):
             make()
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"R": 2.5}, {"R": True}, {"R": "2"}, {"max_outer_iters": 2.5}, {"cg_max_iters": 24.0},
+         {"pg_max_iters": 3.5}, {"pg_max_iters": True}, {"seed": 1.5}, {"seed": -1}, {"seed": None}],
+        ids=["R-float", "R-bool", "R-str", "max-outer-float", "cg-float", "pg-float", "pg-bool", "seed-float",
+             "seed-negative", "seed-none"],
+    )
+    def test_integer_knobs_validated_at_entry(self, changes):
+        with pytest.raises(InvalidHyperparameterError):
+            Hyperparams(**{"R": 2, "eta": 1.0, **changes})
+
+    def test_numpy_integers_accepted(self):
+        p = Hyperparams(R=np.int64(2), eta=1.0, max_outer_iters=np.int32(3), seed=np.uint8(4))
+        assert p.R == 2 and p.seed == 4
+
     def test_defaults_match_documented_values(self):
         p = Hyperparams(R=2, eta=1.0)
         assert p.rtol == 1e-4 and p.atol == 1e-6
@@ -636,26 +689,31 @@ class TestHyperparams:
         assert p.max_outer_iters == 1000
 
 
-# Edge-case grid: N, tau, M, R, lags, affine, penalty, first window zeroed.
+# Edge-case grid: N, tau, M, R, lags, affine, penalty, first window zeroed,
+# scale (series x 1e160 or x 1e-170, eta = 1e-300, beta = 1e300).
+EDGE_SCALES = ("unit", "series-1e160", "series-1e-170", "eta-1e-300", "beta-1e300")
 EDGE_GRID = list(itertools.product((1, 3), (6, 40), (1, 5, 40), (1, 4), (1, 2), (False, True),
-                                   ("none", "tv", "spline"), (False, True)))
+                                   ("none", "tv", "spline"), (False, True), EDGE_SCALES))
 
 
 @pytest.mark.filterwarnings("error")
 def test_edge_case_sweep():
     """Every sampled case gives finite, non-increasing traces or raises a
-    named ``LrtvarError`` (a series too short for one window, or all-zero
-    predictors); no case fails with another exception or a warning."""
+    named ``LrtvarError`` (a series too short for one window, all-zero
+    predictors, or scales float64 cannot carry); no case fails with another
+    exception or a warning."""
     rng = np.random.default_rng(2026)
     outcomes = set()
-    for i in rng.choice(len(EDGE_GRID), size=160, replace=False):
-        N, tau, M, R, lags, affine, kind, zero_first = case = EDGE_GRID[i]
-        values = rng.standard_normal((N, tau + 1))
+    for i in rng.choice(len(EDGE_GRID), size=800, replace=False):
+        N, tau, M, R, lags, affine, kind, zero_first, scale = case = EDGE_GRID[i]
+        values = rng.standard_normal((N, tau + 1)) * {"series-1e160": 1e160, "series-1e-170": 1e-170}.get(scale, 1.0)
         if zero_first:
             values[:, : M + lags] = 0.0
+        eta = 1e-300 if scale == "eta-1e-300" else 0.5
+        beta = 1e300 if scale == "beta-1e300" else 2.0
         try:
             data = build_snapshots(TimeSeries(values), M=M, P=lags, affine=affine)
-            _, report = fit(data, Hyperparams(R=R, eta=0.5, reg=Regularizer(kind, 2.0), max_outer_iters=10))
+            _, report = fit(data, Hyperparams(R=R, eta=eta, reg=Regularizer(kind, beta), max_outer_iters=10))
         except LrtvarError as exc:
             outcomes.add(type(exc).__name__)
             continue
@@ -663,4 +721,4 @@ def test_edge_case_sweep():
         assert np.all(np.isfinite(trace)) and np.all(np.isfinite(report.rmse_trace)), case
         assert np.all(np.diff(trace) <= 1e-8 * (1 + np.abs(trace[:-1]))), case
         outcomes.add("fit")
-    assert outcomes == {"fit", "SeriesTooShortError", "DegenerateDataError"}
+    assert outcomes == {"fit", "SeriesTooShortError", "DegenerateDataError", "ExtremeScaleError"}
