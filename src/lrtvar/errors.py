@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the entry check of real hyperparameters."""
+
+import math
+import numbers
 
 
 class LrtvarError(Exception):
@@ -47,3 +50,18 @@ class ExtremeScaleError(LrtvarError, ValueError):
 
 class InvalidHyperparameterError(LrtvarError, ValueError):
     """A solver hyperparameter has the wrong type or is out of range."""
+
+
+def finite_real(name: str, value) -> float:
+    """``value`` as a float.  A bool or a value that is not a real number
+    raises :class:`InvalidHyperparameterError`, a NaN or infinity
+    :class:`NonFiniteError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidHyperparameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise NonFiniteError(f"{name} must be finite, got {value}")
+    return number

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, NonPositiveEtaError
+from .errors import InvalidHyperparameterError, NonFiniteError, NonPositiveEtaError, finite_real
 
 REGULARIZER_KINDS = ("none", "tv", "spline")
 
@@ -27,7 +27,10 @@ REGULARIZER_KINDS = ("none", "tv", "spline")
 class Regularizer:
     """Temporal penalty selector: ``kind`` in {none, tv, spline} with strength ``beta``.
 
-    ``beta = 0`` is observably equivalent to ``kind = "none"``.
+    ``beta = 0`` is observably equivalent to ``kind = "none"``.  An unknown
+    ``kind`` or a ``beta`` that is a bool, not real or negative raises
+    :class:`InvalidHyperparameterError`; a non-finite ``beta`` raises
+    :class:`NonFiniteError`.
     """
 
     kind: str = "none"
@@ -35,11 +38,10 @@ class Regularizer:
 
     def __post_init__(self):
         if self.kind not in REGULARIZER_KINDS:
-            raise ValueError(f"kind must be one of {REGULARIZER_KINDS}, got {self.kind!r}")
-        if not np.isfinite(self.beta):
-            raise NonFiniteError(f"beta must be finite, got {self.beta}")
+            raise InvalidHyperparameterError(f"kind must be one of {REGULARIZER_KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "beta", finite_real("beta", self.beta))
         if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+            raise InvalidHyperparameterError(f"beta must be >= 0, got {self.beta}")
 
     def penalty(self, U3: np.ndarray) -> float:
         """beta times the raw penalty of the loadings matrix."""

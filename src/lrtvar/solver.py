@@ -22,6 +22,14 @@ factor (the MTTKRP view of CP-ALS); diag(U3[k]) is a broadcast multiply on
 the (M, T, R) view of the product, and the per-window R x R blocks are one
 batched matmul.  ``fit`` evaluates the loss once per outer iteration and
 derives both the cost and the RMSE from it.
+
+The loss sees U2 only through X_k'U2 and U1 only through its product with Y,
+and the ridge term puts each block's exact minimizer in range(X), resp.
+range(Y).  So when the windows hold fewer transitions than there are input
+(output) channels, ``fit`` runs the block updates unchanged on the data in
+an orthonormal basis of range(X) (range(Y)), with T*M rows instead of N_in
+(N), and lifts U2 (U1) back once at the end: the cost of every iterate is
+the same in either coordinates.
 """
 
 from __future__ import annotations
@@ -42,8 +50,8 @@ from .errors import (
     DimensionMismatchError,
     ExtremeScaleError,
     InvalidHyperparameterError,
-    NonFiniteError,
     NonPositiveEtaError,
+    finite_real,
 )
 from .regularizers import Regularizer, apply_diff, apply_diff_transpose, tikhonov_penalty, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
@@ -53,6 +61,9 @@ CG_TOL = 1e-9
 # The TV sweeps of U3 stop once a sweep moves no entry by more than this
 # fraction of the largest entry.
 SWEEP_TOL = 1e-10
+# fit warns when an outer iteration raises the cost by more than this
+# fraction of 1 + |previous cost|.
+MONOTONE_SLACK = 1e-8
 
 logger = logging.getLogger(__name__)
 
@@ -65,8 +76,10 @@ class Hyperparams:
     ``cg_max_iters`` caps the CG steps of the U2 update and of the spline U3
     update; ``pg_max_iters`` caps the column sweeps of the TV U3 update.
     ``seed`` fixes the initialization noise (see :func:`initialize`).
-    ``R``, the caps and ``seed`` must be integers (not bools), and a value
-    out of range raises :class:`InvalidHyperparameterError`.
+    ``R``, the caps and ``seed`` must be integers and ``eta``, ``rtol`` and
+    ``atol`` real numbers, none of them bools; a value of another type or out
+    of range raises :class:`InvalidHyperparameterError`, and a non-finite
+    real one :class:`NonFiniteError`.
     """
 
     R: int
@@ -90,8 +103,7 @@ class Hyperparams:
         if self.seed < 0:
             raise InvalidHyperparameterError(f"seed must be >= 0, got {self.seed}")
         for name in ("eta", "rtol", "atol"):
-            if not np.isfinite(getattr(self, name)):
-                raise NonFiniteError(f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
         if self.eta <= 0:
             raise NonPositiveEtaError(f"eta must be > 0, got {self.eta}")
         if self.rtol < 0 or self.atol < 0:
@@ -104,7 +116,8 @@ class FitReport:
 
     ``cost_trace[0]`` is the cost at initialization; each outer iteration
     appends one entry after its temporal update.  The trace is
-    non-increasing up to a slack of 1e-8 * (1 + |C|) per step.
+    non-increasing up to a slack of ``MONOTONE_SLACK * (1 + |C|)`` per step,
+    which ``fit`` checks as it goes (``subproblem_stats['cost_rise']``).
     """
 
     cost_trace: list
@@ -126,6 +139,8 @@ class FitReport:
             f"termination: {self.termination}",
             f"final cost: {self.cost_trace[-1]:.17g}",
             f"final rmse: {self.rmse_trace[-1]:.17g}",
+            f"capped U2 solves: {sum(self.subproblem_stats['capped_right'])} of {self.iterations}",
+            f"capped U3 solves: {sum(self.subproblem_stats['capped_temporal'])} of {self.iterations}",
             f"wall seconds: {self.wall_seconds:.3f}",
         ]
         return "\n".join(lines)
@@ -158,7 +173,9 @@ def _scaled_projection(model: CpFactors, data: SnapshotPair) -> np.ndarray:
 
 
 def _rmse_from_loss(value: float, data: SnapshotPair) -> float:
-    """RMSE per channel and transition of a fit whose loss is ``value``."""
+    """RMSE per channel and transition of a fit whose loss is ``value``;
+    ``data`` has the fit's original channels, also when the loss was taken
+    in range coordinates."""
     return float(np.sqrt(2.0 * value / (data.N * data.M * data.T)))
 
 
@@ -177,14 +194,14 @@ def rmse(model: CpFactors, data: SnapshotPair) -> float:
 
 def cost(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> float:
     """Full regularized objective: loss + ridge + beta * temporal penalty."""
-    return _cost_and_rmse(model, data, params)[0]
+    return _cost_and_loss(model, data, params)[0]
 
 
-def _cost_and_rmse(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> tuple[float, float]:
-    """(cost, rmse) of the model from a single loss evaluation."""
+def _cost_and_loss(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> tuple[float, float]:
+    """(cost, loss) of the model from a single loss evaluation."""
     value = loss(model, data)
     regularization = tikhonov_penalty(model.U1, model.U2, model.U3, params.eta) + params.reg.penalty(model.U3)
-    return value + regularization, _rmse_from_loss(value, data)
+    return value + regularization, value
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +490,48 @@ def _timed(seconds: list, func, *args):
     return result
 
 
+@dataclass(frozen=True)
+class _RangeData:
+    """Data tensors in orthonormal bases of their column spans, X~ = Q_x'X
+    and Y~ = Q_y'Y, with the shape properties the block updates read."""
+
+    X: np.ndarray
+    Y: np.ndarray
+    M: int
+    T: int
+
+    @property
+    def N(self) -> int:
+        return self.Y.shape[0]
+
+    @property
+    def N_in(self) -> int:
+        return self.X.shape[0]
+
+
+def _range_coordinates(A: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """(Q, Q'A) for a (channels, M, T) data tensor with fewer transitions than
+    channels, else (None, A).
+
+    Q is the orthonormal factor of a thin QR of the (channels, M*T) matrix
+    of all transitions, so it spans their column space even when that matrix
+    is rank deficient, and Q'A is read off the triangular factor in the
+    layout :func:`_transitions` views without a copy.
+    """
+    channels, M, T = A.shape
+    if M * T >= channels:
+        return None, A
+    Q, triangular = np.linalg.qr(_transitions(A).T)
+    return Q, np.ascontiguousarray(triangular.T).reshape(M, T, -1).transpose(2, 0, 1)
+
+
+def _change_spatial_basis(model: CpFactors, left: Optional[np.ndarray], right: Optional[np.ndarray]) -> CpFactors:
+    """The model with U1 -> left @ U1 and U2 -> right @ U2; None leaves a factor as it is."""
+    U1 = model.U1 if left is None else left @ model.U1
+    U2 = model.U2 if right is None else right @ model.U2
+    return CpFactors(U1=U1, U2=U2, U3=model.U3, affine=model.affine)
+
+
 def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     """Alternating block minimization of the regularized cost.
 
@@ -480,26 +539,46 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     each full cycle, until the cost decrease falls below ``rtol`` times the
     previous cost or ``atol`` times the initial cost, or the iteration cap
     is reached.  Each outer iteration logs one INFO line on the
-    ``lrtvar.solver`` logger.  Data or hyperparameters whose squares float64
-    cannot carry raise :class:`ExtremeScaleError` before any update.
+    ``lrtvar.solver`` logger, and a WARNING when it raised the cost by more
+    than ``MONOTONE_SLACK`` times 1 + |previous cost|.  Data or
+    hyperparameters whose squares float64 cannot carry raise
+    :class:`ExtremeScaleError` before any update.
+
+    When T*M < N_in, the fit takes an orthonormal basis Q_x of range(X)
+    from a thin QR of the N_in x T*M matrix of all predictors, and when
+    T*M < N a basis Q_y of range(Y) likewise.  It projects the
+    initialization onto the bases, runs every update on Q_x'X and Q_y'Y,
+    and returns U2 = Q_x U2~ and U1 = Q_y U1~.  Every trace entry is the
+    exact cost and RMSE on the full data of the lifted iterate;
+    ``cost_trace[0]`` is then the cost of the projected initialization,
+    without the initialization noise outside the ranges, which the loss
+    cannot see.  With T*M >= N_in and T*M >= N no basis is formed.
 
     ``subproblem_stats`` holds one entry per outer iteration under each key:
     the inner iterations of the U2 and U3 updates (``cg_iters_right``,
     ``inner_iters_temporal``), whether each used its whole budget
     (``capped_right``, ``capped_temporal``: ``cg_max_iters`` for CG,
     ``pg_max_iters`` for TV sweeps; the exact unsmoothed U3 solve is never
-    capped) and the wall seconds of the U1, U2 and U3 updates and of the
-    objective evaluation (``seconds_left``, ``seconds_right``,
-    ``seconds_temporal``, ``seconds_objective``).
+    capped), the rise of the cost over the previous entry relative to
+    1 + |previous cost| (``cost_rise``, 0 when it fell) and the wall seconds
+    of the U1, U2 and U3 updates and of the objective evaluation
+    (``seconds_left``, ``seconds_right``, ``seconds_temporal``,
+    ``seconds_objective``).
     """
     t_start = time.perf_counter()
     _check_scales(data, params)
     model = initialize(data, params)
-    c, r = _cost_and_rmse(model, data, params)
+    Q_y, Y = _range_coordinates(data.Y)
+    Q_x, X = _range_coordinates(data.X)
+    work = data
+    if Q_y is not None or Q_x is not None:
+        work = _RangeData(X=X, Y=Y, M=data.M, T=data.T)
+        model = _change_spatial_basis(model, None if Q_y is None else Q_y.T, None if Q_x is None else Q_x.T)
+    c, value = _cost_and_loss(model, work, params)
     cost_trace = [c]
-    rmse_trace = [r]
-    keys = ("cg_iters_right", "inner_iters_temporal", "capped_right", "capped_temporal", "seconds_left",
-            "seconds_right", "seconds_temporal", "seconds_objective")
+    rmse_trace = [_rmse_from_loss(value, data)]
+    keys = ("cg_iters_right", "inner_iters_temporal", "capped_right", "capped_temporal", "cost_rise",
+            "seconds_left", "seconds_right", "seconds_temporal", "seconds_objective")
     stats = {key: [] for key in keys}
     temporal_budget = {"spline": params.cg_max_iters, "tv": params.pg_max_iters}.get(_active_penalty(params, data.T))
 
@@ -507,25 +586,31 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     iterations = 0
     prev_cost = cost_trace[0]
     for it in range(1, params.max_outer_iters + 1):
-        U1 = _timed(stats["seconds_left"], update_left, model, data, params.eta)
+        U1 = _timed(stats["seconds_left"], update_left, model, work, params.eta)
         model = CpFactors(U1=U1, U2=model.U2, U3=model.U3, affine=model.affine)
-        U2, cg_iters = _timed(stats["seconds_right"], update_right, model, data, params.eta, params.cg_max_iters)
+        U2, cg_iters = _timed(stats["seconds_right"], update_right, model, work, params.eta, params.cg_max_iters)
         model = CpFactors(U1=model.U1, U2=U2, U3=model.U3, affine=model.affine)
-        U3, inner_iters = _timed(stats["seconds_temporal"], update_temporal, model, data, params)
+        U3, inner_iters = _timed(stats["seconds_temporal"], update_temporal, model, work, params)
         model = CpFactors(U1=model.U1, U2=model.U2, U3=U3, affine=model.affine)
 
         iterations = it
-        c, r = _timed(stats["seconds_objective"], _cost_and_rmse, model, data, params)
+        c, value = _timed(stats["seconds_objective"], _cost_and_loss, model, work, params)
+        r = _rmse_from_loss(value, data)
         cost_trace.append(c)
         rmse_trace.append(r)
         capped_right = bool(cg_iters >= params.cg_max_iters)
         capped_temporal = bool(temporal_budget is not None and inner_iters >= temporal_budget)
+        cost_rise = max(0.0, c - prev_cost) / (1.0 + abs(prev_cost))
         stats["cg_iters_right"].append(cg_iters)
         stats["inner_iters_temporal"].append(inner_iters)
         stats["capped_right"].append(capped_right)
         stats["capped_temporal"].append(capped_temporal)
+        stats["cost_rise"].append(cost_rise)
         logger.info("iter %d: cost=%.17g rmse=%.17g cg=%d capped_right=%s inner=%d capped_temporal=%s",
                     it, c, r, cg_iters, capped_right, inner_iters, capped_temporal)
+        if cost_rise > MONOTONE_SLACK:
+            logger.warning("iter %d: cost rose from %.17g to %.17g, %.3g of 1 + |cost|, above the %g slack",
+                           it, prev_cost, c, cost_rise, MONOTONE_SLACK)
 
         if prev_cost > 0 and abs(c - prev_cost) / prev_cost < params.rtol:
             termination = "rtol"
@@ -535,6 +620,7 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
             break
         prev_cost = c
 
+    model = _change_spatial_basis(model, Q_y, Q_x)
     report = FitReport(
         cost_trace=cost_trace,
         rmse_trace=rmse_trace,

@@ -148,6 +148,17 @@ class TestFit:
         for name in ("U1.csv", "U2.csv", "U3.csv", "lambda.csv", "trace.csv", "clusters.csv"):
             assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name), name
 
+    def test_rerun_byte_identical_with_fewer_transitions_than_channels(self, tmp_path):
+        run(["generate", "--benchmark", "switching", "--N", "60", "--tau", "40", "--seed", "4",
+             "--out", str(tmp_path / "gen")])
+        outs = [tmp_path / "f1", tmp_path / "f2"]
+        for out in outs:  # 4 windows of 10 transitions: 40 < 60 channels
+            run(["fit", "--input", str(tmp_path / "gen" / "series.csv"), "--rank", "3", "--window", "10",
+                 "--eta", "0.02", "--beta", "1", "--reg", "tv", "--seed", "5", "--clusters", "2",
+                 "--out", str(out)])
+        for name in ("U1.csv", "U2.csv", "U3.csv", "lambda.csv", "trace.csv", "clusters.csv"):
+            assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name), name
+
     def test_missing_required_flag(self, series_path, tmp_path):
         with pytest.raises(SystemExit):
             run(["fit", "--input", str(series_path), "--window", "10", "--out", str(tmp_path)])

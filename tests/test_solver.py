@@ -17,6 +17,7 @@ from lrtvar.errors import (
 import lrtvar.solver
 from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import (
+    MONOTONE_SLACK,
     Hyperparams,
     cost,
     fit,
@@ -592,6 +593,52 @@ class TestFit:
         assert stats["capped_temporal"] == [True] * report.iterations
         assert stats["inner_iters_temporal"] == [params.cg_max_iters] * report.iterations
 
+    def test_cost_rise_is_recorded_and_warned(self, monkeypatch, caplog):
+        rng = np.random.default_rng(76)
+        data = random_data(rng, 3, 5, 4)
+        original = lrtvar.solver.update_temporal
+        calls = []
+
+        def doubled_on_third_call(model, data, params):
+            U3, inner = original(model, data, params)
+            calls.append(None)
+            return (2.0 * U3 if len(calls) == 3 else U3), inner
+
+        monkeypatch.setattr(lrtvar.solver, "update_temporal", doubled_on_third_call)
+        with caplog.at_level(logging.WARNING, logger="lrtvar.solver"):
+            _, report = fit(data, Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=5, rtol=0.0, atol=0.0))
+        rises = report.subproblem_stats["cost_rise"]
+        assert len(rises) == report.iterations == 5
+        assert rises[2] > MONOTONE_SLACK
+        assert all(rise <= MONOTONE_SLACK for i, rise in enumerate(rises) if i != 2)
+        warnings = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.WARNING]
+        assert len(warnings) == 1 and warnings[0].startswith("iter 3: cost rose")
+
+    @pytest.mark.parametrize(
+        "N, tau, M, R, kind, beta",
+        [(10, 200, 20, 8, "tv", 5.0), (10, 160, 1, 4, "spline", 60.0), (80, 60, 10, 3, "none", 0.0),
+         (80, 60, 10, 3, "tv", 1.0)],
+        ids=["switching-tv", "smooth-spline", "range-none", "range-tv"],
+    )
+    def test_default_fits_record_no_cost_rise(self, N, tau, M, R, kind, beta):
+        truth = (simulate_smooth if kind == "spline" else simulate_switching)(N=N, tau=tau, sigma=0.5, seed=3)
+        data = build_snapshots(truth.series, M=M)
+        _, report = fit(data, Hyperparams(R=R, eta=1.0 / N, reg=Regularizer(kind, beta), seed=3))
+        rises = report.subproblem_stats["cost_rise"]
+        assert len(rises) == report.iterations
+        assert all(0.0 <= rise <= MONOTONE_SLACK for rise in rises)
+
+    def test_summary_counts_capped_solves(self):
+        rng = np.random.default_rng(77)
+        data = random_data(rng, 3, 5, 4)
+        _, report = fit(data, Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=5, cg_max_iters=1,
+                                          reg=Regularizer("tv", 0.5), pg_max_iters=1))
+        lines = report.summary().splitlines()
+        assert "capped U2 solves: 5 of 5" in lines
+        assert "capped U3 solves: 5 of 5" in lines
+        _, report = fit(data, Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=3))
+        assert "capped U3 solves: 0 of 3" in report.summary().splitlines()
+
     def test_trace_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
         data = random_data(rng, 3, 5, 3)
@@ -601,6 +648,115 @@ class TestFit:
         rows = np.loadtxt(path, delimiter=",", skiprows=2)
         assert rows.shape[1] == 3
         assert np.allclose(rows[:, 1], report.cost_trace)
+
+
+def range_projector(A):
+    """Orthogonal projector onto the span of a data tensor's transitions when
+    they are fewer than its channels, else None (the fit then forms no basis)."""
+    channels, M, T = A.shape
+    if M * T >= channels:
+        return None
+    U = np.linalg.svd(A.reshape(channels, M * T), full_matrices=False)[0]
+    return U @ U.T
+
+
+def project_onto_ranges(model, data):
+    P_y, P_x = range_projector(data.Y), range_projector(data.X)
+    return CpFactors(U1=model.U1 if P_y is None else P_y @ model.U1,
+                     U2=model.U2 if P_x is None else P_x @ model.U2, U3=model.U3, affine=model.affine)
+
+
+def full_data_trace(data, params, iterations):
+    """Cost trace of the public block updates on the full data, started from
+    the initialization projected onto range(Y) and range(X)."""
+    model = project_onto_ranges(initialize(data, params), data)
+    trace = [cost(model, data, params)]
+    for _ in range(iterations):
+        model = replace(model, U1=update_left(model, data, params.eta))
+        model = replace(model, U2=update_right(model, data, params.eta, params.cg_max_iters)[0])
+        model = replace(model, U3=update_temporal(model, data, params)[0])
+        trace.append(cost(model, data, params))
+    return np.array(trace)
+
+
+RANGE_CASES = {
+    "switching-tv": (dict(N=80), dict(M=10), 3, Regularizer("tv", 1.0)),
+    "switching-spline": (dict(N=80), dict(M=10), 3, Regularizer("spline", 5.0)),
+    "switching-none": (dict(N=80), dict(M=10), 3, Regularizer("none", 0.0)),
+    "affine-lags-2": (dict(N=40), dict(M=10, P=2, affine=True), 3, Regularizer("tv", 1.0)),
+}
+
+
+def range_case(name, seed=0):
+    simulate, window, R, reg = RANGE_CASES[name]
+    data = build_snapshots(simulate_switching(tau=60, sigma=0.5, seed=seed, **simulate).series, **window)
+    return data, Hyperparams(R=R, eta=1.0 / data.N, reg=reg, seed=seed, max_outer_iters=15, rtol=0.0, atol=0.0)
+
+
+class TestRangeSpaceFit:
+    """With fewer transitions than channels, ``fit`` runs in orthonormal bases
+    of range(X) and range(Y) and lifts U1 and U2 back once at the end."""
+
+    @pytest.mark.parametrize("name", sorted(RANGE_CASES))
+    def test_cost_trace_matches_full_data_updates(self, name):
+        data, params = range_case(name)
+        assert data.M * data.T < data.N_in
+        _, report = fit(data, params)
+        oracle = full_data_trace(data, params, params.max_outer_iters)
+        assert np.max(np.abs(np.array(report.cost_trace) - oracle) / np.abs(oracle)) <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(RANGE_CASES))
+    def test_lifted_factors_lie_in_the_ranges_and_score_on_the_full_data(self, name):
+        data, params = range_case(name, seed=1)
+        model, report = fit(data, params)
+        for P, U in ((range_projector(data.Y), model.U1), (range_projector(data.X), model.U2)):
+            if P is not None:
+                assert np.linalg.norm(U - P @ U) <= 1e-12 * np.linalg.norm(U)
+        assert report.cost_trace[-1] == pytest.approx(cost(model, data, params), rel=1e-12)
+        assert report.rmse_trace[-1] == pytest.approx(rmse(model, data), rel=1e-12)
+
+    def test_block_updates_see_range_coordinates(self, monkeypatch):
+        seen = []
+        original = lrtvar.solver.update_left
+
+        def spy(model, data, eta):
+            seen.append((model.N, model.N_in, data.N, data.N_in))
+            return original(model, data, eta)
+
+        monkeypatch.setattr(lrtvar.solver, "update_left", spy)
+        data, params = range_case("affine-lags-2")
+        fit(data, replace(params, max_outer_iters=2))
+        # T*M = 50 transitions: fewer than the 81 inputs, not fewer than the 40 outputs
+        assert seen == [(40, 50, 40, 50)] * 2
+
+    def test_no_basis_when_transitions_cover_the_channels(self, monkeypatch):
+        seen = []
+        original = lrtvar.solver.update_right
+
+        def spy(model, data, eta, max_iters):
+            seen.append(data)
+            return original(model, data, eta, max_iters)
+
+        monkeypatch.setattr(lrtvar.solver, "update_right", spy)
+        data = build_snapshots(simulate_switching(N=10, tau=200, sigma=0.5, seed=0).series, M=20)
+        fit(data, Hyperparams(R=4, eta=0.1, max_outer_iters=2))
+        assert len(seen) == 2 and all(d is data for d in seen)
+
+    @pytest.mark.parametrize("degenerate", ["zero-targets", "zeroed-window"])
+    def test_degenerate_data_descends(self, degenerate):
+        data, params = range_case("switching-tv", seed=2)
+        X, Y = data.X.copy(), data.Y.copy()
+        if degenerate == "zero-targets":
+            Y[:] = 0.0
+        else:
+            X[:, :, 0] = 0.0
+            Y[:, :, 0] = 0.0
+        data = SnapshotPair(X=X, Y=Y, M=data.M, T=data.T)
+        model, report = fit(data, params)
+        trace = np.array(report.cost_trace)
+        assert np.all(np.isfinite(trace))
+        assert np.all(np.diff(trace) <= MONOTONE_SLACK * (1 + np.abs(trace[:-1])))
+        assert report.cost_trace[-1] == pytest.approx(cost(model, data, params), rel=1e-12, abs=1e-300)
 
 
 class TestWindowedSeriesLayout:
@@ -652,6 +808,7 @@ class TestHyperparams:
             lambda: Regularizer("tv", float("nan")),
             lambda: Regularizer("tv", float("inf")),
             lambda: Regularizer("spline", float("-inf")),
+            lambda: Hyperparams(R=1, eta=10**400),
         ],
         ids=[
             "eta-nan",
@@ -661,6 +818,7 @@ class TestHyperparams:
             "beta-nan",
             "beta-inf",
             "beta-neg-inf",
+            "eta-int-beyond-float",
         ],
     )
     def test_non_finite_rejected(self, make):
@@ -677,6 +835,35 @@ class TestHyperparams:
     def test_integer_knobs_validated_at_entry(self, changes):
         with pytest.raises(InvalidHyperparameterError):
             Hyperparams(**{"R": 2, "eta": 1.0, **changes})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Hyperparams(R=2, eta="0.1"),
+            lambda: Hyperparams(R=2, eta=None),
+            lambda: Hyperparams(R=2, eta=True),
+            lambda: Hyperparams(R=2, eta=1.0, rtol=None),
+            lambda: Hyperparams(R=2, eta=1.0, rtol=False),
+            lambda: Hyperparams(R=2, eta=1.0, atol="x"),
+            lambda: Hyperparams(R=2, eta=1.0, atol=1j),
+            lambda: Regularizer("tv", "1"),
+            lambda: Regularizer("tv", None),
+            lambda: Regularizer("tv", True),
+            lambda: Regularizer("spline", np.bool_(True)),
+            lambda: Regularizer("tv", -1.0),
+            lambda: Regularizer("lasso", 1.0),
+        ],
+        ids=["eta-str", "eta-none", "eta-bool", "rtol-none", "rtol-bool", "atol-str", "atol-complex", "beta-str",
+             "beta-none", "beta-bool", "beta-numpy-bool", "beta-negative", "kind-unknown"],
+    )
+    def test_real_knobs_validated_at_entry(self, make):
+        with pytest.raises(InvalidHyperparameterError):
+            make()
+
+    def test_real_knobs_accept_any_real_number(self):
+        p = Hyperparams(R=2, eta=np.float32(0.5), rtol=0, atol=np.int64(1), reg=Regularizer("tv", 2))
+        assert (p.eta, p.rtol, p.atol, p.reg.beta) == (0.5, 0.0, 1.0, 2.0)
+        assert all(type(v) is float for v in (p.eta, p.rtol, p.atol, p.reg.beta))
 
     def test_numpy_integers_accepted(self):
         p = Hyperparams(R=np.int64(2), eta=1.0, max_outer_iters=np.int32(3), seed=np.uint8(4))
