@@ -45,6 +45,6 @@ print(f"\nk=2 clustering of the temporal modes: {labels.tolist()}")
 print(f"regime change detected entering window {change} (0-based; truth switches there)")
 
 A1_hat = model.slice(0)
-A1 = truth.unique_matrices[0]
+A1 = truth.matrix_at(0)
 print(f"\nfirst-window system matrix: |A1_hat - A1| operator norm = "
       f"{np.linalg.norm(A1_hat - A1, 2):.3f} (A1 itself has norm 1)")

@@ -44,7 +44,6 @@ from .regularizers import (
 from .solver import FitReport, Hyperparams, cost, fit, initialize, loss, rmse
 from .synthetic import (
     GroundTruth,
-    factor_blocks,
     gp_covariance,
     make_rank2_rotation,
     sample_gp_angle,

@@ -30,8 +30,8 @@ from .evaluation import (
 )
 from .regularizers import REGULARIZER_KINDS, Regularizer
 from .solver import Hyperparams, fit
-from .synthetic import GroundTruth, factor_blocks, simulate_smooth, simulate_switching
-from .windowing import build_snapshots, format_cell, read_csv, read_series_csv, write_csv, write_series_csv
+from .synthetic import GroundTruth, simulate_smooth, simulate_switching
+from .windowing import TimeSeries, build_snapshots, format_cell, read_csv, read_series_csv, write_csv, write_series_csv
 
 
 def fmt(x) -> str:
@@ -140,17 +140,19 @@ def parse_str_list(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# truth bundle I/O: unique matrix blocks plus a transition -> block index
+# truth bundle I/O: the truth's factor blocks plus a transition -> block index
 
 
 def write_truth_bundle(outdir, truth: GroundTruth, manifest: str) -> None:
-    blocks = truth.unique_matrices
-    n = blocks[0].shape[0]
+    """Write ``truth_matrices.csv``, row i of block b being ``[left[b, i, :],
+    right[b, i, :]]``, and ``truth_index.csv``, one (transition, block) row
+    per transition."""
+    n_blocks, n, q = truth.left.shape
     write_csv(
         os.path.join(outdir, "truth_matrices.csv"),
-        (row for block in blocks for row in block),
+        np.concatenate([truth.left, truth.right], axis=2).reshape(n_blocks * n, 2 * q),
         manifest=manifest,
-        comments=[f"{len(blocks)} blocks of {n} rows each; block b spans rows b*{n}..(b+1)*{n}-1"],
+        comments=[f"{n_blocks} blocks of {n} rows; block b is rows b*{n}..(b+1)*{n}-1: {q} of left, {q} of right"],
     )
     write_csv(
         os.path.join(outdir, "truth_index.csv"),
@@ -160,17 +162,24 @@ def write_truth_bundle(outdir, truth: GroundTruth, manifest: str) -> None:
     )
 
 
-def read_truth_bundle(matrices_path, index_path) -> tuple:
-    """Read back (unique_matrices, matrix_index) written by the generator.
+def read_truth_bundle(matrices_path, index_path, series: TimeSeries) -> GroundTruth:
+    """Read back the truth of ``series`` written by :func:`write_truth_bundle`.
 
-    The index must list transitions 0..n-1 in order, each with an integer
-    block id in [0, n_blocks); the first row that does not is named.
+    The matrices file must stack into blocks of one row per channel of the
+    series and split into left and right halves.  The index must list
+    transitions 0..n-1 in order, each with an integer block id in
+    [0, n_blocks); the first row that does not is named.  Every block must
+    drive a transition, so a bundle of another N is rejected even when its
+    rows happen to stack into blocks of this one.
     """
     _, flat = read_csv(matrices_path)
-    n = flat.shape[1]
-    if flat.shape[0] % n:
-        raise ValueError(f"{matrices_path}: {flat.shape[0]} rows do not stack into {n}x{n} blocks")
-    blocks = [flat[b * n : (b + 1) * n] for b in range(flat.shape[0] // n)]
+    (rows, width), n = flat.shape, series.n_channels
+    if rows % n or width % 2:
+        raise ShapeMismatchError(
+            f"{matrices_path}: {rows} rows of {width} columns do not stack into blocks of {n} rows (one per "
+            f"channel of the series) with left and right halves"
+        )
+    blocks = flat.reshape(rows // n, n, width)
     _, index = read_csv(index_path)
     if index.shape[1] != 2:
         raise ValueError(f"{index_path}: expected 2 columns (transition, block), got {index.shape[1]}")
@@ -182,7 +191,9 @@ def read_truth_bundle(matrices_path, index_path) -> tuple:
             f"{index_path}: data row {row}: expected transition {row} with an integer block in "
             f"[0, {len(blocks)}), got ({format_cell(transition[row])}, {format_cell(block[row])})"
         )
-    return blocks, block.astype(int)
+    if np.setdiff1d(np.arange(len(blocks)), block).size:
+        raise ShapeMismatchError(f"{matrices_path}: some of its {len(blocks)} blocks of {n} rows drive no transition")
+    return GroundTruth(series, blocks[:, :, : width // 2], blocks[:, :, width // 2 :], block.astype(int))
 
 
 def write_clusters_csv(outdir, labels, manifest: str) -> None:
@@ -387,13 +398,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         series = read_series_csv(opts["input"])
         if opts["truth_matrices"]:
-            blocks, index = read_truth_bundle(opts["truth_matrices"], opts["truth_index"])
-            if len(index) != series.n_samples - 1:
-                raise ShapeMismatchError(
-                    f"{opts['truth_index']}: {len(index)} transitions, but {opts['input']} has "
-                    f"{series.n_samples} samples ({series.n_samples - 1} transitions)"
-                )
-            truth = GroundTruth(series, *factor_blocks(blocks), matrix_index=index)
+            truth = read_truth_bundle(opts["truth_matrices"], opts["truth_index"], series)
         n_values = [series.n_channels]
 
     tasks = []

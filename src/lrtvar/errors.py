@@ -37,7 +37,7 @@ class DegenerateProjectionError(LrtvarError, RuntimeError):
 
 
 class ShapeMismatchError(LrtvarError, ValueError):
-    """Estimate and ground truth cannot be aligned window-for-window."""
+    """Estimate, ground truth and series cannot be aligned window-for-window or channel-for-channel."""
 
 
 class NonPositiveEtaError(LrtvarError, ValueError):

@@ -9,10 +9,8 @@ is 1 for every N, keeping the signal-to-noise ratio independent of the
 system size.
 
 Every A(t) is stored as the factor pair it is drawn as, (W Rot(theta), W),
-so scoring never needs it as an N x N matrix; dense blocks are formed on
-demand for the truth bundle, and the simulation itself still iterates the
-dense A = (W Rot(theta)) W'.  Dense matrices read from outside are factored
-once by :func:`factor_blocks`.
+and the simulation steps with x -> (W Rot(theta)) (W' x), so neither
+simulation nor scoring forms an N x N matrix.
 
 Randomness is split into named child streams of one seed (matrices, angle
 process, observation noise), so each ingredient is independently
@@ -26,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateProjectionError
+from .errors import DegenerateProjectionError, ShapeMismatchError
 from .windowing import TimeSeries
 
 BURN_IN_STEPS = 200
@@ -39,13 +37,16 @@ GP_JITTER = 0.001  # added to the GP covariance diagonal so its Cholesky factori
 class GroundTruth:
     """A noisy trajectory together with the exact per-transition dynamics.
 
-    Block b of the dynamics is ``left[b] @ right[b].T``, with ``left`` of
-    shape (n_blocks, N, q) and ``right`` of shape (n_blocks, N_in, q), and
+    Block b of the dynamics is ``left[b] @ right[b].T``, both factors of
+    shape (n_blocks, N, q) for the N channels of the series, and
     ``matrix_index[t]`` names the block that generated transition t
     (x(t) -> x(t+1)).  Storing unique blocks keeps the bundle small when most
     transitions share a matrix; storing them factored keeps every block
-    O(N q).  The generators' settings (noise scale, angles, seed) are not
-    stored; the CLI records them in each file's manifest.
+    O(N q).  A dense block A is the exact pair (A, I).  The generators'
+    settings (noise scale, angles, seed) are not stored; the CLI records
+    them in each file's manifest.  Factors of any other shape, or an index
+    that is not one integer block id in [0, n_blocks) per transition, raise
+    :class:`ShapeMismatchError` or ``ValueError`` here, before any use.
     """
 
     series: TimeSeries
@@ -53,33 +54,35 @@ class GroundTruth:
     right: np.ndarray
     matrix_index: np.ndarray
 
+    def __post_init__(self):
+        self.left, self.right = np.asarray(self.left, dtype=float), np.asarray(self.right, dtype=float)
+        self.matrix_index = index = np.asarray(self.matrix_index)
+        N, n_samples = self.series.n_channels, self.series.n_samples
+        if self.left.ndim != 3 or self.left.shape[1] != N or self.right.shape != self.left.shape:
+            raise ShapeMismatchError(
+                f"left {self.left.shape} and right {self.right.shape} must both be (n_blocks, {N}, q), "
+                "one row per channel of the series"
+            )
+        if index.shape != (n_samples - 1,):
+            raise ShapeMismatchError(
+                f"matrix_index names {index.size} transitions, but the series has {n_samples} samples "
+                f"({n_samples - 1} transitions)"
+            )
+        if not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"matrix_index must hold integers, got dtype {index.dtype}")
+        bad = (index < 0) | (index >= self.left.shape[0])
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise ValueError(f"matrix_index[{t}] = {index[t]} is not a block id in [0, {self.left.shape[0]})")
+
     @property
     def n_transitions(self) -> int:
         return self.matrix_index.shape[0]
-
-    @property
-    def unique_matrices(self) -> list:
-        """Every block as a dense matrix, formed on each access."""
-        return [L @ R.T for L, R in zip(self.left, self.right)]
 
     def matrix_at(self, t: int) -> np.ndarray:
         """Dense system matrix for transition t (0-based)."""
         b = self.matrix_index[t]
         return self.left[b] @ self.right[b].T
-
-
-def factor_blocks(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Factor dense (n_blocks, N, N_in) matrices as ``left[b] @ right[b].T``.
-
-    A truncated SVD keeps the singular values above s_1 * max(N, N_in) * eps
-    (numpy's ``matrix_rank`` tolerance) and folds them into ``left``; blocks
-    of lower rank are zero-padded to the largest rank kept.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-    U, s, Vt = np.linalg.svd(blocks, full_matrices=False)
-    keep = s > s[:, :1] * max(blocks.shape[1:]) * np.finfo(float).eps
-    q = int(keep.sum(axis=1).max(initial=0))
-    return U[:, :, :q] * (s * keep)[:, None, :q], Vt[:, :q].transpose(0, 2, 1) * keep[:, None, :q]
 
 
 def rotation_2x2(theta: float) -> np.ndarray:
@@ -107,12 +110,13 @@ def make_rank2_rotation(N: int, theta: float, seed_or_rng) -> np.ndarray:
     return W @ rotation_2x2(theta) @ W.T
 
 
-def _burned_in_start(A: np.ndarray, N: int) -> np.ndarray:
-    """Initial state: all-ones vector iterated BURN_IN_STEPS times under A,
-    then renormalized to norm sqrt(N)."""
-    x = np.ones(N)
+def _burned_in_start(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Initial state: all-ones vector iterated BURN_IN_STEPS times under
+    A = left @ right', then renormalized to norm sqrt(N)."""
+    N = left.shape[0]
+    x, right_t = np.ones(N), right.T
     for _ in range(BURN_IN_STEPS):
-        x = A @ x
+        x = left.dot(right_t.dot(x))  # at small N, ``@`` costs half again as much per step as ``dot``
     norm = np.linalg.norm(x)
     if norm < 1e-12:
         raise DegenerateProjectionError(
@@ -156,29 +160,24 @@ def simulate_switching(
     rng_mat, rng_noise = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
     right = np.stack([_random_plane(N, rng_mat), _random_plane(N, rng_mat)])
     left = right @ np.array([rotation_2x2(theta1), rotation_2x2(theta2)])
-    A1, A2 = left @ right.transpose(0, 2, 1)
 
     half = tau // 2
+    index = np.where(np.arange(tau) < half, 0, 1)
+    blocks = [(L, R.T) for L, R in zip(left, right)]
     states = np.empty((N, tau + 1))
-    states[:, 0] = _burned_in_start(A1, N)
-    for t in range(tau):
-        A = A1 if t < half else A2
-        x_next = A @ states[:, t]
+    states[:, 0] = x = _burned_in_start(left[0], right[0])
+    for t, b in enumerate(index.tolist()):
+        L, R_t = blocks[b]
+        x = L.dot(R_t.dot(x))
         if t == half:
-            norm = np.linalg.norm(x_next)
+            norm = np.linalg.norm(x)
             if norm < 1e-12:
                 raise DegenerateProjectionError("switch projected the state to zero; retry with a new seed")
-            x_next *= np.sqrt(N) / norm
-        states[:, t + 1] = x_next
+            x *= np.sqrt(N) / norm
+        states[:, t + 1] = x
 
     observed = states + sigma * rng_noise.standard_normal(states.shape)
-    index = np.where(np.arange(tau) < half, 0, 1)
-    return GroundTruth(
-        series=TimeSeries(values=observed),
-        left=left,
-        right=right,
-        matrix_index=index,
-    )
+    return GroundTruth(TimeSeries(values=observed), left, right, matrix_index=index)
 
 
 def gp_covariance(tau: int, lengthscale: float = 30.0) -> np.ndarray:
@@ -226,16 +225,11 @@ def simulate_smooth(
             raise ValueError(f"angles must have shape ({tau},), got {angles.shape}")
 
     left = W @ np.array([rotation_2x2(a) for a in angles])
-    matrices = left @ W.T
     states = np.empty((N, tau + 1))
-    states[:, 0] = _burned_in_start(matrices[0], N)
-    for t in range(tau):
-        states[:, t + 1] = matrices[t] @ states[:, t]
+    states[:, 0] = x = _burned_in_start(left[0], W)
+    for t, L in enumerate(list(left)):
+        x = L.dot(W.T.dot(x))
+        states[:, t + 1] = x
 
     observed = states + sigma * rng_noise.standard_normal(states.shape)
-    return GroundTruth(
-        series=TimeSeries(values=observed),
-        left=left,
-        right=np.broadcast_to(W, left.shape),
-        matrix_index=np.arange(tau),
-    )
+    return GroundTruth(TimeSeries(values=observed), left, np.broadcast_to(W, left.shape), matrix_index=np.arange(tau))

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from lrtvar.cli import (
 )
 from lrtvar.errors import ShapeMismatchError
 from lrtvar.evaluation import independent_fit, operator_norm_error
-from lrtvar.synthetic import GroundTruth, factor_blocks, simulate_smooth, simulate_switching
+from lrtvar.synthetic import GroundTruth, simulate_smooth, simulate_switching
 from lrtvar.windowing import build_snapshots, read_series_csv
 
 
@@ -52,9 +53,9 @@ class TestGenerate:
         series = read_series_csv(out / "series.csv")
         assert series.n_channels == 10
         assert series.n_samples == 201
-        blocks, index = read_truth_bundle(out / "truth_matrices.csv", out / "truth_index.csv")
-        assert len(blocks) == 2 and blocks[0].shape == (10, 10)
-        assert index.shape == (200,)
+        truth = read_truth_bundle(out / "truth_matrices.csv", out / "truth_index.csv", series)
+        assert truth.left.shape == truth.right.shape == (2, 10, 2)
+        assert truth.matrix_index.shape == (200,)
         assert (out / "manifest.txt").exists()
 
     def test_smooth_defaults(self, tmp_path):
@@ -62,8 +63,9 @@ class TestGenerate:
         assert run(["generate", "--benchmark", "smooth", "--seed", "1", "--out", str(out)]) == 0
         series = read_series_csv(out / "series.csv")
         assert series.n_samples == 161
-        blocks, index = read_truth_bundle(out / "truth_matrices.csv", out / "truth_index.csv")
-        assert len(blocks) == 160
+        truth = read_truth_bundle(out / "truth_matrices.csv", out / "truth_index.csv", series)
+        assert truth.left.shape == truth.right.shape == (160, 10, 2)
+        assert np.array_equal(truth.matrix_index, np.arange(160))
 
     def test_repeat_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -83,10 +85,8 @@ class TestGenerate:
             run(["generate", "--benchmark", "bogus", "--out", str(tmp_path)])
 
     def test_large_n_size_audit(self, tmp_path):
-        # the N sweep goes far beyond desk scale; generation must stay
-        # feasible because the truth bundle stores only the unique blocks
-        import shutil
-
+        # the N sweep goes far beyond desk scale; generation stays cheap
+        # because the truth bundle stores only the unique blocks, factored
         out = tmp_path / "big"
         assert run(["generate", "--benchmark", "switching", "--N", "4000", "--seed", "0", "--out", str(out)]) == 0
         with open(out / "series.csv", "r", encoding="utf-8") as fh:
@@ -101,8 +101,8 @@ class TestGenerate:
                 matrix_rows += 1
                 if width is None:
                     width = line.count(",") + 1
-        assert width == 4000 and matrix_rows == 2 * 4000  # two unique blocks
-        shutil.rmtree(out)  # the bundle is ~0.7 GB
+        assert width == 4 and matrix_rows == 2 * 4000  # two blocks of [left, right] rank-2 factor rows
+        assert os.path.getsize(out / "truth_matrices.csv") < 2_000_000
 
 
 class TestFit:
@@ -250,8 +250,7 @@ class TestCompare:
         gen = tmp_path / "gen"
         run(["generate", "--benchmark", "switching", "--N", "6", "--seed", "0", "--out", str(gen)])
         series = read_series_csv(gen / "series.csv")
-        blocks, index = read_truth_bundle(gen / "truth_matrices.csv", gen / "truth_index.csv")
-        truth = GroundTruth(series, *factor_blocks(blocks), matrix_index=index)
+        truth = read_truth_bundle(gen / "truth_matrices.csv", gen / "truth_index.csv", series)
         for window in (30, 49):
             out = tmp_path / f"cmp{window}"
             code = run(["compare", "--input", str(gen / "series.csv"),
@@ -383,10 +382,72 @@ class TestDefaults:
 def test_truth_bundle_round_trip(simulate, tmp_path):
     truth = simulate(N=4, tau=30, sigma=0.1, seed=5)
     write_truth_bundle(tmp_path, truth, "manifest tool=test")
-    blocks, index = read_truth_bundle(tmp_path / "truth_matrices.csv", tmp_path / "truth_index.csv")
-    assert len(blocks) == len(truth.unique_matrices)
-    assert all(np.array_equal(b, a) for b, a in zip(blocks, truth.unique_matrices))
-    assert np.array_equal(index, truth.matrix_index)
+    back = read_truth_bundle(tmp_path / "truth_matrices.csv", tmp_path / "truth_index.csv", truth.series)
+    assert np.array_equal(back.left, truth.left) and np.array_equal(back.right, truth.right)
+    assert np.array_equal(back.matrix_index, truth.matrix_index)
+
+
+def dense_truth():
+    """A switching truth whose two blocks are dense matrices A, written as the exact pairs (A, I)."""
+    truth = simulate_switching(N=6, tau=200, sigma=0.5, seed=3)
+    blocks = np.random.default_rng(3).standard_normal((2, 6, 6))
+    return GroundTruth(truth.series, blocks, np.broadcast_to(np.eye(6), blocks.shape), truth.matrix_index)
+
+
+@pytest.mark.parametrize(
+    "simulate, window",
+    [(lambda: simulate_switching(N=6, tau=200, sigma=0.5, seed=3), 20),
+     (lambda: simulate_smooth(N=6, tau=160, sigma=0.2, seed=3), 1),  # 160 blocks, right broadcast
+     (dense_truth, 20)],
+    ids=["switching", "smooth", "dense-blocks"],
+)
+def test_read_back_truth_scores_like_the_dense_oracle(simulate, window, tmp_path):
+    truth = simulate()
+    write_truth_bundle(tmp_path, truth, "manifest tool=test")
+    back = read_truth_bundle(tmp_path / "truth_matrices.csv", tmp_path / "truth_index.csv", truth.series)
+    est = independent_fit(build_snapshots(truth.series, M=window), rank=4)
+    windows = [range(k * window, (k + 1) * window) for k in range(est.T)]
+    oracle = np.mean([
+        np.linalg.norm(est.left[k] @ est.right[k].T - sum(map(truth.matrix_at, ts)) / window, 2)
+        for k, ts in enumerate(windows)
+    ])
+    assert operator_norm_error(est, back) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_compare_memory_below_two_dense_matrices(tmp_path):
+    N = 2000
+    gen = tmp_path / "gen"
+    assert run(["generate", "--benchmark", "switching", "--N", str(N), "--seed", "0", "--out", str(gen)]) == 0
+    tracemalloc.start()
+    try:
+        code = run(["compare", "--input", str(gen / "series.csv"), "--truth-matrices", str(gen / "truth_matrices.csv"),
+                    "--truth-index", str(gen / "truth_index.csv"), "--window", "20", "--eta", "0.0005",
+                    "--methods", "indep-r4", "--out", str(tmp_path / "cmp")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 8 * N * N  # the bytes of two dense N x N matrices
+
+
+@pytest.mark.parametrize(
+    "kind, series_n, bundle_n, message",
+    [("switching", 8, 6, "12 rows of 4 columns do not stack into blocks of 8 rows"),
+     ("smooth", 6, 8, "some of its 32 blocks of 6 rows drive no transition"),  # 192 rows stack either way
+     ("smooth", 8, 6, r"data row 18: expected transition 18 with an integer block in \[0, 18\)")],
+    ids=["rows-do-not-stack", "blocks-left-over", "blocks-missing"],
+)
+def test_bundle_of_another_size_rejected_before_any_fit(kind, series_n, bundle_n, message, tmp_path, monkeypatch):
+    for N in (series_n, bundle_n):
+        run(["generate", "--benchmark", kind, "--N", str(N), "--tau", "24" if kind == "smooth" else "20",
+             "--seed", "0", "--out", str(tmp_path / f"gen{N}")])
+    series, bundle = tmp_path / f"gen{series_n}", tmp_path / f"gen{bundle_n}"
+    calls = count_calls(monkeypatch, ("fit", "independent_fit"))
+    with pytest.raises(ValueError, match=message):
+        run(["compare", "--input", str(series / "series.csv"), "--truth-matrices", str(bundle / "truth_matrices.csv"),
+             "--truth-index", str(bundle / "truth_index.csv"), "--window", "10", "--eta", "0.2",
+             "--methods", "lowrank-r2,indep-full", "--out", str(tmp_path / "cmp")])
+    assert calls == {"fit": 0, "independent_fit": 0}
 
 
 def corrupt_bundle_argv(tmp_path, edit):

@@ -15,7 +15,7 @@ from lrtvar.evaluation import (
     operator_norm_error,
     truth_window_average,
 )
-from lrtvar.synthetic import GroundTruth, factor_blocks, simulate_smooth, simulate_switching
+from lrtvar.synthetic import GroundTruth, simulate_smooth, simulate_switching
 from lrtvar.windowing import SnapshotPair, TimeSeries, build_snapshots
 
 
@@ -42,8 +42,9 @@ def estimate_of(matrices):
 
 
 def truth_of(series, matrices):
-    """A ground truth with one factored block per transition."""
-    return GroundTruth(series, *factor_blocks(matrices), matrix_index=np.arange(len(matrices)))
+    """A ground truth with one block per transition, each dense matrix A as the exact pair (A, I)."""
+    est = estimate_of(matrices)
+    return GroundTruth(series, est.left, est.right, matrix_index=np.arange(len(matrices)))
 
 
 def random_model(R, seed=0):
@@ -72,8 +73,8 @@ def zero_estimate(truth, T, M):
 def zero_second_block():
     """Switching truth whose second regime is the zero matrix."""
     truth = simulate_switching(N=4, tau=40, sigma=0.5, seed=6)
-    blocks = [truth.unique_matrices[0], np.zeros((4, 4))]
-    return GroundTruth(truth.series, *factor_blocks(blocks), matrix_index=truth.matrix_index)
+    blocks = estimate_of([truth.matrix_at(0), np.zeros((4, 4))])
+    return GroundTruth(truth.series, blocks.left, blocks.right, matrix_index=truth.matrix_index)
 
 
 def stationary_data(rng, A, M, T, sigma=0.0):
@@ -186,8 +187,8 @@ class TestOperatorNormError:
         # 4 windows of 10 transitions; windows 0-1 pure A1, 2-3 pure A2
         est = truth_window_average(truth, T=4)
         per_window = dense(est)
-        assert np.allclose(per_window[0], truth.unique_matrices[0])
-        assert np.allclose(per_window[3], truth.unique_matrices[1])
+        assert np.allclose(per_window[0], truth.matrix_at(0))
+        assert np.allclose(per_window[3], truth.matrix_at(39))
         assert operator_norm_error(est, truth) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize(

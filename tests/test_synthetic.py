@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lrtvar.errors import ShapeMismatchError
 from lrtvar.synthetic import (
     GroundTruth,
     gp_covariance,
@@ -61,7 +64,7 @@ class TestSwitching:
     def test_change_point_halfway(self):
         truth = simulate_switching(N=6, tau=200, sigma=0.5, seed=6)
         assert truth.n_transitions == 200
-        assert len(truth.unique_matrices) == 2
+        assert truth.left.shape == truth.right.shape == (2, 6, 2)
         assert np.array_equal(truth.matrix_index[:100], np.zeros(100, dtype=int))
         assert np.array_equal(truth.matrix_index[100:], np.ones(100, dtype=int))
 
@@ -75,7 +78,7 @@ class TestSwitching:
     def test_default_angles(self):
         # a rank-2 rotation by theta has trace 2 cos(theta)
         truth = simulate_switching(N=4, tau=20, sigma=0.0, seed=8)
-        angles = [np.arccos(np.trace(A) / 2) for A in truth.unique_matrices]
+        angles = [np.arccos(np.trace(truth.matrix_at(t)) / 2) for t in (0, 19)]
         assert angles == pytest.approx([0.1 * np.pi, 0.37 * np.pi])
 
     def test_noise_variance_monte_carlo(self):
@@ -93,7 +96,7 @@ class TestSwitching:
         a = simulate_switching(N=5, tau=40, sigma=0.3, seed=9)
         b = simulate_switching(N=5, tau=40, sigma=0.3, seed=9)
         assert np.array_equal(a.series.values, b.series.values)
-        assert np.array_equal(a.unique_matrices[0], b.unique_matrices[0])
+        assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
 
     def test_odd_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -161,10 +164,23 @@ class TestSmooth:
         a = simulate_smooth(N=4, tau=25, sigma=0.2, seed=16)
         b = simulate_smooth(N=4, tau=25, sigma=0.2, seed=16)
         assert np.array_equal(a.series.values, b.series.values)
+        assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
 
     def test_bad_angles_shape(self):
         with pytest.raises(ValueError):
             simulate_smooth(N=4, tau=10, sigma=0.1, seed=0, angles=np.zeros(7))
+
+    def test_memory_linear_in_the_series(self):
+        # the factored steps never form one of the tau N x N matrices (117 MB here)
+        N, tau = 300, 160
+        tracemalloc.start()
+        try:
+            truth = simulate_smooth(N=N, tau=tau, sigma=0.2, seed=17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert truth.n_transitions == tau
+        assert peak < 8 * (8 * N * tau)  # eight N x tau float64 arrays
 
 
 class TestGroundTruth:
@@ -172,5 +188,26 @@ class TestGroundTruth:
         truth = simulate_switching(N=3, tau=10, sigma=0.1, seed=17)
         stacked = np.stack([truth.matrix_at(t) for t in range(truth.n_transitions)])
         assert stacked.shape == (10, 3, 3)
-        assert np.array_equal(stacked[0], truth.unique_matrices[0])
-        assert np.array_equal(stacked[-1], truth.unique_matrices[1])
+        assert np.array_equal(stacked[0], truth.left[0] @ truth.right[0].T)
+        assert np.array_equal(stacked[-1], truth.left[1] @ truth.right[1].T)
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda L, R, i: (L[0], R[0], i), ShapeMismatchError, r"must both be \(n_blocks, 3, q\)"),
+            (lambda L, R, i: (L, R[:1], i), ShapeMismatchError, "must both be"),
+            (lambda L, R, i: (L, R[:, :, :1], i), ShapeMismatchError, "must both be"),
+            (lambda L, R, i: (L[:, :2], R[:, :2], i), ShapeMismatchError, "one row per channel"),
+            (lambda L, R, i: (L, R, i[:-1]), ShapeMismatchError, "names 9 transitions, but the series has 11"),
+            (lambda L, R, i: (L, R, i.astype(float)), ValueError, "must hold integers"),
+            (lambda L, R, i: (L, R, np.r_[0, 1, 5, i[3:]]), ValueError, r"matrix_index\[2\] = 5 .*\[0, 2\)"),
+            (lambda L, R, i: (L, R, np.r_[i[:-1], -1]), ValueError, r"matrix_index\[9\] = -1"),
+        ],
+        ids=["left-2d", "block-counts", "ranks", "rows-not-channels", "index-short", "index-float",
+             "index-above", "index-negative"],
+    )
+    def test_malformed_parts_rejected_at_construction(self, edit, error, message):
+        truth = simulate_switching(N=3, tau=10, sigma=0.1, seed=17)
+        left, right, index = edit(truth.left, truth.right, truth.matrix_index)
+        with pytest.raises(error, match=message):
+            GroundTruth(truth.series, left, right, index)
