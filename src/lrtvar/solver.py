@@ -11,8 +11,10 @@ blocks: a dense R x R solve for U1, matrix-free conjugate gradients on a
 Sylvester-type system for U2, and per-window solves (no smoothing), the same
 CG routine (spline smoothing), or exact minimization one column at a time by
 the weighted TV prox (total-variation smoothing) for U3.  Every update is
-non-increasing in C, so the outer cost trace descends monotonically up to
-subproblem tolerances.
+non-increasing in C.  After each sweep ``fit`` tries the extrapolated
+iterate U + it^(1/p) (U - U_prev) on all three factors at once and keeps it
+only if it lowers C (Bro's line search for PARAFAC), so the outer cost trace
+descends monotonically up to subproblem tolerances.
 
 Nothing in the fit path ever forms an N x N or N_in x N_in matrix; all
 contractions go through the data tensors and the R-column factors, which is
@@ -20,8 +22,13 @@ what makes large state dimensions tractable.  Each contraction is a BLAS
 matmul of a 2-D (M*T, channels) view of a data tensor with an R-column
 factor (the MTTKRP view of CP-ALS); diag(U3[k]) is a broadcast multiply on
 the (M, T, R) view of the product, and the per-window R x R blocks are one
-batched matmul.  ``fit`` evaluates the loss once per outer iteration and
-derives both the cost and the RMSE from it.
+batched matmul.  The loss and every block update see the factors U2 and U1
+only through the products X'U2 and Y'U1, so ``fit`` forms each of them once
+per factor value and passes them to the updates.  It takes the loss from the
+U3 quadratic, 1/2 ||Y||^2 - sum_k b_k'u_k + 1/2 sum_k u_k'C_k u_k, which
+costs no pass over the data, and the products of the extrapolated iterate
+are the same extrapolation of the sweep's products: an outer iteration makes
+four data contractions besides those of the U2 conjugate gradients.
 
 The loss sees U2 only through X_k'U2 and U1 only through its product with Y,
 and the ridge term puts each block's exact minimizer in range(X), resp.
@@ -38,7 +45,7 @@ import logging
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
@@ -64,6 +71,11 @@ SWEEP_TOL = 1e-10
 # fit warns when an outer iteration raises the cost by more than this
 # fraction of 1 + |previous cost|.
 MONOTONE_SLACK = 1e-8
+# Outer iteration ``it`` extrapolates its sweep by the factor it^(1/p); p
+# starts at EXTRAPOLATION_ROOT and rises by one per rejected trial, up to
+# EXTRAPOLATION_MAX_ROOT.
+EXTRAPOLATION_ROOT = 3
+EXTRAPOLATION_MAX_ROOT = 6
 
 logger = logging.getLogger(__name__)
 
@@ -115,9 +127,12 @@ class FitReport:
     """Per-run diagnostics.
 
     ``cost_trace[0]`` is the cost at initialization; each outer iteration
-    appends one entry after its temporal update.  The trace is
-    non-increasing up to a slack of ``MONOTONE_SLACK * (1 + |C|)`` per step,
-    which ``fit`` checks as it goes (``subproblem_stats['cost_rise']``).
+    appends one entry after its extrapolation trial: the cost of the
+    extrapolated iterate if the trial lowered it, else of the sweep's.  The
+    trace is non-increasing up to a slack of ``MONOTONE_SLACK * (1 + |C|)``
+    per step, which ``fit`` checks as it goes
+    (``subproblem_stats['cost_rise']``).  :meth:`summary` counts the capped
+    inner solves and the accepted extrapolations.
     """
 
     cost_trace: list
@@ -141,6 +156,7 @@ class FitReport:
             f"final rmse: {self.rmse_trace[-1]:.17g}",
             f"capped U2 solves: {sum(self.subproblem_stats['capped_right'])} of {self.iterations}",
             f"capped U3 solves: {sum(self.subproblem_stats['capped_temporal'])} of {self.iterations}",
+            f"extrapolated steps: {sum(self.subproblem_stats['extrapolated'])} of {self.iterations}",
             f"wall seconds: {self.wall_seconds:.3f}",
         ]
         return "\n".join(lines)
@@ -165,6 +181,12 @@ def _scale_windows(W: np.ndarray, U3: np.ndarray) -> np.ndarray:
     """Multiply the rows of an (M*T, R) matrix that belong to window k by
     U3[k], which applies diag(U3[k]) to every transition of window k."""
     return (W.reshape(-1, *U3.shape) * U3).reshape(W.shape)
+
+
+def _products(model: CpFactors, data: SnapshotPair) -> tuple[np.ndarray, np.ndarray]:
+    """(X'U2, Y'U1) as the (M*T, R) matrices whose row m*T + k is the
+    product of column m of X_k, resp. Y_k, with U2, resp. U1."""
+    return _transitions(data.X) @ model.U2, _transitions(data.Y) @ model.U1
 
 
 def _scaled_projection(model: CpFactors, data: SnapshotPair) -> np.ndarray:
@@ -200,18 +222,37 @@ def cost(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> float:
 def _cost_and_loss(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> tuple[float, float]:
     """(cost, loss) of the model from a single loss evaluation."""
     value = loss(model, data)
-    regularization = tikhonov_penalty(model.U1, model.U2, model.U3, params.eta) + params.reg.penalty(model.U3)
-    return value + regularization, value
+    return value + _regularization(model, params), value
+
+
+def _regularization(model: CpFactors, params: Hyperparams) -> float:
+    """Ridge plus beta * temporal penalty: the cost without the loss."""
+    return tikhonov_penalty(model.U1, model.U2, model.U3, params.eta) + params.reg.penalty(model.U3)
+
+
+def _quadratic_loss(model: CpFactors, products: tuple, half_energy: float) -> float:
+    """The loss from the U3 quadratic, 1/2 ||Y||^2 - sum_k b_k'u_k +
+    1/2 sum_k u_k'C_k u_k (see :func:`_temporal_quadratic`), given
+    products = (X'U2, Y'U1) and half_energy = 1/2 ||Y||^2.
+
+    It costs O(M T R^2) and no pass over the data.  Its rounding error is a
+    few ulps of ||Y||^2, not of the loss, so a near-exact fit can come out
+    below zero; it is clipped to 0 there.
+    """
+    G, F = products
+    H = _scale_windows(G, model.U3)  # rows of X_k' U2 diag(U3[k])
+    value = half_energy - float(np.vdot(H, F)) + 0.5 * float(np.vdot(H @ (model.U1.T @ model.U1), H))
+    return max(value, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # block gradients (smooth part of the cost: loss + ridge [+ spline])
 
 
-def _left_normal_equations(model: CpFactors, data: SnapshotPair) -> tuple[np.ndarray, np.ndarray]:
+def _left_normal_equations(model: CpFactors, data: SnapshotPair, products=None) -> tuple[np.ndarray, np.ndarray]:
     """S = sum_k H_k H_k' and B = sum_k Y_k H_k', so the loss in U1 is
-    1/2 tr(U1 S U1') - tr(B' U1) + const."""
-    H = _scaled_projection(model, data)
+    1/2 tr(U1 S U1') - tr(B' U1) + const; ``products`` is (X'U2, Y'U1) or None."""
+    H = _scaled_projection(model, data) if products is None else _scale_windows(products[0], model.U3)
     return H.T @ H, _transitions(data.Y).T @ H
 
 
@@ -241,38 +282,46 @@ def grad_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> 
 # block updates
 
 
-def update_left(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
-    """Exact minimizer of the cost over U1 (R x R ridge-damped solve)."""
+def update_left(model: CpFactors, data: SnapshotPair, eta: float, *, products=None) -> np.ndarray:
+    """Exact minimizer of the cost over U1 (R x R ridge-damped solve).
+
+    ``products`` is (X'U2, Y'U1) of ``model`` and ``data`` (see
+    :func:`_products`) when the caller holds it, as ``fit`` does; by default
+    the update forms what it needs.
+    """
     _check_dims(model, data)
-    S, B = _left_normal_equations(model, data)
+    S, B = _left_normal_equations(model, data, products)
     S[np.diag_indices_from(S)] += 1.0 / eta
     return np.linalg.solve(S, B.T).T
 
 
-def _right_operator(model: CpFactors, data: SnapshotPair, eta: float, U: np.ndarray) -> np.ndarray:
-    """Apply U -> sum_k X_k X_k' U R_k + U/eta with R_k = diag(U3[k]) U1'U1 diag(U3[k])."""
+def _right_operator(model: CpFactors, data: SnapshotPair, eta: float, U: np.ndarray, XU=None) -> np.ndarray:
+    """Apply U -> sum_k X_k X_k' U R_k + U/eta with R_k = diag(U3[k]) U1'U1 diag(U3[k]);
+    ``XU`` is X'U when the caller holds it."""
     X = _transitions(data.X)
-    W = _scale_windows(X @ U, model.U3)  # rows of X_k' U diag(U3[k])
+    W = _scale_windows(X @ U if XU is None else XU, model.U3)  # rows of X_k' U diag(U3[k])
     Z = _scale_windows(W @ (model.U1.T @ model.U1), model.U3)
     return X.T @ Z + U / eta
 
 
-def _right_rhs(model: CpFactors, data: SnapshotPair) -> np.ndarray:
-    """B = sum_k X_k Y_k' U1 diag(U3[k])."""
-    F = _scale_windows(_transitions(data.Y) @ model.U1, model.U3)  # rows of Y_k' U1 diag(U3[k])
-    return _transitions(data.X).T @ F
+def _right_rhs(model: CpFactors, data: SnapshotPair, products=None) -> np.ndarray:
+    """B = sum_k X_k Y_k' U1 diag(U3[k]); ``products`` is (X'U2, Y'U1) or None."""
+    F = _transitions(data.Y) @ model.U1 if products is None else products[1]
+    return _transitions(data.X).T @ _scale_windows(F, model.U3)  # rows of Y_k' U1 diag(U3[k])
 
 
-def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = CG_TOL) -> tuple[np.ndarray, int]:
+def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = CG_TOL,
+        image=None) -> tuple[np.ndarray, int]:
     """Conjugate gradients on operate(x) = rhs for a symmetric positive-definite
-    ``operate``, warm-started at ``x0``.
+    ``operate``, warm-started at ``x0``; ``image`` is operate(x0) when the
+    caller has it.
 
     Stops when the residual norm reaches ``tol * ||rhs||`` or after
     ``max_iters`` steps.  Every step lowers the quadratic 1/2 x'Ax - rhs'x,
     so the result is never worse than ``x0``.  Returns (x, iterations used).
     """
     x = x0.copy()
-    r = rhs - operate(x)
+    r = rhs - (operate(x) if image is None else image)
     p = r.copy()
     rs = float(np.sum(r * r))
     rhs_norm = float(np.linalg.norm(rhs))
@@ -293,27 +342,32 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = C
 
 
 def update_right(
-    model: CpFactors, data: SnapshotPair, eta: float, max_iters: int = 24, tol: float = CG_TOL
+    model: CpFactors, data: SnapshotPair, eta: float, max_iters: int = 24, tol: float = CG_TOL, *, products=None
 ) -> tuple[np.ndarray, int]:
     """Approximate minimizer of the cost over U2 by matrix-valued CG.
 
     The normal equations are a Sylvester-type system
     sum_k L_k U2 R_k + U2/eta = B with L_k = X_k X_k' applied matrix-free.
     CG warm-starts from the current U2, so the quadratic objective (hence the
-    cost) never increases.  Returns (new U2, CG iterations used).
+    cost) never increases.  ``products`` is as in :func:`update_left`; X'U2
+    then also serves the initial residual.  Returns (new U2, CG iterations
+    used).
     """
     _check_dims(model, data)
     operate = partial(_right_operator, model, data, eta)
-    return _cg(operate, _right_rhs(model, data), model.U2, max_iters, tol)
+    image = None if products is None else _right_operator(model, data, eta, model.U2, products[0])
+    return _cg(operate, _right_rhs(model, data, products), model.U2, max_iters, tol, image)
 
 
-def _temporal_quadratic(model: CpFactors, data: SnapshotPair) -> tuple[np.ndarray, np.ndarray]:
+def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-window quadratic data: C[k] = (U2'X_k X_k'U2) * (U1'U1) (Hadamard)
     and b[k] = diag(U2' X_k Y_k' U1), so the smooth loss in U3 is
-    sum_k 1/2 u_k' C_k u_k - b_k' u_k + const with u_k = U3[k]."""
+    sum_k 1/2 u_k' C_k u_k - b_k' u_k + 1/2 ||Y||^2 with u_k = U3[k];
+    ``products`` is (X'U2, Y'U1) or None."""
     shape = (-1, model.T, model.R)
-    G = (_transitions(data.X) @ model.U2).reshape(shape).transpose(1, 0, 2)  # G[k] = X_k' U2
-    F = (_transitions(data.Y) @ model.U1).reshape(shape).transpose(1, 0, 2)  # F[k] = Y_k' U1
+    G, F = _products(model, data) if products is None else products
+    G = G.reshape(shape).transpose(1, 0, 2)  # G[k] = X_k' U2
+    F = F.reshape(shape).transpose(1, 0, 2)  # F[k] = Y_k' U1
     C = (G.transpose(0, 2, 1) @ G) * (model.U1.T @ model.U1)
     b = np.sum(G * F, axis=1)
     return C, b
@@ -334,7 +388,8 @@ def _active_penalty(params: Hyperparams, T: int) -> str:
     return params.reg.kind if params.reg.beta > 0 and T >= 2 else "none"
 
 
-def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> tuple[np.ndarray, int]:
+def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *,
+                    products=None) -> tuple[np.ndarray, int]:
     """Minimize the cost over U3; returns (new U3, inner iterations used).
 
     Without temporal smoothing (or with a single window, where no difference
@@ -344,9 +399,10 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -
     solved by warm-started CG, whose steps are reported.  The TV penalty is
     minimized exactly one column at a time by :func:`_temporal_tv_sweeps`,
     whose sweeps are reported; ``params.pg_max_iters`` caps them.
+    ``products`` is as in :func:`update_left`.
     """
     _check_dims(model, data)
-    C, b = _temporal_quadratic(model, data)
+    C, b = _temporal_quadratic(model, data, products)
     kind = _active_penalty(params, model.T)
 
     if kind == "spline":
@@ -482,12 +538,11 @@ def _check_scales(data: SnapshotPair, params: Hyperparams) -> None:
             )
 
 
-def _timed(seconds: list, func, *args):
-    """Call func(*args) and append its wall time to ``seconds``."""
-    start = time.perf_counter()
-    result = func(*args)
-    seconds.append(time.perf_counter() - start)
-    return result
+def _lap(seconds: list, since: float) -> float:
+    """Append the wall time since ``since`` to ``seconds``; returns the time now."""
+    now = time.perf_counter()
+    seconds.append(now - since)
+    return now
 
 
 @dataclass(frozen=True)
@@ -532,24 +587,62 @@ def _change_spatial_basis(model: CpFactors, left: Optional[np.ndarray], right: O
     return CpFactors(U1=U1, U2=U2, U3=model.U3, affine=model.affine)
 
 
-def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
-    """Alternating block minimization of the regularized cost.
+def _extrapolation_steps(model: CpFactors, step: float) -> np.ndarray:
+    """The step per component: ``step``, or 0 for a component whose weight
+    ||U1_r|| ||U2_r|| ||U3_r|| is below float64 eps times the largest.
 
-    Cycles U1 -> U2 -> U3 updates, recording cost and prediction error after
-    each full cycle, until the cost decrease falls below ``rtol`` times the
-    previous cost or ``atol`` times the initial cost, or the iteration cap
-    is reached.  Each outer iteration logs one INFO line on the
-    ``lrtvar.solver`` logger, and a WARNING when it raised the cost by more
-    than ``MONOTONE_SLACK`` times 1 + |previous cost|.  Data or
-    hyperparameters whose squares float64 cannot carry raise
-    :class:`ExtremeScaleError` before any update.
+    The sweeps collapse an unused component towards zero faster than
+    geometrically; the linear step would overshoot it and hold it near its
+    previous size, where its products with the data run in subnormal
+    arithmetic (several times slower) for the rest of the fit.
+    """
+    weights = np.prod([np.linalg.norm(U, axis=0) for U in (model.U1, model.U2, model.U3)], axis=0)
+    return np.where(weights > np.finfo(float).eps * weights.max(), step, 0.0)
+
+
+def _extrapolate(new: tuple, old: tuple, steps: np.ndarray) -> tuple:
+    """new + steps * (new - old) for each pair of (rows, R) arrays, column r
+    moving by steps[r]."""
+    return tuple(a + steps * (a - b) for a, b in zip(new, old))
+
+
+def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
+    """Alternating block minimization of the regularized cost, with an
+    extrapolation trial after every sweep.
+
+    Each outer iteration ``it`` runs one U1 -> U2 -> U3 sweep from the
+    iterate U_prev to U, then tries U + it^(1/p) (U - U_prev) on all three
+    factors at once (R. Bro, Multi-way Analysis in the Food Industry, 1998)
+    and keeps the trial only if its cost, penalty included, is strictly
+    lower than the sweep's; a rejection raises p by one.  p starts at
+    ``EXTRAPOLATION_ROOT`` and stops at ``EXTRAPOLATION_MAX_ROOT``.
+    Components too small to matter keep their sweep values in the trial
+    (:func:`_extrapolation_steps`).  The iteration then records the cost
+    and prediction error of the iterate it kept, and the fit stops when the
+    cost decrease falls below ``rtol`` times the previous cost or ``atol``
+    times the initial cost, or at the iteration cap.  Each outer iteration
+    logs one INFO line on the ``lrtvar.solver`` logger, and a WARNING when
+    it raised the cost by more than ``MONOTONE_SLACK`` times
+    1 + |previous cost|.  Data or hyperparameters whose squares float64
+    cannot carry raise :class:`ExtremeScaleError` before any update.
+
+    The fit forms X'U2 and Y'U1 once per factor value and passes them to
+    the block updates, and it takes the loss of the sweep and of the trial
+    from the U3 quadratic (:func:`_quadratic_loss`) on products it already
+    holds: those of the trial are the same extrapolation of the sweep's.  An
+    outer iteration so makes four data contractions besides those of the U2
+    conjugate gradients: the right-hand sides of the U1 and U2 updates, and
+    Y'U1 and X'U2 of the new U1 and U2.  The quadratic's rounding error is a
+    few ulps of ||Y||^2, so the last trace entry is evaluated directly from
+    the residual: the reported final cost and RMSE are those of
+    :func:`cost` and :func:`rmse`.
 
     When T*M < N_in, the fit takes an orthonormal basis Q_x of range(X)
     from a thin QR of the N_in x T*M matrix of all predictors, and when
     T*M < N a basis Q_y of range(Y) likewise.  It projects the
     initialization onto the bases, runs every update on Q_x'X and Q_y'Y,
     and returns U2 = Q_x U2~ and U1 = Q_y U1~.  Every trace entry is the
-    exact cost and RMSE on the full data of the lifted iterate;
+    cost and RMSE on the full data of the lifted iterate;
     ``cost_trace[0]`` is then the cost of the projected initialization,
     without the initialization noise outside the ranges, which the loss
     cannot see.  With T*M >= N_in and T*M >= N no basis is formed.
@@ -559,11 +652,12 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     ``inner_iters_temporal``), whether each used its whole budget
     (``capped_right``, ``capped_temporal``: ``cg_max_iters`` for CG,
     ``pg_max_iters`` for TV sweeps; the exact unsmoothed U3 solve is never
-    capped), the rise of the cost over the previous entry relative to
+    capped), whether the extrapolation trial was kept (``extrapolated``),
+    the rise of the cost over the previous entry relative to
     1 + |previous cost| (``cost_rise``, 0 when it fell) and the wall seconds
-    of the U1, U2 and U3 updates and of the objective evaluation
-    (``seconds_left``, ``seconds_right``, ``seconds_temporal``,
-    ``seconds_objective``).
+    of the U1, U2 and U3 updates, each with the product of its new factor,
+    and of the objective evaluations and the trial (``seconds_left``,
+    ``seconds_right``, ``seconds_temporal``, ``seconds_objective``).
     """
     t_start = time.perf_counter()
     _check_scales(data, params)
@@ -574,27 +668,58 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     if Q_y is not None or Q_x is not None:
         work = _RangeData(X=X, Y=Y, M=data.M, T=data.T)
         model = _change_spatial_basis(model, None if Q_y is None else Q_y.T, None if Q_x is None else Q_x.T)
-    c, value = _cost_and_loss(model, work, params)
-    cost_trace = [c]
+    half_energy = 0.5 * float(np.sum(data.Y * data.Y))
+    products = _products(model, work)
+    value = _quadratic_loss(model, products, half_energy)
+    cost_trace = [value + _regularization(model, params)]
     rmse_trace = [_rmse_from_loss(value, data)]
-    keys = ("cg_iters_right", "inner_iters_temporal", "capped_right", "capped_temporal", "cost_rise",
-            "seconds_left", "seconds_right", "seconds_temporal", "seconds_objective")
+    keys = ("cg_iters_right", "inner_iters_temporal", "capped_right", "capped_temporal", "extrapolated",
+            "cost_rise", "seconds_left", "seconds_right", "seconds_temporal", "seconds_objective")
     stats = {key: [] for key in keys}
     temporal_budget = {"spline": params.cg_max_iters, "tv": params.pg_max_iters}.get(_active_penalty(params, data.T))
+    root = EXTRAPOLATION_ROOT
 
-    termination = "max_iters"
-    iterations = 0
-    prev_cost = cost_trace[0]
     for it in range(1, params.max_outer_iters + 1):
-        U1 = _timed(stats["seconds_left"], update_left, model, work, params.eta)
-        model = CpFactors(U1=U1, U2=model.U2, U3=model.U3, affine=model.affine)
-        U2, cg_iters = _timed(stats["seconds_right"], update_right, model, work, params.eta, params.cg_max_iters)
-        model = CpFactors(U1=model.U1, U2=U2, U3=model.U3, affine=model.affine)
-        U3, inner_iters = _timed(stats["seconds_temporal"], update_temporal, model, work, params)
-        model = CpFactors(U1=model.U1, U2=model.U2, U3=U3, affine=model.affine)
+        start, start_products = model, products
+        lap = time.perf_counter()
+        U1 = update_left(model, work, params.eta, products=products)
+        model = replace(model, U1=U1)
+        products = (products[0], _transitions(work.Y) @ U1)
+        lap = _lap(stats["seconds_left"], lap)
+        U2, cg_iters = update_right(model, work, params.eta, params.cg_max_iters, products=products)
+        model = replace(model, U2=U2)
+        products = (_transitions(work.X) @ U2, products[1])
+        lap = _lap(stats["seconds_right"], lap)
+        U3, inner_iters = update_temporal(model, work, params, products=products)
+        model = replace(model, U3=U3)
+        lap = _lap(stats["seconds_temporal"], lap)
 
-        iterations = it
-        c, value = _timed(stats["seconds_objective"], _cost_and_loss, model, work, params)
+        value = _quadratic_loss(model, products, half_energy)
+        c = value + _regularization(model, params)
+        steps = _extrapolation_steps(model, it ** (1.0 / root))
+        trial = CpFactors(*_extrapolate((model.U1, model.U2, model.U3), (start.U1, start.U2, start.U3), steps),
+                          affine=model.affine)
+        trial_products = _extrapolate(products, start_products, steps)
+        trial_value = _quadratic_loss(trial, trial_products, half_energy)
+        trial_cost = trial_value + _regularization(trial, params)
+        extrapolated = trial_cost < c
+        if extrapolated:
+            model, products, value, c = trial, trial_products, trial_value, trial_cost
+        else:
+            root = min(root + 1, EXTRAPOLATION_MAX_ROOT)
+
+        prev_cost = cost_trace[-1]
+        termination = None
+        if prev_cost > 0 and abs(c - prev_cost) / prev_cost < params.rtol:
+            termination = "rtol"
+        elif abs(c - prev_cost) < params.atol * cost_trace[0]:
+            termination = "atol"
+        elif it == params.max_outer_iters:
+            termination = "max_iters"
+        if termination is not None:
+            c, value = _cost_and_loss(model, work, params)
+        _lap(stats["seconds_objective"], lap)
+
         r = _rmse_from_loss(value, data)
         cost_trace.append(c)
         rmse_trace.append(r)
@@ -605,26 +730,22 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         stats["inner_iters_temporal"].append(inner_iters)
         stats["capped_right"].append(capped_right)
         stats["capped_temporal"].append(capped_temporal)
+        stats["extrapolated"].append(extrapolated)
         stats["cost_rise"].append(cost_rise)
-        logger.info("iter %d: cost=%.17g rmse=%.17g cg=%d capped_right=%s inner=%d capped_temporal=%s",
-                    it, c, r, cg_iters, capped_right, inner_iters, capped_temporal)
+        logger.info("iter %d: cost=%.17g rmse=%.17g extrapolated=%s cg=%d capped_right=%s inner=%d "
+                    "capped_temporal=%s", it, c, r, extrapolated, cg_iters, capped_right, inner_iters,
+                    capped_temporal)
         if cost_rise > MONOTONE_SLACK:
             logger.warning("iter %d: cost rose from %.17g to %.17g, %.3g of 1 + |cost|, above the %g slack",
                            it, prev_cost, c, cost_rise, MONOTONE_SLACK)
-
-        if prev_cost > 0 and abs(c - prev_cost) / prev_cost < params.rtol:
-            termination = "rtol"
+        if termination is not None:
             break
-        if abs(c - prev_cost) < params.atol * cost_trace[0]:
-            termination = "atol"
-            break
-        prev_cost = c
 
     model = _change_spatial_basis(model, Q_y, Q_x)
     report = FitReport(
         cost_trace=cost_trace,
         rmse_trace=rmse_trace,
-        iterations=iterations,
+        iterations=it,
         termination=termination,
         wall_seconds=time.perf_counter() - t_start,
         subproblem_stats=stats,

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,8 @@ from lrtvar.solver import (
     update_left,
     update_right,
     update_temporal,
+    _products,
+    _quadratic_loss,
     _spectral_factors,
     _temporal_quadratic,
 )
@@ -599,8 +602,8 @@ class TestFit:
         original = lrtvar.solver.update_temporal
         calls = []
 
-        def doubled_on_third_call(model, data, params):
-            U3, inner = original(model, data, params)
+        def doubled_on_third_call(model, data, params, **kwargs):
+            U3, inner = original(model, data, params, **kwargs)
             calls.append(None)
             return (2.0 * U3 if len(calls) == 3 else U3), inner
 
@@ -666,15 +669,35 @@ def project_onto_ranges(model, data):
                      U2=model.U2 if P_x is None else P_x @ model.U2, U3=model.U3, affine=model.affine)
 
 
+def extrapolation_steps(model, step):
+    """The step of each component in ``fit``'s trial: 0 for a component whose
+    weight ||U1_r|| ||U2_r|| ||U3_r|| is below float64 eps times the largest."""
+    weights = np.linalg.norm(model.U1, axis=0) * np.linalg.norm(model.U2, axis=0) * np.linalg.norm(model.U3, axis=0)
+    return np.where(weights > np.finfo(float).eps * weights.max(), step, 0.0)
+
+
 def full_data_trace(data, params, iterations):
     """Cost trace of the public block updates on the full data, started from
-    the initialization projected onto range(Y) and range(X)."""
+    the initialization projected onto range(Y) and range(X), with the
+    extrapolation trial of ``fit`` after each sweep: U + it^(1/p) (U - U_prev)
+    (see :func:`extrapolation_steps`) is kept if ``cost`` says it is lower,
+    else p rises by one up to 6."""
     model = project_onto_ranges(initialize(data, params), data)
     trace = [cost(model, data, params)]
-    for _ in range(iterations):
+    root = 3
+    for it in range(1, iterations + 1):
+        start = model
         model = replace(model, U1=update_left(model, data, params.eta))
         model = replace(model, U2=update_right(model, data, params.eta, params.cg_max_iters)[0])
         model = replace(model, U3=update_temporal(model, data, params)[0])
+        steps = extrapolation_steps(model, it ** (1.0 / root))
+        trial = CpFactors(*(U + steps * (U - U0) for U, U0 in zip((model.U1, model.U2, model.U3),
+                                                                  (start.U1, start.U2, start.U3))),
+                          affine=model.affine)
+        if cost(trial, data, params) < cost(model, data, params):
+            model = trial
+        else:
+            root = min(root + 1, 6)
         trace.append(cost(model, data, params))
     return np.array(trace)
 
@@ -719,9 +742,9 @@ class TestRangeSpaceFit:
         seen = []
         original = lrtvar.solver.update_left
 
-        def spy(model, data, eta):
+        def spy(model, data, eta, **kwargs):
             seen.append((model.N, model.N_in, data.N, data.N_in))
-            return original(model, data, eta)
+            return original(model, data, eta, **kwargs)
 
         monkeypatch.setattr(lrtvar.solver, "update_left", spy)
         data, params = range_case("affine-lags-2")
@@ -733,9 +756,9 @@ class TestRangeSpaceFit:
         seen = []
         original = lrtvar.solver.update_right
 
-        def spy(model, data, eta, max_iters):
+        def spy(model, data, eta, max_iters, **kwargs):
             seen.append(data)
-            return original(model, data, eta, max_iters)
+            return original(model, data, eta, max_iters, **kwargs)
 
         monkeypatch.setattr(lrtvar.solver, "update_right", spy)
         data = build_snapshots(simulate_switching(N=10, tau=200, sigma=0.5, seed=0).series, M=20)
@@ -757,6 +780,156 @@ class TestRangeSpaceFit:
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) <= MONOTONE_SLACK * (1 + np.abs(trace[:-1])))
         assert report.cost_trace[-1] == pytest.approx(cost(model, data, params), rel=1e-12, abs=1e-300)
+
+
+# the benchmark's fits: TV switching at N=10, the range-coordinate fit at
+# N=500 (T*M = 200) and the spline fit with one transition per window
+BENCHMARK_SETTINGS = {
+    "switching": (simulate_switching, dict(N=10, tau=200, sigma=0.5), 20,
+                  dict(R=8, eta=0.1, reg=Regularizer("tv", 5.0))),
+    "large_n": (simulate_switching, dict(N=500, tau=200, sigma=0.5), 20,
+                dict(R=4, eta=1.0 / 500, reg=Regularizer("tv", 1.0), max_outer_iters=60, rtol=0.0, atol=0.0)),
+    "smooth": (simulate_smooth, dict(N=10, tau=160, sigma=0.2), 1,
+               dict(R=4, eta=0.6, reg=Regularizer("spline", 600.0))),
+}
+
+
+def benchmark_setting(name, seed=0):
+    simulate, size, M, knobs = BENCHMARK_SETTINGS[name]
+    data = build_snapshots(simulate(seed=seed, **size).series, M=M)
+    return data, Hyperparams(seed=seed, **knobs)
+
+
+def half_energy(data):
+    return 0.5 * float(np.sum(data.Y * data.Y))
+
+
+class TestExtrapolation:
+    """After each sweep ``fit`` tries U + it^(1/p) (U - U_prev) on all three
+    factors and keeps it only if it lowers the cost; it takes every loss but
+    the last from the U3 quadratic on the products X'U2 and Y'U1 it holds."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_SETTINGS))
+    def test_quadratic_loss_matches_the_residual(self, name):
+        data, params = benchmark_setting(name)
+        fitted, _ = fit(data, params)
+        for model in (initialize(data, params), fitted):
+            value = _quadratic_loss(model, _products(model, data), half_energy(data))
+            assert value == pytest.approx(loss(model, data), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e3, 1e6])
+    def test_quadratic_loss_error_is_relative_to_the_data(self, scale):
+        truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=0)
+        data = build_snapshots(TimeSeries(values=scale * truth.series.values), M=20)
+        params = Hyperparams(R=8, eta=0.1 / scale**2, reg=Regularizer("tv", 5.0 * scale**2), seed=0)
+        model, _ = fit(data, params)
+        value = _quadratic_loss(model, _products(model, data), half_energy(data))
+        assert abs(value - loss(model, data)) <= 1e-10 * half_energy(data)
+        # a model that fits exactly: the rounding of the quadratic cannot take the loss below 0
+        rng = np.random.default_rng(81)
+        planted = random_model(rng, 4, 4, 5, 2)
+        planted = replace(planted, U1=scale * planted.U1)
+        exact = exact_data(rng, planted, M=6)
+        value = _quadratic_loss(planted, _products(planted, exact), half_energy(exact))
+        assert 0.0 <= value <= 1e-10 * half_energy(exact)
+
+    @pytest.mark.parametrize("name", ["switching", "large_n"], ids=["full-coordinates", "range-coordinates"])
+    def test_final_trace_entry_is_the_direct_cost(self, name):
+        data, params = benchmark_setting(name)
+        model, report = fit(data, params)
+        assert report.cost_trace[-1] == pytest.approx(cost(model, data, params), rel=1e-12)
+        assert report.rmse_trace[-1] == pytest.approx(rmse(model, data), rel=1e-12)
+
+    def test_trial_is_kept_only_when_it_lowers_the_cost(self, monkeypatch):
+        data, params = benchmark_setting("switching")
+        params = replace(params, max_outer_iters=15, rtol=0.0, atol=0.0)
+        starts, sweeps = [], []
+        left, temporal = lrtvar.solver.update_left, lrtvar.solver.update_temporal
+
+        def left_spy(model, data, eta, **kwargs):
+            starts.append(model)
+            return left(model, data, eta, **kwargs)
+
+        def temporal_spy(model, data, params, **kwargs):
+            U3, inner = temporal(model, data, params, **kwargs)
+            sweeps.append(replace(model, U3=U3))
+            return U3, inner
+
+        monkeypatch.setattr(lrtvar.solver, "update_left", left_spy)
+        monkeypatch.setattr(lrtvar.solver, "update_temporal", temporal_spy)
+        fitted, report = fit(data, params)
+        kept = starts[1:] + [fitted]  # the iterate each outer iteration ended on
+        flags = report.subproblem_stats["extrapolated"]
+        assert len(flags) == len(sweeps) == len(kept) == params.max_outer_iters
+        assert True in flags and False in flags
+        root = 3
+        def factors(model):
+            return model.U1, model.U2, model.U3
+
+        for it, (flag, start, sweep, iterate) in enumerate(zip(flags, starts, sweeps, kept), start=1):
+            if flag:
+                steps = extrapolation_steps(sweep, it ** (1.0 / root))
+                assert cost(iterate, data, params) < cost(sweep, data, params)
+                for U, S, P in zip(factors(iterate), factors(sweep), factors(start)):
+                    assert np.allclose(U, S + steps * (S - P), rtol=1e-12, atol=1e-12)
+                    assert np.array_equal(U[:, steps == 0], S[:, steps == 0])
+            else:
+                root = min(root + 1, 6)
+                assert all(np.array_equal(U, S) for U, S in zip(factors(iterate), factors(sweep)))
+            assert report.cost_trace[it] == pytest.approx(cost(iterate, data, params), rel=1e-12)
+
+    def test_unused_components_collapse_to_zero(self):
+        # four of the eight components are not needed; plain alternating
+        # minimization drives them to exact zeros, and the trial must not hold
+        # them at tiny sizes whose products with the data are subnormal
+        data, params = benchmark_setting("switching")
+        model, report = fit(data, replace(params, max_outer_iters=30, rtol=0.0, atol=0.0))
+        assert sum(report.subproblem_stats["extrapolated"]) >= 10
+        unused = ~model.U3.any(axis=0)
+        assert unused.sum() == 4
+        assert not model.U1[:, unused].any()
+        for U in (model.U1, model.U2, model.U3):
+            assert not np.any((U != 0) & (np.abs(U) < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("path", ["full-coordinates", "range-coordinates"])
+    def test_four_data_contractions_per_outer_iteration(self, monkeypatch, path):
+        # every contraction with the data views it through _transitions once;
+        # the U2 CG operator views X once per application
+        calls = {"all": 0, "operator": 0}
+        transitions, operator = lrtvar.solver._transitions, lrtvar.solver._right_operator
+
+        def counted_transitions(A):
+            calls["all"] += 1
+            return transitions(A)
+
+        def counted_operator(*args, **kwargs):
+            calls["operator"] += 1
+            return operator(*args, **kwargs)
+
+        monkeypatch.setattr(lrtvar.solver, "_transitions", counted_transitions)
+        monkeypatch.setattr(lrtvar.solver, "_right_operator", counted_operator)
+        data, params = benchmark_setting("switching") if path == "full-coordinates" else range_case("switching-tv")
+
+        def contractions(iterations):
+            calls.update(all=0, operator=0)
+            _, report = fit(data, replace(params, max_outer_iters=iterations, rtol=0.0, atol=0.0))
+            assert calls["operator"] == sum(1 + n for n in report.subproblem_stats["cg_iters_right"])
+            return calls["all"] - calls["operator"]
+
+        assert contractions(7) - contractions(3) == 4 * 4
+
+    def test_trial_outcome_is_logged_recorded_and_summarized(self, caplog):
+        data, params = benchmark_setting("switching")
+        with caplog.at_level(logging.INFO, logger="lrtvar.solver"):
+            _, report = fit(data, params)
+        flags = report.subproblem_stats["extrapolated"]
+        assert len(flags) == report.iterations and all(type(flag) is bool for flag in flags)
+        assert True in flags and False in flags
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "lrtvar.solver"]
+        assert len(lines) == report.iterations
+        for line, flag in zip(lines, flags):
+            assert re.search(rf" rmse=\S+ extrapolated={flag} cg=\d+ ", line), line
+        assert f"extrapolated steps: {sum(flags)} of {report.iterations}" in report.summary().splitlines()
 
 
 class TestWindowedSeriesLayout:
