@@ -10,7 +10,11 @@ minimized by cycling exact or iterative solves over the three factor
 blocks: a dense R x R solve for U1, matrix-free conjugate gradients on a
 Sylvester-type system for U2, and per-window solves (no smoothing), the same
 CG routine (spline smoothing), or exact minimization one column at a time by
-the weighted TV prox (total-variation smoothing) for U3.  Every update is
+the weighted TV prox (total-variation smoothing) for U3.  Between two TV
+column sweeps the U3 block is minimized exactly on the face the sweep found
+(its fused segments and the signs of its jumps) by one dense solve over the
+segment values, and the move is kept only if it lowers the block objective;
+the sweeps remain the certificate of the minimizer.  Every update is
 non-increasing in C.  After each sweep ``fit`` tries the extrapolated
 iterate U + it^(1/p) (U - U_prev) on all three factors at once and keeps it
 only if it lowers C (Bro's line search for PARAFAC), so the outer cost trace
@@ -60,7 +64,7 @@ from .errors import (
     NonPositiveEtaError,
     finite_real,
 )
-from .regularizers import Regularizer, apply_diff, apply_diff_transpose, tikhonov_penalty, tv_prox_columns
+from .regularizers import Regularizer, apply_diff, apply_diff_transpose, tikhonov_penalty, tv_penalty, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
 
 # CG stops once the residual falls to this fraction of the right-hand side.
@@ -68,6 +72,10 @@ CG_TOL = 1e-9
 # The TV sweeps of U3 stop once a sweep moves no entry by more than this
 # fraction of the largest entry.
 SWEEP_TOL = 1e-10
+# Between TV sweeps of U3 the objective is minimized exactly on the face the
+# sweep found, by a dense solve over its segments; faces of more segments
+# than this (a face matrix over 8 MiB) are left to the sweeps.
+FACE_MAX_SEGMENTS = 1024
 # fit warns when an outer iteration raises the cost by more than this
 # fraction of 1 + |previous cost|.
 MONOTONE_SLACK = 1e-8
@@ -132,7 +140,7 @@ class FitReport:
     trace is non-increasing up to a slack of ``MONOTONE_SLACK * (1 + |C|)``
     per step, which ``fit`` checks as it goes
     (``subproblem_stats['cost_rise']``).  :meth:`summary` counts the capped
-    inner solves and the accepted extrapolations.
+    inner solves, the kept U3 face steps and the accepted extrapolations.
     """
 
     cost_trace: list
@@ -156,6 +164,7 @@ class FitReport:
             f"final rmse: {self.rmse_trace[-1]:.17g}",
             f"capped U2 solves: {sum(self.subproblem_stats['capped_right'])} of {self.iterations}",
             f"capped U3 solves: {sum(self.subproblem_stats['capped_temporal'])} of {self.iterations}",
+            f"U3 face steps: {sum(self.subproblem_stats['face_steps_temporal'])}",
             f"extrapolated steps: {sum(self.subproblem_stats['extrapolated'])} of {self.iterations}",
             f"wall seconds: {self.wall_seconds:.3f}",
         ]
@@ -389,7 +398,7 @@ def _active_penalty(params: Hyperparams, T: int) -> str:
 
 
 def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *,
-                    products=None) -> tuple[np.ndarray, int]:
+                    products=None, outcome: Optional[dict] = None) -> tuple[np.ndarray, int]:
     """Minimize the cost over U3; returns (new U3, inner iterations used).
 
     Without temporal smoothing (or with a single window, where no difference
@@ -398,8 +407,14 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     penalty couples the windows through a block-tridiagonal term and is
     solved by warm-started CG, whose steps are reported.  The TV penalty is
     minimized exactly one column at a time by :func:`_temporal_tv_sweeps`,
-    whose sweeps are reported; ``params.pg_max_iters`` caps them.
-    ``products`` is as in :func:`update_left`.
+    whose sweeps are reported; ``params.pg_max_iters`` caps them.  Between
+    two sweeps the TV objective is minimized in one dense solve on the face
+    the sweep found, its fused segments and the signs of its jumps
+    (:func:`_face_step`), and the move is kept only if it lowers the
+    objective.  ``products`` is as in :func:`update_left`.  A TV update
+    stores in the dict ``outcome``, when one is given, the face steps it
+    kept (``face_steps``) and its last sweep's largest move divided by
+    max|U3| (``certificate``), which is what the sweeps' stop tests.
     """
     _check_dims(model, data)
     C, b = _temporal_quadratic(model, data, products)
@@ -414,12 +429,16 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     H[:, idx, idx] += 1.0 / params.eta
     if kind == "none":
         return np.linalg.solve(H, b[..., None])[..., 0], 0
-    return _temporal_tv_sweeps(H, b, model.U3, params.reg.beta, params.pg_max_iters)
+    U3, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, model.U3, params.reg.beta, params.pg_max_iters)
+    if outcome is not None:
+        outcome.update(face_steps=face_steps, certificate=certificate)
+    return U3, sweeps
 
 
 def _temporal_tv_sweeps(H, b, U3_init, beta, max_sweeps):
     """Cyclic exact minimization over the columns of U3 of
-    sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U3), with u_k = U3[k].
+    sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U3), with u_k = U3[k], with
+    a face step between sweeps.
 
     The TV term is a sum over columns and the quadratic is strictly convex,
     so cycling exact column minimizations converges to the block minimizer
@@ -429,17 +448,30 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_sweeps):
     weights w_k = H_k[r, r] and G = H U - b, kept up to date after every
     column.  Sweeps stop once one moves no entry by more than
     ``SWEEP_TOL * max|U3|``, which certifies the minimizer, or after
-    ``max_sweeps``; returns (U3, sweeps run).
+    ``max_sweeps``.
+
+    The columns are coupled through the off-diagonals of H_k, and cyclic
+    column steps crawl while that coupling is strong.  So every sweep that
+    does not meet the stop and is followed by another is followed by the
+    fusion move of Friedman et al.: :func:`_face_step` minimizes the
+    objective exactly on the face the sweep found, the entries it fused and
+    the signs of its jumps, and keeps the move only if it lowers the
+    objective.  The sweeps remain the certificate.
+
+    Returns (U3, sweeps run, face steps kept, certificate), where the
+    certificate is the last sweep's largest move divided by max|U3|.
     """
     R = U3_init.shape[1]
     weights = H.diagonal(axis1=1, axis2=2)
-    # U3 is held as a list of (T, 1) columns and G is stored divided by the
-    # weights: each column step then costs a few small array operations
-    scaled_gradient = ((H @ U3_init[:, :, None])[:, :, 0] - b) / weights
-    columns = [U3_init[:, r:r + 1].copy() for r in range(R)]
     column_weights = [weights[:, r:r + 1].copy() for r in range(R)]
     couplings = [H[:, :, r] / weights for r in range(R)]  # change of G / w per unit step of column r
+    U, face_steps, fresh = U3_init, 0, True
     for sweeps in range(1, max_sweeps + 1):
+        if fresh:
+            # U3 is held as a list of (T, 1) columns and G is stored divided by
+            # the weights: each column step then costs a few small array operations
+            scaled_gradient = ((H @ U[:, :, None])[:, :, 0] - b) / weights
+            columns = [U[:, r:r + 1].copy() for r in range(R)]
         steps = []
         for r in range(R):
             new = tv_prox_columns(columns[r] - scaled_gradient[:, r:r + 1], beta, column_weights[r])
@@ -447,9 +479,56 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_sweeps):
             columns[r] = new
             scaled_gradient += couplings[r] * steps[-1]
         U = np.hstack(columns)
-        if np.abs(np.hstack(steps)).max() <= SWEEP_TOL * np.abs(U).max():
+        move, peak = np.abs(np.hstack(steps)).max(), np.abs(U).max()
+        if move <= SWEEP_TOL * peak or sweeps == max_sweeps:
             break
-    return U, sweeps
+        face = _face_step(H, b, U, beta, SWEEP_TOL * peak)
+        fresh = face is not None
+        if fresh:
+            U = face
+            face_steps += 1
+    certificate = move / peak if peak > 0 else (0.0 if move == 0 else math.inf)
+    return U, sweeps, face_steps, float(certificate)
+
+
+def _tv_block_objective(H, b, U, beta) -> float:
+    """sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U), with u_k = U[k]."""
+    quadratic = float(np.vdot(U, 0.5 * (H @ U[:, :, None])[:, :, 0] - b))
+    return quadratic + beta * tv_penalty(U)
+
+
+def _face_step(H, b, U, beta, tol):
+    """A move of U toward the minimizer of the TV block objective on U's
+    face, or None if it would not lower the objective.
+
+    Down each column, neighbours that differ by at most ``tol`` are fused
+    into one segment and every other neighbouring pair is a jump with a
+    fixed sign.  On that face U = P s, with P mapping the S segment values
+    to the T*R entries, and TV is linear, so the face minimizer solves the
+    S x S SPD system (P'HP) s = P'(b - g) with g the TV gradient in s.  The
+    move runs from U toward P s and stops where the first jump would change
+    sign; it is kept only if it strictly lowers the objective.  Faces of
+    more than ``FACE_MAX_SEGMENTS`` segments are not solved (None).
+    """
+    T, R = U.shape
+    differences = np.diff(U, axis=0)
+    jumps = np.abs(differences) > tol
+    # segment ids numbered down each column in turn
+    segment = np.cumsum(np.vstack([np.ones((1, R), dtype=bool), jumps]).T).reshape(R, T).T - 1
+    S = int(segment[-1, -1]) + 1
+    if S > FACE_MAX_SEGMENTS:
+        return None
+    face_matrix = np.zeros((S, S))
+    np.add.at(face_matrix, (segment[:, :, None], segment[:, None, :]), H)
+    signs = np.sign(differences[jumps])
+    tv_gradient = np.bincount(segment[1:][jumps], signs, S) - np.bincount(segment[:-1][jumps], signs, S)
+    rhs = np.bincount(segment.ravel(), b.ravel(), S) - beta * tv_gradient
+    target = np.linalg.solve(face_matrix, rhs)[segment]
+    before, after = differences[jumps], np.diff(target, axis=0)[jumps]
+    crossing = before * after < 0
+    t = float(np.min(before[crossing] / (before[crossing] - after[crossing]), initial=1.0))
+    moved = target if t == 1.0 else U + t * (target - U)
+    return moved if _tv_block_objective(H, b, moved, beta) < _tv_block_objective(H, b, U, beta) else None
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +731,10 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     ``inner_iters_temporal``), whether each used its whole budget
     (``capped_right``, ``capped_temporal``: ``cg_max_iters`` for CG,
     ``pg_max_iters`` for TV sweeps; the exact unsmoothed U3 solve is never
-    capped), whether the extrapolation trial was kept (``extrapolated``),
+    capped), the face steps a TV update kept and its sweeps' certificate,
+    the last sweep's largest move over max|U3| (``face_steps_temporal``,
+    ``certificate_temporal``: 0 and None for the other U3 updates), whether
+    the extrapolation trial was kept (``extrapolated``),
     the rise of the cost over the previous entry relative to
     1 + |previous cost| (``cost_rise``, 0 when it fell) and the wall seconds
     of the U1, U2 and U3 updates, each with the product of its new factor,
@@ -673,8 +755,9 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     value = _quadratic_loss(model, products, half_energy)
     cost_trace = [value + _regularization(model, params)]
     rmse_trace = [_rmse_from_loss(value, data)]
-    keys = ("cg_iters_right", "inner_iters_temporal", "capped_right", "capped_temporal", "extrapolated",
-            "cost_rise", "seconds_left", "seconds_right", "seconds_temporal", "seconds_objective")
+    keys = ("cg_iters_right", "inner_iters_temporal", "capped_right", "capped_temporal", "face_steps_temporal",
+            "certificate_temporal", "extrapolated", "cost_rise", "seconds_left", "seconds_right",
+            "seconds_temporal", "seconds_objective")
     stats = {key: [] for key in keys}
     temporal_budget = {"spline": params.cg_max_iters, "tv": params.pg_max_iters}.get(_active_penalty(params, data.T))
     root = EXTRAPOLATION_ROOT
@@ -690,7 +773,8 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         model = replace(model, U2=U2)
         products = (_transitions(work.X) @ U2, products[1])
         lap = _lap(stats["seconds_right"], lap)
-        U3, inner_iters = update_temporal(model, work, params, products=products)
+        outcome = {"face_steps": 0, "certificate": None}
+        U3, inner_iters = update_temporal(model, work, params, products=products, outcome=outcome)
         model = replace(model, U3=U3)
         lap = _lap(stats["seconds_temporal"], lap)
 
@@ -730,11 +814,15 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         stats["inner_iters_temporal"].append(inner_iters)
         stats["capped_right"].append(capped_right)
         stats["capped_temporal"].append(capped_temporal)
+        stats["face_steps_temporal"].append(outcome["face_steps"])
+        stats["certificate_temporal"].append(outcome["certificate"])
         stats["extrapolated"].append(extrapolated)
         stats["cost_rise"].append(cost_rise)
+        certificate = outcome["certificate"]
         logger.info("iter %d: cost=%.17g rmse=%.17g extrapolated=%s cg=%d capped_right=%s inner=%d "
-                    "capped_temporal=%s", it, c, r, extrapolated, cg_iters, capped_right, inner_iters,
-                    capped_temporal)
+                    "capped_temporal=%s face_steps=%d certificate=%s", it, c, r, extrapolated, cg_iters,
+                    capped_right, inner_iters, capped_temporal, outcome["face_steps"],
+                    "-" if certificate is None else f"{certificate:.3g}")
         if cost_rise > MONOTONE_SLACK:
             logger.warning("iter %d: cost rose from %.17g to %.17g, %.3g of 1 + |cost|, above the %g slack",
                            it, prev_cost, c, cost_rise, MONOTONE_SLACK)

@@ -220,7 +220,43 @@ def read_csv(path) -> tuple:
     Lines starting with ``#`` are skipped.  A single header row is detected
     by a non-numeric first data line.  A bad cell (reported with its line
     number), ragged rows, a non-finite cell or no data rows is a hard error.
+
+    The data lines are parsed in one ``np.loadtxt`` call, which rounds each
+    cell as ``float`` does, so no cell is held as a Python object.  When
+    that call fails, or the file holds a quote (or a NUL, which ``csv``
+    rejects before Python 3.11), the file is read again record by record
+    with ``csv`` (:func:`_read_csv_records`), which names the bad line or
+    reads the quoted cells.
     """
+    header, data_lines = None, []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line in fh:
+            if '"' in line or "\0" in line:
+                return _read_csv_records(path)
+            text = line.rstrip("\r\n")
+            if not text or text.lstrip().startswith("#"):
+                continue
+            if header is None and not data_lines:
+                cells = text.split(",")
+                try:
+                    [float(c) for c in cells]
+                except ValueError:
+                    header = [c.strip() for c in cells]
+                    continue
+            data_lines.append(line)
+    if not data_lines:
+        raise SeriesTooShortError(f"{path}: no data rows")
+    try:
+        data = np.loadtxt(data_lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return _read_csv_records(path)
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteError(f"{path}: non-finite cell in data")
+    return header, data
+
+
+def _read_csv_records(path) -> tuple:
+    """:func:`read_csv` one ``csv`` record and one cell at a time."""
     rows = []
     header = None
     with open(path, "r", encoding="utf-8", newline="") as fh:

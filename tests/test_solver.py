@@ -19,6 +19,7 @@ import lrtvar.solver
 from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import (
     MONOTONE_SLACK,
+    SWEEP_TOL,
     Hyperparams,
     cost,
     fit,
@@ -31,10 +32,12 @@ from lrtvar.solver import (
     update_left,
     update_right,
     update_temporal,
+    _face_step,
     _products,
     _quadratic_loss,
     _spectral_factors,
     _temporal_quadratic,
+    _temporal_tv_sweeps,
 )
 from lrtvar.evaluation import model_estimate, operator_norm_error
 from lrtvar.synthetic import simulate_smooth, simulate_switching
@@ -394,6 +397,130 @@ class TestUpdateTemporal:
         assert np.abs(U3_again - U3).max() <= 1e-10 * np.abs(U3).max()
 
 
+def random_tv_block(rng, T, R, coupling=0.5):
+    """SPD blocks H_k = C_k + I with off-diagonal strength ``coupling`` and a
+    right-hand side b for the TV block objective of U3."""
+    G = rng.standard_normal((T, 3 * R, R))
+    C = G.transpose(0, 2, 1) @ G / (3 * R)
+    scale = np.sqrt(np.einsum("kii->ki", C))
+    C = C / scale[:, :, None] / scale[:, None, :]
+    C = coupling * C + (1.0 - coupling) * np.eye(R)
+    return C + np.eye(R), rng.standard_normal((T, R))
+
+
+def tv_block_objective(H, b, U, beta):
+    quadratic = sum(0.5 * U[k] @ H[k] @ U[k] - b[k] @ U[k] for k in range(U.shape[0]))
+    return quadratic + beta * np.abs(np.diff(U, axis=0)).sum()
+
+
+class TestFaceStep:
+    """Between two TV sweeps the U3 block is minimized exactly on the face
+    the sweep found (fused segments, signs of the jumps); the move is kept
+    only if it strictly lowers the block objective."""
+
+    @pytest.mark.parametrize("T", [6, 12, 25, 40])
+    def test_tv_reaches_prox_gradient_fixed_point_within_default_budget(self, T):
+        rng = np.random.default_rng(400 + T)
+        for _ in range(3):
+            model = random_model(rng, 4, 4, T, 3)
+            data = random_data(rng, 4, 5, T)
+            params = Hyperparams(R=3, eta=0.7, reg=Regularizer("tv", 1.5))
+            U3, sweeps = update_temporal(model, data, params)
+            assert sweeps < params.pg_max_iters
+            C = np.stack([temporal_window_matrix(model, data, k) for k in range(data.T)])
+            L = max(np.linalg.eigvalsh(Ck).max() for Ck in C) + 1 / 0.7
+            g = grad_temporal(CpFactors(model.U1, model.U2, U3), data, params)
+            assert np.linalg.norm(U3 - tv_prox_columns(U3 - g / L, 1.5 / L)) <= 1e-8
+
+    @pytest.mark.parametrize("face", ["all-zero", "no-fusion", "fused-runs"])
+    def test_never_raises_the_block_objective(self, face):
+        rng = np.random.default_rng(401)
+        T, R, beta = 12, 3, 0.8
+        kept = 0
+        for _ in range(40):
+            H, b = random_tv_block(rng, T, R)
+            if face == "all-zero":
+                U = np.zeros((T, R))
+            elif face == "no-fusion":
+                U = rng.standard_normal((T, R))
+            else:
+                U = np.repeat(rng.standard_normal((4, R)), [2, 5, 1, 4], axis=0)
+            tol = SWEEP_TOL * np.abs(U).max()
+            moved = _face_step(H, b, U, beta, tol)
+            if moved is None:
+                continue
+            kept += 1
+            assert tv_block_objective(H, b, moved, beta) < tv_block_objective(H, b, U, beta)
+            # the move keeps the fused entries fused and no jump changes sign;
+            # a jump the move stops on is zero up to rounding
+            before, after = np.diff(U, axis=0), np.diff(moved, axis=0)
+            fused = np.abs(before) <= tol
+            assert np.all(after[fused] == 0.0)
+            assert np.all(np.sign(before[~fused]) * after[~fused] >= -1e-14 * np.abs(U).max())
+            if face == "all-zero":
+                assert np.all(moved == moved[0])  # S = R: one value per column
+        assert kept >= 30
+
+    def test_all_zero_face_solves_the_constant_columns(self):
+        # S = R: the face minimizer is the best matrix of constant columns
+        rng = np.random.default_rng(402)
+        H, b = random_tv_block(rng, 9, 3)
+        moved = _face_step(H, b, np.zeros((9, 3)), 0.5, 0.0)
+        assert np.allclose(moved[0], np.linalg.solve(H.sum(axis=0), b.sum(axis=0)), rtol=1e-12, atol=1e-14)
+
+    def test_sweeps_alone_above_the_segment_limit_reach_the_same_minimizer(self, monkeypatch):
+        # T*R just above FACE_MAX_SEGMENTS and a weak penalty: no face is
+        # ever small enough to solve, so the sweeps run alone
+        R = 4
+        T = lrtvar.solver.FACE_MAX_SEGMENTS // R + 1
+        rng = np.random.default_rng(403)
+        H, b = random_tv_block(rng, T, R, coupling=0.3)
+        U0 = rng.standard_normal((T, R))
+        beta = 1e-3
+        U, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, U0, beta, 500)
+        assert face_steps == 0 and sweeps < 500 and certificate <= SWEEP_TOL
+        assert tv_block_objective(H, b, U, beta) < tv_block_objective(H, b, U0, beta)
+        monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 2 * T * R)
+        U_face, sweeps_face, face_steps, _ = _temporal_tv_sweeps(H, b, U0, beta, 500)
+        assert face_steps >= 1 and sweeps_face < sweeps
+        assert np.abs(U_face - U).max() <= 1e-8 * np.abs(U).max()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_criterion_1_fits_never_cap_the_u3_sweeps(self, seed):
+        data, params = benchmark_setting("switching", seed)
+        _, report = fit(data, params)
+        stats = report.subproblem_stats
+        assert stats["capped_temporal"] == [False] * report.iterations
+        assert sum(stats["face_steps_temporal"]) > 0
+        assert all(value <= SWEEP_TOL for value in stats["certificate_temporal"])
+
+    def test_outcome_is_logged_recorded_summarized_and_deterministic(self, caplog):
+        data, params = benchmark_setting("switching", seed=3)
+        with caplog.at_level(logging.INFO, logger="lrtvar.solver"):
+            _, report = fit(data, params)
+        _, again = fit(data, params)
+        stats = report.subproblem_stats
+        steps, certificates = stats["face_steps_temporal"], stats["certificate_temporal"]
+        assert len(steps) == len(certificates) == report.iterations
+        assert all(type(k) is int and k >= 0 for k in steps)
+        assert all(type(value) is float for value in certificates)
+        for key in ("face_steps_temporal", "certificate_temporal", "inner_iters_temporal"):
+            assert again.subproblem_stats[key] == stats[key]
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "lrtvar.solver"]
+        for line, k, value in zip(lines, steps, certificates):
+            assert line.endswith(f" face_steps={k} certificate={value:.3g}"), line
+        assert f"U3 face steps: {sum(steps)}" in report.summary().splitlines()
+
+    @pytest.mark.parametrize("reg", [Regularizer(), Regularizer("spline", 2.0)], ids=["none", "spline"])
+    def test_other_u3_updates_record_no_face_steps(self, reg):
+        rng = np.random.default_rng(404)
+        data = random_data(rng, 3, 5, 4)
+        _, report = fit(data, Hyperparams(R=2, eta=0.5, reg=reg, seed=1, max_outer_iters=3))
+        assert report.subproblem_stats["face_steps_temporal"] == [0] * 3
+        assert report.subproblem_stats["certificate_temporal"] == [None] * 3
+        assert "U3 face steps: 0" in report.summary().splitlines()
+
+
 class TestGradients:
     def test_all_blocks_match_central_differences(self):
         rng = np.random.default_rng(58)
@@ -568,7 +695,8 @@ class TestFit:
         assert [line.split(":")[0] for line in lines] == ["iter 1", "iter 2", "iter 3", "iter 4"]
         assert lines[-1].startswith(f"iter 4: cost={report.cost_trace[-1]:.17g} rmse={report.rmse_trace[-1]:.17g} ")
         stats = report.subproblem_stats
-        assert lines[-1].endswith(f"capped_right={stats['capped_right'][-1]} inner=0 capped_temporal=False")
+        assert lines[-1].endswith(
+            f"capped_right={stats['capped_right'][-1]} inner=0 capped_temporal=False face_steps=0 certificate=-")
 
     @pytest.mark.parametrize(
         "changes, key",

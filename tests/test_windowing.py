@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lrtvar.errors import NonFiniteError, SeriesTooShortError, ZeroVarianceError
+import lrtvar.windowing
+from lrtvar.errors import LrtvarError, NonFiniteError, SeriesTooShortError, ZeroVarianceError
 from lrtvar.windowing import (
     SnapshotPair,
     TimeSeries,
@@ -11,6 +12,7 @@ from lrtvar.windowing import (
     standardize,
     write_csv,
     write_series_csv,
+    _read_csv_records,
 )
 
 
@@ -210,6 +212,42 @@ class TestCsvCodec:
         path.write_text("# manifest\na,b\n1.0,2.0\n3.0,x\n")
         with pytest.raises(ValueError, match="line 4"):
             read_csv(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_one_shot_parse_matches_the_record_reader(self, tmp_path, newline):
+        # every outcome of read_csv, data or error, is the one of the
+        # record-by-record csv reader it falls back on
+        rows = ["1,2,3", "4.5e-300,-0,7", "5e-324, 6 ,\t7", "0.1,0.2,0.30000000000000004", "1_0,2,3", "\uff11,2,3",
+                '"1",2,3']
+        others = ["# manifest", "  # indented comment", "", "   ", "a,b,c", " x , y ,z", "0.1,1e400,2", "nan,1,2",
+                  "1,2", "1,2,3,4", "1,,3", "1,2,3,", ' "1",2,3', '"#q",1,2', "1,2,x", "1.5 2,3,4", '# a "quote"',
+                  '"a,b",c,d']
+        rng = np.random.default_rng(32)
+        files = [["", "1,2,3"], ["1", "   ", "2"], ["x", "1", "", "2"], ['"#q",1,2', "1,2,3"], ["# c", "1", "2"]]
+        files += [[rows[rng.integers(len(rows))] if rng.random() < 0.6 else others[rng.integers(len(others))]
+                   for _ in range(int(rng.integers(0, 6)))] for _ in range(400)]
+        for trial, lines in enumerate(files):
+            path = tmp_path / f"f{trial}.csv"
+            path.write_bytes(newline.join(lines).encode("utf-8") + (newline.encode() if rng.random() < 0.5 else b""))
+            outcomes = []
+            for reader in (read_csv, _read_csv_records):
+                try:
+                    header, data = reader(path)
+                    outcomes.append(("ok", header, data.shape, data.tobytes()))
+                except (ValueError, LrtvarError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], lines
+
+    def test_series_file_parses_in_one_shot(self, tmp_path, monkeypatch):
+        path = tmp_path / "series.csv"
+        series = make_series(np.random.default_rng(33), 12, 40)
+        write_series_csv(path, series, manifest="m")
+
+        def unexpected(path):
+            raise AssertionError("record-by-record fallback used")
+
+        monkeypatch.setattr(lrtvar.windowing, "_read_csv_records", unexpected)
+        assert np.array_equal(read_series_csv(path).values, series.values)
 
 
 class TestSnapshotPairValidation:
