@@ -20,7 +20,7 @@ iterate U + it^(1/p) (U - U_prev) on all three factors at once and keeps it
 only if it lowers C (Bro's line search for PARAFAC), so the outer cost trace
 descends monotonically up to subproblem tolerances.
 
-Nothing in the fit path ever forms an N x N or N_in x N_in matrix; all
+Nothing in the fit path forms a matrix larger than the data; all
 contractions go through the data tensors and the R-column factors, which is
 what makes large state dimensions tractable.  Each contraction is a BLAS
 matmul of a 2-D (M*T, channels) view of a data tensor with an R-column
@@ -36,11 +36,10 @@ four data contractions besides those of the U2 conjugate gradients.
 
 The loss sees U2 only through X_k'U2 and U1 only through its product with Y,
 and the ridge term puts each block's exact minimizer in range(X), resp.
-range(Y).  So when the windows hold fewer transitions than there are input
-(output) channels, ``fit`` runs the block updates unchanged on the data in
-an orthonormal basis of range(X) (range(Y)), with T*M rows instead of N_in
-(N), and lifts U2 (U1) back once at the end: the cost of every iterate is
-the same in either coordinates.
+range(Y).  So ``fit`` runs the block updates on the data in orthonormal
+bases of range(X) and range(Y), each from one thin QR of the data, with
+min(T*M, channels) rows, initializes there, and lifts U2 and U1 back once at
+the end: the cost of every iterate is the same in either coordinates.
 """
 
 from __future__ import annotations
@@ -205,7 +204,7 @@ def _scaled_projection(model: CpFactors, data: SnapshotPair) -> np.ndarray:
 
 def _rmse_from_loss(value: float, data: SnapshotPair) -> float:
     """RMSE per channel and transition of a fit whose loss is ``value``;
-    ``data`` has the fit's original channels, also when the loss was taken
+    ``data`` has the fit's original channels, whose loss is the one taken
     in range coordinates."""
     return float(np.sqrt(2.0 * value / (data.N * data.M * data.T)))
 
@@ -535,53 +534,93 @@ def _face_step(H, b, U, beta, tol):
 # initialization and the outer loop
 
 
-def _spectral_factors(data: SnapshotPair, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _RangeData:
+    """Data tensors in orthonormal bases of their column spans, X~ = Q_x'X
+    and Y~ = Q_y'Y, with the bases and the shape properties the block
+    updates read."""
+
+    X: np.ndarray
+    Y: np.ndarray
+    Q_x: np.ndarray
+    Q_y: np.ndarray
+    M: int
+    T: int
+    affine: bool
+
+    @property
+    def N(self) -> int:
+        return self.Y.shape[0]
+
+    @property
+    def N_in(self) -> int:
+        return self.X.shape[0]
+
+
+def _range_coordinates(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, Q'A) for a (channels, M, T) data tensor, with Q the orthonormal
+    factor of a thin QR of the (channels, M*T) matrix of all transitions:
+    min(channels, M*T) columns that span their column space even when that
+    matrix is rank deficient.  Q'A is read off the triangular factor in the
+    layout :func:`_transitions` views without a copy."""
+    _, M, T = A.shape
+    Q, triangular = np.linalg.qr(_transitions(A).T)
+    return Q, np.ascontiguousarray(triangular.T).reshape(M, T, -1).transpose(2, 0, 1)
+
+
+def _range_data(data: SnapshotPair) -> _RangeData:
+    """The snapshot pair in orthonormal bases of range(X) and range(Y)."""
+    Q_y, Y = _range_coordinates(data.Y)
+    Q_x, X = _range_coordinates(data.X)
+    return _RangeData(X=X, Y=Y, Q_x=Q_x, Q_y=Q_y, M=data.M, T=data.T, affine=data.affine)
+
+
+def _change_spatial_basis(model: CpFactors, left: np.ndarray, right: np.ndarray) -> CpFactors:
+    """The model with U1 -> left @ U1 and U2 -> right @ U2."""
+    return CpFactors(U1=left @ model.U1, U2=right @ model.U2, U3=model.U3, affine=model.affine)
+
+
+def _spectral_factors(data, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noise-free (U1, U2, U3) from a single global linear fit.
 
-    All windows are concatenated into global snapshot matrices X, Y; the
-    one-model fit A = Y pinv(X) is formed in factored form (never as a dense
-    N x N_in matrix) and its leading R singular vectors seed the spatial
-    modes.  Temporal modes are the constant matrix 1/sqrt(T).  Extra columns
-    beyond the available spectrum are filled with constant unit vectors.
+    All windows are concatenated into global snapshot matrices X, Y, and
+    the leading R singular vectors of the one-model fit A = Y pinv(X) seed
+    the spatial modes.  ``fit`` passes the data in range coordinates, whose
+    matrices have at most T*M rows, so A is at most T*M x T*M.  Temporal
+    modes are the constant matrix 1/sqrt(T).  Extra columns beyond the
+    available spectrum are filled with constant unit vectors.
     """
     Xg = data.X.transpose(0, 2, 1).reshape(data.N_in, data.T * data.M)
     Yg = data.Y.transpose(0, 2, 1).reshape(data.N, data.T * data.M)
     if not np.any(Xg):
         raise DegenerateDataError("predictor tensor is identically zero")
-
-    # A = Y pinv(X) = (Y V S^-1) Ux'; its SVD comes from a QR of the thin
-    # left product followed by an SVD of a small core, keeping every
-    # intermediate at O(N * min(N_in, T*M)) memory.
     Ux, s, Vtx = np.linalg.svd(Xg, full_matrices=False)
     keep = s > s[0] * 1e-12
-    Ux, s, Vtx = Ux[:, keep], s[keep], Vtx[keep]
-    Bmat = (Yg @ Vtx.T) / s
-    Q, Rq = np.linalg.qr(Bmat)
-    Uc, _, Vtc = np.linalg.svd(Rq @ Ux.T, full_matrices=False)
-    U_A = Q @ Uc
-    V_A = Vtc.T
+    U_A, _, Vt_A = np.linalg.svd((Yg @ Vtx[keep].T / s[keep]) @ Ux[:, keep].T, full_matrices=False)
 
-    N, N_in, T = data.N, data.N_in, data.T
-    U1 = np.empty((N, R))
-    U2 = np.empty((N_in, R))
-    take = min(R, U_A.shape[1])
+    U1, U2, U3 = (np.full((n, R), 1.0 / np.sqrt(n)) for n in (data.N, data.N_in, data.T))
+    take = min(R, int(keep.sum()), data.N)
     U1[:, :take] = U_A[:, :take]
-    U2[:, :take] = V_A[:, :take]
-    if R > take:
-        U1[:, take:] = 1.0 / np.sqrt(N)
-        U2[:, take:] = 1.0 / np.sqrt(N_in)
-    U3 = np.full((T, R), 1.0 / np.sqrt(T))
+    U2[:, :take] = Vt_A[:take].T
     return U1, U2, U3
 
 
-def initialize(data: SnapshotPair, params: Hyperparams) -> CpFactors:
-    """Spectral initialization (:func:`_spectral_factors`) plus Gaussian noise
-    of scale 0.5/sqrt(rows), drawn from ``params.seed`` for U1, U2, U3 in that
-    order, which breaks the column symmetry."""
+def initialize(data, params: Hyperparams) -> CpFactors:
+    """The model ``fit`` starts from: the spectral factors of the data in
+    range coordinates (:func:`_spectral_factors`) plus Gaussian noise of
+    scale 0.5/sqrt(rows), drawn from ``params.seed`` in the shapes (N, R),
+    (N_in, R) and (T, R) in that order and projected onto the bases, which
+    breaks the column symmetry.  ``fit`` passes its range data
+    (:func:`_range_data`) and gets the model in its coordinates; a
+    :class:`SnapshotPair` gets it lifted to the channels.
+    """
+    work = data if isinstance(data, _RangeData) else _range_data(data)
+    U1, U2, U3 = _spectral_factors(work, params.R)
     rng = np.random.default_rng(params.seed)
-    U1, U2, U3 = (U + (0.5 / np.sqrt(U.shape[0])) * rng.standard_normal(U.shape)
-                  for U in _spectral_factors(data, params.R))
-    return CpFactors(U1=U1, U2=U2, U3=U3, affine=data.affine)
+    noise = [(0.5 / np.sqrt(n)) * rng.standard_normal((n, params.R)) for n in (len(work.Q_y), len(work.Q_x), work.T)]
+    model = CpFactors(U1=U1 + work.Q_y.T @ noise[0], U2=U2 + work.Q_x.T @ noise[1], U3=U3 + noise[2],
+                      affine=work.affine)
+    return model if work is data else _change_spatial_basis(model, work.Q_y, work.Q_x)
 
 
 # float64 normals run from 2^-1022 up to, not including, 2^1024
@@ -622,48 +661,6 @@ def _lap(seconds: list, since: float) -> float:
     now = time.perf_counter()
     seconds.append(now - since)
     return now
-
-
-@dataclass(frozen=True)
-class _RangeData:
-    """Data tensors in orthonormal bases of their column spans, X~ = Q_x'X
-    and Y~ = Q_y'Y, with the shape properties the block updates read."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    M: int
-    T: int
-
-    @property
-    def N(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def N_in(self) -> int:
-        return self.X.shape[0]
-
-
-def _range_coordinates(A: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """(Q, Q'A) for a (channels, M, T) data tensor with fewer transitions than
-    channels, else (None, A).
-
-    Q is the orthonormal factor of a thin QR of the (channels, M*T) matrix
-    of all transitions, so it spans their column space even when that matrix
-    is rank deficient, and Q'A is read off the triangular factor in the
-    layout :func:`_transitions` views without a copy.
-    """
-    channels, M, T = A.shape
-    if M * T >= channels:
-        return None, A
-    Q, triangular = np.linalg.qr(_transitions(A).T)
-    return Q, np.ascontiguousarray(triangular.T).reshape(M, T, -1).transpose(2, 0, 1)
-
-
-def _change_spatial_basis(model: CpFactors, left: Optional[np.ndarray], right: Optional[np.ndarray]) -> CpFactors:
-    """The model with U1 -> left @ U1 and U2 -> right @ U2; None leaves a factor as it is."""
-    U1 = model.U1 if left is None else left @ model.U1
-    U2 = model.U2 if right is None else right @ model.U2
-    return CpFactors(U1=U1, U2=U2, U3=model.U3, affine=model.affine)
 
 
 def _extrapolation_steps(model: CpFactors, step: float) -> np.ndarray:
@@ -711,20 +708,18 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     holds: those of the trial are the same extrapolation of the sweep's.  An
     outer iteration so makes four data contractions besides those of the U2
     conjugate gradients: the right-hand sides of the U1 and U2 updates, and
-    Y'U1 and X'U2 of the new U1 and U2.  The quadratic's rounding error is a
-    few ulps of ||Y||^2, so the last trace entry is evaluated directly from
-    the residual: the reported final cost and RMSE are those of
-    :func:`cost` and :func:`rmse`.
+    Y'U1 and X'U2 of the new U1 and U2.
 
-    When T*M < N_in, the fit takes an orthonormal basis Q_x of range(X)
-    from a thin QR of the N_in x T*M matrix of all predictors, and when
-    T*M < N a basis Q_y of range(Y) likewise.  It projects the
-    initialization onto the bases, runs every update on Q_x'X and Q_y'Y,
-    and returns U2 = Q_x U2~ and U1 = Q_y U1~.  Every trace entry is the
-    cost and RMSE on the full data of the lifted iterate;
-    ``cost_trace[0]`` is then the cost of the projected initialization,
-    without the initialization noise outside the ranges, which the loss
-    cannot see.  With T*M >= N_in and T*M >= N no basis is formed.
+    The fit runs in orthonormal bases Q_x of range(X) and Q_y of range(Y),
+    each from one thin QR of the matrix of all transitions and square when
+    these are at least as many as the channels (:func:`_range_data`): the
+    fit's only factorizations of the data.  It initializes on Q_x'X and
+    Q_y'Y (:func:`initialize`), runs every update on them and returns
+    U2 = Q_x U2~ and U1 = Q_y U1~.  Every trace entry is the full-data cost
+    and RMSE of the lifted iterate.  The quadratic's rounding error is a
+    few ulps of ||Y||^2, so the last entry is evaluated from the residual of
+    the lifted model on the data: it is :func:`cost` and :func:`rmse` to
+    the bit.
 
     ``subproblem_stats`` holds one entry per outer iteration under each key:
     the inner iterations of the U2 and U3 updates (``cg_iters_right``,
@@ -743,13 +738,8 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     """
     t_start = time.perf_counter()
     _check_scales(data, params)
-    model = initialize(data, params)
-    Q_y, Y = _range_coordinates(data.Y)
-    Q_x, X = _range_coordinates(data.X)
-    work = data
-    if Q_y is not None or Q_x is not None:
-        work = _RangeData(X=X, Y=Y, M=data.M, T=data.T)
-        model = _change_spatial_basis(model, None if Q_y is None else Q_y.T, None if Q_x is None else Q_x.T)
+    work = _range_data(data)
+    model = initialize(work, params)
     half_energy = 0.5 * float(np.sum(data.Y * data.Y))
     products = _products(model, work)
     value = _quadratic_loss(model, products, half_energy)
@@ -801,7 +791,8 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         elif it == params.max_outer_iters:
             termination = "max_iters"
         if termination is not None:
-            c, value = _cost_and_loss(model, work, params)
+            model = _change_spatial_basis(model, work.Q_y, work.Q_x)
+            c, value = _cost_and_loss(model, data, params)
         _lap(stats["seconds_objective"], lap)
 
         r = _rmse_from_loss(value, data)
@@ -829,7 +820,6 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         if termination is not None:
             break
 
-    model = _change_spatial_basis(model, Q_y, Q_x)
     report = FitReport(
         cost_trace=cost_trace,
         rmse_trace=rmse_trace,

@@ -13,6 +13,7 @@ goes through :func:`read_csv` and :func:`write_csv`.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -214,6 +215,18 @@ def write_csv(path, rows, header=None, manifest: Optional[str] = None, comments=
             fh.write(",".join(map(format_cell, row)) + "\n")
 
 
+def _content_lines(fh):
+    """The lines of ``fh`` that are neither blank nor ``#`` comments, as they
+    are read; a quote or a NUL on any line, which only ``csv`` reads, raises
+    ValueError."""
+    for line in fh:
+        if '"' in line or "\0" in line:
+            raise ValueError("quote or NUL")
+        text = line.rstrip("\r\n")
+        if text and not text.lstrip().startswith("#"):
+            yield line
+
+
 def read_csv(path) -> tuple:
     """Read a numeric CSV as ``(header or None, 2-D float array)``.
 
@@ -221,35 +234,31 @@ def read_csv(path) -> tuple:
     by a non-numeric first data line.  A bad cell (reported with its line
     number), ragged rows, a non-finite cell or no data rows is a hard error.
 
-    The data lines are parsed in one ``np.loadtxt`` call, which rounds each
-    cell as ``float`` does, so no cell is held as a Python object.  When
-    that call fails, or the file holds a quote (or a NUL, which ``csv``
-    rejects before Python 3.11), the file is read again record by record
-    with ``csv`` (:func:`_read_csv_records`), which names the bad line or
-    reads the quoted cells.
+    The data lines are fed as they are read to one ``np.loadtxt`` call,
+    which rounds each cell as ``float`` does, so neither the lines nor any
+    cell are held as Python objects.  When that call fails, or the file
+    holds a quote (or a NUL, which ``csv`` rejects before Python 3.11), the
+    file is read again record by record with ``csv``
+    (:func:`_read_csv_records`), which names the bad line or reads the
+    quoted cells.
     """
-    header, data_lines = None, []
+    header = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh:
-            if '"' in line or "\0" in line:
-                return _read_csv_records(path)
-            text = line.rstrip("\r\n")
-            if not text or text.lstrip().startswith("#"):
-                continue
-            if header is None and not data_lines:
-                cells = text.split(",")
+        lines = _content_lines(fh)
+        try:
+            first = next(lines, None)
+            if first is not None:
+                cells = first.rstrip("\r\n").split(",")
                 try:
                     [float(c) for c in cells]
                 except ValueError:
-                    header = [c.strip() for c in cells]
-                    continue
-            data_lines.append(line)
-    if not data_lines:
+                    header, first = [c.strip() for c in cells], next(lines, None)
+            data = None if first is None else np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                                                         comments=None, ndmin=2)
+        except ValueError:
+            return _read_csv_records(path)
+    if data is None:
         raise SeriesTooShortError(f"{path}: no data rows")
-    try:
-        data = np.loadtxt(data_lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return _read_csv_records(path)
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{path}: non-finite cell in data")
     return header, data

@@ -782,19 +782,11 @@ class TestFit:
 
 
 def range_projector(A):
-    """Orthogonal projector onto the span of a data tensor's transitions when
-    they are fewer than its channels, else None (the fit then forms no basis)."""
+    """Orthogonal projector onto the span of a data tensor's transitions, or
+    the identity when they are at least as many as its channels."""
     channels, M, T = A.shape
-    if M * T >= channels:
-        return None
     U = np.linalg.svd(A.reshape(channels, M * T), full_matrices=False)[0]
     return U @ U.T
-
-
-def project_onto_ranges(model, data):
-    P_y, P_x = range_projector(data.Y), range_projector(data.X)
-    return CpFactors(U1=model.U1 if P_y is None else P_y @ model.U1,
-                     U2=model.U2 if P_x is None else P_x @ model.U2, U3=model.U3, affine=model.affine)
 
 
 def extrapolation_steps(model, step):
@@ -806,11 +798,11 @@ def extrapolation_steps(model, step):
 
 def full_data_trace(data, params, iterations):
     """Cost trace of the public block updates on the full data, started from
-    the initialization projected onto range(Y) and range(X), with the
+    the initialization lifted to the channels, with the
     extrapolation trial of ``fit`` after each sweep: U + it^(1/p) (U - U_prev)
     (see :func:`extrapolation_steps`) is kept if ``cost`` says it is lower,
     else p rises by one up to 6."""
-    model = project_onto_ranges(initialize(data, params), data)
+    model = initialize(data, params)
     trace = [cost(model, data, params)]
     root = 3
     for it in range(1, iterations + 1):
@@ -835,6 +827,9 @@ RANGE_CASES = {
     "switching-spline": (dict(N=80), dict(M=10), 3, Regularizer("spline", 5.0)),
     "switching-none": (dict(N=80), dict(M=10), 3, Regularizer("none", 0.0)),
     "affine-lags-2": (dict(N=40), dict(M=10, P=2, affine=True), 3, Regularizer("tv", 1.0)),
+    # T*M = 60 transitions: as many as the channels, and more
+    "square-tv": (dict(N=60), dict(M=10), 3, Regularizer("tv", 1.0)),
+    "wide-tv": (dict(N=10), dict(M=20), 3, Regularizer("tv", 1.0)),
 }
 
 
@@ -845,13 +840,13 @@ def range_case(name, seed=0):
 
 
 class TestRangeSpaceFit:
-    """With fewer transitions than channels, ``fit`` runs in orthonormal bases
-    of range(X) and range(Y) and lifts U1 and U2 back once at the end."""
+    """``fit`` runs in orthonormal bases of range(X) and range(Y), square
+    ones when the transitions are at least as many as the channels, and
+    lifts U1 and U2 back once at the end."""
 
     @pytest.mark.parametrize("name", sorted(RANGE_CASES))
     def test_cost_trace_matches_full_data_updates(self, name):
         data, params = range_case(name)
-        assert data.M * data.T < data.N_in
         _, report = fit(data, params)
         oracle = full_data_trace(data, params, params.max_outer_iters)
         assert np.max(np.abs(np.array(report.cost_trace) - oracle) / np.abs(oracle)) <= 1e-8
@@ -861,8 +856,7 @@ class TestRangeSpaceFit:
         data, params = range_case(name, seed=1)
         model, report = fit(data, params)
         for P, U in ((range_projector(data.Y), model.U1), (range_projector(data.X), model.U2)):
-            if P is not None:
-                assert np.linalg.norm(U - P @ U) <= 1e-12 * np.linalg.norm(U)
+            assert np.linalg.norm(U - P @ U) <= 1e-12 * np.linalg.norm(U)
         assert report.cost_trace[-1] == pytest.approx(cost(model, data, params), rel=1e-12)
         assert report.rmse_trace[-1] == pytest.approx(rmse(model, data), rel=1e-12)
 
@@ -877,21 +871,33 @@ class TestRangeSpaceFit:
         monkeypatch.setattr(lrtvar.solver, "update_left", spy)
         data, params = range_case("affine-lags-2")
         fit(data, replace(params, max_outer_iters=2))
-        # T*M = 50 transitions: fewer than the 81 inputs, not fewer than the 40 outputs
+        # T*M = 50 transitions: a thin basis of the 81 inputs, a square one of the 40 outputs
         assert seen == [(40, 50, 40, 50)] * 2
 
-    def test_no_basis_when_transitions_cover_the_channels(self, monkeypatch):
-        seen = []
-        original = lrtvar.solver.update_right
+    @pytest.mark.parametrize("name", ["switching-tv", "square-tv", "wide-tv"])
+    def test_final_trace_entry_is_exactly_the_cost(self, name):
+        data, params = range_case(name, seed=2)
+        model, report = fit(data, params)
+        assert report.cost_trace[-1] == cost(model, data, params)
+        assert report.rmse_trace[-1] == rmse(model, data)
 
-        def spy(model, data, eta, max_iters, **kwargs):
-            seen.append(data)
-            return original(model, data, eta, max_iters, **kwargs)
+    def test_each_data_tensor_is_factored_once(self, monkeypatch):
+        rows = []
 
-        monkeypatch.setattr(lrtvar.solver, "update_right", spy)
-        data = build_snapshots(simulate_switching(N=10, tau=200, sigma=0.5, seed=0).series, M=20)
-        fit(data, Hyperparams(R=4, eta=0.1, max_outer_iters=2))
-        assert len(seen) == 2 and all(d is data for d in seen)
+        def counted(factorize):
+            def wrapper(a, *args, **kwargs):
+                rows.append(a.shape[0])
+                return factorize(a, *args, **kwargs)
+            return wrapper
+
+        data, params = benchmark_setting("large_n")
+        monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+        fit(data, params)
+        transitions = data.M * data.T
+        assert transitions < data.N == data.N_in
+        assert rows.count(data.N) == 2
+        assert all(n <= transitions for n in rows if n != data.N)
 
     @pytest.mark.parametrize("degenerate", ["zero-targets", "zeroed-window"])
     def test_degenerate_data_descends(self, degenerate):
@@ -910,8 +916,8 @@ class TestRangeSpaceFit:
         assert report.cost_trace[-1] == pytest.approx(cost(model, data, params), rel=1e-12, abs=1e-300)
 
 
-# the benchmark's fits: TV switching at N=10, the range-coordinate fit at
-# N=500 (T*M = 200) and the spline fit with one transition per window
+# the benchmark's fits: TV switching at N=10 (square bases), the fit in thin
+# bases at N=500 (T*M = 200) and the spline fit with one transition per window
 BENCHMARK_SETTINGS = {
     "switching": (simulate_switching, dict(N=10, tau=200, sigma=0.5), 20,
                   dict(R=8, eta=0.1, reg=Regularizer("tv", 5.0))),
@@ -971,11 +977,13 @@ class TestExtrapolation:
     def test_trial_is_kept_only_when_it_lowers_the_cost(self, monkeypatch):
         data, params = benchmark_setting("switching")
         params = replace(params, max_outer_iters=15, rtol=0.0, atol=0.0)
-        starts, sweeps = [], []
+        starts, sweeps, seen, last = [], [], [], []
         left, temporal = lrtvar.solver.update_left, lrtvar.solver.update_temporal
+        lift = lrtvar.solver._change_spatial_basis
 
         def left_spy(model, data, eta, **kwargs):
             starts.append(model)
+            seen.append(data)
             return left(model, data, eta, **kwargs)
 
         def temporal_spy(model, data, params, **kwargs):
@@ -983,10 +991,19 @@ class TestExtrapolation:
             sweeps.append(replace(model, U3=U3))
             return U3, inner
 
+        def lift_spy(model, left, right):
+            last.append(model)
+            return lift(model, left, right)
+
         monkeypatch.setattr(lrtvar.solver, "update_left", left_spy)
         monkeypatch.setattr(lrtvar.solver, "update_temporal", temporal_spy)
-        fitted, report = fit(data, params)
-        kept = starts[1:] + [fitted]  # the iterate each outer iteration ended on
+        monkeypatch.setattr(lrtvar.solver, "_change_spatial_basis", lift_spy)
+        _, report = fit(data, params)
+        # the iterate each outer iteration ended on, in the coordinates of the
+        # updates; ``fit`` lifts the last one to the channels
+        kept = starts[1:] + last
+        data = seen[0]  # the data every update received
+        assert all(d is data for d in seen)
         flags = report.subproblem_stats["extrapolated"]
         assert len(flags) == len(sweeps) == len(kept) == params.max_outer_iters
         assert True in flags and False in flags

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,21 @@ class TestCsvCodec:
 
         monkeypatch.setattr(lrtvar.windowing, "_read_csv_records", unexpected)
         assert np.array_equal(read_series_csv(path).values, series.values)
+
+
+    def test_lines_are_parsed_as_they_are_read(self, tmp_path):
+        # 2000 channels by 201 samples, the size of the N=2000 switching series:
+        # the reader's peak stays near the array, not the file's text
+        path = tmp_path / "series.csv"
+        write_series_csv(path, make_series(np.random.default_rng(34), 2000, 201), manifest="m")
+        tracemalloc.start()
+        try:
+            _, data = read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (201, 2000)
+        assert peak <= 1.5 * data.nbytes
 
 
 class TestSnapshotPairValidation:
