@@ -41,7 +41,7 @@ from .regularizers import (
     tv_penalty,
     tv_prox_1d,
 )
-from .solver import FitReport, Hyperparams, cost, fit, initialize, loss, rmse
+from .solver import FitReport, Hyperparams, OuterIteration, cost, fit, initialize, loss, rmse
 from .synthetic import (
     GroundTruth,
     gp_covariance,

@@ -1,10 +1,12 @@
 """Command-line front end: generate benchmarks, fit models, compare methods, cluster modes.
 
 Every output file starts with a manifest comment (tool version, resolved
-configuration, seed) sufficient to reproduce it; no timestamps or host
-details are written, so a fixed seed gives byte-identical CSVs across runs.
-Wall-clock timings go to separate ``.log`` files.  All numbers are printed
-with 17 significant digits.
+configuration, seed) sufficient to reproduce it; ``trace.json`` holds it
+under ``manifest``.  No timestamps or host details are written, so a fixed
+seed gives byte-identical CSVs across runs.  Wall-clock timings go to
+separate files: ``summary.txt`` and ``trace.json`` of a fit and the
+``.log`` file of a comparison.  All numbers in the CSVs are printed with 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -286,6 +288,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     manifest = manifest_line("fit", opts)
     export_factors(normalized, args.out, manifest=manifest)
     report.write_trace_csv(os.path.join(args.out, "trace.csv"), manifest=manifest)
+    report.write_trace_json(os.path.join(args.out, "trace.json"), manifest=manifest)
     eff_rank = model.effective_rank(0.1)
     summary = report.summary() + f"\neffective rank (0.1 threshold): {eff_rank}\nwindows: {pair.T} of {pair.M} transitions ({pair.dropped} dropped)\n"
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:

@@ -92,32 +92,19 @@ class CpFactors:
         """Unit-column factors with scales split off, sorted by descending scale.
 
         Columns of every factor are rescaled to unit 2-norm and the product
-        of the three norms is collected per component.  A component with any
-        zero column gets scale 0 and its columns are left untouched.  Signs
-        are fixed deterministically: the largest-magnitude entry of each
-        temporal column is made positive, with the flip absorbed by the left
-        spatial column so the tensor is unchanged.  Ties in the ordering are
-        broken by original component index.
+        of the three norms is collected per component.  A zero column is left
+        as it is, and a component with one gets scale 0.  Signs are fixed
+        deterministically: the largest-magnitude entry of each temporal
+        column (the first of tied ones) is made positive, with the flip
+        absorbed by the left spatial column so the tensor is unchanged.  Ties
+        in the ordering are broken by original component index.
         """
-        U1 = self.U1.copy()
-        U2 = self.U2.copy()
-        U3 = self.U3.copy()
-        n1 = np.linalg.norm(U1, axis=0)
-        n2 = np.linalg.norm(U2, axis=0)
-        n3 = np.linalg.norm(U3, axis=0)
-        lam = n1 * n2 * n3
-        for r in range(self.R):
-            if n1[r] > 0:
-                U1[:, r] /= n1[r]
-            if n2[r] > 0:
-                U2[:, r] /= n2[r]
-            if n3[r] > 0:
-                U3[:, r] /= n3[r]
-            if np.any(U3[:, r]):
-                j = int(np.argmax(np.abs(U3[:, r])))
-                if U3[j, r] < 0:
-                    U3[:, r] = -U3[:, r]
-                    U1[:, r] = -U1[:, r]
+        norms = [np.linalg.norm(U, axis=0) for U in (self.U1, self.U2, self.U3)]
+        lam = norms[0] * norms[1] * norms[2]
+        U1, U2, U3 = (np.divide(U, n, out=U.copy(), where=n > 0) for U, n in zip((self.U1, self.U2, self.U3), norms))
+        flip = U3[np.argmax(np.abs(U3), axis=0), np.arange(self.R)] < 0
+        U1[:, flip] = -U1[:, flip]
+        U3[:, flip] = -U3[:, flip]
         order = np.argsort(-lam, kind="stable")
         factors = CpFactors(U1=U1[:, order], U2=U2[:, order], U3=U3[:, order], affine=self.affine)
         return NormalizedCp(factors=factors, lam=lam[order])

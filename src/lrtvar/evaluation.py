@@ -234,10 +234,7 @@ def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
         labels, inertia, _ = _kmeans_single(U3, k, rng)
         if inertia < best_inertia - 1e-15:
             best_labels, best_inertia = labels, inertia
-    remap = {}
-    out = np.empty(T, dtype=int)
-    for i, lab in enumerate(best_labels):
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out[i] = remap[lab]
-    return out
+    _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]

@@ -44,11 +44,12 @@ the end: the cost of every iterate is the same in either coordinates.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Optional
 
@@ -129,6 +130,44 @@ class Hyperparams:
             raise InvalidHyperparameterError("tolerances must be >= 0")
 
 
+@dataclass(frozen=True)
+class OuterIteration:
+    """What one outer iteration of :func:`fit` did.
+
+    ``cg_iters`` and ``inner_iters`` are the inner iterations of the U2 and
+    U3 updates, and ``capped_right`` and ``capped_temporal`` whether each
+    used its whole budget (``cg_max_iters`` for CG, ``pg_max_iters`` for TV
+    sweeps; the exact unsmoothed U3 solve is never capped).  ``face_steps``
+    and ``certificate`` are the face steps a TV update kept and its last
+    sweep's largest move over max|U3| (0 and None for the other U3 updates).
+    ``extrapolated`` says whether the extrapolation trial was kept, and
+    ``cost_rise`` is the rise of the cost over the previous trace entry
+    relative to 1 + |previous cost|, 0 when it fell.  The ``seconds_*``
+    fields are the wall seconds of the U1, U2 and U3 updates, each with the
+    product of its new factor, and of the objective evaluations and the
+    trial.  ``str()`` is the outcome part of ``fit``'s INFO line.
+    """
+
+    cg_iters: int
+    capped_right: bool
+    inner_iters: int
+    capped_temporal: bool
+    face_steps: int
+    certificate: Optional[float]
+    extrapolated: bool
+    cost_rise: float
+    seconds_left: float
+    seconds_right: float
+    seconds_temporal: float
+    seconds_objective: float
+
+    def __str__(self) -> str:
+        certificate = "-" if self.certificate is None else f"{self.certificate:.3g}"
+        return (f"extrapolated={self.extrapolated} cg={self.cg_iters} capped_right={self.capped_right} "
+                f"inner={self.inner_iters} capped_temporal={self.capped_temporal} face_steps={self.face_steps} "
+                f"certificate={certificate}")
+
+
 @dataclass
 class FitReport:
     """Per-run diagnostics.
@@ -137,9 +176,10 @@ class FitReport:
     appends one entry after its extrapolation trial: the cost of the
     extrapolated iterate if the trial lowered it, else of the sweep's.  The
     trace is non-increasing up to a slack of ``MONOTONE_SLACK * (1 + |C|)``
-    per step, which ``fit`` checks as it goes
-    (``subproblem_stats['cost_rise']``).  :meth:`summary` counts the capped
-    inner solves, the kept U3 face steps and the accepted extrapolations.
+    per step, which ``fit`` checks as it goes (``OuterIteration.cost_rise``).
+    ``outer[i]`` records outer iteration i + 1, the one that appended
+    ``cost_trace[i + 1]``.  :meth:`summary` counts the capped inner solves,
+    the kept U3 face steps and the accepted extrapolations.
     """
 
     cost_trace: list
@@ -147,7 +187,7 @@ class FitReport:
     iterations: int
     termination: str
     wall_seconds: float
-    subproblem_stats: dict
+    outer: list
 
     def write_trace_csv(self, path, manifest: Optional[str] = None) -> None:
         """Trace as CSV with columns (iteration, cost, rmse); row 0 is the
@@ -155,16 +195,27 @@ class FitReport:
         rows = ((i, c, r) for i, (c, r) in enumerate(zip(self.cost_trace, self.rmse_trace)))
         write_csv(path, rows, header=["iteration", "cost", "rmse"], manifest=manifest)
 
+    def write_trace_json(self, path, manifest: Optional[str] = None) -> None:
+        """Trace as one JSON object: the manifest, the termination and under
+        ``outer`` one object per outer iteration, its ``iteration``, the
+        ``cost`` and ``rmse`` it appended to the traces and the fields of its
+        :class:`OuterIteration`; wall seconds included, so unlike the CSV it
+        differs between reruns."""
+        rows = zip(self.cost_trace[1:], self.rmse_trace[1:], self.outer)
+        outer = [{"iteration": i, "cost": c, "rmse": r, **asdict(o)} for i, (c, r, o) in enumerate(rows, start=1)]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"manifest": manifest, "termination": self.termination, "outer": outer}, fh, indent=1)
+
     def summary(self) -> str:
         lines = [
             f"iterations: {self.iterations}",
             f"termination: {self.termination}",
             f"final cost: {self.cost_trace[-1]:.17g}",
             f"final rmse: {self.rmse_trace[-1]:.17g}",
-            f"capped U2 solves: {sum(self.subproblem_stats['capped_right'])} of {self.iterations}",
-            f"capped U3 solves: {sum(self.subproblem_stats['capped_temporal'])} of {self.iterations}",
-            f"U3 face steps: {sum(self.subproblem_stats['face_steps_temporal'])}",
-            f"extrapolated steps: {sum(self.subproblem_stats['extrapolated'])} of {self.iterations}",
+            f"capped U2 solves: {sum(o.capped_right for o in self.outer)} of {self.iterations}",
+            f"capped U3 solves: {sum(o.capped_temporal for o in self.outer)} of {self.iterations}",
+            f"U3 face steps: {sum(o.face_steps for o in self.outer)}",
+            f"extrapolated steps: {sum(o.extrapolated for o in self.outer)} of {self.iterations}",
             f"wall seconds: {self.wall_seconds:.3f}",
         ]
         return "\n".join(lines)
@@ -656,13 +707,6 @@ def _check_scales(data: SnapshotPair, params: Hyperparams) -> None:
             )
 
 
-def _lap(seconds: list, since: float) -> float:
-    """Append the wall time since ``since`` to ``seconds``; returns the time now."""
-    now = time.perf_counter()
-    seconds.append(now - since)
-    return now
-
-
 def _extrapolation_steps(model: CpFactors, step: float) -> np.ndarray:
     """The step per component: ``step``, or 0 for a component whose weight
     ||U1_r|| ||U2_r|| ||U3_r|| is below float64 eps times the largest.
@@ -719,22 +763,8 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     and RMSE of the lifted iterate.  The quadratic's rounding error is a
     few ulps of ||Y||^2, so the last entry is evaluated from the residual of
     the lifted model on the data: it is :func:`cost` and :func:`rmse` to
-    the bit.
-
-    ``subproblem_stats`` holds one entry per outer iteration under each key:
-    the inner iterations of the U2 and U3 updates (``cg_iters_right``,
-    ``inner_iters_temporal``), whether each used its whole budget
-    (``capped_right``, ``capped_temporal``: ``cg_max_iters`` for CG,
-    ``pg_max_iters`` for TV sweeps; the exact unsmoothed U3 solve is never
-    capped), the face steps a TV update kept and its sweeps' certificate,
-    the last sweep's largest move over max|U3| (``face_steps_temporal``,
-    ``certificate_temporal``: 0 and None for the other U3 updates), whether
-    the extrapolation trial was kept (``extrapolated``),
-    the rise of the cost over the previous entry relative to
-    1 + |previous cost| (``cost_rise``, 0 when it fell) and the wall seconds
-    of the U1, U2 and U3 updates, each with the product of its new factor,
-    and of the objective evaluations and the trial (``seconds_left``,
-    ``seconds_right``, ``seconds_temporal``, ``seconds_objective``).
+    the bit.  ``report.outer`` holds one :class:`OuterIteration` per outer
+    iteration.
     """
     t_start = time.perf_counter()
     _check_scales(data, params)
@@ -745,28 +775,25 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     value = _quadratic_loss(model, products, half_energy)
     cost_trace = [value + _regularization(model, params)]
     rmse_trace = [_rmse_from_loss(value, data)]
-    keys = ("cg_iters_right", "inner_iters_temporal", "capped_right", "capped_temporal", "face_steps_temporal",
-            "certificate_temporal", "extrapolated", "cost_rise", "seconds_left", "seconds_right",
-            "seconds_temporal", "seconds_objective")
-    stats = {key: [] for key in keys}
+    outer = []
     temporal_budget = {"spline": params.cg_max_iters, "tv": params.pg_max_iters}.get(_active_penalty(params, data.T))
     root = EXTRAPOLATION_ROOT
 
     for it in range(1, params.max_outer_iters + 1):
         start, start_products = model, products
-        lap = time.perf_counter()
+        laps = [time.perf_counter()]
         U1 = update_left(model, work, params.eta, products=products)
         model = replace(model, U1=U1)
         products = (products[0], _transitions(work.Y) @ U1)
-        lap = _lap(stats["seconds_left"], lap)
+        laps.append(time.perf_counter())
         U2, cg_iters = update_right(model, work, params.eta, params.cg_max_iters, products=products)
         model = replace(model, U2=U2)
         products = (_transitions(work.X) @ U2, products[1])
-        lap = _lap(stats["seconds_right"], lap)
+        laps.append(time.perf_counter())
         outcome = {"face_steps": 0, "certificate": None}
         U3, inner_iters = update_temporal(model, work, params, products=products, outcome=outcome)
         model = replace(model, U3=U3)
-        lap = _lap(stats["seconds_temporal"], lap)
+        laps.append(time.perf_counter())
 
         value = _quadratic_loss(model, products, half_energy)
         c = value + _regularization(model, params)
@@ -793,30 +820,20 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         if termination is not None:
             model = _change_spatial_basis(model, work.Q_y, work.Q_x)
             c, value = _cost_and_loss(model, data, params)
-        _lap(stats["seconds_objective"], lap)
+        laps.append(time.perf_counter())
 
-        r = _rmse_from_loss(value, data)
         cost_trace.append(c)
-        rmse_trace.append(r)
-        capped_right = bool(cg_iters >= params.cg_max_iters)
-        capped_temporal = bool(temporal_budget is not None and inner_iters >= temporal_budget)
-        cost_rise = max(0.0, c - prev_cost) / (1.0 + abs(prev_cost))
-        stats["cg_iters_right"].append(cg_iters)
-        stats["inner_iters_temporal"].append(inner_iters)
-        stats["capped_right"].append(capped_right)
-        stats["capped_temporal"].append(capped_temporal)
-        stats["face_steps_temporal"].append(outcome["face_steps"])
-        stats["certificate_temporal"].append(outcome["certificate"])
-        stats["extrapolated"].append(extrapolated)
-        stats["cost_rise"].append(cost_rise)
-        certificate = outcome["certificate"]
-        logger.info("iter %d: cost=%.17g rmse=%.17g extrapolated=%s cg=%d capped_right=%s inner=%d "
-                    "capped_temporal=%s face_steps=%d certificate=%s", it, c, r, extrapolated, cg_iters,
-                    capped_right, inner_iters, capped_temporal, outcome["face_steps"],
-                    "-" if certificate is None else f"{certificate:.3g}")
-        if cost_rise > MONOTONE_SLACK:
+        rmse_trace.append(_rmse_from_loss(value, data))
+        record = OuterIteration(
+            cg_iters, cg_iters >= params.cg_max_iters, inner_iters,
+            temporal_budget is not None and inner_iters >= temporal_budget, outcome["face_steps"],
+            outcome["certificate"], extrapolated, max(0.0, c - prev_cost) / (1.0 + abs(prev_cost)),
+            *np.diff(laps).tolist())
+        outer.append(record)
+        logger.info("iter %d: cost=%.17g rmse=%.17g %s", it, c, rmse_trace[-1], record)
+        if record.cost_rise > MONOTONE_SLACK:
             logger.warning("iter %d: cost rose from %.17g to %.17g, %.3g of 1 + |cost|, above the %g slack",
-                           it, prev_cost, c, cost_rise, MONOTONE_SLACK)
+                           it, prev_cost, c, record.cost_rise, MONOTONE_SLACK)
         if termination is not None:
             break
 
@@ -826,6 +843,6 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         iterations=it,
         termination=termination,
         wall_seconds=time.perf_counter() - t_start,
-        subproblem_stats=stats,
+        outer=outer,
     )
     return model, report

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import tracemalloc
 
@@ -19,6 +21,7 @@ from lrtvar.cli import (
 )
 from lrtvar.errors import ShapeMismatchError
 from lrtvar.evaluation import independent_fit, operator_norm_error
+from lrtvar.solver import OuterIteration
 from lrtvar.synthetic import GroundTruth, simulate_smooth, simulate_switching
 from lrtvar.windowing import build_snapshots, read_series_csv
 
@@ -120,11 +123,32 @@ class TestFit:
             "--seed", "0", "--out", str(out),
         ])
         assert code == 0
-        for name in ("U1.csv", "U2.csv", "U3.csv", "lambda.csv", "trace.csv", "summary.txt", "clusters.csv"):
+        for name in ("U1.csv", "U2.csv", "U3.csv", "lambda.csv", "trace.csv", "trace.json", "summary.txt",
+                     "clusters.csv"):
             assert (out / name).exists(), name
         trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=2)
         assert trace.shape[1] == 3
         assert np.all(np.diff(trace[:, 1]) <= 1e-8 * (1 + np.abs(trace[:-1, 1])))
+
+    def test_trace_json_holds_one_record_per_outer_iteration(self, series_path, tmp_path):
+        out = tmp_path / "fit"
+        assert run(["fit", "--input", str(series_path), "--rank", "4", "--window", "10", "--eta", "0.2",
+                    "--beta", "2", "--reg", "tv", "--seed", "0", "--out", str(out)]) == 0
+        with open(out / "trace.json", encoding="utf-8") as fh:
+            trace = json.load(fh)
+        rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=2)
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert set(trace) == {"manifest", "termination", "outer"}
+        assert f"# {trace['manifest']}" == summary[0]
+        assert f"termination: {trace['termination']}" in summary
+        assert len(trace["outer"]) == len(rows) - 1 > 0
+        keys = {"iteration", "cost", "rmse"} | {f.name for f in dataclasses.fields(OuterIteration)}
+        assert {"seconds_left", "seconds_right", "seconds_temporal", "seconds_objective"} <= keys
+        for i, entry in enumerate(trace["outer"], start=1):
+            assert set(entry) == keys
+            assert entry["iteration"] == i == rows[i, 0]
+            assert entry["cost"] == rows[i, 1] and entry["rmse"] == rows[i, 2]
+        assert trace["outer"][-1]["certificate"] is not None
 
     def test_matches_library_fit(self, series_path, tmp_path):
         from lrtvar.regularizers import Regularizer

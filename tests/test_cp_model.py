@@ -27,6 +27,25 @@ def reconstruct_triple_loop(model):
     return out
 
 
+def normalize_loop(model):
+    """Component-by-component reference for ``CpFactors.normalize``:
+    (U1, U2, U3, lam), sorted by descending scale."""
+    U1, U2, U3 = model.U1.copy(), model.U2.copy(), model.U3.copy()
+    norms = [np.linalg.norm(U, axis=0) for U in (U1, U2, U3)]
+    lam = norms[0] * norms[1] * norms[2]
+    for r in range(model.R):
+        for U, n in zip((U1, U2, U3), norms):
+            if n[r] > 0:
+                U[:, r] /= n[r]
+        if np.any(U3[:, r]):
+            j = int(np.argmax(np.abs(U3[:, r])))
+            if U3[j, r] < 0:
+                U3[:, r] = -U3[:, r]
+                U1[:, r] = -U1[:, r]
+    order = np.argsort(-lam, kind="stable")
+    return U1[:, order], U2[:, order], U3[:, order], lam[order]
+
+
 class TestSlice:
     def test_rank_one_outer_product(self):
         model = CpFactors(U1=np.array([[1.0], [0.0]]), U2=np.array([[0.0], [1.0]]), U3=np.array([[2.0]]))
@@ -103,6 +122,22 @@ class TestNormalize:
         norm = CpFactors(model.U1, model.U2, model.U3).normalize()
         assert norm.lam[-1] == 0.0
         assert np.count_nonzero(norm.lam) == 2
+
+    def test_matches_the_component_loop_bit_for_bit(self):
+        # rounded entries give tied magnitudes, zero columns and equal scales
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            N, N_in, T, R = rng.integers(1, 6, size=4)
+            factors = [rng.standard_normal((n, R)) for n in (N, N_in, T)]
+            for U in factors:
+                if rng.random() < 0.5:
+                    U[:] = np.round(U)
+                if rng.random() < 0.3:
+                    U[:, rng.integers(R)] = 0.0
+            norm = CpFactors(*factors).normalize()
+            got = (norm.factors.U1, norm.factors.U2, norm.factors.U3, norm.lam)
+            for a, b in zip(got, normalize_loop(CpFactors(*factors))):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lrtvar.evaluation
 from lrtvar.cp_model import CpFactors
 from lrtvar.errors import DegenerateWindowError, ShapeMismatchError
 from lrtvar.evaluation import (
@@ -312,6 +313,19 @@ class TestClustering:
             labels = cluster_temporal_modes(U3, k=2, seed=seed)
             assert labels[0] == 0
             assert np.array_equal(labels, [0, 0, 0, 1, 1, 1, 1])
+
+    def test_labels_follow_first_occurrence_like_the_dict_loop(self, monkeypatch):
+        def first_occurrence_loop(labels):
+            remap = {}
+            return np.array([remap.setdefault(lab, len(remap)) for lab in labels], dtype=int)
+
+        rng = np.random.default_rng(95)
+        for _ in range(200):
+            raw = rng.integers(0, rng.integers(1, 8), size=rng.integers(1, 30))
+            monkeypatch.setattr(lrtvar.evaluation, "_kmeans_single", lambda X, k, rng, raw=raw: (raw, 0.0, []))
+            labels = cluster_temporal_modes(np.zeros((len(raw), 1)), k=1)
+            expected = first_occurrence_loop(raw)
+            assert np.array_equal(labels, expected) and labels.dtype == expected.dtype
 
     def test_objective_non_increasing_within_run(self):
         rng = np.random.default_rng(93)

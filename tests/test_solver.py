@@ -21,6 +21,7 @@ from lrtvar.solver import (
     MONOTONE_SLACK,
     SWEEP_TOL,
     Hyperparams,
+    OuterIteration,
     cost,
     fit,
     grad_left,
@@ -489,23 +490,23 @@ class TestFaceStep:
     def test_criterion_1_fits_never_cap_the_u3_sweeps(self, seed):
         data, params = benchmark_setting("switching", seed)
         _, report = fit(data, params)
-        stats = report.subproblem_stats
-        assert stats["capped_temporal"] == [False] * report.iterations
-        assert sum(stats["face_steps_temporal"]) > 0
-        assert all(value <= SWEEP_TOL for value in stats["certificate_temporal"])
+        assert len(report.outer) == report.iterations
+        assert not any(o.capped_temporal for o in report.outer)
+        assert sum(o.face_steps for o in report.outer) > 0
+        assert all(o.certificate <= SWEEP_TOL for o in report.outer)
 
     def test_outcome_is_logged_recorded_summarized_and_deterministic(self, caplog):
         data, params = benchmark_setting("switching", seed=3)
         with caplog.at_level(logging.INFO, logger="lrtvar.solver"):
             _, report = fit(data, params)
         _, again = fit(data, params)
-        stats = report.subproblem_stats
-        steps, certificates = stats["face_steps_temporal"], stats["certificate_temporal"]
-        assert len(steps) == len(certificates) == report.iterations
+        steps = [o.face_steps for o in report.outer]
+        certificates = [o.certificate for o in report.outer]
+        assert len(report.outer) == report.iterations
         assert all(type(k) is int and k >= 0 for k in steps)
         assert all(type(value) is float for value in certificates)
-        for key in ("face_steps_temporal", "certificate_temporal", "inner_iters_temporal"):
-            assert again.subproblem_stats[key] == stats[key]
+        for name in ("face_steps", "certificate", "inner_iters"):
+            assert [getattr(o, name) for o in again.outer] == [getattr(o, name) for o in report.outer]
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "lrtvar.solver"]
         for line, k, value in zip(lines, steps, certificates):
             assert line.endswith(f" face_steps={k} certificate={value:.3g}"), line
@@ -516,8 +517,8 @@ class TestFaceStep:
         rng = np.random.default_rng(404)
         data = random_data(rng, 3, 5, 4)
         _, report = fit(data, Hyperparams(R=2, eta=0.5, reg=reg, seed=1, max_outer_iters=3))
-        assert report.subproblem_stats["face_steps_temporal"] == [0] * 3
-        assert report.subproblem_stats["certificate_temporal"] == [None] * 3
+        assert [o.face_steps for o in report.outer] == [0] * 3
+        assert [o.certificate for o in report.outer] == [None] * 3
         assert "U3 face steps: 0" in report.summary().splitlines()
 
 
@@ -694,9 +695,27 @@ class TestFit:
         assert report.iterations == 4
         assert [line.split(":")[0] for line in lines] == ["iter 1", "iter 2", "iter 3", "iter 4"]
         assert lines[-1].startswith(f"iter 4: cost={report.cost_trace[-1]:.17g} rmse={report.rmse_trace[-1]:.17g} ")
-        stats = report.subproblem_stats
         assert lines[-1].endswith(
-            f"capped_right={stats['capped_right'][-1]} inner=0 capped_temporal=False face_steps=0 certificate=-")
+            f"capped_right={report.outer[-1].capped_right} inner=0 capped_temporal=False face_steps=0 certificate=-")
+
+    def test_one_record_per_outer_iteration_formats_the_info_line(self, monkeypatch, caplog):
+        data, params = benchmark_setting("switching")
+        with caplog.at_level(logging.INFO, logger="lrtvar.solver"):
+            _, report = fit(data, replace(params, max_outer_iters=6, rtol=0.0, atol=0.0))
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "lrtvar.solver"]
+        assert len(report.outer) == len(lines) == report.iterations == 6
+        for it, (line, record) in enumerate(zip(lines, report.outer), start=1):
+            assert line == f"iter {it}: cost={report.cost_trace[it]:.17g} rmse={report.rmse_trace[it]:.17g} {record}"
+            assert all(getattr(record, name) >= 0.0 for name in
+                       ("seconds_left", "seconds_right", "seconds_temporal", "seconds_objective"))
+        with pytest.raises(AttributeError):
+            report.outer[0].cg_iters = 0
+        # with INFO disabled the line, and so the record's text, is never built
+        formatted = []
+        monkeypatch.setattr(OuterIteration, "__str__", lambda record: formatted.append(record) or "")
+        with caplog.at_level(logging.WARNING, logger="lrtvar.solver"):
+            fit(data, replace(params, max_outer_iters=3))
+        assert formatted == []
 
     @pytest.mark.parametrize(
         "changes, key",
@@ -707,11 +726,11 @@ class TestFit:
         rng = np.random.default_rng(75)
         data = random_data(rng, 3, 5, 4)
         _, report = fit(data, Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=5, **changes))
-        stats = report.subproblem_stats
-        assert all(type(flag) is bool for name in ("capped_right", "capped_temporal") for flag in stats[name])
-        assert stats[key] == [True] * report.iterations
+        assert len(report.outer) == report.iterations
+        assert all(type(o.capped_right) is bool and type(o.capped_temporal) is bool for o in report.outer)
+        assert all(getattr(o, key) for o in report.outer)
         if "reg" not in changes:
-            assert stats["capped_temporal"] == [False] * report.iterations  # the exact solve has no cap
+            assert not any(o.capped_temporal for o in report.outer)  # the exact solve has no cap
 
     def test_smooth_spline_fit_caps_every_temporal_cg(self):
         # the smooth benchmark's settings: the U3 CG uses all 24 steps on every outer iteration
@@ -720,9 +739,9 @@ class TestFit:
         data = build_snapshots(truth.series, M=1)
         params = Hyperparams(R=4, eta=6.0 / N, reg=Regularizer("spline", 600.0 * np.log10(N) ** 2), seed=0)
         _, report = fit(data, params)
-        stats = report.subproblem_stats
-        assert stats["capped_temporal"] == [True] * report.iterations
-        assert stats["inner_iters_temporal"] == [params.cg_max_iters] * report.iterations
+        assert len(report.outer) == report.iterations
+        assert all(o.capped_temporal for o in report.outer)
+        assert [o.inner_iters for o in report.outer] == [params.cg_max_iters] * report.iterations
 
     def test_cost_rise_is_recorded_and_warned(self, monkeypatch, caplog):
         rng = np.random.default_rng(76)
@@ -738,7 +757,7 @@ class TestFit:
         monkeypatch.setattr(lrtvar.solver, "update_temporal", doubled_on_third_call)
         with caplog.at_level(logging.WARNING, logger="lrtvar.solver"):
             _, report = fit(data, Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=5, rtol=0.0, atol=0.0))
-        rises = report.subproblem_stats["cost_rise"]
+        rises = [o.cost_rise for o in report.outer]
         assert len(rises) == report.iterations == 5
         assert rises[2] > MONOTONE_SLACK
         assert all(rise <= MONOTONE_SLACK for i, rise in enumerate(rises) if i != 2)
@@ -755,7 +774,7 @@ class TestFit:
         truth = (simulate_smooth if kind == "spline" else simulate_switching)(N=N, tau=tau, sigma=0.5, seed=3)
         data = build_snapshots(truth.series, M=M)
         _, report = fit(data, Hyperparams(R=R, eta=1.0 / N, reg=Regularizer(kind, beta), seed=3))
-        rises = report.subproblem_stats["cost_rise"]
+        rises = [o.cost_rise for o in report.outer]
         assert len(rises) == report.iterations
         assert all(0.0 <= rise <= MONOTONE_SLACK for rise in rises)
 
@@ -967,7 +986,7 @@ class TestExtrapolation:
         value = _quadratic_loss(planted, _products(planted, exact), half_energy(exact))
         assert 0.0 <= value <= 1e-10 * half_energy(exact)
 
-    @pytest.mark.parametrize("name", ["switching", "large_n"], ids=["full-coordinates", "range-coordinates"])
+    @pytest.mark.parametrize("name", ["switching", "large_n"], ids=["square-range", "range-coordinates"])
     def test_final_trace_entry_is_the_direct_cost(self, name):
         data, params = benchmark_setting(name)
         model, report = fit(data, params)
@@ -1004,7 +1023,7 @@ class TestExtrapolation:
         kept = starts[1:] + last
         data = seen[0]  # the data every update received
         assert all(d is data for d in seen)
-        flags = report.subproblem_stats["extrapolated"]
+        flags = [o.extrapolated for o in report.outer]
         assert len(flags) == len(sweeps) == len(kept) == params.max_outer_iters
         assert True in flags and False in flags
         root = 3
@@ -1029,14 +1048,14 @@ class TestExtrapolation:
         # them at tiny sizes whose products with the data are subnormal
         data, params = benchmark_setting("switching")
         model, report = fit(data, replace(params, max_outer_iters=30, rtol=0.0, atol=0.0))
-        assert sum(report.subproblem_stats["extrapolated"]) >= 10
+        assert sum(o.extrapolated for o in report.outer) >= 10
         unused = ~model.U3.any(axis=0)
         assert unused.sum() == 4
         assert not model.U1[:, unused].any()
         for U in (model.U1, model.U2, model.U3):
             assert not np.any((U != 0) & (np.abs(U) < np.finfo(float).tiny))
 
-    @pytest.mark.parametrize("path", ["full-coordinates", "range-coordinates"])
+    @pytest.mark.parametrize("path", ["square-range", "range-coordinates"])
     def test_four_data_contractions_per_outer_iteration(self, monkeypatch, path):
         # every contraction with the data views it through _transitions once;
         # the U2 CG operator views X once per application
@@ -1053,12 +1072,12 @@ class TestExtrapolation:
 
         monkeypatch.setattr(lrtvar.solver, "_transitions", counted_transitions)
         monkeypatch.setattr(lrtvar.solver, "_right_operator", counted_operator)
-        data, params = benchmark_setting("switching") if path == "full-coordinates" else range_case("switching-tv")
+        data, params = benchmark_setting("switching") if path == "square-range" else range_case("switching-tv")
 
         def contractions(iterations):
             calls.update(all=0, operator=0)
             _, report = fit(data, replace(params, max_outer_iters=iterations, rtol=0.0, atol=0.0))
-            assert calls["operator"] == sum(1 + n for n in report.subproblem_stats["cg_iters_right"])
+            assert calls["operator"] == sum(1 + o.cg_iters for o in report.outer)
             return calls["all"] - calls["operator"]
 
         assert contractions(7) - contractions(3) == 4 * 4
@@ -1067,7 +1086,7 @@ class TestExtrapolation:
         data, params = benchmark_setting("switching")
         with caplog.at_level(logging.INFO, logger="lrtvar.solver"):
             _, report = fit(data, params)
-        flags = report.subproblem_stats["extrapolated"]
+        flags = [o.extrapolated for o in report.outer]
         assert len(flags) == report.iterations and all(type(flag) is bool for flag in flags)
         assert True in flags and False in flags
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "lrtvar.solver"]
