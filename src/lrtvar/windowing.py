@@ -7,7 +7,9 @@ stacks the P most recent states; with ``affine=True`` a row of ones is
 appended so a constant offset can be fit.
 
 The package's CSV codec lives here too: every CSV file it reads or writes
-goes through :func:`read_csv` and :func:`write_csv`.
+goes through :func:`read_csv` and :func:`write_csv`.  Reading takes one
+path: the data lines stream into a single ``np.loadtxt`` call, and a parse
+error names the file line it stopped on.
 """
 
 from __future__ import annotations
@@ -204,6 +206,8 @@ def format_cell(value) -> str:
 def write_csv(path, rows, header=None, manifest: Optional[str] = None, comments=()) -> None:
     """Write ``rows`` as UTF-8 CSV: a ``# manifest`` line, ``#`` comments, an
     optional header row, then one line per row of cells."""
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)  # Python floats format faster than numpy scalars, to the same text
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if manifest:
             fh.write(f"# {manifest}\n")
@@ -215,80 +219,57 @@ def write_csv(path, rows, header=None, manifest: Optional[str] = None, comments=
             fh.write(",".join(map(format_cell, row)) + "\n")
 
 
-def _content_lines(fh):
-    """The lines of ``fh`` that are neither blank nor ``#`` comments, as they
-    are read; a quote or a NUL on any line, which only ``csv`` reads, raises
-    ValueError."""
-    for line in fh:
-        if '"' in line or "\0" in line:
-            raise ValueError("quote or NUL")
-        text = line.rstrip("\r\n")
-        if text and not text.lstrip().startswith("#"):
+def _content_lines(fh, at):
+    """The lines of ``fh`` (read with universal newlines, so each ends in
+    ``\n`` but the last) that are neither blank nor ``#`` comments, as they
+    are read.  ``at[0]`` holds the file line number of the last one yielded;
+    a line with an odd number of quotes, whose quoted cell would run on into
+    the next line, raises ValueError."""
+    for n, line in enumerate(fh, start=1):
+        if line != "\n" and not line.lstrip().startswith("#"):
+            at[0] = n
+            if line.count('"') % 2:
+                raise ValueError("unterminated quote")
             yield line
+
+
+def _parse(lines) -> np.ndarray:
+    """The numbers of CSV ``lines`` as a 2-D array; cells may be quoted with ``"``."""
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
 def read_csv(path) -> tuple:
     """Read a numeric CSV as ``(header or None, 2-D float array)``.
 
-    Lines starting with ``#`` are skipped.  A single header row is detected
-    by a non-numeric first data line.  A bad cell (reported with its line
-    number), ragged rows, a non-finite cell or no data rows is a hard error.
-
-    The data lines are fed as they are read to one ``np.loadtxt`` call,
-    which rounds each cell as ``float`` does, so neither the lines nor any
-    cell are held as Python objects.  When that call fails, or the file
-    holds a quote (or a NUL, which ``csv`` rejects before Python 3.11), the
-    file is read again record by record with ``csv``
-    (:func:`_read_csv_records`), which names the bad line or reads the
-    quoted cells.
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped.  Cells may be quoted with ``"``.  The first line is a header when
+    it does not parse as numbers; its names are split by ``csv``.  The data
+    lines are fed as they are read to one ``np.loadtxt`` call, which pulls
+    one line at a time, so the line it fails on is the one last read: a bad
+    cell, a change of width or an unterminated quote raises ValueError
+    ``"<path>: line <n>: ..."`` with the 1-based file line.  A file that is
+    not UTF-8, a header of another width than the data, a non-finite cell or
+    no data rows is an error too.
     """
-    header = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = _content_lines(fh)
+    header, at = None, [0]
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _content_lines(fh, at)
         try:
             first = next(lines, None)
             if first is not None:
-                cells = first.rstrip("\r\n").split(",")
                 try:
-                    [float(c) for c in cells]
+                    _parse([first])
                 except ValueError:
-                    header, first = [c.strip() for c in cells], next(lines, None)
-            data = None if first is None else np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                                                         comments=None, ndmin=2)
-        except ValueError:
-            return _read_csv_records(path)
+                    header, first = [c.strip() for c in next(csv.reader([first]))], next(lines, None)
+            data = None if first is None else _parse(itertools.chain([first], lines))
+        except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is known
+            raise ValueError(f"{path}: not UTF-8: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {at[0]}: {exc}") from None
     if data is None:
         raise SeriesTooShortError(f"{path}: no data rows")
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"{path}: non-finite cell in data")
-    return header, data
-
-
-def _read_csv_records(path) -> tuple:
-    """:func:`read_csv` one ``csv`` record and one cell at a time."""
-    rows = []
-    header = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            if header is None and not rows:
-                try:
-                    rows.append([float(c) for c in row])
-                    continue
-                except ValueError:
-                    header = [c.strip() for c in row]
-                    continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad cell ({exc})") from None
-    if not rows:
-        raise SeriesTooShortError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
-    data = np.asarray(rows, dtype=float)
+    if header is not None and len(header) != data.shape[1]:
+        raise ValueError(f"{path}: header has {len(header)} names, data rows have {data.shape[1]} cells")
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{path}: non-finite cell in data")
     return header, data

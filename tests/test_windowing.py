@@ -1,10 +1,11 @@
+import csv
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import lrtvar.windowing
-from lrtvar.errors import LrtvarError, NonFiniteError, SeriesTooShortError, ZeroVarianceError
+from lrtvar.errors import NonFiniteError, SeriesTooShortError, ZeroVarianceError
 from lrtvar.windowing import (
     SnapshotPair,
     TimeSeries,
@@ -14,12 +15,43 @@ from lrtvar.windowing import (
     standardize,
     write_csv,
     write_series_csv,
-    _read_csv_records,
 )
 
 
 def make_series(rng, N, n_samples):
     return TimeSeries(values=rng.standard_normal((N, n_samples)))
+
+
+def read_records(path):
+    """Reference outcome of ``read_csv(path)``, one record at a time: each
+    content line (not blank, not ``#`` after leading whitespace) is parsed
+    alone by ``np.loadtxt``.  A first line that fails alone is the header.
+    Returns ``("ok", header, shape, bytes)``, or the error class and the
+    prefix its message must start with."""
+    header, rows = None, []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.rstrip("\r\n")
+            if not text or text.lstrip().startswith("#"):
+                continue
+            try:
+                row = np.loadtxt([text], delimiter=",", quotechar='"', comments=None, ndmin=2)
+            except ValueError:
+                row = None
+            if row is None and header is None and not rows:
+                header = [c.strip() for c in next(csv.reader([text]))]
+            elif row is None or (rows and row.shape != rows[0].shape):
+                return ValueError, f"{path}: line {lineno}: "
+            else:
+                rows.append(row)
+    if not rows:
+        return SeriesTooShortError, f"{path}: no data rows"
+    data = np.concatenate(rows)
+    if header is not None and len(header) != data.shape[1]:
+        return ValueError, f"{path}: header has {len(header)} names, data rows have {data.shape[1]} cells"
+    if not np.all(np.isfinite(data)):
+        return NonFiniteError, f"{path}: non-finite cell in data"
+    return "ok", header, data.shape, data.tobytes()
 
 
 class TestBuildSnapshots:
@@ -217,8 +249,9 @@ class TestCsvCodec:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_one_shot_parse_matches_the_record_reader(self, tmp_path, newline):
-        # every outcome of read_csv, data or error, is the one of the
-        # record-by-record csv reader it falls back on
+        # every outcome of read_csv, data or error, is the one of read_records,
+        # which parses each line alone; an error names the first line that
+        # fails alone or changes the width.  Every line here has balanced quotes.
         rows = ["1,2,3", "4.5e-300,-0,7", "5e-324, 6 ,\t7", "0.1,0.2,0.30000000000000004", "1_0,2,3", "\uff11,2,3",
                 '"1",2,3']
         others = ["# manifest", "  # indented comment", "", "   ", "a,b,c", " x , y ,z", "0.1,1e400,2", "nan,1,2",
@@ -231,26 +264,80 @@ class TestCsvCodec:
         for trial, lines in enumerate(files):
             path = tmp_path / f"f{trial}.csv"
             path.write_bytes(newline.join(lines).encode("utf-8") + (newline.encode() if rng.random() < 0.5 else b""))
-            outcomes = []
-            for reader in (read_csv, _read_csv_records):
-                try:
-                    header, data = reader(path)
-                    outcomes.append(("ok", header, data.shape, data.tobytes()))
-                except (ValueError, LrtvarError) as exc:
-                    outcomes.append((type(exc), str(exc)))
-            assert outcomes[0] == outcomes[1], lines
+            expected = read_records(path)
+            try:
+                header, data = read_csv(path)
+            except ValueError as exc:
+                assert type(exc) is expected[0] and str(exc).startswith(expected[1]), (lines, str(exc))
+            else:
+                assert ("ok", header, data.shape, data.tobytes()) == expected, lines
 
-    def test_series_file_parses_in_one_shot(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bad", ["1,x,3", "1,2", "1,2,3,4", '1,"2'])
+    def test_numpy_pulls_one_line_at_a_time(self, tmp_path, newline, bad):
+        # the line read_csv names is the one np.loadtxt failed on, so numpy must
+        # not read ahead: a bad line near the end of 2000 is named by its own number
+        lines = ["# manifest", "a,b,c"] + [f"{i},{i}.5,-{i}" for i in range(1998)]
+        for lineno in (4, 1990, 2000):
+            path = tmp_path / f"bad{lineno}.csv"
+            text = lines[: lineno - 1] + [bad] + lines[lineno:]
+            path.write_bytes(newline.join(text).encode("utf-8") + newline.encode())
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {lineno}: "):
+                read_csv(path)
+
+    @pytest.mark.parametrize(("text", "names", "cells"), [("a,b,c\n1,2\n3,4\n", 3, 2), ("# m\nch0,ch1\n1,2,3\n", 2, 3)],
+                             ids=["wider", "narrower"])
+    def test_header_width_must_match_the_data(self, tmp_path, text, names, cells):
         path = tmp_path / "series.csv"
-        series = make_series(np.random.default_rng(33), 12, 40)
-        write_series_csv(path, series, manifest="m")
+        path.write_text(text)
+        message = f"^{re.escape(str(path))}: header has {names} names, data rows have {cells} cells$"
+        with pytest.raises(ValueError, match=message):
+            read_csv(path)
+        with pytest.raises(ValueError, match=message):
+            read_series_csv(path)
 
-        def unexpected(path):
-            raise AssertionError("record-by-record fallback used")
+    def test_quoted_cells_and_header_names(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"x,y",z\n"1.5",2\n3,"4e0"\n')
+        header, data = read_csv(path)
+        assert header == ["x,y", "z"]
+        assert np.array_equal(data, [[1.5, 2.0], [3.0, 4.0]])
 
-        monkeypatch.setattr(lrtvar.windowing, "_read_csv_records", unexpected)
-        assert np.array_equal(read_series_csv(path).values, series.values)
+    def test_unterminated_quote_names_its_line(self, tmp_path):
+        # numpy would run a quoted cell on into the next line: 1,"2 + ",3 reads as 1,2,3
+        path = tmp_path / "quote.csv"
+        path.write_text('1,2,3\n1,"2\n",3\n')
+        with pytest.raises(ValueError, match="line 2: unterminated quote"):
+            read_csv(path)
 
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11"], ids=["underscore", "fullwidth-digit"])
+    def test_python_only_float_spellings_are_bad_cells(self, tmp_path, cell):
+        path = tmp_path / "spelling.csv"
+        path.write_text(f"a,b\n1,2\n{cell},3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 3: could not convert string '{cell}'"):
+            read_csv(path)
+        path.write_text(f"{cell},2\n1,2\n", encoding="utf-8")  # a first line in such a spelling is a header
+        assert read_csv(path)[0] == [cell, "2"]
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b\n1,2\n3,\u00e9\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8: "):
+            read_csv(path)
+
+    def test_comments_are_decided_on_the_raw_line(self, tmp_path):
+        path = tmp_path / "comment.csv"
+        path.write_text('  # comment\n"#q",1\n1,2\n')
+        header, data = read_csv(path)
+        assert header == ["#q", "1"]
+        assert np.array_equal(data, [[1.0, 2.0]])
+
+    def test_array_rows_write_the_text_of_their_scalars(self, tmp_path):
+        values = np.random.default_rng(35).standard_normal((6, 5)) * np.logspace(-310, 300, 5)
+        values[0, :3] = [-0.0, 5e-324, np.finfo(float).max]
+        write_csv(tmp_path / "array.csv", values, header=list("abcde"))
+        write_csv(tmp_path / "scalars.csv", (list(row) for row in values), header=list("abcde"))
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "scalars.csv").read_bytes()
 
     def test_lines_are_parsed_as_they_are_read(self, tmp_path):
         # 2000 channels by 201 samples, the size of the N=2000 switching series:
