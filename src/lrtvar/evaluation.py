@@ -180,12 +180,8 @@ def operator_norm_error(
     return float(np.mean(np.linalg.svd(core, compute_uv=False).max(axis=1, initial=0.0)))
 
 
-def _kmeans_single(X: np.ndarray, k: int, rng: np.random.Generator):
-    """One k-means run with k-means++ seeding; returns (labels, inertia, history).
-
-    ``history`` is the within-cluster sum of squares after every assignment
-    step; it is non-increasing.
-    """
+def _kmeans_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k initial centers drawn from the rows of X by k-means++ seeding."""
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
@@ -198,29 +194,47 @@ def _kmeans_single(X: np.ndarray, k: int, rng: np.random.Generator):
         probs = closest_sq / total
         centers[j] = X[rng.choice(n, p=probs)]
         closest_sq = np.minimum(closest_sq, np.sum((X - centers[j]) ** 2, axis=1))
+    return centers
 
-    labels = np.zeros(n, dtype=int)
-    history = []
+
+def _lloyd(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd steps of every restart at once from its (restarts, k, d)
+    initial centers; returns the (restarts, n) labels of the rows of X and
+    each restart's within-cluster sum of squares at its last assignment.
+
+    A restart stops once its centers stop moving, or after
+    ``KMEANS_MAX_ITERS`` steps.  A center with no members stays put.  The
+    member sums are accumulated row by row in order, as ``mean`` does for
+    rows of more than one column.
+    """
+    restarts, k, _ = centers.shape
+    labels = np.empty((restarts, X.shape[0]), dtype=int)
+    inertia = np.empty(restarts)
+    active = np.arange(restarts)
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), labels].sum()))
-        new_centers = centers.copy()
-        for j in range(k):
-            members = X[labels == j]
-            if len(members):
-                new_centers[j] = members.mean(axis=0)
-        if np.array_equal(new_centers, centers):
+        current = centers[active]
+        d2 = np.sum((X[None, :, None, :] - current[:, None, :, :]) ** 2, axis=3)
+        step = np.argmin(d2, axis=2)
+        labels[active] = step
+        inertia[active] = np.take_along_axis(d2, step[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        sums = np.zeros_like(current)
+        np.add.at(sums, (np.arange(len(active))[:, None], step), X)
+        counts = np.sum(step[:, :, None] == np.arange(k), axis=1)[:, :, None]
+        moved = np.where(counts > 0, sums / np.maximum(counts, 1), current)
+        centers[active] = moved
+        active = active[np.any(moved != current, axis=(1, 2))]
+        if not active.size:
             break
-        centers = new_centers
-    return labels, history[-1], history
+    return labels, inertia
 
 
 def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Cluster the rows of the temporal-mode matrix into k regimes.
 
     k-means with k-means++ seeding, ``KMEANS_RESTARTS`` independent
-    restarts, and the lowest within-cluster sum of squares wins.  Labels are
+    restarts, and the lowest within-cluster sum of squares wins (the first
+    of those within 1e-15 of it).  The restarts are seeded one after the
+    other from ``seed`` and their Lloyd steps run together.  Labels are
     canonicalized by first occurrence (the first row is always labeled 0),
     so runs are comparable across seeds.
     """
@@ -229,12 +243,13 @@ def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     if not 1 <= k <= T:
         raise ValueError(f"need 1 <= k <= {T}, got {k}")
     rng = np.random.default_rng(seed)
-    best_labels, best_inertia = None, np.inf
-    for _ in range(KMEANS_RESTARTS):
-        labels, inertia, _ = _kmeans_single(U3, k, rng)
-        if inertia < best_inertia - 1e-15:
-            best_labels, best_inertia = labels, inertia
-    _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)
+    centers = np.stack([_kmeans_plus_plus(U3, k, rng) for _ in range(KMEANS_RESTARTS)])
+    labels, inertia = _lloyd(U3, centers)
+    best, best_inertia = 0, np.inf
+    for restart, value in enumerate(inertia.tolist()):
+        if value < best_inertia - 1e-15:
+            best, best_inertia = restart, value
+    _, first, inverse = np.unique(labels[best], return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=int)
     rank[np.argsort(first)] = np.arange(len(first))
     return rank[inverse]

@@ -7,9 +7,10 @@ The regularized cost is
         + beta * R(U3)
 
 minimized by cycling exact or iterative solves over the three factor
-blocks: a dense R x R solve for U1, matrix-free conjugate gradients on a
-Sylvester-type system for U2, and per-window solves (no smoothing), the same
-CG routine (spline smoothing), or exact minimization one column at a time by
+blocks: a dense R x R solve for U1, a dense solve or matrix-free conjugate
+gradients, whichever costs fewer flops, on a Sylvester-type system for U2,
+and per-window solves (no smoothing), the same CG routine (spline
+smoothing), or exact minimization one column at a time by
 the weighted TV prox (total-variation smoothing) for U3.  Between two TV
 column sweeps the U3 block is minimized exactly on the face the sweep found
 (its fused segments and the signs of its jumps) by one dense solve over the
@@ -20,19 +21,23 @@ iterate U + it^(1/p) (U - U_prev) on all three factors at once and keeps it
 only if it lowers C (Bro's line search for PARAFAC), so the outer cost trace
 descends monotonically up to subproblem tolerances.
 
-Nothing in the fit path forms a matrix larger than the data; all
-contractions go through the data tensors and the R-column factors, which is
-what makes large state dimensions tractable.  Each contraction is a BLAS
-matmul of a 2-D (M*T, channels) view of a data tensor with an R-column
-factor (the MTTKRP view of CP-ALS); diag(U3[k]) is a broadcast multiply on
-the (M, T, R) view of the product, and the per-window R x R blocks are one
-batched matmul.  The loss and every block update see the factors U2 and U1
-only through the products X'U2 and Y'U1, so ``fit`` forms each of them once
-per factor value and passes them to the updates.  It takes the loss from the
-U3 quadratic, 1/2 ||Y||^2 - sum_k b_k'u_k + 1/2 sum_k u_k'C_k u_k, which
-costs no pass over the data, and the products of the extrapolated iterate
-are the same extrapolation of the sweep's products: an outer iteration makes
-four data contractions besides those of the U2 conjugate gradients.
+Apart from the exact U2 solve's (r_x R)^2 matrix, r_x = min(T*M, N_in),
+nothing in the fit path forms a matrix larger than the data, and the rule
+that picks that solve keeps its matrix below 12 cg_max_iters M T entries.
+All contractions go through the data tensors and the R-column factors,
+which is what makes large state dimensions tractable.  Each contraction is
+a BLAS matmul of a 2-D (M*T, channels) view of a data tensor with an
+R-column factor (the MTTKRP view of CP-ALS); diag(U3[k]) is a broadcast
+multiply on the (M, T, R) view of the product, and the per-window R x R
+blocks are one batched matmul.  The loss and every block update see the
+factors U2 and U1 only through the products X'U2 and Y'U1, so ``fit`` forms
+each of them once per factor value and passes them to the updates.  It
+takes the loss from the U3 quadratic,
+1/2 ||Y||^2 - sum_k b_k'u_k + 1/2 sum_k u_k'C_k u_k, which costs no pass
+over the data, and the products of the extrapolated iterate are the same
+extrapolation of the sweep's products: an outer iteration makes four data
+contractions besides the U2 solve's (its Grams X_k X_k', or one per CG
+step).
 
 The loss sees U2 only through X_k'U2 and U1 only through its product with Y,
 and the ridge term puts each block's exact minimizer in range(X), resp.
@@ -94,7 +99,9 @@ class Hyperparams:
 
     ``atol`` is relative to the initial cost, like ``rtol`` to the previous one.
     ``cg_max_iters`` caps the CG steps of the U2 update and of the spline U3
-    update; ``pg_max_iters`` caps the column sweeps of the TV U3 update.
+    update; U2 is solved exactly instead when that costs fewer flops than
+    this many CG steps.  ``pg_max_iters`` caps the column sweeps of the TV
+    U3 update.
     ``seed`` fixes the initialization noise (see :func:`initialize`).
     ``R``, the caps and ``seed`` must be integers and ``eta``, ``rtol`` and
     ``atol`` real numbers, none of them bools; a value of another type or out
@@ -137,9 +144,10 @@ class OuterIteration:
     ``cg_iters`` and ``inner_iters`` are the inner iterations of the U2 and
     U3 updates, and ``capped_right`` and ``capped_temporal`` whether each
     used its whole budget (``cg_max_iters`` for CG, ``pg_max_iters`` for TV
-    sweeps; the exact unsmoothed U3 solve is never capped).  ``face_steps``
-    and ``certificate`` are the face steps a TV update kept and its last
-    sweep's largest move over max|U3| (0 and None for the other U3 updates).
+    sweeps; the exact U2 and unsmoothed U3 solves report 0 and are never
+    capped).  ``face_steps`` and ``certificate`` are the face steps a TV
+    update kept and its last sweep's largest move over max|U3| (0 and None
+    for the other U3 updates).
     ``extrapolated`` says whether the extrapolation trial was kept, and
     ``cost_rise`` is the rise of the cost over the previous trace entry
     relative to 1 + |previous cost|, 0 when it fell.  The ``seconds_*``
@@ -325,7 +333,7 @@ def grad_left(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
 def grad_right(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
     """Gradient of (loss + ridge) in U2; never forms X_k X_k'."""
     _check_dims(model, data)
-    return _right_operator(model, data, eta, model.U2) - _right_rhs(model, data)
+    return _right_operator(_right_weights(model), data, eta, model.U2) - _right_rhs(model, data)
 
 
 def grad_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> np.ndarray:
@@ -354,12 +362,17 @@ def update_left(model: CpFactors, data: SnapshotPair, eta: float, *, products=No
     return np.linalg.solve(S, B.T).T
 
 
-def _right_operator(model: CpFactors, data: SnapshotPair, eta: float, U: np.ndarray, XU=None) -> np.ndarray:
-    """Apply U -> sum_k X_k X_k' U R_k + U/eta with R_k = diag(U3[k]) U1'U1 diag(U3[k]);
-    ``XU`` is X'U when the caller holds it."""
+def _right_weights(model: CpFactors) -> np.ndarray:
+    """The (T, R, R) weights R_k = diag(U3[k]) U1'U1 diag(U3[k]) of the U2 system."""
+    return (model.U1.T @ model.U1) * (model.U3[:, :, None] * model.U3[:, None, :])
+
+
+def _right_operator(weights: np.ndarray, data: SnapshotPair, eta: float, U: np.ndarray, XU=None) -> np.ndarray:
+    """Apply U -> sum_k X_k X_k' U R_k + U/eta with ``weights`` the R_k of
+    :func:`_right_weights`; ``XU`` is X'U when the caller holds it."""
     X = _transitions(data.X)
-    W = _scale_windows(X @ U if XU is None else XU, model.U3)  # rows of X_k' U diag(U3[k])
-    Z = _scale_windows(W @ (model.U1.T @ model.U1), model.U3)
+    W = (X @ U if XU is None else XU).reshape(data.M, data.T, -1)  # W[m, k] = (X_k' U)[m]
+    Z = (W.transpose(1, 0, 2) @ weights).transpose(1, 0, 2).reshape(X.shape[0], -1)
     return X.T @ Z + U / eta
 
 
@@ -400,22 +413,51 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = C
     return x, n_iters
 
 
+def _direct_right_solve_is_cheaper(rows: int, M: int, T: int, R: int, max_iters: int) -> bool:
+    """Whether one dense solve of the U2 system with ``rows`` channels costs
+    at most the flops of ``max_iters`` CG steps.  The solve forms the T
+    Grams X_k X_k' (2 T M rows^2) and the Kronecker matrix
+    (T R^2 rows^2) and factors it ((rows R)^3 / 3); a CG step makes two
+    contractions with the data (4 M T rows R)."""
+    n = rows * R
+    return 2 * T * M * rows**2 + T * R**2 * rows**2 + n**3 / 3 <= max_iters * 4 * M * T * n
+
+
+def _solve_right_exactly(weights: np.ndarray, data: SnapshotPair, eta: float, rhs: np.ndarray) -> np.ndarray:
+    """The solution of sum_k L_k U R_k + U/eta = rhs, with L_k = X_k X_k',
+    by one dense solve of (sum_k L_k kron R_k + I/eta) vec(U) = vec(rhs),
+    vec stacking the rows."""
+    rows, R = rhs.shape
+    X = _transitions(data.X).reshape(data.M, data.T, rows).transpose(1, 2, 0)  # X[k] = X_k
+    K = np.tensordot(X @ X.transpose(0, 2, 1), weights, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(rows * R, -1)
+    K[np.diag_indices_from(K)] += 1.0 / eta
+    return np.linalg.solve(K, rhs.ravel()).reshape(rows, R)
+
+
 def update_right(
     model: CpFactors, data: SnapshotPair, eta: float, max_iters: int = 24, tol: float = CG_TOL, *, products=None
 ) -> tuple[np.ndarray, int]:
-    """Approximate minimizer of the cost over U2 by matrix-valued CG.
+    """Minimizer of the cost over U2, exact or by matrix-valued CG.
 
-    The normal equations are a Sylvester-type system
-    sum_k L_k U2 R_k + U2/eta = B with L_k = X_k X_k' applied matrix-free.
-    CG warm-starts from the current U2, so the quadratic objective (hence the
-    cost) never increases.  ``products`` is as in :func:`update_left`; X'U2
-    then also serves the initial residual.  Returns (new U2, CG iterations
-    used).
+    The normal equations are the Sylvester-type system
+    sum_k L_k U2 R_k + U2/eta = B with L_k = X_k X_k' and the weights R_k
+    of :func:`_right_weights`.  When one dense solve of its Kronecker form
+    costs no more flops than ``max_iters`` CG steps
+    (:func:`_direct_right_solve_is_cheaper`), the update solves it exactly
+    and reports 0 iterations.  Otherwise CG, with L_k applied matrix-free,
+    warm-starts from the current U2, so the quadratic objective (hence the
+    cost) never increases, and stops at ``tol`` or after ``max_iters``
+    steps.  ``products`` is as in :func:`update_left`; X'U2 then also
+    serves CG's initial residual.  Returns (new U2, CG iterations used).
     """
     _check_dims(model, data)
-    operate = partial(_right_operator, model, data, eta)
-    image = None if products is None else _right_operator(model, data, eta, model.U2, products[0])
-    return _cg(operate, _right_rhs(model, data, products), model.U2, max_iters, tol, image)
+    weights = _right_weights(model)
+    rhs = _right_rhs(model, data, products)
+    if _direct_right_solve_is_cheaper(data.N_in, data.M, data.T, model.R, max_iters):
+        return _solve_right_exactly(weights, data, eta, rhs), 0
+    operate = partial(_right_operator, weights, data, eta)
+    image = None if products is None else operate(model.U2, products[0])
+    return _cg(operate, rhs, model.U2, max_iters, tol, image)
 
 
 def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products=None) -> tuple[np.ndarray, np.ndarray]:
@@ -750,9 +792,9 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     the block updates, and it takes the loss of the sweep and of the trial
     from the U3 quadratic (:func:`_quadratic_loss`) on products it already
     holds: those of the trial are the same extrapolation of the sweep's.  An
-    outer iteration so makes four data contractions besides those of the U2
-    conjugate gradients: the right-hand sides of the U1 and U2 updates, and
-    Y'U1 and X'U2 of the new U1 and U2.
+    outer iteration so makes four data contractions besides the U2 solve's:
+    the right-hand sides of the U1 and U2 updates, and Y'U1 and X'U2 of the
+    new U1 and U2.
 
     The fit runs in orthonormal bases Q_x of range(X) and Q_y of range(Y),
     each from one thin QR of the matrix of all transitions and square when

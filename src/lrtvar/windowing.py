@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -233,6 +234,18 @@ def _content_lines(fh, at):
             yield line
 
 
+# numpy's location of a parse error: the 0- or 1-based row and a 1-based column
+_NUMPY_LOCATION = re.compile(r"(.*?) at row \d+(?:, column (\d+))?(?:\.|;.*)?", re.S)
+
+
+def _located(path, line: int, exc: ValueError) -> str:
+    """The message of a parse error with file line ``line`` as its only row
+    location: ``"<path>: line <n>[, column <c>]: <numpy's text>"``."""
+    match = _NUMPY_LOCATION.fullmatch(str(exc))
+    text, column = match.groups() if match else (str(exc), None)
+    return f"{path}: line {line}{'' if column is None else f', column {column}'}: {text}"
+
+
 def _parse(lines) -> np.ndarray:
     """The numbers of CSV ``lines`` as a 2-D array; cells may be quoted with ``"``."""
     return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
@@ -246,10 +259,11 @@ def read_csv(path) -> tuple:
     it does not parse as numbers; its names are split by ``csv``.  The data
     lines are fed as they are read to one ``np.loadtxt`` call, which pulls
     one line at a time, so the line it fails on is the one last read: a bad
-    cell, a change of width or an unterminated quote raises ValueError
-    ``"<path>: line <n>: ..."`` with the 1-based file line.  A file that is
-    not UTF-8, a header of another width than the data, a non-finite cell or
-    no data rows is an error too.
+    cell raises ValueError ``"<path>: line <n>, column <c>: ..."`` with the
+    1-based file line and cell, a change of width or an unterminated quote
+    ``"<path>: line <n>: ..."``.  A file that is not UTF-8, a header of
+    another width than the data, a non-finite cell or no data rows is an
+    error too.
     """
     header, at = None, [0]
     with open(path, "r", encoding="utf-8") as fh:
@@ -265,7 +279,7 @@ def read_csv(path) -> tuple:
         except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is known
             raise ValueError(f"{path}: not UTF-8: {exc}") from None
         except ValueError as exc:
-            raise ValueError(f"{path}: line {at[0]}: {exc}") from None
+            raise ValueError(_located(path, at[0], exc)) from None
     if data is None:
         raise SeriesTooShortError(f"{path}: no data rows")
     if header is not None and len(header) != data.shape[1]:

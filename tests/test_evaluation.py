@@ -8,8 +8,11 @@ from lrtvar.cp_model import CpFactors
 from lrtvar.errors import DegenerateWindowError, ShapeMismatchError
 from lrtvar.evaluation import (
     PINV_RTOL,
+    KMEANS_MAX_ITERS,
+    KMEANS_RESTARTS,
     WindowedEstimate,
-    _kmeans_single,
+    _kmeans_plus_plus,
+    _lloyd,
     cluster_temporal_modes,
     independent_fit,
     model_estimate,
@@ -295,6 +298,52 @@ class TestModelEstimate:
             assert np.array_equal(dense(est)[k], model.slice(k))
 
 
+def kmeans_single(X, k, rng):
+    """One k-means run with k-means++ seeding, one restart at a time;
+    returns (labels, inertia, history), ``history`` the within-cluster sum
+    of squares after every assignment step."""
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    closest_sq = np.sum((X - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = closest_sq.sum()
+        if total == 0.0:
+            centers[j:] = X[rng.integers(n, size=k - j)]
+            break
+        probs = closest_sq / total
+        centers[j] = X[rng.choice(n, p=probs)]
+        closest_sq = np.minimum(closest_sq, np.sum((X - centers[j]) ** 2, axis=1))
+
+    labels = np.zeros(n, dtype=int)
+    history = []
+    for _ in range(KMEANS_MAX_ITERS):
+        d2 = np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(n), labels].sum()))
+        new_centers = centers.copy()
+        for j in range(k):
+            members = X[labels == j]
+            if len(members):
+                new_centers[j] = members.mean(axis=0)
+        if np.array_equal(new_centers, centers):
+            break
+        centers = new_centers
+    return labels, history[-1], history
+
+
+def cluster_per_restart(U3, k, seed):
+    """``cluster_temporal_modes`` with the restarts run one after the other."""
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(KMEANS_RESTARTS):
+        labels, inertia, _ = kmeans_single(U3, k, rng)
+        if inertia < best_inertia - 1e-15:
+            best_labels, best_inertia = labels, inertia
+    remap = {}
+    return np.array([remap.setdefault(lab, len(remap)) for lab in best_labels], dtype=int)
+
+
 class TestClustering:
     def test_two_exact_blocks(self):
         U3 = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 3)
@@ -322,17 +371,63 @@ class TestClustering:
         rng = np.random.default_rng(95)
         for _ in range(200):
             raw = rng.integers(0, rng.integers(1, 8), size=rng.integers(1, 30))
-            monkeypatch.setattr(lrtvar.evaluation, "_kmeans_single", lambda X, k, rng, raw=raw: (raw, 0.0, []))
+            monkeypatch.setattr(lrtvar.evaluation, "_lloyd",
+                                lambda X, centers, raw=raw: (np.tile(raw, (len(centers), 1)), np.zeros(len(centers))))
             labels = cluster_temporal_modes(np.zeros((len(raw), 1)), k=1)
             expected = first_occurrence_loop(raw)
             assert np.array_equal(labels, expected) and labels.dtype == expected.dtype
 
-    def test_objective_non_increasing_within_run(self):
+    def test_objective_non_increasing_within_run(self, monkeypatch):
+        # the inertia of every restart after 1, 2, ... Lloyd steps
         rng = np.random.default_rng(93)
         X = rng.standard_normal((40, 3))
         for seed in range(5):
-            _, _, history = _kmeans_single(X, 4, np.random.default_rng(seed))
-            assert np.all(np.diff(history) <= 1e-12)
+            seeded = np.random.default_rng(seed)
+            centers = np.stack([_kmeans_plus_plus(X, 4, seeded) for _ in range(8)])
+            history = []
+            for steps in range(1, 12):
+                monkeypatch.setattr(lrtvar.evaluation, "KMEANS_MAX_ITERS", steps)
+                history.append(_lloyd(X, centers.copy())[1])
+            assert np.all(np.diff(history, axis=0) <= 1e-12)
+
+    @pytest.mark.parametrize("columns", [1, 2, 8])
+    def test_labels_match_the_per_restart_oracle(self, columns):
+        # generic rows, piecewise-constant rows as a TV fit leaves them, and rows with ties
+        rng = np.random.default_rng(96 + columns)
+        for case in range(20):
+            T, k = int(rng.choice([10, 20, 40, 160])), int(rng.integers(2, 5))
+            if case % 3 == 0:
+                U3 = rng.standard_normal((T, columns))
+            elif case % 3 == 1:
+                U3 = np.repeat(rng.standard_normal((4, columns)), T // 4, axis=0)
+            else:
+                U3 = np.round(rng.standard_normal((T, columns)), 1)
+            labels = cluster_temporal_modes(U3, k, seed=case)
+            assert np.array_equal(labels, cluster_per_restart(U3, k, seed=case)), (T, k, case)
+
+    def test_near_equal_restarts_keep_the_first(self):
+        # the two splits of a stretched square differ in inertia by about 1e-16, below
+        # the 1e-15 margin, so the first restart to reach either keeps it: both occur
+        s, eps = 1e-4, 5e-9
+        U3 = np.repeat(s * np.array([[0.0, 0.0], [1 + eps, 0.0], [0.0, 1.0], [1 + eps, 1.0]]), 2, axis=0)
+        seen = set()
+        for seed in range(20):
+            labels = cluster_temporal_modes(U3, 2, seed=seed)
+            assert np.array_equal(labels, cluster_per_restart(U3, 2, seed))
+            seen.add(tuple(labels.tolist()))
+        assert len(seen) == 2
+
+    def test_every_restart_matches_its_own_run(self):
+        # with two or more columns the batched Lloyd steps reproduce each
+        # restart's labels and inertia bit for bit
+        rng = np.random.default_rng(97)
+        X = rng.standard_normal((30, 4))
+        seeded, oracle = np.random.default_rng(5), np.random.default_rng(5)
+        centers = np.stack([_kmeans_plus_plus(X, 3, seeded) for _ in range(20)])
+        labels, inertia = _lloyd(X, centers)
+        for r in range(20):
+            expected_labels, expected_inertia, _ = kmeans_single(X, 3, oracle)
+            assert np.array_equal(labels[r], expected_labels) and inertia[r] == expected_inertia
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(94)

@@ -33,9 +33,11 @@ from lrtvar.solver import (
     update_left,
     update_right,
     update_temporal,
+    _direct_right_solve_is_cheaper,
     _face_step,
     _products,
     _quadratic_loss,
+    _range_data,
     _spectral_factors,
     _temporal_quadratic,
     _temporal_tv_sweeps,
@@ -256,19 +258,64 @@ def spline_dense_oracle(model, data, eta, beta):
     return np.linalg.solve(A, rhs).reshape(T, R)
 
 
+def small_right_problems():
+    rng = np.random.default_rng(50)
+    for _ in range(20):
+        N = int(rng.integers(2, 9))
+        R = int(rng.integers(1, 4))
+        T = int(rng.integers(2, 5))
+        M = int(rng.integers(2, 7))
+        yield random_model(rng, N, N, T, R), random_data(rng, N, M, T)
+
+
+def force_cg(monkeypatch):
+    """Make ``update_right`` take its CG path whatever the shapes."""
+    monkeypatch.setattr(lrtvar.solver, "_direct_right_solve_is_cheaper", lambda *shape: False)
+
+
+def cg_side_data(rng):
+    """Data with 20 channels and 20 transitions, whose U2 system at rank 4
+    is solved by CG even at the default cap, in full and in range coordinates."""
+    data = random_data(rng, 20, 5, 4)
+    assert not _direct_right_solve_is_cheaper(20, 5, 4, 4, Hyperparams(R=4, eta=1.0).cg_max_iters)
+    return data
+
+
 class TestUpdateRight:
     def test_matches_kronecker_oracle(self):
-        rng = np.random.default_rng(50)
-        for _ in range(20):
-            N = int(rng.integers(2, 9))
-            R = int(rng.integers(1, 4))
-            T = int(rng.integers(2, 5))
-            M = int(rng.integers(2, 7))
-            model = random_model(rng, N, N, T, R)
-            data = random_data(rng, N, M, T)
+        # small systems take the exact dense solve
+        for model, data in small_right_problems():
             ref = kron_oracle_right(model, data, eta=0.5)
-            out, _ = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
-            assert np.allclose(out, ref, atol=1e-6), (N, R, T, M)
+            out, iters = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
+            assert iters == 0
+            assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref), (model.N, model.R, model.T, data.M)
+
+    def test_cg_matches_kronecker_oracle(self, monkeypatch):
+        force_cg(monkeypatch)
+        for model, data in small_right_problems():
+            ref = kron_oracle_right(model, data, eta=0.5)
+            out, iters = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
+            assert iters > 0
+            assert np.allclose(out, ref, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "name, rows, R, direct",
+        [("switching", 10, 8, True), ("smooth", 10, 4, True), ("large_n", 200, 4, False),
+         ("cli-fit", 200, 8, False), ("cli-compare", 200, 4, False)],
+    )
+    def test_selects_the_path_from_the_benchmark_shapes(self, name, rows, R, direct):
+        # the benchmark's fits in range coordinates; the cli workload fits N=200 at rank 8 and compares at rank 4
+        if name.startswith("cli"):
+            data = build_snapshots(simulate_switching(N=200, tau=200, sigma=0.5, seed=0).series, M=20)
+            params = Hyperparams(R=R, eta=1.0 / 200)
+        else:
+            data, params = benchmark_setting(name)
+        work = _range_data(data)
+        assert (work.N_in, params.R) == (rows, R)
+        assert _direct_right_solve_is_cheaper(work.N_in, work.M, work.T, params.R, params.cg_max_iters) is direct
+        model = initialize(work, params)
+        _, iters = update_right(model, work, params.eta, params.cg_max_iters)
+        assert (iters == 0) is direct
 
     def test_never_increases_cost_beyond_slack(self):
         rng = np.random.default_rng(51)
@@ -281,6 +328,19 @@ class TestUpdateRight:
             model2 = CpFactors(model.U1, U2, model.U3)
             after = cost(model2, data, params)
             assert after <= before + 1e-8 * (1 + abs(before))
+
+    def test_capped_cg_never_increases_cost(self, monkeypatch):
+        # CG warm-starts from the current U2, so even two steps cannot raise the cost
+        force_cg(monkeypatch)
+        rng = np.random.default_rng(51)
+        for _ in range(10):
+            model = random_model(rng, 5, 5, 3, 2)
+            data = random_data(rng, 5, 4, 3)
+            params = Hyperparams(R=2, eta=0.5)
+            before = cost(model, data, params)
+            U2, iters = update_right(model, data, 0.5, max_iters=2)
+            assert iters == 2
+            assert cost(CpFactors(model.U1, U2, model.U3), data, params) <= before + 1e-8 * (1 + abs(before))
 
     def test_exact_data_fixed_point(self):
         rng = np.random.default_rng(52)
@@ -723,14 +783,22 @@ class TestFit:
         ids=["tv-one-sweep", "cg-one-step"],
     )
     def test_inner_solves_report_hitting_their_cap(self, changes, key):
+        # a U2 system on the CG side of the selection, so that its cap can be hit
         rng = np.random.default_rng(75)
-        data = random_data(rng, 3, 5, 4)
-        _, report = fit(data, Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=5, **changes))
+        data = cg_side_data(rng)
+        _, report = fit(data, Hyperparams(R=4, eta=0.5, seed=1, max_outer_iters=5, **changes))
         assert len(report.outer) == report.iterations
         assert all(type(o.capped_right) is bool and type(o.capped_temporal) is bool for o in report.outer)
         assert all(getattr(o, key) for o in report.outer)
         if "reg" not in changes:
             assert not any(o.capped_temporal for o in report.outer)  # the exact solve has no cap
+
+    def test_exact_right_solves_report_no_iterations_and_no_cap(self):
+        # three channels: the U2 system is solved exactly at the default cap
+        rng = np.random.default_rng(75)
+        _, report = fit(random_data(rng, 3, 5, 4), Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=5))
+        assert len(report.outer) == 5
+        assert all(o.cg_iters == 0 and o.capped_right is False for o in report.outer)
 
     def test_smooth_spline_fit_caps_every_temporal_cg(self):
         # the smooth benchmark's settings: the U3 CG uses all 24 steps on every outer iteration
@@ -780,14 +848,16 @@ class TestFit:
 
     def test_summary_counts_capped_solves(self):
         rng = np.random.default_rng(77)
-        data = random_data(rng, 3, 5, 4)
-        _, report = fit(data, Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=5, cg_max_iters=1,
-                                          reg=Regularizer("tv", 0.5), pg_max_iters=1))
+        _, report = fit(cg_side_data(rng), Hyperparams(R=4, eta=0.5, seed=1, max_outer_iters=5, cg_max_iters=1,
+                                                       reg=Regularizer("tv", 0.5), pg_max_iters=1))
         lines = report.summary().splitlines()
         assert "capped U2 solves: 5 of 5" in lines
         assert "capped U3 solves: 5 of 5" in lines
-        _, report = fit(data, Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=3))
-        assert "capped U3 solves: 0 of 3" in report.summary().splitlines()
+        # three channels: the U2 system is solved exactly and never capped
+        _, report = fit(random_data(rng, 3, 5, 4), Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=3))
+        lines = report.summary().splitlines()
+        assert "capped U2 solves: 0 of 3" in lines
+        assert "capped U3 solves: 0 of 3" in lines
 
     def test_trace_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -1055,10 +1125,11 @@ class TestExtrapolation:
         for U in (model.U1, model.U2, model.U3):
             assert not np.any((U != 0) & (np.abs(U) < np.finfo(float).tiny))
 
-    @pytest.mark.parametrize("path", ["square-range", "range-coordinates"])
+    @pytest.mark.parametrize("path", ["square-range", "range-coordinates", "exact-right-solve"])
     def test_four_data_contractions_per_outer_iteration(self, monkeypatch, path):
         # every contraction with the data views it through _transitions once;
-        # the U2 CG operator views X once per application
+        # the U2 CG operator views X once per application, and the exact U2
+        # solve once to form the Grams X_k X_k'
         calls = {"all": 0, "operator": 0}
         transitions, operator = lrtvar.solver._transitions, lrtvar.solver._right_operator
 
@@ -1072,15 +1143,22 @@ class TestExtrapolation:
 
         monkeypatch.setattr(lrtvar.solver, "_transitions", counted_transitions)
         monkeypatch.setattr(lrtvar.solver, "_right_operator", counted_operator)
-        data, params = benchmark_setting("switching") if path == "square-range" else range_case("switching-tv")
+        # T*M = N = 60 gives square bases, N = 80 thin ones; both U2 systems take CG
+        exact = path == "exact-right-solve"
+        data, params = {"square-range": lambda: range_case("square-tv"),
+                        "range-coordinates": lambda: range_case("switching-tv"),
+                        "exact-right-solve": lambda: benchmark_setting("switching")}[path]()
 
         def contractions(iterations):
             calls.update(all=0, operator=0)
             _, report = fit(data, replace(params, max_outer_iters=iterations, rtol=0.0, atol=0.0))
-            assert calls["operator"] == sum(1 + o.cg_iters for o in report.outer)
+            if exact:
+                assert calls["operator"] == 0 and all(o.cg_iters == 0 for o in report.outer)
+            else:
+                assert calls["operator"] == sum(1 + o.cg_iters for o in report.outer) > 0
             return calls["all"] - calls["operator"]
 
-        assert contractions(7) - contractions(3) == 4 * 4
+        assert contractions(7) - contractions(3) == 4 * (5 if exact else 4)
 
     def test_trial_outcome_is_logged_recorded_and_summarized(self, caplog):
         data, params = benchmark_setting("switching")

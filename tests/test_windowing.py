@@ -27,7 +27,8 @@ def read_records(path):
     content line (not blank, not ``#`` after leading whitespace) is parsed
     alone by ``np.loadtxt``.  A first line that fails alone is the header.
     Returns ``("ok", header, shape, bytes)``, or the error class and the
-    prefix its message must start with."""
+    prefix its message must start with; a parse error's prefix stops before
+    the column that may follow the line."""
     header, rows = None, []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -41,7 +42,7 @@ def read_records(path):
             if row is None and header is None and not rows:
                 header = [c.strip() for c in next(csv.reader([text]))]
             elif row is None or (rows and row.shape != rows[0].shape):
-                return ValueError, f"{path}: line {lineno}: "
+                return ValueError, f"{path}: line {lineno}"
             else:
                 rows.append(row)
     if not rows:
@@ -244,7 +245,8 @@ class TestCsvCodec:
     def test_bad_cell_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# manifest\na,b\n1.0,2.0\n3.0,x\n")
-        with pytest.raises(ValueError, match="line 4"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4, column 2: "
+                                             r"could not convert string 'x' to float64$"):
             read_csv(path)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -269,12 +271,18 @@ class TestCsvCodec:
                 header, data = read_csv(path)
             except ValueError as exc:
                 assert type(exc) is expected[0] and str(exc).startswith(expected[1]), (lines, str(exc))
+                # the file line is the only row location; numpy's own is dropped
+                assert re.match(r"(, column \d+)?: |$", str(exc)[len(expected[1]):]), (lines, str(exc))
+                assert " at row " not in str(exc) and "usecols" not in str(exc), (lines, str(exc))
             else:
                 assert ("ok", header, data.shape, data.tobytes()) == expected, lines
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("bad", ["1,x,3", "1,2", "1,2,3,4", '1,"2'])
     def test_numpy_pulls_one_line_at_a_time(self, tmp_path, newline, bad):
+        message = {"1,x,3": ", column 2: could not convert string 'x' to float64",
+                   "1,2": ": the number of columns changed from 3 to 2",
+                   "1,2,3,4": ": the number of columns changed from 3 to 4", '1,"2': ": unterminated quote"}[bad]
         # the line read_csv names is the one np.loadtxt failed on, so numpy must
         # not read ahead: a bad line near the end of 2000 is named by its own number
         lines = ["# manifest", "a,b,c"] + [f"{i},{i}.5,-{i}" for i in range(1998)]
@@ -282,7 +290,7 @@ class TestCsvCodec:
             path = tmp_path / f"bad{lineno}.csv"
             text = lines[: lineno - 1] + [bad] + lines[lineno:]
             path.write_bytes(newline.join(text).encode("utf-8") + newline.encode())
-            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {lineno}: "):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {lineno}{re.escape(message)}$"):
                 read_csv(path)
 
     @pytest.mark.parametrize(("text", "names", "cells"), [("a,b,c\n1,2\n3,4\n", 3, 2), ("# m\nch0,ch1\n1,2,3\n", 2, 3)],
@@ -314,7 +322,7 @@ class TestCsvCodec:
     def test_python_only_float_spellings_are_bad_cells(self, tmp_path, cell):
         path = tmp_path / "spelling.csv"
         path.write_text(f"a,b\n1,2\n{cell},3\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"line 3: could not convert string '{cell}'"):
+        with pytest.raises(ValueError, match=f": line 3, column 1: could not convert string '{cell}' to float64$"):
             read_csv(path)
         path.write_text(f"{cell},2\n1,2\n", encoding="utf-8")  # a first line in such a spelling is a header
         assert read_csv(path)[0] == [cell, "2"]
