@@ -14,11 +14,13 @@ smoothing), or exact minimization one column at a time by
 the weighted TV prox (total-variation smoothing) for U3.  Between two TV
 column sweeps the U3 block is minimized exactly on the face the sweep found
 (its fused segments and the signs of its jumps) by one dense solve over the
-segment values, and the move is kept only if it lowers the block objective;
-the sweeps remain the certificate of the minimizer.  Every update is
-non-increasing in C.  After each sweep ``fit`` tries the extrapolated
-iterate U + it^(1/p) (U - U_prev) on all three factors at once and keeps it
-only if it lowers C (Bro's line search for PARAFAC), so the outer cost trace
+segment values.  When that face minimizer passes the block's optimality
+conditions, a cumulative sum of its gradient, it is the block minimizer and
+ends the update; otherwise the move is kept only if it lowers the block
+objective and the sweeps go on.  Every update is non-increasing in C.
+After each sweep ``fit`` tries the extrapolated iterate
+U + it^(1/p) (U - U_prev) on all three factors at once and keeps it only if
+it lowers C (Bro's line search for PARAFAC), so the outer cost trace
 descends monotonically up to subproblem tolerances.
 
 Apart from the exact U2 solve's (r_x R)^2 matrix, r_x = min(T*M, N_in),
@@ -74,8 +76,9 @@ from .windowing import SnapshotPair, write_csv
 
 # CG stops once the residual falls to this fraction of the right-hand side.
 CG_TOL = 1e-9
-# The TV sweeps of U3 stop once a sweep moves no entry by more than this
-# fraction of the largest entry.
+# A TV update of U3 ends on a face minimizer whose dual residual, over beta,
+# is at most this, or once a sweep moves no entry by more than this fraction
+# of the largest entry.
 SWEEP_TOL = 1e-10
 # Between TV sweeps of U3 the objective is minimized exactly on the face the
 # sweep found, by a dense solve over its segments; faces of more segments
@@ -146,8 +149,9 @@ class OuterIteration:
     used its whole budget (``cg_max_iters`` for CG, ``pg_max_iters`` for TV
     sweeps; the exact U2 and unsmoothed U3 solves report 0 and are never
     capped).  ``face_steps`` and ``certificate`` are the face steps a TV
-    update kept and its last sweep's largest move over max|U3| (0 and None
-    for the other U3 updates).
+    update kept and the dual residual over beta of the U3 it returned, the
+    largest violation of the block's optimality conditions (0 and None for
+    the other U3 updates), which ends the update at ``SWEEP_TOL``.
     ``extrapolated`` says whether the extrapolation trial was kept, and
     ``cost_rise`` is the rise of the cost over the previous trace entry
     relative to 1 + |previous cost|, 0 when it fell.  The ``seconds_*``
@@ -502,11 +506,13 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     whose sweeps are reported; ``params.pg_max_iters`` caps them.  Between
     two sweeps the TV objective is minimized in one dense solve on the face
     the sweep found, its fused segments and the signs of its jumps
-    (:func:`_face_step`), and the move is kept only if it lowers the
-    objective.  ``products`` is as in :func:`update_left`.  A TV update
-    stores in the dict ``outcome``, when one is given, the face steps it
-    kept (``face_steps``) and its last sweep's largest move divided by
-    max|U3| (``certificate``), which is what the sweeps' stop tests.
+    (:func:`_face_step`); the update ends there when the face minimizer's
+    dual residual (:func:`_tv_dual_residual`) is at most ``SWEEP_TOL``,
+    and otherwise keeps the move only if it lowers the objective.
+    ``products`` is as in :func:`update_left`.  A TV update stores in the
+    dict ``outcome``, when one is given, the face steps it kept
+    (``face_steps``) and the dual residual of the U3 it returns
+    (``certificate``), whichever stop it took.
     """
     _check_dims(model, data)
     C, b = _temporal_quadratic(model, data, products)
@@ -530,7 +536,8 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
 def _temporal_tv_sweeps(H, b, U3_init, beta, max_sweeps):
     """Cyclic exact minimization over the columns of U3 of
     sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U3), with u_k = U3[k], with
-    a face step between sweeps.
+    a face step between sweeps that ends the update once its dual
+    certificate holds.
 
     The TV term is a sum over columns and the quadratic is strictly convex,
     so cycling exact column minimizations converges to the block minimizer
@@ -538,20 +545,22 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_sweeps):
     fused lasso) and no step raises the objective.  Column r given the
     others is the weighted TV prox of y_k = U[k, r] - G[k, r] / w_k with
     weights w_k = H_k[r, r] and G = H U - b, kept up to date after every
-    column.  Sweeps stop once one moves no entry by more than
-    ``SWEEP_TOL * max|U3|``, which certifies the minimizer, or after
-    ``max_sweeps``.
+    column.
 
     The columns are coupled through the off-diagonals of H_k, and cyclic
     column steps crawl while that coupling is strong.  So every sweep that
-    does not meet the stop and is followed by another is followed by the
-    fusion move of Friedman et al.: :func:`_face_step` minimizes the
-    objective exactly on the face the sweep found, the entries it fused and
-    the signs of its jumps, and keeps the move only if it lowers the
-    objective.  The sweeps remain the certificate.
+    moves some entry by more than ``SWEEP_TOL * max|U3|`` and is followed
+    by another is followed by the fusion move of Friedman et al.:
+    :func:`_face_step` minimizes the objective exactly on the face the
+    sweep found, the entries it fused and the signs of its jumps.  When
+    that face minimizer passes the block's optimality conditions
+    (:func:`_tv_dual_residual` at most ``SWEEP_TOL``) it is the block
+    minimizer and the update returns it.  Otherwise the sweeps go on; they
+    stop once one moves no entry by more than ``SWEEP_TOL * max|U3|``, or
+    after ``max_sweeps``.
 
     Returns (U3, sweeps run, face steps kept, certificate), where the
-    certificate is the last sweep's largest move divided by max|U3|.
+    certificate is the dual residual of the returned U3.
     """
     R = U3_init.shape[1]
     weights = H.diagonal(axis1=1, axis2=2)
@@ -571,16 +580,17 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_sweeps):
             columns[r] = new
             scaled_gradient += couplings[r] * steps[-1]
         U = np.hstack(columns)
-        move, peak = np.abs(np.hstack(steps)).max(), np.abs(U).max()
-        if move <= SWEEP_TOL * peak or sweeps == max_sweeps:
+        tol = SWEEP_TOL * np.abs(U).max()
+        if np.abs(np.hstack(steps)).max() <= tol or sweeps == max_sweeps:
             break
-        face = _face_step(H, b, U, beta, SWEEP_TOL * peak)
+        face, certificate = _face_step(H, b, U, beta, tol)
         fresh = face is not None
         if fresh:
             U = face
             face_steps += 1
-    certificate = move / peak if peak > 0 else (0.0 if move == 0 else math.inf)
-    return U, sweeps, face_steps, float(certificate)
+            if certificate <= SWEEP_TOL:
+                return U, sweeps, face_steps, certificate
+    return U, sweeps, face_steps, _tv_dual_residual(H, b, U, beta, tol)
 
 
 def _tv_block_objective(H, b, U, beta) -> float:
@@ -589,18 +599,41 @@ def _tv_block_objective(H, b, U, beta) -> float:
     return quadratic + beta * tv_penalty(U)
 
 
+def _tv_dual_residual(H, b, U, beta, tol) -> float:
+    """Largest violation of the optimality conditions of the TV block
+    objective at U, over beta; 0 exactly at its minimizer.
+
+    With g = H U - b window by window and z the cumulative sum of g down
+    each column, U minimizes sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U)
+    exactly when in every column z[T-1] = 0, |z_k| <= beta on every fused
+    pair (U[k+1] and U[k] within ``tol``) and z_k = beta sign(U[k+1] - U[k])
+    on every other pair, a jump: z_k / beta is then a TV subgradient.
+    """
+    z = np.cumsum((H @ U[:, :, None])[:, :, 0] - b, axis=0)
+    differences = np.diff(U, axis=0)
+    violations = np.where(np.abs(differences) > tol, np.abs(z[:-1] - beta * np.sign(differences)),
+                          np.abs(z[:-1]) - beta)
+    return float(max(np.abs(z[-1]).max(), violations.max(initial=0.0)) / beta)
+
+
 def _face_step(H, b, U, beta, tol):
     """A move of U toward the minimizer of the TV block objective on U's
-    face, or None if it would not lower the objective.
+    face and its certificate; (None, inf) if the move would not lower the
+    objective.
 
     Down each column, neighbours that differ by at most ``tol`` are fused
     into one segment and every other neighbouring pair is a jump with a
     fixed sign.  On that face U = P s, with P mapping the S segment values
     to the T*R entries, and TV is linear, so the face minimizer solves the
-    S x S SPD system (P'HP) s = P'(b - g) with g the TV gradient in s.  The
-    move runs from U toward P s and stops where the first jump would change
-    sign; it is kept only if it strictly lowers the objective.  Faces of
-    more than ``FACE_MAX_SEGMENTS`` segments are not solved (None).
+    S x S SPD system (P'HP) s = P'(b - g) with g the TV gradient in s.  If
+    the face minimizer keeps the sign of every jump and its dual residual
+    (:func:`_tv_dual_residual`) is at most ``SWEEP_TOL``, it is the block
+    minimizer and is returned with that residual as its certificate: it
+    cannot raise the objective, which is not evaluated.  Otherwise the move
+    runs from U toward P s and stops where the first jump would change
+    sign; it is kept, with certificate inf, only if it strictly lowers the
+    objective.  Faces of more than ``FACE_MAX_SEGMENTS`` segments are not
+    solved.
     """
     T, R = U.shape
     differences = np.diff(U, axis=0)
@@ -609,18 +642,24 @@ def _face_step(H, b, U, beta, tol):
     segment = np.cumsum(np.vstack([np.ones((1, R), dtype=bool), jumps]).T).reshape(R, T).T - 1
     S = int(segment[-1, -1]) + 1
     if S > FACE_MAX_SEGMENTS:
-        return None
-    face_matrix = np.zeros((S, S))
-    np.add.at(face_matrix, (segment[:, :, None], segment[:, None, :]), H)
+        return None, math.inf
+    pairs = segment[:, :, None] * S + segment[:, None, :]
+    face_matrix = np.bincount(pairs.ravel(), H.ravel(), S * S).reshape(S, S)
     signs = np.sign(differences[jumps])
     tv_gradient = np.bincount(segment[1:][jumps], signs, S) - np.bincount(segment[:-1][jumps], signs, S)
     rhs = np.bincount(segment.ravel(), b.ravel(), S) - beta * tv_gradient
     target = np.linalg.solve(face_matrix, rhs)[segment]
     before, after = differences[jumps], np.diff(target, axis=0)[jumps]
     crossing = before * after < 0
+    if not crossing.any():
+        certificate = _tv_dual_residual(H, b, target, beta, tol)
+        if certificate <= SWEEP_TOL:
+            return target, certificate
     t = float(np.min(before[crossing] / (before[crossing] - after[crossing]), initial=1.0))
     moved = target if t == 1.0 else U + t * (target - U)
-    return moved if _tv_block_objective(H, b, moved, beta) < _tv_block_objective(H, b, U, beta) else None
+    if _tv_block_objective(H, b, moved, beta) < _tv_block_objective(H, b, U, beta):
+        return moved, math.inf
+    return None, math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,47 @@ def tv_block_objective(H, b, U, beta):
     return quadratic + beta * np.abs(np.diff(U, axis=0)).sum()
 
 
+def tv_dual_residual(H, b, U, beta, tol):
+    """The largest violation of the TV block's optimality conditions over
+    beta, entry by entry: the running sum z of H_k u_k - b_k down a column
+    is beta times a subgradient of |U[k+1] - U[k]| at every pair and ends
+    at 0."""
+    T, R = U.shape
+    worst = 0.0
+    for r in range(R):
+        z = 0.0
+        for k in range(T):
+            z += H[k, r] @ U[k] - b[k, r]
+            if k == T - 1:
+                worst = max(worst, abs(z))
+            elif abs(U[k + 1, r] - U[k, r]) > tol:
+                worst = max(worst, abs(z - beta * np.sign(U[k + 1, r] - U[k, r])))
+            else:
+                worst = max(worst, abs(z) - beta)
+    return worst / beta
+
+
+def face_target(H, b, U, beta):
+    """Minimizer of the TV block objective on U's face, from a dense solve
+    of P'·blockdiag(H)·P with U's exactly equal neighbours fused."""
+    T, R = U.shape
+    jumps = np.diff(U, axis=0) != 0
+    segment_of = np.vstack([np.zeros((1, R), dtype=int), np.cumsum(jumps, axis=0)])
+    offsets = np.concatenate([[0], np.cumsum(segment_of[-1] + 1)])
+    P = np.zeros((T * R, offsets[-1]))
+    for k in range(T):
+        for r in range(R):
+            P[k * R + r, offsets[r] + segment_of[k, r]] = 1.0
+    blockdiag = np.zeros((T * R, T * R))
+    for k in range(T):
+        blockdiag[k * R:(k + 1) * R, k * R:(k + 1) * R] = H[k]
+    signs = np.sign(np.diff(U, axis=0))
+    zero = np.zeros((1, R))
+    tv_gradient = beta * (np.vstack([zero, signs]) - np.vstack([signs, zero]))
+    values = np.linalg.solve(P.T @ blockdiag @ P, P.T @ (b - tv_gradient).ravel())
+    return (P @ values).reshape(T, R)
+
+
 class TestFaceStep:
     """Between two TV sweeps the U3 block is minimized exactly on the face
     the sweep found (fused segments, signs of the jumps); the move is kept
@@ -507,8 +548,9 @@ class TestFaceStep:
             else:
                 U = np.repeat(rng.standard_normal((4, R)), [2, 5, 1, 4], axis=0)
             tol = SWEEP_TOL * np.abs(U).max()
-            moved = _face_step(H, b, U, beta, tol)
+            moved, certificate = _face_step(H, b, U, beta, tol)
             if moved is None:
+                assert certificate == np.inf
                 continue
             kept += 1
             assert tv_block_objective(H, b, moved, beta) < tv_block_objective(H, b, U, beta)
@@ -526,8 +568,110 @@ class TestFaceStep:
         # S = R: the face minimizer is the best matrix of constant columns
         rng = np.random.default_rng(402)
         H, b = random_tv_block(rng, 9, 3)
-        moved = _face_step(H, b, np.zeros((9, 3)), 0.5, 0.0)
+        moved, _ = _face_step(H, b, np.zeros((9, 3)), 0.5, 0.0)
         assert np.allclose(moved[0], np.linalg.solve(H.sum(axis=0), b.sum(axis=0)), rtol=1e-12, atol=1e-14)
+
+    def test_fused_runs_face_target_is_the_dense_face_solve(self):
+        rng = np.random.default_rng(405)
+        T, R, beta = 12, 3, 0.8
+        checked = 0
+        for _ in range(40):
+            H, b = random_tv_block(rng, T, R)
+            U = np.repeat(rng.standard_normal((4, R)), [2, 5, 1, 4], axis=0)
+            moved, certificate = _face_step(H, b, U, beta, SWEEP_TOL * np.abs(U).max())
+            if moved is None:
+                continue
+            checked += 1
+            target = face_target(H, b, U, beta)
+            scale = np.abs(target).max()
+            if certificate <= SWEEP_TOL:
+                assert np.abs(moved - target).max() <= 1e-12 * scale
+                continue
+            # a move toward the face minimizer that stops at the first sign change
+            step = float(np.vdot(moved - U, target - U) / np.vdot(target - U, target - U))
+            assert 0.0 < step <= 1.0
+            assert np.abs(moved - U - step * (target - U)).max() <= 1e-12 * scale
+        assert checked >= 30
+
+    @pytest.mark.parametrize("T", [6, 12, 25, 40])
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_certified_update_is_the_sweeps_only_minimizer(self, T, R, monkeypatch):
+        rng = np.random.default_rng(10 * T + R)
+        for beta in (0.05, 0.5, 3.0):
+            H, b = random_tv_block(rng, T, R)
+            U0 = rng.standard_normal((T, R))
+            U, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, U0, beta, 40)
+            assert face_steps >= 1 and certificate <= SWEEP_TOL, (beta, certificate)
+            tol = SWEEP_TOL * np.abs(U).max()
+            assert tv_dual_residual(H, b, U, beta, tol) <= SWEEP_TOL
+            # a perturbed U reads above the certificate's bound
+            perturbed = U + 1e-6 * rng.standard_normal(U.shape)
+            assert tv_dual_residual(H, b, perturbed, beta, tol) > SWEEP_TOL
+            with monkeypatch.context() as patched:
+                patched.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 0)
+                U_ref, sweeps_ref, face_steps_ref, _ = _temporal_tv_sweeps(H, b, U0, beta, 3000)
+            assert face_steps_ref == 0 and sweeps_ref < 3000
+            assert np.abs(U - U_ref).max() <= 1e-8 * np.abs(U_ref).max()
+            # both are the minimizer to 1e-8, so their objectives differ by
+            # less than the rounding of the sums: no higher up to that
+            reference = tv_block_objective(H, b, U_ref, beta)
+            assert tv_block_objective(H, b, U, beta) <= reference + 1e-14 * (1 + abs(reference))
+
+    def test_dual_residual_reads_each_optimality_condition(self):
+        # at a certified minimizer, break one condition at a time: the column
+        # sum (b moved in the last window only), the jump signs (a column
+        # reversed), the fused pairs (U perturbed); the solver's residual
+        # matches the one recomputed entry by entry
+        rng = np.random.default_rng(406)
+        T, R, beta = 25, 3, 0.5
+        H, b = random_tv_block(rng, T, R)
+        U, _, _, certificate = _temporal_tv_sweeps(H, b, rng.standard_normal((T, R)), beta, 40)
+        tol = SWEEP_TOL * np.abs(U).max()
+        assert np.any(np.abs(np.diff(U, axis=0)) > tol) and np.any(np.diff(U, axis=0) == 0)
+        assert certificate <= SWEEP_TOL
+        shifted = b.copy()
+        shifted[-1] += 1e-3
+        cases = [(shifted, U), (b, U[::-1]), (b, U + 1e-6 * rng.standard_normal(U.shape))]
+        for b_case, U_case in cases:
+            expected = tv_dual_residual(H, b_case, U_case, beta, tol)
+            assert expected > 1e3 * SWEEP_TOL
+            assert lrtvar.solver._tv_dual_residual(H, b_case, U_case, beta, tol) == pytest.approx(expected, rel=1e-9)
+        assert tv_dual_residual(H, shifted, U, beta, tol) == pytest.approx(1e-3 / beta, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_criterion_1_updates_end_on_a_certified_face(self, seed, monkeypatch):
+        # no sweep runs after a face step certifies, and a certified face step
+        # evaluates no objective
+        data, params = benchmark_setting("switching", seed)
+        events = []
+
+        def spy(name, function, outcome=lambda result: None):
+            def wrapped(*args):
+                events.append((name, "start"))
+                result = function(*args)
+                events.append((name, outcome(result)))
+                return result
+            return wrapped
+
+        solver = lrtvar.solver
+        monkeypatch.setattr(solver, "tv_prox_columns", spy("prox", solver.tv_prox_columns))
+        monkeypatch.setattr(solver, "_tv_block_objective", spy("objective", solver._tv_block_objective))
+        monkeypatch.setattr(solver, "_face_step", spy("face", solver._face_step, lambda out: out[1] <= SWEEP_TOL))
+        monkeypatch.setattr(solver, "_temporal_tv_sweeps", spy("update", solver._temporal_tv_sweeps, lambda out: out))
+        _, report = fit(data, params)
+        ends = [i for i, (name, mark) in enumerate(events) if name == "update" and mark != "start"]
+        assert len(ends) == report.iterations
+        begin = 0
+        for end in ends:
+            update = events[begin + 1:end]
+            begin = end + 1
+            _, sweeps, face_steps, certificate = events[end][1]
+            assert sum(event == ("prox", None) for event in update) == params.R * sweeps
+            # one face certifies, the update's last step, with no objective
+            # evaluation between its start and its return
+            assert [i for i, event in enumerate(update) if event == ("face", True)] == [len(update) - 1]
+            assert update[-2] == ("face", "start")
+            assert 0 < face_steps <= sweeps and certificate <= SWEEP_TOL
 
     def test_sweeps_alone_above_the_segment_limit_reach_the_same_minimizer(self, monkeypatch):
         # T*R just above FACE_MAX_SEGMENTS and a weak penalty: no face is
@@ -539,11 +683,15 @@ class TestFaceStep:
         U0 = rng.standard_normal((T, R))
         beta = 1e-3
         U, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, U0, beta, 500)
-        assert face_steps == 0 and sweeps < 500 and certificate <= SWEEP_TOL
+        # the sweeps stop on their move test; the certificate is the dual
+        # residual of what they return, which at this small beta is mostly
+        # the rounding of the running sums, so the two sums agree to 1%
+        assert face_steps == 0 and sweeps < 500
+        assert certificate == pytest.approx(tv_dual_residual(H, b, U, beta, SWEEP_TOL * np.abs(U).max()), rel=1e-2)
         assert tv_block_objective(H, b, U, beta) < tv_block_objective(H, b, U0, beta)
         monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 2 * T * R)
-        U_face, sweeps_face, face_steps, _ = _temporal_tv_sweeps(H, b, U0, beta, 500)
-        assert face_steps >= 1 and sweeps_face < sweeps
+        U_face, sweeps_face, face_steps, certificate = _temporal_tv_sweeps(H, b, U0, beta, 500)
+        assert face_steps >= 1 and sweeps_face < sweeps and certificate <= SWEEP_TOL
         assert np.abs(U_face - U).max() <= 1e-8 * np.abs(U).max()
 
     @pytest.mark.parametrize("seed", range(6))
