@@ -145,13 +145,17 @@ class OuterIteration:
     """What one outer iteration of :func:`fit` did.
 
     ``cg_iters`` and ``inner_iters`` are the inner iterations of the U2 and
-    U3 updates, and ``capped_right`` and ``capped_temporal`` whether each
-    used its whole budget (``cg_max_iters`` for CG, ``pg_max_iters`` for TV
-    sweeps; the exact U2 and unsmoothed U3 solves report 0 and are never
-    capped).  ``face_steps`` and ``certificate`` are the face steps a TV
-    update kept and the dual residual over beta of the U3 it returned, the
-    largest violation of the block's optimality conditions (0 and None for
-    the other U3 updates), which ends the update at ``SWEEP_TOL``.
+    U3 updates.  ``capped_right`` says whether the U2 CG used its whole
+    ``cg_max_iters`` budget, ``capped_temporal`` whether the U3 update
+    stopped short of its stated bound: for the spline CG, that it used all
+    ``cg_max_iters`` steps; for TV, that its certificate is above
+    ``SWEEP_TOL``, whichever stop it took (the sweep-move stop or the
+    ``pg_max_iters`` cap).  The exact U2 and unsmoothed U3 solves report 0
+    iterations and are never capped.  ``face_steps`` and ``certificate``
+    are the face steps a TV update kept and the dual residual over beta of
+    the U3 it returned, the largest violation of the block's optimality
+    conditions (0 and None for the other U3 updates), which ends the update
+    at ``SWEEP_TOL``.
     ``extrapolated`` says whether the extrapolation trial was kept, and
     ``cost_rise`` is the rise of the cost over the previous trace entry
     relative to 1 + |previous cost|, 0 when it fell.  The ``seconds_*``
@@ -857,7 +861,7 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     cost_trace = [value + _regularization(model, params)]
     rmse_trace = [_rmse_from_loss(value, data)]
     outer = []
-    temporal_budget = {"spline": params.cg_max_iters, "tv": params.pg_max_iters}.get(_active_penalty(params, data.T))
+    spline = _active_penalty(params, data.T) == "spline"
     root = EXTRAPOLATION_ROOT
 
     for it in range(1, params.max_outer_iters + 1):
@@ -905,10 +909,11 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
 
         cost_trace.append(c)
         rmse_trace.append(_rmse_from_loss(value, data))
+        certificate = outcome["certificate"]
         record = OuterIteration(
             cg_iters, cg_iters >= params.cg_max_iters, inner_iters,
-            temporal_budget is not None and inner_iters >= temporal_budget, outcome["face_steps"],
-            outcome["certificate"], extrapolated, max(0.0, c - prev_cost) / (1.0 + abs(prev_cost)),
+            certificate > SWEEP_TOL if certificate is not None else spline and inner_iters >= params.cg_max_iters,
+            outcome["face_steps"], certificate, extrapolated, max(0.0, c - prev_cost) / (1.0 + abs(prev_cost)),
             *np.diff(laps).tolist())
         outer.append(record)
         logger.info("iter %d: cost=%.17g rmse=%.17g %s", it, c, rmse_trace[-1], record)

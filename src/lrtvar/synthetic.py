@@ -1,6 +1,6 @@
 """Ground-truth benchmark generators: switching and smoothly varying rank-2 rotations.
 
-Both benchmarks iterate x(t+1) = A(t) x(t) where every A(t) is a rank-2
+Both benchmarks follow x(t+1) = A(t) x(t) where every A(t) is a rank-2
 rotation embedded in N dimensions, observed under i.i.d. Gaussian noise.
 The switching problem uses two fixed rotations with a change point halfway;
 the smooth problem modulates one rotation's angle by a Gaussian-process
@@ -8,9 +8,12 @@ draw.  States are normalized to norm sqrt(N) so the per-entry signal scale
 is 1 for every N, keeping the signal-to-noise ratio independent of the
 system size.
 
-Every A(t) is stored as the factor pair it is drawn as, (W Rot(theta), W),
-and the simulation steps with x -> (W Rot(theta)) (W' x), so neither
-simulation nor scoring forms an N x N matrix.
+Every A(t) is stored as the factor pair it is drawn as, (W Rot(theta), W).
+While the plane W stays fixed the trajectory is a rotation orbit: t steps
+from x take the state to W Rot(phi) W'x, phi the sum of the t angles.  So
+each state is computed in closed form from the running angle sum and the
+start's two plane coordinates, and neither simulation nor scoring forms an
+N x N matrix.
 
 Randomness is split into named child streams of one seed (matrices, angle
 process, observation noise), so each ingredient is independently
@@ -19,12 +22,14 @@ reproducible.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateProjectionError, ShapeMismatchError
+from .errors import (DegenerateProjectionError, InvalidHyperparameterError, NonFiniteError, ShapeMismatchError,
+                     finite_real)
 from .windowing import TimeSeries
 
 BURN_IN_STEPS = 200
@@ -85,17 +90,33 @@ class GroundTruth:
         return self.left[b] @ self.right[b].T
 
 
-def rotation_2x2(theta: float) -> np.ndarray:
+def rotation_2x2(theta) -> np.ndarray:
+    """Rot(theta) = [[cos, -sin], [sin, cos]]; an array of angles gives the
+    stack of their rotations, of shape theta.shape + (2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+
+
+def _count(name: str, value, least: int, even: bool = False) -> int:
+    """``value`` as an int; a bool, a non-integer, a value below ``least`` or,
+    with ``even``, an odd one raises :class:`InvalidHyperparameterError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least or (even and value % 2):
+        raise InvalidHyperparameterError(f"{name} must be an {'even ' * even}integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _scale(name: str, value, positive: bool) -> float:
+    """``value`` checked by :func:`finite_real`, then required to be > 0
+    (``positive``) or >= 0, else :class:`InvalidHyperparameterError`."""
+    number = finite_real(name, value)
+    if number < 0 or (positive and number == 0):
+        raise InvalidHyperparameterError(f"{name} must be {'> 0' if positive else '>= 0'}, got {value!r}")
+    return number
 
 
 def _random_plane(N: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal N x 2 basis: the left singular vectors of a Gaussian N x 2 draw."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    W, _, _ = np.linalg.svd(rng.standard_normal((N, 2)), full_matrices=False)
-    return W
+    return np.linalg.svd(rng.standard_normal((_count("N", N, 2), 2)), full_matrices=False)[0]
 
 
 def make_rank2_rotation(N: int, theta: float, seed_or_rng) -> np.ndarray:
@@ -110,19 +131,23 @@ def make_rank2_rotation(N: int, theta: float, seed_or_rng) -> np.ndarray:
     return W @ rotation_2x2(theta) @ W.T
 
 
-def _burned_in_start(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Initial state: all-ones vector iterated BURN_IN_STEPS times under
-    A = left @ right', then renormalized to norm sqrt(N)."""
-    N = left.shape[0]
-    x, right_t = np.ones(N), right.T
-    for _ in range(BURN_IN_STEPS):
-        x = left.dot(right_t.dot(x))  # at small N, ``@`` costs half again as much per step as ``dot``
-    norm = np.linalg.norm(x)
+def _plane_start(W: np.ndarray, x: np.ndarray, phase: float, event: str = "burn-in") -> np.ndarray:
+    """Plane coordinates c = Rot(phase) W'x of the state W Rot(phase) W'x,
+    scaled so that the state W c has norm sqrt(N).  Rotations keep ||W'x||,
+    so a start with no component in the plane stays at zero: it raises
+    :class:`DegenerateProjectionError`, naming the ``event`` that led there."""
+    c = rotation_2x2(phase) @ (W.T @ x)
+    norm = np.linalg.norm(c)
     if norm < 1e-12:
         raise DegenerateProjectionError(
-            "burn-in collapsed the state to zero (initial vector orthogonal to the rotation plane); retry with a new seed"
-        )
-    return x * (np.sqrt(N) / norm)
+            f"{event} projected the state to zero (orthogonal to the rotation plane); retry with a new seed")
+    return c * (np.sqrt(W.shape[0]) / norm)
+
+
+def _orbit(W: np.ndarray, c: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The states W Rot(phi) c, one column per phase phi."""
+    cos, sin = np.cos(phases), np.sin(phases)
+    return W @ np.stack([c[0] * cos - c[1] * sin, c[0] * sin + c[1] * cos])
 
 
 def simulate_switching(
@@ -135,11 +160,12 @@ def simulate_switching(
 ) -> GroundTruth:
     """Trajectory that follows rotation A1 for the first half and A2 after.
 
-    The state starts from the burned-in all-ones vector at norm sqrt(N),
-    switches dynamics at t = tau/2, and is renormalized to sqrt(N) once
-    right after the first application of A2 (which projects onto a new
-    plane).  Gaussian noise of scale ``sigma`` is added to every observed
-    entry afterwards.
+    The state starts from the all-ones vector after ``BURN_IN_STEPS`` steps
+    of A1, at norm sqrt(N), switches dynamics at t = tau/2, and is
+    renormalized to sqrt(N) once right after the first application of A2
+    (which projects onto a new plane).  Each half is one rotation orbit in
+    its plane, computed in closed form.  Gaussian noise of scale ``sigma``
+    is added to every observed entry afterwards.
 
     Parameters
     ----------
@@ -147,44 +173,38 @@ def simulate_switching(
         State dimension, >= 2.
     tau : int
         Number of transitions; the series has tau + 1 samples.  Must be even
-        so the switch lands exactly halfway.
+        and >= 2 so the switch lands exactly halfway.
     sigma : float
-        Observation noise standard deviation.
+        Observation noise standard deviation, >= 0.
     theta1, theta2 : float
         Rotation angles of the two regimes.
     seed : int
         Master seed; split into (matrices, noise) child streams.
+
+    A bad N, tau, sigma or angle raises :class:`InvalidHyperparameterError`
+    (or :class:`NonFiniteError` for a NaN or infinity) before any draw.
     """
-    if tau % 2:
-        raise ValueError(f"tau must be even, got {tau}")
+    tau, sigma = _count("tau", tau, 2, even=True), _scale("sigma", sigma, positive=False)
+    theta1, theta2 = finite_real("theta1", theta1), finite_real("theta2", theta2)
     rng_mat, rng_noise = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
     right = np.stack([_random_plane(N, rng_mat), _random_plane(N, rng_mat)])
-    left = right @ np.array([rotation_2x2(theta1), rotation_2x2(theta2)])
+    left = right @ rotation_2x2(np.array([theta1, theta2]))
 
     half = tau // 2
-    index = np.where(np.arange(tau) < half, 0, 1)
-    blocks = [(L, R.T) for L, R in zip(left, right)]
-    states = np.empty((N, tau + 1))
-    states[:, 0] = x = _burned_in_start(left[0], right[0])
-    for t, b in enumerate(index.tolist()):
-        L, R_t = blocks[b]
-        x = L.dot(R_t.dot(x))
-        if t == half:
-            norm = np.linalg.norm(x)
-            if norm < 1e-12:
-                raise DegenerateProjectionError("switch projected the state to zero; retry with a new seed")
-            x *= np.sqrt(N) / norm
-        states[:, t + 1] = x
+    start = _plane_start(right[0], np.ones(N), BURN_IN_STEPS * theta1)
+    first = _orbit(right[0], start, np.arange(half + 1) * theta1)
+    start = _plane_start(right[1], first[:, -1], theta2, "switch")
+    states = np.hstack([first, _orbit(right[1], start, np.arange(half) * theta2)])
 
     observed = states + sigma * rng_noise.standard_normal(states.shape)
-    return GroundTruth(TimeSeries(values=observed), left, right, matrix_index=index)
+    return GroundTruth(TimeSeries(values=observed), left, right, matrix_index=np.repeat([0, 1], half))
 
 
 def gp_covariance(tau: int, lengthscale: float = 30.0) -> np.ndarray:
     """Squared-exponential covariance K(t, t') = exp(-((t-t')/lengthscale)^2)
-    plus ``GP_JITTER`` on the diagonal."""
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    plus ``GP_JITTER`` on the diagonal.  A tau below 1 or a lengthscale
+    that is not > 0 raises :class:`InvalidHyperparameterError`."""
+    tau, lengthscale = _count("tau", tau, 1), _scale("lengthscale", lengthscale, positive=True)
     t = np.arange(tau, dtype=float)
     K = np.exp(-(((t[:, None] - t[None, :]) / lengthscale) ** 2))
     K[np.diag_indices(tau)] += GP_JITTER
@@ -210,26 +230,31 @@ def simulate_smooth(
     """Trajectory under A(t) = W Rot(theta(t)) W' with one fixed plane W.
 
     theta(t) comes from :func:`sample_gp_angle` unless an explicit ``angles``
-    array is supplied (useful for degenerate-kernel tests).  The start state
-    reuses the switching recipe: burn-in under A(1), then normalize to
-    sqrt(N).  All matrices share the invariant plane, so no mid-trajectory
-    renormalization is needed.
+    array of tau finite values is supplied (useful for degenerate-kernel
+    tests).  The start state reuses the switching recipe: ``BURN_IN_STEPS``
+    steps of A(0) from the all-ones vector, then normalize to sqrt(N).  All
+    matrices share the invariant plane, so the trajectory is one rotation
+    orbit with phases [0, cumsum(theta)], computed in closed form, and no
+    mid-trajectory renormalization is needed.  A bad N, tau, sigma,
+    lengthscale or ``angles`` raises :class:`InvalidHyperparameterError`
+    (or :class:`NonFiniteError`) before any draw.
     """
+    tau = _count("tau", tau, 1)
+    sigma, lengthscale = _scale("sigma", sigma, positive=False), _scale("lengthscale", lengthscale, positive=True)
+    if angles is not None:
+        angles = np.asarray(angles, dtype=float)
+        if angles.shape != (tau,):
+            raise InvalidHyperparameterError(f"angles must have shape ({tau},), got {angles.shape}")
+        if not np.isfinite(angles).all():
+            raise NonFiniteError("angles must be finite")
     rng_mat, rng_gp, rng_noise = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
     W = _random_plane(N, rng_mat)
     if angles is None:
         angles = sample_gp_angle(tau, lengthscale=lengthscale, seed_or_rng=rng_gp)
-    else:
-        angles = np.asarray(angles, dtype=float)
-        if angles.shape != (tau,):
-            raise ValueError(f"angles must have shape ({tau},), got {angles.shape}")
 
-    left = W @ np.array([rotation_2x2(a) for a in angles])
-    states = np.empty((N, tau + 1))
-    states[:, 0] = x = _burned_in_start(left[0], W)
-    for t, L in enumerate(list(left)):
-        x = L.dot(W.T.dot(x))
-        states[:, t + 1] = x
+    left = W @ rotation_2x2(angles)
+    start = _plane_start(W, np.ones(N), BURN_IN_STEPS * angles[0])
+    states = _orbit(W, start, np.concatenate([[0.0], np.cumsum(angles)]))
 
     observed = states + sigma * rng_noise.standard_normal(states.shape)
     return GroundTruth(TimeSeries(values=observed), left, np.broadcast_to(W, left.shape), matrix_index=np.arange(tau))

@@ -206,8 +206,13 @@ def format_cell(value) -> str:
 
 def write_csv(path, rows, header=None, manifest: Optional[str] = None, comments=()) -> None:
     """Write ``rows`` as UTF-8 CSV: a ``# manifest`` line, ``#`` comments, an
-    optional header row, then one line per row of cells."""
+    optional header row, then one line per row of cells.  The rows of a 2-D
+    float array are written with one ``%``-format per row, whose ``%.17g``
+    is :func:`format_cell`'s text for every Python float."""
+    line = None
     if isinstance(rows, np.ndarray):
+        if rows.ndim == 2 and rows.dtype.kind == "f":
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         rows = map(np.ndarray.tolist, rows)  # Python floats format faster than numpy scalars, to the same text
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if manifest:
@@ -217,7 +222,7 @@ def write_csv(path, rows, header=None, manifest: Optional[str] = None, comments=
         if header is not None:
             fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(format_cell, row)) + "\n")
+            fh.write(line % tuple(row) if line else ",".join(map(format_cell, row)) + "\n")
 
 
 def _content_lines(fh, at):

@@ -19,7 +19,7 @@ from lrtvar.cli import (
     smooth_beta_default,
     write_truth_bundle,
 )
-from lrtvar.errors import ShapeMismatchError
+from lrtvar.errors import InvalidHyperparameterError, ShapeMismatchError
 from lrtvar.evaluation import independent_fit, operator_norm_error
 from lrtvar.solver import OuterIteration
 from lrtvar.synthetic import GroundTruth, simulate_smooth, simulate_switching
@@ -86,6 +86,17 @@ class TestGenerate:
     def test_bad_benchmark(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["generate", "--benchmark", "bogus", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [(["--benchmark", "switching", "--tau", "-2"], "tau must be"), (["--benchmark", "switching", "--sigma", "-1"], "sigma"),
+         (["--benchmark", "smooth", "--lengthscale", "0"], "lengthscale")],
+    )
+    def test_bad_generator_input_is_named_and_writes_nothing(self, tmp_path, options, message):
+        out = tmp_path / "gen"
+        with pytest.raises(InvalidHyperparameterError, match=message):
+            run(["generate", *options, "--out", str(out)])
+        assert not out.exists() or not os.listdir(out)
 
     def test_large_n_size_audit(self, tmp_path):
         # the N sweep goes far beyond desk scale; generation stays cheap

@@ -694,6 +694,21 @@ class TestFaceStep:
         assert face_steps >= 1 and sweeps_face < sweeps and certificate <= SWEEP_TOL
         assert np.abs(U_face - U).max() <= 1e-8 * np.abs(U).max()
 
+    def test_uncertified_sweep_stop_reports_a_capped_update(self, monkeypatch):
+        # with the faces disabled and a weak penalty, the sweeps stop on their
+        # move test well inside the budget, with a dual residual above SWEEP_TOL
+        rng = np.random.default_rng(7)
+        data = random_data(rng, 6, 5, 20)
+        params = Hyperparams(R=2, eta=0.5, reg=Regularizer("tv", 1e-3), seed=1, max_outer_iters=3)
+        monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 0)
+        _, report = fit(data, params)
+        assert all(o.inner_iters < params.pg_max_iters and o.certificate > SWEEP_TOL for o in report.outer)
+        assert all(o.capped_temporal for o in report.outer)
+        assert "capped U3 solves: 3 of 3" in report.summary()
+        monkeypatch.undo()
+        _, report = fit(data, params)
+        assert all(o.certificate <= SWEEP_TOL and not o.capped_temporal for o in report.outer)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_criterion_1_fits_never_cap_the_u3_sweeps(self, seed):
         data, params = benchmark_setting("switching", seed)

@@ -1,10 +1,13 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from lrtvar.errors import ShapeMismatchError
+import lrtvar.synthetic
+from lrtvar.errors import DegenerateProjectionError, InvalidHyperparameterError, NonFiniteError, ShapeMismatchError
 from lrtvar.synthetic import (
+    BURN_IN_STEPS,
     GroundTruth,
     gp_covariance,
     make_rank2_rotation,
@@ -12,6 +15,31 @@ from lrtvar.synthetic import (
     simulate_smooth,
     simulate_switching,
 )
+
+
+def scalar_rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def stepped_states(truth, switch=None):
+    """Noiseless states of ``truth`` by stepping x -> left[b] (right[b]' x):
+    BURN_IN_STEPS steps of block 0 from the all-ones vector, normalized to
+    norm sqrt(N), then one step per transition, renormalized once right
+    after transition ``switch``."""
+    N = truth.left.shape[1]
+    x = np.ones(N)
+    for _ in range(BURN_IN_STEPS):
+        x = truth.left[0] @ (truth.right[0].T @ x)
+    states = [x * (np.sqrt(N) / np.linalg.norm(x))]
+    for t, b in enumerate(truth.matrix_index):
+        x = truth.left[b] @ (truth.right[b].T @ states[-1])
+        states.append(x * (np.sqrt(N) / np.linalg.norm(x)) if t == switch else x)
+    return np.stack(states, axis=1)
+
+
+def child_streams(seed, n):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
 class TestRank2Rotation:
@@ -211,3 +239,104 @@ class TestGroundTruth:
         left, right, index = edit(truth.left, truth.right, truth.matrix_index)
         with pytest.raises(error, match=message):
             GroundTruth(truth.series, left, right, index)
+
+
+class TestClosedFormTrajectories:
+    """The closed-form orbits against the stepped simulation, and the
+    factors against their construction from the same draws."""
+
+    @pytest.mark.parametrize("N", [10, 500])
+    @pytest.mark.parametrize("angles", [{}, {"theta1": 0.7, "theta2": -1.3}], ids=["default-angles", "custom-angles"])
+    @pytest.mark.parametrize("tau", [200, 6])
+    def test_switching_equals_the_stepped_trajectory(self, N, angles, tau):
+        for seed in range(3):
+            truth = simulate_switching(N=N, tau=tau, sigma=0.5, seed=seed, **angles)
+            rng_mat, rng_noise = child_streams(seed, 2)
+            right = np.stack([np.linalg.svd(rng_mat.standard_normal((N, 2)), full_matrices=False)[0] for _ in range(2)])
+            theta1, theta2 = angles.get("theta1", 0.1 * np.pi), angles.get("theta2", 0.37 * np.pi)
+            assert np.array_equal(truth.right, right)
+            assert np.array_equal(truth.left, right @ np.array([scalar_rotation(theta1), scalar_rotation(theta2)]))
+            assert np.array_equal(truth.matrix_index, np.where(np.arange(tau) < tau // 2, 0, 1))
+            states = stepped_states(truth, switch=tau // 2)
+            noise = 0.5 * rng_noise.standard_normal(states.shape)
+            assert np.abs(truth.series.values - noise - states).max() <= 1e-12
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["gp-angles", "constant-angles"])
+    def test_smooth_equals_the_stepped_trajectory(self, constant):
+        N, tau, sigma = 10, 160, 0.2
+        for seed in range(3):
+            given = np.full(tau, 0.45) if constant else None
+            truth = simulate_smooth(N=N, tau=tau, sigma=sigma, seed=seed, angles=given)
+            rng_mat, rng_gp, rng_noise = child_streams(seed, 3)
+            W = np.linalg.svd(rng_mat.standard_normal((N, 2)), full_matrices=False)[0]
+            angles = given if constant else sample_gp_angle(tau, seed_or_rng=rng_gp)
+            assert np.array_equal(truth.right, np.broadcast_to(W, (tau, N, 2)))
+            assert np.array_equal(truth.left, W @ np.array([scalar_rotation(a) for a in angles]))
+            assert np.array_equal(truth.matrix_index, np.arange(tau))
+            states = stepped_states(truth)
+            noise = sigma * rng_noise.standard_normal(states.shape)
+            assert np.abs(truth.series.values - noise - states).max() <= 1e-12
+
+    def test_start_orthogonal_to_the_first_plane_is_degenerate(self, monkeypatch):
+        # a plane orthogonal to the all-ones vector: no burn-in leaves the zero state
+        plane = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]) / np.sqrt(2)
+        monkeypatch.setattr(lrtvar.synthetic, "_random_plane", lambda N, rng: plane)
+        with pytest.raises(DegenerateProjectionError, match="burn-in projected the state to zero"):
+            simulate_switching(N=4, tau=10, sigma=0.1, seed=0)
+        with pytest.raises(DegenerateProjectionError, match="burn-in projected the state to zero"):
+            simulate_smooth(N=4, tau=10, sigma=0.1, seed=0)
+
+    def test_second_plane_orthogonal_to_the_state_at_the_switch_is_degenerate(self, monkeypatch):
+        # the first half stays in span(e1, e2); the second plane span(e3, e4) annihilates it
+        planes = iter([np.eye(4)[:, :2], np.eye(4)[:, 2:]])
+        monkeypatch.setattr(lrtvar.synthetic, "_random_plane", lambda N, rng: next(planes))
+        with pytest.raises(DegenerateProjectionError, match="switch projected the state to zero"):
+            simulate_switching(N=4, tau=10, sigma=0.1, seed=0)
+
+
+class TestGeneratorInputs:
+    """Bad generator inputs raise a named error before any draw."""
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: simulate_switching(N=4, tau=-2), InvalidHyperparameterError, r"tau must be an even integer >= 2, got -2"),
+            (lambda: simulate_switching(N=4, tau=31), InvalidHyperparameterError, r"tau must be an even integer >= 2, got 31"),
+            (lambda: simulate_switching(N=4, tau=0), InvalidHyperparameterError, r"tau must be an even integer >= 2, got 0"),
+            (lambda: simulate_switching(N=4, tau=20.0), InvalidHyperparameterError, r"tau must be an even integer"),
+            (lambda: simulate_switching(N=4, sigma=-0.1), InvalidHyperparameterError, r"sigma must be >= 0, got -0.1"),
+            (lambda: simulate_switching(N=4, theta1=np.nan), NonFiniteError, r"theta1 must be finite"),
+            (lambda: simulate_switching(N=4, theta2="0.3"), InvalidHyperparameterError, r"theta2 must be a real number"),
+            (lambda: simulate_smooth(N=4, tau=0), InvalidHyperparameterError, r"tau must be an integer >= 1, got 0"),
+            (lambda: simulate_smooth(N=4, sigma=-1e-3), InvalidHyperparameterError, r"sigma must be >= 0"),
+            (lambda: simulate_smooth(N=4, lengthscale=0), InvalidHyperparameterError, r"lengthscale must be > 0, got 0"),
+            (lambda: simulate_smooth(N=4, lengthscale=-5.0), InvalidHyperparameterError, r"lengthscale must be > 0"),
+            (lambda: simulate_smooth(N=4, lengthscale=np.inf), NonFiniteError, r"lengthscale must be finite"),
+            (lambda: simulate_smooth(N=4, tau=5, angles=np.zeros(7)), InvalidHyperparameterError, r"angles must have shape \(5,\)"),
+            (lambda: simulate_smooth(N=4, tau=3, angles=[0.1, np.nan, 0.2]), NonFiniteError, r"angles must be finite"),
+        ],
+        ids=["tau-negative", "tau-odd", "tau-zero", "tau-float", "sigma-negative", "theta1-nan", "theta2-text",
+             "smooth-tau-zero", "smooth-sigma-negative", "lengthscale-zero", "lengthscale-negative",
+             "lengthscale-inf", "angles-shape", "angles-nan"],
+    )
+    def test_rejected_before_any_draw(self, monkeypatch, make, error, message):
+        monkeypatch.setattr(lrtvar.synthetic, "_random_plane", lambda N, rng: pytest.fail("drew a plane"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                make()
+
+    @pytest.mark.parametrize("N", [1, 0, True, 3.0])
+    def test_bad_n_rejected(self, N):
+        for make in (simulate_switching, simulate_smooth):
+            with pytest.raises(InvalidHyperparameterError, match="N must be an integer >= 2"):
+                make(N=N)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((0,), r"tau must be an integer >= 1, got 0"), ((10, 0.0), r"lengthscale must be > 0"),
+         ((10, -1), r"lengthscale must be > 0")],
+    )
+    def test_gp_covariance_rejects_bad_inputs(self, args, message):
+        with pytest.raises(InvalidHyperparameterError, match=message):
+            gp_covariance(*args)

@@ -347,6 +347,22 @@ class TestCsvCodec:
         write_csv(tmp_path / "scalars.csv", (list(row) for row in values), header=list("abcde"))
         assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "scalars.csv").read_bytes()
 
+    def test_float_array_rows_write_the_per_cell_text(self, tmp_path):
+        # 100k magnitudes over the whole float range, and the special values
+        rng = np.random.default_rng(36)
+        values = rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-323, 308, 100_000)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, np.nan, np.inf, -np.inf,
+                   np.finfo(float).max, -np.finfo(float).max, 0.1, 1.0 / 3]
+        values = np.concatenate([values, special, np.zeros(7)]).reshape(-1, 20)
+        write_csv(tmp_path / "array.csv", values)
+        write_csv(tmp_path / "cells.csv", ([float(x) for x in row] for row in values))
+        assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize("values", [np.array([[1, -2], [3, 4]]), np.array([[True, False]])], ids=["int", "bool"])
+    def test_integer_and_bool_arrays_keep_the_per_cell_text(self, tmp_path, values):
+        write_csv(tmp_path / "array.csv", values)
+        assert (tmp_path / "array.csv").read_text().splitlines() == [",".join(map(str, row)) for row in values.tolist()]
+
     def test_lines_are_parsed_as_they_are_read(self, tmp_path):
         # 2000 channels by 201 samples, the size of the N=2000 switching series:
         # the reader's peak stays near the array, not the file's text
