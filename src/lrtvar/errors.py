@@ -1,4 +1,4 @@
-"""Exception types raised across the package, and the entry check of real hyperparameters."""
+"""Exception types raised across the package, and the entry checks of real and integer hyperparameters."""
 
 import math
 import numbers
@@ -65,3 +65,11 @@ def finite_real(name: str, value) -> float:
     if not math.isfinite(number):
         raise NonFiniteError(f"{name} must be finite, got {value}")
     return number
+
+
+def integer_at_least(name: str, value, least: int, even: bool = False) -> int:
+    """``value`` as an int; a bool, a non-integer, a value below ``least`` or,
+    with ``even``, an odd one raises :class:`InvalidHyperparameterError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least or (even and value % 2):
+        raise InvalidHyperparameterError(f"{name} must be an {'even ' * even}integer >= {least}, got {value!r}")
+    return int(value)

@@ -14,13 +14,14 @@ temporal-mode rows turns loadings into regime labels.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .cp_model import CpFactors
-from .errors import DegenerateWindowError, ShapeMismatchError
+from .errors import DegenerateWindowError, InvalidHyperparameterError, ShapeMismatchError, integer_at_least
 from .synthetic import GroundTruth
 from .windowing import SnapshotPair
 
@@ -90,9 +91,13 @@ def independent_fit(data: SnapshotPair, rank: Optional[int] = None) -> WindowedE
 
     Raises
     ------
+    InvalidHyperparameterError
+        If ``rank`` is neither None nor an integer >= 1 (a bool is not one).
     DegenerateWindowError
         If some window's predictor block is identically zero.
     """
+    if rank is not None:
+        rank = integer_at_least("rank", rank, 1)
     if rank is not None and (data.P != 1 or data.affine):
         raise ValueError("rank-truncated fits need P=1, non-affine data")
     X, Y = _windows(data.X), _windows(data.Y)
@@ -236,12 +241,16 @@ def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     of those within 1e-15 of it).  The restarts are seeded one after the
     other from ``seed`` and their Lloyd steps run together.  Labels are
     canonicalized by first occurrence (the first row is always labeled 0),
-    so runs are comparable across seeds.
+    so runs are comparable across seeds.  A ``k`` that is not an integer
+    (a bool is not one) or is outside 1..T raises
+    :class:`InvalidHyperparameterError`.
     """
     U3 = np.asarray(U3, dtype=float)
     T = U3.shape[0]
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise InvalidHyperparameterError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= T:
-        raise ValueError(f"need 1 <= k <= {T}, got {k}")
+        raise InvalidHyperparameterError(f"need 1 <= k <= {T}, got {k}")
     rng = np.random.default_rng(seed)
     centers = np.stack([_kmeans_plus_plus(U3, k, rng) for _ in range(KMEANS_RESTARTS)])
     labels, inertia = _lloyd(U3, centers)

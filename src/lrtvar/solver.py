@@ -9,10 +9,11 @@ The regularized cost is
 minimized by cycling exact or iterative solves over the three factor
 blocks: a dense R x R solve for U1, a dense solve or matrix-free conjugate
 gradients, whichever costs fewer flops, on a Sylvester-type system for U2,
-and per-window solves (no smoothing), the same CG routine (spline
-smoothing), or exact minimization one column at a time by
-the weighted TV prox (total-variation smoothing) for U3.  Between two TV
-column sweeps the U3 block is minimized exactly on the face the sweep found
+and per-window solves (no smoothing), the same CG routine on the banded
+Hessian blockdiag(C_k + I/eta) + beta D'D kron I_R (spline smoothing), or
+exact minimization one column at a time by the weighted TV prox
+(total-variation smoothing) for U3.  Between two TV column sweeps the U3
+block is minimized exactly on the face the sweep found
 (its fused segments and the signs of its jumps) by one dense solve over the
 segment values.  When that face minimizer passes the block's optimality
 conditions, a cumulative sum of its gradient, it is the block minimizer and
@@ -31,8 +32,9 @@ which is what makes large state dimensions tractable.  Each contraction is
 a BLAS matmul of a 2-D (M*T, channels) view of a data tensor with an
 R-column factor (the MTTKRP view of CP-ALS); diag(U3[k]) is a broadcast
 multiply on the (M, T, R) view of the product, and the per-window R x R
-blocks are one batched matmul.  The loss and every block update see the
-factors U2 and U1 only through the products X'U2 and Y'U1, so ``fit`` forms
+blocks are one batched matmul (one einsum in the spline CG, where it is
+faster at T=160).  The loss and every block update see the factors U2 and
+U1 only through the products X'U2 and Y'U1, so ``fit`` forms
 each of them once per factor value and passes them to the updates.  It
 takes the loss from the U3 quadratic,
 1/2 ||Y||^2 - sum_k b_k'u_k + 1/2 sum_k u_k'C_k u_k, which costs no pass
@@ -71,7 +73,7 @@ from .errors import (
     NonPositiveEtaError,
     finite_real,
 )
-from .regularizers import Regularizer, apply_diff, apply_diff_transpose, tikhonov_penalty, tv_penalty, tv_prox_columns
+from .regularizers import Regularizer, tikhonov_penalty, tv_penalty, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
 
 # CG stops once the residual falls to this fraction of the right-hand side.
@@ -102,9 +104,10 @@ class Hyperparams:
 
     ``atol`` is relative to the initial cost, like ``rtol`` to the previous one.
     ``cg_max_iters`` caps the CG steps of the U2 update and of the spline U3
-    update; U2 is solved exactly instead when that costs fewer flops than
-    this many CG steps.  ``pg_max_iters`` caps the column sweeps of the TV
-    U3 update.
+    update, whose banded Hessian each step applies as one block product per
+    window and two shifted subtractions; U2 is solved exactly instead when
+    that costs fewer flops than this many CG steps.  ``pg_max_iters`` caps
+    the column sweeps of the TV U3 update.
     ``seed`` fixes the initialization noise (see :func:`initialize`).
     ``R``, the caps and ``seed`` must be integers and ``eta``, ``rtol`` and
     ``atol`` real numbers, none of them bools; a value of another type or out
@@ -349,8 +352,7 @@ def grad_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> 
     when that regularizer is active (the TV term is nonsmooth and excluded)."""
     _check_dims(model, data)
     C, b = _temporal_quadratic(model, data)
-    spline_beta = params.reg.beta if _active_penalty(params, model.T) == "spline" else 0.0
-    return _temporal_operator(C, params.eta, spline_beta, model.U3) - b
+    return _temporal_hessian_apply(*_temporal_hessian(C, params), model.U3) - b
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +405,17 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = C
     x = x0.copy()
     r = rhs - (operate(x) if image is None else image)
     p = r.copy()
-    rs = float(np.sum(r * r))
-    rhs_norm = float(np.linalg.norm(rhs))
-    threshold = tol * rhs_norm if rhs_norm > 0 else 0.0
+    rs = float(np.vdot(r, r))
+    threshold = tol * tol * float(np.vdot(rhs, rhs))
     n_iters = 0
-    for _ in range(max_iters):
-        if np.sqrt(rs) <= threshold:
-            break
+    while n_iters < max_iters and rs > threshold:
         Ap = operate(p)
-        alpha = rs / float(np.sum(p * Ap))
+        alpha = rs / float(np.vdot(p, Ap))
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        rs, rs_old = float(np.vdot(r, r)), rs
+        p *= rs / rs_old
+        p += r
         n_iters += 1
     return x, n_iters
 
@@ -482,12 +481,28 @@ def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products=None) -> 
     return C, b
 
 
-def _temporal_operator(C: np.ndarray, eta: float, spline_beta: float, U: np.ndarray) -> np.ndarray:
-    """Apply the Hessian of the smooth cost in U3: (C_k + I/eta) u_k window by
-    window, plus spline_beta * D'D U."""
-    out = (C @ U[:, :, None])[:, :, 0] + U / eta
+def _temporal_hessian(C: np.ndarray, params: Hyperparams) -> tuple[np.ndarray, float]:
+    """(H, spline_beta): C completed in place to the diagonal blocks
+    H_k = C_k + (1/eta + spline_beta d_k) I of the Hessian of the smooth cost
+    in U3, where spline_beta is beta under an active spline penalty and 0
+    otherwise, and d is the diagonal of D'D: 1 at the two ends, 2 inside."""
+    spline_beta = params.reg.beta if _active_penalty(params, len(C)) == "spline" else 0.0
+    idx = np.arange(C.shape[1])
+    C[:, idx, idx] += 1.0 / params.eta
     if spline_beta:
-        out += spline_beta * apply_diff_transpose(apply_diff(U))
+        C[1:, idx, idx] += spline_beta
+        C[:-1, idx, idx] += spline_beta
+    return C, spline_beta
+
+
+def _temporal_hessian_apply(H: np.ndarray, spline_beta: float, U: np.ndarray) -> np.ndarray:
+    """Apply the Hessian blockdiag(C_k + I/eta) + spline_beta D'D kron I_R of
+    the smooth cost in U3 to U, given the diagonal blocks H and spline_beta
+    from :func:`_temporal_hessian`: H_k u_k window by window, minus
+    spline_beta times each neighbouring window's u."""
+    out = np.einsum("kij,kj->ki", H, U)
+    out[1:] -= spline_beta * U[:-1]
+    out[:-1] -= spline_beta * U[1:]
     return out
 
 
@@ -504,8 +519,13 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     Without temporal smoothing (or with a single window, where no difference
     exists) the problem decouples into T exact R x R ridge solves with
     H_k = C_k + I/eta, and 0 inner iterations are reported.  The spline
-    penalty couples the windows through a block-tridiagonal term and is
-    solved by warm-started CG, whose steps are reported.  The TV penalty is
+    penalty couples the windows through the block-tridiagonal Hessian
+    blockdiag(C_k + I/eta) + beta D'D kron I_R, solved by warm-started CG
+    capped at ``params.cg_max_iters`` steps, whose steps are reported.  Its
+    diagonal blocks C_k + (1/eta + beta d_k) I, d the diagonal of D'D, are
+    formed in place once per update (:func:`_temporal_hessian`), so each
+    step applies it as one window-wise product and two shifted
+    subtractions of beta times the neighbouring windows.  The TV penalty is
     minimized exactly one column at a time by :func:`_temporal_tv_sweeps`,
     whose sweeps are reported; ``params.pg_max_iters`` caps them.  Between
     two sweeps the TV objective is minimized in one dense solve on the face
@@ -520,16 +540,10 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     """
     _check_dims(model, data)
     C, b = _temporal_quadratic(model, data, products)
-    kind = _active_penalty(params, model.T)
-
-    if kind == "spline":
-        operate = partial(_temporal_operator, C, params.eta, params.reg.beta)
-        return _cg(operate, b, model.U3, params.cg_max_iters)
-
-    H = C  # completed in place to the Hessian C_k + I/eta of the smooth part
-    idx = np.arange(model.R)
-    H[:, idx, idx] += 1.0 / params.eta
-    if kind == "none":
+    H, spline_beta = _temporal_hessian(C, params)
+    if spline_beta:
+        return _cg(partial(_temporal_hessian_apply, H, spline_beta), b, model.U3, params.cg_max_iters)
+    if _active_penalty(params, model.T) == "none":
         return np.linalg.solve(H, b[..., None])[..., 0], 0
     U3, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, model.U3, params.reg.beta, params.pg_max_iters)
     if outcome is not None:

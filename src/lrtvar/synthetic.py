@@ -22,14 +22,13 @@ reproducible.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DegenerateProjectionError, InvalidHyperparameterError, NonFiniteError, ShapeMismatchError,
-                     finite_real)
+                     finite_real, integer_at_least)
 from .windowing import TimeSeries
 
 BURN_IN_STEPS = 200
@@ -97,14 +96,6 @@ def rotation_2x2(theta) -> np.ndarray:
     return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
-def _count(name: str, value, least: int, even: bool = False) -> int:
-    """``value`` as an int; a bool, a non-integer, a value below ``least`` or,
-    with ``even``, an odd one raises :class:`InvalidHyperparameterError`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least or (even and value % 2):
-        raise InvalidHyperparameterError(f"{name} must be an {'even ' * even}integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def _scale(name: str, value, positive: bool) -> float:
     """``value`` checked by :func:`finite_real`, then required to be > 0
     (``positive``) or >= 0, else :class:`InvalidHyperparameterError`."""
@@ -116,7 +107,7 @@ def _scale(name: str, value, positive: bool) -> float:
 
 def _random_plane(N: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal N x 2 basis: the left singular vectors of a Gaussian N x 2 draw."""
-    return np.linalg.svd(rng.standard_normal((_count("N", N, 2), 2)), full_matrices=False)[0]
+    return np.linalg.svd(rng.standard_normal((integer_at_least("N", N, 2), 2)), full_matrices=False)[0]
 
 
 def make_rank2_rotation(N: int, theta: float, seed_or_rng) -> np.ndarray:
@@ -184,7 +175,7 @@ def simulate_switching(
     A bad N, tau, sigma or angle raises :class:`InvalidHyperparameterError`
     (or :class:`NonFiniteError` for a NaN or infinity) before any draw.
     """
-    tau, sigma = _count("tau", tau, 2, even=True), _scale("sigma", sigma, positive=False)
+    tau, sigma = integer_at_least("tau", tau, 2, even=True), _scale("sigma", sigma, positive=False)
     theta1, theta2 = finite_real("theta1", theta1), finite_real("theta2", theta2)
     rng_mat, rng_noise = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
     right = np.stack([_random_plane(N, rng_mat), _random_plane(N, rng_mat)])
@@ -204,7 +195,7 @@ def gp_covariance(tau: int, lengthscale: float = 30.0) -> np.ndarray:
     """Squared-exponential covariance K(t, t') = exp(-((t-t')/lengthscale)^2)
     plus ``GP_JITTER`` on the diagonal.  A tau below 1 or a lengthscale
     that is not > 0 raises :class:`InvalidHyperparameterError`."""
-    tau, lengthscale = _count("tau", tau, 1), _scale("lengthscale", lengthscale, positive=True)
+    tau, lengthscale = integer_at_least("tau", tau, 1), _scale("lengthscale", lengthscale, positive=True)
     t = np.arange(tau, dtype=float)
     K = np.exp(-(((t[:, None] - t[None, :]) / lengthscale) ** 2))
     K[np.diag_indices(tau)] += GP_JITTER
@@ -239,7 +230,7 @@ def simulate_smooth(
     lengthscale or ``angles`` raises :class:`InvalidHyperparameterError`
     (or :class:`NonFiniteError`) before any draw.
     """
-    tau = _count("tau", tau, 1)
+    tau = integer_at_least("tau", tau, 1)
     sigma, lengthscale = _scale("sigma", sigma, positive=False), _scale("lengthscale", lengthscale, positive=True)
     if angles is not None:
         angles = np.asarray(angles, dtype=float)

@@ -309,6 +309,18 @@ class TestCompare:
         assert statuses["lowrank-r3"] == "ok"
         assert statuses["lowrank-r0"].startswith("failed:")
 
+    def test_bad_independent_rank_fails_its_row(self, tmp_path):
+        # indep-r-1 once fitted rank N - 1 = 5 through negative slicing and read "ok"
+        out = tmp_path / "cmp"
+        code = run(["compare", "--benchmark", "switching", "--N-list", "6", "--seeds", "0", "--tau", "80",
+                    "--methods", "indep-r2,indep-r-1,indep-r0", "--out", str(out)])
+        assert code == 1
+        lines = [l for l in (out / "compare_results.csv").read_text().splitlines() if l and not l.startswith("#")]
+        statuses = {l.split(",")[0]: l.split(",")[5] for l in lines[1:]}
+        assert statuses["indep-r2"] == "ok"
+        assert statuses["indep-r-1"] == "failed: rank must be an integer >= 1; got -1"
+        assert statuses["indep-r0"] == "failed: rank must be an integer >= 1; got 0"
+
     def test_unknown_method_fails_fast(self, tmp_path):
         with pytest.raises(SystemExit, match="bogus"):
             run(["compare", "--benchmark", "switching", "--N-list", "6", "--seeds", "0",

@@ -5,7 +5,7 @@ import pytest
 
 import lrtvar.evaluation
 from lrtvar.cp_model import CpFactors
-from lrtvar.errors import DegenerateWindowError, ShapeMismatchError
+from lrtvar.errors import DegenerateWindowError, InvalidHyperparameterError, ShapeMismatchError
 from lrtvar.evaluation import (
     PINV_RTOL,
     KMEANS_MAX_ITERS,
@@ -160,6 +160,18 @@ class TestIndependentFit:
         )
         with pytest.raises(ValueError):
             independent_fit(data, rank=1)
+
+    @pytest.mark.parametrize("rank", [-1, 0, True, False, 3.5, 2.0, "2"])
+    def test_bad_rank_rejected_at_entry(self, rank):
+        # -1 once fitted rank N - 1, 0 an all-zero estimate and True rank 1; 3.5 failed inside numpy
+        data = build_snapshots(simulate_switching(N=6, tau=80, sigma=0.5, seed=0).series, M=10)
+        with pytest.raises(InvalidHyperparameterError, match="rank must be an integer >= 1"):
+            independent_fit(data, rank=rank)
+
+    def test_integer_ranks_accepted(self):
+        data = build_snapshots(simulate_switching(N=6, tau=80, sigma=0.5, seed=0).series, M=10)
+        assert independent_fit(data, rank=1).left.shape[2] == 1
+        assert np.array_equal(dense(independent_fit(data, rank=np.int64(3))), dense(independent_fit(data, rank=3)))
 
 
 class TestOperatorNormError:
@@ -441,3 +453,14 @@ class TestClustering:
             cluster_temporal_modes(np.zeros((3, 1)), k=4)
         with pytest.raises(ValueError):
             cluster_temporal_modes(np.zeros((3, 1)), k=0)
+
+    @pytest.mark.parametrize("k", [True, False, 2.0, "2", None])
+    def test_non_integer_k_rejected_at_entry(self, k):
+        # True and 2.0 once failed inside numpy with TypeError
+        with pytest.raises(InvalidHyperparameterError, match="k must be an integer"):
+            cluster_temporal_modes(np.zeros((3, 1)), k=k)
+
+    def test_out_of_range_k_keeps_its_message(self):
+        with pytest.raises(InvalidHyperparameterError, match=r"need 1 <= k <= 3, got 4"):
+            cluster_temporal_modes(np.zeros((3, 1)), k=4)
+        assert np.array_equal(cluster_temporal_modes(np.arange(3.0)[:, None], k=np.int64(3)), [0, 1, 2])

@@ -33,12 +33,15 @@ from lrtvar.solver import (
     update_left,
     update_right,
     update_temporal,
+    _cg,
     _direct_right_solve_is_cheaper,
     _face_step,
     _products,
     _quadratic_loss,
     _range_data,
     _spectral_factors,
+    _temporal_hessian,
+    _temporal_hessian_apply,
     _temporal_quadratic,
     _temporal_tv_sweeps,
 )
@@ -246,6 +249,13 @@ def temporal_window_matrix(model, data, k):
 def spline_dense_oracle(model, data, eta, beta):
     """Dense solve of blockdiag(C_k + I/eta) + beta (D'D kron I_R) for the
     spline-smoothed U3, with U3 vectorized row by row (window-major)."""
+    A, rhs = spline_dense_system(model, data, eta, beta)
+    return np.linalg.solve(A, rhs).reshape(model.T, model.R)
+
+
+def spline_dense_system(model, data, eta, beta):
+    """The dense (A, rhs) of the spline-smoothed U3 system that
+    :func:`spline_dense_oracle` solves."""
     T, R = model.T, model.R
     A = np.zeros((T * R, T * R))
     rhs = np.zeros(T * R)
@@ -255,7 +265,7 @@ def spline_dense_oracle(model, data, eta, beta):
         rhs[block] = np.diag(model.U2.T @ data.X[:, :, k] @ data.Y[:, :, k].T @ model.U1)
     D = np.eye(T - 1, T) - np.eye(T - 1, T, k=1)
     A += beta * np.kron(D.T @ D, np.eye(R))
-    return np.linalg.solve(A, rhs).reshape(T, R)
+    return A, rhs
 
 
 def small_right_problems():
@@ -349,6 +359,81 @@ class TestUpdateRight:
         perturbed = CpFactors(model.U1, model.U2 + 0.3 * rng.standard_normal((4, 2)), model.U3)
         U2_new, _ = update_right(perturbed, data, eta=1e12, max_iters=100, tol=1e-13)
         assert np.allclose(U2_new, model.U2, atol=1e-4)
+
+
+def textbook_cg(A, b, x0, max_iters, tol):
+    """Conjugate gradients on A x = b as textbooks write it (vectors, norms)."""
+    x, r = x0.copy(), b - A @ x0
+    p, k = r.copy(), 0
+    while k < max_iters and np.linalg.norm(r) > tol * np.linalg.norm(b):
+        Ap = A @ p
+        alpha = (r @ r) / (p @ Ap)
+        x = x + alpha * p
+        r_new = r - alpha * Ap
+        p = r_new + ((r_new @ r_new) / (r @ r)) * p
+        r, k = r_new, k + 1
+    return x, k
+
+
+class TestConjugateGradients:
+    def spd_system(self):
+        rng = np.random.default_rng(120)
+        Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        A = (Q * np.logspace(0, 3, 30)) @ Q.T
+        return A, rng.standard_normal(30), rng.standard_normal(30)
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-9, 1e-13])
+    @pytest.mark.parametrize("max_iters", [1, 5, 20, 200])
+    def test_matches_textbook_cg(self, tol, max_iters):
+        # the same steps and stop, on (15, 2) matrices as the block updates pass them
+        A, b, x0 = self.spd_system()
+        operate = lambda U: (A @ U.ravel()).reshape(U.shape)
+        x, iters = _cg(operate, b.reshape(15, 2), x0.reshape(15, 2), max_iters, tol)
+        ref, ref_iters = textbook_cg(A, b, x0, max_iters, tol)
+        assert iters == ref_iters
+        assert np.linalg.norm(x.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+        image = operate(x0.reshape(15, 2))
+        x_image, iters_image = _cg(operate, b.reshape(15, 2), x0.reshape(15, 2), max_iters, tol, image)
+        assert iters_image == iters and np.array_equal(x_image, x)
+
+    def test_stops_at_tolerance_and_cap(self):
+        A, b, x0 = self.spd_system()
+        _, converged = _cg(lambda x: A @ x, b, x0, 1000, 1e-9)
+        assert 0 < converged < 1000
+        assert _cg(lambda x: A @ x, b, x0, converged - 1, 1e-9)[1] == converged - 1
+
+    def test_zero_rhs_and_start_take_no_step(self):
+        A, _, _ = self.spd_system()
+        x, iters = _cg(lambda x: A @ x, np.zeros(30), np.zeros(30), 24)
+        assert iters == 0 and not np.any(x)
+
+
+class TestSplineHessian:
+    @pytest.mark.parametrize("T", [2, 3, 160])
+    @pytest.mark.parametrize("R", [1, 4])
+    def test_banded_apply_matches_dense_hessian(self, T, R):
+        rng = np.random.default_rng(121 + T + R)
+        model = random_model(rng, 5, 5, T, R)
+        data = random_data(rng, 5, 3, T)
+        params = Hyperparams(R=R, eta=0.7, reg=Regularizer("spline", 2.5))
+        A, _ = spline_dense_system(model, data, eta=0.7, beta=2.5)
+        H, spline_beta = _temporal_hessian(_temporal_quadratic(model, data)[0], params)
+        assert spline_beta == 2.5
+        for _ in range(3):
+            U = rng.standard_normal((T, R))
+            ref = A @ U.ravel()
+            out = _temporal_hessian_apply(H, spline_beta, U)
+            assert np.linalg.norm(out.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("reg", [Regularizer(), Regularizer("tv", 2.5), Regularizer("spline", 0.0)])
+    def test_without_spline_the_hessian_is_blockdiagonal(self, reg):
+        rng = np.random.default_rng(122)
+        model = random_model(rng, 5, 5, 6, 3)
+        data = random_data(rng, 5, 3, 6)
+        C = _temporal_quadratic(model, data)[0]
+        H, spline_beta = _temporal_hessian(C.copy(), Hyperparams(R=3, eta=0.7, reg=reg))
+        assert spline_beta == 0.0
+        assert np.array_equal(H, C + np.eye(3) / 0.7)
 
 
 class TestUpdateTemporal:
