@@ -34,8 +34,6 @@ from .evaluation import (
 )
 from .regularizers import (
     Regularizer,
-    apply_diff,
-    apply_diff_transpose,
     spline_penalty,
     tikhonov_penalty,
     tv_penalty,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cp_model import export_factors
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, integer_at_least
 from .evaluation import (
     cluster_temporal_modes,
     estimate_rmse,
@@ -274,12 +274,18 @@ FIT_KNOWN = {
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    """Fit the factored model to ``--input`` and write its factors, traces and
+    summary to ``--out``.  A ``--clusters`` k that is not an integer in 1..T
+    raises :class:`InvalidHyperparameterError` right after windowing, before
+    the fit and before anything is written."""
     opts = resolve_options(args, FIT_KNOWN)
     for required in ("input", "rank", "window", "eta"):
         if opts[required] is None:
             raise SystemExit(f"error: --{required.replace('_', '-')} is required for fit")
     series = read_series_csv(opts["input"])
     pair = build_snapshots(series, M=opts["window"], P=opts["lags"], affine=opts["affine"])
+    if opts["clusters"] is not None:
+        integer_at_least("clusters", opts["clusters"], 1, most=pair.T)
     params = _hyperparams_from(opts, opts["seed"])
     model, report = fit(pair, params)
     normalized = model.normalize()
@@ -294,7 +300,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"# {manifest}\n")
         fh.write(summary)
-    if opts["clusters"]:
+    if opts["clusters"] is not None:
         labels = cluster_temporal_modes(normalized.factors.U3, k=opts["clusters"], seed=opts["seed"])
         write_clusters_csv(args.out, labels, manifest)
     if args.verbose:
@@ -377,7 +383,11 @@ def _compare_instance(task: dict) -> list:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """Score each method on each (N, seed) instance and write one row per run
+    to ``--out``.  A ``--workers`` below 1 raises
+    :class:`InvalidHyperparameterError` before any work."""
     opts = resolve_options(args, COMPARE_KNOWN)
+    integer_at_least("workers", opts["workers"], 1)
     if (opts["benchmark"] is None) == (opts["input"] is None):
         raise SystemExit("error: compare needs exactly one of --benchmark or --input")
     if (opts["truth_matrices"] is None) != (opts["truth_index"] is None):

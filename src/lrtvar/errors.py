@@ -1,7 +1,12 @@
-"""Exception types raised across the package, and the entry checks of real and integer hyperparameters."""
+"""Exception types raised across the package, and the entry checks of real and integer inputs.
+
+Every public entry point decides whether a number it is given is valid
+through :func:`finite_real`, :func:`real_at_least` or :func:`integer_at_least`.
+"""
 
 import math
 import numbers
+from typing import Optional
 
 
 class LrtvarError(Exception):
@@ -67,9 +72,21 @@ def finite_real(name: str, value) -> float:
     return number
 
 
-def integer_at_least(name: str, value, least: int, even: bool = False) -> int:
-    """``value`` as an int; a bool, a non-integer, a value below ``least`` or,
-    with ``even``, an odd one raises :class:`InvalidHyperparameterError`."""
+def real_at_least(name: str, value, least: float = 0.0, strict: bool = False) -> float:
+    """``value`` checked by :func:`finite_real`, then required to be > ``least``
+    (``strict``) or >= it, else :class:`InvalidHyperparameterError`."""
+    number = finite_real(name, value)
+    if number < least or (strict and number == least):
+        raise InvalidHyperparameterError(f"{name} must be {'>' if strict else '>='} {least:g}, got {value!r}")
+    return number
+
+
+def integer_at_least(name: str, value, least: int, even: bool = False, most: Optional[int] = None) -> int:
+    """``value`` as an int; a bool, a non-integer, a value below ``least``,
+    with ``even`` an odd one, or one above ``most`` raises
+    :class:`InvalidHyperparameterError`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least or (even and value % 2):
         raise InvalidHyperparameterError(f"{name} must be an {'even ' * even}integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise InvalidHyperparameterError(f"need {least} <= {name} <= {most}, got {value}")
     return int(value)

@@ -14,14 +14,13 @@ temporal-mode rows turns loadings into regime labels.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .cp_model import CpFactors
-from .errors import DegenerateWindowError, InvalidHyperparameterError, ShapeMismatchError, integer_at_least
+from .errors import DegenerateWindowError, ShapeMismatchError, integer_at_least
 from .synthetic import GroundTruth
 from .windowing import SnapshotPair
 
@@ -87,17 +86,20 @@ def independent_fit(data: SnapshotPair, rank: Optional[int] = None) -> WindowedE
     the one-step map B is regressed between the R-dimensional coefficient
     series, giving ``left = U_R B`` and ``right = U_R``.  Truncation
     requires plain data (one lag, no affine row) so the window series is
-    well defined.  Windows of lower rank are zero-padded to the largest.
+    well defined.  That series has N rows and M + 1 columns, so its rank,
+    and ``rank``, is at most min(N, M + 1).  Windows of lower rank are
+    zero-padded to the largest.
 
     Raises
     ------
     InvalidHyperparameterError
-        If ``rank`` is neither None nor an integer >= 1 (a bool is not one).
+        If ``rank`` is neither None nor an integer in 1..min(N, M + 1) (a
+        bool is not one).
     DegenerateWindowError
         If some window's predictor block is identically zero.
     """
     if rank is not None:
-        rank = integer_at_least("rank", rank, 1)
+        rank = integer_at_least("rank", rank, 1, most=min(data.N, data.M + 1))
     if rank is not None and (data.P != 1 or data.affine):
         raise ValueError("rank-truncated fits need P=1, non-affine data")
     X, Y = _windows(data.X), _windows(data.Y)
@@ -142,13 +144,20 @@ def truth_window_average(truth: GroundTruth, T: int, window_length: Optional[int
     the window's transitions that block b generated; its factors lay the
     active blocks side by side with the weights folded into ``left``, and
     are zero-padded to the window with the most active blocks.
+
+    A ``T``, or a ``window_length`` that is not None, that is not an integer
+    >= 1 (a bool is not one) raises :class:`InvalidHyperparameterError`;
+    windows that do not fit the transitions :class:`ShapeMismatchError`.
     """
+    T = integer_at_least("T", T, 1)
     if window_length is None:
         if truth.n_transitions % T:
             raise ShapeMismatchError(
                 f"{truth.n_transitions} transitions do not divide into {T} windows; pass window_length"
             )
         window_length = truth.n_transitions // T
+    else:
+        window_length = integer_at_least("window_length", window_length, 1)
     if window_length * T > truth.n_transitions:
         raise ShapeMismatchError(
             f"{T} windows of {window_length} transitions exceed the {truth.n_transitions} available"
@@ -175,6 +184,7 @@ def operator_norm_error(
     difference of window k is [L_e, -L_t] [R_e, R_t]'; with thin QR factors
     of the two sides, Q_L R_L and Q_R R_R, its 2-norm is that of the small
     core R_L R_R', so the cost is O(N r^2) per window, r the summed ranks.
+    ``window_length`` is checked as in :func:`truth_window_average`.
     """
     ref = truth_window_average(truth, est.T, window_length)
     if ref.shape != est.shape:
@@ -246,11 +256,7 @@ def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     :class:`InvalidHyperparameterError`.
     """
     U3 = np.asarray(U3, dtype=float)
-    T = U3.shape[0]
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise InvalidHyperparameterError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= T:
-        raise InvalidHyperparameterError(f"need 1 <= k <= {T}, got {k}")
+    k = integer_at_least("k", k, 1, most=U3.shape[0])
     rng = np.random.default_rng(seed)
     centers = np.stack([_kmeans_plus_plus(U3, k, rng) for _ in range(KMEANS_RESTARTS)])
     labels, inertia = _lloyd(U3, centers)

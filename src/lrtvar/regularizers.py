@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidHyperparameterError, NonFiniteError, NonPositiveEtaError, finite_real
+from .errors import InvalidHyperparameterError, NonFiniteError, NonPositiveEtaError, finite_real, real_at_least
 
 REGULARIZER_KINDS = ("none", "tv", "spline")
 
@@ -39,9 +39,7 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in REGULARIZER_KINDS:
             raise InvalidHyperparameterError(f"kind must be one of {REGULARIZER_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "beta", finite_real("beta", self.beta))
-        if self.beta < 0:
-            raise InvalidHyperparameterError(f"beta must be >= 0, got {self.beta}")
+        object.__setattr__(self, "beta", real_at_least("beta", self.beta))
 
     def penalty(self, U3: np.ndarray) -> float:
         """beta times the raw penalty of the loadings matrix."""
@@ -69,29 +67,14 @@ def spline_penalty(U3: np.ndarray) -> float:
     return 0.5 * float(np.sum(d * d))
 
 
-def apply_diff(v: np.ndarray) -> np.ndarray:
-    """First-difference matrix with free boundaries: (Dv)_k = v_k - v_{k+1},
-    down axis 0 (each column of a matrix separately)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] < 2:
-        raise ValueError("apply_diff needs a vector of length >= 2")
-    return v[:-1] - v[1:]
-
-
-def apply_diff_transpose(w: np.ndarray) -> np.ndarray:
-    """Exact adjoint of :func:`apply_diff`; maps T-1 rows to T rows down axis 0."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 0 or w.shape[0] < 1:
-        raise ValueError("apply_diff_transpose needs a vector of length >= 1")
-    out = np.empty((w.shape[0] + 1,) + w.shape[1:], dtype=float)
-    out[0] = w[0]
-    out[1:-1] = w[1:] - w[:-1]
-    out[-1] = -w[-1]
-    return out
-
-
 def tikhonov_penalty(U1: np.ndarray, U2: np.ndarray, U3: np.ndarray, eta: float) -> float:
-    """Ridge term (1/2eta) * (||U1||_F^2 + ||U2||_F^2 + ||U3||_F^2)."""
+    """Ridge term (1/2eta) * (||U1||_F^2 + ||U2||_F^2 + ||U3||_F^2).
+
+    An ``eta`` that is a bool or not a real number raises
+    :class:`InvalidHyperparameterError`, a NaN or infinite one
+    :class:`NonFiniteError` and one <= 0 :class:`NonPositiveEtaError`.
+    """
+    eta = finite_real("eta", eta)
     if eta <= 0:
         raise NonPositiveEtaError(f"eta must be > 0, got {eta}")
     total = float(np.sum(np.square(U1)) + np.sum(np.square(U2)) + np.sum(np.square(U3)))

@@ -56,7 +56,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -69,9 +68,10 @@ from .errors import (
     DegenerateDataError,
     DimensionMismatchError,
     ExtremeScaleError,
-    InvalidHyperparameterError,
     NonPositiveEtaError,
     finite_real,
+    integer_at_least,
+    real_at_least,
 )
 from .regularizers import Regularizer, tikhonov_penalty, tv_penalty, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
@@ -109,10 +109,11 @@ class Hyperparams:
     that costs fewer flops than this many CG steps.  ``pg_max_iters`` caps
     the column sweeps of the TV U3 update.
     ``seed`` fixes the initialization noise (see :func:`initialize`).
-    ``R``, the caps and ``seed`` must be integers and ``eta``, ``rtol`` and
-    ``atol`` real numbers, none of them bools; a value of another type or out
-    of range raises :class:`InvalidHyperparameterError`, and a non-finite
-    real one :class:`NonFiniteError`.
+    ``R`` and the caps must be integers >= 1, ``seed`` an integer >= 0,
+    ``eta`` a real number > 0 and ``rtol`` and ``atol`` real numbers >= 0,
+    none of them bools.  A value of another type or out of range raises
+    :class:`InvalidHyperparameterError` (:class:`NonPositiveEtaError` for an
+    ``eta`` <= 0), and a non-finite real one :class:`NonFiniteError`.
     """
 
     R: int
@@ -126,21 +127,13 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("R", "max_outer_iters", "cg_max_iters", "pg_max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidHyperparameterError(f"{name} must be an integer, got {value!r}")
-        for name in ("R", "max_outer_iters", "cg_max_iters", "pg_max_iters"):
-            if getattr(self, name) < 1:
-                raise InvalidHyperparameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise InvalidHyperparameterError(f"seed must be >= 0, got {self.seed}")
-        for name in ("eta", "rtol", "atol"):
-            object.__setattr__(self, name, finite_real(name, getattr(self, name)))
+        for name, least in (("R", 1), ("max_outer_iters", 1), ("cg_max_iters", 1), ("pg_max_iters", 1), ("seed", 0)):
+            integer_at_least(name, getattr(self, name), least)
+        object.__setattr__(self, "eta", finite_real("eta", self.eta))
         if self.eta <= 0:
             raise NonPositiveEtaError(f"eta must be > 0, got {self.eta}")
-        if self.rtol < 0 or self.atol < 0:
-            raise InvalidHyperparameterError("tolerances must be >= 0")
+        for name in ("rtol", "atol"):
+            object.__setattr__(self, name, real_at_least(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

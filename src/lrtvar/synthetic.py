@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DegenerateProjectionError, InvalidHyperparameterError, NonFiniteError, ShapeMismatchError,
-                     finite_real, integer_at_least)
+                     finite_real, integer_at_least, real_at_least)
 from .windowing import TimeSeries
 
 BURN_IN_STEPS = 200
@@ -94,15 +94,6 @@ def rotation_2x2(theta) -> np.ndarray:
     stack of their rotations, of shape theta.shape + (2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
     return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-
-
-def _scale(name: str, value, positive: bool) -> float:
-    """``value`` checked by :func:`finite_real`, then required to be > 0
-    (``positive``) or >= 0, else :class:`InvalidHyperparameterError`."""
-    number = finite_real(name, value)
-    if number < 0 or (positive and number == 0):
-        raise InvalidHyperparameterError(f"{name} must be {'> 0' if positive else '>= 0'}, got {value!r}")
-    return number
 
 
 def _random_plane(N: int, rng: np.random.Generator) -> np.ndarray:
@@ -175,7 +166,7 @@ def simulate_switching(
     A bad N, tau, sigma or angle raises :class:`InvalidHyperparameterError`
     (or :class:`NonFiniteError` for a NaN or infinity) before any draw.
     """
-    tau, sigma = integer_at_least("tau", tau, 2, even=True), _scale("sigma", sigma, positive=False)
+    tau, sigma = integer_at_least("tau", tau, 2, even=True), real_at_least("sigma", sigma)
     theta1, theta2 = finite_real("theta1", theta1), finite_real("theta2", theta2)
     rng_mat, rng_noise = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
     right = np.stack([_random_plane(N, rng_mat), _random_plane(N, rng_mat)])
@@ -195,7 +186,7 @@ def gp_covariance(tau: int, lengthscale: float = 30.0) -> np.ndarray:
     """Squared-exponential covariance K(t, t') = exp(-((t-t')/lengthscale)^2)
     plus ``GP_JITTER`` on the diagonal.  A tau below 1 or a lengthscale
     that is not > 0 raises :class:`InvalidHyperparameterError`."""
-    tau, lengthscale = integer_at_least("tau", tau, 1), _scale("lengthscale", lengthscale, positive=True)
+    tau, lengthscale = integer_at_least("tau", tau, 1), real_at_least("lengthscale", lengthscale, strict=True)
     t = np.arange(tau, dtype=float)
     K = np.exp(-(((t[:, None] - t[None, :]) / lengthscale) ** 2))
     K[np.diag_indices(tau)] += GP_JITTER
@@ -231,7 +222,7 @@ def simulate_smooth(
     (or :class:`NonFiniteError`) before any draw.
     """
     tau = integer_at_least("tau", tau, 1)
-    sigma, lengthscale = _scale("sigma", sigma, positive=False), _scale("lengthscale", lengthscale, positive=True)
+    sigma, lengthscale = real_at_least("sigma", sigma), real_at_least("lengthscale", lengthscale, strict=True)
     if angles is not None:
         angles = np.asarray(angles, dtype=float)
         if angles.shape != (tau,):

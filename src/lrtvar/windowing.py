@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, SeriesTooShortError, ZeroVarianceError
+from .errors import NonFiniteError, SeriesTooShortError, ZeroVarianceError, integer_at_least
 
 
 @dataclass
@@ -146,13 +146,12 @@ def build_snapshots(series: TimeSeries, M: int, P: int = 1, affine: bool = False
 
     Raises
     ------
+    InvalidHyperparameterError
+        If ``M`` or ``P`` is not an integer >= 1 (a bool is not one).
     SeriesTooShortError
         If not even one full window fits after lag alignment.
     """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
+    M, P = integer_at_least("M", M, 1), integer_at_least("P", P, 1)
     values = series.values
     n, n_samples = values.shape
     n_transitions = n_samples - P  # = tau - (P - 1)

@@ -194,6 +194,23 @@ class TestFit:
         for name in ("U1.csv", "U2.csv", "U3.csv", "lambda.csv", "trace.csv", "clusters.csv"):
             assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name), name
 
+    @pytest.mark.parametrize(
+        "clusters, message",
+        [("0", "clusters must be an integer >= 1"), ("-1", "clusters must be an integer >= 1"),
+         ("9", "need 1 <= clusters <= 8, got 9"), ("50", "need 1 <= clusters <= 8, got 50")],
+        ids=["zero", "negative", "T-plus-one", "fifty"],
+    )
+    def test_bad_clusters_rejected_before_the_fit_and_writes_nothing(self, series_path, tmp_path, monkeypatch,
+                                                                     clusters, message):
+        # 80 transitions in windows of 10: T = 8; these once ran the fit, wrote 7 files and then raised
+        out = tmp_path / "fit"
+        calls = count_calls(monkeypatch, ("fit",))
+        with pytest.raises(InvalidHyperparameterError, match=message):
+            run(["fit", "--input", str(series_path), "--rank", "4", "--window", "10", "--eta", "0.2",
+                 "--clusters", clusters, "--out", str(out)])
+        assert calls == {"fit": 0}
+        assert not out.exists() or not os.listdir(out)
+
     def test_missing_required_flag(self, series_path, tmp_path):
         with pytest.raises(SystemExit):
             run(["fit", "--input", str(series_path), "--window", "10", "--out", str(tmp_path)])
@@ -320,6 +337,30 @@ class TestCompare:
         assert statuses["indep-r2"] == "ok"
         assert statuses["indep-r-1"] == "failed: rank must be an integer >= 1; got -1"
         assert statuses["indep-r0"] == "failed: rank must be an integer >= 1; got 0"
+
+    def test_independent_rank_above_the_window_limit_fails_its_row(self, tmp_path):
+        # windows of 20 transitions of 6 channels carry rank min(6, 21) = 6; indep-r9
+        # and indep-r50 once fitted rank 6 and wrote the same "ok" row as indep-r6
+        out = tmp_path / "cmp"
+        code = run(["compare", "--benchmark", "switching", "--N-list", "6", "--seeds", "0", "--tau", "80",
+                    "--methods", "indep-r6,indep-r9,indep-r50", "--out", str(out)])
+        assert code == 1
+        lines = [l for l in (out / "compare_results.csv").read_text().splitlines() if l and not l.startswith("#")]
+        statuses = {l.split(",")[0]: l.split(",")[5] for l in lines[1:]}
+        assert statuses["indep-r6"] == "ok"
+        assert statuses["indep-r9"] == "failed: need 1 <= rank <= 6; got 9"
+        assert statuses["indep-r50"] == "failed: need 1 <= rank <= 6; got 50"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected_at_entry(self, tmp_path, monkeypatch, workers):
+        # these once ran the sweep serially
+        out = tmp_path / "cmp"
+        calls = count_calls(monkeypatch, ("simulate_switching",))
+        with pytest.raises(InvalidHyperparameterError, match="workers must be an integer >= 1"):
+            run(["compare", "--benchmark", "switching", "--N-list", "6", "--tau", "80", "--methods", "indep-full",
+                 "--workers", workers, "--out", str(out)])
+        assert calls == {"simulate_switching": 0}
+        assert not out.exists() or not os.listdir(out)
 
     def test_unknown_method_fails_fast(self, tmp_path):
         with pytest.raises(SystemExit, match="bogus"):
@@ -452,7 +493,8 @@ def test_read_back_truth_scores_like_the_dense_oracle(simulate, window, tmp_path
     truth = simulate()
     write_truth_bundle(tmp_path, truth, "manifest tool=test")
     back = read_truth_bundle(tmp_path / "truth_matrices.csv", tmp_path / "truth_index.csv", truth.series)
-    est = independent_fit(build_snapshots(truth.series, M=window), rank=4)
+    # a window's series has window + 1 columns, so at window 1 rank 2 is the most it carries
+    est = independent_fit(build_snapshots(truth.series, M=window), rank=min(4, window + 1))
     windows = [range(k * window, (k + 1) * window) for k in range(est.T)]
     oracle = np.mean([
         np.linalg.norm(est.left[k] @ est.right[k].T - sum(map(truth.matrix_at, ts)) / window, 2)

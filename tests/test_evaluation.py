@@ -173,6 +173,18 @@ class TestIndependentFit:
         assert independent_fit(data, rank=1).left.shape[2] == 1
         assert np.array_equal(dense(independent_fit(data, rank=np.int64(3))), dense(independent_fit(data, rank=3)))
 
+    @pytest.mark.parametrize("N, M, rank", [(6, 10, 7), (6, 10, 50), (6, 10, 9), (6, 1, 3), (3, 20, 4)])
+    def test_rank_above_the_window_series_rank_rejected(self, N, M, rank):
+        # a window's series has N rows and M + 1 columns; a larger rank once
+        # fitted rank min(N, M + 1) and read like that rank
+        data = build_snapshots(simulate_switching(N=N, tau=80, sigma=0.5, seed=0).series, M=M)
+        with pytest.raises(InvalidHyperparameterError, match=rf"need 1 <= rank <= {min(N, M + 1)}, got {rank}"):
+            independent_fit(data, rank=rank)
+
+    def test_rank_at_the_window_series_rank_accepted(self):
+        data = build_snapshots(simulate_switching(N=6, tau=80, sigma=0.5, seed=0).series, M=1)
+        assert independent_fit(data, rank=2).left.shape[2] == 2
+
 
 class TestOperatorNormError:
     def test_zero_for_exact_estimate(self):
@@ -259,6 +271,28 @@ class TestOperatorNormError:
             tracemalloc.stop()
         assert np.isfinite(error)
         assert peak < 8 * N * N  # the bytes of one dense N x N matrix
+
+    @pytest.mark.parametrize("window_length", [0, -2, 8.0, True, "8"])
+    def test_bad_window_length_rejected_at_entry(self, window_length):
+        # 0 and -2 once returned a number, 8.0 raised TypeError inside numpy
+        truth = simulate_switching(N=6, tau=80, sigma=0.5, seed=0)
+        est = independent_fit(build_snapshots(truth.series, M=8))
+        with pytest.raises(InvalidHyperparameterError, match="window_length must be an integer >= 1"):
+            operator_norm_error(est, truth, window_length=window_length)
+        with pytest.raises(InvalidHyperparameterError, match="window_length must be an integer >= 1"):
+            truth_window_average(truth, est.T, window_length)
+
+    @pytest.mark.parametrize("T", [0, -4, 4.0, True])
+    def test_bad_window_count_rejected_at_entry(self, T):
+        # 0 once raised ZeroDivisionError, -4 a ValueError from inside numpy
+        truth = simulate_switching(N=6, tau=80, sigma=0.5, seed=0)
+        with pytest.raises(InvalidHyperparameterError, match="T must be an integer >= 1"):
+            truth_window_average(truth, T, 10)
+
+    def test_integer_window_length_accepted(self):
+        truth = simulate_switching(N=6, tau=80, sigma=0.5, seed=0)
+        est = independent_fit(build_snapshots(truth.series, M=8))
+        assert operator_norm_error(est, truth, window_length=np.int64(8)) == operator_norm_error(est, truth)
 
     def test_shape_mismatch(self):
         truth = simulate_switching(N=3, tau=40, sigma=0.1, seed=88)

@@ -7,8 +7,6 @@ import pytest
 from lrtvar.errors import NonFiniteError, NonPositiveEtaError
 from lrtvar.regularizers import (
     Regularizer,
-    apply_diff,
-    apply_diff_transpose,
     spline_penalty,
     tikhonov_penalty,
     tv_penalty,
@@ -212,47 +210,6 @@ class TestSplinePenalty:
             assert spline_penalty(U3) > 0.0
 
 
-class TestDiffOperators:
-    def test_constant_vector(self):
-        assert np.array_equal(apply_diff(np.array([1.0, 1.0, 1.0])), np.zeros(2))
-
-    def test_sign_convention(self):
-        assert np.array_equal(apply_diff(np.array([3.0, 1.0])), np.array([2.0]))
-
-    def test_matches_dense_matrix(self):
-        rng = np.random.default_rng(9)
-        v = rng.standard_normal(23)
-        assert np.allclose(apply_diff(v), dense_diff_matrix(23) @ v, atol=1e-15)
-
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            T = int(rng.integers(2, 40))
-            v = rng.standard_normal(T)
-            w = rng.standard_normal(T - 1)
-            assert np.dot(apply_diff(v), w) == pytest.approx(np.dot(v, apply_diff_transpose(w)), abs=1e-14)
-
-    def test_adjoint_identity_columnwise(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            T = int(rng.integers(2, 40))
-            R = int(rng.integers(1, 5))
-            V = rng.standard_normal((T, R))
-            W = rng.standard_normal((T - 1, R))
-            assert apply_diff_transpose(W).shape == (T, R)
-            assert np.sum(apply_diff(V) * W) == pytest.approx(np.sum(V * apply_diff_transpose(W)), abs=1e-13)
-            D = dense_diff_matrix(T)
-            assert np.allclose(apply_diff_transpose(W), D.T @ W, atol=1e-15)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            apply_diff(np.array([1.0]))
-        with pytest.raises(ValueError):
-            apply_diff_transpose(np.zeros(0))
-        with pytest.raises(ValueError):
-            apply_diff_transpose(np.zeros((0, 3)))
-
-
 class TestTikhonov:
     def test_zero_factors(self):
         z = np.zeros((3, 2))
@@ -273,6 +230,12 @@ class TestTikhonov:
         z = np.zeros((2, 2))
         with pytest.raises(NonPositiveEtaError):
             tikhonov_penalty(z, z, z, eta=0.0)
+
+    def test_nan_eta_rejected(self):
+        # once returned NaN
+        z = np.zeros((2, 2))
+        with pytest.raises(NonFiniteError):
+            tikhonov_penalty(z, z, z, eta=float("nan"))
 
 
 class TestTvProx:

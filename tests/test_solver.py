@@ -1523,6 +1523,16 @@ class TestHyperparams:
         with pytest.raises(InvalidHyperparameterError):
             make()
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"rtol": -1}, "rtol must be >= 0, got -1"), ({"atol": -0.5}, "atol must be >= 0, got -0.5"),
+         ({"R": 0}, "R must be an integer >= 1, got 0"), ({"seed": -1}, "seed must be an integer >= 0, got -1")],
+        ids=["rtol", "atol", "R", "seed"],
+    )
+    def test_out_of_range_knob_is_named(self, changes, message):
+        with pytest.raises(InvalidHyperparameterError, match=message):
+            Hyperparams(**{"R": 2, "eta": 1.0, **changes})
+
     def test_real_knobs_accept_any_real_number(self):
         p = Hyperparams(R=2, eta=np.float32(0.5), rtol=0, atol=np.int64(1), reg=Regularizer("tv", 2))
         assert (p.eta, p.rtol, p.atol, p.reg.beta) == (0.5, 0.0, 1.0, 2.0)

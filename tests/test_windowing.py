@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrtvar.errors import NonFiniteError, SeriesTooShortError, ZeroVarianceError
+from lrtvar.errors import InvalidHyperparameterError, NonFiniteError, SeriesTooShortError, ZeroVarianceError
 from lrtvar.windowing import (
     SnapshotPair,
     TimeSeries,
@@ -148,6 +148,23 @@ class TestBuildSnapshots:
             build_snapshots(series, M=0)
         with pytest.raises(ValueError):
             build_snapshots(series, M=2, P=0)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [({"M": 2.5}, "M must be"), ({"M": True}, "M must be"), ({"M": "4"}, "M must be"), ({"M": 0}, "M must be"),
+         ({"M": 2, "P": 1.5}, "P must be"), ({"M": 2, "P": True}, "P must be"), ({"M": 2, "P": 0}, "P must be")],
+        ids=["M-float", "M-bool", "M-str", "M-zero", "P-float", "P-bool", "P-zero"],
+    )
+    def test_bad_window_or_lags_rejected_at_entry(self, options, message):
+        # 2.5 and "4" once raised TypeError inside numpy, P=True was taken as 1
+        series = TimeSeries(values=np.ones((1, 9)) * np.arange(9))
+        with pytest.raises(InvalidHyperparameterError, match=message):
+            build_snapshots(series, **options)
+
+    def test_numpy_integers_accepted(self):
+        series = TimeSeries(values=np.arange(18.0).reshape(2, 9))
+        a, b = build_snapshots(series, M=np.int64(2), P=np.int32(2)), build_snapshots(series, M=2, P=2)
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y) and (a.M, a.T, a.P) == (b.M, b.T, b.P)
 
 
 class TestStandardize:
