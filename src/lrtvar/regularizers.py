@@ -159,7 +159,8 @@ def tv_prox_1d(v: np.ndarray, gamma: float) -> np.ndarray:
 
     Johnson's linear-time dynamic program, run by :func:`tv_prox_columns` on
     ``v`` as one column.  The minimizer is piecewise constant with the same
-    mean as ``v``; ``gamma >= 0``, and ``gamma = 0`` returns a copy of ``v``.
+    mean as ``v``; ``gamma >= 0``, checked as in :func:`tv_prox_columns`,
+    and ``gamma = 0`` returns a copy of ``v``.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -174,17 +175,15 @@ def tv_prox_columns(V: np.ndarray, gamma: float, weights: Optional[np.ndarray] =
     gamma sum_k |u_k - u_{k+1}| with w = ``weights[:, r]``, positive and
     finite, of the shape of ``V``; ``weights=None`` means unit weights.  A
     saturated column (see :func:`_tv_prox_list`) gets its weighted mean
-    exactly.  A NaN ``gamma`` or a non-finite entry or weight raises
-    :class:`NonFiniteError`; ``gamma = inf`` saturates every column.
+    exactly.  A ``gamma`` that is a bool, not a real number or negative
+    raises :class:`InvalidHyperparameterError`, a NaN one or a non-finite
+    entry or weight :class:`NonFiniteError`; ``gamma = inf`` saturates every
+    column.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise ValueError("tv_prox_columns expects a 2-D matrix")
-    gamma = float(gamma)
-    if math.isnan(gamma):
-        raise NonFiniteError("gamma must not be NaN")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    gamma = math.inf if gamma == math.inf else real_at_least("gamma", gamma)
     # checked on Python lists: for the few short columns of a loadings matrix
     # that is cheaper than a NumPy reduction per call
     columns = V.T.tolist()

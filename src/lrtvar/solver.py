@@ -11,14 +11,15 @@ blocks: a dense R x R solve for U1, a dense solve or matrix-free conjugate
 gradients, whichever costs fewer flops, on a Sylvester-type system for U2,
 and per-window solves (no smoothing), the same CG routine on the banded
 Hessian blockdiag(C_k + I/eta) + beta D'D kron I_R (spline smoothing), or
-exact minimization one column at a time by the weighted TV prox
-(total-variation smoothing) for U3.  Between two TV column sweeps the U3
-block is minimized exactly on the face the sweep found
-(its fused segments and the signs of its jumps) by one dense solve over the
-segment values.  When that face minimizer passes the block's optimality
-conditions, a cumulative sum of its gradient, it is the block minimizer and
-ends the update; otherwise the move is kept only if it lowers the block
-objective and the sweeps go on.  Every update is non-increasing in C.
+a primal-dual active set on faces (total-variation smoothing) for U3.  A
+TV face is a set of fused segments and the signs of the jumps between them;
+the U3 block is minimized exactly on a face by one dense solve over the
+segment values, and the running sums of the gradient of that face minimizer
+either pass the block's optimality conditions, which ends the update on the
+block minimizer, or say which jumps to fuse and which fused pairs to open
+for the next face.  Exact minimization one column at a time by the weighted
+TV prox is only the fallback, for faces too large to solve or a face
+iteration that does not certify.  Every update is non-increasing in C.
 After each sweep ``fit`` tries the extrapolated iterate
 U + it^(1/p) (U - U_prev) on all three factors at once and keeps it only if
 it lowers C (Bro's line search for PARAFAC), so the outer cost trace
@@ -73,18 +74,17 @@ from .errors import (
     integer_at_least,
     real_at_least,
 )
-from .regularizers import Regularizer, tikhonov_penalty, tv_penalty, tv_prox_columns
+from .regularizers import Regularizer, tikhonov_penalty, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
 
 # CG stops once the residual falls to this fraction of the right-hand side.
 CG_TOL = 1e-9
 # A TV update of U3 ends on a face minimizer whose dual residual, over beta,
-# is at most this, or once a sweep moves no entry by more than this fraction
-# of the largest entry.
+# is at most this, or once a fallback sweep moves no entry by more than this
+# fraction of the largest entry; neighbours within that fraction are fused.
 SWEEP_TOL = 1e-10
-# Between TV sweeps of U3 the objective is minimized exactly on the face the
-# sweep found, by a dense solve over its segments; faces of more segments
-# than this (a face matrix over 8 MiB) are left to the sweeps.
+# A TV face is minimized by a dense solve over its segments; faces of more
+# segments than this (a face matrix over 8 MiB) are left to the sweeps.
 FACE_MAX_SEGMENTS = 1024
 # fit warns when an outer iteration raises the cost by more than this
 # fraction of 1 + |previous cost|.
@@ -107,7 +107,8 @@ class Hyperparams:
     update, whose banded Hessian each step applies as one block product per
     window and two shifted subtractions; U2 is solved exactly instead when
     that costs fewer flops than this many CG steps.  ``pg_max_iters`` caps
-    the column sweeps of the TV U3 update.
+    the face solves of each face iteration of the TV U3 update and its
+    fallback column sweeps.
     ``seed`` fixes the initialization noise (see :func:`initialize`).
     ``R`` and the caps must be integers >= 1, ``seed`` an integer >= 0,
     ``eta`` a real number > 0 and ``rtol`` and ``atol`` real numbers >= 0,
@@ -141,17 +142,18 @@ class OuterIteration:
     """What one outer iteration of :func:`fit` did.
 
     ``cg_iters`` and ``inner_iters`` are the inner iterations of the U2 and
-    U3 updates.  ``capped_right`` says whether the U2 CG used its whole
-    ``cg_max_iters`` budget, ``capped_temporal`` whether the U3 update
+    U3 updates: for TV, the fallback column sweeps, 0 when the face
+    iteration certifies.  ``capped_right`` says whether the U2 CG used its
+    whole ``cg_max_iters`` budget, ``capped_temporal`` whether the U3 update
     stopped short of its stated bound: for the spline CG, that it used all
-    ``cg_max_iters`` steps; for TV, that its certificate is above
-    ``SWEEP_TOL``, whichever stop it took (the sweep-move stop or the
-    ``pg_max_iters`` cap).  The exact U2 and unsmoothed U3 solves report 0
-    iterations and are never capped.  ``face_steps`` and ``certificate``
-    are the face steps a TV update kept and the dual residual over beta of
-    the U3 it returned, the largest violation of the block's optimality
-    conditions (0 and None for the other U3 updates), which ends the update
-    at ``SWEEP_TOL``.
+    ``cg_max_iters`` steps; for TV, that it returned without a certificate,
+    one above ``SWEEP_TOL`` (on the sweep-move stop or the ``pg_max_iters``
+    cap).  The exact U2 and unsmoothed U3 solves report 0 iterations and
+    are never capped.  ``face_steps`` and ``certificate`` are the face
+    solves a TV update ran and the dual residual over beta of the U3 it
+    returned, the largest violation of the block's optimality conditions
+    (0 and None for the other U3 updates), which ends the update at
+    ``SWEEP_TOL``.
     ``extrapolated`` says whether the extrapolation trial was kept, and
     ``cost_rise`` is the rise of the cost over the previous trace entry
     relative to 1 + |previous cost|, 0 when it fell.  The ``seconds_*``
@@ -191,7 +193,7 @@ class FitReport:
     per step, which ``fit`` checks as it goes (``OuterIteration.cost_rise``).
     ``outer[i]`` records outer iteration i + 1, the one that appended
     ``cost_trace[i + 1]``.  :meth:`summary` counts the capped inner solves,
-    the kept U3 face steps and the accepted extrapolations.
+    the U3 face solves and the accepted extrapolations.
     """
 
     cost_trace: list
@@ -519,17 +521,17 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     formed in place once per update (:func:`_temporal_hessian`), so each
     step applies it as one window-wise product and two shifted
     subtractions of beta times the neighbouring windows.  The TV penalty is
-    minimized exactly one column at a time by :func:`_temporal_tv_sweeps`,
-    whose sweeps are reported; ``params.pg_max_iters`` caps them.  Between
-    two sweeps the TV objective is minimized in one dense solve on the face
-    the sweep found, its fused segments and the signs of its jumps
-    (:func:`_face_step`); the update ends there when the face minimizer's
-    dual residual (:func:`_tv_dual_residual`) is at most ``SWEEP_TOL``,
-    and otherwise keeps the move only if it lowers the objective.
-    ``products`` is as in :func:`update_left`.  A TV update stores in the
-    dict ``outcome``, when one is given, the face steps it kept
-    (``face_steps``) and the dual residual of the U3 it returns
-    (``certificate``), whichever stop it took.
+    minimized by :func:`_temporal_tv_sweeps`: a primal-dual active set
+    that solves one face (fused segments, signs of the jumps) per step by
+    a dense solve, from the face of the incoming U3, and ends on the face
+    minimizer whose dual residual (:func:`_tv_dual_residual`) is at most
+    ``SWEEP_TOL``, the block minimizer.  Exact column sweeps by the weighted
+    TV prox are its fallback, and their number is reported: 0 when the face
+    iteration certifies.  ``params.pg_max_iters`` caps the sweeps and the
+    face solves of each face iteration.  ``products`` is as in
+    :func:`update_left`.  A TV update stores in the dict ``outcome``, when
+    one is given, the face solves it ran (``face_steps``) and the dual
+    residual of the U3 it returns (``certificate``), whichever stop it took.
     """
     _check_dims(model, data)
     C, b = _temporal_quadratic(model, data, products)
@@ -544,11 +546,73 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     return U3, sweeps
 
 
-def _temporal_tv_sweeps(H, b, U3_init, beta, max_sweeps):
-    """Cyclic exact minimization over the columns of U3 of
-    sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U3), with u_k = U3[k], with
-    a face step between sweeps that ends the update once its dual
-    certificate holds.
+def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
+    """Minimize sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U3), with
+    u_k = U3[k], over U3 by a primal-dual active set on faces, with cyclic
+    column sweeps as the fallback.
+
+    A face fuses some neighbouring entries of each column into segments and
+    fixes the sign of every other pair, a jump; :func:`_face_solve`
+    minimizes the objective on it exactly.  The face iteration (the
+    primal-dual active-set strategy of Hintermueller, Ito & Kunisch 2002,
+    on the fused-lasso face of Friedman et al. 2007) starts from the face of
+    ``U3_init`` (:func:`_jump_signs`).
+    Each step solves the face and forms the running sums z of the face
+    minimizer once.  If no jump changed sign and the dual residual
+    (:func:`_tv_dual_residual`) is at most ``SWEEP_TOL``, the face minimizer
+    is the block minimizer and the update returns it.  Otherwise every jump
+    that changed sign is fused, every fused pair with |z_k| > beta opens as
+    a jump of sign z_k, and the next face is solved; where that exchange
+    leads back to a face already solved, only the last violated pair
+    changes (Murty's single pivot), which breaks the cycle.
+
+    The column sweeps (:func:`_column_sweeps`, from ``U3_init`` on) are
+    the fallback.  One sweep runs when the face iteration meets a face of
+    more than ``FACE_MAX_SEGMENTS`` segments, spends ``max_iters`` face
+    solves, or finds nothing to exchange without certifying, and the face
+    iteration then restarts from the sweep's face.  The update returns the
+    last sweep iterate once a sweep moves no entry by more than
+    ``SWEEP_TOL * max|U3|``, or when the face iteration after sweep
+    ``max_iters`` does not certify.  So it returns either the certified
+    block minimizer or a sweep iterate, and never raises the objective.
+
+    Returns (U3, sweeps run, face solves run, certificate), where the
+    certificate is the dual residual of the returned U3.
+    """
+    face_solves = 0
+    for sweeps, (U, move) in enumerate(_column_sweeps(H, b, U3_init, beta)):
+        if move <= SWEEP_TOL * np.abs(U).max():
+            break
+        signs = _jump_signs(U)
+        seen = {signs.tobytes()}
+        for _ in range(max_iters):
+            face = _face_solve(H, b, signs, beta)
+            if face is None:
+                break
+            face_solves += 1
+            z = _running_sums(H, b, face)
+            flipped = signs * np.diff(face, axis=0) < 0
+            certificate = _tv_dual_residual(z, face, beta)
+            if certificate <= SWEEP_TOL and not flipped.any():
+                return face, sweeps, face_solves, certificate
+            violated = flipped | ((signs == 0) & (np.abs(z[:-1]) > beta))
+            if not violated.any():
+                break
+            exchanged = np.where(signs, 0.0, np.sign(z[:-1]))
+            if np.where(violated, exchanged, signs).tobytes() in seen:
+                # the full exchange would cycle: exchange the last violated pair only
+                violated.flat[np.flatnonzero(violated)[:-1]] = False
+            signs = np.where(violated, exchanged, signs)
+            seen.add(signs.tobytes())
+        if sweeps == max_iters:
+            break
+    return U, sweeps, face_solves, _tv_dual_residual(_running_sums(H, b, U), U, beta)
+
+
+def _column_sweeps(H, b, U, beta):
+    """Cyclic exact minimization over the columns of U3 from U, yielding U
+    and after each sweep the iterate, each with the largest move of an entry
+    in the sweep that made it (inf for U).
 
     The TV term is a sum over columns and the quadratic is strictly convex,
     so cycling exact column minimizations converges to the block minimizer
@@ -557,120 +621,79 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_sweeps):
     others is the weighted TV prox of y_k = U[k, r] - G[k, r] / w_k with
     weights w_k = H_k[r, r] and G = H U - b, kept up to date after every
     column.
-
-    The columns are coupled through the off-diagonals of H_k, and cyclic
-    column steps crawl while that coupling is strong.  So every sweep that
-    moves some entry by more than ``SWEEP_TOL * max|U3|`` and is followed
-    by another is followed by the fusion move of Friedman et al.:
-    :func:`_face_step` minimizes the objective exactly on the face the
-    sweep found, the entries it fused and the signs of its jumps.  When
-    that face minimizer passes the block's optimality conditions
-    (:func:`_tv_dual_residual` at most ``SWEEP_TOL``) it is the block
-    minimizer and the update returns it.  Otherwise the sweeps go on; they
-    stop once one moves no entry by more than ``SWEEP_TOL * max|U3|``, or
-    after ``max_sweeps``.
-
-    Returns (U3, sweeps run, face steps kept, certificate), where the
-    certificate is the dual residual of the returned U3.
     """
-    R = U3_init.shape[1]
+    yield U, math.inf
+    R = U.shape[1]
     weights = H.diagonal(axis1=1, axis2=2)
     column_weights = [weights[:, r:r + 1].copy() for r in range(R)]
     couplings = [H[:, :, r] / weights for r in range(R)]  # change of G / w per unit step of column r
-    U, face_steps, fresh = U3_init, 0, True
-    for sweeps in range(1, max_sweeps + 1):
-        if fresh:
-            # U3 is held as a list of (T, 1) columns and G is stored divided by
-            # the weights: each column step then costs a few small array operations
-            scaled_gradient = ((H @ U[:, :, None])[:, :, 0] - b) / weights
-            columns = [U[:, r:r + 1].copy() for r in range(R)]
-        steps = []
+    # U3 is held as a list of (T, 1) columns and G is stored divided by the
+    # weights: each column step then costs a few small array operations
+    scaled_gradient = ((H @ U[:, :, None])[:, :, 0] - b) / weights
+    columns = [U[:, r:r + 1].copy() for r in range(R)]
+    while True:
+        move = 0.0
         for r in range(R):
             new = tv_prox_columns(columns[r] - scaled_gradient[:, r:r + 1], beta, column_weights[r])
-            steps.append(new - columns[r])
+            step = new - columns[r]
             columns[r] = new
-            scaled_gradient += couplings[r] * steps[-1]
-        U = np.hstack(columns)
-        tol = SWEEP_TOL * np.abs(U).max()
-        if np.abs(np.hstack(steps)).max() <= tol or sweeps == max_sweeps:
-            break
-        face, certificate = _face_step(H, b, U, beta, tol)
-        fresh = face is not None
-        if fresh:
-            U = face
-            face_steps += 1
-            if certificate <= SWEEP_TOL:
-                return U, sweeps, face_steps, certificate
-    return U, sweeps, face_steps, _tv_dual_residual(H, b, U, beta, tol)
+            scaled_gradient += couplings[r] * step
+            move = max(move, float(np.abs(step).max()))
+        yield np.hstack(columns), move
 
 
-def _tv_block_objective(H, b, U, beta) -> float:
-    """sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U), with u_k = U[k]."""
-    quadratic = float(np.vdot(U, 0.5 * (H @ U[:, :, None])[:, :, 0] - b))
-    return quadratic + beta * tv_penalty(U)
+def _running_sums(H, b, U) -> np.ndarray:
+    """z, the cumulative sum of the gradient g_k = H_k u_k - b_k of the
+    quadratic down each column."""
+    return np.cumsum((H @ U[:, :, None])[:, :, 0] - b, axis=0)
 
 
-def _tv_dual_residual(H, b, U, beta, tol) -> float:
-    """Largest violation of the optimality conditions of the TV block
-    objective at U, over beta; 0 exactly at its minimizer.
-
-    With g = H U - b window by window and z the cumulative sum of g down
-    each column, U minimizes sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U)
-    exactly when in every column z[T-1] = 0, |z_k| <= beta on every fused
-    pair (U[k+1] and U[k] within ``tol``) and z_k = beta sign(U[k+1] - U[k])
-    on every other pair, a jump: z_k / beta is then a TV subgradient.
-    """
-    z = np.cumsum((H @ U[:, :, None])[:, :, 0] - b, axis=0)
+def _jump_signs(U) -> np.ndarray:
+    """The face of U: sign(U[k+1] - U[k]) down each column, 0 on a fused
+    pair, one whose entries are within ``SWEEP_TOL * max|U|``."""
     differences = np.diff(U, axis=0)
-    violations = np.where(np.abs(differences) > tol, np.abs(z[:-1] - beta * np.sign(differences)),
-                          np.abs(z[:-1]) - beta)
+    return np.where(np.abs(differences) > SWEEP_TOL * np.abs(U).max(), np.sign(differences), 0.0)
+
+
+def _tv_dual_residual(z, U, beta) -> float:
+    """Largest violation of the optimality conditions of the TV block
+    objective at U, over beta, given its running sums z
+    (:func:`_running_sums`); 0 exactly at its minimizer.
+
+    U minimizes sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U) exactly when
+    in every column z[T-1] = 0, |z_k| <= beta on every fused pair of U's
+    face (:func:`_jump_signs`) and z_k = beta sign(U[k+1] - U[k]) on every
+    other pair, a jump: z_k / beta is then a TV subgradient.
+    """
+    signs = _jump_signs(U)
+    violations = np.where(signs != 0, np.abs(z[:-1] - beta * signs), np.abs(z[:-1]) - beta)
     return float(max(np.abs(z[-1]).max(), violations.max(initial=0.0)) / beta)
 
 
-def _face_step(H, b, U, beta, tol):
-    """A move of U toward the minimizer of the TV block objective on U's
-    face and its certificate; (None, inf) if the move would not lower the
-    objective.
+def _face_solve(H, b, signs, beta):
+    """Minimizer of the TV block objective on the face ``signs``, or None
+    for a face of more than ``FACE_MAX_SEGMENTS`` segments.
 
-    Down each column, neighbours that differ by at most ``tol`` are fused
-    into one segment and every other neighbouring pair is a jump with a
-    fixed sign.  On that face U = P s, with P mapping the S segment values
-    to the T*R entries, and TV is linear, so the face minimizer solves the
-    S x S SPD system (P'HP) s = P'(b - g) with g the TV gradient in s.  If
-    the face minimizer keeps the sign of every jump and its dual residual
-    (:func:`_tv_dual_residual`) is at most ``SWEEP_TOL``, it is the block
-    minimizer and is returned with that residual as its certificate: it
-    cannot raise the objective, which is not evaluated.  Otherwise the move
-    runs from U toward P s and stops where the first jump would change
-    sign; it is kept, with certificate inf, only if it strictly lowers the
-    objective.  Faces of more than ``FACE_MAX_SEGMENTS`` segments are not
-    solved.
+    signs[k, r] is 0 where U[k, r] and U[k+1, r] are fused into one segment
+    and the sign of the jump U[k+1, r] - U[k, r] elsewhere.  On that face
+    U = P s, with P mapping the S segment values to the T*R entries, and TV
+    is linear, so the face minimizer solves the S x S SPD system
+    (P'HP) s = P'(b - g) with g the TV gradient in s, assembled by
+    ``bincount`` and solved densely.
     """
-    T, R = U.shape
-    differences = np.diff(U, axis=0)
-    jumps = np.abs(differences) > tol
+    T, R = b.shape
+    jumps = signs != 0
     # segment ids numbered down each column in turn
     segment = np.cumsum(np.vstack([np.ones((1, R), dtype=bool), jumps]).T).reshape(R, T).T - 1
     S = int(segment[-1, -1]) + 1
     if S > FACE_MAX_SEGMENTS:
-        return None, math.inf
+        return None
     pairs = segment[:, :, None] * S + segment[:, None, :]
     face_matrix = np.bincount(pairs.ravel(), H.ravel(), S * S).reshape(S, S)
-    signs = np.sign(differences[jumps])
-    tv_gradient = np.bincount(segment[1:][jumps], signs, S) - np.bincount(segment[:-1][jumps], signs, S)
+    # signs is 0 on the fused pairs, which so add nothing to the TV gradient
+    tv_gradient = np.bincount(segment[1:].ravel(), signs.ravel(), S) - np.bincount(segment[:-1].ravel(), signs.ravel(), S)
     rhs = np.bincount(segment.ravel(), b.ravel(), S) - beta * tv_gradient
-    target = np.linalg.solve(face_matrix, rhs)[segment]
-    before, after = differences[jumps], np.diff(target, axis=0)[jumps]
-    crossing = before * after < 0
-    if not crossing.any():
-        certificate = _tv_dual_residual(H, b, target, beta, tol)
-        if certificate <= SWEEP_TOL:
-            return target, certificate
-    t = float(np.min(before[crossing] / (before[crossing] - after[crossing]), initial=1.0))
-    moved = target if t == 1.0 else U + t * (target - U)
-    if _tv_block_objective(H, b, moved, beta) < _tv_block_objective(H, b, U, beta):
-        return moved, math.inf
-    return None, math.inf
+    return np.linalg.solve(face_matrix, rhs)[segment]
 
 
 # ---------------------------------------------------------------------------

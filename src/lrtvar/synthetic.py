@@ -161,13 +161,14 @@ def simulate_switching(
     theta1, theta2 : float
         Rotation angles of the two regimes.
     seed : int
-        Master seed; split into (matrices, noise) child streams.
+        Master seed, >= 0; split into (matrices, noise) child streams.
 
-    A bad N, tau, sigma or angle raises :class:`InvalidHyperparameterError`
-    (or :class:`NonFiniteError` for a NaN or infinity) before any draw.
+    A bad N, tau, sigma, angle or seed raises
+    :class:`InvalidHyperparameterError` (or :class:`NonFiniteError` for a
+    NaN or infinity) before any draw.
     """
     tau, sigma = integer_at_least("tau", tau, 2, even=True), real_at_least("sigma", sigma)
-    theta1, theta2 = finite_real("theta1", theta1), finite_real("theta2", theta2)
+    theta1, theta2, seed = finite_real("theta1", theta1), finite_real("theta2", theta2), integer_at_least("seed", seed, 0)
     rng_mat, rng_noise = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
     right = np.stack([_random_plane(N, rng_mat), _random_plane(N, rng_mat)])
     left = right @ rotation_2x2(np.array([theta1, theta2]))
@@ -218,10 +219,11 @@ def simulate_smooth(
     matrices share the invariant plane, so the trajectory is one rotation
     orbit with phases [0, cumsum(theta)], computed in closed form, and no
     mid-trajectory renormalization is needed.  A bad N, tau, sigma,
-    lengthscale or ``angles`` raises :class:`InvalidHyperparameterError`
-    (or :class:`NonFiniteError`) before any draw.
+    lengthscale, ``angles`` or seed raises
+    :class:`InvalidHyperparameterError` (or :class:`NonFiniteError`) before
+    any draw.
     """
-    tau = integer_at_least("tau", tau, 1)
+    tau, seed = integer_at_least("tau", tau, 1), integer_at_least("seed", seed, 0)
     sigma, lengthscale = real_at_least("sigma", sigma), real_at_least("lengthscale", lengthscale, strict=True)
     if angles is not None:
         angles = np.asarray(angles, dtype=float)

@@ -90,7 +90,9 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "options, message",
         [(["--benchmark", "switching", "--tau", "-2"], "tau must be"), (["--benchmark", "switching", "--sigma", "-1"], "sigma"),
-         (["--benchmark", "smooth", "--lengthscale", "0"], "lengthscale")],
+         (["--benchmark", "smooth", "--lengthscale", "0"], "lengthscale"),
+         (["--benchmark", "switching", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+         (["--benchmark", "smooth", "--seed", "-1"], "seed must be an integer >= 0, got -1")],
     )
     def test_bad_generator_input_is_named_and_writes_nothing(self, tmp_path, options, message):
         out = tmp_path / "gen"
@@ -337,6 +339,16 @@ class TestCompare:
         assert statuses["indep-r2"] == "ok"
         assert statuses["indep-r-1"] == "failed: rank must be an integer >= 1; got -1"
         assert statuses["indep-r0"] == "failed: rank must be an integer >= 1; got 0"
+
+    def test_negative_seed_fails_its_row_by_name(self, tmp_path):
+        # once failed inside numpy's SeedSequence with "expected non-negative integer"
+        out = tmp_path / "cmp"
+        code = run(["compare", "--benchmark", "switching", "--N-list", "6", "--seeds", "0,-1", "--tau", "80",
+                    "--methods", "indep-full", "--out", str(out)])
+        assert code == 1
+        lines = [l for l in (out / "compare_results.csv").read_text().splitlines() if l and not l.startswith("#")]
+        statuses = {l.split(",")[2]: l.split(",")[5] for l in lines[1:]}
+        assert statuses == {"0": "ok", "-1": "failed: seed must be an integer >= 0; got -1"}
 
     def test_independent_rank_above_the_window_limit_fails_its_row(self, tmp_path):
         # windows of 20 transitions of 6 channels carry rank min(6, 21) = 6; indep-r9

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lrtvar.errors import NonFiniteError, NonPositiveEtaError
+from lrtvar.errors import InvalidHyperparameterError, NonFiniteError, NonPositiveEtaError
 from lrtvar.regularizers import (
     Regularizer,
     spline_penalty,
@@ -355,6 +355,26 @@ class TestTvProx:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             tv_prox_1d(np.array([1.0, 2.0]), -0.1)
+
+    @pytest.mark.parametrize(
+        "gamma, error, message",
+        [("0.5", InvalidHyperparameterError, "gamma must be a real number, got '0.5'"),
+         (True, InvalidHyperparameterError, "gamma must be a real number, got True"),
+         (np.nan, NonFiniteError, "gamma must be finite"),
+         (-0.1, InvalidHyperparameterError, "gamma must be >= 0, got -0.1")],
+        ids=["text", "bool", "nan", "negative"],
+    )
+    def test_bad_gamma_is_named(self, gamma, error, message):
+        # a text or bool gamma was once read by float() and accepted
+        V = np.array([[1.0, 0.0], [0.0, 2.0], [5.0, 1.0]])
+        for prox in (lambda: tv_prox_columns(V, gamma), lambda: tv_prox_1d(V[:, 0], gamma)):
+            with pytest.raises(error, match=message):
+                prox()
+
+    def test_infinite_gamma_saturates_every_column(self):
+        V = np.array([[1.0, 0.0], [0.0, 2.0], [5.0, 1.0]])
+        assert np.array_equal(tv_prox_columns(V, np.inf), np.tile(V.mean(axis=0), (3, 1)))
+        assert np.array_equal(tv_prox_columns(V, float("inf"), np.full(V.shape, 2.0)), np.tile(V.mean(axis=0), (3, 1)))
 
     def test_columnwise_application(self):
         rng = np.random.default_rng(19)

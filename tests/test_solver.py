@@ -15,6 +15,7 @@ from lrtvar.errors import (
     LrtvarError,
     NonFiniteError,
 )
+import lrtvar.regularizers
 import lrtvar.solver
 from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import (
@@ -35,15 +36,17 @@ from lrtvar.solver import (
     update_temporal,
     _cg,
     _direct_right_solve_is_cheaper,
-    _face_step,
+    _face_solve,
     _products,
     _quadratic_loss,
     _range_data,
+    _running_sums,
     _spectral_factors,
     _temporal_hessian,
     _temporal_hessian_apply,
     _temporal_quadratic,
     _temporal_tv_sweeps,
+    _tv_dual_residual,
 )
 from lrtvar.evaluation import model_estimate, operator_norm_error
 from lrtvar.synthetic import simulate_smooth, simulate_switching
@@ -520,9 +523,9 @@ class TestUpdateTemporal:
             after = cost(CpFactors(model.U1, model.U2, U3), data, params)
             assert after <= before + 1e-8 * (1 + abs(before))
 
-    def test_tv_fixed_point_takes_one_sweep(self, monkeypatch):
-        # criterion-1 instance, seed 1: from a converged U3 the first sweep
-        # moves nothing beyond rounding, which certifies the minimizer
+    def test_tv_fixed_point_takes_no_sweep(self, monkeypatch):
+        # criterion-1 instance, seed 1: from a converged U3 the face iteration
+        # starts on the minimizer's face and certifies it, with no sweep
         truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=1)
         data = build_snapshots(truth.series, M=20)
         params = Hyperparams(R=8, eta=0.1, reg=Regularizer("tv", 5.0), seed=1, max_outer_iters=3)
@@ -537,9 +540,11 @@ class TestUpdateTemporal:
             return tv_prox_columns(*args)
 
         monkeypatch.setattr(lrtvar.solver, "tv_prox_columns", counted)
-        U3_again, sweeps = update_temporal(model, data, params)
-        assert type(sweeps) is int and sweeps == 1
-        assert len(calls) == params.R
+        outcome = {}
+        U3_again, sweeps = update_temporal(model, data, params, outcome=outcome)
+        assert type(sweeps) is int and sweeps == 0
+        assert calls == []
+        assert outcome["face_steps"] >= 1 and outcome["certificate"] <= SWEEP_TOL
         assert np.abs(U3_again - U3).max() <= 1e-10 * np.abs(U3).max()
 
 
@@ -600,10 +605,17 @@ def face_target(H, b, U, beta):
     return (P @ values).reshape(T, R)
 
 
+def face_signs(U):
+    """The face of U with its exactly equal neighbours fused: the sign of
+    each neighbouring difference, 0 on a fused pair."""
+    return np.sign(np.diff(U, axis=0))
+
+
 class TestFaceStep:
-    """Between two TV sweeps the U3 block is minimized exactly on the face
-    the sweep found (fused segments, signs of the jumps); the move is kept
-    only if it strictly lowers the block objective."""
+    """The TV U3 update iterates on faces (fused segments, signs of the
+    jumps), minimizing the block objective exactly on each, until a face
+    minimizer passes the block's optimality conditions; column sweeps are
+    only its fallback."""
 
     @pytest.mark.parametrize("T", [6, 12, 25, 40])
     def test_tv_reaches_prox_gradient_fixed_point_within_default_budget(self, T):
@@ -621,9 +633,10 @@ class TestFaceStep:
 
     @pytest.mark.parametrize("face", ["all-zero", "no-fusion", "fused-runs"])
     def test_never_raises_the_block_objective(self, face):
+        # from each kind of starting face, the update returns the certified
+        # minimizer, which is no higher than the start
         rng = np.random.default_rng(401)
         T, R, beta = 12, 3, 0.8
-        kept = 0
         for _ in range(40):
             H, b = random_tv_block(rng, T, R)
             if face == "all-zero":
@@ -632,61 +645,41 @@ class TestFaceStep:
                 U = rng.standard_normal((T, R))
             else:
                 U = np.repeat(rng.standard_normal((4, R)), [2, 5, 1, 4], axis=0)
-            tol = SWEEP_TOL * np.abs(U).max()
-            moved, certificate = _face_step(H, b, U, beta, tol)
-            if moved is None:
-                assert certificate == np.inf
-                continue
-            kept += 1
-            assert tv_block_objective(H, b, moved, beta) < tv_block_objective(H, b, U, beta)
-            # the move keeps the fused entries fused and no jump changes sign;
-            # a jump the move stops on is zero up to rounding
-            before, after = np.diff(U, axis=0), np.diff(moved, axis=0)
-            fused = np.abs(before) <= tol
-            assert np.all(after[fused] == 0.0)
-            assert np.all(np.sign(before[~fused]) * after[~fused] >= -1e-14 * np.abs(U).max())
-            if face == "all-zero":
-                assert np.all(moved == moved[0])  # S = R: one value per column
-        assert kept >= 30
+            moved, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, U, beta, 40)
+            assert sweeps == 0 and 1 <= face_steps <= 40 and certificate <= SWEEP_TOL
+            before = tv_block_objective(H, b, U, beta)
+            assert tv_block_objective(H, b, moved, beta) <= before + 1e-14 * (1 + abs(before))
 
     def test_all_zero_face_solves_the_constant_columns(self):
         # S = R: the face minimizer is the best matrix of constant columns
         rng = np.random.default_rng(402)
         H, b = random_tv_block(rng, 9, 3)
-        moved, _ = _face_step(H, b, np.zeros((9, 3)), 0.5, 0.0)
+        moved = _face_solve(H, b, np.zeros((8, 3)), 0.5)
+        assert np.all(moved == moved[0])
         assert np.allclose(moved[0], np.linalg.solve(H.sum(axis=0), b.sum(axis=0)), rtol=1e-12, atol=1e-14)
 
     def test_fused_runs_face_target_is_the_dense_face_solve(self):
         rng = np.random.default_rng(405)
         T, R, beta = 12, 3, 0.8
-        checked = 0
         for _ in range(40):
             H, b = random_tv_block(rng, T, R)
             U = np.repeat(rng.standard_normal((4, R)), [2, 5, 1, 4], axis=0)
-            moved, certificate = _face_step(H, b, U, beta, SWEEP_TOL * np.abs(U).max())
-            if moved is None:
-                continue
-            checked += 1
             target = face_target(H, b, U, beta)
-            scale = np.abs(target).max()
-            if certificate <= SWEEP_TOL:
-                assert np.abs(moved - target).max() <= 1e-12 * scale
-                continue
-            # a move toward the face minimizer that stops at the first sign change
-            step = float(np.vdot(moved - U, target - U) / np.vdot(target - U, target - U))
-            assert 0.0 < step <= 1.0
-            assert np.abs(moved - U - step * (target - U)).max() <= 1e-12 * scale
-        assert checked >= 30
+            assert np.abs(_face_solve(H, b, face_signs(U), beta) - target).max() <= 1e-12 * np.abs(target).max()
 
-    @pytest.mark.parametrize("T", [6, 12, 25, 40])
-    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize(
+        "R, T", [(1, 6), (1, 12), (1, 25), (1, 40), (1, 160), (3, 6), (3, 12), (3, 25), (3, 40), (3, 160),
+                 (8, 12), (8, 40), (8, 128)])
     def test_certified_update_is_the_sweeps_only_minimizer(self, T, R, monkeypatch):
+        # random and all-zero starts, weak to strong penalties and coupling up
+        # to 0.99; T * R stays within FACE_MAX_SEGMENTS, so no face is too big
         rng = np.random.default_rng(10 * T + R)
-        for beta in (0.05, 0.5, 3.0):
-            H, b = random_tv_block(rng, T, R)
-            U0 = rng.standard_normal((T, R))
+        for beta, coupling, start in itertools.product((1e-3, 0.05, 0.5, 3.0), (0.5, 0.99), ("random", "zero")):
+            H, b = random_tv_block(rng, T, R, coupling)
+            U0 = rng.standard_normal((T, R)) if start == "random" else np.zeros((T, R))
             U, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, U0, beta, 40)
-            assert face_steps >= 1 and certificate <= SWEEP_TOL, (beta, certificate)
+            case = (beta, coupling, start)
+            assert sweeps == 0 and 1 <= face_steps <= 40 and certificate <= SWEEP_TOL, (case, face_steps, certificate)
             tol = SWEEP_TOL * np.abs(U).max()
             assert tv_dual_residual(H, b, U, beta, tol) <= SWEEP_TOL
             # a perturbed U reads above the certificate's bound
@@ -696,11 +689,13 @@ class TestFaceStep:
                 patched.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 0)
                 U_ref, sweeps_ref, face_steps_ref, _ = _temporal_tv_sweeps(H, b, U0, beta, 3000)
             assert face_steps_ref == 0 and sweeps_ref < 3000
-            assert np.abs(U - U_ref).max() <= 1e-8 * np.abs(U_ref).max()
+            assert np.abs(U - U_ref).max() <= 1e-8 * np.abs(U_ref).max(), case
             # both are the minimizer to 1e-8, so their objectives differ by
             # less than the rounding of the sums: no higher up to that
             reference = tv_block_objective(H, b, U_ref, beta)
             assert tv_block_objective(H, b, U, beta) <= reference + 1e-14 * (1 + abs(reference))
+            start_value = tv_block_objective(H, b, U0, beta)
+            assert tv_block_objective(H, b, U, beta) <= start_value + 1e-14 * (1 + abs(start_value))
 
     def test_dual_residual_reads_each_optimality_condition(self):
         # at a certified minimizer, break one condition at a time: the column
@@ -718,15 +713,16 @@ class TestFaceStep:
         shifted[-1] += 1e-3
         cases = [(shifted, U), (b, U[::-1]), (b, U + 1e-6 * rng.standard_normal(U.shape))]
         for b_case, U_case in cases:
-            expected = tv_dual_residual(H, b_case, U_case, beta, tol)
+            expected = tv_dual_residual(H, b_case, U_case, beta, SWEEP_TOL * np.abs(U_case).max())
             assert expected > 1e3 * SWEEP_TOL
-            assert lrtvar.solver._tv_dual_residual(H, b_case, U_case, beta, tol) == pytest.approx(expected, rel=1e-9)
+            residual = _tv_dual_residual(_running_sums(H, b_case, U_case), U_case, beta)
+            assert residual == pytest.approx(expected, rel=1e-9)
         assert tv_dual_residual(H, shifted, U, beta, tol) == pytest.approx(1e-3 / beta, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_criterion_1_updates_end_on_a_certified_face(self, seed, monkeypatch):
-        # no sweep runs after a face step certifies, and a certified face step
-        # evaluates no objective
+        # every update returns its last face solve, certified, with no prox
+        # call (no sweep) and no evaluation of the TV objective in between
         data, params = benchmark_setting("switching", seed)
         events = []
 
@@ -740,23 +736,29 @@ class TestFaceStep:
 
         solver = lrtvar.solver
         monkeypatch.setattr(solver, "tv_prox_columns", spy("prox", solver.tv_prox_columns))
-        monkeypatch.setattr(solver, "_tv_block_objective", spy("objective", solver._tv_block_objective))
-        monkeypatch.setattr(solver, "_face_step", spy("face", solver._face_step, lambda out: out[1] <= SWEEP_TOL))
+        monkeypatch.setattr(lrtvar.regularizers, "tv_penalty", spy("objective", lrtvar.regularizers.tv_penalty))
+        monkeypatch.setattr(solver, "_face_solve", spy("face", solver._face_solve, lambda out: out))
         monkeypatch.setattr(solver, "_temporal_tv_sweeps", spy("update", solver._temporal_tv_sweeps, lambda out: out))
         _, report = fit(data, params)
+        starts = [i for i, event in enumerate(events) if event == ("update", "start")]
         ends = [i for i, (name, mark) in enumerate(events) if name == "update" and mark != "start"]
-        assert len(ends) == report.iterations
-        begin = 0
-        for end in ends:
-            update = events[begin + 1:end]
-            begin = end + 1
-            _, sweeps, face_steps, certificate = events[end][1]
-            assert sum(event == ("prox", None) for event in update) == params.R * sweeps
-            # one face certifies, the update's last step, with no objective
-            # evaluation between its start and its return
-            assert [i for i, event in enumerate(update) if event == ("face", True)] == [len(update) - 1]
-            assert update[-2] == ("face", "start")
-            assert 0 < face_steps <= sweeps and certificate <= SWEEP_TOL
+        assert len(starts) == len(ends) == report.iterations
+        assert ("objective", None) in events  # the fit's cost evaluates the TV penalty, outside the updates
+        for start, end in zip(starts, ends):
+            update = events[start + 1:end]
+            U3, sweeps, face_steps, certificate = events[end][1]
+            assert {name for name, _ in update} == {"face"}
+            assert sweeps == 0 and 1 <= face_steps == len(update) // 2 <= params.pg_max_iters
+            assert certificate <= SWEEP_TOL and update[-1][1] is U3
+
+    def test_first_update_of_the_long_weak_tv_fit_certifies(self):
+        # T = 160 windows at beta = 0.05: this update once ended on the
+        # 40-sweep cap with certificate 16.4
+        data = build_snapshots(simulate_smooth(N=10, tau=160, sigma=0.2, seed=0).series, M=1)
+        _, report = fit(data, Hyperparams(R=4, eta=0.6, reg=Regularizer("tv", 0.05), seed=0, max_outer_iters=1))
+        (record,) = report.outer
+        assert record.inner_iters == 0 and 1 <= record.face_steps <= 40
+        assert record.certificate <= SWEEP_TOL and not record.capped_temporal
 
     def test_sweeps_alone_above_the_segment_limit_reach_the_same_minimizer(self, monkeypatch):
         # T*R just above FACE_MAX_SEGMENTS and a weak penalty: no face is
@@ -1026,12 +1028,15 @@ class TestFit:
         assert formatted == []
 
     @pytest.mark.parametrize(
-        "changes, key",
-        [({"reg": Regularizer("tv", 0.5), "pg_max_iters": 1}, "capped_temporal"), ({"cg_max_iters": 1}, "capped_right")],
+        "changes, face_limit, key",
+        [({"reg": Regularizer("tv", 0.5), "pg_max_iters": 1}, 0, "capped_temporal"),
+         ({"cg_max_iters": 1}, lrtvar.solver.FACE_MAX_SEGMENTS, "capped_right")],
         ids=["tv-one-sweep", "cg-one-step"],
     )
-    def test_inner_solves_report_hitting_their_cap(self, changes, key):
-        # a U2 system on the CG side of the selection, so that its cap can be hit
+    def test_inner_solves_report_hitting_their_cap(self, changes, face_limit, key, monkeypatch):
+        # a U2 system on the CG side of the selection, so that its cap can be
+        # hit; with no face small enough to solve, the TV update is one sweep
+        monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", face_limit)
         rng = np.random.default_rng(75)
         data = cg_side_data(rng)
         _, report = fit(data, Hyperparams(R=4, eta=0.5, seed=1, max_outer_iters=5, **changes))
@@ -1094,10 +1099,13 @@ class TestFit:
         assert len(rises) == report.iterations
         assert all(0.0 <= rise <= MONOTONE_SLACK for rise in rises)
 
-    def test_summary_counts_capped_solves(self):
+    def test_summary_counts_capped_solves(self, monkeypatch):
+        # no TV face small enough to solve: the U3 update is one uncertified sweep
         rng = np.random.default_rng(77)
-        _, report = fit(cg_side_data(rng), Hyperparams(R=4, eta=0.5, seed=1, max_outer_iters=5, cg_max_iters=1,
-                                                       reg=Regularizer("tv", 0.5), pg_max_iters=1))
+        with monkeypatch.context() as patched:
+            patched.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 0)
+            _, report = fit(cg_side_data(rng), Hyperparams(R=4, eta=0.5, seed=1, max_outer_iters=5, cg_max_iters=1,
+                                                           reg=Regularizer("tv", 0.5), pg_max_iters=1))
         lines = report.summary().splitlines()
         assert "capped U2 solves: 5 of 5" in lines
         assert "capped U3 solves: 5 of 5" in lines

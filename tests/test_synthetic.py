@@ -314,10 +314,15 @@ class TestGeneratorInputs:
             (lambda: simulate_smooth(N=4, lengthscale=np.inf), NonFiniteError, r"lengthscale must be finite"),
             (lambda: simulate_smooth(N=4, tau=5, angles=np.zeros(7)), InvalidHyperparameterError, r"angles must have shape \(5,\)"),
             (lambda: simulate_smooth(N=4, tau=3, angles=[0.1, np.nan, 0.2]), NonFiniteError, r"angles must be finite"),
+            (lambda: simulate_switching(N=4, seed=-1), InvalidHyperparameterError, r"seed must be an integer >= 0, got -1"),
+            (lambda: simulate_switching(N=4, seed=1.5), InvalidHyperparameterError, r"seed must be an integer >= 0"),
+            (lambda: simulate_switching(N=4, seed=True), InvalidHyperparameterError, r"seed must be an integer >= 0"),
+            (lambda: simulate_smooth(N=4, seed=-1), InvalidHyperparameterError, r"seed must be an integer >= 0, got -1"),
         ],
         ids=["tau-negative", "tau-odd", "tau-zero", "tau-float", "sigma-negative", "theta1-nan", "theta2-text",
              "smooth-tau-zero", "smooth-sigma-negative", "lengthscale-zero", "lengthscale-negative",
-             "lengthscale-inf", "angles-shape", "angles-nan"],
+             "lengthscale-inf", "angles-shape", "angles-nan", "seed-negative", "seed-float", "seed-bool",
+             "smooth-seed-negative"],
     )
     def test_rejected_before_any_draw(self, monkeypatch, make, error, message):
         monkeypatch.setattr(lrtvar.synthetic, "_random_plane", lambda N, rng: pytest.fail("drew a plane"))
