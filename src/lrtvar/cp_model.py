@@ -19,8 +19,33 @@ from .errors import NonFiniteError
 from .windowing import write_csv
 
 
+class _FactorShapes:
+    """The shape properties of a factor triple U1 (N x R), U2 (N_in x R)
+    and U3 (T x R)."""
+
+    @property
+    def N(self) -> int:
+        return self.U1.shape[0]
+
+    @property
+    def N_in(self) -> int:
+        return self.U2.shape[0]
+
+    @property
+    def T(self) -> int:
+        return self.U3.shape[0]
+
+    @property
+    def R(self) -> int:
+        return self.U1.shape[1]
+
+    @property
+    def dims(self) -> tuple:
+        return (self.N, self.N_in, self.T, self.R)
+
+
 @dataclass
-class CpFactors:
+class CpFactors(_FactorShapes):
     """Factor triple (U1, U2, U3) of the system tensor.
 
     A value type: operations never mutate it in place, they return new
@@ -57,26 +82,6 @@ class CpFactors:
             raise ValueError(f"factor column counts differ: {self.U1.shape[1]}, {self.U2.shape[1]}, {self.U3.shape[1]}")
         if self.R < 1:
             raise ValueError("rank must be >= 1")
-
-    @property
-    def N(self) -> int:
-        return self.U1.shape[0]
-
-    @property
-    def N_in(self) -> int:
-        return self.U2.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.U3.shape[0]
-
-    @property
-    def R(self) -> int:
-        return self.U1.shape[1]
-
-    @property
-    def dims(self) -> tuple:
-        return (self.N, self.N_in, self.T, self.R)
 
     def slice(self, k: int) -> np.ndarray:
         """System matrix of window k (0-based): U1 @ diag(U3[k]) @ U2.T.

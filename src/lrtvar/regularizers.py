@@ -77,8 +77,13 @@ def tikhonov_penalty(U1: np.ndarray, U2: np.ndarray, U3: np.ndarray, eta: float)
     eta = finite_real("eta", eta)
     if eta <= 0:
         raise NonPositiveEtaError(f"eta must be > 0, got {eta}")
-    total = float(np.sum(np.square(U1)) + np.sum(np.square(U2)) + np.sum(np.square(U3)))
-    return total / (2.0 * eta)
+    return _ridge(U1, U2, U3, eta)
+
+
+def _ridge(U1, U2, U3, eta: float) -> float:
+    """:func:`tikhonov_penalty` for an ``eta`` already checked, as the
+    solver's :class:`Hyperparams` holds it."""
+    return float(np.vdot(U1, U1) + np.vdot(U2, U2) + np.vdot(U3, U3)) / (2.0 * eta)
 
 
 def _tv_dp(y: list, w: list, gamma: float) -> list:

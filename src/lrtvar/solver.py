@@ -41,8 +41,13 @@ takes the loss from the U3 quadratic,
 1/2 ||Y||^2 - sum_k b_k'u_k + 1/2 sum_k u_k'C_k u_k, which costs no pass
 over the data, and the products of the extrapolated iterate are the same
 extrapolation of the sweep's products: an outer iteration makes four data
-contractions besides the U2 solve's (its Grams X_k X_k', or one per CG
-step).
+contractions besides the U2 CG's one per step.  What does not change within
+a fit is formed once per fit in its workspace (:class:`_RangeData`): the
+range bases and data, 1/2 ||Y||^2 and the window Grams X_k X_k' of the
+exact U2 solve.  The iterate is carried as plain arrays and validated once,
+as the :class:`CpFactors` ``fit`` returns; every outer iteration instead
+checks that its costs are finite, which the ridge term makes them exactly
+when every factor entry is.
 
 The loss sees U2 only through X_k'U2 and U1 only through its product with Y,
 and the ridge term puts each block's exact minimizer in range(X), resp.
@@ -58,23 +63,24 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 
-from .cp_model import CpFactors
+from .cp_model import CpFactors, _FactorShapes
 from .errors import (
     DegenerateDataError,
     DimensionMismatchError,
     ExtremeScaleError,
+    NonFiniteError,
     NonPositiveEtaError,
     finite_real,
     integer_at_least,
     real_at_least,
 )
-from .regularizers import Regularizer, tikhonov_penalty, tv_prox_columns
+from .regularizers import Regularizer, _ridge, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
 
 # CG stops once the residual falls to this fraction of the right-hand side.
@@ -144,7 +150,10 @@ class OuterIteration:
     ``cg_iters`` and ``inner_iters`` are the inner iterations of the U2 and
     U3 updates: for TV, the fallback column sweeps, 0 when the face
     iteration certifies.  ``capped_right`` says whether the U2 CG used its
-    whole ``cg_max_iters`` budget, ``capped_temporal`` whether the U3 update
+    whole ``cg_max_iters`` budget, and ``residual_right`` is the relative
+    residual ||B - K U2|| / ||B|| of the U2 system it stopped at, the CG's
+    own last residual (at most ``CG_TOL`` unless capped; None for the exact
+    solve).  ``capped_temporal`` says whether the U3 update
     stopped short of its stated bound: for the spline CG, that it used all
     ``cg_max_iters`` steps; for TV, that it returned without a certificate,
     one above ``SWEEP_TOL`` (on the sweep-move stop or the ``pg_max_iters``
@@ -164,6 +173,7 @@ class OuterIteration:
 
     cg_iters: int
     capped_right: bool
+    residual_right: Optional[float]
     inner_iters: int
     capped_temporal: bool
     face_steps: int
@@ -176,10 +186,10 @@ class OuterIteration:
     seconds_objective: float
 
     def __str__(self) -> str:
-        certificate = "-" if self.certificate is None else f"{self.certificate:.3g}"
-        return (f"extrapolated={self.extrapolated} cg={self.cg_iters} capped_right={self.capped_right} "
-                f"inner={self.inner_iters} capped_temporal={self.capped_temporal} face_steps={self.face_steps} "
-                f"certificate={certificate}")
+        residual, certificate = ("-" if v is None else f"{v:.3g}" for v in (self.residual_right, self.certificate))
+        return (f"extrapolated={self.extrapolated} cg={self.cg_iters} residual_right={residual} "
+                f"capped_right={self.capped_right} inner={self.inner_iters} capped_temporal={self.capped_temporal} "
+                f"face_steps={self.face_steps} certificate={certificate}")
 
 
 @dataclass
@@ -300,7 +310,7 @@ def _cost_and_loss(model: CpFactors, data: SnapshotPair, params: Hyperparams) ->
 
 def _regularization(model: CpFactors, params: Hyperparams) -> float:
     """Ridge plus beta * temporal penalty: the cost without the loss."""
-    return tikhonov_penalty(model.U1, model.U2, model.U3, params.eta) + params.reg.penalty(model.U3)
+    return _ridge(model.U1, model.U2, model.U3, params.eta) + params.reg.penalty(model.U3)
 
 
 def _quadratic_loss(model: CpFactors, products: tuple, half_energy: float) -> float:
@@ -363,7 +373,7 @@ def update_left(model: CpFactors, data: SnapshotPair, eta: float, *, products=No
     """
     _check_dims(model, data)
     S, B = _left_normal_equations(model, data, products)
-    S[np.diag_indices_from(S)] += 1.0 / eta
+    S.flat[::len(S) + 1] += 1.0 / eta
     return np.linalg.solve(S, B.T).T
 
 
@@ -388,20 +398,25 @@ def _right_rhs(model: CpFactors, data: SnapshotPair, products=None) -> np.ndarra
 
 
 def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = CG_TOL,
-        image=None) -> tuple[np.ndarray, int]:
+        image=None, outcome: Optional[dict] = None) -> tuple[np.ndarray, int]:
     """Conjugate gradients on operate(x) = rhs for a symmetric positive-definite
     ``operate``, warm-started at ``x0``; ``image`` is operate(x0) when the
     caller has it.
 
     Stops when the residual norm reaches ``tol * ||rhs||`` or after
     ``max_iters`` steps.  Every step lowers the quadratic 1/2 x'Ax - rhs'x,
-    so the result is never worse than ``x0``.  Returns (x, iterations used).
+    so the result is never worse than ``x0``.  Returns (x, iterations used)
+    and stores in the dict ``outcome``, when one is given, the relative
+    residual ||r|| / ||rhs|| of the last recurrence residual r
+    (``residual``; 0 or inf for a zero ``rhs``), which costs no extra
+    application of ``operate``.
     """
     x = x0.copy()
     r = rhs - (operate(x) if image is None else image)
     p = r.copy()
     rs = float(np.vdot(r, r))
-    threshold = tol * tol * float(np.vdot(rhs, rhs))
+    rhs_square = float(np.vdot(rhs, rhs))
+    threshold = tol * tol * rhs_square
     n_iters = 0
     while n_iters < max_iters and rs > threshold:
         Ap = operate(p)
@@ -412,6 +427,8 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = C
         p *= rs / rs_old
         p += r
         n_iters += 1
+    if outcome is not None:
+        outcome["residual"] = math.sqrt(rs / rhs_square) if rhs_square else 0.0 if rs == 0.0 else math.inf
     return x, n_iters
 
 
@@ -425,19 +442,28 @@ def _direct_right_solve_is_cheaper(rows: int, M: int, T: int, R: int, max_iters:
     return 2 * T * M * rows**2 + T * R**2 * rows**2 + n**3 / 3 <= max_iters * 4 * M * T * n
 
 
-def _solve_right_exactly(weights: np.ndarray, data: SnapshotPair, eta: float, rhs: np.ndarray) -> np.ndarray:
-    """The solution of sum_k L_k U R_k + U/eta = rhs, with L_k = X_k X_k',
-    by one dense solve of (sum_k L_k kron R_k + I/eta) vec(U) = vec(rhs),
-    vec stacking the rows."""
+def _window_grams(data) -> np.ndarray:
+    """The Grams L_k = X_k X_k' of the windows as the (rows^2, T) matrix
+    whose column k is L_k, flattened."""
+    X = _transitions(data.X).reshape(data.M, data.T, -1).transpose(1, 2, 0)  # X[k] = X_k
+    return (X @ X.transpose(0, 2, 1)).reshape(data.T, -1).T
+
+
+def _solve_right_exactly(grams: np.ndarray, weights: np.ndarray, eta: float, rhs: np.ndarray) -> np.ndarray:
+    """The solution of sum_k L_k U R_k + U/eta = rhs, with the Grams L_k of
+    :func:`_window_grams`, by one dense solve of
+    (sum_k L_k kron R_k + I/eta) vec(U) = vec(rhs), vec stacking the rows;
+    the sum over the windows is one matrix product."""
     rows, R = rhs.shape
-    X = _transitions(data.X).reshape(data.M, data.T, rows).transpose(1, 2, 0)  # X[k] = X_k
-    K = np.tensordot(X @ X.transpose(0, 2, 1), weights, axes=(0, 0)).transpose(0, 2, 1, 3).reshape(rows * R, -1)
-    K[np.diag_indices_from(K)] += 1.0 / eta
+    K = (grams @ weights.reshape(len(weights), -1)).reshape(rows, rows, R, R)
+    K = K.transpose(0, 2, 1, 3).reshape(rows * R, -1)
+    K.flat[::rows * R + 1] += 1.0 / eta
     return np.linalg.solve(K, rhs.ravel()).reshape(rows, R)
 
 
 def update_right(
-    model: CpFactors, data: SnapshotPair, eta: float, max_iters: int = 24, tol: float = CG_TOL, *, products=None
+    model: CpFactors, data: SnapshotPair, eta: float, max_iters: int = 24, tol: float = CG_TOL, *, products=None,
+    outcome: Optional[dict] = None,
 ) -> tuple[np.ndarray, int]:
     """Minimizer of the cost over U2, exact or by matrix-valued CG.
 
@@ -446,20 +472,25 @@ def update_right(
     of :func:`_right_weights`.  When one dense solve of its Kronecker form
     costs no more flops than ``max_iters`` CG steps
     (:func:`_direct_right_solve_is_cheaper`), the update solves it exactly
-    and reports 0 iterations.  Otherwise CG, with L_k applied matrix-free,
+    and reports 0 iterations; it takes the Grams L_k from a fit's
+    workspace, which forms them once per fit, and forms them otherwise
+    (:func:`_window_grams`).  Otherwise CG, with L_k applied matrix-free,
     warm-starts from the current U2, so the quadratic objective (hence the
     cost) never increases, and stops at ``tol`` or after ``max_iters``
     steps.  ``products`` is as in :func:`update_left`; X'U2 then also
     serves CG's initial residual.  Returns (new U2, CG iterations used).
+    The CG stores its final relative residual ||B - K U2|| / ||B|| in the
+    dict ``outcome``, when one is given (``residual``, see :func:`_cg`).
     """
     _check_dims(model, data)
     weights = _right_weights(model)
     rhs = _right_rhs(model, data, products)
     if _direct_right_solve_is_cheaper(data.N_in, data.M, data.T, model.R, max_iters):
-        return _solve_right_exactly(weights, data, eta, rhs), 0
+        grams = data.grams if isinstance(data, _RangeData) else _window_grams(data)
+        return _solve_right_exactly(grams, weights, eta, rhs), 0
     operate = partial(_right_operator, weights, data, eta)
     image = None if products is None else operate(model.U2, products[0])
-    return _cg(operate, rhs, model.U2, max_iters, tol, image)
+    return _cg(operate, rhs, model.U2, max_iters, tol, image, outcome)
 
 
 def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products=None) -> tuple[np.ndarray, np.ndarray]:
@@ -482,11 +513,11 @@ def _temporal_hessian(C: np.ndarray, params: Hyperparams) -> tuple[np.ndarray, f
     in U3, where spline_beta is beta under an active spline penalty and 0
     otherwise, and d is the diagonal of D'D: 1 at the two ends, 2 inside."""
     spline_beta = params.reg.beta if _active_penalty(params, len(C)) == "spline" else 0.0
-    idx = np.arange(C.shape[1])
-    C[:, idx, idx] += 1.0 / params.eta
+    diagonals = np.einsum("kii->ki", C)  # a writable view
+    diagonals += 1.0 / params.eta
     if spline_beta:
-        C[1:, idx, idx] += spline_beta
-        C[:-1, idx, idx] += spline_beta
+        diagonals[1:] += spline_beta
+        diagonals[:-1] += spline_beta
     return C, spline_beta
 
 
@@ -583,7 +614,7 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
     for sweeps, (U, move) in enumerate(_column_sweeps(H, b, U3_init, beta)):
         if move <= SWEEP_TOL * np.abs(U).max():
             break
-        signs = _jump_signs(U)
+        signs = _jump_signs(U, np.diff(U, axis=0))
         seen = {signs.tobytes()}
         for _ in range(max_iters):
             face = _face_solve(H, b, signs, beta)
@@ -591,8 +622,9 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
                 break
             face_solves += 1
             z = _running_sums(H, b, face)
-            flipped = signs * np.diff(face, axis=0) < 0
-            certificate = _tv_dual_residual(z, face, beta)
+            differences = np.diff(face, axis=0)
+            flipped = signs * differences < 0
+            certificate = _tv_dual_residual(z, _jump_signs(face, differences), beta)
             if certificate <= SWEEP_TOL and not flipped.any():
                 return face, sweeps, face_solves, certificate
             violated = flipped | ((signs == 0) & (np.abs(z[:-1]) > beta))
@@ -606,7 +638,8 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
             seen.add(signs.tobytes())
         if sweeps == max_iters:
             break
-    return U, sweeps, face_solves, _tv_dual_residual(_running_sums(H, b, U), U, beta)
+    signs = _jump_signs(U, np.diff(U, axis=0))
+    return U, sweeps, face_solves, _tv_dual_residual(_running_sums(H, b, U), signs, beta)
 
 
 def _column_sweeps(H, b, U, beta):
@@ -648,24 +681,24 @@ def _running_sums(H, b, U) -> np.ndarray:
     return np.cumsum((H @ U[:, :, None])[:, :, 0] - b, axis=0)
 
 
-def _jump_signs(U) -> np.ndarray:
-    """The face of U: sign(U[k+1] - U[k]) down each column, 0 on a fused
-    pair, one whose entries are within ``SWEEP_TOL * max|U|``."""
-    differences = np.diff(U, axis=0)
+def _jump_signs(U, differences) -> np.ndarray:
+    """The face of U, given its ``differences`` np.diff(U, axis=0):
+    sign(U[k+1] - U[k]) down each column, 0 on a fused pair, one whose
+    entries are within ``SWEEP_TOL * max|U|``."""
     return np.where(np.abs(differences) > SWEEP_TOL * np.abs(U).max(), np.sign(differences), 0.0)
 
 
-def _tv_dual_residual(z, U, beta) -> float:
+def _tv_dual_residual(z, signs, beta) -> float:
     """Largest violation of the optimality conditions of the TV block
     objective at U, over beta, given its running sums z
-    (:func:`_running_sums`); 0 exactly at its minimizer.
+    (:func:`_running_sums`) and its face ``signs`` (:func:`_jump_signs`);
+    0 exactly at its minimizer.
 
     U minimizes sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U) exactly when
     in every column z[T-1] = 0, |z_k| <= beta on every fused pair of U's
-    face (:func:`_jump_signs`) and z_k = beta sign(U[k+1] - U[k]) on every
-    other pair, a jump: z_k / beta is then a TV subgradient.
+    face and z_k = beta sign(U[k+1] - U[k]) on every other pair, a jump:
+    z_k / beta is then a TV subgradient.
     """
-    signs = _jump_signs(U)
     violations = np.where(signs != 0, np.abs(z[:-1] - beta * signs), np.abs(z[:-1]) - beta)
     return float(max(np.abs(z[-1]).max(), violations.max(initial=0.0)) / beta)
 
@@ -702,9 +735,12 @@ def _face_solve(H, b, signs, beta):
 
 @dataclass(frozen=True)
 class _RangeData:
-    """Data tensors in orthonormal bases of their column spans, X~ = Q_x'X
-    and Y~ = Q_y'Y, with the bases and the shape properties the block
-    updates read."""
+    """A fit's workspace: the data tensors in orthonormal bases of their
+    column spans, X~ = Q_x'X and Y~ = Q_y'Y, with the bases, the shape
+    properties the block updates read and what else stays fixed during the
+    fit: ``half_energy`` = 1/2 ||Y||^2 of the data in channels, and the
+    window Grams of X~ (``grams``, :func:`_window_grams`), formed when the
+    exact U2 solve first asks for them."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -713,6 +749,7 @@ class _RangeData:
     M: int
     T: int
     affine: bool
+    half_energy: float
 
     @property
     def N(self) -> int:
@@ -721,6 +758,23 @@ class _RangeData:
     @property
     def N_in(self) -> int:
         return self.X.shape[0]
+
+    @cached_property
+    def grams(self) -> np.ndarray:
+        return _window_grams(self)
+
+
+@dataclass(frozen=True)
+class _Iterate(_FactorShapes):
+    """An iterate of :func:`fit`: the factor triple as plain arrays, with
+    the shape properties of :class:`CpFactors` that the block updates read.
+    Unlike :class:`CpFactors` it checks nothing; ``fit`` checks that every
+    cost it takes is finite and returns a :class:`CpFactors`."""
+
+    U1: np.ndarray
+    U2: np.ndarray
+    U3: np.ndarray
+    affine: bool
 
 
 def _range_coordinates(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -738,7 +792,8 @@ def _range_data(data: SnapshotPair) -> _RangeData:
     """The snapshot pair in orthonormal bases of range(X) and range(Y)."""
     Q_y, Y = _range_coordinates(data.Y)
     Q_x, X = _range_coordinates(data.X)
-    return _RangeData(X=X, Y=Y, Q_x=Q_x, Q_y=Q_y, M=data.M, T=data.T, affine=data.affine)
+    return _RangeData(X=X, Y=Y, Q_x=Q_x, Q_y=Q_y, M=data.M, T=data.T, affine=data.affine,
+                      half_energy=0.5 * float(np.sum(data.Y * data.Y)))
 
 
 def _change_spatial_basis(model: CpFactors, left: np.ndarray, right: np.ndarray) -> CpFactors:
@@ -841,6 +896,17 @@ def _extrapolate(new: tuple, old: tuple, steps: np.ndarray) -> tuple:
     return tuple(a + steps * (a - b) for a, b in zip(new, old))
 
 
+def _finite_cost(value: float, model: _Iterate, it: int) -> float:
+    """``value``, the cost of ``model`` at outer iteration ``it``, once it is
+    finite; the ridge term makes it non-finite whenever a factor entry is,
+    and then :class:`NonFiniteError` names the factors that are."""
+    if not math.isfinite(value):
+        names = [name for name in ("U1", "U2", "U3") if not np.isfinite(getattr(model, name)).all()]
+        raise NonFiniteError(f"outer iteration {it}: " + (f"{' and '.join(names)} contain non-finite entries"
+                                                           if names else f"the cost is {value}"))
+    return value
+
+
 def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     """Alternating block minimization of the regularized cost, with an
     extrapolation trial after every sweep.
@@ -865,9 +931,15 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     the block updates, and it takes the loss of the sweep and of the trial
     from the U3 quadratic (:func:`_quadratic_loss`) on products it already
     holds: those of the trial are the same extrapolation of the sweep's.  An
-    outer iteration so makes four data contractions besides the U2 solve's:
-    the right-hand sides of the U1 and U2 updates, and Y'U1 and X'U2 of the
-    new U1 and U2.
+    outer iteration so makes four data contractions besides the U2 CG's one
+    per step: the right-hand sides of the U1 and U2 updates, and Y'U1 and
+    X'U2 of the new U1 and U2.  What stays fixed is formed once per fit in
+    its workspace (:class:`_RangeData`): the range data, 1/2 ||Y||^2 and,
+    for the exact U2 solve, the window Grams X_k X_k'.  The iterate is
+    carried as plain arrays (:class:`_Iterate`) and validated once, as the
+    returned :class:`CpFactors`; each outer iteration checks instead that
+    the costs of its sweep and of its trial are finite, and raises
+    :class:`NonFiniteError` at the first that is not.
 
     The fit runs in orthonormal bases Q_x of range(X) and Q_y of range(Y),
     each from one thin QR of the matrix of all transitions and square when
@@ -885,9 +957,8 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     _check_scales(data, params)
     work = _range_data(data)
     model = initialize(work, params)
-    half_energy = 0.5 * float(np.sum(data.Y * data.Y))
     products = _products(model, work)
-    value = _quadratic_loss(model, products, half_energy)
+    value = _quadratic_loss(model, products, work.half_energy)
     cost_trace = [value + _regularization(model, params)]
     rmse_trace = [_rmse_from_loss(value, data)]
     outer = []
@@ -898,26 +969,27 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         start, start_products = model, products
         laps = [time.perf_counter()]
         U1 = update_left(model, work, params.eta, products=products)
-        model = replace(model, U1=U1)
+        model = _Iterate(U1, model.U2, model.U3, model.affine)
         products = (products[0], _transitions(work.Y) @ U1)
         laps.append(time.perf_counter())
-        U2, cg_iters = update_right(model, work, params.eta, params.cg_max_iters, products=products)
-        model = replace(model, U2=U2)
+        right = {"residual": None}
+        U2, cg_iters = update_right(model, work, params.eta, params.cg_max_iters, products=products, outcome=right)
+        model = _Iterate(model.U1, U2, model.U3, model.affine)
         products = (_transitions(work.X) @ U2, products[1])
         laps.append(time.perf_counter())
-        outcome = {"face_steps": 0, "certificate": None}
-        U3, inner_iters = update_temporal(model, work, params, products=products, outcome=outcome)
-        model = replace(model, U3=U3)
+        temporal = {"face_steps": 0, "certificate": None}
+        U3, inner_iters = update_temporal(model, work, params, products=products, outcome=temporal)
+        model = _Iterate(model.U1, model.U2, U3, model.affine)
         laps.append(time.perf_counter())
 
-        value = _quadratic_loss(model, products, half_energy)
-        c = value + _regularization(model, params)
+        value = _quadratic_loss(model, products, work.half_energy)
+        c = _finite_cost(value + _regularization(model, params), model, it)
         steps = _extrapolation_steps(model, it ** (1.0 / root))
-        trial = CpFactors(*_extrapolate((model.U1, model.U2, model.U3), (start.U1, start.U2, start.U3), steps),
-                          affine=model.affine)
+        trial = _Iterate(*_extrapolate((model.U1, model.U2, model.U3), (start.U1, start.U2, start.U3), steps),
+                         model.affine)
         trial_products = _extrapolate(products, start_products, steps)
-        trial_value = _quadratic_loss(trial, trial_products, half_energy)
-        trial_cost = trial_value + _regularization(trial, params)
+        trial_value = _quadratic_loss(trial, trial_products, work.half_energy)
+        trial_cost = _finite_cost(trial_value + _regularization(trial, params), trial, it)
         extrapolated = trial_cost < c
         if extrapolated:
             model, products, value, c = trial, trial_products, trial_value, trial_cost
@@ -939,11 +1011,11 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
 
         cost_trace.append(c)
         rmse_trace.append(_rmse_from_loss(value, data))
-        certificate = outcome["certificate"]
+        certificate = temporal["certificate"]
         record = OuterIteration(
-            cg_iters, cg_iters >= params.cg_max_iters, inner_iters,
+            cg_iters, cg_iters >= params.cg_max_iters, right["residual"], inner_iters,
             certificate > SWEEP_TOL if certificate is not None else spline and inner_iters >= params.cg_max_iters,
-            outcome["face_steps"], certificate, extrapolated, max(0.0, c - prev_cost) / (1.0 + abs(prev_cost)),
+            temporal["face_steps"], certificate, extrapolated, max(0.0, c - prev_cost) / (1.0 + abs(prev_cost)),
             *np.diff(laps).tolist())
         outer.append(record)
         logger.info("iter %d: cost=%.17g rmse=%.17g %s", it, c, rmse_trace[-1], record)

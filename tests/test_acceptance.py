@@ -258,6 +258,34 @@ def test_criterion_5a_right_update_vs_kronecker():
     assert ok
 
 
+def test_criterion_5a_right_update_on_a_fit_workspace_vs_kronecker(monkeypatch):
+    # the exact solve on a fit's workspace forms the window Grams once and
+    # reuses them for every later U2 update of the fit
+    grams = lrtvar.solver._window_grams
+    formed = []
+    monkeypatch.setattr(lrtvar.solver, "_window_grams", lambda data: formed.append(None) or grams(data))
+    rng = np.random.default_rng(5)
+    worst_relative, iterations = 0.0, set()
+    for case in range(20):
+        N = int(rng.integers(2, 9))
+        R = int(rng.integers(1, 4))
+        T = int(rng.integers(2, 5))
+        M = int(rng.integers(2, 7))
+        data = SnapshotPair(X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)), M=M, T=T)
+        work = lrtvar.solver._range_data(data)
+        for _ in range(3):
+            model = CpFactors(rng.standard_normal((work.N, R)), rng.standard_normal((work.N_in, R)),
+                              rng.standard_normal((T, R)))
+            ref = kron_solve_right(model, work, eta=0.5)
+            out, used = update_right(model, work, eta=0.5, max_iters=300, tol=1e-13)
+            worst_relative = max(worst_relative, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
+            iterations.add(used)
+        assert len(formed) == case + 1
+    ok = worst_relative <= 1e-10 and iterations == {0}
+    report(5, "oracle-a-kronecker-workspace", ok, f"worst relative deviation {worst_relative:.2e}")
+    assert ok
+
+
 def test_criterion_5a_right_update_cg_vs_kronecker(monkeypatch):
     # the same systems solved by the conjugate gradients the large ones take
     monkeypatch.setattr(lrtvar.solver, "_direct_right_solve_is_cheaper", lambda *shape: False)

@@ -19,6 +19,7 @@ import lrtvar.regularizers
 import lrtvar.solver
 from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import (
+    CG_TOL,
     MONOTONE_SLACK,
     SWEEP_TOL,
     Hyperparams,
@@ -37,9 +38,13 @@ from lrtvar.solver import (
     _cg,
     _direct_right_solve_is_cheaper,
     _face_solve,
+    _jump_signs,
     _products,
     _quadratic_loss,
     _range_data,
+    _right_operator,
+    _right_rhs,
+    _right_weights,
     _running_sums,
     _spectral_factors,
     _temporal_hessian,
@@ -715,7 +720,8 @@ class TestFaceStep:
         for b_case, U_case in cases:
             expected = tv_dual_residual(H, b_case, U_case, beta, SWEEP_TOL * np.abs(U_case).max())
             assert expected > 1e3 * SWEEP_TOL
-            residual = _tv_dual_residual(_running_sums(H, b_case, U_case), U_case, beta)
+            signs = _jump_signs(U_case, np.diff(U_case, axis=0))
+            residual = _tv_dual_residual(_running_sums(H, b_case, U_case), signs, beta)
             assert residual == pytest.approx(expected, rel=1e-9)
         assert tv_dual_residual(H, shifted, U, beta, tol) == pytest.approx(1e-3 / beta, rel=1e-6)
 
@@ -1045,6 +1051,60 @@ class TestFit:
         assert all(getattr(o, key) for o in report.outer)
         if "reg" not in changes:
             assert not any(o.capped_temporal for o in report.outer)  # the exact solve has no cap
+
+    @pytest.mark.parametrize("cap", [24, 2], ids=["default-cap", "capped"])
+    def test_right_cg_records_its_final_relative_residual(self, cap, monkeypatch):
+        # the CG's own last residual against ||B - K U2|| / ||B|| recomputed
+        # through the operator, on the large_n fit that takes CG
+        data, params = benchmark_setting("large_n")
+        original = lrtvar.solver.update_right
+        recomputed = []
+
+        def spy(model, data, eta, max_iters, **kwargs):
+            U2, iters = original(model, data, eta, max_iters, **kwargs)
+            rhs = _right_rhs(model, data)
+            residual = rhs - _right_operator(_right_weights(model), data, eta, U2)
+            recomputed.append(np.linalg.norm(residual) / np.linalg.norm(rhs))
+            return U2, iters
+
+        monkeypatch.setattr(lrtvar.solver, "update_right", spy)
+        _, report = fit(data, replace(params, max_outer_iters=8, cg_max_iters=cap))
+        assert len(recomputed) == len(report.outer) == 8
+        for record, residual in zip(report.outer, recomputed):
+            assert abs(record.residual_right - residual) <= 1e-12
+            assert record.residual_right <= CG_TOL or record.capped_right
+        if cap == 2:
+            assert all(record.capped_right and record.residual_right > CG_TOL for record in report.outer)
+
+    def test_exact_right_solves_record_no_residual(self):
+        data, params = benchmark_setting("switching")
+        _, report = fit(data, replace(params, max_outer_iters=4))
+        assert [(o.cg_iters, o.residual_right) for o in report.outer] == [(0, None)] * 4
+
+    @pytest.mark.parametrize("kind", ["none", "spline", "tv"])
+    def test_non_finite_block_update_raises(self, kind, monkeypatch):
+        # U1 turns NaN at outer iteration 2; a TV update meets it first, in its prox
+        original = lrtvar.solver.update_left
+        calls = []
+
+        def nan_on_second_call(model, data, eta, **kwargs):
+            U1 = original(model, data, eta, **kwargs)
+            calls.append(None)
+            return np.full_like(U1, np.nan) if len(calls) == 2 else U1
+
+        monkeypatch.setattr(lrtvar.solver, "update_left", nan_on_second_call)
+        data, params = benchmark_setting("switching")
+        message = "non-finite" if kind == "tv" else "outer iteration 2: U1 and U2"
+        with pytest.raises(NonFiniteError, match=message):
+            fit(data, replace(params, reg=Regularizer(kind, 5.0), max_outer_iters=5, rtol=0.0, atol=0.0))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", ["switching", "large_n"])
+    def test_returns_validated_factors(self, name):
+        data, params = benchmark_setting(name)
+        model, _ = fit(data, replace(params, max_outer_iters=3))
+        assert type(model) is CpFactors
+        assert model.dims == (data.N, data.N_in, data.T, params.R)
 
     def test_exact_right_solves_report_no_iterations_and_no_cap(self):
         # three channels: the U2 system is solved exactly at the default cap
@@ -1385,7 +1445,7 @@ class TestExtrapolation:
     def test_four_data_contractions_per_outer_iteration(self, monkeypatch, path):
         # every contraction with the data views it through _transitions once;
         # the U2 CG operator views X once per application, and the exact U2
-        # solve once to form the Grams X_k X_k'
+        # solve once per fit, to form the Grams X_k X_k' in the fit's workspace
         calls = {"all": 0, "operator": 0}
         transitions, operator = lrtvar.solver._transitions, lrtvar.solver._right_operator
 
@@ -1414,7 +1474,7 @@ class TestExtrapolation:
                 assert calls["operator"] == sum(1 + o.cg_iters for o in report.outer) > 0
             return calls["all"] - calls["operator"]
 
-        assert contractions(7) - contractions(3) == 4 * (5 if exact else 4)
+        assert contractions(7) - contractions(3) == 4 * 4
 
     def test_trial_outcome_is_logged_recorded_and_summarized(self, caplog):
         data, params = benchmark_setting("switching")
