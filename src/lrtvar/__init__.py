@@ -39,7 +39,7 @@ from .regularizers import (
     tv_penalty,
     tv_prox_1d,
 )
-from .solver import FitReport, Hyperparams, OuterIteration, cost, fit, initialize, loss, rmse
+from .solver import BlockOutcome, FitReport, Hyperparams, OuterIteration, cost, fit, initialize, loss, rmse
 from .synthetic import (
     GroundTruth,
     gp_covariance,

@@ -63,7 +63,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from functools import cached_property, partial
 from typing import Optional
 
@@ -144,40 +144,58 @@ class Hyperparams:
 
 
 @dataclass(frozen=True)
+class BlockOutcome:
+    """How one block update ended: exact, or where its iteration stopped.
+
+    ``method`` is ``"exact"`` for a direct solve, ``"cg"`` for conjugate
+    gradients, ``"face"`` for a TV update that returned a certified face
+    minimizer and ``"sweeps"`` for one that returned a fallback sweep
+    iterate.  ``steps`` counts the CG steps, or the face solves plus the
+    fallback sweeps of a TV update; 0 for an exact solve.  ``residual`` is
+    the CG's relative residual ||rhs - K x|| / ||rhs||, the dual residual
+    over beta of a TV update's result (:func:`_tv_dual_residual`), or 0.0
+    for an exact solve.  ``capped`` says whether ``residual`` is above
+    ``tol``, the tolerance the solve was given: the ``tol`` of the CG,
+    ``SWEEP_TOL`` for TV.  So an exact solve is never capped.  ``str()`` is
+    ``method/steps/residual``, with ``/capped`` appended when it is.
+    """
+
+    method: str
+    steps: int
+    residual: float
+    tol: InitVar[float]
+    capped: bool = field(init=False)
+
+    def __post_init__(self, tol: float):
+        object.__setattr__(self, "capped", self.residual > tol)
+
+    def __str__(self) -> str:
+        return f"{self.method}/{self.steps}/{self.residual:.3g}" + ("/capped" if self.capped else "")
+
+
+# the outcome of every direct block solve
+_EXACT = BlockOutcome("exact", 0, 0.0, 0.0)
+
+
+@dataclass(frozen=True)
 class OuterIteration:
     """What one outer iteration of :func:`fit` did.
 
-    ``cg_iters`` and ``inner_iters`` are the inner iterations of the U2 and
-    U3 updates: for TV, the fallback column sweeps, 0 when the face
-    iteration certifies.  ``capped_right`` says whether the U2 CG used its
-    whole ``cg_max_iters`` budget, and ``residual_right`` is the relative
-    residual ||B - K U2|| / ||B|| of the U2 system it stopped at, the CG's
-    own last residual (at most ``CG_TOL`` unless capped; None for the exact
-    solve).  ``capped_temporal`` says whether the U3 update
-    stopped short of its stated bound: for the spline CG, that it used all
-    ``cg_max_iters`` steps; for TV, that it returned without a certificate,
-    one above ``SWEEP_TOL`` (on the sweep-move stop or the ``pg_max_iters``
-    cap).  The exact U2 and unsmoothed U3 solves report 0 iterations and
-    are never capped.  ``face_steps`` and ``certificate`` are the face
-    solves a TV update ran and the dual residual over beta of the U3 it
-    returned, the largest violation of the block's optimality conditions
-    (0 and None for the other U3 updates), which ends the update at
-    ``SWEEP_TOL``.
-    ``extrapolated`` says whether the extrapolation trial was kept, and
-    ``cost_rise`` is the rise of the cost over the previous trace entry
-    relative to 1 + |previous cost|, 0 when it fell.  The ``seconds_*``
-    fields are the wall seconds of the U1, U2 and U3 updates, each with the
-    product of its new factor, and of the objective evaluations and the
-    trial.  ``str()`` is the outcome part of ``fit``'s INFO line.
+    ``left``, ``right`` and ``temporal`` are the :class:`BlockOutcome` of
+    the U1, U2 and U3 updates.  U1 is always solved exactly; U2 exactly or
+    by CG, and U3 exactly (no smoothing), by CG (spline) or on faces with
+    column sweeps as the fallback (TV).  ``extrapolated`` says whether the
+    extrapolation trial was kept, and ``cost_rise`` is the rise of the cost
+    over the previous trace entry relative to 1 + |previous cost|, 0 when
+    it fell.  The ``seconds_*`` fields are the wall seconds of the U1, U2
+    and U3 updates, each with the product of its new factor, and of the
+    objective evaluations and the trial.  ``str()`` is the outcome part of
+    ``fit``'s INFO line.
     """
 
-    cg_iters: int
-    capped_right: bool
-    residual_right: Optional[float]
-    inner_iters: int
-    capped_temporal: bool
-    face_steps: int
-    certificate: Optional[float]
+    left: BlockOutcome
+    right: BlockOutcome
+    temporal: BlockOutcome
     extrapolated: bool
     cost_rise: float
     seconds_left: float
@@ -186,10 +204,7 @@ class OuterIteration:
     seconds_objective: float
 
     def __str__(self) -> str:
-        residual, certificate = ("-" if v is None else f"{v:.3g}" for v in (self.residual_right, self.certificate))
-        return (f"extrapolated={self.extrapolated} cg={self.cg_iters} residual_right={residual} "
-                f"capped_right={self.capped_right} inner={self.inner_iters} capped_temporal={self.capped_temporal} "
-                f"face_steps={self.face_steps} certificate={certificate}")
+        return f"extrapolated={self.extrapolated} left={self.left} right={self.right} temporal={self.temporal}"
 
 
 @dataclass
@@ -202,8 +217,9 @@ class FitReport:
     trace is non-increasing up to a slack of ``MONOTONE_SLACK * (1 + |C|)``
     per step, which ``fit`` checks as it goes (``OuterIteration.cost_rise``).
     ``outer[i]`` records outer iteration i + 1, the one that appended
-    ``cost_trace[i + 1]``.  :meth:`summary` counts the capped inner solves,
-    the U3 face solves and the accepted extrapolations.
+    ``cost_trace[i + 1]``.  :meth:`summary` counts the capped U2 and U3
+    solves (:attr:`BlockOutcome.capped`), their inner steps and the
+    accepted extrapolations.
     """
 
     cost_trace: list
@@ -223,8 +239,9 @@ class FitReport:
         """Trace as one JSON object: the manifest, the termination and under
         ``outer`` one object per outer iteration, its ``iteration``, the
         ``cost`` and ``rmse`` it appended to the traces and the fields of its
-        :class:`OuterIteration`; wall seconds included, so unlike the CSV it
-        differs between reruns."""
+        :class:`OuterIteration`, each :class:`BlockOutcome` an object of its
+        ``method``, ``steps``, ``residual`` and ``capped``; wall seconds
+        included, so unlike the CSV it differs between reruns."""
         rows = zip(self.cost_trace[1:], self.rmse_trace[1:], self.outer)
         outer = [{"iteration": i, "cost": c, "rmse": r, **asdict(o)} for i, (c, r, o) in enumerate(rows, start=1)]
         with open(path, "w", encoding="utf-8") as fh:
@@ -236,9 +253,10 @@ class FitReport:
             f"termination: {self.termination}",
             f"final cost: {self.cost_trace[-1]:.17g}",
             f"final rmse: {self.rmse_trace[-1]:.17g}",
-            f"capped U2 solves: {sum(o.capped_right for o in self.outer)} of {self.iterations}",
-            f"capped U3 solves: {sum(o.capped_temporal for o in self.outer)} of {self.iterations}",
-            f"U3 face steps: {sum(o.face_steps for o in self.outer)}",
+            f"capped U2 solves: {sum(o.right.capped for o in self.outer)} of {self.iterations}",
+            f"capped U3 solves: {sum(o.temporal.capped for o in self.outer)} of {self.iterations}",
+            f"U2 inner steps: {sum(o.right.steps for o in self.outer)}",
+            f"U3 inner steps: {sum(o.temporal.steps for o in self.outer)}",
             f"extrapolated steps: {sum(o.extrapolated for o in self.outer)} of {self.iterations}",
             f"wall seconds: {self.wall_seconds:.3f}",
         ]
@@ -398,18 +416,18 @@ def _right_rhs(model: CpFactors, data: SnapshotPair, products=None) -> np.ndarra
 
 
 def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = CG_TOL,
-        image=None, outcome: Optional[dict] = None) -> tuple[np.ndarray, int]:
+        image=None) -> tuple[np.ndarray, int, float]:
     """Conjugate gradients on operate(x) = rhs for a symmetric positive-definite
     ``operate``, warm-started at ``x0``; ``image`` is operate(x0) when the
     caller has it.
 
     Stops when the residual norm reaches ``tol * ||rhs||`` or after
     ``max_iters`` steps.  Every step lowers the quadratic 1/2 x'Ax - rhs'x,
-    so the result is never worse than ``x0``.  Returns (x, iterations used)
-    and stores in the dict ``outcome``, when one is given, the relative
-    residual ||r|| / ||rhs|| of the last recurrence residual r
-    (``residual``; 0 or inf for a zero ``rhs``), which costs no extra
-    application of ``operate``.
+    so the result is never worse than ``x0``.  Returns (x, steps, residual):
+    the steps taken and the relative residual ||r|| / ||rhs|| of the last
+    recurrence residual r (0 or inf for a zero ``rhs``), which costs no
+    extra application of ``operate``.  A CG may meet ``tol`` on its last
+    allowed step, so only the residual says whether it did.
     """
     x = x0.copy()
     r = rhs - (operate(x) if image is None else image)
@@ -427,9 +445,7 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = C
         p *= rs / rs_old
         p += r
         n_iters += 1
-    if outcome is not None:
-        outcome["residual"] = math.sqrt(rs / rhs_square) if rhs_square else 0.0 if rs == 0.0 else math.inf
-    return x, n_iters
+    return x, n_iters, math.sqrt(rs / rhs_square) if rhs_square else 0.0 if rs == 0.0 else math.inf
 
 
 def _direct_right_solve_is_cheaper(rows: int, M: int, T: int, R: int, max_iters: int) -> bool:
@@ -463,34 +479,34 @@ def _solve_right_exactly(grams: np.ndarray, weights: np.ndarray, eta: float, rhs
 
 def update_right(
     model: CpFactors, data: SnapshotPair, eta: float, max_iters: int = 24, tol: float = CG_TOL, *, products=None,
-    outcome: Optional[dict] = None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, BlockOutcome]:
     """Minimizer of the cost over U2, exact or by matrix-valued CG.
 
     The normal equations are the Sylvester-type system
     sum_k L_k U2 R_k + U2/eta = B with L_k = X_k X_k' and the weights R_k
     of :func:`_right_weights`.  When one dense solve of its Kronecker form
     costs no more flops than ``max_iters`` CG steps
-    (:func:`_direct_right_solve_is_cheaper`), the update solves it exactly
-    and reports 0 iterations; it takes the Grams L_k from a fit's
-    workspace, which forms them once per fit, and forms them otherwise
-    (:func:`_window_grams`).  Otherwise CG, with L_k applied matrix-free,
-    warm-starts from the current U2, so the quadratic objective (hence the
-    cost) never increases, and stops at ``tol`` or after ``max_iters``
-    steps.  ``products`` is as in :func:`update_left`; X'U2 then also
-    serves CG's initial residual.  Returns (new U2, CG iterations used).
-    The CG stores its final relative residual ||B - K U2|| / ||B|| in the
-    dict ``outcome``, when one is given (``residual``, see :func:`_cg`).
+    (:func:`_direct_right_solve_is_cheaper`), the update solves it exactly;
+    it takes the Grams L_k from a fit's workspace, which forms them once
+    per fit, and forms them otherwise (:func:`_window_grams`).  Otherwise
+    CG, with L_k applied matrix-free, warm-starts from the current U2, so
+    the quadratic objective (hence the cost) never increases, and stops at
+    ``tol`` or after ``max_iters`` steps.  ``products`` is as in
+    :func:`update_left`; X'U2 then also serves CG's initial residual.
+    Returns (new U2, :class:`BlockOutcome`): ``exact``, or ``cg`` with its
+    steps and final relative residual ||B - K U2|| / ||B||, capped when that
+    is above ``tol``.
     """
     _check_dims(model, data)
     weights = _right_weights(model)
     rhs = _right_rhs(model, data, products)
     if _direct_right_solve_is_cheaper(data.N_in, data.M, data.T, model.R, max_iters):
         grams = data.grams if isinstance(data, _RangeData) else _window_grams(data)
-        return _solve_right_exactly(grams, weights, eta, rhs), 0
+        return _solve_right_exactly(grams, weights, eta, rhs), _EXACT
     operate = partial(_right_operator, weights, data, eta)
     image = None if products is None else operate(model.U2, products[0])
-    return _cg(operate, rhs, model.U2, max_iters, tol, image, outcome)
+    U2, steps, residual = _cg(operate, rhs, model.U2, max_iters, tol, image)
+    return U2, BlockOutcome("cg", steps, residual, tol)
 
 
 def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products=None) -> tuple[np.ndarray, np.ndarray]:
@@ -539,15 +555,16 @@ def _active_penalty(params: Hyperparams, T: int) -> str:
 
 
 def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *,
-                    products=None, outcome: Optional[dict] = None) -> tuple[np.ndarray, int]:
-    """Minimize the cost over U3; returns (new U3, inner iterations used).
+                    products=None) -> tuple[np.ndarray, BlockOutcome]:
+    """Minimize the cost over U3; returns (new U3, :class:`BlockOutcome`).
 
     Without temporal smoothing (or with a single window, where no difference
     exists) the problem decouples into T exact R x R ridge solves with
-    H_k = C_k + I/eta, and 0 inner iterations are reported.  The spline
-    penalty couples the windows through the block-tridiagonal Hessian
+    H_k = C_k + I/eta, an ``exact`` outcome.  The spline penalty couples
+    the windows through the block-tridiagonal Hessian
     blockdiag(C_k + I/eta) + beta D'D kron I_R, solved by warm-started CG
-    capped at ``params.cg_max_iters`` steps, whose steps are reported.  Its
+    to ``CG_TOL``, capped at ``params.cg_max_iters`` steps, a ``cg``
+    outcome with the CG's relative residual ||b - H U3|| / ||b||.  Its
     diagonal blocks C_k + (1/eta + beta d_k) I, d the diagonal of D'D, are
     formed in place once per update (:func:`_temporal_hessian`), so each
     step applies it as one window-wise product and two shifted
@@ -557,24 +574,21 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     a dense solve, from the face of the incoming U3, and ends on the face
     minimizer whose dual residual (:func:`_tv_dual_residual`) is at most
     ``SWEEP_TOL``, the block minimizer.  Exact column sweeps by the weighted
-    TV prox are its fallback, and their number is reported: 0 when the face
-    iteration certifies.  ``params.pg_max_iters`` caps the sweeps and the
-    face solves of each face iteration.  ``products`` is as in
-    :func:`update_left`.  A TV update stores in the dict ``outcome``, when
-    one is given, the face solves it ran (``face_steps``) and the dual
-    residual of the U3 it returns (``certificate``), whichever stop it took.
+    TV prox are its fallback.  ``params.pg_max_iters`` caps the sweeps and
+    the face solves of each face iteration.  Its outcome is ``face`` or
+    ``sweeps``, by which iterate it returned, with the face solves plus the
+    sweeps it ran and the dual residual of its U3, whichever stop it took.
+    ``products`` is as in :func:`update_left`.
     """
     _check_dims(model, data)
     C, b = _temporal_quadratic(model, data, products)
     H, spline_beta = _temporal_hessian(C, params)
     if spline_beta:
-        return _cg(partial(_temporal_hessian_apply, H, spline_beta), b, model.U3, params.cg_max_iters)
+        U3, steps, residual = _cg(partial(_temporal_hessian_apply, H, spline_beta), b, model.U3, params.cg_max_iters)
+        return U3, BlockOutcome("cg", steps, residual, CG_TOL)
     if _active_penalty(params, model.T) == "none":
-        return np.linalg.solve(H, b[..., None])[..., 0], 0
-    U3, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, model.U3, params.reg.beta, params.pg_max_iters)
-    if outcome is not None:
-        outcome.update(face_steps=face_steps, certificate=certificate)
-    return U3, sweeps
+        return np.linalg.solve(H, b[..., None])[..., 0], _EXACT
+    return _temporal_tv_sweeps(H, b, model.U3, params.reg.beta, params.pg_max_iters)
 
 
 def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
@@ -607,8 +621,9 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
     ``max_iters`` does not certify.  So it returns either the certified
     block minimizer or a sweep iterate, and never raises the objective.
 
-    Returns (U3, sweeps run, face solves run, certificate), where the
-    certificate is the dual residual of the returned U3.
+    Returns (U3, :class:`BlockOutcome`): ``face`` or ``sweeps``, by which
+    iterate it is, the face solves plus the sweeps run, and the dual
+    residual of U3, capped when it is above ``SWEEP_TOL``.
     """
     face_solves = 0
     for sweeps, (U, move) in enumerate(_column_sweeps(H, b, U3_init, beta)):
@@ -626,7 +641,7 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
             flipped = signs * differences < 0
             certificate = _tv_dual_residual(z, _jump_signs(face, differences), beta)
             if certificate <= SWEEP_TOL and not flipped.any():
-                return face, sweeps, face_solves, certificate
+                return face, BlockOutcome("face", sweeps + face_solves, certificate, SWEEP_TOL)
             violated = flipped | ((signs == 0) & (np.abs(z[:-1]) > beta))
             if not violated.any():
                 break
@@ -638,8 +653,8 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
             seen.add(signs.tobytes())
         if sweeps == max_iters:
             break
-    signs = _jump_signs(U, np.diff(U, axis=0))
-    return U, sweeps, face_solves, _tv_dual_residual(_running_sums(H, b, U), signs, beta)
+    residual = _tv_dual_residual(_running_sums(H, b, U), _jump_signs(U, np.diff(U, axis=0)), beta)
+    return U, BlockOutcome("sweeps", sweeps + face_solves, residual, SWEEP_TOL)
 
 
 def _column_sweeps(H, b, U, beta):
@@ -962,7 +977,6 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     cost_trace = [value + _regularization(model, params)]
     rmse_trace = [_rmse_from_loss(value, data)]
     outer = []
-    spline = _active_penalty(params, data.T) == "spline"
     root = EXTRAPOLATION_ROOT
 
     for it in range(1, params.max_outer_iters + 1):
@@ -972,13 +986,11 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         model = _Iterate(U1, model.U2, model.U3, model.affine)
         products = (products[0], _transitions(work.Y) @ U1)
         laps.append(time.perf_counter())
-        right = {"residual": None}
-        U2, cg_iters = update_right(model, work, params.eta, params.cg_max_iters, products=products, outcome=right)
+        U2, right = update_right(model, work, params.eta, params.cg_max_iters, products=products)
         model = _Iterate(model.U1, U2, model.U3, model.affine)
         products = (_transitions(work.X) @ U2, products[1])
         laps.append(time.perf_counter())
-        temporal = {"face_steps": 0, "certificate": None}
-        U3, inner_iters = update_temporal(model, work, params, products=products, outcome=temporal)
+        U3, temporal = update_temporal(model, work, params, products=products)
         model = _Iterate(model.U1, model.U2, U3, model.affine)
         laps.append(time.perf_counter())
 
@@ -1011,12 +1023,8 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
 
         cost_trace.append(c)
         rmse_trace.append(_rmse_from_loss(value, data))
-        certificate = temporal["certificate"]
-        record = OuterIteration(
-            cg_iters, cg_iters >= params.cg_max_iters, right["residual"], inner_iters,
-            certificate > SWEEP_TOL if certificate is not None else spline and inner_iters >= params.cg_max_iters,
-            temporal["face_steps"], certificate, extrapolated, max(0.0, c - prev_cost) / (1.0 + abs(prev_cost)),
-            *np.diff(laps).tolist())
+        record = OuterIteration(_EXACT, right, temporal, extrapolated, max(0.0, c - prev_cost) / (1.0 + abs(prev_cost)),
+                                *np.diff(laps).tolist())
         outer.append(record)
         logger.info("iter %d: cost=%.17g rmse=%.17g %s", it, c, rmse_trace[-1], record)
         if record.cost_rise > MONOTONE_SLACK:

@@ -243,10 +243,10 @@ def right_update_deviations():
         model = CpFactors(rng.standard_normal((N, R)), rng.standard_normal((N, R)), rng.standard_normal((T, R)))
         data = SnapshotPair(X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)), M=M, T=T)
         ref = kron_solve_right(model, data, eta=0.5)
-        out, used = update_right(model, data, eta=0.5, max_iters=300, tol=1e-13)
+        out, outcome = update_right(model, data, eta=0.5, max_iters=300, tol=1e-13)
         worst = max(worst, float(np.abs(out - ref).max()))
         worst_relative = max(worst_relative, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
-        iterations.add(used)
+        iterations.add(outcome.steps)
     return worst, worst_relative, iterations
 
 
@@ -277,9 +277,9 @@ def test_criterion_5a_right_update_on_a_fit_workspace_vs_kronecker(monkeypatch):
             model = CpFactors(rng.standard_normal((work.N, R)), rng.standard_normal((work.N_in, R)),
                               rng.standard_normal((T, R)))
             ref = kron_solve_right(model, work, eta=0.5)
-            out, used = update_right(model, work, eta=0.5, max_iters=300, tol=1e-13)
+            out, outcome = update_right(model, work, eta=0.5, max_iters=300, tol=1e-13)
             worst_relative = max(worst_relative, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
-            iterations.add(used)
+            iterations.add(outcome.steps)
         assert len(formed) == case + 1
     ok = worst_relative <= 1e-10 and iterations == {0}
     report(5, "oracle-a-kronecker-workspace", ok, f"worst relative deviation {worst_relative:.2e}")

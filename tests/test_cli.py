@@ -161,7 +161,11 @@ class TestFit:
             assert set(entry) == keys
             assert entry["iteration"] == i == rows[i, 0]
             assert entry["cost"] == rows[i, 1] and entry["rmse"] == rows[i, 2]
-        assert trace["outer"][-1]["certificate"] is not None
+        # each block's outcome is one object; this TV fit's U3 updates end on faces or sweeps
+        for entry in trace["outer"]:
+            for block in ("left", "right", "temporal"):
+                assert set(entry[block]) == {"method", "steps", "residual", "capped"}
+        assert trace["outer"][-1]["temporal"]["method"] in {"face", "sweeps"}
 
     def test_matches_library_fit(self, series_path, tmp_path):
         from lrtvar.regularizers import Regularizer

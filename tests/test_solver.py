@@ -304,16 +304,16 @@ class TestUpdateRight:
         # small systems take the exact dense solve
         for model, data in small_right_problems():
             ref = kron_oracle_right(model, data, eta=0.5)
-            out, iters = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
-            assert iters == 0
+            out, outcome = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
+            assert outcome.method == "exact"
             assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref), (model.N, model.R, model.T, data.M)
 
     def test_cg_matches_kronecker_oracle(self, monkeypatch):
         force_cg(monkeypatch)
         for model, data in small_right_problems():
             ref = kron_oracle_right(model, data, eta=0.5)
-            out, iters = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
-            assert iters > 0
+            out, outcome = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
+            assert outcome.method == "cg" and outcome.steps > 0
             assert np.allclose(out, ref, atol=1e-6)
 
     @pytest.mark.parametrize(
@@ -332,8 +332,8 @@ class TestUpdateRight:
         assert (work.N_in, params.R) == (rows, R)
         assert _direct_right_solve_is_cheaper(work.N_in, work.M, work.T, params.R, params.cg_max_iters) is direct
         model = initialize(work, params)
-        _, iters = update_right(model, work, params.eta, params.cg_max_iters)
-        assert (iters == 0) is direct
+        _, outcome = update_right(model, work, params.eta, params.cg_max_iters)
+        assert (outcome.method == "exact") is direct
 
     def test_never_increases_cost_beyond_slack(self):
         rng = np.random.default_rng(51)
@@ -356,9 +356,20 @@ class TestUpdateRight:
             data = random_data(rng, 5, 4, 3)
             params = Hyperparams(R=2, eta=0.5)
             before = cost(model, data, params)
-            U2, iters = update_right(model, data, 0.5, max_iters=2)
-            assert iters == 2
+            U2, outcome = update_right(model, data, 0.5, max_iters=2)
+            assert outcome.steps == 2
             assert cost(CpFactors(model.U1, U2, model.U3), data, params) <= before + 1e-8 * (1 + abs(before))
+
+    def test_cg_meeting_tol_on_its_last_allowed_step_is_not_capped(self, monkeypatch):
+        # three channels at rank 2 make the U2 system 6 x 6: CG meets tol on
+        # its sixth step, and one step fewer leaves it above tol
+        force_cg(monkeypatch)
+        rng = np.random.default_rng(0)
+        model, data = random_model(rng, 3, 3, 4, 2), random_data(rng, 3, 5, 4)
+        _, outcome = update_right(model, data, 0.5, max_iters=6)
+        assert outcome.steps == 6 and outcome.residual <= CG_TOL and not outcome.capped
+        _, outcome = update_right(model, data, 0.5, max_iters=5)
+        assert outcome.steps == 5 and outcome.residual > CG_TOL and outcome.capped
 
     def test_exact_data_fixed_point(self):
         rng = np.random.default_rng(52)
@@ -396,24 +407,24 @@ class TestConjugateGradients:
         # the same steps and stop, on (15, 2) matrices as the block updates pass them
         A, b, x0 = self.spd_system()
         operate = lambda U: (A @ U.ravel()).reshape(U.shape)
-        x, iters = _cg(operate, b.reshape(15, 2), x0.reshape(15, 2), max_iters, tol)
+        x, iters, _ = _cg(operate, b.reshape(15, 2), x0.reshape(15, 2), max_iters, tol)
         ref, ref_iters = textbook_cg(A, b, x0, max_iters, tol)
         assert iters == ref_iters
         assert np.linalg.norm(x.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
         image = operate(x0.reshape(15, 2))
-        x_image, iters_image = _cg(operate, b.reshape(15, 2), x0.reshape(15, 2), max_iters, tol, image)
+        x_image, iters_image, _ = _cg(operate, b.reshape(15, 2), x0.reshape(15, 2), max_iters, tol, image)
         assert iters_image == iters and np.array_equal(x_image, x)
 
     def test_stops_at_tolerance_and_cap(self):
         A, b, x0 = self.spd_system()
-        _, converged = _cg(lambda x: A @ x, b, x0, 1000, 1e-9)
+        _, converged, _ = _cg(lambda x: A @ x, b, x0, 1000, 1e-9)
         assert 0 < converged < 1000
         assert _cg(lambda x: A @ x, b, x0, converged - 1, 1e-9)[1] == converged - 1
 
     def test_zero_rhs_and_start_take_no_step(self):
         A, _, _ = self.spd_system()
-        x, iters = _cg(lambda x: A @ x, np.zeros(30), np.zeros(30), 24)
-        assert iters == 0 and not np.any(x)
+        x, iters, residual = _cg(lambda x: A @ x, np.zeros(30), np.zeros(30), 24)
+        assert iters == 0 and residual == 0.0 and not np.any(x)
 
 
 class TestSplineHessian:
@@ -535,8 +546,8 @@ class TestUpdateTemporal:
         data = build_snapshots(truth.series, M=20)
         params = Hyperparams(R=8, eta=0.1, reg=Regularizer("tv", 5.0), seed=1, max_outer_iters=3)
         model, _ = fit(data, params)
-        U3, sweeps = update_temporal(model, data, replace(params, pg_max_iters=3000))
-        assert sweeps < 3000
+        U3, outcome = update_temporal(model, data, replace(params, pg_max_iters=3000))
+        assert not outcome.capped
         model = CpFactors(model.U1, model.U2, U3)
         calls = []
 
@@ -545,11 +556,10 @@ class TestUpdateTemporal:
             return tv_prox_columns(*args)
 
         monkeypatch.setattr(lrtvar.solver, "tv_prox_columns", counted)
-        outcome = {}
-        U3_again, sweeps = update_temporal(model, data, params, outcome=outcome)
-        assert type(sweeps) is int and sweeps == 0
+        U3_again, outcome = update_temporal(model, data, params)
         assert calls == []
-        assert outcome["face_steps"] >= 1 and outcome["certificate"] <= SWEEP_TOL
+        assert outcome.method == "face" and type(outcome.steps) is int and outcome.steps >= 1
+        assert outcome.residual <= SWEEP_TOL
         assert np.abs(U3_again - U3).max() <= 1e-10 * np.abs(U3).max()
 
 
@@ -562,6 +572,23 @@ def random_tv_block(rng, T, R, coupling=0.5):
     C = C / scale[:, :, None] / scale[:, None, :]
     C = coupling * C + (1.0 - coupling) * np.eye(R)
     return C + np.eye(R), rng.standard_normal((T, R))
+
+
+def counted_prox(monkeypatch):
+    """The list that gets one entry per TV prox call of the solver, R per
+    fallback sweep."""
+    calls = []
+    monkeypatch.setattr(lrtvar.solver, "tv_prox_columns", lambda *args: calls.append(None) or tv_prox_columns(*args))
+    return calls
+
+
+def tv_update(H, b, U0, beta, max_iters):
+    """The (U3, outcome) of ``_temporal_tv_sweeps`` and the fallback sweeps
+    it ran, counted from its prox calls."""
+    with pytest.MonkeyPatch.context() as patched:
+        calls = counted_prox(patched)
+        U, outcome = _temporal_tv_sweeps(H, b, U0, beta, max_iters)
+    return U, outcome, len(calls) // U0.shape[1]
 
 
 def tv_block_objective(H, b, U, beta):
@@ -629,8 +656,8 @@ class TestFaceStep:
             model = random_model(rng, 4, 4, T, 3)
             data = random_data(rng, 4, 5, T)
             params = Hyperparams(R=3, eta=0.7, reg=Regularizer("tv", 1.5))
-            U3, sweeps = update_temporal(model, data, params)
-            assert sweeps < params.pg_max_iters
+            U3, outcome = update_temporal(model, data, params)
+            assert not outcome.capped
             C = np.stack([temporal_window_matrix(model, data, k) for k in range(data.T)])
             L = max(np.linalg.eigvalsh(Ck).max() for Ck in C) + 1 / 0.7
             g = grad_temporal(CpFactors(model.U1, model.U2, U3), data, params)
@@ -650,8 +677,9 @@ class TestFaceStep:
                 U = rng.standard_normal((T, R))
             else:
                 U = np.repeat(rng.standard_normal((4, R)), [2, 5, 1, 4], axis=0)
-            moved, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, U, beta, 40)
-            assert sweeps == 0 and 1 <= face_steps <= 40 and certificate <= SWEEP_TOL
+            moved, outcome, sweeps = tv_update(H, b, U, beta, 40)
+            assert sweeps == 0 and outcome.method == "face" and 1 <= outcome.steps <= 40
+            assert outcome.residual <= SWEEP_TOL
             before = tv_block_objective(H, b, U, beta)
             assert tv_block_objective(H, b, moved, beta) <= before + 1e-14 * (1 + abs(before))
 
@@ -682,9 +710,10 @@ class TestFaceStep:
         for beta, coupling, start in itertools.product((1e-3, 0.05, 0.5, 3.0), (0.5, 0.99), ("random", "zero")):
             H, b = random_tv_block(rng, T, R, coupling)
             U0 = rng.standard_normal((T, R)) if start == "random" else np.zeros((T, R))
-            U, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, U0, beta, 40)
+            U, outcome, sweeps = tv_update(H, b, U0, beta, 40)
             case = (beta, coupling, start)
-            assert sweeps == 0 and 1 <= face_steps <= 40 and certificate <= SWEEP_TOL, (case, face_steps, certificate)
+            assert sweeps == 0 and outcome.method == "face" and 1 <= outcome.steps <= 40, (case, outcome)
+            assert outcome.residual <= SWEEP_TOL, (case, outcome)
             tol = SWEEP_TOL * np.abs(U).max()
             assert tv_dual_residual(H, b, U, beta, tol) <= SWEEP_TOL
             # a perturbed U reads above the certificate's bound
@@ -692,8 +721,9 @@ class TestFaceStep:
             assert tv_dual_residual(H, b, perturbed, beta, tol) > SWEEP_TOL
             with monkeypatch.context() as patched:
                 patched.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 0)
-                U_ref, sweeps_ref, face_steps_ref, _ = _temporal_tv_sweeps(H, b, U0, beta, 3000)
-            assert face_steps_ref == 0 and sweeps_ref < 3000
+                U_ref, outcome_ref, sweeps_ref = tv_update(H, b, U0, beta, 3000)
+            # every step a sweep, none a face solve
+            assert outcome_ref.method == "sweeps" and outcome_ref.steps == sweeps_ref < 3000
             assert np.abs(U - U_ref).max() <= 1e-8 * np.abs(U_ref).max(), case
             # both are the minimizer to 1e-8, so their objectives differ by
             # less than the rounding of the sums: no higher up to that
@@ -710,10 +740,10 @@ class TestFaceStep:
         rng = np.random.default_rng(406)
         T, R, beta = 25, 3, 0.5
         H, b = random_tv_block(rng, T, R)
-        U, _, _, certificate = _temporal_tv_sweeps(H, b, rng.standard_normal((T, R)), beta, 40)
+        U, outcome = _temporal_tv_sweeps(H, b, rng.standard_normal((T, R)), beta, 40)
         tol = SWEEP_TOL * np.abs(U).max()
         assert np.any(np.abs(np.diff(U, axis=0)) > tol) and np.any(np.diff(U, axis=0) == 0)
-        assert certificate <= SWEEP_TOL
+        assert outcome.residual <= SWEEP_TOL
         shifted = b.copy()
         shifted[-1] += 1e-3
         cases = [(shifted, U), (b, U[::-1]), (b, U + 1e-6 * rng.standard_normal(U.shape))]
@@ -752,19 +782,20 @@ class TestFaceStep:
         assert ("objective", None) in events  # the fit's cost evaluates the TV penalty, outside the updates
         for start, end in zip(starts, ends):
             update = events[start + 1:end]
-            U3, sweeps, face_steps, certificate = events[end][1]
+            U3, outcome = events[end][1]
             assert {name for name, _ in update} == {"face"}
-            assert sweeps == 0 and 1 <= face_steps == len(update) // 2 <= params.pg_max_iters
-            assert certificate <= SWEEP_TOL and update[-1][1] is U3
+            assert outcome.method == "face" and 1 <= outcome.steps == len(update) // 2 <= params.pg_max_iters
+            assert outcome.residual <= SWEEP_TOL and update[-1][1] is U3
 
-    def test_first_update_of_the_long_weak_tv_fit_certifies(self):
+    def test_first_update_of_the_long_weak_tv_fit_certifies(self, monkeypatch):
         # T = 160 windows at beta = 0.05: this update once ended on the
         # 40-sweep cap with certificate 16.4
         data = build_snapshots(simulate_smooth(N=10, tau=160, sigma=0.2, seed=0).series, M=1)
+        calls = counted_prox(monkeypatch)
         _, report = fit(data, Hyperparams(R=4, eta=0.6, reg=Regularizer("tv", 0.05), seed=0, max_outer_iters=1))
         (record,) = report.outer
-        assert record.inner_iters == 0 and 1 <= record.face_steps <= 40
-        assert record.certificate <= SWEEP_TOL and not record.capped_temporal
+        assert calls == [] and record.temporal.method == "face" and 1 <= record.temporal.steps <= 40
+        assert record.temporal.residual <= SWEEP_TOL and not record.temporal.capped
 
     def test_sweeps_alone_above_the_segment_limit_reach_the_same_minimizer(self, monkeypatch):
         # T*R just above FACE_MAX_SEGMENTS and a weak penalty: no face is
@@ -775,16 +806,19 @@ class TestFaceStep:
         H, b = random_tv_block(rng, T, R, coupling=0.3)
         U0 = rng.standard_normal((T, R))
         beta = 1e-3
-        U, sweeps, face_steps, certificate = _temporal_tv_sweeps(H, b, U0, beta, 500)
-        # the sweeps stop on their move test; the certificate is the dual
-        # residual of what they return, which at this small beta is mostly
-        # the rounding of the running sums, so the two sums agree to 1%
-        assert face_steps == 0 and sweeps < 500
-        assert certificate == pytest.approx(tv_dual_residual(H, b, U, beta, SWEEP_TOL * np.abs(U).max()), rel=1e-2)
+        U, outcome, sweeps = tv_update(H, b, U0, beta, 500)
+        # the sweeps stop on their move test, with no face solve; the residual
+        # is the dual residual of what they return, which at this small beta
+        # is mostly the rounding of the running sums, so the two sums agree to 1%
+        assert outcome.method == "sweeps" and outcome.steps == sweeps < 500
+        expected = tv_dual_residual(H, b, U, beta, SWEEP_TOL * np.abs(U).max())
+        assert outcome.residual == pytest.approx(expected, rel=1e-2)
         assert tv_block_objective(H, b, U, beta) < tv_block_objective(H, b, U0, beta)
         monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 2 * T * R)
-        U_face, sweeps_face, face_steps, certificate = _temporal_tv_sweeps(H, b, U0, beta, 500)
-        assert face_steps >= 1 and sweeps_face < sweeps and certificate <= SWEEP_TOL
+        U_face, outcome, sweeps_face = tv_update(H, b, U0, beta, 500)
+        # at least one face solve besides the sweeps
+        assert outcome.method == "face" and outcome.steps > sweeps_face and sweeps_face < sweeps
+        assert outcome.residual <= SWEEP_TOL
         assert np.abs(U_face - U).max() <= 1e-8 * np.abs(U).max()
 
     def test_uncertified_sweep_stop_reports_a_capped_update(self, monkeypatch):
@@ -795,47 +829,72 @@ class TestFaceStep:
         params = Hyperparams(R=2, eta=0.5, reg=Regularizer("tv", 1e-3), seed=1, max_outer_iters=3)
         monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 0)
         _, report = fit(data, params)
-        assert all(o.inner_iters < params.pg_max_iters and o.certificate > SWEEP_TOL for o in report.outer)
-        assert all(o.capped_temporal for o in report.outer)
+        outcomes = [o.temporal for o in report.outer]
+        assert all(o.method == "sweeps" and o.steps < params.pg_max_iters for o in outcomes)
+        assert all(o.residual > SWEEP_TOL and o.capped for o in outcomes)
         assert "capped U3 solves: 3 of 3" in report.summary()
         monkeypatch.undo()
         _, report = fit(data, params)
-        assert all(o.certificate <= SWEEP_TOL and not o.capped_temporal for o in report.outer)
+        assert all(o.temporal.residual <= SWEEP_TOL and not o.temporal.capped for o in report.outer)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_criterion_1_fits_never_cap_the_u3_sweeps(self, seed):
         data, params = benchmark_setting("switching", seed)
         _, report = fit(data, params)
         assert len(report.outer) == report.iterations
-        assert not any(o.capped_temporal for o in report.outer)
-        assert sum(o.face_steps for o in report.outer) > 0
-        assert all(o.certificate <= SWEEP_TOL for o in report.outer)
+        assert not any(o.temporal.capped for o in report.outer)
+        assert {o.temporal.method for o in report.outer} == {"face"}
+        assert all(o.temporal.steps >= 1 and o.temporal.residual <= SWEEP_TOL for o in report.outer)
 
     def test_outcome_is_logged_recorded_summarized_and_deterministic(self, caplog):
         data, params = benchmark_setting("switching", seed=3)
         with caplog.at_level(logging.INFO, logger="lrtvar.solver"):
             _, report = fit(data, params)
         _, again = fit(data, params)
-        steps = [o.face_steps for o in report.outer]
-        certificates = [o.certificate for o in report.outer]
-        assert len(report.outer) == report.iterations
-        assert all(type(k) is int and k >= 0 for k in steps)
-        assert all(type(value) is float for value in certificates)
-        for name in ("face_steps", "certificate", "inner_iters"):
-            assert [getattr(o, name) for o in again.outer] == [getattr(o, name) for o in report.outer]
+        outcomes = [o.temporal for o in report.outer]
+        assert len(outcomes) == report.iterations
+        assert all(type(o.steps) is int and o.steps >= 0 and type(o.residual) is float for o in outcomes)
+        assert [o.temporal for o in again.outer] == outcomes
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "lrtvar.solver"]
-        for line, k, value in zip(lines, steps, certificates):
-            assert line.endswith(f" face_steps={k} certificate={value:.3g}"), line
-        assert f"U3 face steps: {sum(steps)}" in report.summary().splitlines()
+        for line, o in zip(lines, outcomes):
+            assert line.endswith(f" temporal={o.method}/{o.steps}/{o.residual:.3g}"), line
+        assert f"U3 inner steps: {sum(o.steps for o in outcomes)}" in report.summary().splitlines()
 
-    @pytest.mark.parametrize("reg", [Regularizer(), Regularizer("spline", 2.0)], ids=["none", "spline"])
-    def test_other_u3_updates_record_no_face_steps(self, reg):
-        rng = np.random.default_rng(404)
-        data = random_data(rng, 3, 5, 4)
-        _, report = fit(data, Hyperparams(R=2, eta=0.5, reg=reg, seed=1, max_outer_iters=3))
-        assert [o.face_steps for o in report.outer] == [0] * 3
-        assert [o.certificate for o in report.outer] == [None] * 3
-        assert "U3 face steps: 0" in report.summary().splitlines()
+    @pytest.mark.parametrize("case", ["none", "spline", "smooth"])
+    def test_other_u3_updates_record_no_face_steps(self, case, monkeypatch):
+        # the unsmoothed U3 solve is exact; the spline CG records the relative
+        # residual ||grad_temporal|| / ||b|| of the U3 it returns and is capped
+        # exactly when that is above CG_TOL: it converges on the small random
+        # data and stops on its step cap on the smooth benchmark
+        if case == "smooth":
+            data, params = benchmark_setting("smooth")
+            params = replace(params, max_outer_iters=3)
+        else:
+            data = random_data(np.random.default_rng(404), 3, 5, 4)
+            reg = Regularizer() if case == "none" else Regularizer("spline", 2.0)
+            params = Hyperparams(R=2, eta=0.5, reg=reg, seed=1, max_outer_iters=3)
+        original = lrtvar.solver.update_temporal
+        recomputed = []
+
+        def spy(model, data, params, **kwargs):
+            U3, outcome = original(model, data, params, **kwargs)
+            gradient = grad_temporal(replace(model, U3=U3), data, params)
+            recomputed.append(np.linalg.norm(gradient) / np.linalg.norm(_temporal_quadratic(model, data)[1]))
+            return U3, outcome
+
+        monkeypatch.setattr(lrtvar.solver, "update_temporal", spy)
+        _, report = fit(data, params)
+        outcomes = [o.temporal for o in report.outer]
+        assert len(outcomes) == len(recomputed) == 3
+        if case == "none":
+            assert [(o.method, o.steps, o.residual, o.capped) for o in outcomes] == [("exact", 0, 0.0, False)] * 3
+        for o, residual in zip(outcomes, recomputed):
+            if case != "none":
+                assert o.method == "cg" and o.residual == pytest.approx(residual, rel=1e-9, abs=1e-15)
+            assert o.capped is (o.residual > CG_TOL) is (case == "smooth")
+        summary = report.summary().splitlines()
+        assert f"U3 inner steps: {sum(o.steps for o in outcomes)}" in summary
+        assert f"capped U3 solves: {3 if case == 'smooth' else 0} of 3" in summary
 
 
 class TestGradients:
@@ -1011,8 +1070,8 @@ class TestFit:
         assert report.iterations == 4
         assert [line.split(":")[0] for line in lines] == ["iter 1", "iter 2", "iter 3", "iter 4"]
         assert lines[-1].startswith(f"iter 4: cost={report.cost_trace[-1]:.17g} rmse={report.rmse_trace[-1]:.17g} ")
-        assert lines[-1].endswith(
-            f"capped_right={report.outer[-1].capped_right} inner=0 capped_temporal=False face_steps=0 certificate=-")
+        # three channels and no penalty: every block is solved exactly
+        assert lines[-1].endswith(" left=exact/0/0 right=exact/0/0 temporal=exact/0/0")
 
     def test_one_record_per_outer_iteration_formats_the_info_line(self, monkeypatch, caplog):
         data, params = benchmark_setting("switching")
@@ -1025,7 +1084,9 @@ class TestFit:
             assert all(getattr(record, name) >= 0.0 for name in
                        ("seconds_left", "seconds_right", "seconds_temporal", "seconds_objective"))
         with pytest.raises(AttributeError):
-            report.outer[0].cg_iters = 0
+            report.outer[0].extrapolated = False
+        with pytest.raises(AttributeError):
+            report.outer[0].right.steps = 0
         # with INFO disabled the line, and so the record's text, is never built
         formatted = []
         monkeypatch.setattr(OuterIteration, "__str__", lambda record: formatted.append(record) or "")
@@ -1034,12 +1095,12 @@ class TestFit:
         assert formatted == []
 
     @pytest.mark.parametrize(
-        "changes, face_limit, key",
-        [({"reg": Regularizer("tv", 0.5), "pg_max_iters": 1}, 0, "capped_temporal"),
-         ({"cg_max_iters": 1}, lrtvar.solver.FACE_MAX_SEGMENTS, "capped_right")],
+        "changes, face_limit, block",
+        [({"reg": Regularizer("tv", 0.5), "pg_max_iters": 1}, 0, "temporal"),
+         ({"cg_max_iters": 1}, lrtvar.solver.FACE_MAX_SEGMENTS, "right")],
         ids=["tv-one-sweep", "cg-one-step"],
     )
-    def test_inner_solves_report_hitting_their_cap(self, changes, face_limit, key, monkeypatch):
+    def test_inner_solves_report_hitting_their_cap(self, changes, face_limit, block, monkeypatch):
         # a U2 system on the CG side of the selection, so that its cap can be
         # hit; with no face small enough to solve, the TV update is one sweep
         monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", face_limit)
@@ -1047,10 +1108,10 @@ class TestFit:
         data = cg_side_data(rng)
         _, report = fit(data, Hyperparams(R=4, eta=0.5, seed=1, max_outer_iters=5, **changes))
         assert len(report.outer) == report.iterations
-        assert all(type(o.capped_right) is bool and type(o.capped_temporal) is bool for o in report.outer)
-        assert all(getattr(o, key) for o in report.outer)
+        assert all(type(o.right.capped) is bool and type(o.temporal.capped) is bool for o in report.outer)
+        assert all(getattr(o, block).capped and str(getattr(o, block)).endswith("/capped") for o in report.outer)
         if "reg" not in changes:
-            assert not any(o.capped_temporal for o in report.outer)  # the exact solve has no cap
+            assert not any(o.temporal.capped for o in report.outer)  # the exact solve has no cap
 
     @pytest.mark.parametrize("cap", [24, 2], ids=["default-cap", "capped"])
     def test_right_cg_records_its_final_relative_residual(self, cap, monkeypatch):
@@ -1061,25 +1122,30 @@ class TestFit:
         recomputed = []
 
         def spy(model, data, eta, max_iters, **kwargs):
-            U2, iters = original(model, data, eta, max_iters, **kwargs)
+            U2, outcome = original(model, data, eta, max_iters, **kwargs)
             rhs = _right_rhs(model, data)
             residual = rhs - _right_operator(_right_weights(model), data, eta, U2)
             recomputed.append(np.linalg.norm(residual) / np.linalg.norm(rhs))
-            return U2, iters
+            return U2, outcome
 
         monkeypatch.setattr(lrtvar.solver, "update_right", spy)
         _, report = fit(data, replace(params, max_outer_iters=8, cg_max_iters=cap))
         assert len(recomputed) == len(report.outer) == 8
         for record, residual in zip(report.outer, recomputed):
-            assert abs(record.residual_right - residual) <= 1e-12
-            assert record.residual_right <= CG_TOL or record.capped_right
+            assert record.right.method == "cg" and abs(record.right.residual - residual) <= 1e-12
+            # the CG stops on its tolerance or its step cap, and is capped only above the tolerance
+            assert record.right.residual <= CG_TOL or record.right.steps == cap
+            assert record.right.capped is (record.right.residual > CG_TOL)
         if cap == 2:
-            assert all(record.capped_right and record.residual_right > CG_TOL for record in report.outer)
+            assert all(record.right.capped and record.right.residual > CG_TOL for record in report.outer)
 
-    def test_exact_right_solves_record_no_residual(self):
-        data, params = benchmark_setting("switching")
+    @pytest.mark.parametrize("name", ["switching", "smooth"])
+    def test_exact_right_solves_record_no_residual(self, name):
+        # U1 and, at these shapes, U2 are solved exactly: no step, residual 0, never capped
+        data, params = benchmark_setting(name)
         _, report = fit(data, replace(params, max_outer_iters=4))
-        assert [(o.cg_iters, o.residual_right) for o in report.outer] == [(0, None)] * 4
+        outcomes = [(b.method, b.steps, b.residual, b.capped) for o in report.outer for b in (o.left, o.right)]
+        assert outcomes == [("exact", 0, 0.0, False)] * 8
 
     @pytest.mark.parametrize("kind", ["none", "spline", "tv"])
     def test_non_finite_block_update_raises(self, kind, monkeypatch):
@@ -1111,7 +1177,7 @@ class TestFit:
         rng = np.random.default_rng(75)
         _, report = fit(random_data(rng, 3, 5, 4), Hyperparams(R=2, eta=0.5, seed=1, max_outer_iters=5))
         assert len(report.outer) == 5
-        assert all(o.cg_iters == 0 and o.capped_right is False for o in report.outer)
+        assert all(o.right.method == "exact" and o.right.steps == 0 and o.right.capped is False for o in report.outer)
 
     def test_smooth_spline_fit_caps_every_temporal_cg(self):
         # the smooth benchmark's settings: the U3 CG uses all 24 steps on every outer iteration
@@ -1121,8 +1187,8 @@ class TestFit:
         params = Hyperparams(R=4, eta=6.0 / N, reg=Regularizer("spline", 600.0 * np.log10(N) ** 2), seed=0)
         _, report = fit(data, params)
         assert len(report.outer) == report.iterations
-        assert all(o.capped_temporal for o in report.outer)
-        assert [o.inner_iters for o in report.outer] == [params.cg_max_iters] * report.iterations
+        assert all(o.temporal.capped for o in report.outer)
+        assert [o.temporal.steps for o in report.outer] == [params.cg_max_iters] * report.iterations
 
     def test_cost_rise_is_recorded_and_warned(self, monkeypatch, caplog):
         rng = np.random.default_rng(76)
@@ -1131,9 +1197,9 @@ class TestFit:
         calls = []
 
         def doubled_on_third_call(model, data, params, **kwargs):
-            U3, inner = original(model, data, params, **kwargs)
+            U3, outcome = original(model, data, params, **kwargs)
             calls.append(None)
-            return (2.0 * U3 if len(calls) == 3 else U3), inner
+            return (2.0 * U3 if len(calls) == 3 else U3), outcome
 
         monkeypatch.setattr(lrtvar.solver, "update_temporal", doubled_on_third_call)
         with caplog.at_level(logging.WARNING, logger="lrtvar.solver"):
@@ -1469,9 +1535,9 @@ class TestExtrapolation:
             calls.update(all=0, operator=0)
             _, report = fit(data, replace(params, max_outer_iters=iterations, rtol=0.0, atol=0.0))
             if exact:
-                assert calls["operator"] == 0 and all(o.cg_iters == 0 for o in report.outer)
+                assert calls["operator"] == 0 and all(o.right.method == "exact" for o in report.outer)
             else:
-                assert calls["operator"] == sum(1 + o.cg_iters for o in report.outer) > 0
+                assert calls["operator"] == sum(1 + o.right.steps for o in report.outer) > 0
             return calls["all"] - calls["operator"]
 
         assert contractions(7) - contractions(3) == 4 * 4
@@ -1486,7 +1552,7 @@ class TestExtrapolation:
         lines = [rec.getMessage() for rec in caplog.records if rec.name == "lrtvar.solver"]
         assert len(lines) == report.iterations
         for line, flag in zip(lines, flags):
-            assert re.search(rf" rmse=\S+ extrapolated={flag} cg=\d+ ", line), line
+            assert re.search(rf" rmse=\S+ extrapolated={flag} left=", line), line
         assert f"extrapolated steps: {sum(flags)} of {report.iterations}" in report.summary().splitlines()
 
 
