@@ -27,7 +27,7 @@ descends monotonically up to subproblem tolerances.
 
 Apart from the exact U2 solve's (r_x R)^2 matrix, r_x = min(T*M, N_in),
 nothing in the fit path forms a matrix larger than the data, and the rule
-that picks that solve keeps its matrix below 12 cg_max_iters M T entries.
+that picks that solve keeps its matrix below 12 CG_MAX_STEPS M T entries.
 All contractions go through the data tensors and the R-column factors,
 which is what makes large state dimensions tractable.  Each contraction is
 a BLAS matmul of a 2-D (M*T, channels) view of a data tensor with an
@@ -46,8 +46,9 @@ a fit is formed once per fit in its workspace (:class:`_RangeData`): the
 range bases and data, 1/2 ||Y||^2 and the window Grams X_k X_k' of the
 exact U2 solve.  The iterate is carried as plain arrays and validated once,
 as the :class:`CpFactors` ``fit`` returns; every outer iteration instead
-checks that its costs are finite, which the ridge term makes them exactly
-when every factor entry is.
+checks that the cost of its sweep is finite, which the ridge term makes it
+exactly when every factor entry is.  A trial whose cost is not finite is
+rejected like any other that does not lower the cost.
 
 The loss sees U2 only through X_k'U2 and U1 only through its product with Y,
 and the ridge term puts each block's exact minimizer in range(X), resp.
@@ -63,7 +64,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from typing import Optional
 
@@ -83,12 +84,18 @@ from .errors import (
 from .regularizers import Regularizer, _ridge, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
 
-# CG stops once the residual falls to this fraction of the right-hand side.
+# CG stops once the residual falls to this fraction of the right-hand side,
+# or after CG_MAX_STEPS steps; U2 is solved exactly instead when that costs
+# fewer flops than CG_MAX_STEPS CG steps.
 CG_TOL = 1e-9
+CG_MAX_STEPS = 24
 # A TV update of U3 ends on a face minimizer whose dual residual, over beta,
 # is at most this, or once a fallback sweep moves no entry by more than this
 # fraction of the largest entry; neighbours within that fraction are fused.
 SWEEP_TOL = 1e-10
+# A TV update of U3 makes at most TV_MAX_STEPS face solves per face iteration
+# and TV_MAX_STEPS fallback sweeps.
+TV_MAX_STEPS = 40
 # A TV face is minimized by a dense solve over its segments; faces of more
 # segments than this (a face matrix over 8 MiB) are left to the sweeps.
 FACE_MAX_SEGMENTS = 1024
@@ -109,16 +116,12 @@ class Hyperparams:
     """All solver and model knobs.
 
     ``atol`` is relative to the initial cost, like ``rtol`` to the previous one.
-    ``cg_max_iters`` caps the CG steps of the U2 update and of the spline U3
-    update, whose banded Hessian each step applies as one block product per
-    window and two shifted subtractions; U2 is solved exactly instead when
-    that costs fewer flops than this many CG steps.  ``pg_max_iters`` caps
-    the face solves of each face iteration of the TV U3 update and its
-    fallback column sweeps.
-    ``seed`` fixes the initialization noise (see :func:`initialize`).
-    ``R`` and the caps must be integers >= 1, ``seed`` an integer >= 0,
-    ``eta`` a real number > 0 and ``rtol`` and ``atol`` real numbers >= 0,
-    none of them bools.  A value of another type or out of range raises
+    ``seed`` fixes the initialization noise (see :func:`initialize`).  The
+    inner solves' budgets are the module constants ``CG_MAX_STEPS`` and
+    ``TV_MAX_STEPS``, not knobs.  ``R`` and ``max_outer_iters`` must be
+    integers >= 1, ``seed`` an integer >= 0, ``eta`` a real number > 0 and
+    ``rtol`` and ``atol`` real numbers >= 0, none of them bools.  A value
+    of another type or out of range raises
     :class:`InvalidHyperparameterError` (:class:`NonPositiveEtaError` for an
     ``eta`` <= 0), and a non-finite real one :class:`NonFiniteError`.
     """
@@ -129,12 +132,10 @@ class Hyperparams:
     max_outer_iters: int = 1000
     rtol: float = 1e-4
     atol: float = 1e-6
-    cg_max_iters: int = 24
-    pg_max_iters: int = 40
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("R", 1), ("max_outer_iters", 1), ("cg_max_iters", 1), ("pg_max_iters", 1), ("seed", 0)):
+        for name, least in (("R", 1), ("max_outer_iters", 1), ("seed", 0)):
             integer_at_least(name, getattr(self, name), least)
         object.__setattr__(self, "eta", finite_real("eta", self.eta))
         if self.eta <= 0:
@@ -154,27 +155,27 @@ class BlockOutcome:
     fallback sweeps of a TV update; 0 for an exact solve.  ``residual`` is
     the CG's relative residual ||rhs - K x|| / ||rhs||, the dual residual
     over beta of a TV update's result (:func:`_tv_dual_residual`), or 0.0
-    for an exact solve.  ``capped`` says whether ``residual`` is above
-    ``tol``, the tolerance the solve was given: the ``tol`` of the CG,
-    ``SWEEP_TOL`` for TV.  So an exact solve is never capped.  ``str()`` is
+    for an exact solve.  ``capped`` says whether ``residual`` is above the
+    tolerance of the method, read when the outcome is made: ``CG_TOL`` for
+    ``cg``, ``SWEEP_TOL`` for ``face`` and ``sweeps``.  So an exact solve,
+    with residual 0.0, is never capped.  ``str()`` is
     ``method/steps/residual``, with ``/capped`` appended when it is.
     """
 
     method: str
     steps: int
     residual: float
-    tol: InitVar[float]
     capped: bool = field(init=False)
 
-    def __post_init__(self, tol: float):
-        object.__setattr__(self, "capped", self.residual > tol)
+    def __post_init__(self):
+        object.__setattr__(self, "capped", self.residual > (CG_TOL if self.method == "cg" else SWEEP_TOL))
 
     def __str__(self) -> str:
         return f"{self.method}/{self.steps}/{self.residual:.3g}" + ("/capped" if self.capped else "")
 
 
 # the outcome of every direct block solve
-_EXACT = BlockOutcome("exact", 0, 0.0, 0.0)
+_EXACT = BlockOutcome("exact", 0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -290,11 +291,6 @@ def _products(model: CpFactors, data: SnapshotPair) -> tuple[np.ndarray, np.ndar
     return _transitions(data.X) @ model.U2, _transitions(data.Y) @ model.U1
 
 
-def _scaled_projection(model: CpFactors, data: SnapshotPair) -> np.ndarray:
-    """The (M*T, R) matrix of the rows of H_k' = X_k' U2 diag(U3[k])."""
-    return _scale_windows(_transitions(data.X) @ model.U2, model.U3)
-
-
 def _rmse_from_loss(value: float, data: SnapshotPair) -> float:
     """RMSE per channel and transition of a fit whose loss is ``value``;
     ``data`` has the fit's original channels, whose loss is the one taken
@@ -305,7 +301,8 @@ def _rmse_from_loss(value: float, data: SnapshotPair) -> float:
 def loss(model: CpFactors, data: SnapshotPair) -> float:
     """Unregularized squared error: 1/2 sum_k ||Y_k - A_k X_k||_F^2."""
     _check_dims(model, data)
-    resid = _transitions(data.Y) - _scaled_projection(model, data) @ model.U1.T
+    H = _scale_windows(_transitions(data.X) @ model.U2, model.U3)  # rows of X_k' U2 diag(U3[k])
+    resid = _transitions(data.Y) - H @ model.U1.T
     return 0.5 * float(np.sum(resid * resid))
 
 
@@ -350,31 +347,33 @@ def _quadratic_loss(model: CpFactors, products: tuple, half_energy: float) -> fl
 # block gradients (smooth part of the cost: loss + ridge [+ spline])
 
 
-def _left_normal_equations(model: CpFactors, data: SnapshotPair, products=None) -> tuple[np.ndarray, np.ndarray]:
-    """S = sum_k H_k H_k' and B = sum_k Y_k H_k', so the loss in U1 is
-    1/2 tr(U1 S U1') - tr(B' U1) + const; ``products`` is (X'U2, Y'U1) or None."""
-    H = _scaled_projection(model, data) if products is None else _scale_windows(products[0], model.U3)
+def _left_normal_equations(model: CpFactors, data: SnapshotPair, products: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """S = sum_k H_k H_k' and B = sum_k Y_k H_k', with
+    H_k = U2' X_k diag(U3[k]), so the loss in U1 is
+    1/2 tr(U1 S U1') - tr(B' U1) + const; ``products`` is (X'U2, Y'U1)
+    (:func:`_products`)."""
+    H = _scale_windows(products[0], model.U3)
     return H.T @ H, _transitions(data.Y).T @ H
 
 
 def grad_left(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
     """Gradient of (loss + ridge) in U1."""
     _check_dims(model, data)
-    S, B = _left_normal_equations(model, data)
+    S, B = _left_normal_equations(model, data, _products(model, data))
     return model.U1 @ S - B + model.U1 / eta
 
 
 def grad_right(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
     """Gradient of (loss + ridge) in U2; never forms X_k X_k'."""
     _check_dims(model, data)
-    return _right_operator(_right_weights(model), data, eta, model.U2) - _right_rhs(model, data)
+    return _right_operator(_right_weights(model), data, eta, model.U2) - _right_rhs(model, data, _products(model, data))
 
 
 def grad_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> np.ndarray:
     """Gradient of the smooth cost in U3: loss + ridge, plus the spline term
     when that regularizer is active (the TV term is nonsmooth and excluded)."""
     _check_dims(model, data)
-    C, b = _temporal_quadratic(model, data)
+    C, b = _temporal_quadratic(model, data, _products(model, data))
     return _temporal_hessian_apply(*_temporal_hessian(C, params), model.U3) - b
 
 
@@ -382,17 +381,18 @@ def grad_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> 
 # block updates
 
 
-def update_left(model: CpFactors, data: SnapshotPair, eta: float, *, products=None) -> np.ndarray:
+def update_left(model: CpFactors, data: SnapshotPair, params: Hyperparams,
+                products: tuple) -> tuple[np.ndarray, BlockOutcome]:
     """Exact minimizer of the cost over U1 (R x R ridge-damped solve).
 
-    ``products`` is (X'U2, Y'U1) of ``model`` and ``data`` (see
-    :func:`_products`) when the caller holds it, as ``fit`` does; by default
-    the update forms what it needs.
+    ``products`` is (X'U2, Y'U1) of ``model`` and ``data``
+    (:func:`_products`), which ``fit`` holds.  Returns (new U1, the
+    ``exact`` :class:`BlockOutcome`).
     """
     _check_dims(model, data)
     S, B = _left_normal_equations(model, data, products)
-    S.flat[::len(S) + 1] += 1.0 / eta
-    return np.linalg.solve(S, B.T).T
+    S.flat[::len(S) + 1] += 1.0 / params.eta
+    return np.linalg.solve(S, B.T).T, _EXACT
 
 
 def _right_weights(model: CpFactors) -> np.ndarray:
@@ -409,10 +409,9 @@ def _right_operator(weights: np.ndarray, data: SnapshotPair, eta: float, U: np.n
     return X.T @ Z + U / eta
 
 
-def _right_rhs(model: CpFactors, data: SnapshotPair, products=None) -> np.ndarray:
-    """B = sum_k X_k Y_k' U1 diag(U3[k]); ``products`` is (X'U2, Y'U1) or None."""
-    F = _transitions(data.Y) @ model.U1 if products is None else products[1]
-    return _transitions(data.X).T @ _scale_windows(F, model.U3)  # rows of Y_k' U1 diag(U3[k])
+def _right_rhs(model: CpFactors, data: SnapshotPair, products: tuple) -> np.ndarray:
+    """B = sum_k X_k Y_k' U1 diag(U3[k]); ``products`` is (X'U2, Y'U1)."""
+    return _transitions(data.X).T @ _scale_windows(products[1], model.U3)  # rows of Y_k' U1 diag(U3[k])
 
 
 def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = CG_TOL,
@@ -448,14 +447,14 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = C
     return x, n_iters, math.sqrt(rs / rhs_square) if rhs_square else 0.0 if rs == 0.0 else math.inf
 
 
-def _direct_right_solve_is_cheaper(rows: int, M: int, T: int, R: int, max_iters: int) -> bool:
+def _direct_right_solve_is_cheaper(rows: int, M: int, T: int, R: int) -> bool:
     """Whether one dense solve of the U2 system with ``rows`` channels costs
-    at most the flops of ``max_iters`` CG steps.  The solve forms the T
+    at most the flops of ``CG_MAX_STEPS`` CG steps.  The solve forms the T
     Grams X_k X_k' (2 T M rows^2) and the Kronecker matrix
     (T R^2 rows^2) and factors it ((rows R)^3 / 3); a CG step makes two
     contractions with the data (4 M T rows R)."""
     n = rows * R
-    return 2 * T * M * rows**2 + T * R**2 * rows**2 + n**3 / 3 <= max_iters * 4 * M * T * n
+    return 2 * T * M * rows**2 + T * R**2 * rows**2 + n**3 / 3 <= CG_MAX_STEPS * 4 * M * T * n
 
 
 def _window_grams(data) -> np.ndarray:
@@ -477,45 +476,43 @@ def _solve_right_exactly(grams: np.ndarray, weights: np.ndarray, eta: float, rhs
     return np.linalg.solve(K, rhs.ravel()).reshape(rows, R)
 
 
-def update_right(
-    model: CpFactors, data: SnapshotPair, eta: float, max_iters: int = 24, tol: float = CG_TOL, *, products=None,
-) -> tuple[np.ndarray, BlockOutcome]:
+def update_right(model: CpFactors, data: SnapshotPair, params: Hyperparams,
+                 products: tuple) -> tuple[np.ndarray, BlockOutcome]:
     """Minimizer of the cost over U2, exact or by matrix-valued CG.
 
     The normal equations are the Sylvester-type system
     sum_k L_k U2 R_k + U2/eta = B with L_k = X_k X_k' and the weights R_k
     of :func:`_right_weights`.  When one dense solve of its Kronecker form
-    costs no more flops than ``max_iters`` CG steps
+    costs no more flops than ``CG_MAX_STEPS`` CG steps
     (:func:`_direct_right_solve_is_cheaper`), the update solves it exactly;
     it takes the Grams L_k from a fit's workspace, which forms them once
     per fit, and forms them otherwise (:func:`_window_grams`).  Otherwise
     CG, with L_k applied matrix-free, warm-starts from the current U2, so
     the quadratic objective (hence the cost) never increases, and stops at
-    ``tol`` or after ``max_iters`` steps.  ``products`` is as in
-    :func:`update_left`; X'U2 then also serves CG's initial residual.
-    Returns (new U2, :class:`BlockOutcome`): ``exact``, or ``cg`` with its
-    steps and final relative residual ||B - K U2|| / ||B||, capped when that
-    is above ``tol``.
+    ``CG_TOL`` or after ``CG_MAX_STEPS`` steps.  ``products`` is as in
+    :func:`update_left`; X'U2 also serves CG's initial residual.  Returns
+    (new U2, :class:`BlockOutcome`): ``exact``, or ``cg`` with its steps
+    and final relative residual ||B - K U2|| / ||B||, capped when that is
+    above ``CG_TOL``.
     """
     _check_dims(model, data)
     weights = _right_weights(model)
     rhs = _right_rhs(model, data, products)
-    if _direct_right_solve_is_cheaper(data.N_in, data.M, data.T, model.R, max_iters):
+    if _direct_right_solve_is_cheaper(data.N_in, data.M, data.T, model.R):
         grams = data.grams if isinstance(data, _RangeData) else _window_grams(data)
-        return _solve_right_exactly(grams, weights, eta, rhs), _EXACT
-    operate = partial(_right_operator, weights, data, eta)
-    image = None if products is None else operate(model.U2, products[0])
-    U2, steps, residual = _cg(operate, rhs, model.U2, max_iters, tol, image)
-    return U2, BlockOutcome("cg", steps, residual, tol)
+        return _solve_right_exactly(grams, weights, params.eta, rhs), _EXACT
+    operate = partial(_right_operator, weights, data, params.eta)
+    U2, steps, residual = _cg(operate, rhs, model.U2, CG_MAX_STEPS, CG_TOL, operate(model.U2, products[0]))
+    return U2, BlockOutcome("cg", steps, residual)
 
 
-def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products=None) -> tuple[np.ndarray, np.ndarray]:
+def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Per-window quadratic data: C[k] = (U2'X_k X_k'U2) * (U1'U1) (Hadamard)
     and b[k] = diag(U2' X_k Y_k' U1), so the smooth loss in U3 is
     sum_k 1/2 u_k' C_k u_k - b_k' u_k + 1/2 ||Y||^2 with u_k = U3[k];
-    ``products`` is (X'U2, Y'U1) or None."""
+    ``products`` is (X'U2, Y'U1)."""
     shape = (-1, model.T, model.R)
-    G, F = _products(model, data) if products is None else products
+    G, F = products
     G = G.reshape(shape).transpose(1, 0, 2)  # G[k] = X_k' U2
     F = F.reshape(shape).transpose(1, 0, 2)  # F[k] = Y_k' U1
     C = (G.transpose(0, 2, 1) @ G) * (model.U1.T @ model.U1)
@@ -554,8 +551,8 @@ def _active_penalty(params: Hyperparams, T: int) -> str:
     return params.reg.kind if params.reg.beta > 0 and T >= 2 else "none"
 
 
-def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *,
-                    products=None) -> tuple[np.ndarray, BlockOutcome]:
+def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams,
+                    products: tuple) -> tuple[np.ndarray, BlockOutcome]:
     """Minimize the cost over U3; returns (new U3, :class:`BlockOutcome`).
 
     Without temporal smoothing (or with a single window, where no difference
@@ -563,7 +560,7 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     H_k = C_k + I/eta, an ``exact`` outcome.  The spline penalty couples
     the windows through the block-tridiagonal Hessian
     blockdiag(C_k + I/eta) + beta D'D kron I_R, solved by warm-started CG
-    to ``CG_TOL``, capped at ``params.cg_max_iters`` steps, a ``cg``
+    to ``CG_TOL``, capped at ``CG_MAX_STEPS`` steps, a ``cg``
     outcome with the CG's relative residual ||b - H U3|| / ||b||.  Its
     diagonal blocks C_k + (1/eta + beta d_k) I, d the diagonal of D'D, are
     formed in place once per update (:func:`_temporal_hessian`), so each
@@ -574,8 +571,8 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     a dense solve, from the face of the incoming U3, and ends on the face
     minimizer whose dual residual (:func:`_tv_dual_residual`) is at most
     ``SWEEP_TOL``, the block minimizer.  Exact column sweeps by the weighted
-    TV prox are its fallback.  ``params.pg_max_iters`` caps the sweeps and
-    the face solves of each face iteration.  Its outcome is ``face`` or
+    TV prox are its fallback.  ``TV_MAX_STEPS`` caps the sweeps and the
+    face solves of each face iteration.  Its outcome is ``face`` or
     ``sweeps``, by which iterate it returned, with the face solves plus the
     sweeps it ran and the dual residual of its U3, whichever stop it took.
     ``products`` is as in :func:`update_left`.
@@ -584,14 +581,14 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams, *
     C, b = _temporal_quadratic(model, data, products)
     H, spline_beta = _temporal_hessian(C, params)
     if spline_beta:
-        U3, steps, residual = _cg(partial(_temporal_hessian_apply, H, spline_beta), b, model.U3, params.cg_max_iters)
-        return U3, BlockOutcome("cg", steps, residual, CG_TOL)
+        U3, steps, residual = _cg(partial(_temporal_hessian_apply, H, spline_beta), b, model.U3, CG_MAX_STEPS, CG_TOL)
+        return U3, BlockOutcome("cg", steps, residual)
     if _active_penalty(params, model.T) == "none":
         return np.linalg.solve(H, b[..., None])[..., 0], _EXACT
-    return _temporal_tv_sweeps(H, b, model.U3, params.reg.beta, params.pg_max_iters)
+    return _temporal_tv_sweeps(H, b, model.U3, params.reg.beta)
 
 
-def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
+def _temporal_tv_sweeps(H, b, U3_init, beta):
     """Minimize sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U3), with
     u_k = U3[k], over U3 by a primal-dual active set on faces, with cyclic
     column sweeps as the fallback.
@@ -613,12 +610,12 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
 
     The column sweeps (:func:`_column_sweeps`, from ``U3_init`` on) are
     the fallback.  One sweep runs when the face iteration meets a face of
-    more than ``FACE_MAX_SEGMENTS`` segments, spends ``max_iters`` face
+    more than ``FACE_MAX_SEGMENTS`` segments, spends ``TV_MAX_STEPS`` face
     solves, or finds nothing to exchange without certifying, and the face
     iteration then restarts from the sweep's face.  The update returns the
     last sweep iterate once a sweep moves no entry by more than
     ``SWEEP_TOL * max|U3|``, or when the face iteration after sweep
-    ``max_iters`` does not certify.  So it returns either the certified
+    ``TV_MAX_STEPS`` does not certify.  So it returns either the certified
     block minimizer or a sweep iterate, and never raises the objective.
 
     Returns (U3, :class:`BlockOutcome`): ``face`` or ``sweeps``, by which
@@ -631,7 +628,7 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
             break
         signs = _jump_signs(U, np.diff(U, axis=0))
         seen = {signs.tobytes()}
-        for _ in range(max_iters):
+        for _ in range(TV_MAX_STEPS):
             face = _face_solve(H, b, signs, beta)
             if face is None:
                 break
@@ -641,7 +638,7 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
             flipped = signs * differences < 0
             certificate = _tv_dual_residual(z, _jump_signs(face, differences), beta)
             if certificate <= SWEEP_TOL and not flipped.any():
-                return face, BlockOutcome("face", sweeps + face_solves, certificate, SWEEP_TOL)
+                return face, BlockOutcome("face", sweeps + face_solves, certificate)
             violated = flipped | ((signs == 0) & (np.abs(z[:-1]) > beta))
             if not violated.any():
                 break
@@ -651,10 +648,10 @@ def _temporal_tv_sweeps(H, b, U3_init, beta, max_iters):
                 violated.flat[np.flatnonzero(violated)[:-1]] = False
             signs = np.where(violated, exchanged, signs)
             seen.add(signs.tobytes())
-        if sweeps == max_iters:
+        if sweeps == TV_MAX_STEPS:
             break
     residual = _tv_dual_residual(_running_sums(H, b, U), _jump_signs(U, np.diff(U, axis=0)), beta)
-    return U, BlockOutcome("sweeps", sweeps + face_solves, residual, SWEEP_TOL)
+    return U, BlockOutcome("sweeps", sweeps + face_solves, residual)
 
 
 def _column_sweeps(H, b, U, beta):
@@ -875,14 +872,15 @@ def _log2_square_norm(values: np.ndarray) -> float:
 def _check_scales(data: SnapshotPair, params: Hyperparams) -> None:
     """Reject data and hyperparameters whose squares are not normal float64s.
 
-    ||X||^2, ||Y||^2, (1/eta)^2 and, with the spline penalty, (4 beta)^2 set
-    the scale of every quantity the fit forms; zero data is left to
-    :func:`_spectral_factors`.
+    ||X||^2, ||Y||^2, (1/eta)^2 and, with an active spline or TV penalty,
+    (4 beta)^2 set the scale of every quantity the fit forms; zero data is
+    left to :func:`_spectral_factors`.  log2 (4 beta)^2 is taken as
+    2 (2 + log2 beta), which stays finite where 4 beta overflows.
     """
     scales = {"||X||^2": _log2_square_norm(data.X), "||Y||^2": _log2_square_norm(data.Y),
               "(1/eta)^2": -2.0 * math.log2(params.eta)}
-    if _active_penalty(params, data.T) == "spline":
-        scales["(4 beta)^2"] = 2.0 * math.log2(4.0 * params.reg.beta)
+    if _active_penalty(params, data.T) != "none":
+        scales["(4 beta)^2"] = 2.0 * (2.0 + math.log2(params.reg.beta))
     low, high = _LOG2_NORMAL_RANGE
     for name, log2_value in scales.items():
         if log2_value != -math.inf and not low <= log2_value < high:
@@ -953,8 +951,9 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     for the exact U2 solve, the window Grams X_k X_k'.  The iterate is
     carried as plain arrays (:class:`_Iterate`) and validated once, as the
     returned :class:`CpFactors`; each outer iteration checks instead that
-    the costs of its sweep and of its trial are finite, and raises
-    :class:`NonFiniteError` at the first that is not.
+    the cost of its sweep is finite, and raises :class:`NonFiniteError` when
+    it is not.  A trial whose cost is inf or NaN is not lower, so it is
+    rejected.
 
     The fit runs in orthonormal bases Q_x of range(X) and Q_y of range(Y),
     each from one thin QR of the matrix of all transitions and square when
@@ -982,15 +981,15 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     for it in range(1, params.max_outer_iters + 1):
         start, start_products = model, products
         laps = [time.perf_counter()]
-        U1 = update_left(model, work, params.eta, products=products)
+        U1, left = update_left(model, work, params, products)
         model = _Iterate(U1, model.U2, model.U3, model.affine)
         products = (products[0], _transitions(work.Y) @ U1)
         laps.append(time.perf_counter())
-        U2, right = update_right(model, work, params.eta, params.cg_max_iters, products=products)
+        U2, right = update_right(model, work, params, products)
         model = _Iterate(model.U1, U2, model.U3, model.affine)
         products = (_transitions(work.X) @ U2, products[1])
         laps.append(time.perf_counter())
-        U3, temporal = update_temporal(model, work, params, products=products)
+        U3, temporal = update_temporal(model, work, params, products)
         model = _Iterate(model.U1, model.U2, U3, model.affine)
         laps.append(time.perf_counter())
 
@@ -1001,8 +1000,8 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
                          model.affine)
         trial_products = _extrapolate(products, start_products, steps)
         trial_value = _quadratic_loss(trial, trial_products, work.half_energy)
-        trial_cost = _finite_cost(trial_value + _regularization(trial, params), trial, it)
-        extrapolated = trial_cost < c
+        trial_cost = trial_value + _regularization(trial, params)
+        extrapolated = trial_cost < c  # False for an inf or NaN trial cost
         if extrapolated:
             model, products, value, c = trial, trial_products, trial_value, trial_cost
         else:
@@ -1023,7 +1022,7 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
 
         cost_trace.append(c)
         rmse_trace.append(_rmse_from_loss(value, data))
-        record = OuterIteration(_EXACT, right, temporal, extrapolated, max(0.0, c - prev_cost) / (1.0 + abs(prev_cost)),
+        record = OuterIteration(left, right, temporal, extrapolated, max(0.0, c - prev_cost) / (1.0 + abs(prev_cost)),
                                 *np.diff(laps).tolist())
         outer.append(record)
         logger.info("iter %d: cost=%.17g rmse=%.17g %s", it, c, rmse_trace[-1], record)

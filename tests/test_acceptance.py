@@ -229,10 +229,18 @@ def fd_gradient(func, mat, h=1e-5):
     return g
 
 
-def right_update_deviations():
+def tight_cg(monkeypatch):
+    """Give every CG 300 steps and a 1e-13 tolerance; the exact U2 solve is
+    then chosen against 300 CG steps."""
+    monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", 300)
+    monkeypatch.setattr(lrtvar.solver, "CG_TOL", 1e-13)
+
+
+def right_update_deviations(monkeypatch):
     """Worst absolute and relative deviation of ``update_right`` from the
     Kronecker solve, and the set of its reported CG iteration counts, on 20
     small random problems."""
+    tight_cg(monkeypatch)
     rng = np.random.default_rng(5)
     worst, worst_relative, iterations = 0.0, 0.0, set()
     for _ in range(20):
@@ -243,16 +251,16 @@ def right_update_deviations():
         model = CpFactors(rng.standard_normal((N, R)), rng.standard_normal((N, R)), rng.standard_normal((T, R)))
         data = SnapshotPair(X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)), M=M, T=T)
         ref = kron_solve_right(model, data, eta=0.5)
-        out, outcome = update_right(model, data, eta=0.5, max_iters=300, tol=1e-13)
+        out, outcome = update_right(model, data, Hyperparams(R=R, eta=0.5), lrtvar.solver._products(model, data))
         worst = max(worst, float(np.abs(out - ref).max()))
         worst_relative = max(worst_relative, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
         iterations.add(outcome.steps)
     return worst, worst_relative, iterations
 
 
-def test_criterion_5a_right_update_vs_kronecker():
+def test_criterion_5a_right_update_vs_kronecker(monkeypatch):
     # these small systems take the exact dense solve
-    worst, worst_relative, iterations = right_update_deviations()
+    worst, worst_relative, iterations = right_update_deviations(monkeypatch)
     ok = worst_relative <= 1e-10 and iterations == {0}
     report(5, "oracle-a-kronecker", ok, f"worst relative deviation {worst_relative:.2e}, worst abs {worst:.2e}")
     assert ok
@@ -261,6 +269,7 @@ def test_criterion_5a_right_update_vs_kronecker():
 def test_criterion_5a_right_update_on_a_fit_workspace_vs_kronecker(monkeypatch):
     # the exact solve on a fit's workspace forms the window Grams once and
     # reuses them for every later U2 update of the fit
+    tight_cg(monkeypatch)
     grams = lrtvar.solver._window_grams
     formed = []
     monkeypatch.setattr(lrtvar.solver, "_window_grams", lambda data: formed.append(None) or grams(data))
@@ -277,7 +286,7 @@ def test_criterion_5a_right_update_on_a_fit_workspace_vs_kronecker(monkeypatch):
             model = CpFactors(rng.standard_normal((work.N, R)), rng.standard_normal((work.N_in, R)),
                               rng.standard_normal((T, R)))
             ref = kron_solve_right(model, work, eta=0.5)
-            out, outcome = update_right(model, work, eta=0.5, max_iters=300, tol=1e-13)
+            out, outcome = update_right(model, work, Hyperparams(R=R, eta=0.5), lrtvar.solver._products(model, work))
             worst_relative = max(worst_relative, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
             iterations.add(outcome.steps)
         assert len(formed) == case + 1
@@ -289,7 +298,7 @@ def test_criterion_5a_right_update_on_a_fit_workspace_vs_kronecker(monkeypatch):
 def test_criterion_5a_right_update_cg_vs_kronecker(monkeypatch):
     # the same systems solved by the conjugate gradients the large ones take
     monkeypatch.setattr(lrtvar.solver, "_direct_right_solve_is_cheaper", lambda *shape: False)
-    worst, _, iterations = right_update_deviations()
+    worst, _, iterations = right_update_deviations(monkeypatch)
     ok = worst <= 1e-6 and 0 not in iterations
     report(5, "oracle-a-kronecker-cg", ok, f"worst abs deviation {worst:.2e}")
     assert ok
@@ -304,7 +313,7 @@ def test_criterion_5b_temporal_update_vs_hadamard():
         T = int(rng.integers(2, 6))
         model = CpFactors(rng.standard_normal((N, R)), rng.standard_normal((N, R)), rng.standard_normal((T, R)))
         data = SnapshotPair(X=rng.standard_normal((N, 5, T)), Y=rng.standard_normal((N, 5, T)), M=5, T=T)
-        out, _ = update_temporal(model, data, Hyperparams(R=R, eta=0.8))
+        out, _ = update_temporal(model, data, Hyperparams(R=R, eta=0.8), lrtvar.solver._products(model, data))
         ref = hadamard_solve_temporal(model, data, eta=0.8)
         worst = max(worst, float(np.abs(out - ref).max()))
     ok = worst <= 1e-10

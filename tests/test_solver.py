@@ -19,9 +19,11 @@ import lrtvar.regularizers
 import lrtvar.solver
 from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import (
+    CG_MAX_STEPS,
     CG_TOL,
     MONOTONE_SLACK,
     SWEEP_TOL,
+    TV_MAX_STEPS,
     Hyperparams,
     OuterIteration,
     cost,
@@ -193,7 +195,7 @@ class TestUpdateLeft:
         model = random_model(rng, 4, 4, 5, 2)
         data = exact_data(rng, model, M=8)
         perturbed = CpFactors(rng.standard_normal((4, 2)), model.U2, model.U3)
-        U1_new = update_left(perturbed, data, eta=1e12)
+        U1_new, _ = update_left(perturbed, data, Hyperparams(R=2, eta=1e12), _products(perturbed, data))
         assert np.allclose(U1_new, model.U1, atol=1e-5)
 
     def test_never_increases_cost(self):
@@ -203,7 +205,7 @@ class TestUpdateLeft:
             data = random_data(rng, 4, 5, 3)
             params = Hyperparams(R=2, eta=0.5)
             before = cost(model, data, params)
-            model2 = CpFactors(update_left(model, data, 0.5), model.U2, model.U3)
+            model2 = CpFactors(update_left(model, data, params, _products(model, data))[0], model.U2, model.U3)
             assert cost(model2, data, params) <= before + 1e-12 * (1 + before)
 
     def test_fd_gradient_vanishes_at_update(self):
@@ -211,7 +213,7 @@ class TestUpdateLeft:
         model = random_model(rng, 4, 4, 3, 2)
         data = random_data(rng, 4, 6, 3)
         params = Hyperparams(R=2, eta=0.8)
-        model = CpFactors(update_left(model, data, 0.8), model.U2, model.U3)
+        model = CpFactors(update_left(model, data, params, _products(model, data))[0], model.U2, model.U3)
         g = fd_gradient(lambda: smooth_cost(model, data, params), model.U1)
         assert np.linalg.norm(g) <= 1e-8
 
@@ -291,28 +293,37 @@ def force_cg(monkeypatch):
     monkeypatch.setattr(lrtvar.solver, "_direct_right_solve_is_cheaper", lambda *shape: False)
 
 
+def tight_cg(monkeypatch, steps):
+    """Give every CG ``steps`` steps and a 1e-13 tolerance; the exact U2
+    solve is then chosen against ``steps`` CG steps."""
+    monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", steps)
+    monkeypatch.setattr(lrtvar.solver, "CG_TOL", 1e-13)
+
+
 def cg_side_data(rng):
     """Data with 20 channels and 20 transitions, whose U2 system at rank 4
     is solved by CG even at the default cap, in full and in range coordinates."""
     data = random_data(rng, 20, 5, 4)
-    assert not _direct_right_solve_is_cheaper(20, 5, 4, 4, Hyperparams(R=4, eta=1.0).cg_max_iters)
+    assert not _direct_right_solve_is_cheaper(20, 5, 4, 4)
     return data
 
 
 class TestUpdateRight:
-    def test_matches_kronecker_oracle(self):
+    def test_matches_kronecker_oracle(self, monkeypatch):
         # small systems take the exact dense solve
+        tight_cg(monkeypatch, 200)
         for model, data in small_right_problems():
             ref = kron_oracle_right(model, data, eta=0.5)
-            out, outcome = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
+            out, outcome = update_right(model, data, Hyperparams(R=model.R, eta=0.5), _products(model, data))
             assert outcome.method == "exact"
             assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref), (model.N, model.R, model.T, data.M)
 
     def test_cg_matches_kronecker_oracle(self, monkeypatch):
         force_cg(monkeypatch)
+        tight_cg(monkeypatch, 200)
         for model, data in small_right_problems():
             ref = kron_oracle_right(model, data, eta=0.5)
-            out, outcome = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
+            out, outcome = update_right(model, data, Hyperparams(R=model.R, eta=0.5), _products(model, data))
             assert outcome.method == "cg" and outcome.steps > 0
             assert np.allclose(out, ref, atol=1e-6)
 
@@ -330,9 +341,9 @@ class TestUpdateRight:
             data, params = benchmark_setting(name)
         work = _range_data(data)
         assert (work.N_in, params.R) == (rows, R)
-        assert _direct_right_solve_is_cheaper(work.N_in, work.M, work.T, params.R, params.cg_max_iters) is direct
+        assert _direct_right_solve_is_cheaper(work.N_in, work.M, work.T, params.R) is direct
         model = initialize(work, params)
-        _, outcome = update_right(model, work, params.eta, params.cg_max_iters)
+        _, outcome = update_right(model, work, params, _products(model, work))
         assert (outcome.method == "exact") is direct
 
     def test_never_increases_cost_beyond_slack(self):
@@ -342,7 +353,7 @@ class TestUpdateRight:
             data = random_data(rng, 5, 4, 3)
             params = Hyperparams(R=2, eta=0.5)
             before = cost(model, data, params)
-            U2, _ = update_right(model, data, 0.5)
+            U2, _ = update_right(model, data, params, _products(model, data))
             model2 = CpFactors(model.U1, U2, model.U3)
             after = cost(model2, data, params)
             assert after <= before + 1e-8 * (1 + abs(before))
@@ -350,13 +361,14 @@ class TestUpdateRight:
     def test_capped_cg_never_increases_cost(self, monkeypatch):
         # CG warm-starts from the current U2, so even two steps cannot raise the cost
         force_cg(monkeypatch)
+        monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", 2)
         rng = np.random.default_rng(51)
         for _ in range(10):
             model = random_model(rng, 5, 5, 3, 2)
             data = random_data(rng, 5, 4, 3)
             params = Hyperparams(R=2, eta=0.5)
             before = cost(model, data, params)
-            U2, outcome = update_right(model, data, 0.5, max_iters=2)
+            U2, outcome = update_right(model, data, params, _products(model, data))
             assert outcome.steps == 2
             assert cost(CpFactors(model.U1, U2, model.U3), data, params) <= before + 1e-8 * (1 + abs(before))
 
@@ -366,17 +378,21 @@ class TestUpdateRight:
         force_cg(monkeypatch)
         rng = np.random.default_rng(0)
         model, data = random_model(rng, 3, 3, 4, 2), random_data(rng, 3, 5, 4)
-        _, outcome = update_right(model, data, 0.5, max_iters=6)
+        params, products = Hyperparams(R=2, eta=0.5), _products(model, data)
+        monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", 6)
+        _, outcome = update_right(model, data, params, products)
         assert outcome.steps == 6 and outcome.residual <= CG_TOL and not outcome.capped
-        _, outcome = update_right(model, data, 0.5, max_iters=5)
+        monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", 5)
+        _, outcome = update_right(model, data, params, products)
         assert outcome.steps == 5 and outcome.residual > CG_TOL and outcome.capped
 
-    def test_exact_data_fixed_point(self):
+    def test_exact_data_fixed_point(self, monkeypatch):
+        tight_cg(monkeypatch, 100)
         rng = np.random.default_rng(52)
         model = random_model(rng, 4, 4, 4, 2)
         data = exact_data(rng, model, M=8)
         perturbed = CpFactors(model.U1, model.U2 + 0.3 * rng.standard_normal((4, 2)), model.U3)
-        U2_new, _ = update_right(perturbed, data, eta=1e12, max_iters=100, tol=1e-13)
+        U2_new, _ = update_right(perturbed, data, Hyperparams(R=2, eta=1e12), _products(perturbed, data))
         assert np.allclose(U2_new, model.U2, atol=1e-4)
 
 
@@ -436,7 +452,7 @@ class TestSplineHessian:
         data = random_data(rng, 5, 3, T)
         params = Hyperparams(R=R, eta=0.7, reg=Regularizer("spline", 2.5))
         A, _ = spline_dense_system(model, data, eta=0.7, beta=2.5)
-        H, spline_beta = _temporal_hessian(_temporal_quadratic(model, data)[0], params)
+        H, spline_beta = _temporal_hessian(_temporal_quadratic(model, data, _products(model, data))[0], params)
         assert spline_beta == 2.5
         for _ in range(3):
             U = rng.standard_normal((T, R))
@@ -449,7 +465,7 @@ class TestSplineHessian:
         rng = np.random.default_rng(122)
         model = random_model(rng, 5, 5, 6, 3)
         data = random_data(rng, 5, 3, 6)
-        C = _temporal_quadratic(model, data)[0]
+        C = _temporal_quadratic(model, data, _products(model, data))[0]
         H, spline_beta = _temporal_hessian(C.copy(), Hyperparams(R=3, eta=0.7, reg=reg))
         assert spline_beta == 0.0
         assert np.array_equal(H, C + np.eye(3) / 0.7)
@@ -465,7 +481,7 @@ class TestUpdateTemporal:
             model = random_model(rng, N, N, T, R)
             data = random_data(rng, N, 5, T)
             params = Hyperparams(R=R, eta=0.8)
-            out, _ = update_temporal(model, data, params)
+            out, _ = update_temporal(model, data, params, _products(model, data))
             ref = temporal_dense_oracle(model, data, eta=0.8)
             assert np.allclose(out, ref, atol=1e-10)
 
@@ -474,20 +490,21 @@ class TestUpdateTemporal:
         model = random_model(rng, 4, 4, 4, 2)
         data = random_data(rng, 4, 5, 4)
         params = Hyperparams(R=2, eta=0.9)
-        U3, _ = update_temporal(model, data, params)
+        U3, _ = update_temporal(model, data, params, _products(model, data))
         model = CpFactors(model.U1, model.U2, U3)
         g = fd_gradient(lambda: smooth_cost(model, data, params), model.U3)
         assert np.linalg.norm(g) <= 1e-8
 
-    def test_tv_saturation_matches_constant_minimizer(self):
+    def test_tv_saturation_matches_constant_minimizer(self, monkeypatch):
+        monkeypatch.setattr(lrtvar.solver, "TV_MAX_STEPS", 200)
         rng = np.random.default_rng(55)
         model = random_model(rng, 3, 3, 6, 2)
         data = random_data(rng, 3, 4, 6)
-        params = Hyperparams(R=2, eta=0.5, reg=Regularizer("tv", 1e8), pg_max_iters=200)
-        U3, _ = update_temporal(model, data, params)
+        params = Hyperparams(R=2, eta=0.5, reg=Regularizer("tv", 1e8))
+        U3, _ = update_temporal(model, data, params, _products(model, data))
         assert np.all(np.abs(U3 - U3[0]) < 1e-6)
         # unique minimizer over constant-column matrices
-        C, b = _temporal_quadratic(model, data)
+        C, b = _temporal_quadratic(model, data, _products(model, data))
         A = C.sum(axis=0) + (data.T / 0.5) * np.eye(2)
         c_star = np.linalg.solve(A, b.sum(axis=0))
         assert np.allclose(U3[0], c_star, atol=1e-6)
@@ -499,11 +516,12 @@ class TestUpdateTemporal:
             data = random_data(rng, 4, 4, 5)
             params = Hyperparams(R=2, eta=0.7, reg=Regularizer("spline", 2.0))
             before = cost(model, data, params)
-            U3, _ = update_temporal(model, data, params)
+            U3, _ = update_temporal(model, data, params, _products(model, data))
             after = cost(CpFactors(model.U1, model.U2, U3), data, params)
             assert after <= before + 1e-8 * (1 + abs(before))
 
-    def test_spline_matches_dense_block_tridiagonal_oracle(self):
+    def test_spline_matches_dense_block_tridiagonal_oracle(self, monkeypatch):
+        monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", 500)
         rng = np.random.default_rng(72)
         for _ in range(10):
             N = int(rng.integers(2, 7))
@@ -511,18 +529,19 @@ class TestUpdateTemporal:
             T = int(rng.integers(2, 9))
             model = random_model(rng, N, N, T, R)
             data = random_data(rng, N, 4, T)
-            params = Hyperparams(R=R, eta=0.7, reg=Regularizer("spline", 2.0), cg_max_iters=500)
-            out, _ = update_temporal(model, data, params)
+            params = Hyperparams(R=R, eta=0.7, reg=Regularizer("spline", 2.0))
+            out, _ = update_temporal(model, data, params, _products(model, data))
             ref = spline_dense_oracle(model, data, eta=0.7, beta=2.0)
             assert np.allclose(out, ref, atol=1e-6), (N, R, T)
 
-    def test_tv_reaches_prox_gradient_fixed_point(self):
+    def test_tv_reaches_prox_gradient_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(lrtvar.solver, "TV_MAX_STEPS", 5000)
         rng = np.random.default_rng(73)
         for _ in range(5):
             model = random_model(rng, 4, 4, 6, 2)
             data = random_data(rng, 4, 5, 6)
-            params = Hyperparams(R=2, eta=0.7, reg=Regularizer("tv", 1.5), pg_max_iters=5000)
-            U3, _ = update_temporal(model, data, params)
+            params = Hyperparams(R=2, eta=0.7, reg=Regularizer("tv", 1.5))
+            U3, _ = update_temporal(model, data, params, _products(model, data))
             C = np.stack([temporal_window_matrix(model, data, k) for k in range(data.T)])
             L = max(np.linalg.eigvalsh(Ck).max() for Ck in C) + 1 / 0.7
             g = grad_temporal(CpFactors(model.U1, model.U2, U3), data, params)
@@ -535,7 +554,7 @@ class TestUpdateTemporal:
             data = random_data(rng, 4, 4, 5)
             params = Hyperparams(R=2, eta=0.7, reg=Regularizer("tv", 1.5))
             before = cost(model, data, params)
-            U3, _ = update_temporal(model, data, params)
+            U3, _ = update_temporal(model, data, params, _products(model, data))
             after = cost(CpFactors(model.U1, model.U2, U3), data, params)
             assert after <= before + 1e-8 * (1 + abs(before))
 
@@ -546,7 +565,9 @@ class TestUpdateTemporal:
         data = build_snapshots(truth.series, M=20)
         params = Hyperparams(R=8, eta=0.1, reg=Regularizer("tv", 5.0), seed=1, max_outer_iters=3)
         model, _ = fit(data, params)
-        U3, outcome = update_temporal(model, data, replace(params, pg_max_iters=3000))
+        with monkeypatch.context() as patched:
+            patched.setattr(lrtvar.solver, "TV_MAX_STEPS", 3000)
+            U3, outcome = update_temporal(model, data, params, _products(model, data))
         assert not outcome.capped
         model = CpFactors(model.U1, model.U2, U3)
         calls = []
@@ -556,7 +577,7 @@ class TestUpdateTemporal:
             return tv_prox_columns(*args)
 
         monkeypatch.setattr(lrtvar.solver, "tv_prox_columns", counted)
-        U3_again, outcome = update_temporal(model, data, params)
+        U3_again, outcome = update_temporal(model, data, params, _products(model, data))
         assert calls == []
         assert outcome.method == "face" and type(outcome.steps) is int and outcome.steps >= 1
         assert outcome.residual <= SWEEP_TOL
@@ -582,12 +603,14 @@ def counted_prox(monkeypatch):
     return calls
 
 
-def tv_update(H, b, U0, beta, max_iters):
-    """The (U3, outcome) of ``_temporal_tv_sweeps`` and the fallback sweeps
-    it ran, counted from its prox calls."""
+def tv_update(H, b, U0, beta, max_steps):
+    """The (U3, outcome) of ``_temporal_tv_sweeps`` with ``TV_MAX_STEPS``
+    set to ``max_steps``, and the fallback sweeps it ran, counted from its
+    prox calls."""
     with pytest.MonkeyPatch.context() as patched:
         calls = counted_prox(patched)
-        U, outcome = _temporal_tv_sweeps(H, b, U0, beta, max_iters)
+        patched.setattr(lrtvar.solver, "TV_MAX_STEPS", max_steps)
+        U, outcome = _temporal_tv_sweeps(H, b, U0, beta)
     return U, outcome, len(calls) // U0.shape[1]
 
 
@@ -656,7 +679,7 @@ class TestFaceStep:
             model = random_model(rng, 4, 4, T, 3)
             data = random_data(rng, 4, 5, T)
             params = Hyperparams(R=3, eta=0.7, reg=Regularizer("tv", 1.5))
-            U3, outcome = update_temporal(model, data, params)
+            U3, outcome = update_temporal(model, data, params, _products(model, data))
             assert not outcome.capped
             C = np.stack([temporal_window_matrix(model, data, k) for k in range(data.T)])
             L = max(np.linalg.eigvalsh(Ck).max() for Ck in C) + 1 / 0.7
@@ -740,7 +763,7 @@ class TestFaceStep:
         rng = np.random.default_rng(406)
         T, R, beta = 25, 3, 0.5
         H, b = random_tv_block(rng, T, R)
-        U, outcome = _temporal_tv_sweeps(H, b, rng.standard_normal((T, R)), beta, 40)
+        U, outcome = _temporal_tv_sweeps(H, b, rng.standard_normal((T, R)), beta)
         tol = SWEEP_TOL * np.abs(U).max()
         assert np.any(np.abs(np.diff(U, axis=0)) > tol) and np.any(np.diff(U, axis=0) == 0)
         assert outcome.residual <= SWEEP_TOL
@@ -784,7 +807,7 @@ class TestFaceStep:
             update = events[start + 1:end]
             U3, outcome = events[end][1]
             assert {name for name, _ in update} == {"face"}
-            assert outcome.method == "face" and 1 <= outcome.steps == len(update) // 2 <= params.pg_max_iters
+            assert outcome.method == "face" and 1 <= outcome.steps == len(update) // 2 <= TV_MAX_STEPS
             assert outcome.residual <= SWEEP_TOL and update[-1][1] is U3
 
     def test_first_update_of_the_long_weak_tv_fit_certifies(self, monkeypatch):
@@ -830,7 +853,7 @@ class TestFaceStep:
         monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 0)
         _, report = fit(data, params)
         outcomes = [o.temporal for o in report.outer]
-        assert all(o.method == "sweeps" and o.steps < params.pg_max_iters for o in outcomes)
+        assert all(o.method == "sweeps" and o.steps < TV_MAX_STEPS for o in outcomes)
         assert all(o.residual > SWEEP_TOL and o.capped for o in outcomes)
         assert "capped U3 solves: 3 of 3" in report.summary()
         monkeypatch.undo()
@@ -876,10 +899,10 @@ class TestFaceStep:
         original = lrtvar.solver.update_temporal
         recomputed = []
 
-        def spy(model, data, params, **kwargs):
-            U3, outcome = original(model, data, params, **kwargs)
+        def spy(model, data, params, products):
+            U3, outcome = original(model, data, params, products)
             gradient = grad_temporal(replace(model, U3=U3), data, params)
-            recomputed.append(np.linalg.norm(gradient) / np.linalg.norm(_temporal_quadratic(model, data)[1]))
+            recomputed.append(np.linalg.norm(gradient) / np.linalg.norm(_temporal_quadratic(model, data, products)[1]))
             return U3, outcome
 
         monkeypatch.setattr(lrtvar.solver, "update_temporal", spy)
@@ -1051,15 +1074,37 @@ class TestFit:
             (1.0, {"eta": 1e-300}),  # (1/eta)^2 overflows
             (1.0, {"reg": Regularizer("spline", 1e300)}),  # (4 beta)^2 overflows
             (1e-170, {}),  # ||X||^2 underflows: tiny data, not zero data
+            (1.0, {"reg": Regularizer("tv", 2e307)}),  # (4 beta)^2 overflows under TV too
+            (1.0, {"reg": Regularizer("tv", 1e-160)}),  # (4 beta)^2 underflows
+            (1.0, {"reg": Regularizer("tv", 1.7e308)}),  # 4 beta overflows as well
         ],
-        ids=["series-1e160", "eta-1e-300", "spline-beta-1e300", "series-1e-170"],
+        ids=["series-1e160", "eta-1e-300", "spline-beta-1e300", "series-1e-170", "tv-beta-2e307", "tv-beta-1e-160",
+             "tv-beta-1.7e308"],
     )
-    def test_extreme_scales_rejected_at_entry(self, scale, changes):
+    def test_extreme_scales_rejected_at_entry(self, scale, changes, monkeypatch):
         truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=0)
         data = build_snapshots(TimeSeries(values=scale * truth.series.values), M=20)
         params = replace(Hyperparams(R=8, eta=0.1, seed=0), **changes)
-        with pytest.raises(ExtremeScaleError, match="standardize"):
+        monkeypatch.setattr(lrtvar.solver, "initialize", lambda *args: pytest.fail("the fit started"))
+        with pytest.raises(ExtremeScaleError, match="standardize") as raised:
             fit(data, params)
+        assert "2^inf" not in str(raised.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_trial_whose_cost_overflows_is_rejected(self, monkeypatch):
+        # x1.2e152 passes the entry checks; the extrapolation trial of outer
+        # iteration 1 has finite factors but a loss that overflows to inf
+        truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=0)
+        data = build_snapshots(TimeSeries(values=1.2e152 * truth.series.values), M=20)
+        losses = []
+        quadratic_loss = lrtvar.solver._quadratic_loss
+        monkeypatch.setattr(lrtvar.solver, "_quadratic_loss",
+                            lambda *args: losses.append(quadratic_loss(*args)) or losses[-1])
+        _, report = fit(data, Hyperparams(R=8, eta=0.1, reg=Regularizer("tv", 5.0), seed=0, max_outer_iters=30))
+        assert losses[2] == np.inf and not report.outer[0].extrapolated  # initialization, sweep, trial
+        trace = np.array(report.cost_trace)
+        assert report.iterations == 30 and np.all(np.isfinite(trace)) and np.all(np.isfinite(report.rmse_trace))
+        assert np.all(np.diff(trace) <= MONOTONE_SLACK * (1 + np.abs(trace[:-1])))
 
     def test_logs_one_line_per_outer_iteration(self, caplog):
         rng = np.random.default_rng(72)
@@ -1095,17 +1140,18 @@ class TestFit:
         assert formatted == []
 
     @pytest.mark.parametrize(
-        "changes, face_limit, block",
-        [({"reg": Regularizer("tv", 0.5), "pg_max_iters": 1}, 0, "temporal"),
-         ({"cg_max_iters": 1}, lrtvar.solver.FACE_MAX_SEGMENTS, "right")],
+        "changes, budget, face_limit, block",
+        [({"reg": Regularizer("tv", 0.5)}, "TV_MAX_STEPS", 0, "temporal"),
+         ({}, "CG_MAX_STEPS", lrtvar.solver.FACE_MAX_SEGMENTS, "right")],
         ids=["tv-one-sweep", "cg-one-step"],
     )
-    def test_inner_solves_report_hitting_their_cap(self, changes, face_limit, block, monkeypatch):
+    def test_inner_solves_report_hitting_their_cap(self, changes, budget, face_limit, block, monkeypatch):
         # a U2 system on the CG side of the selection, so that its cap can be
         # hit; with no face small enough to solve, the TV update is one sweep
         monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", face_limit)
         rng = np.random.default_rng(75)
         data = cg_side_data(rng)
+        monkeypatch.setattr(lrtvar.solver, budget, 1)
         _, report = fit(data, Hyperparams(R=4, eta=0.5, seed=1, max_outer_iters=5, **changes))
         assert len(report.outer) == report.iterations
         assert all(type(o.right.capped) is bool and type(o.temporal.capped) is bool for o in report.outer)
@@ -1121,15 +1167,16 @@ class TestFit:
         original = lrtvar.solver.update_right
         recomputed = []
 
-        def spy(model, data, eta, max_iters, **kwargs):
-            U2, outcome = original(model, data, eta, max_iters, **kwargs)
-            rhs = _right_rhs(model, data)
-            residual = rhs - _right_operator(_right_weights(model), data, eta, U2)
+        def spy(model, data, knobs, products):
+            U2, outcome = original(model, data, knobs, products)
+            rhs = _right_rhs(model, data, products)
+            residual = rhs - _right_operator(_right_weights(model), data, knobs.eta, U2)
             recomputed.append(np.linalg.norm(residual) / np.linalg.norm(rhs))
             return U2, outcome
 
         monkeypatch.setattr(lrtvar.solver, "update_right", spy)
-        _, report = fit(data, replace(params, max_outer_iters=8, cg_max_iters=cap))
+        monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", cap)
+        _, report = fit(data, replace(params, max_outer_iters=8))
         assert len(recomputed) == len(report.outer) == 8
         for record, residual in zip(report.outer, recomputed):
             assert record.right.method == "cg" and abs(record.right.residual - residual) <= 1e-12
@@ -1153,10 +1200,10 @@ class TestFit:
         original = lrtvar.solver.update_left
         calls = []
 
-        def nan_on_second_call(model, data, eta, **kwargs):
-            U1 = original(model, data, eta, **kwargs)
+        def nan_on_second_call(model, data, params, products):
+            U1, outcome = original(model, data, params, products)
             calls.append(None)
-            return np.full_like(U1, np.nan) if len(calls) == 2 else U1
+            return (np.full_like(U1, np.nan) if len(calls) == 2 else U1), outcome
 
         monkeypatch.setattr(lrtvar.solver, "update_left", nan_on_second_call)
         data, params = benchmark_setting("switching")
@@ -1188,7 +1235,7 @@ class TestFit:
         _, report = fit(data, params)
         assert len(report.outer) == report.iterations
         assert all(o.temporal.capped for o in report.outer)
-        assert [o.temporal.steps for o in report.outer] == [params.cg_max_iters] * report.iterations
+        assert [o.temporal.steps for o in report.outer] == [CG_MAX_STEPS] * report.iterations
 
     def test_cost_rise_is_recorded_and_warned(self, monkeypatch, caplog):
         rng = np.random.default_rng(76)
@@ -1196,8 +1243,8 @@ class TestFit:
         original = lrtvar.solver.update_temporal
         calls = []
 
-        def doubled_on_third_call(model, data, params, **kwargs):
-            U3, outcome = original(model, data, params, **kwargs)
+        def doubled_on_third_call(model, data, params, products):
+            U3, outcome = original(model, data, params, products)
             calls.append(None)
             return (2.0 * U3 if len(calls) == 3 else U3), outcome
 
@@ -1230,8 +1277,10 @@ class TestFit:
         rng = np.random.default_rng(77)
         with monkeypatch.context() as patched:
             patched.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 0)
-            _, report = fit(cg_side_data(rng), Hyperparams(R=4, eta=0.5, seed=1, max_outer_iters=5, cg_max_iters=1,
-                                                           reg=Regularizer("tv", 0.5), pg_max_iters=1))
+            data = cg_side_data(rng)
+            patched.setattr(lrtvar.solver, "CG_MAX_STEPS", 1)
+            patched.setattr(lrtvar.solver, "TV_MAX_STEPS", 1)
+            _, report = fit(data, Hyperparams(R=4, eta=0.5, seed=1, max_outer_iters=5, reg=Regularizer("tv", 0.5)))
         lines = report.summary().splitlines()
         assert "capped U2 solves: 5 of 5" in lines
         assert "capped U3 solves: 5 of 5" in lines
@@ -1278,9 +1327,9 @@ def full_data_trace(data, params, iterations):
     root = 3
     for it in range(1, iterations + 1):
         start = model
-        model = replace(model, U1=update_left(model, data, params.eta))
-        model = replace(model, U2=update_right(model, data, params.eta, params.cg_max_iters)[0])
-        model = replace(model, U3=update_temporal(model, data, params)[0])
+        model = replace(model, U1=update_left(model, data, params, _products(model, data))[0])
+        model = replace(model, U2=update_right(model, data, params, _products(model, data))[0])
+        model = replace(model, U3=update_temporal(model, data, params, _products(model, data))[0])
         steps = extrapolation_steps(model, it ** (1.0 / root))
         trial = CpFactors(*(U + steps * (U - U0) for U, U0 in zip((model.U1, model.U2, model.U3),
                                                                   (start.U1, start.U2, start.U3))),
@@ -1335,9 +1384,9 @@ class TestRangeSpaceFit:
         seen = []
         original = lrtvar.solver.update_left
 
-        def spy(model, data, eta, **kwargs):
+        def spy(model, data, params, products):
             seen.append((model.N, model.N_in, data.N, data.N_in))
-            return original(model, data, eta, **kwargs)
+            return original(model, data, params, products)
 
         monkeypatch.setattr(lrtvar.solver, "update_left", spy)
         data, params = range_case("affine-lags-2")
@@ -1452,13 +1501,13 @@ class TestExtrapolation:
         left, temporal = lrtvar.solver.update_left, lrtvar.solver.update_temporal
         lift = lrtvar.solver._change_spatial_basis
 
-        def left_spy(model, data, eta, **kwargs):
+        def left_spy(model, data, knobs, products):
             starts.append(model)
             seen.append(data)
-            return left(model, data, eta, **kwargs)
+            return left(model, data, knobs, products)
 
-        def temporal_spy(model, data, params, **kwargs):
-            U3, inner = temporal(model, data, params, **kwargs)
+        def temporal_spy(model, data, knobs, products):
+            U3, inner = temporal(model, data, knobs, products)
             sweeps.append(replace(model, U3=U3))
             return U3, inner
 
@@ -1566,16 +1615,17 @@ class TestWindowedSeriesLayout:
         [(4, 2, True, Regularizer("tv", 0.5)), (1, 1, False, Regularizer("spline", 2.0))],
         ids=["lags-affine", "single-transition-windows"],
     )
-    def test_contractions_match_oracles(self, M, P, affine, reg):
+    def test_contractions_match_oracles(self, M, P, affine, reg, monkeypatch):
         rng = np.random.default_rng(80)
         N, T, R = 3, 5, 2
         data = build_snapshots(TimeSeries(rng.standard_normal((N, P + M * T))), M=M, P=P, affine=affine)
         assert data.N_in == N * P + affine and data.T == T
         model = random_model(rng, N, data.N_in, T, R)
 
-        out, _ = update_right(model, data, eta=0.5, max_iters=200, tol=1e-13)
+        tight_cg(monkeypatch, 200)
+        out, _ = update_right(model, data, Hyperparams(R=R, eta=0.5), _products(model, data))
         assert np.allclose(out, kron_oracle_right(model, data, eta=0.5), atol=1e-6)
-        C, _ = _temporal_quadratic(model, data)
+        C, _ = _temporal_quadratic(model, data, _products(model, data))
         for k in range(T):
             assert np.allclose(C[k], temporal_window_matrix(model, data, k), rtol=1e-12, atol=1e-12)
         assert loss(model, data) == pytest.approx(loss_entrywise(model, data), rel=1e-12)
@@ -1624,10 +1674,8 @@ class TestHyperparams:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"R": 2.5}, {"R": True}, {"R": "2"}, {"max_outer_iters": 2.5}, {"cg_max_iters": 24.0},
-         {"pg_max_iters": 3.5}, {"pg_max_iters": True}, {"seed": 1.5}, {"seed": -1}, {"seed": None}],
-        ids=["R-float", "R-bool", "R-str", "max-outer-float", "cg-float", "pg-float", "pg-bool", "seed-float",
-             "seed-negative", "seed-none"],
+        [{"R": 2.5}, {"R": True}, {"R": "2"}, {"max_outer_iters": 2.5}, {"seed": 1.5}, {"seed": -1}, {"seed": None}],
+        ids=["R-float", "R-bool", "R-str", "max-outer-float", "seed-float", "seed-negative", "seed-none"],
     )
     def test_integer_knobs_validated_at_entry(self, changes):
         with pytest.raises(InvalidHyperparameterError):
@@ -1679,7 +1727,7 @@ class TestHyperparams:
     def test_defaults_match_documented_values(self):
         p = Hyperparams(R=2, eta=1.0)
         assert p.rtol == 1e-4 and p.atol == 1e-6
-        assert p.cg_max_iters == 24 and p.pg_max_iters == 40
+        assert CG_MAX_STEPS == 24 and TV_MAX_STEPS == 40
         assert p.max_outer_iters == 1000
 
 
