@@ -48,20 +48,33 @@ def smooth_beta_default(N: int) -> float:
     return 600.0 * float(np.log10(N)) ** 2
 
 
-BENCHMARKS = ("switching", "smooth")
+# Each benchmark's recipe: under "generate" the options its generator takes,
+# with their defaults (None keeps the generator's own), and under "compare" the
+# fit settings a comparison sweep uses at N channels.
+BENCHMARKS = {
+    "switching": {
+        "generate": {"N": 10, "tau": 200, "sigma": 0.5, "theta1": None, "theta2": None},
+        "compare": lambda N: {"window": 20, "eta": 1.0 / N, "beta": 1.0, "reg": "tv"},
+    },
+    "smooth": {
+        "generate": {"N": 10, "tau": 160, "sigma": 0.2, "lengthscale": 30.0},
+        "compare": lambda N: {"window": 1, "eta": 6.0 / N, "beta": smooth_beta_default(N), "reg": "spline"},
+    },
+}
 
 
-def benchmark_compare_defaults(benchmark: str, N: int) -> dict:
-    """Comparison-sweep settings for the two synthetic problems."""
-    if benchmark == "switching":
-        return {"window": 20, "eta": 1.0 / N, "beta": 1.0, "reg": "tv"}
-    return {"window": 1, "eta": 6.0 / N, "beta": smooth_beta_default(N), "reg": "spline"}
+def simulate_benchmark(benchmark: str, options: dict) -> GroundTruth:
+    """The truth of ``benchmark`` from ``options["seed"]`` and each of its
+    generator options that ``options`` sets.  The simulator is looked up when
+    called, so a wrapper patched onto this module sees every call."""
+    simulate = simulate_switching if benchmark == "switching" else simulate_smooth
+    kwargs = {key: options[key] for key in BENCHMARKS[benchmark]["generate"] if options.get(key) is not None}
+    return simulate(**kwargs, seed=options["seed"])
 
 
-def benchmark_generate_defaults(benchmark: str) -> dict:
-    if benchmark == "switching":
-        return {"N": 10, "tau": 200, "sigma": 0.5}
-    return {"N": 10, "tau": 160, "sigma": 0.2}
+def fill_unset(options: dict, defaults: dict) -> dict:
+    """``options`` with each option that is None taken from ``defaults``."""
+    return {**options, **{key: value for key, value in defaults.items() if options[key] is None}}
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +121,25 @@ def resolve_options(args: argparse.Namespace, known: dict) -> dict:
     return resolved
 
 
+def flag(name: str) -> str:
+    """The flag of an option-table key: ``max_iters`` -> ``--max-iters``."""
+    return "--" + name.replace("_", "-")
+
+
+def require(opts: dict, names, command: str) -> None:
+    """A usage error naming the first option of ``names`` that ``opts`` leaves unset."""
+    for name in names:
+        if opts[name] is None:
+            raise SystemExit(f"error: {flag(name)} is required for {command}")
+
+
+def reject_unused(opts: dict, names, context: str) -> None:
+    """A usage error naming each option of ``names`` that ``opts`` sets: none of them applies in ``context``."""
+    given = sorted(flag(name) for name in names if opts[name] is not None)
+    if given:
+        raise SystemExit(f"error: {context} takes no {', '.join(given)}")
+
+
 def manifest_line(command: str, options: dict) -> str:
     body = " ".join(f"{k}={fmt(v)}" for k, v in sorted(options.items()) if v is not None)
     return f"manifest tool=lrtvar/{__version__} command={command} {body}"
@@ -122,8 +154,8 @@ def parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def one_of(choices: tuple):
-    """Parser that accepts exactly the strings in ``choices``."""
+def one_of(choices):
+    """Parser that accepts exactly the strings in ``choices`` (a tuple, or a dict's keys)."""
 
     def parse(text: str) -> str:
         if text not in choices:
@@ -133,12 +165,16 @@ def one_of(choices: tuple):
     return parse
 
 
-def parse_int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def list_of(parse):
+    """Parser of a comma-separated list of ``parse`` values; a list with no value is an error."""
 
+    def parse_list(text: str) -> list:
+        values = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list of at least one value, got {text!r}")
+        return values
 
-def parse_str_list(text: str) -> list:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+    return parse_list
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +251,19 @@ GENERATE_KNOWN = {
     "seed": (int, 0),
     "theta1": (float, None),
     "theta2": (float, None),
-    "lengthscale": (float, 30.0),
+    "lengthscale": (float, None),
 }
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    """Simulate ``--benchmark`` and write its series and truth bundle to
+    ``--out``.  A generator option that benchmark does not take is a usage
+    error, raised before anything is written."""
     opts = resolve_options(args, GENERATE_KNOWN)
-    for key, value in benchmark_generate_defaults(opts["benchmark"]).items():
-        if opts[key] is None:
-            opts[key] = value
-
-    if opts["benchmark"] == "switching":
-        kwargs = {key: opts[key] for key in ("theta1", "theta2") if opts[key] is not None}
-        truth = simulate_switching(N=opts["N"], tau=opts["tau"], sigma=opts["sigma"], seed=opts["seed"], **kwargs)
-    else:
-        truth = simulate_smooth(
-            N=opts["N"], tau=opts["tau"], sigma=opts["sigma"], lengthscale=opts["lengthscale"], seed=opts["seed"]
-        )
+    recipe = BENCHMARKS[opts["benchmark"]]["generate"]
+    reject_unused(opts, GENERATE_KNOWN.keys() - {"benchmark", "seed", *recipe}, f"--benchmark {opts['benchmark']}")
+    opts = fill_unset(opts, recipe)
+    truth = simulate_benchmark(opts["benchmark"], opts)
 
     os.makedirs(args.out, exist_ok=True)
     manifest = manifest_line("generate", opts)
@@ -244,7 +276,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hyperparams_from(opts: dict, seed: int) -> Hyperparams:
+def _hyperparams_from(opts: dict) -> Hyperparams:
     return Hyperparams(
         R=opts["rank"],
         eta=opts["eta"],
@@ -252,9 +284,16 @@ def _hyperparams_from(opts: dict, seed: int) -> Hyperparams:
         max_outer_iters=opts["max_iters"],
         rtol=opts["rtol"],
         atol=opts["atol"],
-        seed=seed,
+        seed=opts["seed"],
     )
 
+
+# the fit's stopping options, shared by fit and compare, with Hyperparams' defaults
+STOPPING_KNOWN = {
+    "rtol": (float, Hyperparams.rtol),
+    "atol": (float, Hyperparams.atol),
+    "max_iters": (int, Hyperparams.max_outer_iters),
+}
 
 FIT_KNOWN = {
     "input": (str, None),
@@ -265,9 +304,7 @@ FIT_KNOWN = {
     "reg": (one_of(REGULARIZER_KINDS), "none"),
     "affine": (parse_bool, False),
     "lags": (int, 1),
-    "rtol": (float, 1e-4),
-    "atol": (float, 1e-6),
-    "max_iters": (int, 1000),
+    **STOPPING_KNOWN,
     "clusters": (int, None),
     "seed": (int, 0),
 }
@@ -279,14 +316,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     raises :class:`InvalidHyperparameterError` right after windowing, before
     the fit and before anything is written."""
     opts = resolve_options(args, FIT_KNOWN)
-    for required in ("input", "rank", "window", "eta"):
-        if opts[required] is None:
-            raise SystemExit(f"error: --{required.replace('_', '-')} is required for fit")
+    require(opts, ("input", "rank", "window", "eta"), "fit")
     series = read_series_csv(opts["input"])
     pair = build_snapshots(series, M=opts["window"], P=opts["lags"], affine=opts["affine"])
     if opts["clusters"] is not None:
         integer_at_least("clusters", opts["clusters"], 1, most=pair.T)
-    params = _hyperparams_from(opts, opts["seed"])
+    params = _hyperparams_from(opts)
     model, report = fit(pair, params)
     normalized = model.normalize()
 
@@ -313,18 +348,16 @@ COMPARE_KNOWN = {
     "input": (str, None),
     "truth_matrices": (str, None),
     "truth_index": (str, None),
-    "N_list": (parse_int_list, None),
-    "seeds": (parse_int_list, [0]),
-    "methods": (parse_str_list, ["lowrank-r4", "indep-full", "indep-r4"]),
+    "N_list": (list_of(int), None),
+    "seeds": (list_of(int), [0]),
+    "methods": (list_of(str), ["lowrank-r4", "indep-full", "indep-r4"]),
     "window": (int, None),
     "eta": (float, None),
     "beta": (float, None),
     "reg": (one_of(REGULARIZER_KINDS), None),
     "sigma": (float, None),
     "tau": (int, None),
-    "max_iters": (int, 1000),
-    "rtol": (float, 1e-4),
-    "atol": (float, 1e-6),
+    **STOPPING_KNOWN,
     "workers": (int, 1),
 }
 
@@ -354,14 +387,8 @@ def _compare_instance(task: dict) -> list:
     rows = [{"method": m, "N": task["N"], "seed": task["seed"], "error": "", "rmse": "", "status": "ok"}
             for m in task["methods"]]
     try:
-        series, truth = task["series"], task["truth"]
-        if task["benchmark"] == "switching":
-            truth = simulate_switching(N=task["N"], tau=task["tau"], sigma=task["sigma"], seed=task["seed"])
-            series = truth.series
-        elif task["benchmark"] == "smooth":
-            truth = simulate_smooth(N=task["N"], tau=task["tau"], sigma=task["sigma"], seed=task["seed"])
-            series = truth.series
-        pair = build_snapshots(series, M=task["window"])
+        truth = simulate_benchmark(task["benchmark"], task) if task["benchmark"] else task["truth"]
+        pair = build_snapshots(truth.series if task["benchmark"] else task["series"], M=task["window"])
     except Exception as exc:  # every row of the instance records it; the sweep continues
         return [{**row, "status": _failure(exc), "wall_seconds": 0.0} for row in rows]
     for row in rows:
@@ -369,7 +396,7 @@ def _compare_instance(task: dict) -> list:
         try:
             kind, rank = _parse_method(row["method"])
             if kind == "lowrank":
-                model, _ = fit(pair, _hyperparams_from({**task, "rank": rank}, task["seed"]))
+                model, _ = fit(pair, _hyperparams_from({**task, "rank": rank}))
                 est = model_estimate(model)
             else:
                 est = independent_fit(pair, rank=rank)
@@ -385,11 +412,18 @@ def _compare_instance(task: dict) -> list:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Score each method on each (N, seed) instance and write one row per run
     to ``--out``.  A ``--workers`` below 1 raises
-    :class:`InvalidHyperparameterError` before any work."""
+    :class:`InvalidHyperparameterError` before any work, and an option that
+    does not apply to the source, ``--benchmark`` or ``--input``, is a usage
+    error raised before any data is read."""
     opts = resolve_options(args, COMPARE_KNOWN)
     integer_at_least("workers", opts["workers"], 1)
     if (opts["benchmark"] is None) == (opts["input"] is None):
         raise SystemExit("error: compare needs exactly one of --benchmark or --input")
+    if opts["benchmark"] is None:
+        require(opts, ("window", "eta"), "compare --input")
+        reject_unused(opts, ("N_list", "tau", "sigma"), "--input")
+    else:
+        reject_unused(opts, ("truth_matrices", "truth_index"), "--benchmark")
     if (opts["truth_matrices"] is None) != (opts["truth_index"] is None):
         raise SystemExit("error: --truth-matrices and --truth-index go together")
     for tag in opts["methods"]:
@@ -400,37 +434,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     series = truth = None
     if opts["benchmark"] is not None:
-        gen_defaults = benchmark_generate_defaults(opts["benchmark"])
-        if opts["tau"] is None:
-            opts["tau"] = gen_defaults["tau"]
-        if opts["sigma"] is None:
-            opts["sigma"] = gen_defaults["sigma"]
-        if opts["N_list"] is None:
-            opts["N_list"] = [gen_defaults["N"]]
-        n_values = opts["N_list"]
+        recipe = BENCHMARKS[opts["benchmark"]]
+        generate = recipe["generate"]
+        opts = fill_unset(opts, {"N_list": [generate["N"]], "tau": generate["tau"], "sigma": generate["sigma"]})
+        n_values, settings = opts["N_list"], recipe["compare"]
     else:
         series = read_series_csv(opts["input"])
         if opts["truth_matrices"]:
             truth = read_truth_bundle(opts["truth_matrices"], opts["truth_index"], series)
-        n_values = [series.n_channels]
-
-    tasks = []
-    for N in n_values:
-        per_n = dict(opts)
-        if opts["benchmark"] is not None:
-            defaults = benchmark_compare_defaults(opts["benchmark"], N)
-            for key, value in defaults.items():
-                if per_n[key] is None:
-                    per_n[key] = value
-        for required in ("window", "eta"):
-            if per_n[required] is None:
-                raise SystemExit(f"error: --{required} is required when not using a benchmark")
-        if per_n["beta"] is None:
-            per_n["beta"] = 0.0
-        if per_n["reg"] is None:
-            per_n["reg"] = "none"
-        for seed in opts["seeds"]:
-            tasks.append({**per_n, "N": N, "seed": seed, "series": series, "truth": truth})
+        n_values, settings = [series.n_channels], lambda N: {"beta": 0.0, "reg": "none"}
+    tasks = [{**fill_unset(opts, settings(N)), "N": N, "seed": seed, "series": series, "truth": truth}
+             for N in n_values for seed in opts["seeds"]]
 
     if opts["workers"] > 1:
         with ProcessPoolExecutor(max_workers=opts["workers"]) as pool:
@@ -462,8 +476,7 @@ CLUSTER_KNOWN = {"u3": (str, None), "k": (int, 2), "seed": (int, 0)}
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     opts = resolve_options(args, CLUSTER_KNOWN)
-    if opts["u3"] is None:
-        raise SystemExit("error: --u3 is required for cluster")
+    require(opts, ("u3",), "cluster")
     _, U3 = read_csv(opts["u3"])
     labels = cluster_temporal_modes(U3, k=opts["k"], seed=opts["seed"])
     os.makedirs(args.out, exist_ok=True)
@@ -490,11 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--verbose", action="store_true")
         for key, (parse, _) in known.items():
-            flag = "--" + key.replace("_", "-")
-            if parse is parse_bool:
-                p.add_argument(flag, dest=key, action="store_const", const=True, default=None)
-            else:
-                p.add_argument(flag, dest=key, type=parse, default=None)
+            kind = {"action": "store_const", "const": True} if parse is parse_bool else {"type": parse}
+            p.add_argument(flag(key), dest=key, default=None, **kind)
         p.set_defaults(func=func)
     return parser
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 
 import lrtvar.cli
 from lrtvar.cli import (
+    BENCHMARKS,
     CLUSTER_KNOWN,
     COMPARE_KNOWN,
     FIT_KNOWN,
@@ -407,6 +409,21 @@ class TestCompare:
         run(argv + ["--workers", "2", "--out", str(pooled)])
         assert read_bytes(serial / "compare_results.csv") == read_bytes(pooled / "compare_results.csv")
 
+    @pytest.mark.parametrize("kind, tau", [("switching", "80"), ("smooth", "24")])
+    def test_benchmark_sweep_is_generate_then_input_with_the_table_settings(self, tmp_path, kind, tau):
+        # compare --benchmark simulates and scores the instance generate writes, at BENCHMARKS' fit settings
+        methods = ["--methods", "lowrank-r2,indep-full", "--max-iters", "5", "--seeds", "0"]
+        run(["compare", "--benchmark", kind, "--N-list", "6", "--tau", tau, *methods, "--out", str(tmp_path / "b")])
+        gen = tmp_path / "gen"
+        run(["generate", "--benchmark", kind, "--N", "6", "--tau", tau, "--seed", "0", "--out", str(gen)])
+        settings = [text for key, value in BENCHMARKS[kind]["compare"](6).items() for text in (f"--{key}", str(value))]
+        run(["compare", "--input", str(gen / "series.csv"), "--truth-matrices", str(gen / "truth_matrices.csv"),
+             "--truth-index", str(gen / "truth_index.csv"), *settings, *methods, "--out", str(tmp_path / "i")])
+        rows = [[l for l in (tmp_path / d / "compare_results.csv").read_text().splitlines() if not l.startswith("#")]
+                for d in ("b", "i")]
+        assert rows[0] == rows[1] and len(rows[0]) == 3
+        assert all(row.endswith(",ok") for row in rows[0][1:])
+
     def test_seed_flag_is_the_seeds_option(self, tmp_path):
         # compare has no --seed; argparse reads it as an abbreviation of --seeds
         outs = [tmp_path / "seed", tmp_path / "seeds"]
@@ -470,6 +487,16 @@ class TestDefaults:
     def test_smooth_beta_formula(self):
         assert smooth_beta_default(10) == pytest.approx(600.0)
         assert smooth_beta_default(100) == pytest.approx(2400.0)
+
+    @pytest.mark.parametrize("kind, simulate", [("switching", simulate_switching), ("smooth", simulate_smooth)])
+    def test_benchmark_table_restates_no_generator_default(self, kind, simulate):
+        # every generator option the table lists is a parameter of the simulator, and a default it sets is the
+        # simulator's own; None leaves the simulator's default in force
+        parameters = inspect.signature(simulate).parameters
+        recipe = BENCHMARKS[kind]["generate"]
+        assert set(recipe) <= set(parameters)
+        set_defaults = {key: value for key, value in recipe.items() if key != "N" and value is not None}
+        assert set_defaults == {key: parameters[key].default for key in ("tau", "sigma", "lengthscale") if key in recipe}
 
     def test_console_entry_point(self):
         import subprocess, sys
@@ -595,7 +622,8 @@ def test_truth_index_must_cover_every_transition(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "command, line",
-    [("fit", "rank=abc"), ("fit", "affine=maybe"), ("fit", "reg=bogus"), ("generate", "benchmark=bogus")],
+    [("fit", "rank=abc"), ("fit", "affine=maybe"), ("fit", "reg=bogus"), ("generate", "benchmark=bogus"),
+     ("compare", "seeds=,"), ("compare", "N_list= , "), ("compare", "methods=")],
 )
 def test_bad_config_value_is_a_usage_error(command, line, tmp_path):
     config = tmp_path / "bad.cfg"
@@ -619,6 +647,51 @@ def test_flag_outside_its_choices_exits_2(argv, allowed, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert all(choice in err for choice in allowed)
+
+
+@pytest.mark.parametrize("option", ["--seeds", "--N-list", "--methods"])
+def test_empty_list_flag_exits_2_and_writes_nothing(option, tmp_path, capsys):
+    # these once wrote a header-only compare_results.csv and exited 0
+    out = tmp_path / "cmp"
+    with pytest.raises(SystemExit) as exc:
+        run(["compare", "--benchmark", "switching", option, ",", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {option}: expected a comma-separated list of at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["generate", "--benchmark", "smooth", "--theta1", "0.5"], "--benchmark smooth takes no --theta1$"),
+     (["generate", "--benchmark", "smooth", "--theta2", "1", "--theta1", "2"],
+      "--benchmark smooth takes no --theta1, --theta2$"),
+     (["generate", "--benchmark", "switching", "--lengthscale", "12"], "--benchmark switching takes no --lengthscale$"),
+     (["compare", "--input", "missing.csv", "--window", "10", "--eta", "0.2", "--tau", "999"], "--input takes no --tau$"),
+     (["compare", "--input", "missing.csv", "--window", "10", "--eta", "0.2", "--N-list", "50", "--sigma", "1"],
+      "--input takes no --N-list, --sigma$"),
+     (["compare", "--benchmark", "switching", "--truth-matrices", "m.csv", "--truth-index", "i.csv"],
+      "--benchmark takes no --truth-index, --truth-matrices$"),
+     (["compare", "--benchmark", "switching", "--truth-index", "i.csv"], "--benchmark takes no --truth-index$")],
+    ids=["smooth-theta1", "smooth-thetas", "switching-lengthscale", "input-tau", "input-N-list-sigma",
+         "benchmark-truth", "benchmark-truth-index"],
+)
+def test_option_that_does_not_apply_is_a_usage_error(argv, message, tmp_path, monkeypatch):
+    # these were once recorded in the manifest and ignored; the input file does not exist, so the error
+    # comes before any data is read
+    monkeypatch.chdir(tmp_path)
+    calls = count_calls(monkeypatch, ("simulate_switching", "simulate_smooth", "read_series_csv"))
+    with pytest.raises(SystemExit, match=f"^error: {message}"):
+        run([*argv, "--out", str(tmp_path / "out")])
+    assert calls == {"simulate_switching": 0, "simulate_smooth": 0, "read_series_csv": 0}
+    assert os.listdir(tmp_path) == []
+
+
+def test_config_key_that_does_not_apply_is_a_usage_error(tmp_path):
+    config = tmp_path / "smooth.cfg"
+    config.write_text("benchmark=smooth\ntheta1=0.5\n")
+    with pytest.raises(SystemExit, match="^error: --benchmark smooth takes no --theta1$"):
+        run(["generate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 # one text per option key, each different from that option's default
