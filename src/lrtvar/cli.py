@@ -166,12 +166,15 @@ def one_of(choices):
 
 
 def list_of(parse):
-    """Parser of a comma-separated list of ``parse`` values; a list with no value is an error."""
+    """Parser of a comma-separated list of ``parse`` values; a list with no
+    value, or with a value twice, is an error (a repeated seed, N or method
+    would run one instance or method again and write duplicate rows)."""
 
     def parse_list(text: str) -> list:
         values = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
-        if not values:
-            raise argparse.ArgumentTypeError(f"expected a comma-separated list of at least one value, got {text!r}")
+        if not values or len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of at least one value, each given once, got {text!r}")
         return values
 
     return parse_list

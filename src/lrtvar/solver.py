@@ -53,9 +53,18 @@ rejected like any other that does not lower the cost.
 The loss sees U2 only through X_k'U2 and U1 only through its product with Y,
 and the ridge term puts each block's exact minimizer in range(X), resp.
 range(Y).  So ``fit`` runs the block updates on the data in orthonormal
-bases of range(X) and range(Y), each from one thin QR of the data, with
-min(T*M, channels) rows, initializes there, and lifts U2 and U1 back once at
-the end: the cost of every iterate is the same in either coordinates.
+bases of range(X) and range(Y), initializes there, and lifts U2 and U1 back
+once at the end: the cost of every iterate is the same in either
+coordinates.  A basis is the identity when the transitions are at least as
+many as the channels, with no factorization of the data.  Otherwise it comes
+from one eigendecomposition of the (T*M)^2 Gram of the (channels, T*M)
+matrix A of the transitions, A'A = V diag(lam) V': the range data are
+diag(lam)^1/2 V', and the basis Q = A V diag(lam)^-1/2 is never formed, U
+lifting to A (V diag(lam)^-1/2 U).  Directions whose eigenvalue is at most
+T*M eps lam_max are dropped; the lifted basis is orthonormal to about
+eps lam_max / lam in each kept one.  No QR and no SVD is taken: the
+spectral start's pseudoinverse and singular pairs come from
+eigendecompositions of Grams of side at most T*M too.
 """
 
 from __future__ import annotations
@@ -249,7 +258,7 @@ class FitReport:
             json.dump({"manifest": manifest, "termination": self.termination, "outer": outer}, fh, indent=1)
 
     def summary(self) -> str:
-        lines = [
+        return "\n".join([
             f"iterations: {self.iterations}",
             f"termination: {self.termination}",
             f"final cost: {self.cost_trace[-1]:.17g}",
@@ -260,23 +269,20 @@ class FitReport:
             f"U3 inner steps: {sum(o.temporal.steps for o in self.outer)}",
             f"extrapolated steps: {sum(o.extrapolated for o in self.outer)} of {self.iterations}",
             f"wall seconds: {self.wall_seconds:.3f}",
-        ]
-        return "\n".join(lines)
+        ])
 
 
 def _check_dims(model: CpFactors, data: SnapshotPair) -> None:
     if model.N != data.N or model.N_in != data.N_in or model.T != data.T:
-        raise DimensionMismatchError(
-            f"model dims (N={model.N}, N_in={model.N_in}, T={model.T}) vs "
-            f"data dims (N={data.N}, N_in={data.N_in}, T={data.T})"
-        )
+        raise DimensionMismatchError(f"model dims (N={model.N}, N_in={model.N_in}, T={model.T}) vs "
+                                     f"data dims (N={data.N}, N_in={data.N_in}, T={data.T})")
 
 
 def _transitions(A: np.ndarray) -> np.ndarray:
     """A (channels, M, T) data tensor as the (M*T, channels) matrix whose row
     m*T + k is column m of window k.  This is a view of the memory layout
     ``build_snapshots`` produces and one copy of any other layout."""
-    return A.transpose(1, 2, 0).reshape(-1, A.shape[0])
+    return A.transpose(1, 2, 0).reshape(A.shape[1] * A.shape[2], A.shape[0])
 
 
 def _scale_windows(W: np.ndarray, U3: np.ndarray) -> np.ndarray:
@@ -314,13 +320,7 @@ def rmse(model: CpFactors, data: SnapshotPair) -> float:
 
 def cost(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> float:
     """Full regularized objective: loss + ridge + beta * temporal penalty."""
-    return _cost_and_loss(model, data, params)[0]
-
-
-def _cost_and_loss(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> tuple[float, float]:
-    """(cost, loss) of the model from a single loss evaluation."""
-    value = loss(model, data)
-    return value + _regularization(model, params), value
+    return loss(model, data) + _regularization(model, params)
 
 
 def _regularization(model: CpFactors, params: Hyperparams) -> float:
@@ -747,33 +747,27 @@ def _face_solve(H, b, signs, beta):
 
 @dataclass(frozen=True)
 class _RangeData:
-    """A fit's workspace: the data tensors in orthonormal bases of their
-    column spans, X~ = Q_x'X and Y~ = Q_y'Y, with the bases, the shape
-    properties the block updates read and what else stays fixed during the
-    fit: ``half_energy`` = 1/2 ||Y||^2 of the data in channels, and the
-    window Grams of X~ (``grams``, :func:`_window_grams`), formed when the
-    exact U2 solve first asks for them."""
+    """A fit's workspace: the data in channels (``source``) and in the
+    coordinates of the column spans of its tensors, X~ = Q_x'X and
+    Y~ = Q_y'Y, with what the bases are made of, ``basis_x`` and
+    ``basis_y`` (:func:`_range_coordinates`: None for the identity, else the
+    B of Q = AB, A the (channels, M*T) matrix of the transitions, so Q is
+    never formed).  It has the shape properties the block updates read and
+    what else stays fixed during the fit, each formed when first asked for:
+    ``half_energy`` = 1/2 ||Y||^2 of the data in channels, and the window
+    Grams of X~ (``grams``, :func:`_window_grams`) of the exact U2 solve."""
 
+    source: SnapshotPair
     X: np.ndarray
+    basis_x: Optional[np.ndarray]
     Y: np.ndarray
-    Q_x: np.ndarray
-    Q_y: np.ndarray
-    M: int
-    T: int
-    affine: bool
-    half_energy: float
-
-    @property
-    def N(self) -> int:
-        return self.Y.shape[0]
-
-    @property
-    def N_in(self) -> int:
-        return self.X.shape[0]
-
-    @cached_property
-    def grams(self) -> np.ndarray:
-        return _window_grams(self)
+    basis_y: Optional[np.ndarray]
+    M = property(lambda self: self.source.M)
+    T = property(lambda self: self.source.T)
+    N = property(lambda self: self.Y.shape[0])
+    N_in = property(lambda self: self.X.shape[0])
+    half_energy = cached_property(lambda self: 0.5 * float(np.sum(self.source.Y * self.source.Y)))
+    grams = cached_property(lambda self: _window_grams(self))
 
 
 @dataclass(frozen=True)
@@ -786,74 +780,110 @@ class _Iterate(_FactorShapes):
     U1: np.ndarray
     U2: np.ndarray
     U3: np.ndarray
-    affine: bool
 
 
-def _range_coordinates(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, Q'A) for a (channels, M, T) data tensor, with Q the orthonormal
-    factor of a thin QR of the (channels, M*T) matrix of all transitions:
-    min(channels, M*T) columns that span their column space even when that
-    matrix is rank deficient.  Q'A is read off the triangular factor in the
-    layout :func:`_transitions` views without a copy."""
-    _, M, T = A.shape
-    Q, triangular = np.linalg.qr(_transitions(A).T)
-    return Q, np.ascontiguousarray(triangular.T).reshape(M, T, -1).transpose(2, 0, 1)
+def _gram_eigenpairs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) of a positive semidefinite Gram, V'gram V = diag(lam), the
+    largest eigenvalue first.  Eigenvalues at or below side * eps * lam_max
+    are dropped: the Gram's rounding leaves nothing of them.  The cut is
+    taken in that order so that it cannot overflow, and an all-zero or
+    empty Gram keeps no pair."""
+    lam, V = np.linalg.eigh(gram)
+    keep = lam > np.max(lam, initial=0.0) * (len(lam) * np.finfo(float).eps)
+    return lam[keep][::-1], V[:, keep][:, ::-1]
+
+
+def _range_coordinates(A: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(Q'A, B) for a (channels, M, T) data tensor, A also the (channels,
+    M*T) matrix of its transitions (:func:`_transitions` is A'), with Q an
+    orthonormal basis of the column space of A and Q = AB.
+
+    When the transitions are at least as many as the channels, Q is the
+    identity and B is None: Q'A is A itself, copied at most once into the
+    layout :func:`_transitions` views without a copy.  Otherwise, with the
+    (M*T)^2 Gram A'A = V diag(lam) V' (:func:`_gram_eigenpairs`),
+    Q'A = diag(lam)^1/2 V' and B = V diag(lam)^-1/2, which is also
+    pinv(Q'A)'s transitions; directions of A whose eigenvalue is cut have
+    no rows, so Q'A has the numerical rank of A rows.  Q'A comes in the
+    (M, T, rows) memory layout, which :func:`_transitions` views.
+    """
+    rows = _transitions(A)
+    if rows.shape[1] <= rows.shape[0]:
+        return np.ascontiguousarray(rows).reshape(*A.shape[1:], -1).transpose(2, 0, 1), None
+    lam, V = _gram_eigenpairs(rows @ rows.T)
+    return (V * np.sqrt(lam)).reshape(*A.shape[1:], len(lam)).transpose(2, 0, 1), V / np.sqrt(lam)
 
 
 def _range_data(data: SnapshotPair) -> _RangeData:
-    """The snapshot pair in orthonormal bases of range(X) and range(Y)."""
-    Q_y, Y = _range_coordinates(data.Y)
-    Q_x, X = _range_coordinates(data.X)
-    return _RangeData(X=X, Y=Y, Q_x=Q_x, Q_y=Q_y, M=data.M, T=data.T, affine=data.affine,
-                      half_energy=0.5 * float(np.sum(data.Y * data.Y)))
+    """The snapshot pair with its tensors in range coordinates."""
+    return _RangeData(data, *_range_coordinates(data.X), *_range_coordinates(data.Y))
 
 
-def _change_spatial_basis(model: CpFactors, left: np.ndarray, right: np.ndarray) -> CpFactors:
-    """The model with U1 -> left @ U1 and U2 -> right @ U2."""
-    return CpFactors(U1=left @ model.U1, U2=right @ model.U2, U3=model.U3, affine=model.affine)
+def _to_range(A: np.ndarray, basis: Optional[np.ndarray], Z: np.ndarray) -> np.ndarray:
+    """Q'Z = B'(A'Z) for the basis Q = AB of :func:`_range_coordinates` (B = ``basis``)."""
+    return Z if basis is None else basis.T @ (_transitions(A) @ Z)
 
 
-def _spectral_factors(data, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _to_channels(A: np.ndarray, basis: Optional[np.ndarray], U: np.ndarray) -> np.ndarray:
+    """QU = A(BU) for the basis Q = AB of :func:`_range_coordinates` (B = ``basis``)."""
+    return U if basis is None else _transitions(A).T @ (basis @ U)
+
+
+def _change_spatial_basis(model: CpFactors, work: _RangeData) -> CpFactors:
+    """The model lifted from range coordinates to the channels of the data:
+    U1 -> Q_y U1 and U2 -> Q_x U2."""
+    return CpFactors(U1=_to_channels(work.source.Y, work.basis_y, model.U1),
+                     U2=_to_channels(work.source.X, work.basis_x, model.U2), U3=model.U3, affine=work.source.affine)
+
+
+def _spectral_factors(data: _RangeData, R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noise-free (U1, U2, U3) from a single global linear fit.
 
-    All windows are concatenated into global snapshot matrices X, Y, and
-    the leading R singular vectors of the one-model fit A = Y pinv(X) seed
-    the spatial modes.  ``fit`` passes the data in range coordinates, whose
-    matrices have at most T*M rows, so A is at most T*M x T*M.  Temporal
-    modes are the constant matrix 1/sqrt(T).  Extra columns beyond the
-    available spectrum are filled with constant unit vectors.
+    All windows are concatenated into global snapshot matrices X~ and Y~ of
+    the range data, and the leading R singular pairs of the one-model fit
+    A = Y~ pinv(X~) seed the spatial modes.  X~ has at most T*M rows, so A
+    is at most T*M x T*M.  pinv(X~) is the B of a thin basis
+    (:func:`_range_coordinates`) and comes from one eigendecomposition of
+    X~X~' otherwise; the singular pairs of A come from one
+    eigendecomposition of its smaller Gram (:func:`_gram_eigenpairs`).
+    Temporal modes are the constant matrix 1/sqrt(T).  Columns beyond the
+    pairs with a singular value above the Gram's cut, zero ones included,
+    are filled with constant unit vectors.
     """
-    Xg = data.X.transpose(0, 2, 1).reshape(data.N_in, data.T * data.M)
-    Yg = data.Y.transpose(0, 2, 1).reshape(data.N, data.T * data.M)
-    if not np.any(Xg):
+    X, Y = _transitions(data.X), _transitions(data.Y)
+    if not np.any(X):
         raise DegenerateDataError("predictor tensor is identically zero")
-    Ux, s, Vtx = np.linalg.svd(Xg, full_matrices=False)
-    keep = s > s[0] * 1e-12
-    U_A, _, Vt_A = np.linalg.svd((Yg @ Vtx[keep].T / s[keep]) @ Ux[:, keep].T, full_matrices=False)
+    pinv = data.basis_x
+    if pinv is None:
+        lam, W = _gram_eigenpairs(X.T @ X)
+        pinv = X @ (W / lam) @ W.T
+    A = Y.T @ pinv
+    B = A if len(A) <= A.shape[1] else A.T  # B B' is the smaller Gram of A
+    s2, left = _gram_eigenpairs(B @ B.T)
+    pairs = (left, B.T @ left / np.sqrt(s2))  # the singular pairs of B
 
-    U1, U2, U3 = (np.full((n, R), 1.0 / np.sqrt(n)) for n in (data.N, data.N_in, data.T))
-    take = min(R, int(keep.sum()), data.N)
-    U1[:, :take] = U_A[:, :take]
-    U2[:, :take] = Vt_A[:take].T
+    U1, U2, U3 = (np.full((n, R), 1.0 / np.sqrt(max(n, 1))) for n in (data.N, data.N_in, data.T))
+    take = min(R, len(s2))
+    U1[:, :take], U2[:, :take] = (P[:, :take] for P in (pairs if B is A else pairs[::-1]))
     return U1, U2, U3
 
 
 def initialize(data, params: Hyperparams) -> CpFactors:
     """The model ``fit`` starts from: the spectral factors of the data in
     range coordinates (:func:`_spectral_factors`) plus Gaussian noise of
-    scale 0.5/sqrt(rows), drawn from ``params.seed`` in the shapes (N, R),
-    (N_in, R) and (T, R) in that order and projected onto the bases, which
-    breaks the column symmetry.  ``fit`` passes its range data
-    (:func:`_range_data`) and gets the model in its coordinates; a
-    :class:`SnapshotPair` gets it lifted to the channels.
+    scale 0.5/sqrt(rows), drawn from ``params.seed`` in the channel shapes
+    (N, R), (N_in, R) and (T, R) in that order and projected onto the bases
+    (:func:`_to_range`, no Q formed), which breaks the column symmetry.  ``fit``
+    passes its range data (:func:`_range_data`) and gets the model in its
+    coordinates; a :class:`SnapshotPair` gets it lifted to the channels.
     """
     work = data if isinstance(data, _RangeData) else _range_data(data)
     U1, U2, U3 = _spectral_factors(work, params.R)
     rng = np.random.default_rng(params.seed)
-    noise = [(0.5 / np.sqrt(n)) * rng.standard_normal((n, params.R)) for n in (len(work.Q_y), len(work.Q_x), work.T)]
-    model = CpFactors(U1=U1 + work.Q_y.T @ noise[0], U2=U2 + work.Q_x.T @ noise[1], U3=U3 + noise[2],
-                      affine=work.affine)
-    return model if work is data else _change_spatial_basis(model, work.Q_y, work.Q_x)
+    noise = [(0.5 / np.sqrt(n)) * rng.standard_normal((n, params.R)) for n in (work.source.N, work.source.N_in, work.T)]
+    model = CpFactors(U1=U1 + _to_range(work.source.Y, work.basis_y, noise[0]),
+                      U2=U2 + _to_range(work.source.X, work.basis_x, noise[1]), U3=U3 + noise[2])
+    return model if work is data else _change_spatial_basis(model, work)
 
 
 # float64 normals run from 2^-1022 up to, not including, 2^1024
@@ -955,12 +985,13 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     it is not.  A trial whose cost is inf or NaN is not lower, so it is
     rejected.
 
-    The fit runs in orthonormal bases Q_x of range(X) and Q_y of range(Y),
-    each from one thin QR of the matrix of all transitions and square when
-    these are at least as many as the channels (:func:`_range_data`): the
-    fit's only factorizations of the data.  It initializes on Q_x'X and
-    Q_y'Y (:func:`initialize`), runs every update on them and returns
-    U2 = Q_x U2~ and U1 = Q_y U1~.  Every trace entry is the full-data cost
+    The fit runs in orthonormal bases Q_x of range(X) and Q_y of range(Y):
+    the identity when the transitions are at least as many as the channels,
+    else from one eigendecomposition of the (T*M)^2 Gram of the transitions
+    (:func:`_range_coordinates`), the fit's only factorizations of the data.
+    It initializes on Q_x'X and Q_y'Y (:func:`initialize`), runs every update
+    on them and returns U2 = Q_x U2~ and U1 = Q_y U1~, each formed as a
+    product with the data (no Q is).  Every trace entry is the full-data cost
     and RMSE of the lifted iterate.  The quadratic's rounding error is a
     few ulps of ||Y||^2, so the last entry is evaluated from the residual of
     the lifted model on the data: it is :func:`cost` and :func:`rmse` to
@@ -982,22 +1013,21 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         start, start_products = model, products
         laps = [time.perf_counter()]
         U1, left = update_left(model, work, params, products)
-        model = _Iterate(U1, model.U2, model.U3, model.affine)
+        model = _Iterate(U1, model.U2, model.U3)
         products = (products[0], _transitions(work.Y) @ U1)
         laps.append(time.perf_counter())
         U2, right = update_right(model, work, params, products)
-        model = _Iterate(model.U1, U2, model.U3, model.affine)
+        model = _Iterate(model.U1, U2, model.U3)
         products = (_transitions(work.X) @ U2, products[1])
         laps.append(time.perf_counter())
         U3, temporal = update_temporal(model, work, params, products)
-        model = _Iterate(model.U1, model.U2, U3, model.affine)
+        model = _Iterate(model.U1, model.U2, U3)
         laps.append(time.perf_counter())
 
         value = _quadratic_loss(model, products, work.half_energy)
         c = _finite_cost(value + _regularization(model, params), model, it)
         steps = _extrapolation_steps(model, it ** (1.0 / root))
-        trial = _Iterate(*_extrapolate((model.U1, model.U2, model.U3), (start.U1, start.U2, start.U3), steps),
-                         model.affine)
+        trial = _Iterate(*_extrapolate((model.U1, model.U2, model.U3), (start.U1, start.U2, start.U3), steps))
         trial_products = _extrapolate(products, start_products, steps)
         trial_value = _quadratic_loss(trial, trial_products, work.half_energy)
         trial_cost = trial_value + _regularization(trial, params)
@@ -1016,8 +1046,9 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
         elif it == params.max_outer_iters:
             termination = "max_iters"
         if termination is not None:
-            model = _change_spatial_basis(model, work.Q_y, work.Q_x)
-            c, value = _cost_and_loss(model, data, params)
+            model = _change_spatial_basis(model, work)
+            value = loss(model, data)
+            c = value + _regularization(model, params)
         laps.append(time.perf_counter())
 
         cost_trace.append(c)

@@ -385,6 +385,33 @@ class TestCompare:
             run(["compare", "--benchmark", "switching", "--N-list", "6", "--seeds", "0",
                  "--methods", "bogus-method", "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("source, option, values", [
+        ("--benchmark", "--N-list", "6,6"), ("--benchmark", "--seeds", "0,1,0"),
+        ("--benchmark", "--methods", "indep-full,indep-full"), ("--input", "--seeds", "0,0"),
+        ("--input", "--methods", "lowrank-r2,indep-full,lowrank-r2"),
+    ])
+    def test_repeated_entry_is_a_usage_error_before_any_work(self, tmp_path, monkeypatch, capsys, source, option,
+                                                             values):
+        # a repeat once simulated one instance again and wrote duplicate rows, exiting 0
+        out = tmp_path / "cmp"
+        calls = count_calls(monkeypatch, ("simulate_switching", "read_series_csv"))
+        given = ["--benchmark", "switching", "--tau", "80"] if source == "--benchmark" else \
+            ["--input", str(tmp_path / "series.csv"), "--window", "10", "--eta", "0.2"]
+        with pytest.raises(SystemExit) as exc:
+            run(["compare", *given, option, values, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {option}: expected a comma-separated list of at least one value, each given once, " \
+               f"got '{values}'" in capsys.readouterr().err
+        assert calls == {"simulate_switching": 0, "read_series_csv": 0}
+        assert not out.exists()
+
+    def test_repeated_entry_in_a_config_file_is_a_usage_error(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("seeds = 0,0\n", encoding="utf-8")
+        with pytest.raises(SystemExit, match="^error: config key seeds: .* each given once, got '0,0'$"):
+            run(["compare", "--config", str(config), "--benchmark", "switching", "--out", str(tmp_path / "cmp")])
+        assert not (tmp_path / "cmp").exists()
+
     def test_needs_exactly_one_source(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["compare", "--out", str(tmp_path)])

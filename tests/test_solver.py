@@ -43,6 +43,7 @@ from lrtvar.solver import (
     _jump_signs,
     _products,
     _quadratic_loss,
+    _range_coordinates,
     _range_data,
     _right_operator,
     _right_rhs,
@@ -53,6 +54,9 @@ from lrtvar.solver import (
     _temporal_hessian_apply,
     _temporal_quadratic,
     _temporal_tv_sweeps,
+    _to_channels,
+    _to_range,
+    _transitions,
     _tv_dual_residual,
 )
 from lrtvar.evaluation import model_estimate, operator_norm_error
@@ -946,21 +950,21 @@ class TestInitialize:
     def test_orthonormal_spatial_modes_without_noise(self):
         rng = np.random.default_rng(59)
         data = random_data(rng, 4, 10, 3)
-        model = CpFactors(*_spectral_factors(data, 4))
+        model = CpFactors(*_spectral_factors(_range_data(data), 4))
         assert np.allclose(model.U1.T @ model.U1, np.eye(4), atol=1e-10)
         assert np.allclose(model.U2.T @ model.U2, np.eye(4), atol=1e-10)
 
     def test_temporal_init_constant_unit_columns(self):
         rng = np.random.default_rng(60)
         data = random_data(rng, 3, 8, 5)
-        model = CpFactors(*_spectral_factors(data, 2))
+        model = CpFactors(*_spectral_factors(_range_data(data), 2))
         assert np.allclose(model.U3, 1 / np.sqrt(5), atol=1e-15)
         assert np.allclose(np.linalg.norm(model.U3, axis=0), 1.0, atol=1e-12)
 
     def test_rank_above_dimension_padded(self):
         rng = np.random.default_rng(61)
         data = random_data(rng, 3, 8, 4)
-        model = CpFactors(*_spectral_factors(data, 6))
+        model = CpFactors(*_spectral_factors(_range_data(data), 6))
         assert model.U1.shape == (3, 6)
         assert np.allclose(model.U1[:, 3:], 1 / np.sqrt(3))
         assert np.allclose(model.U2[:, 3:], 1 / np.sqrt(3))
@@ -982,7 +986,7 @@ class TestInitialize:
         # the memory-lean construction must agree with svd(Y @ pinv(X))
         rng = np.random.default_rng(63)
         data = random_data(rng, 5, 7, 3)
-        model = CpFactors(*_spectral_factors(data, 3))
+        model = CpFactors(*_spectral_factors(_range_data(data), 3))
         Xg = data.X.transpose(0, 2, 1).reshape(5, -1)
         Yg = data.Y.transpose(0, 2, 1).reshape(5, -1)
         A = Yg @ np.linalg.pinv(Xg)
@@ -1092,10 +1096,11 @@ class TestFit:
 
     @pytest.mark.filterwarnings("error")
     def test_trial_whose_cost_overflows_is_rejected(self, monkeypatch):
-        # x1.2e152 passes the entry checks; the extrapolation trial of outer
+        # x1.4e152 passes the entry checks; the extrapolation trial of outer
         # iteration 1 has finite factors but a loss that overflows to inf
+        # (from this start, at x1.2e152 the trial's loss is 3.9e307: finite)
         truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=0)
-        data = build_snapshots(TimeSeries(values=1.2e152 * truth.series.values), M=20)
+        data = build_snapshots(TimeSeries(values=1.4e152 * truth.series.values), M=20)
         losses = []
         quadratic_loss = lrtvar.solver._quadratic_loss
         monkeypatch.setattr(lrtvar.solver, "_quadratic_loss",
@@ -1316,13 +1321,13 @@ def extrapolation_steps(model, step):
     return np.where(weights > np.finfo(float).eps * weights.max(), step, 0.0)
 
 
-def full_data_trace(data, params, iterations):
+def full_data_trace(data, params, iterations, model=None):
     """Cost trace of the public block updates on the full data, started from
-    the initialization lifted to the channels, with the
+    ``model`` or else the initialization lifted to the channels, with the
     extrapolation trial of ``fit`` after each sweep: U + it^(1/p) (U - U_prev)
     (see :func:`extrapolation_steps`) is kept if ``cost`` says it is lower,
     else p rises by one up to 6."""
-    model = initialize(data, params)
+    model = initialize(data, params) if model is None else model
     trace = [cost(model, data, params)]
     root = 3
     for it in range(1, iterations + 1):
@@ -1359,9 +1364,55 @@ def range_case(name, seed=0):
     return data, Hyperparams(R=R, eta=1.0 / data.N, reg=reg, seed=seed, max_outer_iters=15, rtol=0.0, atol=0.0)
 
 
+def range_basis_oracle(A):
+    """An orthonormal basis of the span of a data tensor's transitions from
+    a test-side QR: the leading columns of Q, as many as the numerical rank."""
+    C = A.reshape(A.shape[0], -1)
+    return np.linalg.qr(C)[0][:, :np.linalg.matrix_rank(C)]
+
+
+def basis_case(name):
+    """A (channels, M, T) data tensor: random ones with 20 transitions and
+    more, as many or fewer channels, the lagged affine predictors of
+    ``affine-lags-2``, and a thin one of rank 6."""
+    rng = np.random.default_rng(11)
+    if name == "affine-lags":
+        return range_case("affine-lags-2")[0].X
+    if name == "rank-deficient-thin":
+        return (rng.standard_normal((40, 6)) @ rng.standard_normal((6, 20))).reshape(40, 5, 4)
+    return rng.standard_normal(({"thin": 40, "square": 20, "wide": 10}[name], 5, 4))
+
+
+class TestRangeBases:
+    """Each data tensor's range coordinates come from one eigendecomposition
+    of its (M*T)^2 Gram when the channels outnumber the transitions, and the
+    basis is the identity otherwise; a test-side QR is the oracle."""
+
+    @pytest.mark.parametrize("name", ["thin", "square", "wide", "affine-lags", "rank-deficient-thin"])
+    def test_bases_match_a_qr_oracle(self, name):
+        A = basis_case(name)
+        channels, M, T = A.shape
+        C = A.reshape(channels, M * T)
+        coordinates, basis = _range_coordinates(A)
+        oracle = range_basis_oracle(A)
+        rows = coordinates.shape[0]
+        assert (basis is None) == (channels <= M * T)
+        assert rows == (channels if basis is None else oracle.shape[1])
+        assert rows == {"thin": 20, "square": 20, "wide": 10, "rank-deficient-thin": 6}.get(name, M * T)
+        # the Gram of the range data is the channel-space Gram
+        coordinate_rows = _transitions(coordinates)
+        assert np.linalg.norm(coordinate_rows @ coordinate_rows.T - C.T @ C) <= 1e-12 * np.linalg.norm(C.T @ C)
+        # the lifted basis is orthonormal, spans range(X) and carries the data
+        Q = _to_channels(A, basis, np.eye(rows))
+        assert np.linalg.norm(Q.T @ Q - np.eye(rows)) <= 1e-12
+        assert np.linalg.norm(Q @ Q.T - oracle @ oracle.T) <= 1e-12
+        assert np.linalg.norm(C - Q @ coordinate_rows.T) <= 1e-12 * np.linalg.norm(C)
+        assert np.linalg.norm(_to_range(A, basis, C) - coordinate_rows.T) <= 1e-12 * np.linalg.norm(C)
+
+
 class TestRangeSpaceFit:
-    """``fit`` runs in orthonormal bases of range(X) and range(Y), square
-    ones when the transitions are at least as many as the channels, and
+    """``fit`` runs in orthonormal bases of range(X) and range(Y), the
+    identity when the transitions are at least as many as the channels, and
     lifts U1 and U2 back once at the end."""
 
     @pytest.mark.parametrize("name", sorted(RANGE_CASES))
@@ -1402,22 +1453,78 @@ class TestRangeSpaceFit:
         assert report.rmse_trace[-1] == rmse(model, data)
 
     def test_each_data_tensor_is_factored_once(self, monkeypatch):
-        rows = []
+        # no QR and no SVD; one eigh per Gram of side <= min(channels, M*T): of
+        # both data tensors in thin bases (large_n, N=500), of X~X~' for the
+        # spectral start's pinv in square ones (the cli workload's N=200), and
+        # one of the spectral start's Gram
+        cli = build_snapshots(simulate_switching(N=200, tau=200, sigma=0.5, seed=0).series, M=20)
+        cases = (benchmark_setting("large_n") + (3,), (cli, Hyperparams(R=8, eta=1.0 / 200, max_outer_iters=5), 2))
+        sides, eigh = [], np.linalg.eigh
 
-        def counted(factorize):
-            def wrapper(a, *args, **kwargs):
-                rows.append(a.shape[0])
-                return factorize(a, *args, **kwargs)
-            return wrapper
+        def counted(a, *args, **kwargs):
+            sides.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
 
-        data, params = benchmark_setting("large_n")
-        monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
-        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
-        fit(data, params)
-        transitions = data.M * data.T
-        assert transitions < data.N == data.N_in
-        assert rows.count(data.N) == 2
-        assert all(n <= transitions for n in rows if n != data.N)
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: pytest.fail("fit called np.linalg.qr"))
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("fit called np.linalg.svd"))
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for data, params, grams in cases:
+            sides.clear()
+            fit(data, params)
+            assert data.N_in == data.N and (data.N > data.M * data.T) == (grams == 3)
+            assert len(sides) == grams
+            assert all(side <= min(data.N, data.M * data.T) for side in sides)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_ill_conditioned_thin_fit_matches_a_qr_basis_fit(self, seed):
+        # cond(X) = 1e10, singular values logspaced over 30 transitions: the
+        # Gram keeps the 21 directions whose eigenvalue is above
+        # 30 eps lam_max, and drops 9 whose share of ||X||^2 is below 1e-13,
+        # which a test-side QR basis keeps.  In the kept directions just
+        # above the cut the lifted basis is orthonormal only to about
+        # eps lam_max / lam.  So the start, whose noise reaches them, costs
+        # in range coordinates what its lift costs to 1.7e-5 and 1.0e-4
+        # relative at seeds 0 and 1 (at most 1.0e-4 over seeds 0-5).  The
+        # first sweep leaves little weight there: from the same start, the
+        # same block updates in the QR basis give every later entry to at
+        # most 7.6e-13 and the final cost to 2e-16 (seeds 0-5).
+        rng = np.random.default_rng(seed)
+        n, M, T = 60, 5, 6
+        left = np.linalg.qr(rng.standard_normal((n, M * T)))[0]
+        right = np.linalg.qr(rng.standard_normal((M * T, M * T)))[0]
+        X = ((left * np.logspace(0, -10, M * T)) @ right.T).reshape(n, M, T)
+        Y = 0.8 * X + 0.1 * rng.standard_normal((n, M, T))
+        data = SnapshotPair(X=X, Y=Y, M=M, T=T)
+        assert np.linalg.cond(X.reshape(n, -1)) == pytest.approx(1e10, rel=1e-3)
+        params = Hyperparams(R=3, eta=0.5, reg=Regularizer("tv", 0.1), seed=seed, max_outer_iters=15,
+                             rtol=0.0, atol=0.0)
+        work = _range_data(data)
+        assert (work.N_in, work.N) == (21, M * T)
+        _, report = fit(data, params)
+
+        (Q_x, R_x), (Q_y, R_y) = np.linalg.qr(X.reshape(n, -1)), np.linalg.qr(Y.reshape(n, -1))
+        qr_pair = SnapshotPair(X=R_x.reshape(-1, M, T), Y=R_y.reshape(-1, M, T), M=M, T=T)
+        start = initialize(data, params)
+        start = CpFactors(Q_y.T @ start.U1, Q_x.T @ start.U2, start.U3)
+        reference = full_data_trace(qr_pair, params, params.max_outer_iters, start)
+        moved = np.abs(np.array(report.cost_trace) - reference) / reference
+        assert moved[0] <= 1e-3 and moved[1:].max() <= 5e-12 and moved[-1] <= 1e-14
+
+    def test_rank_deficient_thin_fit_keeps_the_numerical_rank(self):
+        rng = np.random.default_rng(3)
+        n, M, T, rank = 60, 5, 6, 7
+        X = (rng.standard_normal((n, rank)) @ rng.standard_normal((rank, M * T))).reshape(n, M, T)
+        Y = (rng.standard_normal((n, rank + 2)) @ rng.standard_normal((rank + 2, M * T))).reshape(n, M, T)
+        data = SnapshotPair(X=X, Y=Y, M=M, T=T)
+        work = _range_data(data)
+        assert (work.N_in, work.N) == (np.linalg.matrix_rank(X.reshape(n, -1)), np.linalg.matrix_rank(Y.reshape(n, -1)))
+        assert (work.N_in, work.N) == (rank, rank + 2)
+        params = Hyperparams(R=4, eta=0.5, reg=Regularizer("tv", 1.0), max_outer_iters=10)
+        model, report = fit(data, params)
+        for A, U in ((Y, model.U1), (X, model.U2)):
+            basis = range_basis_oracle(A)
+            assert np.linalg.norm(U - basis @ (basis.T @ U)) <= 1e-12 * np.linalg.norm(U)
+        assert report.cost_trace[-1] == cost(model, data, params)
 
     @pytest.mark.parametrize("degenerate", ["zero-targets", "zeroed-window"])
     def test_degenerate_data_descends(self, degenerate):
@@ -1511,9 +1618,9 @@ class TestExtrapolation:
             sweeps.append(replace(model, U3=U3))
             return U3, inner
 
-        def lift_spy(model, left, right):
+        def lift_spy(model, work):
             last.append(model)
-            return lift(model, left, right)
+            return lift(model, work)
 
         monkeypatch.setattr(lrtvar.solver, "update_left", left_spy)
         monkeypatch.setattr(lrtvar.solver, "update_temporal", temporal_spy)
