@@ -32,18 +32,11 @@ from .evaluation import (
     model_estimate,
     operator_norm_error,
 )
-from .regularizers import (
-    Regularizer,
-    spline_penalty,
-    tikhonov_penalty,
-    tv_penalty,
-    tv_prox_1d,
-)
+from .regularizers import Regularizer, spline_penalty, tv_penalty
 from .solver import BlockOutcome, FitReport, Hyperparams, OuterIteration, cost, fit, initialize, loss, rmse
 from .synthetic import (
     GroundTruth,
     gp_covariance,
-    make_rank2_rotation,
     sample_gp_angle,
     simulate_smooth,
     simulate_switching,

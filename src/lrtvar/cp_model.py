@@ -39,10 +39,6 @@ class _FactorShapes:
     def R(self) -> int:
         return self.U1.shape[1]
 
-    @property
-    def dims(self) -> tuple:
-        return (self.N, self.N_in, self.T, self.R)
-
 
 @dataclass
 class CpFactors(_FactorShapes):

@@ -3,10 +3,12 @@
 The loadings matrix has one row per window; penalties act on first
 differences down each column.  The total-variation penalty prefers
 piecewise-constant columns (switching dynamics), the spline penalty prefers
-smoothly varying ones, and the ridge term keeps all factor entries bounded.
-The exact TV prox, with a positive weight on each entry's squared error,
-is Johnson's dynamic program, linear time in the length; the solver's TV
-update of the loadings runs it on one weighted column at a time.
+smoothly varying ones, and the ridge term of the solver's cost
+(:func:`_ridge`) keeps all factor entries bounded.  The exact TV prox, with
+a positive weight on each entry's squared error, is Johnson's dynamic
+program, linear time in the length; :func:`tv_prox_columns` runs it on each
+weighted column, and the solver's fallback TV update of the loadings on one
+column at a time.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from __future__ import annotations
 import math
 from itertools import chain
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidHyperparameterError, NonFiniteError, NonPositiveEtaError, finite_real, real_at_least
+from .errors import InvalidHyperparameterError, NonFiniteError, real_at_least
 
 REGULARIZER_KINDS = ("none", "tv", "spline")
 
@@ -67,22 +68,9 @@ def spline_penalty(U3: np.ndarray) -> float:
     return 0.5 * float(np.sum(d * d))
 
 
-def tikhonov_penalty(U1: np.ndarray, U2: np.ndarray, U3: np.ndarray, eta: float) -> float:
-    """Ridge term (1/2eta) * (||U1||_F^2 + ||U2||_F^2 + ||U3||_F^2).
-
-    An ``eta`` that is a bool or not a real number raises
-    :class:`InvalidHyperparameterError`, a NaN or infinite one
-    :class:`NonFiniteError` and one <= 0 :class:`NonPositiveEtaError`.
-    """
-    eta = finite_real("eta", eta)
-    if eta <= 0:
-        raise NonPositiveEtaError(f"eta must be > 0, got {eta}")
-    return _ridge(U1, U2, U3, eta)
-
-
 def _ridge(U1, U2, U3, eta: float) -> float:
-    """:func:`tikhonov_penalty` for an ``eta`` already checked, as the
-    solver's :class:`Hyperparams` holds it."""
+    """Ridge term (1/2eta) * (||U1||_F^2 + ||U2||_F^2 + ||U3||_F^2) for an
+    ``eta`` > 0 already checked, as the solver's :class:`Hyperparams` holds it."""
     return float(np.vdot(U1, U1) + np.vdot(U2, U2) + np.vdot(U3, U3)) / (2.0 * eta)
 
 
@@ -159,54 +147,36 @@ def _tv_prox_list(y: list, w: list, gamma: float) -> list:
     return [mean] * len(y)
 
 
-def tv_prox_1d(v: np.ndarray, gamma: float) -> np.ndarray:
-    """Exact prox of the 1-D total variation: argmin_u 1/2 ||u - v||^2 + gamma ||Du||_1.
-
-    Johnson's linear-time dynamic program, run by :func:`tv_prox_columns` on
-    ``v`` as one column.  The minimizer is piecewise constant with the same
-    mean as ``v``; ``gamma >= 0``, checked as in :func:`tv_prox_columns`,
-    and ``gamma = 0`` returns a copy of ``v``.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("tv_prox_1d expects a 1-D vector")
-    return tv_prox_columns(v[:, None], gamma)[:, 0]
-
-
-def tv_prox_columns(V: np.ndarray, gamma: float, weights: Optional[np.ndarray] = None) -> np.ndarray:
+def tv_prox_columns(V: np.ndarray, gamma: float, weights: np.ndarray) -> np.ndarray:
     """Exact weighted TV prox of each column of a matrix, in linear time per column.
 
     Column r of the result is argmin_u sum_k w_k/2 (u_k - V[k, r])^2 +
     gamma sum_k |u_k - u_{k+1}| with w = ``weights[:, r]``, positive and
-    finite, of the shape of ``V``; ``weights=None`` means unit weights.  A
-    saturated column (see :func:`_tv_prox_list`) gets its weighted mean
-    exactly.  A ``gamma`` that is a bool, not a real number or negative
-    raises :class:`InvalidHyperparameterError`, a NaN one or a non-finite
-    entry or weight :class:`NonFiniteError`; ``gamma = inf`` saturates every
-    column.
+    finite, of the shape of ``V``.  A saturated column (see
+    :func:`_tv_prox_list`) gets its weighted mean exactly.  A ``gamma``
+    that is a bool, not a real number or negative raises
+    :class:`InvalidHyperparameterError`, a NaN or infinite one or a
+    non-finite entry or weight :class:`NonFiniteError`; ``gamma = 0``
+    returns a copy of ``V``.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise ValueError("tv_prox_columns expects a 2-D matrix")
-    gamma = math.inf if gamma == math.inf else real_at_least("gamma", gamma)
+    gamma = real_at_least("gamma", gamma)
     # checked on Python lists: for the few short columns of a loadings matrix
     # that is cheaper than a NumPy reduction per call
     columns = V.T.tolist()
     if not all(map(math.isfinite, chain.from_iterable(columns))):
         raise NonFiniteError("tv_prox_columns input contains non-finite entries")
-    n = V.shape[0]
-    if weights is None:
-        weight_columns = [[1.0] * n] * V.shape[1]
-    else:
-        W = np.asarray(weights, dtype=float)
-        if W.shape != V.shape:
-            raise ValueError(f"weights must have the shape {V.shape} of the matrix, got {W.shape}")
-        weight_columns = W.T.tolist()
-        if not all(map(math.isfinite, chain.from_iterable(weight_columns))):
-            raise NonFiniteError("tv_prox_columns weights contain non-finite entries")
-        if min(chain.from_iterable(weight_columns), default=1.0) <= 0.0:
-            raise ValueError("tv_prox_columns weights must be > 0")
-    if gamma == 0.0 or n < 2:
+    W = np.asarray(weights, dtype=float)
+    if W.shape != V.shape:
+        raise ValueError(f"weights must have the shape {V.shape} of the matrix, got {W.shape}")
+    weight_columns = W.T.tolist()
+    if not all(map(math.isfinite, chain.from_iterable(weight_columns))):
+        raise NonFiniteError("tv_prox_columns weights contain non-finite entries")
+    if min(chain.from_iterable(weight_columns), default=1.0) <= 0.0:
+        raise ValueError("tv_prox_columns weights must be > 0")
+    if gamma == 0.0 or V.shape[0] < 2:
         return V.copy()
     out = [_tv_prox_list(y, w, gamma) for y, w in zip(columns, weight_columns)]
     return np.array(out, dtype=float).reshape(V.shape[::-1]).T

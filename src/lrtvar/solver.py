@@ -19,7 +19,9 @@ either pass the block's optimality conditions, which ends the update on the
 block minimizer, or say which jumps to fuse and which fused pairs to open
 for the next face.  Exact minimization one column at a time by the weighted
 TV prox is only the fallback, for faces too large to solve or a face
-iteration that does not certify.  Every update is non-increasing in C.
+iteration that does not certify, and it keeps the incoming U3 unless its
+result lowers the block objective.  So every update is non-increasing in
+C, up to the inner solves' rounding, at every scale the fit accepts.
 After each sweep ``fit`` tries the extrapolated iterate
 U + it^(1/p) (U - U_prev) on all three factors at once and keeps it only if
 it lowers C (Bro's line search for PARAFAC), so the outer cost trace
@@ -90,7 +92,7 @@ from .errors import (
     integer_at_least,
     real_at_least,
 )
-from .regularizers import Regularizer, _ridge, tv_prox_columns
+from .regularizers import Regularizer, _ridge, tv_penalty, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
 
 # CG stops once the residual falls to this fraction of the right-hand side,
@@ -344,40 +346,6 @@ def _quadratic_loss(model: CpFactors, products: tuple, half_energy: float) -> fl
 
 
 # ---------------------------------------------------------------------------
-# block gradients (smooth part of the cost: loss + ridge [+ spline])
-
-
-def _left_normal_equations(model: CpFactors, data: SnapshotPair, products: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """S = sum_k H_k H_k' and B = sum_k Y_k H_k', with
-    H_k = U2' X_k diag(U3[k]), so the loss in U1 is
-    1/2 tr(U1 S U1') - tr(B' U1) + const; ``products`` is (X'U2, Y'U1)
-    (:func:`_products`)."""
-    H = _scale_windows(products[0], model.U3)
-    return H.T @ H, _transitions(data.Y).T @ H
-
-
-def grad_left(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
-    """Gradient of (loss + ridge) in U1."""
-    _check_dims(model, data)
-    S, B = _left_normal_equations(model, data, _products(model, data))
-    return model.U1 @ S - B + model.U1 / eta
-
-
-def grad_right(model: CpFactors, data: SnapshotPair, eta: float) -> np.ndarray:
-    """Gradient of (loss + ridge) in U2; never forms X_k X_k'."""
-    _check_dims(model, data)
-    return _right_operator(_right_weights(model), data, eta, model.U2) - _right_rhs(model, data, _products(model, data))
-
-
-def grad_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams) -> np.ndarray:
-    """Gradient of the smooth cost in U3: loss + ridge, plus the spline term
-    when that regularizer is active (the TV term is nonsmooth and excluded)."""
-    _check_dims(model, data)
-    C, b = _temporal_quadratic(model, data, _products(model, data))
-    return _temporal_hessian_apply(*_temporal_hessian(C, params), model.U3) - b
-
-
-# ---------------------------------------------------------------------------
 # block updates
 
 
@@ -385,14 +353,17 @@ def update_left(model: CpFactors, data: SnapshotPair, params: Hyperparams,
                 products: tuple) -> tuple[np.ndarray, BlockOutcome]:
     """Exact minimizer of the cost over U1 (R x R ridge-damped solve).
 
-    ``products`` is (X'U2, Y'U1) of ``model`` and ``data``
-    (:func:`_products`), which ``fit`` holds.  Returns (new U1, the
-    ``exact`` :class:`BlockOutcome`).
+    The loss in U1 is 1/2 tr(U1 S U1') - tr(B' U1) + const with
+    S = sum_k H_k H_k', B = sum_k Y_k H_k' and H_k = U2' X_k diag(U3[k]),
+    so U1 solves U1 (S + I/eta) = B.  ``products`` is (X'U2, Y'U1) of
+    ``model`` and ``data`` (:func:`_products`), which ``fit`` holds.
+    Returns (new U1, the ``exact`` :class:`BlockOutcome`).
     """
     _check_dims(model, data)
-    S, B = _left_normal_equations(model, data, products)
+    H = _scale_windows(products[0], model.U3)
+    S = H.T @ H
     S.flat[::len(S) + 1] += 1.0 / params.eta
-    return np.linalg.solve(S, B.T).T, _EXACT
+    return np.linalg.solve(S, (_transitions(data.Y).T @ H).T).T, _EXACT
 
 
 def _right_weights(model: CpFactors) -> np.ndarray:
@@ -612,15 +583,21 @@ def _temporal_tv_sweeps(H, b, U3_init, beta):
     the fallback.  One sweep runs when the face iteration meets a face of
     more than ``FACE_MAX_SEGMENTS`` segments, spends ``TV_MAX_STEPS`` face
     solves, or finds nothing to exchange without certifying, and the face
-    iteration then restarts from the sweep's face.  The update returns the
-    last sweep iterate once a sweep moves no entry by more than
-    ``SWEEP_TOL * max|U3|``, or when the face iteration after sweep
-    ``TV_MAX_STEPS`` does not certify.  So it returns either the certified
-    block minimizer or a sweep iterate, and never raises the objective.
+    iteration then restarts from the sweep's face.  The sweeps stop once a
+    sweep moves no entry by more than ``SWEEP_TOL * max|U3|``, or when the
+    face iteration after sweep ``TV_MAX_STEPS`` does not certify.  The
+    update then returns the last sweep iterate if its block objective
+    (:func:`_tv_block_objective`) is lower than that of ``U3_init``, and
+    ``U3_init`` otherwise: in exact arithmetic no sweep raises the
+    objective, but near the top of the float64 range the sums of the prox
+    weights can overflow, and a sweep then can.  So it returns the certified
+    block minimizer, a sweep iterate that lowers the objective or
+    ``U3_init``, and never raises the objective.
 
     Returns (U3, :class:`BlockOutcome`): ``face`` or ``sweeps``, by which
-    iterate it is, the face solves plus the sweeps run, and the dual
-    residual of U3, capped when it is above ``SWEEP_TOL``.
+    iterate it is (``U3_init`` reads ``sweeps``), the face solves plus the
+    sweeps run, and the dual residual of U3, capped when it is above
+    ``SWEEP_TOL``.
     """
     face_solves = 0
     for sweeps, (U, move) in enumerate(_column_sweeps(H, b, U3_init, beta)):
@@ -650,8 +627,16 @@ def _temporal_tv_sweeps(H, b, U3_init, beta):
             seen.add(signs.tobytes())
         if sweeps == TV_MAX_STEPS:
             break
+    if not _tv_block_objective(H, b, U, beta) < _tv_block_objective(H, b, U3_init, beta):
+        U = U3_init
     residual = _tv_dual_residual(_running_sums(H, b, U), _jump_signs(U, np.diff(U, axis=0)), beta)
     return U, BlockOutcome("sweeps", sweeps + face_solves, residual)
+
+
+def _tv_block_objective(H, b, U, beta) -> float:
+    """The TV block objective sum_k 1/2 u_k' H_k u_k - b_k' u_k + beta TV(U),
+    u_k = U[k]; NaN where its terms overflow to inf of both signs."""
+    return float(np.vdot(U, 0.5 * (H @ U[:, :, None])[:, :, 0] - b)) + beta * tv_penalty(U)
 
 
 def _column_sweeps(H, b, U, beta):

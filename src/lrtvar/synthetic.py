@@ -23,12 +23,10 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateProjectionError, InvalidHyperparameterError, NonFiniteError, ShapeMismatchError,
-                     finite_real, integer_at_least, real_at_least)
+from .errors import DegenerateProjectionError, ShapeMismatchError, finite_real, integer_at_least, real_at_least
 from .windowing import TimeSeries
 
 BURN_IN_STEPS = 200
@@ -99,18 +97,6 @@ def rotation_2x2(theta) -> np.ndarray:
 def _random_plane(N: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal N x 2 basis: the left singular vectors of a Gaussian N x 2 draw."""
     return np.linalg.svd(rng.standard_normal((integer_at_least("N", N, 2), 2)), full_matrices=False)[0]
-
-
-def make_rank2_rotation(N: int, theta: float, seed_or_rng) -> np.ndarray:
-    """Random rank-2 rotation in N dimensions: W Rot(theta) W'.
-
-    The result rotates by ``theta`` inside the random plane W of
-    :func:`_random_plane` and annihilates its orthogonal complement.
-    Singular values are {1, 1, 0, ...}.
-    """
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(seed_or_rng, np.random.Generator) else seed_or_rng
-    W = _random_plane(N, rng)
-    return W @ rotation_2x2(theta) @ W.T
 
 
 def _plane_start(W: np.ndarray, x: np.ndarray, phase: float, event: str = "burn-in") -> np.ndarray:
@@ -208,33 +194,23 @@ def simulate_smooth(
     sigma: float = 0.2,
     lengthscale: float = 30.0,
     seed: int = 0,
-    angles: Optional[np.ndarray] = None,
 ) -> GroundTruth:
     """Trajectory under A(t) = W Rot(theta(t)) W' with one fixed plane W.
 
-    theta(t) comes from :func:`sample_gp_angle` unless an explicit ``angles``
-    array of tau finite values is supplied (useful for degenerate-kernel
-    tests).  The start state reuses the switching recipe: ``BURN_IN_STEPS``
-    steps of A(0) from the all-ones vector, then normalize to sqrt(N).  All
-    matrices share the invariant plane, so the trajectory is one rotation
-    orbit with phases [0, cumsum(theta)], computed in closed form, and no
-    mid-trajectory renormalization is needed.  A bad N, tau, sigma,
-    lengthscale, ``angles`` or seed raises
-    :class:`InvalidHyperparameterError` (or :class:`NonFiniteError`) before
-    any draw.
+    theta(t) is one draw of :func:`sample_gp_angle`.  The start state reuses
+    the switching recipe: ``BURN_IN_STEPS`` steps of A(0) from the all-ones
+    vector, then normalize to sqrt(N).  All matrices share the invariant
+    plane, so the trajectory is one rotation orbit with phases
+    [0, cumsum(theta)], computed in closed form, and no mid-trajectory
+    renormalization is needed.  A bad N, tau, sigma, lengthscale or seed
+    raises :class:`InvalidHyperparameterError` (or :class:`NonFiniteError`)
+    before any draw.
     """
     tau, seed = integer_at_least("tau", tau, 1), integer_at_least("seed", seed, 0)
     sigma, lengthscale = real_at_least("sigma", sigma), real_at_least("lengthscale", lengthscale, strict=True)
-    if angles is not None:
-        angles = np.asarray(angles, dtype=float)
-        if angles.shape != (tau,):
-            raise InvalidHyperparameterError(f"angles must have shape ({tau},), got {angles.shape}")
-        if not np.isfinite(angles).all():
-            raise NonFiniteError("angles must be finite")
     rng_mat, rng_gp, rng_noise = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
     W = _random_plane(N, rng_mat)
-    if angles is None:
-        angles = sample_gp_angle(tau, lengthscale=lengthscale, seed_or_rng=rng_gp)
+    angles = sample_gp_angle(tau, lengthscale=lengthscale, seed_or_rng=rng_gp)
 
     left = W @ rotation_2x2(angles)
     start = _plane_start(W, np.ones(N), BURN_IN_STEPS * angles[0])

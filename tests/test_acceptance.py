@@ -20,18 +20,9 @@ from lrtvar.evaluation import (
     model_estimate,
     operator_norm_error,
 )
-from lrtvar.regularizers import Regularizer, tv_prox_1d
-from lrtvar.solver import (
-    Hyperparams,
-    fit,
-    grad_left,
-    grad_right,
-    grad_temporal,
-    loss,
-    update_right,
-    update_temporal,
-)
-from lrtvar.synthetic import gp_covariance, make_rank2_rotation, sample_gp_angle, simulate_smooth, simulate_switching
+from lrtvar.regularizers import Regularizer, tv_prox_columns
+from lrtvar.solver import Hyperparams, fit, loss, update_right, update_temporal
+from lrtvar.synthetic import gp_covariance, sample_gp_angle, simulate_smooth, simulate_switching
 from lrtvar.windowing import SnapshotPair, build_snapshots
 
 
@@ -213,6 +204,24 @@ def brute_force_tv_prox(v, gamma, tol=1e-9):
     raise AssertionError("no KKT point found")
 
 
+def dense_gradients(model, data, params):
+    """[grad U1, grad U2, grad U3] of loss + ridge (+ the spline term), window
+    by window from A_k = model.slice(k): the loss gradient in A_k is
+    G_k = (A_k X_k - Y_k) X_k', and A_k = U1 diag(U3[k]) U2'."""
+    grads = [U / params.eta for U in (model.U1, model.U2, model.U3)]
+    for k in range(model.T):
+        X = data.X[:, :, k]
+        G = (model.slice(k) @ X - data.Y[:, :, k]) @ X.T
+        grads[0] += (G @ model.U2) * model.U3[k]
+        grads[1] += (G.T @ model.U1) * model.U3[k]
+        grads[2][k] += np.sum(model.U1 * (G @ model.U2), axis=0)
+    if params.reg.kind == "spline":
+        step = params.reg.beta * np.diff(model.U3, axis=0)
+        grads[2][:-1] -= step
+        grads[2][1:] += step
+    return grads
+
+
 def fd_gradient(func, mat, h=1e-5):
     g = np.zeros_like(mat)
     it = np.nditer(mat, flags=["multi_index"])
@@ -322,19 +331,22 @@ def test_criterion_5b_temporal_update_vs_hadamard():
 
 
 def test_criterion_5c_tv_prox_oracles():
+    def prox(v, gamma):
+        return tv_prox_columns(v[:, None], gamma, np.ones((v.size, 1)))[:, 0]
+
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
         T = int(rng.integers(1, 7))
         v = 3.0 * rng.standard_normal(T)
         gamma = float(rng.uniform(0.0, 2.0))
-        worst = max(worst, float(np.abs(tv_prox_1d(v, gamma) - brute_force_tv_prox(v, gamma)).max()))
+        worst = max(worst, float(np.abs(prox(v, gamma) - brute_force_tv_prox(v, gamma)).max()))
     certificate_ok = True
     for _ in range(100):
         T = int(rng.integers(2, 201))
         v = np.cumsum(rng.standard_normal(T))
         gamma = float(rng.uniform(1e-3, 1.5))
-        u = tv_prox_1d(v, gamma)
+        u = prox(v, gamma)
         w = -np.cumsum(u - v)[:-1] / gamma
         jumps = u[:-1] - u[1:]
         big = np.abs(jumps) > 1e-9
@@ -347,7 +359,7 @@ def test_criterion_5c_tv_prox_oracles():
 
 
 def test_criterion_5d_block_gradients_vs_finite_differences():
-    from lrtvar.regularizers import spline_penalty, tikhonov_penalty
+    from lrtvar.regularizers import spline_penalty
 
     rng = np.random.default_rng(8)
     worst = 0.0
@@ -361,16 +373,13 @@ def test_criterion_5d_block_gradients_vs_finite_differences():
         params = Hyperparams(R=R, eta=0.6, reg=reg)
 
         def smooth():
-            value = loss(model, data) + tikhonov_penalty(model.U1, model.U2, model.U3, 0.6)
+            ridge = sum(float(np.sum(U * U)) for U in (model.U1, model.U2, model.U3)) / (2 * 0.6)
+            value = loss(model, data) + ridge
             if reg.kind == "spline":
                 value += reg.beta * spline_penalty(model.U3)
             return value
 
-        for analytic, block in (
-            (grad_left(model, data, 0.6), model.U1),
-            (grad_right(model, data, 0.6), model.U2),
-            (grad_temporal(model, data, params), model.U3),
-        ):
+        for analytic, block in zip(dense_gradients(model, data, params), (model.U1, model.U2, model.U3)):
             numeric = fd_gradient(smooth, block)
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1.0)
             worst = max(worst, float(rel))
@@ -380,13 +389,14 @@ def test_criterion_5d_block_gradients_vs_finite_differences():
 
 
 def test_criterion_6_generator_audits():
+    # every block left[b] @ right[b].T the generators return is a rank-2 rotation
     sv_ok = True
     for N in (2, 10, 100):
-        A = make_rank2_rotation(N, theta=0.1 * np.pi, seed_or_rng=N)
-        s = np.linalg.svd(A, compute_uv=False)
-        sv_ok &= bool(abs(s[0] - 1.0) <= 1e-10)
-        if N > 2:
-            sv_ok &= bool(s[2] <= 1e-10)
+        for truth in (simulate_switching(N=N, tau=20, seed=N), simulate_smooth(N=N, tau=20, seed=N)):
+            for s in np.linalg.svd(truth.left @ truth.right.transpose(0, 2, 1), compute_uv=False):
+                sv_ok &= bool(np.abs(s[:2] - 1.0).max() <= 1e-10)
+                if N > 2:
+                    sv_ok &= bool(s[2] <= 1e-10)
     K = gp_covariance(64)
     diag_ok = bool(np.all(K[np.diag_indices(64)] == 1.001))
     draws = np.stack([sample_gp_angle(8, seed_or_rng=seed) for seed in range(2000)])

@@ -17,7 +17,7 @@ def random_model(rng, N=4, N_in=None, T=5, R=3, affine=False):
 
 def reconstruct_triple_loop(model):
     """Entrywise oracle: tensor(i,j,k) = sum_r U1[i,r] U2[j,r] U3[k,r]."""
-    N, N_in, T, R = model.dims
+    N, N_in, T, R = model.N, model.N_in, model.T, model.R
     out = np.zeros((N, N_in, T))
     for i in range(N):
         for j in range(N_in):

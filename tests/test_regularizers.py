@@ -4,15 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from lrtvar.errors import InvalidHyperparameterError, NonFiniteError, NonPositiveEtaError
-from lrtvar.regularizers import (
-    Regularizer,
-    spline_penalty,
-    tikhonov_penalty,
-    tv_penalty,
-    tv_prox_1d,
-    tv_prox_columns,
-)
+from lrtvar.errors import InvalidHyperparameterError, NonFiniteError
+from lrtvar.regularizers import Regularizer, _ridge, spline_penalty, tv_penalty, tv_prox_columns
+
+
+def prox(v, gamma):
+    """The TV prox of ``v`` by :func:`tv_prox_columns`, as one column of unit weights."""
+    v = np.asarray(v, dtype=float)
+    return tv_prox_columns(v[:, None], gamma, np.ones((v.size, 1)))[:, 0]
 
 
 def dense_diff_matrix(T):
@@ -211,52 +210,41 @@ class TestSplinePenalty:
 
 
 class TestTikhonov:
+    """The ridge term of the cost; its ``eta`` is checked by ``Hyperparams``."""
+
     def test_zero_factors(self):
         z = np.zeros((3, 2))
-        assert tikhonov_penalty(z, z, z, eta=1.0) == 0.0
+        assert _ridge(z, z, z, eta=1.0) == 0.0
 
     def test_unit_entries(self):
         one = np.array([[1.0]])
-        assert tikhonov_penalty(one, one, one, eta=0.5) == pytest.approx(3.0)
+        assert _ridge(one, one, one, eta=0.5) == pytest.approx(3.0)
 
     def test_scales_inversely_with_eta(self):
         rng = np.random.default_rng(11)
         U1, U2, U3 = (rng.standard_normal((4, 3)) for _ in range(3))
-        assert tikhonov_penalty(U1, U2, U3, eta=0.5) == pytest.approx(
-            2.0 * tikhonov_penalty(U1, U2, U3, eta=1.0), rel=1e-12
-        )
-
-    def test_nonpositive_eta_rejected(self):
-        z = np.zeros((2, 2))
-        with pytest.raises(NonPositiveEtaError):
-            tikhonov_penalty(z, z, z, eta=0.0)
-
-    def test_nan_eta_rejected(self):
-        # once returned NaN
-        z = np.zeros((2, 2))
-        with pytest.raises(NonFiniteError):
-            tikhonov_penalty(z, z, z, eta=float("nan"))
+        assert _ridge(U1, U2, U3, eta=0.5) == pytest.approx(2.0 * _ridge(U1, U2, U3, eta=1.0), rel=1e-12)
 
 
 class TestTvProx:
     def test_gamma_zero_identity(self):
         rng = np.random.default_rng(12)
         v = rng.standard_normal(17)
-        out = tv_prox_1d(v, 0.0)
+        out = prox(v, 0.0)
         assert np.array_equal(out, v)
         assert out is not v
 
     def test_two_point_saturation(self):
         v = np.array([0.0, 1.0])
-        assert np.allclose(tv_prox_1d(v, 0.5), [0.5, 0.5], atol=1e-12)
-        assert np.allclose(tv_prox_1d(v, 2.0), [0.5, 0.5], atol=1e-12)
+        assert np.allclose(prox(v, 0.5), [0.5, 0.5], atol=1e-12)
+        assert np.allclose(prox(v, 2.0), [0.5, 0.5], atol=1e-12)
 
     def test_two_point_partial_shrink(self):
-        out = tv_prox_1d(np.array([0.0, 1.0]), 0.2)
+        out = prox(np.array([0.0, 1.0]), 0.2)
         assert np.allclose(out, [0.2, 0.8], atol=1e-12)
 
     def test_three_point_example(self):
-        out = tv_prox_1d(np.array([1.0, 0.0, 2.0]), 0.3)
+        out = prox(np.array([1.0, 0.0, 2.0]), 0.3)
         expected = tv_prox_oracle(np.array([1.0, 0.0, 2.0]), 0.3)
         assert np.allclose(expected, [0.7, 0.6, 1.7], atol=1e-12)
         assert np.allclose(out, expected, atol=1e-10)
@@ -267,7 +255,7 @@ class TestTvProx:
             T = int(rng.integers(1, 7))
             v = 3.0 * rng.standard_normal(T)
             gamma = float(rng.uniform(0.0, 2.0))
-            out = tv_prox_1d(v, gamma)
+            out = prox(v, gamma)
             ref = tv_prox_oracle(v, gamma)
             assert np.allclose(out, ref, atol=1e-8), (trial, T, gamma, v)
 
@@ -277,7 +265,7 @@ class TestTvProx:
             T = int(rng.integers(2, 7))
             v = rng.standard_normal(T)
             gamma = float(rng.uniform(0.0, 1.5))
-            out = tv_prox_1d(v, gamma)
+            out = prox(v, gamma)
             ref = tv_prox_oracle(v, gamma)
             assert prox_objective(out, v, gamma) <= prox_objective(ref, v, gamma) + 1e-10
 
@@ -285,7 +273,7 @@ class TestTvProx:
         # optimality: u - v = -gamma * D'w with |w| <= 1 and w matching the
         # jump signs of Du wherever Du is nonzero
         for v, gamma in long_prox_cases():
-            u = tv_prox_1d(v, gamma)
+            u = prox(v, gamma)
             w = -np.cumsum(u - v)[:-1] / gamma
             assert np.abs(np.sum(u - v)) < 1e-9 * (1 + np.abs(v).sum())
             assert np.all(np.abs(w) <= 1 + 1e-8)
@@ -301,9 +289,9 @@ class TestTvProx:
         ints[-1] -= ints.sum() % ints.size
         for v in (np.array([1.0, 0.0, 2.0, 5.0]), ints, 2.0**40 * ints):
             threshold = np.abs(np.cumsum(v - v.mean())[:-1]).max()
-            for gamma in (threshold, 1e6, 1e12, 1e300, np.inf):
+            for gamma in (threshold, 1e6, 1e12, 1e300):
                 if gamma >= threshold:
-                    u = tv_prox_1d(v, gamma)
+                    u = prox(v, gamma)
                     assert np.abs(u - v.mean()).max() <= 1e-15 * (1 + np.abs(v).max()), (v.size, gamma)
 
     @pytest.mark.parametrize(
@@ -317,20 +305,17 @@ class TestTvProx:
         ids=["nan-gamma", "nan-entry", "inf-entry", "inf-gamma"],
     )
     def test_non_finite_input(self, v, gamma):
-        # a NaN gamma or a non-finite entry is rejected; gamma = inf gives the mean without a warning
+        # a NaN or infinite gamma or a non-finite entry is rejected, without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if gamma == np.inf:
-                assert np.array_equal(tv_prox_1d(v, gamma), np.full(4, 2.0))
-            else:
-                with pytest.raises(NonFiniteError):
-                    tv_prox_1d(v, gamma)
+            with pytest.raises(NonFiniteError):
+                prox(v, gamma)
 
     def test_mean_preserved(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
             v = rng.standard_normal(int(rng.integers(1, 60)))
-            u = tv_prox_1d(v, float(rng.uniform(0, 3)))
+            u = prox(v, float(rng.uniform(0, 3)))
             assert u.mean() == pytest.approx(v.mean(), abs=1e-12)
 
     def test_nonexpansive(self):
@@ -340,7 +325,7 @@ class TestTvProx:
             v1 = rng.standard_normal(T)
             v2 = rng.standard_normal(T)
             gamma = float(rng.uniform(0, 2))
-            d_out = np.linalg.norm(tv_prox_1d(v1, gamma) - tv_prox_1d(v2, gamma))
+            d_out = np.linalg.norm(prox(v1, gamma) - prox(v2, gamma))
             assert d_out <= np.linalg.norm(v1 - v2) + 1e-10
 
     def test_tv_monotone_in_gamma(self):
@@ -348,13 +333,13 @@ class TestTvProx:
         for _ in range(30):
             v = rng.standard_normal(int(rng.integers(2, 40)))
             g1, g2 = sorted(rng.uniform(0, 2, size=2))
-            tv1 = tv_penalty(tv_prox_1d(v, g1)[:, None])
-            tv2 = tv_penalty(tv_prox_1d(v, g2)[:, None])
+            tv1 = tv_penalty(prox(v, g1)[:, None])
+            tv2 = tv_penalty(prox(v, g2)[:, None])
             assert tv2 <= tv1 + 1e-10
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            tv_prox_1d(np.array([1.0, 2.0]), -0.1)
+            prox(np.array([1.0, 2.0]), -0.1)
 
     @pytest.mark.parametrize(
         "gamma, error, message",
@@ -367,23 +352,17 @@ class TestTvProx:
     def test_bad_gamma_is_named(self, gamma, error, message):
         # a text or bool gamma was once read by float() and accepted
         V = np.array([[1.0, 0.0], [0.0, 2.0], [5.0, 1.0]])
-        for prox in (lambda: tv_prox_columns(V, gamma), lambda: tv_prox_1d(V[:, 0], gamma)):
-            with pytest.raises(error, match=message):
-                prox()
-
-    def test_infinite_gamma_saturates_every_column(self):
-        V = np.array([[1.0, 0.0], [0.0, 2.0], [5.0, 1.0]])
-        assert np.array_equal(tv_prox_columns(V, np.inf), np.tile(V.mean(axis=0), (3, 1)))
-        assert np.array_equal(tv_prox_columns(V, float("inf"), np.full(V.shape, 2.0)), np.tile(V.mean(axis=0), (3, 1)))
+        with pytest.raises(error, match=message):
+            tv_prox_columns(V, gamma, np.ones_like(V))
 
     def test_columnwise_application(self):
         rng = np.random.default_rng(19)
         V = rng.standard_normal((12, 3))
         V = np.column_stack([V, 0.01 * rng.standard_normal(12)])  # a saturated column
-        out = tv_prox_columns(V, 0.4)
+        out = tv_prox_columns(V, 0.4, np.ones_like(V))
         assert np.ptp(out[:, 3]) == 0.0 and np.ptp(out[:, :3], axis=0).min() > 0.0
         for r in range(4):
-            assert np.array_equal(out[:, r], tv_prox_1d(V[:, r], 0.4))
+            assert np.array_equal(out[:, r], prox(V[:, r], 0.4))
 
 
     def test_weighted_prox_matches_dual_oracle(self):
@@ -406,8 +385,7 @@ class TestTvProx:
             cases.append((3.0 * rng.standard_normal(T), float(rng.uniform(0.0, 2.0))))
         for v, gamma in cases:
             ref = unit_tv_prox_reference(v, gamma)
-            assert np.array_equal(tv_prox_1d(v, gamma), ref)
-            assert np.array_equal(tv_prox_columns(v[:, None], gamma, np.ones((v.size, 1)))[:, 0], ref)
+            assert np.array_equal(prox(v, gamma), ref)
 
     def test_weighted_saturated_prox_is_the_weighted_mean(self):
         # integer data and weights with an integer weighted mean make the
@@ -420,7 +398,7 @@ class TestTvProx:
             v[-1] -= np.sum(w * v) % np.sum(w)
             mean = np.sum(w * v) / np.sum(w)
             threshold = np.abs(np.cumsum(w * (v - mean))[:-1]).max()
-            for gamma in (threshold, 1e300, np.inf):
+            for gamma in (threshold, 1e300):
                 u = tv_prox_columns(v[:, None], gamma, w[:, None])[:, 0]
                 assert np.array_equal(u, np.full(T, mean)), (T, gamma)
 

@@ -28,9 +28,6 @@ from lrtvar.solver import (
     OuterIteration,
     cost,
     fit,
-    grad_left,
-    grad_right,
-    grad_temporal,
     initialize,
     loss,
     rmse,
@@ -101,14 +98,37 @@ def loss_entrywise(model, data):
     return 0.5 * total
 
 
+def ridge(model, eta):
+    """(1/2eta) (||U1||_F^2 + ||U2||_F^2 + ||U3||_F^2), entry by entry."""
+    return sum(float(np.sum(U * U)) for U in (model.U1, model.U2, model.U3)) / (2.0 * eta)
+
+
 def smooth_cost(model, data, params):
     """Loss + ridge + spline part (the smooth piece the gradients refer to)."""
-    from lrtvar.regularizers import spline_penalty, tikhonov_penalty
+    from lrtvar.regularizers import spline_penalty
 
-    value = loss(model, data) + tikhonov_penalty(model.U1, model.U2, model.U3, params.eta)
+    value = loss(model, data) + ridge(model, params.eta)
     if params.reg.kind == "spline":
         value += params.reg.beta * spline_penalty(model.U3)
     return value
+
+
+def dense_gradients(model, data, params):
+    """[grad U1, grad U2, grad U3] of :func:`smooth_cost`, window by window
+    from the dense system matrices A_k = model.slice(k): the loss gradient
+    in A_k is G_k = (A_k X_k - Y_k) X_k', and A_k = U1 diag(U3[k]) U2'."""
+    grads = [U / params.eta for U in (model.U1, model.U2, model.U3)]
+    for k in range(model.T):
+        X = data.X[:, :, k]
+        G = (model.slice(k) @ X - data.Y[:, :, k]) @ X.T
+        grads[0] += (G @ model.U2) * model.U3[k]
+        grads[1] += (G.T @ model.U1) * model.U3[k]
+        grads[2][k] += np.sum(model.U1 * (G @ model.U2), axis=0)
+    if params.reg.kind == "spline":
+        step = params.reg.beta * np.diff(model.U3, axis=0)
+        grads[2][:-1] -= step
+        grads[2][1:] += step
+    return grads
 
 
 def fd_gradient(func, mat, h=1e-5):
@@ -168,17 +188,13 @@ class TestLoss:
 
 class TestCost:
     def test_recomposition(self):
-        from lrtvar.regularizers import tikhonov_penalty, tv_penalty
+        from lrtvar.regularizers import tv_penalty
 
         rng = np.random.default_rng(45)
         model = random_model(rng, 3, 3, 5, 2)
         data = random_data(rng, 3, 4, 5)
         params = Hyperparams(R=2, eta=0.7, reg=Regularizer("tv", 1.3))
-        expected = (
-            loss(model, data)
-            + tikhonov_penalty(model.U1, model.U2, model.U3, 0.7)
-            + 1.3 * tv_penalty(model.U3)
-        )
+        expected = loss(model, data) + ridge(model, 0.7) + 1.3 * tv_penalty(model.U3)
         assert cost(model, data, params) == pytest.approx(expected, rel=1e-12)
 
     def test_beta_linearity(self):
@@ -548,8 +564,8 @@ class TestUpdateTemporal:
             U3, _ = update_temporal(model, data, params, _products(model, data))
             C = np.stack([temporal_window_matrix(model, data, k) for k in range(data.T)])
             L = max(np.linalg.eigvalsh(Ck).max() for Ck in C) + 1 / 0.7
-            g = grad_temporal(CpFactors(model.U1, model.U2, U3), data, params)
-            assert np.linalg.norm(U3 - tv_prox_columns(U3 - g / L, 1.5 / L)) <= 1e-8
+            g = dense_gradients(CpFactors(model.U1, model.U2, U3), data, params)[2]
+            assert np.linalg.norm(U3 - tv_prox_columns(U3 - g / L, 1.5 / L, np.ones_like(U3))) <= 1e-8
 
     def test_tv_never_increases_cost(self):
         rng = np.random.default_rng(57)
@@ -687,8 +703,8 @@ class TestFaceStep:
             assert not outcome.capped
             C = np.stack([temporal_window_matrix(model, data, k) for k in range(data.T)])
             L = max(np.linalg.eigvalsh(Ck).max() for Ck in C) + 1 / 0.7
-            g = grad_temporal(CpFactors(model.U1, model.U2, U3), data, params)
-            assert np.linalg.norm(U3 - tv_prox_columns(U3 - g / L, 1.5 / L)) <= 1e-8
+            g = dense_gradients(CpFactors(model.U1, model.U2, U3), data, params)[2]
+            assert np.linalg.norm(U3 - tv_prox_columns(U3 - g / L, 1.5 / L, np.ones_like(U3))) <= 1e-8
 
     @pytest.mark.parametrize("face", ["all-zero", "no-fusion", "fused-runs"])
     def test_never_raises_the_block_objective(self, face):
@@ -890,7 +906,7 @@ class TestFaceStep:
     @pytest.mark.parametrize("case", ["none", "spline", "smooth"])
     def test_other_u3_updates_record_no_face_steps(self, case, monkeypatch):
         # the unsmoothed U3 solve is exact; the spline CG records the relative
-        # residual ||grad_temporal|| / ||b|| of the U3 it returns and is capped
+        # residual ||grad U3|| / ||b|| of the U3 it returns and is capped
         # exactly when that is above CG_TOL: it converges on the small random
         # data and stops on its step cap on the smooth benchmark
         if case == "smooth":
@@ -905,7 +921,7 @@ class TestFaceStep:
 
         def spy(model, data, params, products):
             U3, outcome = original(model, data, params, products)
-            gradient = grad_temporal(replace(model, U3=U3), data, params)
+            gradient = dense_gradients(CpFactors(model.U1, model.U2, U3), data, params)[2]
             recomputed.append(np.linalg.norm(gradient) / np.linalg.norm(_temporal_quadratic(model, data, products)[1]))
             return U3, outcome
 
@@ -935,12 +951,8 @@ class TestGradients:
             model = random_model(rng, N, N, T, R)
             data = random_data(rng, N, 4, T)
             params = Hyperparams(R=R, eta=0.6, reg=reg)
-            cases = [
-                (grad_left(model, data, 0.6), model.U1),
-                (grad_right(model, data, 0.6), model.U2),
-                (grad_temporal(model, data, params), model.U3),
-            ]
-            for analytic, block in cases:
+            blocks = (model.U1, model.U2, model.U3)
+            for analytic, block in zip(dense_gradients(model, data, params), blocks):
                 numeric = fd_gradient(lambda: smooth_cost(model, data, params), block)
                 denom = max(np.linalg.norm(numeric), 1.0)
                 assert np.linalg.norm(analytic - numeric) / denom <= 1e-5
@@ -1111,6 +1123,21 @@ class TestFit:
         assert report.iterations == 30 and np.all(np.isfinite(trace)) and np.all(np.isfinite(report.rmse_trace))
         assert np.all(np.diff(trace) <= MONOTONE_SLACK * (1 + np.abs(trace[:-1])))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0e152, 1.2e152, 1.4e152, 1.6e152, 1.8e152, 2.0e152, 2.2e152, 2.4e152, 2.6e152])
+    def test_descent_is_monotone_at_extreme_accepted_scales(self, scale):
+        # these scales pass the entry checks, and every TV U3 update falls back
+        # to the sweeps; from x1.8e152 up a sweep iterate could lie above the
+        # incoming U3 in the block objective, and the cost then rose by up to
+        # 0.325 of 1 + |cost| (x2.4e152)
+        truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=0)
+        data = build_snapshots(TimeSeries(values=scale * truth.series.values), M=20)
+        _, report = fit(data, Hyperparams(R=8, eta=0.1, reg=Regularizer("tv", 5.0), seed=0, max_outer_iters=30))
+        trace = np.array(report.cost_trace)
+        assert np.all(np.isfinite(trace)) and {o.temporal.method for o in report.outer} == {"sweeps"}
+        assert all(o.cost_rise <= MONOTONE_SLACK for o in report.outer)
+        assert np.all(np.diff(trace) <= MONOTONE_SLACK * (1 + np.abs(trace[:-1])))
+
     def test_logs_one_line_per_outer_iteration(self, caplog):
         rng = np.random.default_rng(72)
         data = random_data(rng, 3, 5, 3)
@@ -1222,7 +1249,7 @@ class TestFit:
         data, params = benchmark_setting(name)
         model, _ = fit(data, replace(params, max_outer_iters=3))
         assert type(model) is CpFactors
-        assert model.dims == (data.N, data.N_in, data.T, params.R)
+        assert (model.N, model.N_in, model.T, model.R) == (data.N, data.N_in, data.T, params.R)
 
     def test_exact_right_solves_report_no_iterations_and_no_cap(self):
         # three channels: the U2 system is solved exactly at the default cap

@@ -10,7 +10,6 @@ from lrtvar.synthetic import (
     BURN_IN_STEPS,
     GroundTruth,
     gp_covariance,
-    make_rank2_rotation,
     sample_gp_angle,
     simulate_smooth,
     simulate_switching,
@@ -42,45 +41,50 @@ def child_streams(seed, n):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+def rotation_block(N, theta, seed):
+    """The first block W Rot(theta) W' of a switching series whose first
+    regime rotates by ``theta``."""
+    truth = simulate_switching(N=N, tau=2, sigma=0.0, theta1=theta, seed=seed)
+    return truth.left[0] @ truth.right[0].T
+
+
 class TestRank2Rotation:
+    """Every block left[b] @ right[b].T of the generators is a rank-2 rotation."""
+
     def test_n2_is_exact_rotation(self):
-        A = make_rank2_rotation(2, theta=0.3, seed_or_rng=0)
+        A = rotation_block(2, theta=0.3, seed=0)
         assert np.allclose(A @ A.T, np.eye(2), atol=1e-12)
         assert np.trace(A) == pytest.approx(2 * np.cos(0.3), abs=1e-12)
         assert np.linalg.det(A) == pytest.approx(1.0, abs=1e-12)
 
     def test_theta_zero_is_projector(self):
-        A = make_rank2_rotation(6, theta=0.0, seed_or_rng=1)
+        A = rotation_block(6, theta=0.0, seed=1)
         assert np.allclose(A @ A, A, atol=1e-12)
         assert np.allclose(A, A.T, atol=1e-12)
         assert np.trace(A) == pytest.approx(2.0, abs=1e-10)
 
     @pytest.mark.parametrize("N", [2, 10, 100])
     def test_singular_values(self, N):
-        A = make_rank2_rotation(N, theta=0.1 * np.pi, seed_or_rng=2)
-        s = np.linalg.svd(A, compute_uv=False)
-        assert abs(s[0] - 1.0) <= 1e-10
-        assert abs(s[1] - 1.0) <= 1e-10
-        if N > 2:
-            assert s[2] <= 1e-10
+        for truth in (simulate_switching(N=N, tau=4, seed=2), simulate_smooth(N=N, tau=4, seed=2)):
+            for s in np.linalg.svd(truth.left @ truth.right.transpose(0, 2, 1), compute_uv=False):
+                assert abs(s[0] - 1.0) <= 1e-10
+                assert abs(s[1] - 1.0) <= 1e-10
+                if N > 2:
+                    assert s[2] <= 1e-10
 
     def test_eigenvalues_on_plane(self):
         theta = 0.1 * np.pi
-        A = make_rank2_rotation(10, theta=theta, seed_or_rng=3)
+        A = rotation_block(10, theta=theta, seed=3)
         eig = np.linalg.eigvals(A)
         eig = eig[np.argsort(-np.abs(eig))][:2]
         expected = np.array([np.exp(1j * theta), np.exp(-1j * theta)])
         assert np.allclose(sorted(eig, key=lambda z: z.imag), sorted(expected, key=lambda z: z.imag), atol=1e-10)
 
     def test_gram_is_plane_projector(self):
-        A = make_rank2_rotation(7, theta=1.1, seed_or_rng=4)
+        A = rotation_block(7, theta=1.1, seed=4)
         P = A.T @ A
         assert np.allclose(P @ P, P, atol=1e-12)
         assert np.trace(P) == pytest.approx(2.0, abs=1e-10)
-
-    def test_n1_rejected(self):
-        with pytest.raises(ValueError):
-            make_rank2_rotation(1, theta=0.5, seed_or_rng=0)
 
 
 class TestSwitching:
@@ -167,13 +171,6 @@ class TestSmooth:
             A = truth.matrix_at(t)
             assert np.linalg.norm(A - W @ (W.T @ A)) <= 1e-12
 
-    def test_constant_angle_override_is_stationary(self):
-        truth = simulate_smooth(N=5, tau=20, sigma=0.0, seed=13, angles=np.full(20, 0.7))
-        for t in range(1, 20):
-            assert np.allclose(truth.matrix_at(t), truth.matrix_at(0), atol=1e-14)
-        s = np.linalg.svd(truth.matrix_at(0), compute_uv=False)
-        assert s[0] == pytest.approx(1.0, abs=1e-10) and s[2] <= 1e-10
-
     def test_rotation_lipschitz_bound(self):
         truth = simulate_smooth(N=6, tau=60, sigma=0.0, seed=14)
         for t in range(59):
@@ -193,10 +190,6 @@ class TestSmooth:
         b = simulate_smooth(N=4, tau=25, sigma=0.2, seed=16)
         assert np.array_equal(a.series.values, b.series.values)
         assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
-
-    def test_bad_angles_shape(self):
-        with pytest.raises(ValueError):
-            simulate_smooth(N=4, tau=10, sigma=0.1, seed=0, angles=np.zeros(7))
 
     def test_memory_linear_in_the_series(self):
         # the factored steps never form one of the tau N x N matrices (117 MB here)
@@ -261,15 +254,13 @@ class TestClosedFormTrajectories:
             noise = 0.5 * rng_noise.standard_normal(states.shape)
             assert np.abs(truth.series.values - noise - states).max() <= 1e-12
 
-    @pytest.mark.parametrize("constant", [False, True], ids=["gp-angles", "constant-angles"])
-    def test_smooth_equals_the_stepped_trajectory(self, constant):
+    def test_smooth_equals_the_stepped_trajectory(self):
         N, tau, sigma = 10, 160, 0.2
         for seed in range(3):
-            given = np.full(tau, 0.45) if constant else None
-            truth = simulate_smooth(N=N, tau=tau, sigma=sigma, seed=seed, angles=given)
+            truth = simulate_smooth(N=N, tau=tau, sigma=sigma, seed=seed)
             rng_mat, rng_gp, rng_noise = child_streams(seed, 3)
             W = np.linalg.svd(rng_mat.standard_normal((N, 2)), full_matrices=False)[0]
-            angles = given if constant else sample_gp_angle(tau, seed_or_rng=rng_gp)
+            angles = sample_gp_angle(tau, seed_or_rng=rng_gp)
             assert np.array_equal(truth.right, np.broadcast_to(W, (tau, N, 2)))
             assert np.array_equal(truth.left, W @ np.array([scalar_rotation(a) for a in angles]))
             assert np.array_equal(truth.matrix_index, np.arange(tau))
@@ -312,8 +303,6 @@ class TestGeneratorInputs:
             (lambda: simulate_smooth(N=4, lengthscale=0), InvalidHyperparameterError, r"lengthscale must be > 0, got 0"),
             (lambda: simulate_smooth(N=4, lengthscale=-5.0), InvalidHyperparameterError, r"lengthscale must be > 0"),
             (lambda: simulate_smooth(N=4, lengthscale=np.inf), NonFiniteError, r"lengthscale must be finite"),
-            (lambda: simulate_smooth(N=4, tau=5, angles=np.zeros(7)), InvalidHyperparameterError, r"angles must have shape \(5,\)"),
-            (lambda: simulate_smooth(N=4, tau=3, angles=[0.1, np.nan, 0.2]), NonFiniteError, r"angles must be finite"),
             (lambda: simulate_switching(N=4, seed=-1), InvalidHyperparameterError, r"seed must be an integer >= 0, got -1"),
             (lambda: simulate_switching(N=4, seed=1.5), InvalidHyperparameterError, r"seed must be an integer >= 0"),
             (lambda: simulate_switching(N=4, seed=True), InvalidHyperparameterError, r"seed must be an integer >= 0"),
@@ -321,7 +310,7 @@ class TestGeneratorInputs:
         ],
         ids=["tau-negative", "tau-odd", "tau-zero", "tau-float", "sigma-negative", "theta1-nan", "theta2-text",
              "smooth-tau-zero", "smooth-sigma-negative", "lengthscale-zero", "lengthscale-negative",
-             "lengthscale-inf", "angles-shape", "angles-nan", "seed-negative", "seed-float", "seed-bool",
+             "lengthscale-inf", "seed-negative", "seed-float", "seed-bool",
              "smooth-seed-negative"],
     )
     def test_rejected_before_any_draw(self, monkeypatch, make, error, message):
