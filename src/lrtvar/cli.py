@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import pathlib
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -82,16 +83,21 @@ def fill_unset(options: dict, defaults: dict) -> dict:
 
 
 def read_config_file(path) -> dict:
+    """The key=value pairs of a config file.  A file that cannot be read as
+    UTF-8 text, or a line that is not blank, a ``#`` comment or key=value, is
+    a usage error ``error: <path>: ...``."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    try:
+        lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"error: {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SystemExit(f"error: {path}: line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import InvalidHyperparameterError, ShapeMismatchError, finite_array, integer_at_least, real_at_least
 from .windowing import write_csv
 
 
@@ -57,6 +57,10 @@ class CpFactors(_FactorShapes):
     U3 : ndarray (T, R)
         Temporal modes; row k scales the components in window k.
     affine : bool
+
+    A factor that is not 2-D, or factors whose column counts differ or are
+    0, raise :class:`ShapeMismatchError`; a NaN or infinite entry
+    :class:`NonFiniteError`.
     """
 
     U1: np.ndarray
@@ -65,28 +69,19 @@ class CpFactors(_FactorShapes):
     affine: bool = False
 
     def __post_init__(self):
-        self.U1 = np.asarray(self.U1, dtype=float)
-        self.U2 = np.asarray(self.U2, dtype=float)
-        self.U3 = np.asarray(self.U3, dtype=float)
-        for name, u in (("U1", self.U1), ("U2", self.U2), ("U3", self.U3)):
-            if u.ndim != 2:
-                raise ValueError(f"{name} must be 2-D, got shape {u.shape}")
-            if not np.all(np.isfinite(u)):
-                raise NonFiniteError(f"{name} contains non-finite entries")
-        ranks = {self.U1.shape[1], self.U2.shape[1], self.U3.shape[1]}
-        if len(ranks) != 1:
-            raise ValueError(f"factor column counts differ: {self.U1.shape[1]}, {self.U2.shape[1]}, {self.U3.shape[1]}")
-        if self.R < 1:
-            raise ValueError("rank must be >= 1")
+        self.U1, self.U2, self.U3 = (finite_array(name, getattr(self, name), 2) for name in ("U1", "U2", "U3"))
+        ranks = [U.shape[1] for U in (self.U1, self.U2, self.U3)]
+        if len(set(ranks)) != 1 or self.R < 1:
+            raise ShapeMismatchError(f"factor column counts must be one rank >= 1, got {ranks}")
 
     def slice(self, k: int) -> np.ndarray:
         """System matrix of window k (0-based): U1 @ diag(U3[k]) @ U2.T.
 
         With ``affine`` the last column of the result is the offset vector
-        for that window.
+        for that window.  A ``k`` that is not an integer in 0..T-1 (a bool
+        is not one) raises :class:`InvalidHyperparameterError`.
         """
-        if not 0 <= k < self.T:
-            raise IndexError(f"window index {k} out of range [0, {self.T})")
+        k = integer_at_least("k", k, 0, most=self.T - 1)
         return (self.U1 * self.U3[k]) @ self.U2.T
 
     def normalize(self) -> "NormalizedCp":
@@ -111,9 +106,12 @@ class CpFactors(_FactorShapes):
         return NormalizedCp(factors=factors, lam=lam[order])
 
     def effective_rank(self, threshold_fraction: float = 0.1) -> int:
-        """Number of components whose scale is at least a fraction of the largest."""
-        if not 0.0 < threshold_fraction < 1.0:
-            raise ValueError(f"threshold_fraction must be in (0, 1), got {threshold_fraction}")
+        """Number of components whose scale is at least a fraction of the
+        largest.  A ``threshold_fraction`` that is not a real number in
+        (0, 1) raises :class:`InvalidHyperparameterError` (a NaN or infinity
+        :class:`NonFiniteError`)."""
+        if real_at_least("threshold_fraction", threshold_fraction, strict=True) >= 1.0:
+            raise InvalidHyperparameterError(f"threshold_fraction must be < 1, got {threshold_fraction!r}")
         lam = self.normalize().lam
         if lam[0] == 0.0:
             return 0

@@ -1,12 +1,16 @@
-"""Exception types raised across the package, and the entry checks of real and integer inputs.
+"""Exception types raised across the package, and the entry checks of real, integer and array inputs.
 
 Every public entry point decides whether a number it is given is valid
-through :func:`finite_real`, :func:`real_at_least` or :func:`integer_at_least`.
+through :func:`finite_real`, :func:`real_at_least` or :func:`integer_at_least`,
+and whether an array is through :func:`finite_array`.  So every rejection of
+bad input is a named :class:`LrtvarError`.
 """
 
 import math
 import numbers
 from typing import Optional
+
+import numpy as np
 
 
 class LrtvarError(Exception):
@@ -42,7 +46,9 @@ class DegenerateProjectionError(LrtvarError, RuntimeError):
 
 
 class ShapeMismatchError(LrtvarError, ValueError):
-    """Estimate, ground truth and series cannot be aligned window-for-window or channel-for-channel."""
+    """An array has the wrong number of dimensions, or arrays that go together
+    (factors, windows, channels, estimate and ground truth) do not agree in
+    shape, or an index array names entries that do not exist."""
 
 
 class NonPositiveEtaError(LrtvarError, ValueError):
@@ -90,3 +96,15 @@ def integer_at_least(name: str, value, least: int, even: bool = False, most: Opt
     if most is not None and value > most:
         raise InvalidHyperparameterError(f"need {least} <= {name} <= {most}, got {value}")
     return int(value)
+
+
+def finite_array(name: str, value, ndim: int) -> np.ndarray:
+    """``value`` as a float array; another number of dimensions than ``ndim``
+    raises :class:`ShapeMismatchError`, a NaN or infinite entry
+    :class:`NonFiniteError`."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim != ndim:
+        raise ShapeMismatchError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise NonFiniteError(f"{name} contains non-finite entries")
+    return array

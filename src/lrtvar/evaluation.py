@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .cp_model import CpFactors
-from .errors import DegenerateWindowError, ShapeMismatchError, integer_at_least
+from .errors import DegenerateWindowError, InvalidHyperparameterError, ShapeMismatchError, finite_array, integer_at_least
 from .synthetic import GroundTruth
 from .windowing import SnapshotPair
 
@@ -35,23 +35,18 @@ class WindowedEstimate:
 
     Window k's matrix is ``left[k] @ right[k].T``, with ``left`` of shape
     (T, N, r) and ``right`` of shape (T, N_in, r); no N x N_in matrix is
-    stored.
+    stored.  A factor that is not 3-D, or factors that differ in windows
+    or rank, raise :class:`ShapeMismatchError`; a NaN or infinite entry
+    :class:`NonFiniteError`.
     """
 
     left: np.ndarray
     right: np.ndarray
 
     def __post_init__(self):
-        self.left = np.asarray(self.left, dtype=float)
-        self.right = np.asarray(self.right, dtype=float)
-        if self.left.ndim != 3 or self.right.ndim != 3:
-            raise ValueError(
-                f"left and right must be (T, N, r) and (T, N_in, r), got shapes {self.left.shape} and {self.right.shape}"
-            )
+        self.left, self.right = finite_array("left", self.left, 3), finite_array("right", self.right, 3)
         if self.left.shape[::2] != self.right.shape[::2]:
-            raise ValueError(f"left {self.left.shape} and right {self.right.shape} differ in windows or rank")
-        if not (np.all(np.isfinite(self.left)) and np.all(np.isfinite(self.right))):
-            raise ValueError("estimate contains non-finite entries")
+            raise ShapeMismatchError(f"left {self.left.shape} and right {self.right.shape} differ in windows or rank")
 
     @property
     def T(self) -> int:
@@ -94,14 +89,14 @@ def independent_fit(data: SnapshotPair, rank: Optional[int] = None) -> WindowedE
     ------
     InvalidHyperparameterError
         If ``rank`` is neither None nor an integer in 1..min(N, M + 1) (a
-        bool is not one).
+        bool is not one), or is given for data with lags or an affine row.
     DegenerateWindowError
         If some window's predictor block is identically zero.
     """
     if rank is not None:
         rank = integer_at_least("rank", rank, 1, most=min(data.N, data.M + 1))
     if rank is not None and (data.P != 1 or data.affine):
-        raise ValueError("rank-truncated fits need P=1, non-affine data")
+        raise InvalidHyperparameterError("rank-truncated fits need P=1, non-affine data")
     X, Y = _windows(data.X), _windows(data.Y)
     zero = ~np.any(X, axis=(1, 2))
     if zero.any():
@@ -251,11 +246,12 @@ def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     of those within 1e-15 of it).  The restarts are seeded one after the
     other from ``seed`` and their Lloyd steps run together.  Labels are
     canonicalized by first occurrence (the first row is always labeled 0),
-    so runs are comparable across seeds.  A ``k`` that is not an integer
-    (a bool is not one) or is outside 1..T raises
-    :class:`InvalidHyperparameterError`.
+    so runs are comparable across seeds.  A ``U3`` that is not 2-D raises
+    :class:`ShapeMismatchError`, one with a NaN or infinite entry
+    :class:`NonFiniteError`, and a ``k`` that is not an integer (a bool is
+    not one) or is outside 1..T :class:`InvalidHyperparameterError`.
     """
-    U3 = np.asarray(U3, dtype=float)
+    U3 = finite_array("U3", U3, 2)
     k = integer_at_least("k", k, 1, most=U3.shape[0])
     rng = np.random.default_rng(seed)
     centers = np.stack([_kmeans_plus_plus(U3, k, rng) for _ in range(KMEANS_RESTARTS)])

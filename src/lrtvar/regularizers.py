@@ -136,8 +136,15 @@ def _tv_prox_list(y: list, w: list, gamma: float) -> list:
     sum_{j<=k} w[j] (y[j] - m) about the weighted mean m lies within
     ``gamma``: then m is the exact prox, and it is returned directly, free
     of the ``gamma * eps`` rounding of the dynamic program.  Both the test
-    and the sums run in order, in O(n).
+    and the sums run in order, in O(n).  When the largest weight is 2 or
+    more, the weights and ``gamma`` are first divided by the power of two
+    that takes it into [1, 2).  The prox is invariant under that scaling,
+    which is exact while the scaled values stay normal: the sums of the
+    weights stay in range however large the weights, and where the
+    unscaled sums stayed in range the result keeps its bits.
     """
+    scale = 2.0 ** -max(math.frexp(max(w))[1] - 1, 0)
+    w, gamma = [wk * scale for wk in w], gamma * scale
     mean = sum([wk * yk for wk, yk in zip(w, y)], 0.0) / sum(w, 0.0)
     running = 0.0
     for wk, yk in zip(w[:-1], y):

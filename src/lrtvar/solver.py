@@ -332,7 +332,7 @@ def _regularization(model: CpFactors, params: Hyperparams) -> float:
 
 def _quadratic_loss(model: CpFactors, products: tuple, half_energy: float) -> float:
     """The loss from the U3 quadratic, 1/2 ||Y||^2 - sum_k b_k'u_k +
-    1/2 sum_k u_k'C_k u_k (see :func:`_temporal_quadratic`), given
+    1/2 sum_k u_k'C_k u_k (see :func:`_temporal_quadratic`, s = 1), given
     products = (X'U2, Y'U1) and half_energy = 1/2 ||Y||^2.
 
     It costs O(M T R^2) and no pass over the data.  Its rounding error is a
@@ -477,28 +477,39 @@ def update_right(model: CpFactors, data: SnapshotPair, params: Hyperparams,
     return U2, BlockOutcome("cg", steps, residual)
 
 
-def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window quadratic data: C[k] = (U2'X_k X_k'U2) * (U1'U1) (Hadamard)
-    and b[k] = diag(U2' X_k Y_k' U1), so the smooth loss in U3 is
-    sum_k 1/2 u_k' C_k u_k - b_k' u_k + 1/2 ||Y||^2 with u_k = U3[k];
-    ``products`` is (X'U2, Y'U1)."""
+def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products: tuple) -> tuple[np.ndarray, np.ndarray, float]:
+    """(C, b, s), the per-window quadratic data times s: C[k] = s (U2'X_k
+    X_k'U2) * (U1'U1) (Hadamard) and b[k] = s diag(U2' X_k Y_k' U1), so the
+    smooth loss in U3 is sum_k 1/2 u_k' C_k u_k - b_k' u_k + 1/2 ||Y||^2
+    over s, with u_k = U3[k]; ``products`` is (X'U2, Y'U1).
+
+    s is 1 unless m = max|X'U2| max|U1| is 2^129 or more.  Far above the
+    data scale of 1, C, b and the products of three of them that a CG step
+    forms can overflow where the factors do not, so there s is the power
+    of two 2^(-2e) that takes m into [2^128, 2^129), applied as 2^(-e) to
+    each product.  It is exact, and the U3 block problem times s (ridge
+    and penalty included, see :func:`_temporal_hessian`) has the same
+    minimizer."""
     shape = (-1, model.T, model.R)
-    G, F = products
+    e = max(math.frexp(np.abs(products[0]).max(initial=0.0) * np.abs(model.U1).max(initial=0.0))[1] - 129, 0)
+    G, F = (np.ldexp(P, -e) for P in products) if e else products
     G = G.reshape(shape).transpose(1, 0, 2)  # G[k] = X_k' U2
     F = F.reshape(shape).transpose(1, 0, 2)  # F[k] = Y_k' U1
     C = (G.transpose(0, 2, 1) @ G) * (model.U1.T @ model.U1)
     b = np.sum(G * F, axis=1)
-    return C, b
+    return C, b, math.ldexp(1.0, -2 * e)
 
 
-def _temporal_hessian(C: np.ndarray, params: Hyperparams) -> tuple[np.ndarray, float]:
-    """(H, spline_beta): C completed in place to the diagonal blocks
-    H_k = C_k + (1/eta + spline_beta d_k) I of the Hessian of the smooth cost
-    in U3, where spline_beta is beta under an active spline penalty and 0
-    otherwise, and d is the diagonal of D'D: 1 at the two ends, 2 inside."""
-    spline_beta = params.reg.beta if _active_penalty(params, len(C)) == "spline" else 0.0
+def _temporal_hessian(C: np.ndarray, params: Hyperparams, scale: float) -> tuple[np.ndarray, float]:
+    """(H, spline_beta): C, the quadratic data times ``scale`` (see
+    :func:`_temporal_quadratic`), completed in place to the diagonal blocks
+    H_k = C_k + (scale/eta + spline_beta d_k) I of ``scale`` times the
+    Hessian of the smooth cost in U3, where spline_beta is scale * beta
+    under an active spline penalty and 0 otherwise, and d is the diagonal of
+    D'D: 1 at the two ends, 2 inside."""
+    spline_beta = scale * params.reg.beta if _active_penalty(params, len(C)) == "spline" else 0.0
     diagonals = np.einsum("kii->ki", C)  # a writable view
-    diagonals += 1.0 / params.eta
+    diagonals += scale / params.eta
     if spline_beta:
         diagonals[1:] += spline_beta
         diagonals[:-1] += spline_beta
@@ -546,17 +557,19 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams,
     face solves of each face iteration.  Its outcome is ``face`` or
     ``sweeps``, by which iterate it returned, with the face solves plus the
     sweeps it ran and the dual residual of its U3, whichever stop it took.
-    ``products`` is as in :func:`update_left`.
+    ``products`` is as in :func:`update_left`.  Far above the data scale of
+    1 each path solves the block problem times a power of two, which keeps
+    it in the float64 range (:func:`_temporal_quadratic`).
     """
     _check_dims(model, data)
-    C, b = _temporal_quadratic(model, data, products)
-    H, spline_beta = _temporal_hessian(C, params)
+    C, b, scale = _temporal_quadratic(model, data, products)
+    H, spline_beta = _temporal_hessian(C, params, scale)
     if spline_beta:
         U3, steps, residual = _cg(partial(_temporal_hessian_apply, H, spline_beta), b, model.U3, CG_MAX_STEPS, CG_TOL)
         return U3, BlockOutcome("cg", steps, residual)
     if _active_penalty(params, model.T) == "none":
         return np.linalg.solve(H, b[..., None])[..., 0], _EXACT
-    return _temporal_tv_sweeps(H, b, model.U3, params.reg.beta)
+    return _temporal_tv_sweeps(H, b, model.U3, scale * params.reg.beta)
 
 
 def _temporal_tv_sweeps(H, b, U3_init, beta):
@@ -589,10 +602,9 @@ def _temporal_tv_sweeps(H, b, U3_init, beta):
     update then returns the last sweep iterate if its block objective
     (:func:`_tv_block_objective`) is lower than that of ``U3_init``, and
     ``U3_init`` otherwise: in exact arithmetic no sweep raises the
-    objective, but near the top of the float64 range the sums of the prox
-    weights can overflow, and a sweep then can.  So it returns the certified
-    block minimizer, a sweep iterate that lowers the objective or
-    ``U3_init``, and never raises the objective.
+    objective, and the check keeps rounding from letting one do so.  So it
+    returns the certified block minimizer, a sweep iterate that lowers the
+    objective or ``U3_init``, and never raises the objective.
 
     Returns (U3, :class:`BlockOutcome`): ``face`` or ``sweeps``, by which
     iterate it is (``U3_init`` reads ``sweeps``), the face solves plus the

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProjectionError, ShapeMismatchError, finite_real, integer_at_least, real_at_least
+from .errors import DegenerateProjectionError, ShapeMismatchError, finite_array, finite_real, integer_at_least, real_at_least
 from .windowing import TimeSeries
 
 BURN_IN_STEPS = 200
@@ -48,7 +48,8 @@ class GroundTruth:
     settings (noise scale, angles, seed) are not stored; the CLI records
     them in each file's manifest.  Factors of any other shape, or an index
     that is not one integer block id in [0, n_blocks) per transition, raise
-    :class:`ShapeMismatchError` or ``ValueError`` here, before any use.
+    :class:`ShapeMismatchError` here, before any use, and a NaN or infinite
+    factor entry :class:`NonFiniteError`.
     """
 
     series: TimeSeries
@@ -57,10 +58,10 @@ class GroundTruth:
     matrix_index: np.ndarray
 
     def __post_init__(self):
-        self.left, self.right = np.asarray(self.left, dtype=float), np.asarray(self.right, dtype=float)
+        self.left, self.right = finite_array("left", self.left, 3), finite_array("right", self.right, 3)
         self.matrix_index = index = np.asarray(self.matrix_index)
         N, n_samples = self.series.n_channels, self.series.n_samples
-        if self.left.ndim != 3 or self.left.shape[1] != N or self.right.shape != self.left.shape:
+        if self.left.shape[1] != N or self.right.shape != self.left.shape:
             raise ShapeMismatchError(
                 f"left {self.left.shape} and right {self.right.shape} must both be (n_blocks, {N}, q), "
                 "one row per channel of the series"
@@ -71,11 +72,11 @@ class GroundTruth:
                 f"({n_samples - 1} transitions)"
             )
         if not np.issubdtype(index.dtype, np.integer):
-            raise ValueError(f"matrix_index must hold integers, got dtype {index.dtype}")
+            raise ShapeMismatchError(f"matrix_index must hold integers, got dtype {index.dtype}")
         bad = (index < 0) | (index >= self.left.shape[0])
         if bad.any():
             t = int(np.argmax(bad))
-            raise ValueError(f"matrix_index[{t}] = {index[t]} is not a block id in [0, {self.left.shape[0]})")
+            raise ShapeMismatchError(f"matrix_index[{t}] = {index[t]} is not a block id in [0, {self.left.shape[0]})")
 
     @property
     def n_transitions(self) -> int:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, SeriesTooShortError, ZeroVarianceError, integer_at_least
+from .errors import NonFiniteError, SeriesTooShortError, ShapeMismatchError, ZeroVarianceError, finite_array, integer_at_least
 
 
 @dataclass
@@ -37,22 +37,22 @@ class TimeSeries:
         Labels for the N channels.
 
     Samples are taken as equally spaced; no sample spacing is stored.
+    ``values`` that are not 2-D, or channel names of another count than the
+    channels, raise :class:`ShapeMismatchError`, a NaN or infinite entry
+    :class:`NonFiniteError`, and fewer than 1 channel or 2 samples
+    :class:`SeriesTooShortError`.
     """
 
     values: np.ndarray
     channel_names: Optional[list] = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError(f"values must be 2-D (channels x samples), got shape {self.values.shape}")
+        self.values = finite_array("values", self.values, 2)
         n, m = self.values.shape
         if n < 1 or m < 2:
             raise SeriesTooShortError(f"need at least 1 channel and 2 samples, got {n} x {m}")
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteError("time series contains non-finite entries")
         if self.channel_names is not None and len(self.channel_names) != n:
-            raise ValueError(f"{len(self.channel_names)} channel names for {n} channels")
+            raise ShapeMismatchError(f"{len(self.channel_names)} channel names for {n} channels")
 
     @property
     def n_channels(self) -> int:
@@ -88,7 +88,10 @@ class SnapshotPair:
 
     X has shape (N_in, M, T) and Y has shape (N, M, T) where N_in = N*P,
     plus one if ``affine`` (the appended ones row).  Column j of window k
-    holds the transition number k*M + j of the source series.
+    holds the transition number k*M + j of the source series.  Tensors that
+    are not 3-D or do not agree in these shapes raise
+    :class:`ShapeMismatchError`, a NaN or infinite entry
+    :class:`NonFiniteError`.
     """
 
     X: np.ndarray
@@ -100,16 +103,13 @@ class SnapshotPair:
     dropped: int = 0
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.Y = np.asarray(self.Y, dtype=float)
-        if self.X.ndim != 3 or self.Y.ndim != 3:
-            raise ValueError("X and Y must be 3-D tensors (channels x M x T)")
+        self.X, self.Y = finite_array("X", self.X, 3), finite_array("Y", self.Y, 3)
         n_in, m, t = self.X.shape
         n, m2, t2 = self.Y.shape
         if (m, t) != (m2, t2) or m != self.M or t != self.T:
-            raise ValueError(f"inconsistent window shapes: X {self.X.shape}, Y {self.Y.shape}, M={self.M}, T={self.T}")
+            raise ShapeMismatchError(f"inconsistent window shapes: X {self.X.shape}, Y {self.Y.shape}, M={self.M}, T={self.T}")
         if n_in != n * self.P + (1 if self.affine else 0):
-            raise ValueError(f"X has {n_in} rows, expected {n}*{self.P}{' + 1' if self.affine else ''}")
+            raise ShapeMismatchError(f"X has {n_in} rows, expected {n}*{self.P}{' + 1' if self.affine else ''}")
 
     @property
     def N(self) -> int:

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,25 @@ class TestFit:
         config.write_text("rank=3\nwindow=10\neta=0.2\nbogus_knob=1\n")
         with pytest.raises(SystemExit, match="bogus_knob"):
             run(["fit", "--input", str(series_path), "--config", str(config), "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "compare", "cluster"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [("# rank first\nrank 3\n", "line 2: expected key=value, got 'rank 3'"), (None, "No such file or directory"),
+         (b"rank=\xff\n", "'utf-8' codec can't decode byte 0xff")],
+        ids=["no-equals", "missing", "not-utf8"],
+    )
+    def test_unreadable_config_file_is_a_usage_error(self, command, content, message, tmp_path):
+        # a line without '=' once ended in a ValueError traceback and a
+        # missing file in a FileNotFoundError one
+        config, out = tmp_path / "bad.cfg", tmp_path / "out"
+        if isinstance(content, str):
+            config.write_text(content, encoding="utf-8")
+        elif content is not None:
+            config.write_bytes(content)
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(str(config))}: {re.escape(message)}"):
+            run([command, "--config", str(config), "--out", str(out)])
+        assert not out.exists()
 
     def test_benchmark_end_to_end_rmse(self, tmp_path):
         gen = tmp_path / "gen"

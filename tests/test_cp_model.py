@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrtvar.cp_model import CpFactors, export_factors
-from lrtvar.errors import NonFiniteError
+from lrtvar.errors import InvalidHyperparameterError, NonFiniteError, ShapeMismatchError
 
 
 def random_model(rng, N=4, N_in=None, T=5, R=3, affine=False):
@@ -74,9 +74,9 @@ class TestSlice:
 
     def test_index_out_of_range(self):
         model = random_model(np.random.default_rng(3))
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidHyperparameterError, match="need 0 <= k <= 4, got 5"):
             model.slice(5)
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidHyperparameterError, match="k must be an integer >= 0"):
             model.slice(-1)
 
 
@@ -162,9 +162,9 @@ class TestEffectiveRank:
 
     def test_threshold_validation(self):
         model = random_model(np.random.default_rng(10))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidHyperparameterError, match="threshold_fraction must be > 0"):
             model.effective_rank(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidHyperparameterError, match="threshold_fraction must be < 1"):
             model.effective_rank(1.0)
 
 
@@ -181,7 +181,7 @@ class TestInvariants:
             assert np.linalg.norm(A - (A @ Q2) @ Q2.T) <= 1e-10
 
     def test_rank_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError, match=r"column counts .* got \[2, 3, 2\]"):
             CpFactors(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
 
     def test_non_finite_rejected(self):

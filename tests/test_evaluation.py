@@ -5,7 +5,7 @@ import pytest
 
 import lrtvar.evaluation
 from lrtvar.cp_model import CpFactors
-from lrtvar.errors import DegenerateWindowError, InvalidHyperparameterError, ShapeMismatchError
+from lrtvar.errors import DegenerateWindowError, InvalidHyperparameterError, NonFiniteError, ShapeMismatchError
 from lrtvar.evaluation import (
     PINV_RTOL,
     KMEANS_MAX_ITERS,
@@ -158,7 +158,7 @@ class TestIndependentFit:
             T=2,
             affine=True,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidHyperparameterError, match="need P=1, non-affine data"):
             independent_fit(data, rank=1)
 
     @pytest.mark.parametrize("rank", [-1, 0, True, False, 3.5, 2.0, "2"])
@@ -319,13 +319,13 @@ class TestOperatorNormError:
 class TestWindowedEstimate:
     def test_validation(self):
         good = np.ones((3, 4, 2))
-        for left, right in [
-            (np.ones((4, 2)), good),  # not 3-D
-            (good, np.ones((2, 4, 2))),  # window counts differ
-            (good, np.ones((3, 5, 1))),  # ranks differ
-            (np.full((3, 4, 2), np.nan), good),  # non-finite
+        for left, right, error in [
+            (np.ones((4, 2)), good, ShapeMismatchError),  # not 3-D
+            (good, np.ones((2, 4, 2)), ShapeMismatchError),  # window counts differ
+            (good, np.ones((3, 5, 1)), ShapeMismatchError),  # ranks differ
+            (np.full((3, 4, 2), np.nan), good, NonFiniteError),  # non-finite
         ]:
-            with pytest.raises(ValueError):
+            with pytest.raises(error):
                 WindowedEstimate(left, right)
         assert WindowedEstimate(good, np.ones((3, 5, 2))).shape == (3, 4, 5)
 
@@ -483,9 +483,9 @@ class TestClustering:
         assert np.array_equal(a, b)
 
     def test_k_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidHyperparameterError, match="need 1 <= k <= 3"):
             cluster_temporal_modes(np.zeros((3, 1)), k=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidHyperparameterError, match="k must be an integer >= 1"):
             cluster_temporal_modes(np.zeros((3, 1)), k=0)
 
     @pytest.mark.parametrize("k", [True, False, 2.0, "2", None])

@@ -402,6 +402,20 @@ class TestTvProx:
                 u = tv_prox_columns(v[:, None], gamma, w[:, None])[:, 0]
                 assert np.array_equal(u, np.full(T, mean)), (T, gamma)
 
+    @pytest.mark.parametrize("s", [1e300, 1e307, 5e307, 1.7e308, 2.0**1023])
+    def test_prox_is_invariant_under_scaling_weights_and_gamma(self, s):
+        # the prox of (v, gamma s, w s) is that of (v, gamma, w); the sums of
+        # weights near 1e308 once overflowed (at 5e307 off by 0.43, at
+        # 1.7e308 NaN), now they are taken after an exact power-of-two scaling
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(10)
+        for w in (np.ones(10), rng.uniform(0.5, 1.0, 10)):
+            expected = tv_prox_columns(v[:, None], 0.7, w[:, None])[:, 0]
+            scaled = tv_prox_columns(v[:, None], 0.7 * s, s * w[:, None])[:, 0]
+            assert np.allclose(scaled, expected, rtol=0.0, atol=1e-12)
+            if s == 2.0**1023:  # a power of two scales every operation exactly
+                assert np.array_equal(scaled, expected)
+
     @pytest.mark.parametrize(
         "weights, error",
         [(np.array([[1.0], [0.0]]), ValueError), (np.array([[1.0], [-2.0]]), ValueError),

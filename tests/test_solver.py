@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import re
 from dataclasses import replace
 
@@ -472,7 +473,8 @@ class TestSplineHessian:
         data = random_data(rng, 5, 3, T)
         params = Hyperparams(R=R, eta=0.7, reg=Regularizer("spline", 2.5))
         A, _ = spline_dense_system(model, data, eta=0.7, beta=2.5)
-        H, spline_beta = _temporal_hessian(_temporal_quadratic(model, data, _products(model, data))[0], params)
+        C, _, scale = _temporal_quadratic(model, data, _products(model, data))
+        H, spline_beta = _temporal_hessian(C, params, scale)
         assert spline_beta == 2.5
         for _ in range(3):
             U = rng.standard_normal((T, R))
@@ -485,13 +487,28 @@ class TestSplineHessian:
         rng = np.random.default_rng(122)
         model = random_model(rng, 5, 5, 6, 3)
         data = random_data(rng, 5, 3, 6)
-        C = _temporal_quadratic(model, data, _products(model, data))[0]
-        H, spline_beta = _temporal_hessian(C.copy(), Hyperparams(R=3, eta=0.7, reg=reg))
+        C, _, scale = _temporal_quadratic(model, data, _products(model, data))
+        H, spline_beta = _temporal_hessian(C.copy(), Hyperparams(R=3, eta=0.7, reg=reg), scale)
         assert spline_beta == 0.0
         assert np.array_equal(H, C + np.eye(3) / 0.7)
 
 
 class TestUpdateTemporal:
+    @pytest.mark.parametrize("reg", [Regularizer(), Regularizer("tv", 2.0**-8), Regularizer("spline", 2.0**-8)],
+                             ids=["none", "tv", "spline"])
+    def test_update_at_the_top_of_the_range_is_the_update_of_the_scaled_down_problem(self, reg):
+        # data x 2^512, beta x 2^1024 and eta / 2^1024 scale the U3 block
+        # problem by 2^1024 exactly, so its minimizer stays the same; its C_k
+        # overflowed before the update solved the problem divided by a power of two
+        data, _ = benchmark_setting("switching")
+        params = Hyperparams(R=8, eta=1e3, reg=reg)
+        model = initialize(data, params)
+        big = replace(data, X=2.0**512 * data.X, Y=2.0**512 * data.Y)
+        big_params = replace(params, eta=math.ldexp(params.eta, -1024), reg=replace(reg, beta=math.ldexp(reg.beta, 1024)))
+        U3, outcome = update_temporal(model, data, params, _products(model, data))
+        big_U3, big_outcome = update_temporal(model, big, big_params, _products(model, big))
+        assert np.array_equal(big_U3, U3) and big_outcome == outcome
+
     def test_beta_zero_matches_dense_oracle(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
@@ -524,7 +541,7 @@ class TestUpdateTemporal:
         U3, _ = update_temporal(model, data, params, _products(model, data))
         assert np.all(np.abs(U3 - U3[0]) < 1e-6)
         # unique minimizer over constant-column matrices
-        C, b = _temporal_quadratic(model, data, _products(model, data))
+        C, b, _ = _temporal_quadratic(model, data, _products(model, data))
         A = C.sum(axis=0) + (data.T / 0.5) * np.eye(2)
         c_star = np.linalg.solve(A, b.sum(axis=0))
         assert np.allclose(U3[0], c_star, atol=1e-6)
@@ -1759,7 +1776,7 @@ class TestWindowedSeriesLayout:
         tight_cg(monkeypatch, 200)
         out, _ = update_right(model, data, Hyperparams(R=R, eta=0.5), _products(model, data))
         assert np.allclose(out, kron_oracle_right(model, data, eta=0.5), atol=1e-6)
-        C, _ = _temporal_quadratic(model, data, _products(model, data))
+        C, _, _ = _temporal_quadratic(model, data, _products(model, data))
         for k in range(T):
             assert np.allclose(C[k], temporal_window_matrix(model, data, k), rtol=1e-12, atol=1e-12)
         assert loss(model, data) == pytest.approx(loss_entrywise(model, data), rel=1e-12)

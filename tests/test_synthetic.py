@@ -131,7 +131,7 @@ class TestSwitching:
         assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
 
     def test_odd_tau_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidHyperparameterError, match="tau must be an even integer >= 2"):
             simulate_switching(N=4, tau=31, sigma=0.1, seed=0)
 
     def test_per_entry_signal_scale_independent_of_n(self):
@@ -215,14 +215,14 @@ class TestGroundTruth:
     @pytest.mark.parametrize(
         "edit, error, message",
         [
-            (lambda L, R, i: (L[0], R[0], i), ShapeMismatchError, r"must both be \(n_blocks, 3, q\)"),
+            (lambda L, R, i: (L[0], R[0], i), ShapeMismatchError, r"left must be 3-D, got shape \(3, 2\)"),
             (lambda L, R, i: (L, R[:1], i), ShapeMismatchError, "must both be"),
             (lambda L, R, i: (L, R[:, :, :1], i), ShapeMismatchError, "must both be"),
             (lambda L, R, i: (L[:, :2], R[:, :2], i), ShapeMismatchError, "one row per channel"),
             (lambda L, R, i: (L, R, i[:-1]), ShapeMismatchError, "names 9 transitions, but the series has 11"),
-            (lambda L, R, i: (L, R, i.astype(float)), ValueError, "must hold integers"),
-            (lambda L, R, i: (L, R, np.r_[0, 1, 5, i[3:]]), ValueError, r"matrix_index\[2\] = 5 .*\[0, 2\)"),
-            (lambda L, R, i: (L, R, np.r_[i[:-1], -1]), ValueError, r"matrix_index\[9\] = -1"),
+            (lambda L, R, i: (L, R, i.astype(float)), ShapeMismatchError, "must hold integers"),
+            (lambda L, R, i: (L, R, np.r_[0, 1, 5, i[3:]]), ShapeMismatchError, r"matrix_index\[2\] = 5 .*\[0, 2\)"),
+            (lambda L, R, i: (L, R, np.r_[i[:-1], -1]), ShapeMismatchError, r"matrix_index\[9\] = -1"),
         ],
         ids=["left-2d", "block-counts", "ranks", "rows-not-channels", "index-short", "index-float",
              "index-above", "index-negative"],

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrtvar.errors import InvalidHyperparameterError, NonFiniteError, SeriesTooShortError, ZeroVarianceError
+from lrtvar.errors import (
+    InvalidHyperparameterError,
+    NonFiniteError,
+    SeriesTooShortError,
+    ShapeMismatchError,
+    ZeroVarianceError,
+)
 from lrtvar.windowing import (
     SnapshotPair,
     TimeSeries,
@@ -144,9 +150,9 @@ class TestBuildSnapshots:
 
     def test_bad_parameters(self):
         series = TimeSeries(values=np.ones((1, 5)) * np.arange(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidHyperparameterError, match="M must be"):
             build_snapshots(series, M=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidHyperparameterError, match="P must be"):
             build_snapshots(series, M=2, P=0)
 
     @pytest.mark.parametrize(
@@ -397,9 +403,9 @@ class TestCsvCodec:
 
 class TestSnapshotPairValidation:
     def test_shape_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError, match="inconsistent window shapes"):
             SnapshotPair(X=np.zeros((2, 3, 4)), Y=np.zeros((2, 3, 5)), M=3, T=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError, match=r"X has 3 rows, expected 2\*1"):
             SnapshotPair(X=np.zeros((3, 3, 4)), Y=np.zeros((2, 3, 4)), M=3, T=4)  # N_in != N*P
 
     def test_properties(self):
