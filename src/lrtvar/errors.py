@@ -46,9 +46,10 @@ class DegenerateProjectionError(LrtvarError, RuntimeError):
 
 
 class ShapeMismatchError(LrtvarError, ValueError):
-    """An array has the wrong number of dimensions, or arrays that go together
-    (factors, windows, channels, estimate and ground truth) do not agree in
-    shape, or an index array names entries that do not exist."""
+    """An array is not a rectangular array of numbers or has the wrong number
+    of dimensions, or arrays that go together (factors, windows, channels,
+    estimate and ground truth) do not agree in shape, or an index array
+    names entries that do not exist."""
 
 
 class NonPositiveEtaError(LrtvarError, ValueError):
@@ -99,10 +100,14 @@ def integer_at_least(name: str, value, least: int, even: bool = False, most: Opt
 
 
 def finite_array(name: str, value, ndim: int) -> np.ndarray:
-    """``value`` as a float array; another number of dimensions than ``ndim``
-    raises :class:`ShapeMismatchError`, a NaN or infinite entry
+    """``value`` as a float array; ragged nesting, an entry that is not a
+    number or another number of dimensions than ``ndim`` raises
+    :class:`ShapeMismatchError`, a NaN or infinite entry
     :class:`NonFiniteError`."""
-    array = np.asarray(value, dtype=float)
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise ShapeMismatchError(f"{name} must be a rectangular array of real numbers ({error})") from error
     if array.ndim != ndim:
         raise ShapeMismatchError(f"{name} must be {ndim}-D, got shape {array.shape}")
     if not np.isfinite(array).all():

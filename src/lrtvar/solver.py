@@ -20,8 +20,14 @@ block minimizer, or say which jumps to fuse and which fused pairs to open
 for the next face.  Exact minimization one column at a time by the weighted
 TV prox is only the fallback, for faces too large to solve or a face
 iteration that does not certify, and it keeps the incoming U3 unless its
-result lowers the block objective.  So every update is non-increasing in
-C, up to the inner solves' rounding, at every scale the fit accepts.
+result lowers the block objective.  Each CG is an inexact block solve:
+warm-started at the incoming block, where its residual is minus the block
+gradient, it stops once that residual has fallen by the fixed factor
+CG_FORCING (the forcing term of Eisenstat & Walker 1996, applied to block
+coordinate descent as by Tappenden, Richtarik & Gondzio 2016) or to CG_TOL
+of the right-hand side, or after CG_MAX_STEPS steps, and each of its steps
+lowers the block cost.  So every update is non-increasing in C, up to the
+inner solves' rounding, at every scale the fit accepts.
 After each sweep ``fit`` tries the extrapolated iterate
 U + it^(1/p) (U - U_prev) on all three factors at once and keeps it only if
 it lowers C (Bro's line search for PARAFAC), so the outer cost trace
@@ -95,10 +101,12 @@ from .errors import (
 from .regularizers import Regularizer, _ridge, tv_penalty, tv_prox_columns
 from .windowing import SnapshotPair, write_csv
 
-# CG stops once the residual falls to this fraction of the right-hand side,
-# or after CG_MAX_STEPS steps; U2 is solved exactly instead when that costs
-# fewer flops than CG_MAX_STEPS CG steps.
+# CG stops once its residual falls to CG_TOL times the right-hand side or to
+# CG_FORCING times its initial residual, whichever is larger, or after
+# CG_MAX_STEPS steps; U2 is solved exactly instead when that costs fewer flops
+# than CG_MAX_STEPS CG steps.
 CG_TOL = 1e-9
+CG_FORCING = 0.1
 CG_MAX_STEPS = 24
 # A TV update of U3 ends on a face minimizer whose dual residual, over beta,
 # is at most this, or once a fallback sweep moves no entry by more than this
@@ -166,27 +174,30 @@ class BlockOutcome:
     fallback sweeps of a TV update; 0 for an exact solve.  ``residual`` is
     the CG's relative residual ||rhs - K x|| / ||rhs||, the dual residual
     over beta of a TV update's result (:func:`_tv_dual_residual`), or 0.0
-    for an exact solve.  ``capped`` says whether ``residual`` is above the
-    tolerance of the method, read when the outcome is made: ``CG_TOL`` for
-    ``cg``, ``SWEEP_TOL`` for ``face`` and ``sweeps``.  So an exact solve,
-    with residual 0.0, is never capped.  ``str()`` is
+    for an exact solve.  ``tolerance`` is what the solve stopped on: the
+    CG's stop threshold max(``CG_TOL`` ||rhs||, ``CG_FORCING`` ||r0||) over
+    ||rhs|| (:func:`_cg`), ``SWEEP_TOL`` for ``face`` and ``sweeps``, and 0
+    for ``exact``.  ``capped`` is ``not residual <= tolerance``: the solve
+    ended above its own tolerance, on a step cap or with a NaN residual.
+    So an exact solve, with residual 0.0, is never capped.  ``str()`` is
     ``method/steps/residual``, with ``/capped`` appended when it is.
     """
 
     method: str
     steps: int
     residual: float
+    tolerance: float
     capped: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "capped", self.residual > (CG_TOL if self.method == "cg" else SWEEP_TOL))
+        object.__setattr__(self, "capped", not self.residual <= self.tolerance)
 
     def __str__(self) -> str:
         return f"{self.method}/{self.steps}/{self.residual:.3g}" + ("/capped" if self.capped else "")
 
 
 # the outcome of every direct block solve
-_EXACT = BlockOutcome("exact", 0, 0.0)
+_EXACT = BlockOutcome("exact", 0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -230,7 +241,8 @@ class FitReport:
     per step, which ``fit`` checks as it goes (``OuterIteration.cost_rise``).
     ``outer[i]`` records outer iteration i + 1, the one that appended
     ``cost_trace[i + 1]``.  :meth:`summary` counts the capped U2 and U3
-    solves (:attr:`BlockOutcome.capped`), their inner steps and the
+    solves (:attr:`BlockOutcome.capped`: above the tolerance of the solve
+    itself, for a CG its forcing threshold), their inner steps and the
     accepted extrapolations.
     """
 
@@ -252,8 +264,8 @@ class FitReport:
         ``outer`` one object per outer iteration, its ``iteration``, the
         ``cost`` and ``rmse`` it appended to the traces and the fields of its
         :class:`OuterIteration`, each :class:`BlockOutcome` an object of its
-        ``method``, ``steps``, ``residual`` and ``capped``; wall seconds
-        included, so unlike the CSV it differs between reruns."""
+        ``method``, ``steps``, ``residual``, ``tolerance`` and ``capped``;
+        wall seconds included, so unlike the CSV it differs between reruns."""
         rows = zip(self.cost_trace[1:], self.rmse_trace[1:], self.outer)
         outer = [{"iteration": i, "cost": c, "rmse": r, **asdict(o)} for i, (c, r, o) in enumerate(rows, start=1)]
         with open(path, "w", encoding="utf-8") as fh:
@@ -385,28 +397,33 @@ def _right_rhs(model: CpFactors, data: SnapshotPair, products: tuple) -> np.ndar
     return _transitions(data.X).T @ _scale_windows(products[1], model.U3)  # rows of Y_k' U1 diag(U3[k])
 
 
-def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = CG_TOL,
-        image=None) -> tuple[np.ndarray, int, float]:
+def _cg(operate, rhs: np.ndarray, x0: np.ndarray, image=None) -> tuple[np.ndarray, BlockOutcome]:
     """Conjugate gradients on operate(x) = rhs for a symmetric positive-definite
     ``operate``, warm-started at ``x0``; ``image`` is operate(x0) when the
     caller has it.
 
-    Stops when the residual norm reaches ``tol * ||rhs||`` or after
-    ``max_iters`` steps.  Every step lowers the quadratic 1/2 x'Ax - rhs'x,
-    so the result is never worse than ``x0``.  Returns (x, steps, residual):
-    the steps taken and the relative residual ||r|| / ||rhs|| of the last
-    recurrence residual r (0 or inf for a zero ``rhs``), which costs no
-    extra application of ``operate``.  A CG may meet ``tol`` on its last
-    allowed step, so only the residual says whether it did.
+    Stops when the residual norm reaches max(``CG_TOL`` ||rhs||,
+    ``CG_FORCING`` ||r0||) or after ``CG_MAX_STEPS`` steps.  The initial
+    residual r0 = rhs - operate(x0) is minus the gradient of the quadratic
+    1/2 x'Ax - rhs'x at ``x0``, so the forcing term asks each solve for a
+    fixed fraction of the progress its own start leaves to make (the
+    inexact-Newton rule of Eisenstat & Walker 1996), which costs nothing
+    extra.  Every step lowers that quadratic, so the result is never worse
+    than ``x0``.  Returns (x, :class:`BlockOutcome`): ``cg`` with the steps
+    taken, the relative residual ||r|| / ||rhs|| of the last recurrence
+    residual r, which costs no extra application of ``operate``, and the
+    stop threshold over ||rhs|| as its tolerance (for a zero ``rhs``, a
+    residual of 0 or inf and a tolerance of 0).  A CG may meet its threshold
+    on its last allowed step, so only the residual says whether it did.
     """
     x = x0.copy()
     r = rhs - (operate(x) if image is None else image)
     p = r.copy()
     rs = float(np.vdot(r, r))
     rhs_square = float(np.vdot(rhs, rhs))
-    threshold = tol * tol * rhs_square
+    threshold = max(CG_TOL * CG_TOL * rhs_square, CG_FORCING * CG_FORCING * rs)
     n_iters = 0
-    while n_iters < max_iters and rs > threshold:
+    while n_iters < CG_MAX_STEPS and rs > threshold:
         Ap = operate(p)
         alpha = rs / float(np.vdot(p, Ap))
         x += alpha * p
@@ -415,7 +432,8 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, max_iters: int, tol: float = C
         p *= rs / rs_old
         p += r
         n_iters += 1
-    return x, n_iters, math.sqrt(rs / rhs_square) if rhs_square else 0.0 if rs == 0.0 else math.inf
+    residual = math.sqrt(rs / rhs_square) if rhs_square else 0.0 if rs == 0.0 else math.inf
+    return x, BlockOutcome("cg", n_iters, residual, math.sqrt(threshold / rhs_square) if rhs_square else 0.0)
 
 
 def _direct_right_solve_is_cheaper(rows: int, M: int, T: int, R: int) -> bool:
@@ -459,12 +477,15 @@ def update_right(model: CpFactors, data: SnapshotPair, params: Hyperparams,
     it takes the Grams L_k from a fit's workspace, which forms them once
     per fit, and forms them otherwise (:func:`_window_grams`).  Otherwise
     CG, with L_k applied matrix-free, warm-starts from the current U2, so
-    the quadratic objective (hence the cost) never increases, and stops at
-    ``CG_TOL`` or after ``CG_MAX_STEPS`` steps.  ``products`` is as in
-    :func:`update_left`; X'U2 also serves CG's initial residual.  Returns
-    (new U2, :class:`BlockOutcome`): ``exact``, or ``cg`` with its steps
-    and final relative residual ||B - K U2|| / ||B||, capped when that is
-    above ``CG_TOL``.
+    the quadratic objective (hence the cost) never increases, and stops
+    once its residual is at most ``CG_FORCING`` times the initial one, the
+    gradient of the cost over U2 at the current U2, or ``CG_TOL`` times
+    ||B||, whichever is larger, or after ``CG_MAX_STEPS`` steps
+    (:func:`_cg`).  ``products`` is as in :func:`update_left`; X'U2 also
+    serves CG's initial residual.  Returns (new U2, :class:`BlockOutcome`):
+    ``exact``, or ``cg`` with its steps, final relative residual
+    ||B - K U2|| / ||B|| and stop threshold over ||B||, capped when the
+    residual is above that threshold.
     """
     _check_dims(model, data)
     weights = _right_weights(model)
@@ -473,8 +494,7 @@ def update_right(model: CpFactors, data: SnapshotPair, params: Hyperparams,
         grams = data.grams if isinstance(data, _RangeData) else _window_grams(data)
         return _solve_right_exactly(grams, weights, params.eta, rhs), _EXACT
     operate = partial(_right_operator, weights, data, params.eta)
-    U2, steps, residual = _cg(operate, rhs, model.U2, CG_MAX_STEPS, CG_TOL, operate(model.U2, products[0]))
-    return U2, BlockOutcome("cg", steps, residual)
+    return _cg(operate, rhs, model.U2, operate(model.U2, products[0]))
 
 
 def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products: tuple) -> tuple[np.ndarray, np.ndarray, float]:
@@ -542,9 +562,11 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams,
     H_k = C_k + I/eta, an ``exact`` outcome.  The spline penalty couples
     the windows through the block-tridiagonal Hessian
     blockdiag(C_k + I/eta) + beta D'D kron I_R, solved by warm-started CG
-    to ``CG_TOL``, capped at ``CG_MAX_STEPS`` steps, a ``cg``
-    outcome with the CG's relative residual ||b - H U3|| / ||b||.  Its
-    diagonal blocks C_k + (1/eta + beta d_k) I, d the diagonal of D'D, are
+    to the larger of ``CG_FORCING`` times its initial residual and
+    ``CG_TOL`` ||b||, capped at ``CG_MAX_STEPS`` steps (:func:`_cg`), a
+    ``cg`` outcome with the CG's relative residual ||b - H U3|| / ||b||
+    and that threshold over ||b||.  Its diagonal blocks
+    C_k + (1/eta + beta d_k) I, d the diagonal of D'D, are
     formed in place once per update (:func:`_temporal_hessian`), so each
     step applies it as one window-wise product and two shifted
     subtractions of beta times the neighbouring windows.  The TV penalty is
@@ -565,8 +587,7 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams,
     C, b, scale = _temporal_quadratic(model, data, products)
     H, spline_beta = _temporal_hessian(C, params, scale)
     if spline_beta:
-        U3, steps, residual = _cg(partial(_temporal_hessian_apply, H, spline_beta), b, model.U3, CG_MAX_STEPS, CG_TOL)
-        return U3, BlockOutcome("cg", steps, residual)
+        return _cg(partial(_temporal_hessian_apply, H, spline_beta), b, model.U3)
     if _active_penalty(params, model.T) == "none":
         return np.linalg.solve(H, b[..., None])[..., 0], _EXACT
     return _temporal_tv_sweeps(H, b, model.U3, scale * params.reg.beta)
@@ -627,7 +648,7 @@ def _temporal_tv_sweeps(H, b, U3_init, beta):
             flipped = signs * differences < 0
             certificate = _tv_dual_residual(z, _jump_signs(face, differences), beta)
             if certificate <= SWEEP_TOL and not flipped.any():
-                return face, BlockOutcome("face", sweeps + face_solves, certificate)
+                return face, BlockOutcome("face", sweeps + face_solves, certificate, SWEEP_TOL)
             violated = flipped | ((signs == 0) & (np.abs(z[:-1]) > beta))
             if not violated.any():
                 break
@@ -642,7 +663,7 @@ def _temporal_tv_sweeps(H, b, U3_init, beta):
     if not _tv_block_objective(H, b, U, beta) < _tv_block_objective(H, b, U3_init, beta):
         U = U3_init
     residual = _tv_dual_residual(_running_sums(H, b, U), _jump_signs(U, np.diff(U, axis=0)), beta)
-    return U, BlockOutcome("sweeps", sweeps + face_solves, residual)
+    return U, BlockOutcome("sweeps", sweeps + face_solves, residual, SWEEP_TOL)
 
 
 def _tv_block_objective(H, b, U, beta) -> float:

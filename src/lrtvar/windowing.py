@@ -88,8 +88,10 @@ class SnapshotPair:
 
     X has shape (N_in, M, T) and Y has shape (N, M, T) where N_in = N*P,
     plus one if ``affine`` (the appended ones row).  Column j of window k
-    holds the transition number k*M + j of the source series.  Tensors that
-    are not 3-D or do not agree in these shapes raise
+    holds the transition number k*M + j of the source series.  ``M``, ``T``
+    and ``P`` must be integers >= 1, not bools, else
+    :class:`InvalidHyperparameterError`.  Tensors that are not 3-D arrays of
+    numbers or do not agree in these shapes raise
     :class:`ShapeMismatchError`, a NaN or infinite entry
     :class:`NonFiniteError`.
     """
@@ -103,6 +105,7 @@ class SnapshotPair:
     dropped: int = 0
 
     def __post_init__(self):
+        self.M, self.T, self.P = (integer_at_least(name, getattr(self, name), 1) for name in ("M", "T", "P"))
         self.X, self.Y = finite_array("X", self.X, 3), finite_array("Y", self.Y, 3)
         n_in, m, t = self.X.shape
         n, m2, t2 = self.Y.shape

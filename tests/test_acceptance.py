@@ -239,10 +239,11 @@ def fd_gradient(func, mat, h=1e-5):
 
 
 def tight_cg(monkeypatch):
-    """Give every CG 300 steps and a 1e-13 tolerance; the exact U2 solve is
-    then chosen against 300 CG steps."""
+    """Give every CG 300 steps and a 1e-13 tolerance with no forcing term,
+    an exact solve; the exact U2 solve is then chosen against 300 CG steps."""
     monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", 300)
     monkeypatch.setattr(lrtvar.solver, "CG_TOL", 1e-13)
+    monkeypatch.setattr(lrtvar.solver, "CG_FORCING", 0.0)
 
 
 def right_update_deviations(monkeypatch):

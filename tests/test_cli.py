@@ -167,7 +167,7 @@ class TestFit:
         # each block's outcome is one object; this TV fit's U3 updates end on faces or sweeps
         for entry in trace["outer"]:
             for block in ("left", "right", "temporal"):
-                assert set(entry[block]) == {"method", "steps", "residual", "capped"}
+                assert set(entry[block]) == {"method", "steps", "residual", "tolerance", "capped"}
         assert trace["outer"][-1]["temporal"]["method"] in {"face", "sweeps"}
 
     def test_matches_library_fit(self, series_path, tmp_path):

@@ -1,8 +1,9 @@
 """Every public array entry point rejects bad input with a named LrtvarError.
 
 One table: each case builds an entry point's input with one defect (a wrong
-number of dimensions, a NaN or infinite entry, or a bool, float or string
-where an integer or real is taken) and names the error it must raise.
+number of dimensions, ragged or non-numeric entries, a NaN or infinite entry,
+or a bool, float or string where an integer or real is taken) and names the
+error it must raise.
 """
 
 import numpy as np
@@ -50,6 +51,11 @@ CASES = {
     "series-nan": (lambda: TimeSeries(with_entry(SERIES, np.nan)), NonFiniteError, "values"),
     "series-inf": (lambda: TimeSeries(with_entry(SERIES, -np.inf, 5)), NonFiniteError, "values"),
     "series-names": (lambda: TimeSeries(SERIES, ["a"]), ShapeMismatchError, "1 channel names for 2 channels"),
+    # ragged or non-numeric values once raised numpy's bare ValueError
+    "series-ragged": (lambda: TimeSeries([[1.0, 2.0], [3.0]]), ShapeMismatchError,
+                      "values must be a rectangular array of real numbers"),
+    "series-strings": (lambda: TimeSeries([["a", "b"]]), ShapeMismatchError,
+                       "values must be a rectangular array of real numbers"),
     # SnapshotPair.X and .Y; fit on a NaN pair once failed with ExtremeScaleError "2^nan"
     "pair-X-2d": (lambda: SnapshotPair(X[:, :, 0], Y, M=3, T=4), ShapeMismatchError, "X must be 3-D"),
     "pair-Y-4d": (lambda: SnapshotPair(X, Y[..., None], M=3, T=4), ShapeMismatchError, "Y must be 3-D"),
@@ -59,6 +65,10 @@ CASES = {
                      NonFiniteError, "X contains"),
     "pair-windows": (lambda: SnapshotPair(X, Y, M=3, T=5), ShapeMismatchError, "inconsistent window shapes"),
     "pair-rows": (lambda: SnapshotPair(X, Y[:1], M=3, T=4), ShapeMismatchError, "X has 2 rows, expected 1"),
+    # M=True and P=1.0 were once accepted and kept
+    "pair-M-bool": (lambda: SnapshotPair(X, Y, M=True, T=4), InvalidHyperparameterError, "M must be an integer"),
+    "pair-T-float": (lambda: SnapshotPair(X, Y, M=3, T=4.0), InvalidHyperparameterError, "T must be an integer"),
+    "pair-P-float": (lambda: SnapshotPair(X, Y, M=3, T=4, P=1.0), InvalidHyperparameterError, "P must be an integer"),
     # CpFactors.U1, .U2 and .U3, slice and effective_rank
     "factors-U1-1d": (lambda: CpFactors(U[:, 0], U, U), ShapeMismatchError, "U1 must be 2-D"),
     "factors-U2-nan": (lambda: CpFactors(U, with_entry(U, np.nan), U), NonFiniteError, "U2 contains"),
@@ -120,8 +130,11 @@ class TestFiniteArray:
         [(np.ones(3), 2, ShapeMismatchError, r"^a must be 2-D, got shape \(3,\)$"),
          (np.float64(1.0), 1, ShapeMismatchError, r"^a must be 1-D, got shape \(\)$"),
          ([1.0, np.nan], 1, NonFiniteError, "^a contains non-finite entries$"),
-         (np.full((2, 2), -np.inf), 2, NonFiniteError, "^a contains non-finite entries$")],
-        ids=["ndim", "scalar", "nan", "inf"],
+         (np.full((2, 2), -np.inf), 2, NonFiniteError, "^a contains non-finite entries$"),
+         ([[1.0, 2.0], [3.0]], 2, ShapeMismatchError, r"^a must be a rectangular array of real numbers \(setting"),
+         ([["a", "b"]], 2, ShapeMismatchError, r"^a must be a rectangular array of real numbers \(could not"),
+         ([{}], 1, ShapeMismatchError, r"^a must be a rectangular array of real numbers \(float\(\) argument")],
+        ids=["ndim", "scalar", "nan", "inf", "ragged", "string", "dict"],
     )
     def test_rejections(self, value, ndim, error, message):
         with pytest.raises(error, match=message):
