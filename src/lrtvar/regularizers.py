@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidHyperparameterError, NonFiniteError, real_at_least
+from .errors import InvalidHyperparameterError, NonFiniteError, ShapeMismatchError, real_at_least
 
 REGULARIZER_KINDS = ("none", "tv", "spline")
 
@@ -161,14 +161,15 @@ def tv_prox_columns(V: np.ndarray, gamma: float, weights: np.ndarray) -> np.ndar
     gamma sum_k |u_k - u_{k+1}| with w = ``weights[:, r]``, positive and
     finite, of the shape of ``V``.  A saturated column (see
     :func:`_tv_prox_list`) gets its weighted mean exactly.  A ``gamma``
-    that is a bool, not a real number or negative raises
+    that is a bool, not a real number or negative or a weight <= 0 raises
     :class:`InvalidHyperparameterError`, a NaN or infinite one or a
-    non-finite entry or weight :class:`NonFiniteError`; ``gamma = 0``
-    returns a copy of ``V``.
+    non-finite entry or weight :class:`NonFiniteError`, and a ``V`` that is
+    not 2-D or weights of another shape :class:`ShapeMismatchError`;
+    ``gamma = 0`` returns a copy of ``V``.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
-        raise ValueError("tv_prox_columns expects a 2-D matrix")
+        raise ShapeMismatchError(f"tv_prox_columns expects a 2-D matrix, got shape {V.shape}")
     gamma = real_at_least("gamma", gamma)
     # checked on Python lists: for the few short columns of a loadings matrix
     # that is cheaper than a NumPy reduction per call
@@ -177,12 +178,12 @@ def tv_prox_columns(V: np.ndarray, gamma: float, weights: np.ndarray) -> np.ndar
         raise NonFiniteError("tv_prox_columns input contains non-finite entries")
     W = np.asarray(weights, dtype=float)
     if W.shape != V.shape:
-        raise ValueError(f"weights must have the shape {V.shape} of the matrix, got {W.shape}")
+        raise ShapeMismatchError(f"weights must have the shape {V.shape} of the matrix, got {W.shape}")
     weight_columns = W.T.tolist()
     if not all(map(math.isfinite, chain.from_iterable(weight_columns))):
         raise NonFiniteError("tv_prox_columns weights contain non-finite entries")
     if min(chain.from_iterable(weight_columns), default=1.0) <= 0.0:
-        raise ValueError("tv_prox_columns weights must be > 0")
+        raise InvalidHyperparameterError("tv_prox_columns weights must be > 0")
     if gamma == 0.0 or V.shape[0] < 2:
         return V.copy()
     out = [_tv_prox_list(y, w, gamma) for y, w in zip(columns, weight_columns)]

@@ -26,8 +26,10 @@ gradient, it stops once that residual has fallen by the fixed factor
 CG_FORCING (the forcing term of Eisenstat & Walker 1996, applied to block
 coordinate descent as by Tappenden, Richtarik & Gondzio 2016) or to CG_TOL
 of the right-hand side, or after CG_MAX_STEPS steps, and each of its steps
-lowers the block cost.  So every update is non-increasing in C, up to the
-inner solves' rounding, at every scale the fit accepts.
+lowers the block cost.  It runs on its system divided by the power of two
+that brings the largest right-hand side entry into [1, 2), which keeps its
+sums of squares in the float64 range.  So every update is non-increasing
+in C, up to the inner solves' rounding, at every scale the fit accepts.
 After each sweep ``fit`` tries the extrapolated iterate
 U + it^(1/p) (U - U_prev) on all three factors at once and keeps it only if
 it lowers C (Bro's line search for PARAFAC), so the outer cost trace
@@ -240,7 +242,8 @@ class FitReport:
     trace is non-increasing up to a slack of ``MONOTONE_SLACK * (1 + |C|)``
     per step, which ``fit`` checks as it goes (``OuterIteration.cost_rise``).
     ``outer[i]`` records outer iteration i + 1, the one that appended
-    ``cost_trace[i + 1]``.  :meth:`summary` counts the capped U2 and U3
+    ``cost_trace[i + 1]``, so the read-only ``iterations`` is
+    ``len(outer)``.  :meth:`summary` counts the capped U2 and U3
     solves (:attr:`BlockOutcome.capped`: above the tolerance of the solve
     itself, for a CG its forcing threshold), their inner steps and the
     accepted extrapolations.
@@ -248,10 +251,10 @@ class FitReport:
 
     cost_trace: list
     rmse_trace: list
-    iterations: int
     termination: str
     wall_seconds: float
     outer: list
+    iterations = property(lambda self: len(self.outer), doc="The number of outer iterations run, ``len(outer)``.")
 
     def write_trace_csv(self, path, manifest: Optional[str] = None) -> None:
         """Trace as CSV with columns (iteration, cost, rmse); row 0 is the
@@ -415,9 +418,19 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, image=None) -> tuple[np.ndarra
     stop threshold over ||rhs|| as its tolerance (for a zero ``rhs``, a
     residual of 0 or inf and a tolerance of 0).  A CG may meet its threshold
     on its last allowed step, so only the residual says whether it did.
+
+    The iteration runs at unit scale: ``rhs``, ``x0`` and ``image`` are
+    divided by the power of two 2^e that brings max|rhs| into [1, 2) (e = 0
+    for a zero or non-finite ``rhs``), and x is multiplied by 2^e on return.
+    CG is homogeneous in (rhs, x0), a power-of-two scaling is exact, and the
+    recorded residual and tolerance are ratios, so this changes no bit of a
+    solve whose sums of squares fit in float64; far above the data scale it
+    keeps them, and p'Ap, from overflowing.
     """
-    x = x0.copy()
-    r = rhs - (operate(x) if image is None else image)
+    peak = float(np.abs(rhs).max(initial=0.0))
+    e = math.frexp(peak)[1] - 1 if 0.0 < peak < math.inf else 0
+    rhs, x = np.ldexp(rhs, -e), np.ldexp(x0, -e, order="C")
+    r = rhs - (operate(x) if image is None else np.ldexp(image, -e))
     p = r.copy()
     rs = float(np.vdot(r, r))
     rhs_square = float(np.vdot(rhs, rhs))
@@ -433,7 +446,7 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, image=None) -> tuple[np.ndarra
         p += r
         n_iters += 1
     residual = math.sqrt(rs / rhs_square) if rhs_square else 0.0 if rs == 0.0 else math.inf
-    return x, BlockOutcome("cg", n_iters, residual, math.sqrt(threshold / rhs_square) if rhs_square else 0.0)
+    return np.ldexp(x, e), BlockOutcome("cg", n_iters, residual, math.sqrt(threshold / rhs_square) if rhs_square else 0.0)
 
 
 def _direct_right_solve_is_cheaper(rows: int, M: int, T: int, R: int) -> bool:
@@ -1084,7 +1097,6 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     report = FitReport(
         cost_trace=cost_trace,
         rmse_trace=rmse_trace,
-        iterations=it,
         termination=termination,
         wall_seconds=time.perf_counter() - t_start,
         outer=outer,

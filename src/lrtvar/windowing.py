@@ -4,7 +4,9 @@ A trajectory x(1..tau+1) of N channels is cut into T non-overlapping windows
 of M transitions each.  Window k collects the predictors X[:, j, k] and the
 one-step-ahead targets Y[:, j, k].  With ``lags=P`` each predictor column
 stacks the P most recent states; with ``affine=True`` a row of ones is
-appended so a constant offset can be fit.
+appended so a constant offset can be fit.  A :class:`SnapshotPair` holds
+only the two tensors, the ``affine`` flag and the count of dropped
+transitions: M, T and P are read from the tensor shapes.
 
 The package's CSV codec lives here too: every CSV file it reads or writes
 goes through :func:`read_csv` and :func:`write_csv`.  Reading takes one
@@ -22,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, SeriesTooShortError, ShapeMismatchError, ZeroVarianceError, finite_array, integer_at_least
+from .errors import (InvalidHyperparameterError, NonFiniteError, SeriesTooShortError, ShapeMismatchError,
+                     ZeroVarianceError, finite_array, integer_at_least)
 
 
 @dataclass
@@ -86,43 +89,43 @@ class Standardization:
 class SnapshotPair:
     """Paired predictor/target tensors consumed by the solver.
 
-    X has shape (N_in, M, T) and Y has shape (N, M, T) where N_in = N*P,
-    plus one if ``affine`` (the appended ones row).  Column j of window k
-    holds the transition number k*M + j of the source series.  ``M``, ``T``
-    and ``P`` must be integers >= 1, not bools, else
-    :class:`InvalidHyperparameterError`.  Tensors that are not 3-D arrays of
-    numbers or do not agree in these shapes raise
+    X has shape (N_in, M, T) and Y has shape (N, M, T): T windows of M
+    transitions each, column j of window k the transition number k*M + j of
+    the source series.  X stacks the P most recent states of the N channels,
+    N_in = N*P rows, plus a row of ones if ``affine``.  The shapes say all of
+    M, T, P, N and N_in, so these are read-only properties of the tensors;
+    ``dropped`` counts the transitions after the last full window.
+
+    Tensors that are not 3-D arrays of numbers, do not cover the same
+    windows, have an empty axis or an X whose rows are not a whole number
+    >= 1 of Y's channel blocks (plus the row of ones) raise
     :class:`ShapeMismatchError`, a NaN or infinite entry
-    :class:`NonFiniteError`.
+    :class:`NonFiniteError`, and an ``affine`` that is not a bool or a
+    ``dropped`` that is not an integer >= 0
+    :class:`InvalidHyperparameterError`.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    M: int
-    T: int
-    P: int = 1
     affine: bool = False
     dropped: int = 0
 
     def __post_init__(self):
-        self.M, self.T, self.P = (integer_at_least(name, getattr(self, name), 1) for name in ("M", "T", "P"))
         self.X, self.Y = finite_array("X", self.X, 3), finite_array("Y", self.Y, 3)
-        n_in, m, t = self.X.shape
-        n, m2, t2 = self.Y.shape
-        if (m, t) != (m2, t2) or m != self.M or t != self.T:
-            raise ShapeMismatchError(f"inconsistent window shapes: X {self.X.shape}, Y {self.Y.shape}, M={self.M}, T={self.T}")
-        if n_in != n * self.P + (1 if self.affine else 0):
-            raise ShapeMismatchError(f"X has {n_in} rows, expected {n}*{self.P}{' + 1' if self.affine else ''}")
+        if not isinstance(self.affine, bool):
+            raise InvalidHyperparameterError(f"affine must be a bool, got {self.affine!r}")
+        self.dropped = integer_at_least("dropped", self.dropped, 0)
+        if self.X.shape[1:] != self.Y.shape[1:] or 0 in self.Y.shape:
+            raise ShapeMismatchError(f"X {self.X.shape} and Y {self.Y.shape} must cover the same nonempty windows")
+        if self.N_in - self.affine < self.N or (self.N_in - self.affine) % self.N:
+            raise ShapeMismatchError(f"X has {self.N_in} rows, expected P*{self.N}{' + 1' if self.affine else ''} "
+                                     "for an integer P >= 1")
 
-    @property
-    def N(self) -> int:
-        """Output dimension (rows of Y)."""
-        return self.Y.shape[0]
-
-    @property
-    def N_in(self) -> int:
-        """Input dimension (rows of X)."""
-        return self.X.shape[0]
+    N = property(lambda self: self.Y.shape[0], doc="Output dimension (rows of Y).")
+    N_in = property(lambda self: self.X.shape[0], doc="Input dimension (rows of X).")
+    M = property(lambda self: self.X.shape[1], doc="Window length in transitions.")
+    T = property(lambda self: self.X.shape[2], doc="Number of windows.")
+    P = property(lambda self: (self.N_in - self.affine) // self.N, doc="Autoregressive order (number of lags).")
 
 
 def build_snapshots(series: TimeSeries, M: int, P: int = 1, affine: bool = False) -> SnapshotPair:
@@ -174,7 +177,7 @@ def build_snapshots(series: TimeSeries, M: int, P: int = 1, affine: bool = False
         blocks.append(np.ones((1, M, T)))
     X = np.concatenate(blocks, axis=0)
     Y = values[:, idx + 1]
-    return SnapshotPair(X=X, Y=Y, M=M, T=T, P=P, affine=affine, dropped=dropped)
+    return SnapshotPair(X=X, Y=Y, affine=affine, dropped=dropped)
 
 
 def standardize(series: TimeSeries) -> tuple[TimeSeries, Standardization]:

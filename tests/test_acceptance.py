@@ -1,7 +1,9 @@
 """Acceptance gate: one test per release criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  The
-module is self-contained: every oracle it needs is defined here.
+oracles it shares with the solver tests (dense gradients, finite
+differences, the exact-CG patch) come from ``oracles``; the rest are
+defined here.
 """
 
 import itertools
@@ -24,6 +26,8 @@ from lrtvar.regularizers import Regularizer, tv_prox_columns
 from lrtvar.solver import Hyperparams, fit, loss, update_right, update_temporal
 from lrtvar.synthetic import gp_covariance, sample_gp_angle, simulate_smooth, simulate_switching
 from lrtvar.windowing import SnapshotPair, build_snapshots
+
+from oracles import dense_gradients, fd_gradient, tight_cg
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -128,9 +132,7 @@ def test_criterion_4_descent_property():
         M = int(rng.integers(2, 8))
         kind = ("none", "tv", "spline")[trial % 3]
         beta = 0.0 if kind == "none" else float(rng.uniform(0.1, 5.0))
-        data = SnapshotPair(
-            X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)), M=M, T=T
-        )
+        data = SnapshotPair(X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)))
         params = Hyperparams(
             R=R,
             eta=float(rng.uniform(0.05, 2.0)),
@@ -204,48 +206,6 @@ def brute_force_tv_prox(v, gamma, tol=1e-9):
     raise AssertionError("no KKT point found")
 
 
-def dense_gradients(model, data, params):
-    """[grad U1, grad U2, grad U3] of loss + ridge (+ the spline term), window
-    by window from A_k = model.slice(k): the loss gradient in A_k is
-    G_k = (A_k X_k - Y_k) X_k', and A_k = U1 diag(U3[k]) U2'."""
-    grads = [U / params.eta for U in (model.U1, model.U2, model.U3)]
-    for k in range(model.T):
-        X = data.X[:, :, k]
-        G = (model.slice(k) @ X - data.Y[:, :, k]) @ X.T
-        grads[0] += (G @ model.U2) * model.U3[k]
-        grads[1] += (G.T @ model.U1) * model.U3[k]
-        grads[2][k] += np.sum(model.U1 * (G @ model.U2), axis=0)
-    if params.reg.kind == "spline":
-        step = params.reg.beta * np.diff(model.U3, axis=0)
-        grads[2][:-1] -= step
-        grads[2][1:] += step
-    return grads
-
-
-def fd_gradient(func, mat, h=1e-5):
-    g = np.zeros_like(mat)
-    it = np.nditer(mat, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = mat[idx]
-        mat[idx] = orig + h
-        up = func()
-        mat[idx] = orig - h
-        down = func()
-        mat[idx] = orig
-        g[idx] = (up - down) / (2 * h)
-        it.iternext()
-    return g
-
-
-def tight_cg(monkeypatch):
-    """Give every CG 300 steps and a 1e-13 tolerance with no forcing term,
-    an exact solve; the exact U2 solve is then chosen against 300 CG steps."""
-    monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", 300)
-    monkeypatch.setattr(lrtvar.solver, "CG_TOL", 1e-13)
-    monkeypatch.setattr(lrtvar.solver, "CG_FORCING", 0.0)
-
-
 def right_update_deviations(monkeypatch):
     """Worst absolute and relative deviation of ``update_right`` from the
     Kronecker solve, and the set of its reported CG iteration counts, on 20
@@ -259,7 +219,7 @@ def right_update_deviations(monkeypatch):
         T = int(rng.integers(2, 5))
         M = int(rng.integers(2, 7))
         model = CpFactors(rng.standard_normal((N, R)), rng.standard_normal((N, R)), rng.standard_normal((T, R)))
-        data = SnapshotPair(X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)), M=M, T=T)
+        data = SnapshotPair(X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)))
         ref = kron_solve_right(model, data, eta=0.5)
         out, outcome = update_right(model, data, Hyperparams(R=R, eta=0.5), lrtvar.solver._products(model, data))
         worst = max(worst, float(np.abs(out - ref).max()))
@@ -290,7 +250,7 @@ def test_criterion_5a_right_update_on_a_fit_workspace_vs_kronecker(monkeypatch):
         R = int(rng.integers(1, 4))
         T = int(rng.integers(2, 5))
         M = int(rng.integers(2, 7))
-        data = SnapshotPair(X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)), M=M, T=T)
+        data = SnapshotPair(X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)))
         work = lrtvar.solver._range_data(data)
         for _ in range(3):
             model = CpFactors(rng.standard_normal((work.N, R)), rng.standard_normal((work.N_in, R)),
@@ -322,7 +282,7 @@ def test_criterion_5b_temporal_update_vs_hadamard():
         R = int(rng.integers(1, 4))
         T = int(rng.integers(2, 6))
         model = CpFactors(rng.standard_normal((N, R)), rng.standard_normal((N, R)), rng.standard_normal((T, R)))
-        data = SnapshotPair(X=rng.standard_normal((N, 5, T)), Y=rng.standard_normal((N, 5, T)), M=5, T=T)
+        data = SnapshotPair(X=rng.standard_normal((N, 5, T)), Y=rng.standard_normal((N, 5, T)))
         out, _ = update_temporal(model, data, Hyperparams(R=R, eta=0.8), lrtvar.solver._products(model, data))
         ref = hadamard_solve_temporal(model, data, eta=0.8)
         worst = max(worst, float(np.abs(out - ref).max()))
@@ -370,7 +330,7 @@ def test_criterion_5d_block_gradients_vs_finite_differences():
         T = int(rng.integers(2, 6))
         reg = Regularizer("spline", 1.5) if trial % 2 else Regularizer()
         model = CpFactors(rng.standard_normal((N, R)), rng.standard_normal((N, R)), rng.standard_normal((T, R)))
-        data = SnapshotPair(X=rng.standard_normal((N, 4, T)), Y=rng.standard_normal((N, 4, T)), M=4, T=T)
+        data = SnapshotPair(X=rng.standard_normal((N, 4, T)), Y=rng.standard_normal((N, 4, T)))
         params = Hyperparams(R=R, eta=0.6, reg=reg)
 
         def smooth():

@@ -6,6 +6,8 @@ or a bool, float or string where an integer or real is taken) and names the
 error it must raise.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from lrtvar.errors import (
     finite_array,
 )
 from lrtvar.evaluation import WindowedEstimate, cluster_temporal_modes, independent_fit
+from lrtvar.regularizers import tv_prox_columns
 from lrtvar.solver import Hyperparams, fit
 from lrtvar.synthetic import GroundTruth, simulate_switching
 from lrtvar.windowing import SnapshotPair, TimeSeries
@@ -42,7 +45,7 @@ U3 = np.arange(12.0).reshape(6, 2)
 def affine_pair():
     rng = np.random.default_rng(0)
     X = np.concatenate([rng.standard_normal((2, 4, 2)), np.ones((1, 4, 2))])
-    return SnapshotPair(X=X, Y=rng.standard_normal((2, 4, 2)), M=4, T=2, affine=True)
+    return SnapshotPair(X=X, Y=rng.standard_normal((2, 4, 2)), affine=True)
 
 
 CASES = {
@@ -57,18 +60,32 @@ CASES = {
     "series-strings": (lambda: TimeSeries([["a", "b"]]), ShapeMismatchError,
                        "values must be a rectangular array of real numbers"),
     # SnapshotPair.X and .Y; fit on a NaN pair once failed with ExtremeScaleError "2^nan"
-    "pair-X-2d": (lambda: SnapshotPair(X[:, :, 0], Y, M=3, T=4), ShapeMismatchError, "X must be 3-D"),
-    "pair-Y-4d": (lambda: SnapshotPair(X, Y[..., None], M=3, T=4), ShapeMismatchError, "Y must be 3-D"),
-    "pair-X-nan": (lambda: SnapshotPair(with_entry(X, np.nan), Y, M=3, T=4), NonFiniteError, "X contains"),
-    "pair-Y-inf": (lambda: SnapshotPair(X, with_entry(Y, np.inf, 7), M=3, T=4), NonFiniteError, "Y contains"),
-    "fit-nan-pair": (lambda: fit(SnapshotPair(with_entry(X, np.nan), Y, M=3, T=4), Hyperparams(R=1, eta=1.0)),
+    "pair-X-2d": (lambda: SnapshotPair(X[:, :, 0], Y), ShapeMismatchError, "X must be 3-D"),
+    "pair-Y-4d": (lambda: SnapshotPair(X, Y[..., None]), ShapeMismatchError, "Y must be 3-D"),
+    "pair-X-nan": (lambda: SnapshotPair(with_entry(X, np.nan), Y), NonFiniteError, "X contains"),
+    "pair-Y-inf": (lambda: SnapshotPair(X, with_entry(Y, np.inf, 7)), NonFiniteError, "Y contains"),
+    "fit-nan-pair": (lambda: fit(SnapshotPair(with_entry(X, np.nan), Y), Hyperparams(R=1, eta=1.0)),
                      NonFiniteError, "X contains"),
-    "pair-windows": (lambda: SnapshotPair(X, Y, M=3, T=5), ShapeMismatchError, "inconsistent window shapes"),
-    "pair-rows": (lambda: SnapshotPair(X, Y[:1], M=3, T=4), ShapeMismatchError, "X has 2 rows, expected 1"),
-    # M=True and P=1.0 were once accepted and kept
-    "pair-M-bool": (lambda: SnapshotPair(X, Y, M=True, T=4), InvalidHyperparameterError, "M must be an integer"),
-    "pair-T-float": (lambda: SnapshotPair(X, Y, M=3, T=4.0), InvalidHyperparameterError, "T must be an integer"),
-    "pair-P-float": (lambda: SnapshotPair(X, Y, M=3, T=4, P=1.0), InvalidHyperparameterError, "P must be an integer"),
+    # M, T and P are read from the tensors, which must agree in them
+    "pair-windows": (lambda: SnapshotPair(X, Y[:, :, :3]), ShapeMismatchError, "must cover the same nonempty windows"),
+    "pair-rows": (lambda: SnapshotPair(np.ones((3, 3, 4)), Y), ShapeMismatchError,
+                  r"X has 3 rows, expected P\*2 for an integer P >= 1"),
+    "pair-rows-affine": (lambda: SnapshotPair(np.ones((4, 3, 4)), Y, affine=True), ShapeMismatchError,
+                         r"X has 4 rows, expected P\*2 \+ 1"),
+    "pair-rows-affine-none": (lambda: SnapshotPair(np.ones((2, 3, 4)), Y, affine=True), ShapeMismatchError,
+                              r"X has 2 rows, expected P\*2 \+ 1"),
+    "pair-windows-empty": (lambda: SnapshotPair(X[:, :, :0], Y[:, :, :0]), ShapeMismatchError,
+                           "must cover the same nonempty windows"),
+    "pair-channels-empty": (lambda: SnapshotPair(X[:0], Y[:0]), ShapeMismatchError,
+                            "must cover the same nonempty windows"),
+    # affine="no" was once kept and read as true, dropped=-3.5 kept as it was
+    "pair-affine-str": (lambda: SnapshotPair(X, Y, affine="no"), InvalidHyperparameterError, "affine must be a bool"),
+    "pair-affine-int": (lambda: SnapshotPair(np.ones((3, 3, 4)), Y, affine=1), InvalidHyperparameterError,
+                        "affine must be a bool"),
+    "pair-dropped-negative": (lambda: SnapshotPair(X, Y, dropped=-3), InvalidHyperparameterError,
+                              "dropped must be an integer >= 0"),
+    "pair-dropped-float": (lambda: SnapshotPair(X, Y, dropped=2.5), InvalidHyperparameterError,
+                           "dropped must be an integer >= 0"),
     # CpFactors.U1, .U2 and .U3, slice and effective_rank
     "factors-U1-1d": (lambda: CpFactors(U[:, 0], U, U), ShapeMismatchError, "U1 must be 2-D"),
     "factors-U2-nan": (lambda: CpFactors(U, with_entry(U, np.nan), U), NonFiniteError, "U2 contains"),
@@ -104,6 +121,8 @@ CASES = {
     "cluster-inf": (lambda: cluster_temporal_modes(with_entry(U3, np.inf), k=2), NonFiniteError, "U3"),
     "cluster-k-bool": (lambda: cluster_temporal_modes(U3, k=True), InvalidHyperparameterError, "k must be"),
     "cluster-k-float": (lambda: cluster_temporal_modes(U3, k=2.0), InvalidHyperparameterError, "k must be"),
+    # tv_prox_columns once raised a bare ValueError for these
+    "prox-1d": (lambda: tv_prox_columns(np.ones(3), 0.5, np.ones(3)), ShapeMismatchError, "expects a 2-D matrix"),
     # independent_fit's rank-truncated fit of lagged or affine data
     "indep-rank-affine": (lambda: independent_fit(affine_pair(), rank=1), InvalidHyperparameterError,
                           "need P=1, non-affine data"),
@@ -116,6 +135,25 @@ def test_bad_input_raises_a_named_error(case):
     with pytest.raises(error, match=message) as info:
         build()
     assert isinstance(info.value, LrtvarError)
+
+
+class TestReadFromTheArrays:
+    """What the arrays already say is not an argument: a SnapshotPair reads
+    M, T and P from its tensors and a FitReport counts its outer iterations."""
+
+    def test_pair_takes_no_shape_arguments(self):
+        assert [f.name for f in dataclasses.fields(SnapshotPair)] == ["X", "Y", "affine", "dropped"]
+        for name in ("M", "T", "P"):
+            with pytest.raises(TypeError):
+                SnapshotPair(X, Y, **{name: 3})
+
+    def test_report_iterations_is_the_length_of_outer(self):
+        data = SnapshotPair(X + np.arange(24.0).reshape(2, 3, 4), Y)
+        _, report = fit(data, Hyperparams(R=1, eta=1.0, max_outer_iters=3, rtol=0.0, atol=0.0))
+        assert report.iterations == len(report.outer) == 3
+        assert "iterations" not in [f.name for f in dataclasses.fields(report)]
+        with pytest.raises(AttributeError):
+            report.iterations = 5
 
 
 class TestFiniteArray:

@@ -128,7 +128,7 @@ class TestIndependentFit:
     def test_full_fit_is_per_window_least_squares(self):
         # normal-equations oracle: A_k minimizes ||Y_k - A X_k||_F
         rng = np.random.default_rng(82)
-        data = SnapshotPair(X=rng.standard_normal((3, 8, 2)), Y=rng.standard_normal((3, 8, 2)), M=8, T=2)
+        data = SnapshotPair(X=rng.standard_normal((3, 8, 2)), Y=rng.standard_normal((3, 8, 2)))
         est = independent_fit(data)
         for k in range(2):
             Xk, Yk = data.X[:, :, k], data.Y[:, :, k]
@@ -145,7 +145,7 @@ class TestIndependentFit:
             assert np.max(np.abs(est[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_window_rejected(self):
-        data = SnapshotPair(X=np.zeros((2, 4, 1)), Y=np.ones((2, 4, 1)), M=4, T=1)
+        data = SnapshotPair(X=np.zeros((2, 4, 1)), Y=np.ones((2, 4, 1)))
         with pytest.raises(DegenerateWindowError):
             independent_fit(data)
 
@@ -154,8 +154,6 @@ class TestIndependentFit:
         data = SnapshotPair(
             X=np.concatenate([rng.standard_normal((2, 4, 2)), np.ones((1, 4, 2))]),
             Y=rng.standard_normal((2, 4, 2)),
-            M=4,
-            T=2,
             affine=True,
         )
         with pytest.raises(InvalidHyperparameterError, match="need P=1, non-affine data"):

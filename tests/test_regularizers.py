@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lrtvar.errors import InvalidHyperparameterError, NonFiniteError
+from lrtvar.errors import InvalidHyperparameterError, NonFiniteError, ShapeMismatchError
 from lrtvar.regularizers import Regularizer, _ridge, spline_penalty, tv_penalty, tv_prox_columns
 
 
@@ -418,9 +418,10 @@ class TestTvProx:
 
     @pytest.mark.parametrize(
         "weights, error",
-        [(np.array([[1.0], [0.0]]), ValueError), (np.array([[1.0], [-2.0]]), ValueError),
+        [(np.array([[1.0], [0.0]]), InvalidHyperparameterError),
+         (np.array([[1.0], [-2.0]]), InvalidHyperparameterError),
          (np.array([[1.0], [np.nan]]), NonFiniteError), (np.array([[np.inf], [1.0]]), NonFiniteError),
-         (np.ones((2, 2)), ValueError)],
+         (np.ones((2, 2)), ShapeMismatchError)],
         ids=["zero", "negative", "nan", "inf", "shape"],
     )
     def test_bad_weights_rejected(self, weights, error):

@@ -64,6 +64,8 @@ from lrtvar.evaluation import model_estimate, operator_norm_error
 from lrtvar.synthetic import simulate_smooth, simulate_switching
 from lrtvar.windowing import SnapshotPair, TimeSeries, build_snapshots
 
+from oracles import dense_gradients, fd_gradient, tight_cg
+
 
 def random_model(rng, N, N_in, T, R):
     return CpFactors(
@@ -78,8 +80,6 @@ def random_data(rng, N, M, T, N_in=None):
     return SnapshotPair(
         X=rng.standard_normal((N_in, M, T)),
         Y=rng.standard_normal((N, M, T)),
-        M=M,
-        T=T,
         affine=N_in == N + 1,
     )
 
@@ -88,7 +88,7 @@ def exact_data(rng, model, M):
     """SnapshotPair whose targets are generated exactly by the model."""
     X = rng.standard_normal((model.N_in, M, model.T))
     Y = np.stack([model.slice(k) @ X[:, :, k] for k in range(model.T)], axis=2)
-    return SnapshotPair(X=X, Y=Y, M=M, T=model.T)
+    return SnapshotPair(X=X, Y=Y)
 
 
 def loss_entrywise(model, data):
@@ -117,45 +117,10 @@ def smooth_cost(model, data, params):
     return value
 
 
-def dense_gradients(model, data, params):
-    """[grad U1, grad U2, grad U3] of :func:`smooth_cost`, window by window
-    from the dense system matrices A_k = model.slice(k): the loss gradient
-    in A_k is G_k = (A_k X_k - Y_k) X_k', and A_k = U1 diag(U3[k]) U2'."""
-    grads = [U / params.eta for U in (model.U1, model.U2, model.U3)]
-    for k in range(model.T):
-        X = data.X[:, :, k]
-        G = (model.slice(k) @ X - data.Y[:, :, k]) @ X.T
-        grads[0] += (G @ model.U2) * model.U3[k]
-        grads[1] += (G.T @ model.U1) * model.U3[k]
-        grads[2][k] += np.sum(model.U1 * (G @ model.U2), axis=0)
-    if params.reg.kind == "spline":
-        step = params.reg.beta * np.diff(model.U3, axis=0)
-        grads[2][:-1] -= step
-        grads[2][1:] += step
-    return grads
-
-
-def fd_gradient(func, mat, h=1e-5):
-    """Central finite differences of a scalar function of one matrix."""
-    g = np.zeros_like(mat)
-    it = np.nditer(mat, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = mat[idx]
-        mat[idx] = orig + h
-        up = func()
-        mat[idx] = orig - h
-        down = func()
-        mat[idx] = orig
-        g[idx] = (up - down) / (2 * h)
-        it.iternext()
-    return g
-
-
 class TestLoss:
     def test_zero_model_zero_data(self):
         model = CpFactors(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((3, 1)))
-        data = SnapshotPair(X=np.ones((2, 4, 3)), Y=np.zeros((2, 4, 3)), M=4, T=3)
+        data = SnapshotPair(X=np.ones((2, 4, 3)), Y=np.zeros((2, 4, 3)))
         assert loss(model, data) == 0.0
 
     def test_exact_model_zero_loss(self):
@@ -315,15 +280,6 @@ def small_right_problems():
 def force_cg(monkeypatch):
     """Make ``update_right`` take its CG path whatever the shapes."""
     monkeypatch.setattr(lrtvar.solver, "_direct_right_solve_is_cheaper", lambda *shape: False)
-
-
-def tight_cg(monkeypatch, steps):
-    """Give every CG ``steps`` steps and a 1e-13 tolerance with no forcing
-    term, an exact solve; the exact U2 solve is then chosen against
-    ``steps`` CG steps."""
-    monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", steps)
-    monkeypatch.setattr(lrtvar.solver, "CG_TOL", 1e-13)
-    monkeypatch.setattr(lrtvar.solver, "CG_FORCING", 0.0)
 
 
 def cg_side_data(rng):
@@ -493,12 +449,23 @@ class TestConjugateGradients:
         assert (outcome.residual, outcome.tolerance, outcome.capped) == (math.inf, 0.0, True)
 
     def test_overflowing_sums_read_capped(self):
-        # entries near the top of the float64 range: ||b||^2 and ||r0||^2
-        # overflow, the CG takes no step and its residual inf / inf is NaN
+        # an operator that returns NaN: the initial residual is NaN, so the
+        # CG takes no step, returns its start and reads capped
         A, b, x0 = self.spd_system()
-        x, outcome = _cg(lambda x: A @ x, 1e300 * b, x0)
+        x, outcome = _cg(lambda x: np.full_like(x, np.nan), b, x0)
         assert outcome.steps == 0 and math.isnan(outcome.residual) and outcome.capped
         assert np.array_equal(x, x0)
+
+    @pytest.mark.parametrize("k", [100, 250, 500, 1000, -500, -1000])
+    def test_runs_at_unit_scale(self, k):
+        # the system times 2^k solves to the same steps and 2^k times the
+        # same x, bit for bit; at 2^1000 ||b||^2 once overflowed, and at
+        # 2^-1000 it underflowed
+        A, b, x0 = self.spd_system()
+        x, outcome = _cg(lambda x: A @ x, b, x0)
+        scaled_x, scaled = _cg(lambda x: A @ x, np.ldexp(b, k), np.ldexp(x0, k))
+        assert scaled == outcome and not scaled.capped
+        assert np.array_equal(scaled_x, np.ldexp(x, k))
 
 
 def cli_setting(name, seed=0):
@@ -1108,7 +1075,7 @@ class TestInitialize:
         assert np.array_equal(a.U1, b.U1) and np.array_equal(a.U2, b.U2) and np.array_equal(a.U3, b.U3)
 
     def test_degenerate_data(self):
-        data = SnapshotPair(X=np.zeros((2, 3, 2)), Y=np.zeros((2, 3, 2)), M=3, T=2)
+        data = SnapshotPair(X=np.zeros((2, 3, 2)), Y=np.zeros((2, 3, 2)))
         with pytest.raises(DegenerateDataError):
             initialize(data, Hyperparams(R=1, eta=1.0))
 
@@ -1164,7 +1131,7 @@ class TestFit:
     def test_scale_equivariance_of_final_loss(self):
         rng = np.random.default_rng(67)
         data = random_data(rng, 3, 6, 3)
-        scaled = SnapshotPair(X=4.0 * data.X, Y=4.0 * data.Y, M=data.M, T=data.T)
+        scaled = SnapshotPair(X=4.0 * data.X, Y=4.0 * data.Y)
         params = Hyperparams(R=2, eta=1e12, seed=3, max_outer_iters=60)
         m1, _ = fit(data, params)
         m2, _ = fit(scaled, params)
@@ -1255,6 +1222,22 @@ class TestFit:
         assert np.all(np.isfinite(trace)) and {o.temporal.method for o in report.outer} == {"sweeps"}
         assert all(o.cost_rise <= MONOTONE_SLACK for o in report.outer)
         assert np.all(np.diff(trace) <= MONOTONE_SLACK * (1 + np.abs(trace[:-1])))
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_n_fit_is_the_same_problem_far_above_the_data_scale(self):
+        # the large_n series times 2^k, eta / 2^2k and beta 2^2k is the same
+        # problem with its cost times 2^2k, and the entry checks accept it;
+        # at 2^200 the U2 CG's p'Ap once overflowed and the fit died in a
+        # singular face solve, at 2^250 every U2 CG stopped on a NaN residual
+        data, params = benchmark_setting("large_n")
+        _, report = fit(data, params)
+        for k in (100, 200, 250):
+            scaled_data = SnapshotPair(X=np.ldexp(data.X, k), Y=np.ldexp(data.Y, k))
+            reg = Regularizer(params.reg.kind, math.ldexp(params.reg.beta, 2 * k))
+            _, scaled = fit(scaled_data, replace(params, eta=math.ldexp(params.eta, -2 * k), reg=reg))
+            assert math.ldexp(scaled.cost_trace[-1], -2 * k) == pytest.approx(report.cost_trace[-1], rel=1e-12)
+            assert [o.right.method for o in scaled.outer] == ["cg"] * 60
+            assert not any(o.right.capped for o in scaled.outer)
 
     def test_logs_one_line_per_outer_iteration(self, caplog):
         rng = np.random.default_rng(72)
@@ -1654,7 +1637,7 @@ class TestRangeSpaceFit:
         right = np.linalg.qr(rng.standard_normal((M * T, M * T)))[0]
         X = ((left * np.logspace(0, -10, M * T)) @ right.T).reshape(n, M, T)
         Y = 0.8 * X + 0.1 * rng.standard_normal((n, M, T))
-        data = SnapshotPair(X=X, Y=Y, M=M, T=T)
+        data = SnapshotPair(X=X, Y=Y)
         assert np.linalg.cond(X.reshape(n, -1)) == pytest.approx(1e10, rel=1e-3)
         params = Hyperparams(R=3, eta=0.5, reg=Regularizer("tv", 0.1), seed=seed, max_outer_iters=15,
                              rtol=0.0, atol=0.0)
@@ -1663,7 +1646,7 @@ class TestRangeSpaceFit:
         _, report = fit(data, params)
 
         (Q_x, R_x), (Q_y, R_y) = np.linalg.qr(X.reshape(n, -1)), np.linalg.qr(Y.reshape(n, -1))
-        qr_pair = SnapshotPair(X=R_x.reshape(-1, M, T), Y=R_y.reshape(-1, M, T), M=M, T=T)
+        qr_pair = SnapshotPair(X=R_x.reshape(-1, M, T), Y=R_y.reshape(-1, M, T))
         start = initialize(data, params)
         start = CpFactors(Q_y.T @ start.U1, Q_x.T @ start.U2, start.U3)
         reference = full_data_trace(qr_pair, params, params.max_outer_iters, start)
@@ -1675,7 +1658,7 @@ class TestRangeSpaceFit:
         n, M, T, rank = 60, 5, 6, 7
         X = (rng.standard_normal((n, rank)) @ rng.standard_normal((rank, M * T))).reshape(n, M, T)
         Y = (rng.standard_normal((n, rank + 2)) @ rng.standard_normal((rank + 2, M * T))).reshape(n, M, T)
-        data = SnapshotPair(X=X, Y=Y, M=M, T=T)
+        data = SnapshotPair(X=X, Y=Y)
         work = _range_data(data)
         assert (work.N_in, work.N) == (np.linalg.matrix_rank(X.reshape(n, -1)), np.linalg.matrix_rank(Y.reshape(n, -1)))
         assert (work.N_in, work.N) == (rank, rank + 2)
@@ -1695,7 +1678,7 @@ class TestRangeSpaceFit:
         else:
             X[:, :, 0] = 0.0
             Y[:, :, 0] = 0.0
-        data = SnapshotPair(X=X, Y=Y, M=data.M, T=data.T)
+        data = SnapshotPair(X=X, Y=Y)
         model, report = fit(data, params)
         trace = np.array(report.cost_trace)
         assert np.all(np.isfinite(trace))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import re
 import tracemalloc
 
@@ -403,11 +404,18 @@ class TestCsvCodec:
 
 class TestSnapshotPairValidation:
     def test_shape_consistency_enforced(self):
-        with pytest.raises(ShapeMismatchError, match="inconsistent window shapes"):
-            SnapshotPair(X=np.zeros((2, 3, 4)), Y=np.zeros((2, 3, 5)), M=3, T=4)
-        with pytest.raises(ShapeMismatchError, match=r"X has 3 rows, expected 2\*1"):
-            SnapshotPair(X=np.zeros((3, 3, 4)), Y=np.zeros((2, 3, 4)), M=3, T=4)  # N_in != N*P
+        with pytest.raises(ShapeMismatchError, match="must cover the same nonempty windows"):
+            SnapshotPair(X=np.zeros((2, 3, 4)), Y=np.zeros((2, 3, 5)))
+        with pytest.raises(ShapeMismatchError, match=r"X has 3 rows, expected P\*2 for an integer P >= 1"):
+            SnapshotPair(X=np.zeros((3, 3, 4)), Y=np.zeros((2, 3, 4)))  # N_in != N*P
 
     def test_properties(self):
-        pair = SnapshotPair(X=np.zeros((5, 3, 4)), Y=np.zeros((2, 3, 4)), M=3, T=4, P=2, affine=True)
-        assert pair.N == 2 and pair.N_in == 5
+        pair = SnapshotPair(X=np.zeros((5, 3, 4)), Y=np.zeros((2, 3, 4)), affine=True)
+        assert (pair.N, pair.N_in, pair.M, pair.T, pair.P) == (2, 5, 3, 4, 2)
+        # the lag order, window length and window count are read from the tensors
+        assert SnapshotPair(X=np.zeros((6, 3, 4)), Y=np.zeros((2, 3, 4))).P == 3
+        assert [f.name for f in dataclasses.fields(SnapshotPair)] == ["X", "Y", "affine", "dropped"]
+        for name in ("N", "N_in", "M", "T", "P"):
+            assert isinstance(getattr(SnapshotPair, name), property)
+            with pytest.raises(AttributeError):
+                setattr(pair, name, 1)
