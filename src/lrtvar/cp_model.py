@@ -60,7 +60,8 @@ class CpFactors(_FactorShapes):
 
     A factor that is not 2-D, or factors whose column counts differ or are
     0, raise :class:`ShapeMismatchError`; a NaN or infinite entry
-    :class:`NonFiniteError`.
+    :class:`NonFiniteError`; an ``affine`` that is not a bool
+    :class:`InvalidHyperparameterError`.
     """
 
     U1: np.ndarray
@@ -73,6 +74,8 @@ class CpFactors(_FactorShapes):
         ranks = [U.shape[1] for U in (self.U1, self.U2, self.U3)]
         if len(set(ranks)) != 1 or self.R < 1:
             raise ShapeMismatchError(f"factor column counts must be one rank >= 1, got {ranks}")
+        if not isinstance(self.affine, bool):
+            raise InvalidHyperparameterError(f"affine must be a bool, got {self.affine!r}")
 
     def slice(self, k: int) -> np.ndarray:
         """System matrix of window k (0-based): U1 @ diag(U3[k]) @ U2.T.

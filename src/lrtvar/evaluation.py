@@ -190,20 +190,28 @@ def operator_norm_error(
     return float(np.mean(np.linalg.svd(core, compute_uv=False).max(axis=1, initial=0.0)))
 
 
-def _kmeans_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k initial centers drawn from the rows of X by k-means++ seeding."""
+def _kmeans_plus_plus(X: np.ndarray, k: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
+    """The (restarts, k, d) initial centers of independent k-means++ seedings
+    from the rows of X, all restarts drawn together.
+
+    One ``rng.integers(n, size=restarts)`` picks every restart's first
+    center; then each further center takes one ``rng.random(restarts)``,
+    and restart r takes the first row whose cumulative weight (squared
+    distance to its nearest center so far) exceeds u_r times the total,
+    ``Generator.choice``'s inverse-CDF rule, so a row of weight 0 is never
+    taken while the total is positive.  A restart whose total is 0 takes
+    the last row, a duplicate center that Lloyd's first-index ``argmin``
+    never assigns.
+    """
     n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    closest_sq = np.sum((X - centers[0]) ** 2, axis=1)
+    centers = np.empty((restarts, k, X.shape[1]))
+    centers[:, 0] = X[rng.integers(n, size=restarts)]
+    closest_sq = np.sum((X - centers[:, :1]) ** 2, axis=2)
     for j in range(1, k):
-        total = closest_sq.sum()
-        if total == 0.0:
-            centers[j:] = X[rng.integers(n, size=k - j)]
-            break
-        probs = closest_sq / total
-        centers[j] = X[rng.choice(n, p=probs)]
-        closest_sq = np.minimum(closest_sq, np.sum((X - centers[j]) ** 2, axis=1))
+        cdf = np.cumsum(closest_sq, axis=1)
+        below = cdf <= rng.random(restarts)[:, None] * cdf[:, -1:]
+        centers[:, j] = X[np.minimum(np.count_nonzero(below, axis=1), n - 1)]
+        closest_sq = np.minimum(closest_sq, np.sum((X - centers[:, j : j + 1]) ** 2, axis=2))
     return centers
 
 
@@ -243,19 +251,18 @@ def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 
     k-means with k-means++ seeding, ``KMEANS_RESTARTS`` independent
     restarts, and the lowest within-cluster sum of squares wins (the first
-    of those within 1e-15 of it).  The restarts are seeded one after the
-    other from ``seed`` and their Lloyd steps run together.  Labels are
-    canonicalized by first occurrence (the first row is always labeled 0),
-    so runs are comparable across seeds.  A ``U3`` that is not 2-D raises
-    :class:`ShapeMismatchError`, one with a NaN or infinite entry
-    :class:`NonFiniteError`, and a ``k`` that is not an integer (a bool is
-    not one) or is outside 1..T :class:`InvalidHyperparameterError`.
+    of those within 1e-15 of it).  The restarts are seeded together from
+    ``seed`` (see :func:`_kmeans_plus_plus`), and their Lloyd steps run as
+    one batch.  Labels are canonicalized by first occurrence (the first row
+    is always labeled 0), so runs are comparable across seeds.  A ``U3``
+    that is not 2-D raises :class:`ShapeMismatchError`, one with a NaN or
+    infinite entry :class:`NonFiniteError`, and a ``k`` that is not an
+    integer (a bool is not one) or is outside 1..T
+    :class:`InvalidHyperparameterError`.
     """
     U3 = finite_array("U3", U3, 2)
     k = integer_at_least("k", k, 1, most=U3.shape[0])
-    rng = np.random.default_rng(seed)
-    centers = np.stack([_kmeans_plus_plus(U3, k, rng) for _ in range(KMEANS_RESTARTS)])
-    labels, inertia = _lloyd(U3, centers)
+    labels, inertia = _lloyd(U3, _kmeans_plus_plus(U3, k, KMEANS_RESTARTS, np.random.default_rng(seed)))
     best, best_inertia = 0, np.inf
     for restart, value in enumerate(inertia.tolist()):
         if value < best_inertia - 1e-15:

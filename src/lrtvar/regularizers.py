@@ -163,11 +163,15 @@ def tv_prox_columns(V: np.ndarray, gamma: float, weights: np.ndarray) -> np.ndar
     :func:`_tv_prox_list`) gets its weighted mean exactly.  A ``gamma``
     that is a bool, not a real number or negative or a weight <= 0 raises
     :class:`InvalidHyperparameterError`, a NaN or infinite one or a
-    non-finite entry or weight :class:`NonFiniteError`, and a ``V`` that is
-    not 2-D or weights of another shape :class:`ShapeMismatchError`;
+    non-finite entry or weight :class:`NonFiniteError`, and a ``V`` or
+    weights that are ragged or not numbers, a ``V`` that is not 2-D or
+    weights of another shape :class:`ShapeMismatchError`;
     ``gamma = 0`` returns a copy of ``V``.
     """
-    V = np.asarray(V, dtype=float)
+    try:
+        V = np.asarray(V, dtype=float)
+    except (ValueError, TypeError) as error:
+        raise ShapeMismatchError(f"V must be a rectangular array of real numbers ({error})") from error
     if V.ndim != 2:
         raise ShapeMismatchError(f"tv_prox_columns expects a 2-D matrix, got shape {V.shape}")
     gamma = real_at_least("gamma", gamma)
@@ -176,7 +180,10 @@ def tv_prox_columns(V: np.ndarray, gamma: float, weights: np.ndarray) -> np.ndar
     columns = V.T.tolist()
     if not all(map(math.isfinite, chain.from_iterable(columns))):
         raise NonFiniteError("tv_prox_columns input contains non-finite entries")
-    W = np.asarray(weights, dtype=float)
+    try:
+        W = np.asarray(weights, dtype=float)
+    except (ValueError, TypeError) as error:
+        raise ShapeMismatchError(f"weights must be a rectangular array of real numbers ({error})") from error
     if W.shape != V.shape:
         raise ShapeMismatchError(f"weights must have the shape {V.shape} of the matrix, got {W.shape}")
     weight_columns = W.T.tolist()

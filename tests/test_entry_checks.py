@@ -92,6 +92,11 @@ CASES = {
     "factors-U3-inf": (lambda: CpFactors(U, U, with_entry(U, np.inf)), NonFiniteError, "U3 contains"),
     "factors-ranks": (lambda: CpFactors(U, U[:, :1], U), ShapeMismatchError, "column counts"),
     "factors-rank-0": (lambda: CpFactors(U[:, :0], U[:, :0], U[:, :0]), ShapeMismatchError, "rank >= 1"),
+    # affine="no" was once kept, and read as true by export_factors' U2 label
+    "factors-affine-str": (lambda: CpFactors(U, np.ones((4, 2)), np.ones((5, 2)), affine="no"),
+                           InvalidHyperparameterError, "affine must be a bool"),
+    "factors-affine-int": (lambda: CpFactors(U, np.ones((4, 2)), np.ones((5, 2)), affine=1),
+                           InvalidHyperparameterError, "affine must be a bool"),
     # slice(True) once returned a (1, 3, 3) array, slice(1.0) failed inside numpy
     "slice-bool": (lambda: MODEL.slice(True), InvalidHyperparameterError, "k must be an integer"),
     "slice-float": (lambda: MODEL.slice(1.0), InvalidHyperparameterError, "k must be an integer"),
@@ -123,6 +128,12 @@ CASES = {
     "cluster-k-float": (lambda: cluster_temporal_modes(U3, k=2.0), InvalidHyperparameterError, "k must be"),
     # tv_prox_columns once raised a bare ValueError for these
     "prox-1d": (lambda: tv_prox_columns(np.ones(3), 0.5, np.ones(3)), ShapeMismatchError, "expects a 2-D matrix"),
+    "prox-ragged": (lambda: tv_prox_columns([[1.0], [2.0, 3.0]], 0.5, np.ones((2, 1))), ShapeMismatchError,
+                    "V must be a rectangular array"),
+    "prox-strings": (lambda: tv_prox_columns([["a"], ["b"]], 0.5, np.ones((2, 1))), ShapeMismatchError,
+                     "V must be a rectangular array"),
+    "prox-weights-ragged": (lambda: tv_prox_columns(np.ones((2, 1)), 0.5, [[1.0], [2.0, 3.0]]), ShapeMismatchError,
+                            "weights must be a rectangular array"),
     # independent_fit's rank-truncated fit of lagged or affine data
     "indep-rank-affine": (lambda: independent_fit(affine_pair(), rank=1), InvalidHyperparameterError,
                           "need P=1, non-affine data"),

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -342,23 +343,33 @@ class TestModelEstimate:
             assert np.array_equal(dense(est)[k], model.slice(k))
 
 
-def kmeans_single(X, k, rng):
-    """One k-means run with k-means++ seeding, one restart at a time;
-    returns (labels, inertia, history), ``history`` the within-cluster sum
-    of squares after every assignment step."""
+def seeding_draws(rng, n, k, restarts):
+    """The draws of one batched k-means++ seeding, in its order: every
+    restart's first row, then one uniform per restart for each further center;
+    returns (first, u), ``u`` of shape (restarts, k - 1)."""
+    first = rng.integers(n, size=restarts)
+    return first, np.array([rng.random(restarts) for _ in range(1, k)]).reshape(k - 1, restarts).T
+
+
+def seed_single(X, k, first, u):
+    """One restart's k-means++ centers from its own draws, by ``searchsorted``."""
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
+    centers[0] = X[first]
     closest_sq = np.sum((X - centers[0]) ** 2, axis=1)
     for j in range(1, k):
-        total = closest_sq.sum()
-        if total == 0.0:
-            centers[j:] = X[rng.integers(n, size=k - j)]
-            break
-        probs = closest_sq / total
-        centers[j] = X[rng.choice(n, p=probs)]
+        cdf = np.cumsum(closest_sq)
+        centers[j] = X[min(np.searchsorted(cdf, u[j - 1] * cdf[-1], side="right"), n - 1)]
         closest_sq = np.minimum(closest_sq, np.sum((X - centers[j]) ** 2, axis=1))
+    return centers
 
+
+def kmeans_single(X, k, first, u):
+    """One k-means run with k-means++ seeding from one restart's draws
+    (see ``seeding_draws``); returns (labels, inertia, history), ``history``
+    the within-cluster sum of squares after every assignment step."""
+    n = X.shape[0]
+    centers = seed_single(X, k, first, u)
     labels = np.zeros(n, dtype=int)
     history = []
     for _ in range(KMEANS_MAX_ITERS):
@@ -378,10 +389,10 @@ def kmeans_single(X, k, rng):
 
 def cluster_per_restart(U3, k, seed):
     """``cluster_temporal_modes`` with the restarts run one after the other."""
-    rng = np.random.default_rng(seed)
+    first, u = seeding_draws(np.random.default_rng(seed), U3.shape[0], k, KMEANS_RESTARTS)
     best_labels, best_inertia = None, np.inf
-    for _ in range(KMEANS_RESTARTS):
-        labels, inertia, _ = kmeans_single(U3, k, rng)
+    for r in range(KMEANS_RESTARTS):
+        labels, inertia, _ = kmeans_single(U3, k, first[r], u[r])
         if inertia < best_inertia - 1e-15:
             best_labels, best_inertia = labels, inertia
     remap = {}
@@ -426,8 +437,7 @@ class TestClustering:
         rng = np.random.default_rng(93)
         X = rng.standard_normal((40, 3))
         for seed in range(5):
-            seeded = np.random.default_rng(seed)
-            centers = np.stack([_kmeans_plus_plus(X, 4, seeded) for _ in range(8)])
+            centers = _kmeans_plus_plus(X, 4, 8, np.random.default_rng(seed))
             history = []
             for steps in range(1, 12):
                 monkeypatch.setattr(lrtvar.evaluation, "KMEANS_MAX_ITERS", steps)
@@ -466,12 +476,53 @@ class TestClustering:
         # restart's labels and inertia bit for bit
         rng = np.random.default_rng(97)
         X = rng.standard_normal((30, 4))
-        seeded, oracle = np.random.default_rng(5), np.random.default_rng(5)
-        centers = np.stack([_kmeans_plus_plus(X, 3, seeded) for _ in range(20)])
-        labels, inertia = _lloyd(X, centers)
+        labels, inertia = _lloyd(X, _kmeans_plus_plus(X, 3, 20, np.random.default_rng(5)))
+        first, u = seeding_draws(np.random.default_rng(5), 30, 3, 20)
         for r in range(20):
-            expected_labels, expected_inertia, _ = kmeans_single(X, 3, oracle)
+            expected_labels, expected_inertia, _ = kmeans_single(X, 3, first[r], u[r])
             assert np.array_equal(labels[r], expected_labels) and inertia[r] == expected_inertia
+
+    @pytest.mark.parametrize("columns", [1, 2, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_seeding_matches_the_per_restart_oracle(self, k, columns):
+        # generic rows, repeated rows, and rows with fewer than k distinct values
+        rng = np.random.default_rng(10 * k + columns)
+        for case in range(12):
+            n = int(rng.integers(k, 40))
+            if case % 3 == 0:
+                X = rng.standard_normal((n, columns))
+            elif case % 3 == 1:
+                X = np.repeat(rng.standard_normal((4, columns)), 3, axis=0)[:n]
+            else:
+                X = np.round(rng.standard_normal((n, columns)), 0)
+            centers = _kmeans_plus_plus(X, k, 8, np.random.default_rng(case))
+            first, u = seeding_draws(np.random.default_rng(case), X.shape[0], k, 8)
+            assert centers.shape == (8, k, columns)
+            for r in range(8):
+                assert np.array_equal(centers[r], seed_single(X, k, first[r], u[r])), (case, r)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_seeds_are_distinct_rows_when_there_are_enough(self, k):
+        # a row of weight 0 is never taken while the total is positive
+        rng = np.random.default_rng(40 + k)
+        for case in range(30):
+            distinct = rng.standard_normal((int(rng.integers(k, 7)), 2))
+            X = distinct[np.concatenate([np.arange(len(distinct)), rng.integers(0, len(distinct), size=12)])]
+            X = X[rng.permutation(len(X))]
+            centers = _kmeans_plus_plus(X, k, 50, np.random.default_rng(case))
+            for restart in centers:
+                assert len(np.unique(restart, axis=0)) == k
+                assert all(np.any(np.all(X == c, axis=1)) for c in restart)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_all_equal_rows_give_that_row_as_every_center(self, k):
+        X = np.tile([[0.5, -2.0]], (6, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centers = _kmeans_plus_plus(X, k, 10, np.random.default_rng(0))
+            labels = cluster_temporal_modes(X, k, seed=3)
+        assert np.array_equal(centers, np.broadcast_to(X[0], (10, k, 2)))
+        assert np.array_equal(labels, np.zeros(6, dtype=int))
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(94)
