@@ -7,11 +7,11 @@ The regularized cost is
         + beta * R(U3)
 
 minimized by cycling exact or iterative solves over the three factor
-blocks: a dense R x R solve for U1, a dense solve or matrix-free conjugate
-gradients, whichever costs fewer flops, on a Sylvester-type system for U2,
-and per-window solves (no smoothing), the same CG routine on the banded
-Hessian blockdiag(C_k + I/eta) + beta D'D kron I_R (spline smoothing), or
-a primal-dual active set on faces (total-variation smoothing) for U3.  A
+blocks: a dense R x R solve for U1, matrix-free conjugate gradients on a
+Sylvester-type system for U2, and per-window solves (no smoothing), the
+same CG routine on the banded Hessian blockdiag(C_k + I/eta) +
+beta D'D kron I_R (spline smoothing), or a primal-dual active set on faces
+(total-variation smoothing) for U3.  A
 TV face is a set of fused segments and the signs of the jumps between them;
 the U3 block is minimized exactly on a face by one dense solve over the
 segment values, and the running sums of the gradient of that face minimizer
@@ -33,13 +33,14 @@ in C, up to the inner solves' rounding, at every scale the fit accepts.
 After each sweep ``fit`` tries the extrapolated iterate
 U + it^(1/p) (U - U_prev) on all three factors at once and keeps it only if
 it lowers C (Bro's line search for PARAFAC), so the outer cost trace
-descends monotonically up to subproblem tolerances.
+descends monotonically up to subproblem tolerances.  Before that trial,
+``fit`` sets every component whose weight ||U1_r|| ||U2_r|| ||U3_r|| is at
+most float64 eps times the largest to exact zeros, where no update moves it
+again.
 
-Apart from the exact U2 solve's (r_x R)^2 matrix, r_x = min(T*M, N_in),
-nothing in the fit path forms a matrix larger than the data, and the rule
-that picks that solve keeps its matrix below 12 CG_MAX_STEPS M T entries.
-All contractions go through the data tensors and the R-column factors,
-which is what makes large state dimensions tractable.  Each contraction is
+Nothing in the fit path forms a matrix larger than the data.  All
+contractions go through the data tensors and the R-column factors, which
+is what makes large state dimensions tractable.  Each contraction is
 a BLAS matmul of a 2-D (M*T, channels) view of a data tensor with an
 R-column factor (the MTTKRP view of CP-ALS); diag(U3[k]) is a broadcast
 multiply on the (M, T, R) view of the product, and the per-window R x R
@@ -53,12 +54,12 @@ over the data, and the products of the extrapolated iterate are the same
 extrapolation of the sweep's products: an outer iteration makes four data
 contractions besides the U2 CG's one per step.  What does not change within
 a fit is formed once per fit in its workspace (:class:`_RangeData`): the
-range bases and data, 1/2 ||Y||^2 and the window Grams X_k X_k' of the
-exact U2 solve.  The iterate is carried as plain arrays and validated once,
-as the :class:`CpFactors` ``fit`` returns; every outer iteration instead
-checks that the cost of its sweep is finite, which the ridge term makes it
-exactly when every factor entry is.  A trial whose cost is not finite is
-rejected like any other that does not lower the cost.
+range bases and data and 1/2 ||Y||^2.  The iterate is carried as plain
+arrays and validated once, as the :class:`CpFactors` ``fit`` returns;
+every outer iteration instead checks that the cost of its sweep is finite,
+which the ridge term makes it exactly when every factor entry is.  A trial
+whose cost is not finite is rejected like any other that does not lower
+the cost.
 
 The loss sees U2 only through X_k'U2 and U1 only through its product with Y,
 and the ridge term puts each block's exact minimizer in range(X), resp.
@@ -105,8 +106,7 @@ from .windowing import SnapshotPair, write_csv
 
 # CG stops once its residual falls to CG_TOL times the right-hand side or to
 # CG_FORCING times its initial residual, whichever is larger, or after
-# CG_MAX_STEPS steps; U2 is solved exactly instead when that costs fewer flops
-# than CG_MAX_STEPS CG steps.
+# CG_MAX_STEPS steps.
 CG_TOL = 1e-9
 CG_FORCING = 0.1
 CG_MAX_STEPS = 24
@@ -207,8 +207,8 @@ class OuterIteration:
     """What one outer iteration of :func:`fit` did.
 
     ``left``, ``right`` and ``temporal`` are the :class:`BlockOutcome` of
-    the U1, U2 and U3 updates.  U1 is always solved exactly; U2 exactly or
-    by CG, and U3 exactly (no smoothing), by CG (spline) or on faces with
+    the U1, U2 and U3 updates.  U1 is always solved exactly, U2 always by
+    CG, and U3 exactly (no smoothing), by CG (spline) or on faces with
     column sweeps as the fallback (TV).  ``extrapolated`` says whether the
     extrapolation trial was kept, and ``cost_rise`` is the rise of the cost
     over the previous trace entry relative to 1 + |previous cost|, 0 when
@@ -449,65 +449,26 @@ def _cg(operate, rhs: np.ndarray, x0: np.ndarray, image=None) -> tuple[np.ndarra
     return np.ldexp(x, e), BlockOutcome("cg", n_iters, residual, math.sqrt(threshold / rhs_square) if rhs_square else 0.0)
 
 
-def _direct_right_solve_is_cheaper(rows: int, M: int, T: int, R: int) -> bool:
-    """Whether one dense solve of the U2 system with ``rows`` channels costs
-    at most the flops of ``CG_MAX_STEPS`` CG steps.  The solve forms the T
-    Grams X_k X_k' (2 T M rows^2) and the Kronecker matrix
-    (T R^2 rows^2) and factors it ((rows R)^3 / 3); a CG step makes two
-    contractions with the data (4 M T rows R)."""
-    n = rows * R
-    return 2 * T * M * rows**2 + T * R**2 * rows**2 + n**3 / 3 <= CG_MAX_STEPS * 4 * M * T * n
-
-
-def _window_grams(data) -> np.ndarray:
-    """The Grams L_k = X_k X_k' of the windows as the (rows^2, T) matrix
-    whose column k is L_k, flattened."""
-    X = _transitions(data.X).reshape(data.M, data.T, -1).transpose(1, 2, 0)  # X[k] = X_k
-    return (X @ X.transpose(0, 2, 1)).reshape(data.T, -1).T
-
-
-def _solve_right_exactly(grams: np.ndarray, weights: np.ndarray, eta: float, rhs: np.ndarray) -> np.ndarray:
-    """The solution of sum_k L_k U R_k + U/eta = rhs, with the Grams L_k of
-    :func:`_window_grams`, by one dense solve of
-    (sum_k L_k kron R_k + I/eta) vec(U) = vec(rhs), vec stacking the rows;
-    the sum over the windows is one matrix product."""
-    rows, R = rhs.shape
-    K = (grams @ weights.reshape(len(weights), -1)).reshape(rows, rows, R, R)
-    K = K.transpose(0, 2, 1, 3).reshape(rows * R, -1)
-    K.flat[::rows * R + 1] += 1.0 / eta
-    return np.linalg.solve(K, rhs.ravel()).reshape(rows, R)
-
-
 def update_right(model: CpFactors, data: SnapshotPair, params: Hyperparams,
                  products: tuple) -> tuple[np.ndarray, BlockOutcome]:
-    """Minimizer of the cost over U2, exact or by matrix-valued CG.
+    """Minimizer of the cost over U2 by matrix-valued CG.
 
     The normal equations are the Sylvester-type system
     sum_k L_k U2 R_k + U2/eta = B with L_k = X_k X_k' and the weights R_k
-    of :func:`_right_weights`.  When one dense solve of its Kronecker form
-    costs no more flops than ``CG_MAX_STEPS`` CG steps
-    (:func:`_direct_right_solve_is_cheaper`), the update solves it exactly;
-    it takes the Grams L_k from a fit's workspace, which forms them once
-    per fit, and forms them otherwise (:func:`_window_grams`).  Otherwise
-    CG, with L_k applied matrix-free, warm-starts from the current U2, so
-    the quadratic objective (hence the cost) never increases, and stops
-    once its residual is at most ``CG_FORCING`` times the initial one, the
-    gradient of the cost over U2 at the current U2, or ``CG_TOL`` times
-    ||B||, whichever is larger, or after ``CG_MAX_STEPS`` steps
-    (:func:`_cg`).  ``products`` is as in :func:`update_left`; X'U2 also
-    serves CG's initial residual.  Returns (new U2, :class:`BlockOutcome`):
-    ``exact``, or ``cg`` with its steps, final relative residual
-    ||B - K U2|| / ||B|| and stop threshold over ||B||, capped when the
-    residual is above that threshold.
+    of :func:`_right_weights`.  CG, with L_k applied matrix-free,
+    warm-starts from the current U2, so the quadratic objective (hence the
+    cost) never increases, and stops once its residual is at most
+    ``CG_FORCING`` times the initial one, the gradient of the cost over U2
+    at the current U2, or ``CG_TOL`` times ||B||, whichever is larger, or
+    after ``CG_MAX_STEPS`` steps (:func:`_cg`).  ``products`` is as in
+    :func:`update_left`; X'U2 also serves CG's initial residual.  Returns
+    (new U2, :class:`BlockOutcome`): ``cg`` with its steps, final relative
+    residual ||B - K U2|| / ||B|| and stop threshold over ||B||, capped
+    when the residual is above that threshold.
     """
     _check_dims(model, data)
-    weights = _right_weights(model)
-    rhs = _right_rhs(model, data, products)
-    if _direct_right_solve_is_cheaper(data.N_in, data.M, data.T, model.R):
-        grams = data.grams if isinstance(data, _RangeData) else _window_grams(data)
-        return _solve_right_exactly(grams, weights, params.eta, rhs), _EXACT
-    operate = partial(_right_operator, weights, data, params.eta)
-    return _cg(operate, rhs, model.U2, operate(model.U2, products[0]))
+    operate = partial(_right_operator, _right_weights(model), data, params.eta)
+    return _cg(operate, _right_rhs(model, data, products), model.U2, operate(model.U2, products[0]))
 
 
 def _temporal_quadratic(model: CpFactors, data: SnapshotPair, products: tuple) -> tuple[np.ndarray, np.ndarray, float]:
@@ -784,9 +745,8 @@ class _RangeData:
     ``basis_y`` (:func:`_range_coordinates`: None for the identity, else the
     B of Q = AB, A the (channels, M*T) matrix of the transitions, so Q is
     never formed).  It has the shape properties the block updates read and
-    what else stays fixed during the fit, each formed when first asked for:
-    ``half_energy`` = 1/2 ||Y||^2 of the data in channels, and the window
-    Grams of X~ (``grams``, :func:`_window_grams`) of the exact U2 solve."""
+    ``half_energy`` = 1/2 ||Y||^2 of the data in channels, which stays
+    fixed during the fit and is formed when first asked for."""
 
     source: SnapshotPair
     X: np.ndarray
@@ -798,7 +758,6 @@ class _RangeData:
     N = property(lambda self: self.Y.shape[0])
     N_in = property(lambda self: self.X.shape[0])
     half_energy = cached_property(lambda self: 0.5 * float(np.sum(self.source.Y * self.source.Y)))
-    grams = cached_property(lambda self: _window_grams(self))
 
 
 @dataclass(frozen=True)
@@ -951,17 +910,20 @@ def _check_scales(data: SnapshotPair, params: Hyperparams) -> None:
             )
 
 
-def _extrapolation_steps(model: CpFactors, step: float) -> np.ndarray:
-    """The step per component: ``step``, or 0 for a component whose weight
-    ||U1_r|| ||U2_r|| ||U3_r|| is below float64 eps times the largest.
+def _live_components(model: CpFactors) -> np.ndarray:
+    """Whether each component's weight ||U1_r|| ||U2_r|| ||U3_r|| is above
+    float64 eps times the largest.
 
     The sweeps collapse an unused component towards zero faster than
-    geometrically; the linear step would overshoot it and hold it near its
-    previous size, where its products with the data run in subnormal
-    arithmetic (several times slower) for the rest of the fit.
+    geometrically, through subnormal sizes where its products with the data
+    run several times slower, and an extrapolation step would overshoot it
+    and hold it near its previous size; so ``fit`` sets the other
+    components to exact zeros, a fixed point of every update.  A NaN weight
+    is not above, so ``fit`` applies the rule only to an iterate whose cost
+    it has found finite.
     """
     weights = np.prod([np.linalg.norm(U, axis=0) for U in (model.U1, model.U2, model.U3)], axis=0)
-    return np.where(weights > np.finfo(float).eps * weights.max(), step, 0.0)
+    return weights > np.finfo(float).eps * weights.max()
 
 
 def _extrapolate(new: tuple, old: tuple, steps: np.ndarray) -> tuple:
@@ -991,11 +953,15 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     and keeps the trial only if its cost, penalty included, is strictly
     lower than the sweep's; a rejection raises p by one.  p starts at
     ``EXTRAPOLATION_ROOT`` and stops at ``EXTRAPOLATION_MAX_ROOT``.
-    Components too small to matter keep their sweep values in the trial
-    (:func:`_extrapolation_steps`).  The iteration then records the cost
-    and prediction error of the iterate it kept, and the fit stops when the
-    cost decrease falls below ``rtol`` times the previous cost or ``atol``
-    times the initial cost, or at the iteration cap.  Each outer iteration
+    Before the trial, once the sweep's cost has proved its iterate finite,
+    every component whose weight ||U1_r|| ||U2_r|| ||U3_r|| is at most
+    float64 eps times the largest is set to exact zeros in the factors and
+    in the products, which the trial keeps; the sweep's cost is then that
+    of the zeroed iterate (:func:`_live_components`).  The iteration then
+    records the cost and prediction error of the iterate it kept, and the
+    fit stops when the cost decrease falls below ``rtol`` times the
+    previous cost or ``atol`` times the initial cost, or at the iteration
+    cap.  Each outer iteration
     logs one INFO line on the ``lrtvar.solver`` logger, and a WARNING when
     it raised the cost by more than ``MONOTONE_SLACK`` times
     1 + |previous cost|.  Data or hyperparameters whose squares float64
@@ -1008,13 +974,12 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     outer iteration so makes four data contractions besides the U2 CG's one
     per step: the right-hand sides of the U1 and U2 updates, and Y'U1 and
     X'U2 of the new U1 and U2.  What stays fixed is formed once per fit in
-    its workspace (:class:`_RangeData`): the range data, 1/2 ||Y||^2 and,
-    for the exact U2 solve, the window Grams X_k X_k'.  The iterate is
-    carried as plain arrays (:class:`_Iterate`) and validated once, as the
-    returned :class:`CpFactors`; each outer iteration checks instead that
-    the cost of its sweep is finite, and raises :class:`NonFiniteError` when
-    it is not.  A trial whose cost is inf or NaN is not lower, so it is
-    rejected.
+    its workspace (:class:`_RangeData`): the range data and 1/2 ||Y||^2.
+    The iterate is carried as plain arrays (:class:`_Iterate`) and
+    validated once, as the returned :class:`CpFactors`; each outer
+    iteration checks instead that the cost of its sweep is finite, and
+    raises :class:`NonFiniteError` when it is not.  A trial whose cost is
+    inf or NaN is not lower, so it is rejected.
 
     The fit runs in orthonormal bases Q_x of range(X) and Q_y of range(Y):
     the identity when the transitions are at least as many as the channels,
@@ -1057,7 +1022,14 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
 
         value = _quadratic_loss(model, products, work.half_energy)
         c = _finite_cost(value + _regularization(model, params), model, it)
-        steps = _extrapolation_steps(model, it ** (1.0 / root))
+        live = _live_components(model)
+        # a component once zeroed stays zero, so only a newly collapsed one needs work
+        if any(U[:, ~live].any() for U in (model.U1, model.U2, model.U3)):
+            model = _Iterate(*(np.where(live, U, 0.0) for U in (model.U1, model.U2, model.U3)))
+            products = tuple(np.where(live, P, 0.0) for P in products)
+            value = _quadratic_loss(model, products, work.half_energy)
+            c = value + _regularization(model, params)
+        steps = np.where(live, it ** (1.0 / root), 0.0)
         trial = _Iterate(*_extrapolate((model.U1, model.U2, model.U3), (start.U1, start.U2, start.U3), steps))
         trial_products = _extrapolate(products, start_products, steps)
         trial_value = _quadratic_loss(trial, trial_products, work.half_energy)

@@ -48,8 +48,7 @@ def fd_gradient(func, mat, h=1e-5):
 
 def tight_cg(monkeypatch, steps=300):
     """Give every CG ``steps`` steps and a 1e-13 tolerance with no forcing
-    term, an exact solve; the exact U2 solve is then chosen against
-    ``steps`` CG steps."""
+    term, which makes the U2 and spline U3 solves exact to rounding."""
     monkeypatch.setattr(lrtvar.solver, "CG_MAX_STEPS", steps)
     monkeypatch.setattr(lrtvar.solver, "CG_TOL", 1e-13)
     monkeypatch.setattr(lrtvar.solver, "CG_FORCING", 0.0)
