@@ -14,12 +14,11 @@ column at a time.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidHyperparameterError, NonFiniteError, ShapeMismatchError, real_at_least
+from .errors import InvalidHyperparameterError, ShapeMismatchError, finite_array, real_at_least
 
 REGULARIZER_KINDS = ("none", "tv", "spline")
 
@@ -160,38 +159,21 @@ def tv_prox_columns(V: np.ndarray, gamma: float, weights: np.ndarray) -> np.ndar
     Column r of the result is argmin_u sum_k w_k/2 (u_k - V[k, r])^2 +
     gamma sum_k |u_k - u_{k+1}| with w = ``weights[:, r]``, positive and
     finite, of the shape of ``V``.  A saturated column (see
-    :func:`_tv_prox_list`) gets its weighted mean exactly.  A ``gamma``
-    that is a bool, not a real number or negative or a weight <= 0 raises
-    :class:`InvalidHyperparameterError`, a NaN or infinite one or a
-    non-finite entry or weight :class:`NonFiniteError`, and a ``V`` or
-    weights that are ragged or not numbers, a ``V`` that is not 2-D or
-    weights of another shape :class:`ShapeMismatchError`;
-    ``gamma = 0`` returns a copy of ``V``.
+    :func:`_tv_prox_list`) gets its weighted mean exactly.  ``V``, then
+    ``gamma``, then ``weights`` are checked: ``V`` and ``weights`` by
+    :func:`finite_array` as 2-D arrays, ``gamma`` by :func:`real_at_least`.
+    Weights of another shape than ``V`` raise :class:`ShapeMismatchError`
+    and a weight <= 0 :class:`InvalidHyperparameterError`; ``gamma = 0``
+    returns a copy of ``V``.
     """
-    try:
-        V = np.asarray(V, dtype=float)
-    except (ValueError, TypeError) as error:
-        raise ShapeMismatchError(f"V must be a rectangular array of real numbers ({error})") from error
-    if V.ndim != 2:
-        raise ShapeMismatchError(f"tv_prox_columns expects a 2-D matrix, got shape {V.shape}")
+    V = finite_array("V", V, 2)
     gamma = real_at_least("gamma", gamma)
-    # checked on Python lists: for the few short columns of a loadings matrix
-    # that is cheaper than a NumPy reduction per call
-    columns = V.T.tolist()
-    if not all(map(math.isfinite, chain.from_iterable(columns))):
-        raise NonFiniteError("tv_prox_columns input contains non-finite entries")
-    try:
-        W = np.asarray(weights, dtype=float)
-    except (ValueError, TypeError) as error:
-        raise ShapeMismatchError(f"weights must be a rectangular array of real numbers ({error})") from error
+    W = finite_array("weights", weights, 2)
     if W.shape != V.shape:
         raise ShapeMismatchError(f"weights must have the shape {V.shape} of the matrix, got {W.shape}")
-    weight_columns = W.T.tolist()
-    if not all(map(math.isfinite, chain.from_iterable(weight_columns))):
-        raise NonFiniteError("tv_prox_columns weights contain non-finite entries")
-    if min(chain.from_iterable(weight_columns), default=1.0) <= 0.0:
+    if not (W > 0.0).all():
         raise InvalidHyperparameterError("tv_prox_columns weights must be > 0")
     if gamma == 0.0 or V.shape[0] < 2:
         return V.copy()
-    out = [_tv_prox_list(y, w, gamma) for y, w in zip(columns, weight_columns)]
+    out = [_tv_prox_list(y, w, gamma) for y, w in zip(V.T.tolist(), W.T.tolist())]
     return np.array(out, dtype=float).reshape(V.shape[::-1]).T

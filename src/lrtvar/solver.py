@@ -111,8 +111,9 @@ CG_TOL = 1e-9
 CG_FORCING = 0.1
 CG_MAX_STEPS = 24
 # A TV update of U3 ends on a face minimizer whose dual residual, over beta,
-# is at most this, or once a fallback sweep moves no entry by more than this
-# fraction of the largest entry; neighbours within that fraction are fused.
+# is at most this or its rounding, or once a fallback sweep moves no entry by
+# more than this fraction of the largest entry; neighbours within that
+# fraction are fused.
 SWEEP_TOL = 1e-10
 # A TV update of U3 makes at most TV_MAX_STEPS face solves per face iteration
 # and TV_MAX_STEPS fallback sweeps.
@@ -178,9 +179,11 @@ class BlockOutcome:
     over beta of a TV update's result (:func:`_tv_dual_residual`), or 0.0
     for an exact solve.  ``tolerance`` is what the solve stopped on: the
     CG's stop threshold max(``CG_TOL`` ||rhs||, ``CG_FORCING`` ||r0||) over
-    ||rhs|| (:func:`_cg`), ``SWEEP_TOL`` for ``face`` and ``sweeps``, and 0
-    for ``exact``.  ``capped`` is ``not residual <= tolerance``: the solve
-    ended above its own tolerance, on a step cap or with a NaN residual.
+    ||rhs|| (:func:`_cg`), for ``face`` ``SWEEP_TOL`` or, above it, the
+    rounding its running sums can leave (:func:`_tv_rounding_tolerance`),
+    ``SWEEP_TOL`` for ``sweeps`` and 0 for ``exact``.  ``capped`` is
+    ``not residual <= tolerance``: the solve ended above its own tolerance,
+    on a step cap or with a NaN residual.
     So an exact solve, with residual 0.0, is never capped.  ``str()`` is
     ``method/steps/residual``, with ``/capped`` appended when it is.
     """
@@ -548,11 +551,14 @@ def update_temporal(model: CpFactors, data: SnapshotPair, params: Hyperparams,
     that solves one face (fused segments, signs of the jumps) per step by
     a dense solve, from the face of the incoming U3, and ends on the face
     minimizer whose dual residual (:func:`_tv_dual_residual`) is at most
-    ``SWEEP_TOL``, the block minimizer.  Exact column sweeps by the weighted
-    TV prox are its fallback.  ``TV_MAX_STEPS`` caps the sweeps and the
-    face solves of each face iteration.  Its outcome is ``face`` or
-    ``sweeps``, by which iterate it returned, with the face solves plus the
-    sweeps it ran and the dual residual of its U3, whichever stop it took.
+    ``SWEEP_TOL``, or the rounding of its running sums where that is larger
+    (a weak beta, a large N, data far above scale): the block minimizer.
+    Exact column sweeps by the weighted TV prox are its fallback, for faces
+    too large to solve or a face iteration that does not certify.
+    ``TV_MAX_STEPS`` caps the sweeps and the face solves of each face
+    iteration.  Its outcome is ``face`` or ``sweeps``, by which iterate it
+    returned, with the face solves plus the sweeps it ran, the dual residual
+    of its U3, whichever stop it took, and the tolerance of that stop.
     ``products`` is as in :func:`update_left`.  Far above the data scale of
     1 each path solves the block problem times a power of two, which keeps
     it in the float64 range (:func:`_temporal_quadratic`).
@@ -580,12 +586,16 @@ def _temporal_tv_sweeps(H, b, U3_init, beta):
     ``U3_init`` (:func:`_jump_signs`).
     Each step solves the face and forms the running sums z of the face
     minimizer once.  If no jump changed sign and the dual residual
-    (:func:`_tv_dual_residual`) is at most ``SWEEP_TOL``, the face minimizer
-    is the block minimizer and the update returns it.  Otherwise every jump
-    that changed sign is fused, every fused pair with |z_k| > beta opens as
-    a jump of sign z_k, and the next face is solved; where that exchange
-    leads back to a face already solved, only the last violated pair
-    changes (Murty's single pivot), which breaks the cycle.
+    (:func:`_tv_dual_residual`) is at most its tolerance, the face minimizer
+    is the block minimizer and the update returns it.  The tolerance is
+    ``SWEEP_TOL``; a residual above it is measured against the rounding of
+    z as well (:func:`_tv_rounding_tolerance`), which grows with the terms
+    |H_k||u_k| + |b_k| that cancel in z while beta stays fixed, so that a
+    weak beta, a large N or data far above scale certify like any other.
+    Otherwise every jump that changed sign is fused, every fused pair with
+    |z_k| > beta opens as a jump of sign z_k, and the next face is solved;
+    where that exchange leads back to a face already solved, only the last
+    violated pair changes (Murty's single pivot), which breaks the cycle.
 
     The column sweeps (:func:`_column_sweeps`, from ``U3_init`` on) are
     the fallback.  One sweep runs when the face iteration meets a face of
@@ -603,8 +613,9 @@ def _temporal_tv_sweeps(H, b, U3_init, beta):
 
     Returns (U3, :class:`BlockOutcome`): ``face`` or ``sweeps``, by which
     iterate it is (``U3_init`` reads ``sweeps``), the face solves plus the
-    sweeps run, and the dual residual of U3, capped when it is above
-    ``SWEEP_TOL``.
+    sweeps run, the dual residual of U3 and as tolerance the one the face
+    certified on, or ``SWEEP_TOL`` for ``sweeps``; capped when the residual
+    is above it.
     """
     face_solves = 0
     for sweeps, (U, move) in enumerate(_column_sweeps(H, b, U3_init, beta)):
@@ -621,8 +632,9 @@ def _temporal_tv_sweeps(H, b, U3_init, beta):
             differences = np.diff(face, axis=0)
             flipped = signs * differences < 0
             certificate = _tv_dual_residual(z, _jump_signs(face, differences), beta)
-            if certificate <= SWEEP_TOL and not flipped.any():
-                return face, BlockOutcome("face", sweeps + face_solves, certificate, SWEEP_TOL)
+            tolerance = SWEEP_TOL if certificate <= SWEEP_TOL else _tv_rounding_tolerance(H, b, face, beta)
+            if certificate <= tolerance and not flipped.any():
+                return face, BlockOutcome("face", sweeps + face_solves, certificate, tolerance)
             violated = flipped | ((signs == 0) & (np.abs(z[:-1]) > beta))
             if not violated.any():
                 break
@@ -660,23 +672,27 @@ def _column_sweeps(H, b, U, beta):
     column.
     """
     yield U, math.inf
-    R = U.shape[1]
     weights = H.diagonal(axis1=1, axis2=2)
-    column_weights = [weights[:, r:r + 1].copy() for r in range(R)]
-    couplings = [H[:, :, r] / weights for r in range(R)]  # change of G / w per unit step of column r
-    # U3 is held as a list of (T, 1) columns and G is stored divided by the
-    # weights: each column step then costs a few small array operations
-    scaled_gradient = ((H @ U[:, :, None])[:, :, 0] - b) / weights
-    columns = [U[:, r:r + 1].copy() for r in range(R)]
+    U = U.copy()
+    gradient = (H @ U[:, :, None])[:, :, 0] - b
     while True:
         move = 0.0
-        for r in range(R):
-            new = tv_prox_columns(columns[r] - scaled_gradient[:, r:r + 1], beta, column_weights[r])
-            step = new - columns[r]
-            columns[r] = new
-            scaled_gradient += couplings[r] * step
+        for r in range(U.shape[1]):
+            w = weights[:, r:r + 1]
+            step = tv_prox_columns(U[:, r:r + 1] - gradient[:, r:r + 1] / w, beta, w) - U[:, r:r + 1]
+            U[:, r:r + 1] += step
+            gradient += H[:, :, r] * step
             move = max(move, float(np.abs(step).max()))
-        yield np.hstack(columns), move
+        yield U.copy(), move
+
+
+def _tv_rounding_tolerance(H, b, U, beta) -> float:
+    """The dual residual over beta that rounding alone can leave at U:
+    max(``SWEEP_TOL``, 16 eps sigma / beta), with sigma the largest column
+    sum of |H_k||u_k| + |b_k|, the size of the terms that cancel in the
+    running sums z (:func:`_running_sums`)."""
+    sigma = float(((np.abs(H) @ np.abs(U)[:, :, None])[:, :, 0] + np.abs(b)).sum(axis=0).max())
+    return max(SWEEP_TOL, float(16.0 * np.finfo(float).eps * sigma / beta))
 
 
 def _running_sums(H, b, U) -> np.ndarray:
@@ -835,7 +851,9 @@ def _spectral_factors(data: _RangeData, R: int) -> tuple[np.ndarray, np.ndarray,
     is at most T*M x T*M.  pinv(X~) is the B of a thin basis
     (:func:`_range_coordinates`) and comes from one eigendecomposition of
     X~X~' otherwise; the singular pairs of A come from one
-    eigendecomposition of its smaller Gram (:func:`_gram_eigenpairs`).
+    eigendecomposition of its smaller Gram (:func:`_gram_eigenpairs`), taken
+    of A divided by a power of two where max|A| is 2^256 or more, which keeps
+    the Gram in the float64 range and changes no singular vector.
     Temporal modes are the constant matrix 1/sqrt(T).  Columns beyond the
     pairs with a singular value above the Gram's cut, zero ones included,
     are filled with constant unit vectors.
@@ -848,13 +866,17 @@ def _spectral_factors(data: _RangeData, R: int) -> tuple[np.ndarray, np.ndarray,
         lam, W = _gram_eigenpairs(X.T @ X)
         pinv = X @ (W / lam) @ W.T
     A = Y.T @ pinv
-    B = A if len(A) <= A.shape[1] else A.T  # B B' is the smaller Gram of A
+    wide = len(A) <= A.shape[1]
+    B = A if wide else A.T  # B B' is the smaller Gram of A
+    # scaled only where B B' would overflow: a scaled copy of A.T changes the start's bits
+    e = max(math.frexp(np.abs(B).max(initial=0.0))[1] - 256, 0)
+    B = np.ldexp(B, -e) if e else B
     s2, left = _gram_eigenpairs(B @ B.T)
     pairs = (left, B.T @ left / np.sqrt(s2))  # the singular pairs of B
 
     U1, U2, U3 = (np.full((n, R), 1.0 / np.sqrt(max(n, 1))) for n in (data.N, data.N_in, data.T))
     take = min(R, len(s2))
-    U1[:, :take], U2[:, :take] = (P[:, :take] for P in (pairs if B is A else pairs[::-1]))
+    U1[:, :take], U2[:, :take] = (P[:, :take] for P in (pairs if wide else pairs[::-1]))
     return U1, U2, U3
 
 
@@ -938,7 +960,8 @@ def _finite_cost(value: float, model: _Iterate, it: int) -> float:
     and then :class:`NonFiniteError` names the factors that are."""
     if not math.isfinite(value):
         names = [name for name in ("U1", "U2", "U3") if not np.isfinite(getattr(model, name)).all()]
-        raise NonFiniteError(f"outer iteration {it}: " + (f"{' and '.join(names)} contain non-finite entries"
+        verb = "contains" if len(names) == 1 else "contain"
+        raise NonFiniteError(f"outer iteration {it}: " + (f"{' and '.join(names)} {verb} non-finite entries"
                                                            if names else f"the cost is {value}"))
     return value
 

@@ -667,6 +667,16 @@ def test_truth_index_must_cover_every_transition(tmp_path, monkeypatch):
     assert calls == {"fit": 0, "independent_fit": 0}
 
 
+def test_truth_index_of_three_columns_rejected_before_any_fit(tmp_path, monkeypatch):
+    argv = corrupt_bundle_argv(tmp_path, lambda rows: [row + ",0" for row in rows])
+    index = tmp_path / "gen" / "truth_index.csv"
+    index.write_text(index.read_text().replace("transition,block\n", "transition,block,extra\n"))
+    calls = count_calls(monkeypatch, ("fit", "independent_fit"))
+    with pytest.raises(ValueError, match=r"truth_index.csv: expected 2 columns \(transition, block\), got 3"):
+        run(argv)
+    assert calls == {"fit": 0, "independent_fit": 0}
+
+
 @pytest.mark.parametrize(
     "command, line",
     [("fit", "rank=abc"), ("fit", "affine=maybe"), ("fit", "reg=bogus"), ("generate", "benchmark=bogus"),

@@ -16,10 +16,18 @@ from lrtvar.errors import (
     InvalidHyperparameterError,
     LrtvarError,
     NonFiniteError,
+    SeriesTooShortError,
     ShapeMismatchError,
     finite_array,
 )
-from lrtvar.evaluation import WindowedEstimate, cluster_temporal_modes, independent_fit
+from lrtvar.evaluation import (
+    WindowedEstimate,
+    cluster_temporal_modes,
+    estimate_rmse,
+    independent_fit,
+    operator_norm_error,
+    truth_window_average,
+)
 from lrtvar.regularizers import tv_prox_columns
 from lrtvar.solver import Hyperparams, fit
 from lrtvar.synthetic import GroundTruth, simulate_switching
@@ -54,6 +62,7 @@ CASES = {
     "series-nan": (lambda: TimeSeries(with_entry(SERIES, np.nan)), NonFiniteError, "values"),
     "series-inf": (lambda: TimeSeries(with_entry(SERIES, -np.inf, 5)), NonFiniteError, "values"),
     "series-names": (lambda: TimeSeries(SERIES, ["a"]), ShapeMismatchError, "1 channel names for 2 channels"),
+    "series-one-sample": (lambda: TimeSeries(SERIES[:, :1]), SeriesTooShortError, "2 samples, got 2 x 1"),
     # ragged or non-numeric values once raised numpy's bare ValueError
     "series-ragged": (lambda: TimeSeries([[1.0, 2.0], [3.0]]), ShapeMismatchError,
                       "values must be a rectangular array of real numbers"),
@@ -111,6 +120,13 @@ CASES = {
     "estimate-left-nan": (lambda: WindowedEstimate(with_entry(LEFT, np.nan), LEFT), NonFiniteError, "left"),
     "estimate-right-inf": (lambda: WindowedEstimate(LEFT, with_entry(LEFT, np.inf)), NonFiniteError, "right"),
     "estimate-windows": (lambda: WindowedEstimate(LEFT, LEFT[:3]), ShapeMismatchError, "windows or rank"),
+    # estimate_rmse, truth_window_average and operator_norm_error on windows or shapes that disagree
+    "rmse-windows": (lambda: estimate_rmse(WindowedEstimate(LEFT, LEFT), SnapshotPair(X[:, :, :3], Y[:, :, :3])),
+                     ShapeMismatchError, "4 estimate windows vs 3 data windows"),
+    "truth-windows-beyond": (lambda: truth_window_average(TRUTH, 5, 3), ShapeMismatchError,
+                             "5 windows of 3 transitions exceed the 10 available"),
+    "opnorm-shapes": (lambda: operator_norm_error(WindowedEstimate(np.ones((5, 2, 2)), np.ones((5, 3, 2))), TRUTH),
+                      ShapeMismatchError, r"estimate \(5, 2, 3\) vs truth \(5, 3, 3\)"),
     # GroundTruth.left and .right, which accepted NaN, and matrix_index
     "truth-right-2d": (lambda: GroundTruth(TRUTH.series, TRUTH.left, TRUTH.right[0], TRUTH.matrix_index),
                        ShapeMismatchError, "right must be 3-D"),
@@ -127,7 +143,7 @@ CASES = {
     "cluster-k-bool": (lambda: cluster_temporal_modes(U3, k=True), InvalidHyperparameterError, "k must be"),
     "cluster-k-float": (lambda: cluster_temporal_modes(U3, k=2.0), InvalidHyperparameterError, "k must be"),
     # tv_prox_columns once raised a bare ValueError for these
-    "prox-1d": (lambda: tv_prox_columns(np.ones(3), 0.5, np.ones(3)), ShapeMismatchError, "expects a 2-D matrix"),
+    "prox-1d": (lambda: tv_prox_columns(np.ones(3), 0.5, np.ones(3)), ShapeMismatchError, "V must be 2-D"),
     "prox-ragged": (lambda: tv_prox_columns([[1.0], [2.0, 3.0]], 0.5, np.ones((2, 1))), ShapeMismatchError,
                     "V must be a rectangular array"),
     "prox-strings": (lambda: tv_prox_columns([["a"], ["b"]], 0.5, np.ones((2, 1))), ShapeMismatchError,

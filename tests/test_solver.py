@@ -895,6 +895,49 @@ class TestFaceStep:
         assert calls == [] and record.temporal.method == "face" and 1 <= record.temporal.steps <= 40
         assert record.temporal.residual <= SWEEP_TOL and not record.temporal.capped
 
+    def test_a_face_already_solved_is_left_by_a_single_pivot(self, monkeypatch):
+        # the fourth U3 update of the T = 160, beta = 0.05 TV fit: six times
+        # the full exchange leads back to a face already solved, and the next
+        # face then changes only the last violated pair
+        data = build_snapshots(simulate_smooth(N=10, tau=160, sigma=0.2, seed=0).series, M=1)
+        blocks, faces = [], []
+        update, face_solve = _temporal_tv_sweeps, _face_solve
+        monkeypatch.setattr(lrtvar.solver, "_temporal_tv_sweeps", lambda *args: blocks.append(args) or update(*args))
+        fit(data, Hyperparams(R=4, eta=0.6, reg=Regularizer("tv", 0.05), seed=0, max_outer_iters=4))
+        H, b, U3_init, beta = blocks[3]
+        monkeypatch.setattr(lrtvar.solver, "_face_solve", lambda *args: faces.append(args[2]) or face_solve(*args))
+        _, outcome = update(H, b, U3_init, beta)
+        assert outcome.method == "face" and not outcome.capped and outcome.steps == len(faces)  # no sweep
+        pivots = 0
+        for i, (signs, after) in enumerate(zip(faces, faces[1:])):
+            face = face_solve(H, b, signs, beta)
+            z = _running_sums(H, b, face)
+            violated = (signs * np.diff(face, axis=0) < 0) | ((signs == 0) & (np.abs(z[:-1]) > beta))
+            exchanged = np.where(violated, np.where(signs, 0.0, np.sign(z[:-1])), signs)
+            if not np.array_equal(after, exchanged):
+                assert any(np.array_equal(exchanged, seen) for seen in faces[:i + 1])
+                assert np.flatnonzero(after != signs).tolist() == [np.flatnonzero(violated)[-1]]
+                pivots += 1
+        assert pivots == 6
+
+    def test_a_sweep_iterate_that_raises_the_objective_is_not_kept(self, monkeypatch):
+        # no face small enough to solve and a sweep that moves U3 uphill: the
+        # update returns the incoming U3 itself, an uncertified sweeps outcome
+        rng = np.random.default_rng(407)
+        H, b = random_tv_block(rng, 12, 3)
+        U0 = rng.standard_normal((12, 3))
+
+        def uphill(H, b, U, beta):
+            yield U, math.inf
+            yield U + 100.0, 0.0
+
+        monkeypatch.setattr(lrtvar.solver, "FACE_MAX_SEGMENTS", 0)
+        monkeypatch.setattr(lrtvar.solver, "_column_sweeps", uphill)
+        U, outcome = _temporal_tv_sweeps(H, b, U0, 0.5)
+        assert U is U0 and outcome.method == "sweeps" and outcome.steps == 1 and outcome.capped
+        signs = _jump_signs(U0, np.diff(U0, axis=0))
+        assert outcome.residual == _tv_dual_residual(_running_sums(H, b, U0), signs, 0.5) > SWEEP_TOL
+
     def test_sweeps_alone_above_the_segment_limit_reach_the_same_minimizer(self, monkeypatch):
         # T*R just above FACE_MAX_SEGMENTS and a weak penalty: no face is
         # ever small enough to solve, so the sweeps run alone
@@ -1052,6 +1095,20 @@ class TestInitialize:
         with pytest.raises(DegenerateDataError):
             initialize(data, Hyperparams(R=1, eta=1.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_apart_data_scales_keep_the_start_in_range(self):
+        # the criterion-1 pair with X x2^-290 and Y x2^290: the one-model fit
+        # has entries near 2^580, whose Gram once overflowed and failed in
+        # eigh with a bare LinAlgError; its singular vectors are those of the
+        # unscaled pair
+        data, params = benchmark_setting("switching")
+        pair = SnapshotPair(X=np.ldexp(data.X, -290), Y=np.ldexp(data.Y, 290))
+        for got, want in zip(_spectral_factors(_range_data(pair), 8), _spectral_factors(_range_data(data), 8)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        _, report = fit(pair, params)
+        trace = np.array(report.cost_trace)
+        assert np.all(np.isfinite(trace)) and np.all(np.diff(trace) <= MONOTONE_SLACK * (1 + np.abs(trace[:-1])))
+
     def test_factored_init_matches_naive_pinv_svd(self):
         # the memory-lean construction must agree with svd(Y @ pinv(X))
         rng = np.random.default_rng(63)
@@ -1184,15 +1241,16 @@ class TestFit:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1.0e152, 1.2e152, 1.4e152, 1.6e152, 1.8e152, 2.0e152, 2.2e152, 2.4e152, 2.6e152])
     def test_descent_is_monotone_at_extreme_accepted_scales(self, scale):
-        # these scales pass the entry checks, and every TV U3 update falls back
-        # to the sweeps; from x1.8e152 up a sweep iterate could lie above the
-        # incoming U3 in the block objective, and the cost then rose by up to
-        # 0.325 of 1 + |cost| (x2.4e152)
+        # these scales pass the entry checks; every TV U3 update once fell back
+        # to the sweeps, and from x1.8e152 up a sweep iterate could lie above
+        # the incoming U3 in the block objective, so the cost rose by up to
+        # 0.325 of 1 + |cost| (x2.4e152).  The certificate now allows for the
+        # rounding of the running sums, and every update ends on a face
         truth = simulate_switching(N=10, tau=200, sigma=0.5, seed=0)
         data = build_snapshots(TimeSeries(values=scale * truth.series.values), M=20)
         _, report = fit(data, Hyperparams(R=8, eta=0.1, reg=Regularizer("tv", 5.0), seed=0, max_outer_iters=30))
         trace = np.array(report.cost_trace)
-        assert np.all(np.isfinite(trace)) and {o.temporal.method for o in report.outer} == {"sweeps"}
+        assert np.all(np.isfinite(trace)) and {o.temporal.method for o in report.outer} == {"face"}
         assert all(o.cost_rise <= MONOTONE_SLACK for o in report.outer)
         assert np.all(np.diff(trace) <= MONOTONE_SLACK * (1 + np.abs(trace[:-1])))
 
@@ -1318,7 +1376,7 @@ class TestFit:
         # numpy's own invalid-value warnings on inf arithmetic are expected
         original, live = lrtvar.solver.update_left, lrtvar.solver._live_components
         data, params = benchmark_setting("switching")
-        message = {"none": "outer iteration 2: U1 and U3 contain", "spline": "outer iteration 2: U1 contain",
+        message = {"none": "outer iteration 2: U1 and U3 contain", "spline": "outer iteration 2: U1 contains",
                    "tv": "non-finite"}[kind]
         for value in (math.nan, math.inf):
             calls, ruled = [], []
