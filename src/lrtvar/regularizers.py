@@ -168,7 +168,7 @@ def tv_prox_columns(V: np.ndarray, gamma: float, weights: np.ndarray) -> np.ndar
     """
     V = finite_array("V", V, 2)
     gamma = real_at_least("gamma", gamma)
-    W = finite_array("weights", weights, 2)
+    W = finite_array("weight matrix", weights, 2)
     if W.shape != V.shape:
         raise ShapeMismatchError(f"weights must have the shape {V.shape} of the matrix, got {W.shape}")
     if not (W > 0.0).all():

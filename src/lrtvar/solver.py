@@ -38,9 +38,16 @@ descends monotonically up to subproblem tolerances.  Before that trial,
 most float64 eps times the largest to exact zeros, where no update moves it
 again.
 
-Nothing in the fit path forms a matrix larger than the data.  All
-contractions go through the data tensors and the R-column factors, which
-is what makes large state dimensions tractable.  Each contraction is
+Nothing in the fit path grows with the number of channels beyond the data
+and its products with the R-column factors: the U2 system is applied
+matrix-free and never formed.  The U3 update forms matrices whose size
+depends on T and R alone, and for few channels they are larger than the
+data: the (T, R, R) Hessian blocks C_k (160*4*4 = 2560 entries on the smooth
+benchmark, against 1600 in X), and a TV face matrix of up to
+min(T*R, FACE_MAX_SEGMENTS)^2 entries (80^2 = 6400 on the switching
+benchmark, against 2000 in X).  All data contractions go through the data
+tensors and the R-column factors, which is what makes large state
+dimensions tractable.  Each contraction is
 a BLAS matmul of a 2-D (M*T, channels) view of a data tensor with an
 R-column factor (the MTTKRP view of CP-ALS); diag(U3[k]) is a broadcast
 multiply on the (M, T, R) view of the product, and the per-window R x R

@@ -1,12 +1,11 @@
 """Acceptance gate: one test per release criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  The
-oracles it shares with the solver tests (dense gradients, finite
-differences, the exact-CG patch) come from ``oracles``; the rest are
-defined here.
+dense oracles (gradients, finite differences, the exact-CG patch, the
+Kronecker, Hadamard and brute-force TV-prox solves) come from ``oracles``,
+which the solver and regularizer tests share.
 """
 
-import itertools
 import time
 import tracemalloc
 
@@ -27,7 +26,7 @@ from lrtvar.solver import Hyperparams, fit, loss, update_right, update_temporal
 from lrtvar.synthetic import gp_covariance, sample_gp_angle, simulate_smooth, simulate_switching
 from lrtvar.windowing import SnapshotPair, build_snapshots
 
-from oracles import dense_gradients, fd_gradient, tight_cg
+from oracles import dense_gradients, fd_gradient, kron_oracle_right, temporal_dense_oracle, tight_cg, tv_prox_oracle
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -151,59 +150,7 @@ def test_criterion_4_descent_property():
     assert ok
 
 
-# -- criterion 5 oracles ------------------------------------------------------
-
-
-def kron_solve_right(model, data, eta):
-    P = model.U1.T @ model.U1
-    N_in, R = model.N_in, model.R
-    A = np.zeros((N_in * R, N_in * R))
-    B = np.zeros((N_in, R))
-    for k in range(data.T):
-        Xk = data.X[:, :, k]
-        d = model.U3[k]
-        Rk = P * np.outer(d, d)
-        A += np.kron(Rk.T, Xk @ Xk.T)
-        B += Xk @ data.Y[:, :, k].T @ (model.U1 * d)
-    A += np.eye(N_in * R) / eta
-    return np.linalg.solve(A, B.flatten(order="F")).reshape((N_in, R), order="F")
-
-
-def hadamard_solve_temporal(model, data, eta):
-    P = model.U1.T @ model.U1
-    out = np.zeros((data.T, model.R))
-    for k in range(data.T):
-        Gk = model.U2.T @ data.X[:, :, k]
-        A = (Gk @ Gk.T) * P + np.eye(model.R) / eta
-        b = np.diag(model.U2.T @ data.X[:, :, k] @ data.Y[:, :, k].T @ model.U1)
-        out[k] = np.linalg.solve(A, b)
-    return out
-
-
-def brute_force_tv_prox(v, gamma, tol=1e-9):
-    """Active-set enumeration of the dual box QP; exact for small lengths."""
-    T = v.shape[0]
-    if gamma == 0.0 or T < 2:
-        return v.copy()
-    D = np.zeros((T - 1, T))
-    for k in range(T - 1):
-        D[k, k], D[k, k + 1] = 1.0, -1.0
-    Q = D @ D.T
-    b = D @ v
-    for pattern in itertools.product((-1, 0, 1), repeat=T - 1):
-        pattern = np.array(pattern)
-        s = np.where(pattern != 0, gamma * pattern, 0.0).astype(float)
-        free = pattern == 0
-        if free.any():
-            rhs = b[free] - Q[np.ix_(free, ~free)] @ s[~free]
-            s[free] = np.linalg.solve(Q[np.ix_(free, free)], rhs)
-        if np.any(np.abs(s[free]) > gamma + tol):
-            continue
-        g = Q @ s - b
-        if np.any(g[pattern == 1] > tol) or np.any(g[pattern == -1] < -tol):
-            continue
-        return v - D.T @ s
-    raise AssertionError("no KKT point found")
+# -- criterion 5: the block updates against the dense oracles ---------------
 
 
 def right_update_deviations(monkeypatch, cold=False):
@@ -221,7 +168,7 @@ def right_update_deviations(monkeypatch, cold=False):
         U1, U2, U3 = rng.standard_normal((N, R)), rng.standard_normal((N, R)), rng.standard_normal((T, R))
         model = CpFactors(U1, np.zeros_like(U2) if cold else U2, U3)
         data = SnapshotPair(X=rng.standard_normal((N, M, T)), Y=rng.standard_normal((N, M, T)))
-        ref = kron_solve_right(model, data, eta=0.5)
+        ref = kron_oracle_right(model, data, eta=0.5)
         out, outcome = update_right(model, data, Hyperparams(R=R, eta=0.5), lrtvar.solver._products(model, data))
         worst = max(worst, float(np.abs(out - ref).max()))
         worst_relative = max(worst_relative, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
@@ -260,7 +207,7 @@ def test_criterion_5a_right_update_on_a_fit_workspace_vs_kronecker(monkeypatch):
         for _ in range(3):
             model = CpFactors(rng.standard_normal((work.N, R)), rng.standard_normal((work.N_in, R)),
                               rng.standard_normal((T, R)))
-            ref = kron_solve_right(model, work, eta=0.5)
+            ref = kron_oracle_right(model, work, eta=0.5)
             out, outcome = update_right(model, work, Hyperparams(R=R, eta=0.5), lrtvar.solver._products(model, work))
             worst_relative = max(worst_relative, float(np.linalg.norm(out - ref) / np.linalg.norm(ref)))
             iterations.add(outcome.steps)
@@ -279,7 +226,7 @@ def test_criterion_5b_temporal_update_vs_hadamard():
         model = CpFactors(rng.standard_normal((N, R)), rng.standard_normal((N, R)), rng.standard_normal((T, R)))
         data = SnapshotPair(X=rng.standard_normal((N, 5, T)), Y=rng.standard_normal((N, 5, T)))
         out, _ = update_temporal(model, data, Hyperparams(R=R, eta=0.8), lrtvar.solver._products(model, data))
-        ref = hadamard_solve_temporal(model, data, eta=0.8)
+        ref = temporal_dense_oracle(model, data, eta=0.8)
         worst = max(worst, float(np.abs(out - ref).max()))
     ok = worst <= 1e-10
     report(5, "oracle-b-hadamard", ok, f"worst abs deviation {worst:.2e}")
@@ -296,7 +243,7 @@ def test_criterion_5c_tv_prox_oracles():
         T = int(rng.integers(1, 7))
         v = 3.0 * rng.standard_normal(T)
         gamma = float(rng.uniform(0.0, 2.0))
-        worst = max(worst, float(np.abs(prox(v, gamma) - brute_force_tv_prox(v, gamma)).max()))
+        worst = max(worst, float(np.abs(prox(v, gamma) - tv_prox_oracle(v, gamma)).max()))
     certificate_ok = True
     for _ in range(100):
         T = int(rng.integers(2, 201))

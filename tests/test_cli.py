@@ -24,7 +24,7 @@ from lrtvar.cli import (
 )
 from lrtvar.errors import InvalidHyperparameterError, ShapeMismatchError
 from lrtvar.evaluation import independent_fit, operator_norm_error
-from lrtvar.solver import OuterIteration
+from lrtvar.solver import CG_MAX_STEPS, OuterIteration
 from lrtvar.synthetic import GroundTruth, simulate_smooth, simulate_switching
 from lrtvar.windowing import build_snapshots, read_series_csv
 
@@ -50,6 +50,35 @@ def count_calls(monkeypatch, names):
 
         monkeypatch.setattr(lrtvar.cli, name, counted)
     return calls
+
+
+def trace_outer(out):
+    """The per-iteration records of a fit's trace.json."""
+    with open(out / "trace.json", encoding="utf-8") as fh:
+        return json.load(fh)["outer"]
+
+
+def summary_lines(out):
+    return (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+
+
+def data_rows(path):
+    """The data rows of a CSV the command line wrote: no comment, blank or header line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if line.strip() and not line.startswith("#")][1:]
+
+
+@pytest.fixture(scope="module")
+def six_channel_fit(tmp_path_factory):
+    """A 6-channel switching series of 80 transitions (seed 0) and its TV fit
+    at rank 4 in windows of 10, five iterations, clustered into two modes."""
+    root = tmp_path_factory.mktemp("six-channel")
+    gen, out = root / "gen", root / "fit"
+    assert run(["generate", "--benchmark", "switching", "--N", "6", "--tau", "80", "--seed", "0",
+                "--out", str(gen)]) == 0
+    assert run(["fit", "--input", str(gen / "series.csv"), "--rank", "4", "--window", "10", "--eta", "0.2",
+                "--beta", "2", "--reg", "tv", "--clusters", "2", "--max-iters", "5", "--out", str(out)]) == 0
+    return gen / "series.csv", out
 
 
 class TestGenerate:
@@ -270,6 +299,68 @@ class TestFit:
         rmse_line = next(l for l in summary.splitlines() if l.startswith("final rmse"))
         rmse_value = float(rmse_line.split(":")[1])
         assert 0.50 <= rmse_value <= 0.62
+
+
+def assert_every_u2_cg_met_its_tolerance(outer):
+    # each U2 solve is a CG that ended at or below its own tolerance (the
+    # larger of CG_TOL and its forcing term) in fewer steps than its cap
+    assert outer
+    for entry in outer:
+        right = entry["right"]
+        assert right["method"] == "cg" and right["tolerance"] >= 1e-9, right
+        assert right["residual"] <= right["tolerance"] and right["steps"] < CG_MAX_STEPS, right
+
+
+@pytest.mark.filterwarnings("error")
+class TestFitCertificates:
+    """Every block update of these fits ends on its certificate, read from
+    trace.json and summary.txt: each U2 CG meets its tolerance, and each TV
+    U3 update its dual-residual bound."""
+
+    def test_six_channel_tv_fit(self, six_channel_fit):
+        # 6 channels at rank 4: every U2 CG meets its forcing threshold, so none is capped
+        _, out = six_channel_fit
+        assert "capped U2 solves: 0 of 5" in summary_lines(out)
+        outer = trace_outer(out)
+        assert_every_u2_cg_met_its_tolerance(outer)
+        assert all(entry["temporal"]["residual"] <= 1e-10 for entry in outer)
+
+    def test_weak_tv_penalty_ends_every_update_on_a_face(self, six_channel_fit, tmp_path):
+        # every U3 update ends on a face minimizer whose dual residual is within
+        # its recorded tolerance, the rounding of its running sums, with no
+        # fallback sweep, and the cost never rises
+        series, _ = six_channel_fit
+        out = tmp_path / "weak-fit"
+        assert run(["fit", "--input", str(series), "--rank", "4", "--window", "10", "--eta", "0.2", "--beta", "1e-5",
+                    "--reg", "tv", "--max-iters", "5", "--out", str(out)]) == 0
+        assert "capped U3 solves: 0 of 5" in summary_lines(out)
+        outer = trace_outer(out)
+        assert outer and {entry["temporal"]["method"] for entry in outer} == {"face"}
+        assert all(entry["temporal"]["residual"] <= entry["temporal"]["tolerance"] for entry in outer)
+        costs = [float(row.split(",")[1]) for row in data_rows(out / "trace.csv")]
+        assert all(after - before <= 1e-8 * (1 + abs(before)) for before, after in zip(costs, costs[1:])), costs
+
+    def test_thin_fit_of_2000_channels(self, tmp_path):
+        # 2000 channels and 200 transitions: a fit in thin bases, read by the
+        # streamed CSV reader; every U2 CG meets its forcing threshold
+        gen, out = tmp_path / "n2000", tmp_path / "n2000-fit"
+        assert run(["generate", "--benchmark", "switching", "--N", "2000", "--seed", "0", "--out", str(gen)]) == 0
+        assert run(["fit", "--input", str(gen / "series.csv"), "--rank", "4", "--window", "20", "--eta", "0.0005",
+                    "--beta", "1", "--reg", "tv", "--max-iters", "5", "--out", str(out)]) == 0
+        assert "capped U2 solves: 0 of 5" in summary_lines(out)
+        outer = trace_outer(out)
+        assert_every_u2_cg_met_its_tolerance(outer)
+        assert all(entry["temporal"]["residual"] <= entry["temporal"]["tolerance"] for entry in outer)
+
+    def test_weak_tv_penalty_over_160_windows(self, tmp_path):
+        # T = 160 windows of one transition at beta = 0.05: both U3 updates
+        # end on their dual certificate
+        gen, out = tmp_path / "long", tmp_path / "long-fit"
+        assert run(["generate", "--benchmark", "smooth", "--N", "10", "--out", str(gen)]) == 0
+        assert run(["fit", "--input", str(gen / "series.csv"), "--window", "1", "--rank", "4", "--eta", "0.6",
+                    "--reg", "tv", "--beta", "0.05", "--max-iters", "2", "--out", str(out)]) == 0
+        assert "capped U3 solves: 0 of 2" in summary_lines(out)
+        assert all(entry["temporal"]["residual"] <= 1e-10 for entry in trace_outer(out))
 
 
 class TestCompare:
@@ -502,6 +593,17 @@ class TestCompare:
         assert calls == {"simulate_switching": 4, "build_snapshots": 4}
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_smooth_input_with_truth_bundle_in_windows_of_one(self, tmp_path):
+        # 160 truth blocks whose right factor is one plane broadcast over them;
+        # compare exits 0 only when every row reads ok
+        gen = tmp_path / "smooth"
+        assert run(["generate", "--benchmark", "smooth", "--N", "6", "--out", str(gen)]) == 0
+        assert run(["compare", "--input", str(gen / "series.csv"), "--truth-matrices", str(gen / "truth_matrices.csv"),
+                    "--truth-index", str(gen / "truth_index.csv"), "--window", "1", "--eta", "1", "--max-iters", "5",
+                    "--methods", "lowrank-r4,indep-full,indep-r2", "--out", str(tmp_path / "smooth-compare")]) == 0
+
+
 class TestCluster:
     def test_cluster_from_fit_output(self, tmp_path):
         gen = tmp_path / "gen"
@@ -514,6 +616,17 @@ class TestCluster:
         lines = [l for l in (out / "clusters.csv").read_text().splitlines() if l and not l.startswith("#")]
         labels = [int(l.split(",")[1]) for l in lines[1:]]
         assert labels == [0] * 5 + [1] * 5
+
+    @pytest.mark.filterwarnings("error")
+    def test_same_labels_as_fit_clusters(self, six_channel_fit, tmp_path):
+        # both cluster the same U3 (it round-trips through %.17g) with seed 0:
+        # the same labels, one row per window, the first one labeled 0
+        _, fitted = six_channel_fit
+        out = tmp_path / "cluster"
+        assert run(["cluster", "--u3", str(fitted / "U3.csv"), "--k", "2", "--out", str(out)]) == 0
+        labels = data_rows(out / "clusters.csv")
+        assert labels == data_rows(fitted / "clusters.csv")
+        assert len(labels) == 8 and labels[0].split(",")[1] == "0"
 
     def test_rerun_byte_identical(self, tmp_path):
         u3 = tmp_path / "u3.csv"

@@ -149,7 +149,9 @@ CASES = {
     "prox-strings": (lambda: tv_prox_columns([["a"], ["b"]], 0.5, np.ones((2, 1))), ShapeMismatchError,
                      "V must be a rectangular array"),
     "prox-weights-ragged": (lambda: tv_prox_columns(np.ones((2, 1)), 0.5, [[1.0], [2.0, 3.0]]), ShapeMismatchError,
-                            "weights must be a rectangular array"),
+                            "weight matrix must be a rectangular array"),
+    "prox-weights-nan": (lambda: tv_prox_columns(np.ones((2, 1)), 0.5, [[1.0], [np.nan]]), NonFiniteError,
+                         "^weight matrix contains non-finite entries$"),
     # independent_fit's rank-truncated fit of lagged or affine data
     "indep-rank-affine": (lambda: independent_fit(affine_pair(), rank=1), InvalidHyperparameterError,
                           "need P=1, non-affine data"),

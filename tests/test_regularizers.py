@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -7,20 +6,13 @@ import pytest
 from lrtvar.errors import InvalidHyperparameterError, NonFiniteError, ShapeMismatchError
 from lrtvar.regularizers import Regularizer, _ridge, spline_penalty, tv_penalty, tv_prox_columns
 
+from oracles import dense_diff_matrix, tv_prox_oracle
+
 
 def prox(v, gamma):
     """The TV prox of ``v`` by :func:`tv_prox_columns`, as one column of unit weights."""
     v = np.asarray(v, dtype=float)
     return tv_prox_columns(v[:, None], gamma, np.ones((v.size, 1)))[:, 0]
-
-
-def dense_diff_matrix(T):
-    """Materialized (T-1) x T first-difference matrix: row k has +1 at k, -1 at k+1."""
-    D = np.zeros((T - 1, T))
-    for k in range(T - 1):
-        D[k, k] = 1.0
-        D[k, k + 1] = -1.0
-    return D
 
 
 def long_prox_cases():
@@ -131,38 +123,6 @@ def weighted_tv_prox_dual_oracle(v, w, gamma, pg_steps=200):
     assert np.all(np.abs(s) <= gamma * (1 + 1e-12))
     assert np.all(pattern * mu >= -1e-12 * scale)
     return v - (D.T @ s) / w
-
-def tv_prox_oracle(v, gamma, tol=1e-9):
-    """Exact TV prox for small vectors via active-set enumeration of the dual.
-
-    The dual is a box-constrained strictly convex quadratic in the T-1 edge
-    variables s: min 1/2 s'DD's - s'Dv subject to |s_i| <= gamma, and the
-    primal solution is u = v - D's.  Every on/off pattern of the box
-    constraints is enumerated and checked against the KKT conditions.
-    """
-    v = np.asarray(v, dtype=float)
-    T = v.shape[0]
-    if gamma == 0.0 or T < 2:
-        return v.copy()
-    D = dense_diff_matrix(T)
-    Q = D @ D.T
-    b = D @ v
-    m = T - 1
-    for pattern in itertools.product((-1, 0, 1), repeat=m):
-        pattern = np.array(pattern)
-        s = np.where(pattern != 0, gamma * pattern, 0.0).astype(float)
-        free = pattern == 0
-        if free.any():
-            rhs = b[free] - Q[np.ix_(free, ~free)] @ s[~free]
-            s[free] = np.linalg.solve(Q[np.ix_(free, free)], rhs)
-        if np.any(np.abs(s[free]) > gamma + tol):
-            continue
-        g = Q @ s - b
-        if np.any(g[pattern == 1] > tol) or np.any(g[pattern == -1] < -tol):
-            continue
-        return v - D.T @ s
-    raise AssertionError("no KKT-consistent active set found")
-
 
 def prox_objective(u, v, gamma):
     return 0.5 * np.sum((u - v) ** 2) + gamma * np.sum(np.abs(np.diff(u)))

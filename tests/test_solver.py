@@ -62,7 +62,15 @@ from lrtvar.evaluation import model_estimate, operator_norm_error
 from lrtvar.synthetic import simulate_smooth, simulate_switching
 from lrtvar.windowing import SnapshotPair, TimeSeries, build_snapshots
 
-from oracles import dense_gradients, fd_gradient, tight_cg
+from oracles import (
+    dense_diff_matrix,
+    dense_gradients,
+    fd_gradient,
+    kron_oracle_right,
+    kron_system_right,
+    temporal_dense_oracle,
+    tight_cg,
+)
 
 
 def random_model(rng, N, N_in, T, R):
@@ -205,43 +213,6 @@ class TestUpdateLeft:
         assert np.linalg.norm(g) <= 1e-8
 
 
-def kron_system_right(model, data, eta):
-    """(A, b) of the vectorized normal equations A vec(U2) = b for U2
-    (column-major vec)."""
-    N_in, R = model.N_in, model.R
-    P = model.U1.T @ model.U1
-    A = np.zeros((N_in * R, N_in * R))
-    B = np.zeros((N_in, R))
-    for k in range(data.T):
-        Xk = data.X[:, :, k]
-        Lk = Xk @ Xk.T
-        d = model.U3[k]
-        Rk = P * np.outer(d, d)
-        A += np.kron(Rk.T, Lk)
-        B += Xk @ data.Y[:, :, k].T @ (model.U1 * d)
-    A += np.eye(N_in * R) / eta
-    return A, B.flatten(order="F")
-
-
-def kron_oracle_right(model, data, eta):
-    """Dense solve of the vectorized normal equations for U2."""
-    return np.linalg.solve(*kron_system_right(model, data, eta)).reshape((model.N_in, model.R), order="F")
-
-
-def temporal_dense_oracle(model, data, eta):
-    """Per-window dense Hadamard normal equations for the unsmoothed U3."""
-    R = model.R
-    P = model.U1.T @ model.U1
-    U3 = np.zeros((data.T, R))
-    for k in range(data.T):
-        Gk = model.U2.T @ data.X[:, :, k]
-        Lk = Gk @ Gk.T
-        A = Lk * P + np.eye(R) / eta
-        b = np.diag(model.U2.T @ data.X[:, :, k] @ data.Y[:, :, k].T @ model.U1)
-        U3[k] = np.linalg.solve(A, b)
-    return U3
-
-
 def temporal_window_matrix(model, data, k):
     """C_k = (U2'X_k X_k'U2) * (U1'U1), the loss Hessian of window k in U3."""
     Gk = model.U2.T @ data.X[:, :, k]
@@ -265,7 +236,7 @@ def spline_dense_system(model, data, eta, beta):
         block = slice(k * R, (k + 1) * R)
         A[block, block] = temporal_window_matrix(model, data, k) + np.eye(R) / eta
         rhs[block] = np.diag(model.U2.T @ data.X[:, :, k] @ data.Y[:, :, k].T @ model.U1)
-    D = np.eye(T - 1, T) - np.eye(T - 1, T, k=1)
+    D = dense_diff_matrix(T)
     A += beta * np.kron(D.T @ D, np.eye(R))
     return A, rhs
 
@@ -986,6 +957,28 @@ class TestFaceStep:
         assert not any(o.temporal.capped for o in report.outer)
         assert {o.temporal.method for o in report.outer} == {"face"}
         assert all(o.temporal.steps >= 1 and o.temporal.residual <= SWEEP_TOL for o in report.outer)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1e-3, 1e-5, 1e-13])
+    def test_weak_penalties_end_every_update_on_a_face(self, beta):
+        # the rounding of the running sums does not shrink with beta; before the
+        # certificate allowed for it, 7, 19 and 19 of these 19 updates ended
+        # as capped sweeps
+        data, params = benchmark_setting("switching")
+        _, report = fit(data, replace(params, reg=Regularizer("tv", beta)))
+        assert report.outer and {o.temporal.method for o in report.outer} == {"face"}
+        assert not any(o.temporal.capped for o in report.outer)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_n_series_at_8000_channels_ends_every_update_on_a_face(self):
+        # the large_n series and settings at N = 8000: 20 of the 60 U3 updates
+        # once ended as capped sweeps, their residual growing with N
+        data = build_snapshots(simulate_switching(N=8000, tau=200, sigma=0.5, seed=0).series, M=20)
+        params = Hyperparams(R=4, eta=1.0 / 8000, reg=Regularizer("tv", 1.0), seed=0, max_outer_iters=60,
+                             rtol=0.0, atol=0.0)
+        _, report = fit(data, params)
+        assert len(report.outer) == 60 and {o.temporal.method for o in report.outer} == {"face"}
+        assert not any(o.temporal.capped or o.right.capped for o in report.outer)
 
     def test_outcome_is_logged_recorded_summarized_and_deterministic(self, caplog):
         data, params = benchmark_setting("switching", seed=3)
