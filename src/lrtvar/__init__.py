@@ -13,13 +13,10 @@ from .cp_model import CpFactors, NormalizedCp, export_factors
 from .errors import (
     DegenerateDataError,
     DegenerateProjectionError,
-    DegenerateWindowError,
-    DimensionMismatchError,
     ExtremeScaleError,
     InvalidHyperparameterError,
     LrtvarError,
     NonFiniteError,
-    NonPositiveEtaError,
     SeriesTooShortError,
     ShapeMismatchError,
     ZeroVarianceError,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cp_model import export_factors
-from .errors import ShapeMismatchError, integer_at_least
+from .errors import InvalidHyperparameterError, LrtvarError, ShapeMismatchError, integer_at_least
 from .evaluation import (
     cluster_temporal_modes,
     estimate_rmse,
@@ -83,19 +83,20 @@ def fill_unset(options: dict, defaults: dict) -> dict:
 
 
 def read_config_file(path) -> dict:
-    """The key=value pairs of a config file.  A file that cannot be read as
-    UTF-8 text, or a line that is not blank, a ``#`` comment or key=value, is
-    a usage error ``error: <path>: ...``."""
+    """The key=value pairs of a config file.  A file that is not UTF-8 text,
+    or a line that is not blank, a ``#`` comment or key=value, raises
+    :class:`InvalidHyperparameterError` ``<path>: ...``; a file that cannot
+    be read raises its ``OSError``."""
     out = {}
     try:
         lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(f"error: {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidHyperparameterError(f"{path}: {exc}") from exc
     for lineno, line in enumerate(map(str.strip, lines), start=1):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"error: {path}: line {lineno}: expected key=value, got {line!r}")
+            raise InvalidHyperparameterError(f"{path}: line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
@@ -105,7 +106,8 @@ def resolve_options(args: argparse.Namespace, known: dict) -> dict:
     """Merge per-command defaults, config file, and explicit CLI flags.
 
     ``known`` maps option name -> (parser, default).  Config-file keys must
-    be known and their values must parse; explicit flags win over the file,
+    be known and their values must parse, else
+    :class:`InvalidHyperparameterError`; explicit flags win over the file,
     the file wins over defaults.
     """
     resolved = {name: default for name, (_, default) in known.items()}
@@ -113,13 +115,13 @@ def resolve_options(args: argparse.Namespace, known: dict) -> dict:
         file_options = read_config_file(args.config)
         unknown = set(file_options) - set(known)
         if unknown:
-            raise SystemExit(f"error: unknown config keys: {', '.join(sorted(unknown))}")
+            raise InvalidHyperparameterError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, text in file_options.items():
             parser, _ = known[key]
             try:
                 resolved[key] = parser(text)
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise SystemExit(f"error: config key {key}: {exc}") from None
+                raise InvalidHyperparameterError(f"config key {key}: {exc}") from exc
     for name in known:
         value = getattr(args, name)
         if value is not None:
@@ -133,17 +135,18 @@ def flag(name: str) -> str:
 
 
 def require(opts: dict, names, command: str) -> None:
-    """A usage error naming the first option of ``names`` that ``opts`` leaves unset."""
+    """An :class:`InvalidHyperparameterError` naming the first option of ``names`` that ``opts`` leaves unset."""
     for name in names:
         if opts[name] is None:
-            raise SystemExit(f"error: {flag(name)} is required for {command}")
+            raise InvalidHyperparameterError(f"{flag(name)} is required for {command}")
 
 
 def reject_unused(opts: dict, names, context: str) -> None:
-    """A usage error naming each option of ``names`` that ``opts`` sets: none of them applies in ``context``."""
+    """An :class:`InvalidHyperparameterError` naming each option of ``names``
+    that ``opts`` sets: none of them applies in ``context``."""
     given = sorted(flag(name) for name in names if opts[name] is not None)
     if given:
-        raise SystemExit(f"error: {context} takes no {', '.join(given)}")
+        raise InvalidHyperparameterError(f"{context} takes no {', '.join(given)}")
 
 
 def manifest_line(command: str, options: dict) -> str:
@@ -157,7 +160,7 @@ def parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise InvalidHyperparameterError(f"expected a boolean, got {text!r}")
 
 
 def one_of(choices):
@@ -229,12 +232,12 @@ def read_truth_bundle(matrices_path, index_path, series: TimeSeries) -> GroundTr
     blocks = flat.reshape(rows // n, n, width)
     _, index = read_csv(index_path)
     if index.shape[1] != 2:
-        raise ValueError(f"{index_path}: expected 2 columns (transition, block), got {index.shape[1]}")
+        raise ShapeMismatchError(f"{index_path}: expected 2 columns (transition, block), got {index.shape[1]}")
     transition, block = index.T
     bad = (transition != np.arange(len(index))) | (block != np.round(block)) | (block < 0) | (block >= len(blocks))
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError(
+        raise ShapeMismatchError(
             f"{index_path}: data row {row}: expected transition {row} with an integer block in "
             f"[0, {len(blocks)}), got ({format_cell(transition[row])}, {format_cell(block[row])})"
         )
@@ -373,7 +376,8 @@ COMPARE_KNOWN = {
 
 def _parse_method(tag: str) -> tuple:
     """'lowrank-rK' -> ('lowrank', K); 'indep-full' -> ('indep', None);
-    'indep-rK' -> ('indep', K)."""
+    'indep-rK' -> ('indep', K); any other tag raises
+    :class:`InvalidHyperparameterError`."""
     if tag == "indep-full":
         return ("indep", None)
     for prefix, kind in (("lowrank-r", "lowrank"), ("indep-r", "indep")):
@@ -382,7 +386,7 @@ def _parse_method(tag: str) -> tuple:
                 return (kind, int(tag[len(prefix):]))
             except ValueError:
                 break
-    raise ValueError(f"unknown method {tag!r} (expected lowrank-rK, indep-full, indep-rK)")
+    raise InvalidHyperparameterError(f"unknown method {tag!r} (expected lowrank-rK, indep-full, indep-rK)")
 
 
 def _failure(exc: Exception) -> str:
@@ -420,26 +424,22 @@ def _compare_instance(task: dict) -> list:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Score each method on each (N, seed) instance and write one row per run
-    to ``--out``.  A ``--workers`` below 1 raises
-    :class:`InvalidHyperparameterError` before any work, and an option that
-    does not apply to the source, ``--benchmark`` or ``--input``, is a usage
-    error raised before any data is read."""
+    to ``--out``.  A ``--workers`` below 1, an unknown method and an option
+    that does not apply to the source, ``--benchmark`` or ``--input``, raise
+    :class:`InvalidHyperparameterError` before any data is read."""
     opts = resolve_options(args, COMPARE_KNOWN)
     integer_at_least("workers", opts["workers"], 1)
     if (opts["benchmark"] is None) == (opts["input"] is None):
-        raise SystemExit("error: compare needs exactly one of --benchmark or --input")
+        raise InvalidHyperparameterError("compare needs exactly one of --benchmark or --input")
     if opts["benchmark"] is None:
         require(opts, ("window", "eta"), "compare --input")
         reject_unused(opts, ("N_list", "tau", "sigma"), "--input")
     else:
         reject_unused(opts, ("truth_matrices", "truth_index"), "--benchmark")
     if (opts["truth_matrices"] is None) != (opts["truth_index"] is None):
-        raise SystemExit("error: --truth-matrices and --truth-index go together")
+        raise InvalidHyperparameterError("--truth-matrices and --truth-index go together")
     for tag in opts["methods"]:
-        try:
-            _parse_method(tag)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
+        _parse_method(tag)
 
     series = truth = None
     if opts["benchmark"] is not None:
@@ -519,10 +519,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit status.  Bad input, an
+    :class:`LrtvarError` or an ``OSError`` on a file, ends the command as
+    ``SystemExit("error: <message>")`` raised from that exception: one line
+    on stderr and exit status 1.  An ``OSError`` reads ``<path>:
+    <strerror>``.  argparse's own usage errors exit 2."""
     args = build_parser().parse_args(argv)
     if args.verbose:  # shows the solver's per-iteration lines on stderr
         logging.basicConfig(level=logging.INFO, format="%(message)s")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LrtvarError, OSError) as exc:
+        path = getattr(exc, "filename", None)
+        raise SystemExit(f"error: {exc}" if path is None else f"error: {path}: {exc.strerror}") from exc
 
 
 if __name__ == "__main__":

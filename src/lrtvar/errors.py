@@ -3,7 +3,15 @@
 Every public entry point decides whether a number it is given is valid
 through :func:`finite_real`, :func:`real_at_least` or :func:`integer_at_least`,
 and whether an array is through :func:`finite_array`.  So every rejection of
-bad input is a named :class:`LrtvarError`.
+bad input is a named :class:`LrtvarError`.  There are nine types: the base
+and eight subclasses, each also a ``ValueError`` except
+:class:`DegenerateProjectionError`, a ``RuntimeError``.  A value of the
+wrong type or out of range, command-line options and config lines included,
+is an :class:`InvalidHyperparameterError`; an array, CSV file or truth
+bundle of the wrong shape, or one that does not parse as numbers, a
+:class:`ShapeMismatchError`; data with nothing to fit a
+:class:`DegenerateDataError`.  :func:`lrtvar.cli.main` prints each as one
+``error:`` line.
 """
 
 import math
@@ -29,16 +37,10 @@ class ZeroVarianceError(LrtvarError, ValueError):
     """A channel has zero variance and cannot be standardized."""
 
 
-class DimensionMismatchError(LrtvarError, ValueError):
-    """Factor matrices and data tensors have inconsistent shapes."""
-
-
 class DegenerateDataError(LrtvarError, ValueError):
-    """Snapshot data is identically zero; no model can be initialized."""
-
-
-class DegenerateWindowError(LrtvarError, ValueError):
-    """A window's predictor block is identically zero."""
+    """Snapshot data leave nothing to fit: the whole data, so that no model
+    can be initialized, or one window's predictor block, so that it has no
+    independent fit, is identically zero."""
 
 
 class DegenerateProjectionError(LrtvarError, RuntimeError):
@@ -47,13 +49,13 @@ class DegenerateProjectionError(LrtvarError, RuntimeError):
 
 class ShapeMismatchError(LrtvarError, ValueError):
     """An array is not a rectangular array of numbers or has the wrong number
-    of dimensions, or arrays that go together (factors, windows, channels,
-    estimate and ground truth) do not agree in shape, or an index array
-    names entries that do not exist."""
-
-
-class NonPositiveEtaError(LrtvarError, ValueError):
-    """The ridge scale eta must be strictly positive."""
+    of dimensions, or arrays that go together (a model's factors and the
+    data it is fit to, windows, channels, estimate and ground truth) do not
+    agree in shape, or an index array names entries that do not exist.  So
+    is a CSV file that does not parse as such an array (a non-numeric cell,
+    a row of another width, a header of another width than its data, text
+    that is not UTF-8), a truth bundle whose files do not fit its series,
+    and a series whose channel names would read back as a data row."""
 
 
 class ExtremeScaleError(LrtvarError, ValueError):
@@ -61,7 +63,10 @@ class ExtremeScaleError(LrtvarError, ValueError):
 
 
 class InvalidHyperparameterError(LrtvarError, ValueError):
-    """A solver hyperparameter has the wrong type or is out of range."""
+    """A solver hyperparameter or other setting has the wrong type or is out
+    of range, such as an ``eta`` that is not > 0.  On the command line this
+    covers every option check: a missing or inapplicable option, a config
+    line or key that does not parse, and an unknown ``compare`` method."""
 
 
 def finite_real(name: str, value) -> float:

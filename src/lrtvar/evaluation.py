@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .cp_model import CpFactors
-from .errors import DegenerateWindowError, InvalidHyperparameterError, ShapeMismatchError, finite_array, integer_at_least
+from .errors import DegenerateDataError, InvalidHyperparameterError, ShapeMismatchError, finite_array, integer_at_least
 from .synthetic import GroundTruth
 from .windowing import SnapshotPair
 
@@ -90,7 +90,7 @@ def independent_fit(data: SnapshotPair, rank: Optional[int] = None) -> WindowedE
     InvalidHyperparameterError
         If ``rank`` is neither None nor an integer in 1..min(N, M + 1) (a
         bool is not one), or is given for data with lags or an affine row.
-    DegenerateWindowError
+    DegenerateDataError
         If some window's predictor block is identically zero.
     """
     if rank is not None:
@@ -100,7 +100,7 @@ def independent_fit(data: SnapshotPair, rank: Optional[int] = None) -> WindowedE
     X, Y = _windows(data.X), _windows(data.Y)
     zero = ~np.any(X, axis=(1, 2))
     if zero.any():
-        raise DegenerateWindowError(f"window {int(np.argmax(zero))} predictor block is identically zero")
+        raise DegenerateDataError(f"window {int(np.argmax(zero))} predictor block is identically zero")
     if rank is None:
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
         keep = s > PINV_RTOL * s[:, :1]
@@ -263,10 +263,7 @@ def cluster_temporal_modes(U3: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     U3 = finite_array("U3", U3, 2)
     k = integer_at_least("k", k, 1, most=U3.shape[0])
     labels, inertia = _lloyd(U3, _kmeans_plus_plus(U3, k, KMEANS_RESTARTS, np.random.default_rng(seed)))
-    best, best_inertia = 0, np.inf
-    for restart, value in enumerate(inertia.tolist()):
-        if value < best_inertia - 1e-15:
-            best, best_inertia = restart, value
+    best = np.flatnonzero(inertia <= inertia.min() + 1e-15)[0]
     _, first, inverse = np.unique(labels[best], return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=int)
     rank[np.argsort(first)] = np.arange(len(first))

@@ -100,11 +100,9 @@ import numpy as np
 from .cp_model import CpFactors, _FactorShapes
 from .errors import (
     DegenerateDataError,
-    DimensionMismatchError,
     ExtremeScaleError,
     NonFiniteError,
-    NonPositiveEtaError,
-    finite_real,
+    ShapeMismatchError,
     integer_at_least,
     real_at_least,
 )
@@ -150,9 +148,9 @@ class Hyperparams:
     ``TV_MAX_STEPS``, not knobs.  ``R`` and ``max_outer_iters`` must be
     integers >= 1, ``seed`` an integer >= 0, ``eta`` a real number > 0 and
     ``rtol`` and ``atol`` real numbers >= 0, none of them bools.  A value
-    of another type or out of range raises
-    :class:`InvalidHyperparameterError` (:class:`NonPositiveEtaError` for an
-    ``eta`` <= 0), and a non-finite real one :class:`NonFiniteError`.
+    of another type or out of range, an ``eta`` <= 0 included, raises
+    :class:`InvalidHyperparameterError`, and a non-finite real one
+    :class:`NonFiniteError`.
     """
 
     R: int
@@ -166,11 +164,8 @@ class Hyperparams:
     def __post_init__(self):
         for name, least in (("R", 1), ("max_outer_iters", 1), ("seed", 0)):
             integer_at_least(name, getattr(self, name), least)
-        object.__setattr__(self, "eta", finite_real("eta", self.eta))
-        if self.eta <= 0:
-            raise NonPositiveEtaError(f"eta must be > 0, got {self.eta}")
-        for name in ("rtol", "atol"):
-            object.__setattr__(self, name, real_at_least(name, getattr(self, name)))
+        for name in ("eta", "rtol", "atol"):
+            object.__setattr__(self, name, real_at_least(name, getattr(self, name), strict=name == "eta"))
 
 
 @dataclass(frozen=True)
@@ -301,8 +296,8 @@ class FitReport:
 
 def _check_dims(model: CpFactors, data: SnapshotPair) -> None:
     if model.N != data.N or model.N_in != data.N_in or model.T != data.T:
-        raise DimensionMismatchError(f"model dims (N={model.N}, N_in={model.N_in}, T={model.T}) vs "
-                                     f"data dims (N={data.N}, N_in={data.N_in}, T={data.T})")
+        raise ShapeMismatchError(f"model dims (N={model.N}, N_in={model.N_in}, T={model.T}) vs "
+                                 f"data dims (N={data.N}, N_in={data.N_in}, T={data.T})")
 
 
 def _transitions(A: np.ndarray) -> np.ndarray:

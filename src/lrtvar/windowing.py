@@ -209,11 +209,21 @@ def format_cell(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
+def _header_line(names) -> str:
+    """The CSV header line of ``names``.  A name that is blank, holds ``,`` or
+    ``"`` or starts with ``#`` is quoted, its quotes doubled, so the line is
+    neither blank nor a comment and splits back into these names."""
+    return ",".join('"' + name.replace('"', '""') + '"'
+                    if not name.strip() or "," in name or '"' in name or name.startswith("#") else name
+                    for name in names)
+
+
 def write_csv(path, rows, header=None, manifest: Optional[str] = None, comments=()) -> None:
     """Write ``rows`` as UTF-8 CSV: a ``# manifest`` line, ``#`` comments, an
-    optional header row, then one line per row of cells.  The rows of a 2-D
-    float array are written with one ``%``-format per row, whose ``%.17g``
-    is :func:`format_cell`'s text for every Python float."""
+    optional header row (:func:`_header_line`), then one line per row of
+    cells.  The rows of a 2-D float array are written with one ``%``-format
+    per row, whose ``%.17g`` is :func:`format_cell`'s text for every Python
+    float."""
     line = None
     if isinstance(rows, np.ndarray):
         if rows.ndim == 2 and rows.dtype.kind == "f":
@@ -225,7 +235,7 @@ def write_csv(path, rows, header=None, manifest: Optional[str] = None, comments=
         for comment in comments:
             fh.write(f"# {comment}\n")
         if header is not None:
-            fh.write(",".join(header) + "\n")
+            fh.write(_header_line(header) + "\n")
         for row in rows:
             fh.write(line % tuple(row) if line else ",".join(map(format_cell, row)) + "\n")
 
@@ -235,12 +245,12 @@ def _content_lines(fh, at):
     ``\n`` but the last) that are neither blank nor ``#`` comments, as they
     are read.  ``at[0]`` holds the file line number of the last one yielded;
     a line with an odd number of quotes, whose quoted cell would run on into
-    the next line, raises ValueError."""
+    the next line, raises :class:`ShapeMismatchError`."""
     for n, line in enumerate(fh, start=1):
         if line != "\n" and not line.lstrip().startswith("#"):
             at[0] = n
             if line.count('"') % 2:
-                raise ValueError("unterminated quote")
+                raise ShapeMismatchError("unterminated quote")
             yield line
 
 
@@ -261,6 +271,15 @@ def _parse(lines) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
+def _is_data_row(line: str) -> bool:
+    """Whether the CSV ``line`` parses as a row of numbers."""
+    try:
+        _parse([line])
+    except ValueError:
+        return False
+    return True
+
+
 def read_csv(path) -> tuple:
     """Read a numeric CSV as ``(header or None, 2-D float array)``.
 
@@ -269,31 +288,29 @@ def read_csv(path) -> tuple:
     it does not parse as numbers; its names are split by ``csv``.  The data
     lines are fed as they are read to one ``np.loadtxt`` call, which pulls
     one line at a time, so the line it fails on is the one last read: a bad
-    cell raises ValueError ``"<path>: line <n>, column <c>: ..."`` with the
-    1-based file line and cell, a change of width or an unterminated quote
-    ``"<path>: line <n>: ..."``.  A file that is not UTF-8, a header of
-    another width than the data, a non-finite cell or no data rows is an
-    error too.
+    cell reads ``"<path>: line <n>, column <c>: ..."`` with the 1-based file
+    line and cell, a change of width or an unterminated quote ``"<path>:
+    line <n>: ..."``.  These, a file that is not UTF-8 and a header of
+    another width than the data raise :class:`ShapeMismatchError`.  A
+    non-finite cell raises :class:`NonFiniteError` and a file with no data
+    rows :class:`SeriesTooShortError`.
     """
     header, at = None, [0]
     with open(path, "r", encoding="utf-8") as fh:
         lines = _content_lines(fh, at)
         try:
             first = next(lines, None)
-            if first is not None:
-                try:
-                    _parse([first])
-                except ValueError:
-                    header, first = [c.strip() for c in next(csv.reader([first]))], next(lines, None)
+            if first is not None and not _is_data_row(first):
+                header, first = [c.strip() for c in next(csv.reader([first]))], next(lines, None)
             data = None if first is None else _parse(itertools.chain([first], lines))
         except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is known
-            raise ValueError(f"{path}: not UTF-8: {exc}") from None
+            raise ShapeMismatchError(f"{path}: not UTF-8: {exc}") from None
         except ValueError as exc:
-            raise ValueError(_located(path, at[0], exc)) from None
+            raise ShapeMismatchError(_located(path, at[0], exc)) from None
     if data is None:
         raise SeriesTooShortError(f"{path}: no data rows")
     if header is not None and len(header) != data.shape[1]:
-        raise ValueError(f"{path}: header has {len(header)} names, data rows have {data.shape[1]} cells")
+        raise ShapeMismatchError(f"{path}: header has {len(header)} names, data rows have {data.shape[1]} cells")
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{path}: non-finite cell in data")
     return header, data
@@ -307,6 +324,12 @@ def read_series_csv(path) -> TimeSeries:
 
 
 def write_series_csv(path, series: TimeSeries, manifest: Optional[str] = None) -> None:
-    """Write a series as CSV (rows = samples, columns = channels), 17 significant digits."""
+    """Write a series as CSV (rows = samples, columns = channels), 17 significant digits.
+
+    Channel names whose header line would read back as a data row (all of
+    them numbers, such as ``['1', '2']``) raise :class:`ShapeMismatchError`
+    before anything is written."""
     names = series.channel_names or [f"ch{i}" for i in range(series.n_channels)]
+    if _is_data_row(_header_line(names)):
+        raise ShapeMismatchError(f"channel names {names} would read back as a data row")
     write_csv(path, series.values.T, header=names, manifest=manifest)

@@ -3,6 +3,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,17 @@ from lrtvar.windowing import build_snapshots, read_series_csv
 
 def run(argv):
     return main(argv)
+
+
+def run_rejected(argv, error, message):
+    """Run ``argv``, which must end in ``main``'s ``SystemExit``: one line
+    ``error: ...`` that ``message`` matches, raised from an ``error``."""
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    line = info.value.code
+    assert isinstance(info.value.__cause__, error), repr(info.value.__cause__)
+    assert isinstance(line, str) and line.startswith("error: ") and "\n" not in line, line
+    assert re.search(message, line), line
 
 
 def read_bytes(path):
@@ -128,8 +141,7 @@ class TestGenerate:
     )
     def test_bad_generator_input_is_named_and_writes_nothing(self, tmp_path, options, message):
         out = tmp_path / "gen"
-        with pytest.raises(InvalidHyperparameterError, match=message):
-            run(["generate", *options, "--out", str(out)])
+        run_rejected(["generate", *options, "--out", str(out)], InvalidHyperparameterError, message)
         assert not out.exists() or not os.listdir(out)
 
     def test_large_n_size_audit(self, tmp_path):
@@ -243,9 +255,8 @@ class TestFit:
         # 80 transitions in windows of 10: T = 8; these once ran the fit, wrote 7 files and then raised
         out = tmp_path / "fit"
         calls = count_calls(monkeypatch, ("fit",))
-        with pytest.raises(InvalidHyperparameterError, match=message):
-            run(["fit", "--input", str(series_path), "--rank", "4", "--window", "10", "--eta", "0.2",
-                 "--clusters", clusters, "--out", str(out)])
+        run_rejected(["fit", "--input", str(series_path), "--rank", "4", "--window", "10", "--eta", "0.2",
+                      "--clusters", clusters, "--out", str(out)], InvalidHyperparameterError, message)
         assert calls == {"fit": 0}
         assert not out.exists() or not os.listdir(out)
 
@@ -485,9 +496,9 @@ class TestCompare:
         # these once ran the sweep serially
         out = tmp_path / "cmp"
         calls = count_calls(monkeypatch, ("simulate_switching",))
-        with pytest.raises(InvalidHyperparameterError, match="workers must be an integer >= 1"):
-            run(["compare", "--benchmark", "switching", "--N-list", "6", "--tau", "80", "--methods", "indep-full",
-                 "--workers", workers, "--out", str(out)])
+        run_rejected(["compare", "--benchmark", "switching", "--N-list", "6", "--tau", "80", "--methods", "indep-full",
+                      "--workers", workers, "--out", str(out)], InvalidHyperparameterError,
+                     "workers must be an integer >= 1")
         assert calls == {"simulate_switching": 0}
         assert not out.exists() or not os.listdir(out)
 
@@ -659,8 +670,6 @@ class TestDefaults:
         assert set_defaults == {key: parameters[key].default for key in ("tau", "sigma", "lengthscale") if key in recipe}
 
     def test_console_entry_point(self):
-        import subprocess, sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "lrtvar.cli", "--help"], capture_output=True, text=True
         )
@@ -735,10 +744,9 @@ def test_bundle_of_another_size_rejected_before_any_fit(kind, series_n, bundle_n
              "--seed", "0", "--out", str(tmp_path / f"gen{N}")])
     series, bundle = tmp_path / f"gen{series_n}", tmp_path / f"gen{bundle_n}"
     calls = count_calls(monkeypatch, ("fit", "independent_fit"))
-    with pytest.raises(ValueError, match=message):
-        run(["compare", "--input", str(series / "series.csv"), "--truth-matrices", str(bundle / "truth_matrices.csv"),
-             "--truth-index", str(bundle / "truth_index.csv"), "--window", "10", "--eta", "0.2",
-             "--methods", "lowrank-r2,indep-full", "--out", str(tmp_path / "cmp")])
+    run_rejected(["compare", "--input", str(series / "series.csv"), "--truth-matrices", str(bundle / "truth_matrices.csv"),
+                  "--truth-index", str(bundle / "truth_index.csv"), "--window", "10", "--eta", "0.2",
+                  "--methods", "lowrank-r2,indep-full", "--out", str(tmp_path / "cmp")], ShapeMismatchError, message)
     assert calls == {"fit": 0, "independent_fit": 0}
 
 
@@ -767,16 +775,14 @@ def test_corrupt_truth_index_rejected_before_any_fit(row, text, tmp_path, monkey
 
     argv = corrupt_bundle_argv(tmp_path, edit)
     calls = count_calls(monkeypatch, ("fit", "independent_fit"))
-    with pytest.raises(ValueError, match=rf"truth_index.csv: data row {row}: expected transition {row} .*\[0, 2\)"):
-        run(argv)
+    run_rejected(argv, ShapeMismatchError, rf"truth_index.csv: data row {row}: expected transition {row} .*\[0, 2\)")
     assert calls == {"fit": 0, "independent_fit": 0}
 
 
 def test_truth_index_must_cover_every_transition(tmp_path, monkeypatch):
     argv = corrupt_bundle_argv(tmp_path, lambda rows: rows[:-1])
     calls = count_calls(monkeypatch, ("fit", "independent_fit"))
-    with pytest.raises(ShapeMismatchError, match="19 transitions, but .* has 21 samples"):
-        run(argv)
+    run_rejected(argv, ShapeMismatchError, "19 transitions, but .* has 21 samples")
     assert calls == {"fit": 0, "independent_fit": 0}
 
 
@@ -785,8 +791,7 @@ def test_truth_index_of_three_columns_rejected_before_any_fit(tmp_path, monkeypa
     index = tmp_path / "gen" / "truth_index.csv"
     index.write_text(index.read_text().replace("transition,block\n", "transition,block,extra\n"))
     calls = count_calls(monkeypatch, ("fit", "independent_fit"))
-    with pytest.raises(ValueError, match=r"truth_index.csv: expected 2 columns \(transition, block\), got 3"):
-        run(argv)
+    run_rejected(argv, ShapeMismatchError, r"truth_index.csv: expected 2 columns \(transition, block\), got 3")
     assert calls == {"fit": 0, "independent_fit": 0}
 
 
@@ -862,6 +867,80 @@ def test_config_key_that_does_not_apply_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit, match="^error: --benchmark smooth takes no --theta1$"):
         run(["generate", "--config", str(config), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+def fit_argv(series, *options):
+    """A ``fit`` of ``series`` that runs, then ``options``; a repeated flag's last value wins."""
+    return ["fit", "--input", str(series), "--rank", "4", "--window", "10", "--eta", "0.2", *options]
+
+
+def written(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def with_line(source, target, index, edit):
+    """Copy the text file ``source`` to ``target`` with its line ``index`` (0-based) passed through ``edit``."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    lines[index] = edit(lines[index])
+    return written(target, "\n".join(lines) + "\n")
+
+
+# each builds, from a switching benchmark's generate directory and a scratch directory, an argv with one bad
+# input; the first six once ended the console script in a traceback, the last three in a SystemExit with no cause
+REJECTED = {
+    "eta-negative": (lambda gen, d: fit_argv(gen / "series.csv", "--eta", "-1"), InvalidHyperparameterError,
+                     r"^error: eta must be > 0, got -1\.0$"),
+    "clusters-zero": (lambda gen, d: fit_argv(gen / "series.csv", "--clusters", "0"), InvalidHyperparameterError,
+                      "^error: clusters must be an integer >= 1, got 0$"),
+    "window-zero": (lambda gen, d: fit_argv(gen / "series.csv", "--window", "0"), InvalidHyperparameterError,
+                    "^error: M must be an integer >= 1, got 0$"),
+    "missing-input": (lambda gen, d: fit_argv(d / "missing.csv"), FileNotFoundError,
+                      r"^error: .*missing\.csv: No such file or directory$"),
+    "non-numeric-cell": (lambda gen, d: fit_argv(with_line(gen / "series.csv", d / "bad.csv", 5,
+                                                           lambda line: "x" + line[line.index(","):])),
+                         ShapeMismatchError, r"^error: .*bad\.csv: line 6, column 1: could not convert string 'x'"),
+    "truth-block-missing": (lambda gen, d: ["compare", "--input", str(gen / "series.csv"), "--window", "10",
+                                            "--eta", "0.2", "--methods", "indep-full",
+                                            "--truth-matrices", str(gen / "truth_matrices.csv"),
+                                            "--truth-index", str(with_line(gen / "truth_index.csv", d / "index.csv",
+                                                                           17, lambda line: "15,5"))],
+                            ShapeMismatchError, r"^error: .*index\.csv: data row 15: expected transition 15 with an "
+                                                r"integer block in \[0, 2\), got \(15, 5\)$"),
+    "missing-option": (lambda gen, d: ["fit", "--input", str(gen / "series.csv"), "--window", "10", "--eta", "0.2"],
+                       InvalidHyperparameterError, "^error: --rank is required for fit$"),
+    "compare-method": (lambda gen, d: ["compare", "--input", str(gen / "series.csv"), "--window", "10", "--eta", "0.2",
+                                       "--methods", "indep-full,bogus"], InvalidHyperparameterError,
+                       r"^error: unknown method 'bogus' \(expected lowrank-rK, indep-full, indep-rK\)$"),
+    "config-line": (lambda gen, d: fit_argv(gen / "series.csv", "--config", str(written(d / "bad.cfg",
+                                                                                        "rank=4\nwindow 10\n"))),
+                    InvalidHyperparameterError, r"^error: .*bad\.cfg: line 2: expected key=value, got 'window 10'$"),
+}
+
+
+@pytest.fixture(scope="module")
+def switching_generated(tmp_path_factory):
+    gen = tmp_path_factory.mktemp("switching") / "gen"
+    run(["generate", "--benchmark", "switching", "--N", "6", "--tau", "80", "--seed", "4", "--out", str(gen)])
+    return gen
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_bad_input_ends_in_one_error_line_and_writes_nothing(case, switching_generated, tmp_path):
+    build, error, message = REJECTED[case]
+    out = tmp_path / "out"
+    run_rejected([*build(switching_generated, tmp_path), "--out", str(out)], error, message)
+    assert not out.exists()
+
+
+def test_console_script_rejection_is_one_line_and_exit_status_1(switching_generated, tmp_path):
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "lrtvar.cli", *fit_argv(switching_generated / "series.csv", "--eta",
+                                                                          "-1"), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: eta must be > 0, got -1.0\n"
+    assert proc.stdout == "" and not out.exists()
 
 
 # one text per option key, each different from that option's default

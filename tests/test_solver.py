@@ -10,11 +10,11 @@ import pytest
 from lrtvar.cp_model import CpFactors
 from lrtvar.errors import (
     DegenerateDataError,
-    DimensionMismatchError,
     ExtremeScaleError,
     InvalidHyperparameterError,
     LrtvarError,
     NonFiniteError,
+    ShapeMismatchError,
 )
 import lrtvar.regularizers
 import lrtvar.solver
@@ -145,7 +145,7 @@ class TestLoss:
         rng = np.random.default_rng(42)
         model = random_model(rng, 3, 3, 4, 2)
         data = random_data(rng, 3, 5, 5)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError, match=r"^model dims \(N=3, N_in=3, T=4\) vs data dims \(N=3, N_in=3, T=5\)$"):
             loss(model, data)
 
     def test_rmse_identity(self):

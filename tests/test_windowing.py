@@ -49,14 +49,14 @@ def read_records(path):
             if row is None and header is None and not rows:
                 header = [c.strip() for c in next(csv.reader([text]))]
             elif row is None or (rows and row.shape != rows[0].shape):
-                return ValueError, f"{path}: line {lineno}"
+                return ShapeMismatchError, f"{path}: line {lineno}"
             else:
                 rows.append(row)
     if not rows:
         return SeriesTooShortError, f"{path}: no data rows"
     data = np.concatenate(rows)
     if header is not None and len(header) != data.shape[1]:
-        return ValueError, f"{path}: header has {len(header)} names, data rows have {data.shape[1]} cells"
+        return ShapeMismatchError, f"{path}: header has {len(header)} names, data rows have {data.shape[1]} cells"
     if not np.all(np.isfinite(data)):
         return NonFiniteError, f"{path}: non-finite cell in data"
     return "ok", header, data.shape, data.tobytes()
@@ -212,6 +212,22 @@ class TestSeriesCsv:
         assert back.channel_names == ["a", "b", "c"]
         assert np.array_equal(back.values, series.values)
 
+    @pytest.mark.parametrize("names", [["a,b", "c"], ['say "hi"', "c"], ["#a", "c"], [""], ["1", "2"]],
+                             ids=["comma", "quote", "hash", "one-empty", "numbers"])
+    def test_channel_names_survive_the_round_trip_or_nothing_is_written(self, tmp_path, names):
+        # these once read back as 3 names for 2 cells, as no names (twice), and as no names plus a sample [1, 2]
+        series = TimeSeries(values=np.arange(3.0 * len(names)).reshape(len(names), 3), channel_names=names)
+        path = tmp_path / "series.csv"
+        if names == ["1", "2"]:  # a header line of numbers would read back as a data row
+            with pytest.raises(ShapeMismatchError, match=r"^channel names \['1', '2'\] would read back as a data row$"):
+                write_series_csv(path, series)
+            assert not path.exists()
+            return
+        write_series_csv(path, series)
+        back = read_series_csv(path)
+        assert back.channel_names == names
+        assert np.array_equal(back.values, series.values)
+
     def test_headerless_numeric_file(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("1.5,2.0\n2.5,3.0\n3.5,4.0\n")
@@ -222,7 +238,7 @@ class TestSeriesCsv:
     def test_missing_cell_is_error(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b\n1.0,2.0\n3.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             read_series_csv(path)
 
     def test_non_finite_cell_is_error(self, tmp_path):
@@ -234,7 +250,7 @@ class TestSeriesCsv:
     def test_non_numeric_body_is_error(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text("a,b\n1.0,2.0\nx,3.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             read_series_csv(path)
 
     def test_empty_file_is_error(self, tmp_path):
@@ -269,7 +285,7 @@ class TestCsvCodec:
     def test_bad_cell_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# manifest\na,b\n1.0,2.0\n3.0,x\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4, column 2: "
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(str(path))}: line 4, column 2: "
                                              r"could not convert string 'x' to float64$"):
             read_csv(path)
 
@@ -314,7 +330,7 @@ class TestCsvCodec:
             path = tmp_path / f"bad{lineno}.csv"
             text = lines[: lineno - 1] + [bad] + lines[lineno:]
             path.write_bytes(newline.join(text).encode("utf-8") + newline.encode())
-            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {lineno}{re.escape(message)}$"):
+            with pytest.raises(ShapeMismatchError, match=f"^{re.escape(str(path))}: line {lineno}{re.escape(message)}$"):
                 read_csv(path)
 
     @pytest.mark.parametrize(("text", "names", "cells"), [("a,b,c\n1,2\n3,4\n", 3, 2), ("# m\nch0,ch1\n1,2,3\n", 2, 3)],
@@ -323,9 +339,9 @@ class TestCsvCodec:
         path = tmp_path / "series.csv"
         path.write_text(text)
         message = f"^{re.escape(str(path))}: header has {names} names, data rows have {cells} cells$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ShapeMismatchError, match=message):
             read_csv(path)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ShapeMismatchError, match=message):
             read_series_csv(path)
 
     def test_quoted_cells_and_header_names(self, tmp_path):
@@ -339,14 +355,14 @@ class TestCsvCodec:
         # numpy would run a quoted cell on into the next line: 1,"2 + ",3 reads as 1,2,3
         path = tmp_path / "quote.csv"
         path.write_text('1,2,3\n1,"2\n",3\n')
-        with pytest.raises(ValueError, match="line 2: unterminated quote"):
+        with pytest.raises(ShapeMismatchError, match="line 2: unterminated quote"):
             read_csv(path)
 
     @pytest.mark.parametrize("cell", ["1_0", "\uff11"], ids=["underscore", "fullwidth-digit"])
     def test_python_only_float_spellings_are_bad_cells(self, tmp_path, cell):
         path = tmp_path / "spelling.csv"
         path.write_text(f"a,b\n1,2\n{cell},3\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f": line 3, column 1: could not convert string '{cell}' to float64$"):
+        with pytest.raises(ShapeMismatchError, match=f": line 3, column 1: could not convert string '{cell}' to float64$"):
             read_csv(path)
         path.write_text(f"{cell},2\n1,2\n", encoding="utf-8")  # a first line in such a spelling is a header
         assert read_csv(path)[0] == [cell, "2"]
@@ -354,7 +370,7 @@ class TestCsvCodec:
     def test_file_that_is_not_utf8_is_named(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("a,b\n1,2\n3,\u00e9\n".encode("latin-1"))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8: "):
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(str(path))}: not UTF-8: "):
             read_csv(path)
 
     def test_comments_are_decided_on_the_raw_line(self, tmp_path):
