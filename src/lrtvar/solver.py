@@ -75,14 +75,16 @@ bases of range(X) and range(Y), initializes there, and lifts U2 and U1 back
 once at the end: the cost of every iterate is the same in either
 coordinates.  A basis is the identity when the transitions are at least as
 many as the channels, with no factorization of the data.  Otherwise it comes
-from one eigendecomposition of the (T*M)^2 Gram of the (channels, T*M)
-matrix A of the transitions, A'A = V diag(lam) V': the range data are
-diag(lam)^1/2 V', and the basis Q = A V diag(lam)^-1/2 is never formed, U
-lifting to A (V diag(lam)^-1/2 U).  Directions whose eigenvalue is at most
-T*M eps lam_max are dropped; the lifted basis is orthonormal to about
-eps lam_max / lam in each kept one.  No QR and no SVD is taken: the
+from a Cholesky factor of the (T*M)^2 Gram of the (channels, T*M) matrix A
+of the transitions, A'A = LL': the range data are L', and the basis
+Q = A inv(L') is never formed, U lifting to A (inv(L') U).  A Gram whose
+factor fails or has a pivot^2 at most sqrt(eps) times the largest is
+near singular, and its eigendecomposition A'A = V diag(lam) V' takes over:
+range data diag(lam)^1/2 V', basis A V diag(lam)^-1/2, with the directions
+whose eigenvalue is at most T*M eps lam_max dropped.  Either basis is
+orthonormal to about eps cond(A'A).  No QR and no SVD is taken: the
 spectral start's pseudoinverse and singular pairs come from
-eigendecompositions of Grams of side at most T*M too.
+eigendecompositions of Grams of side at most T*M.
 """
 
 from __future__ import annotations
@@ -762,9 +764,11 @@ class _RangeData:
     Y~ = Q_y'Y, with what the bases are made of, ``basis_x`` and
     ``basis_y`` (:func:`_range_coordinates`: None for the identity, else the
     B of Q = AB, A the (channels, M*T) matrix of the transitions, so Q is
-    never formed).  It has the shape properties the block updates read and
-    ``half_energy`` = 1/2 ||Y||^2 of the data in channels, which stays
-    fixed during the fit and is formed when first asked for."""
+    never formed: inv(L') of a Cholesky factor of the Gram A'A, or from its
+    eigendecomposition where that factor fails).  It has the shape
+    properties the block updates read and ``half_energy`` = 1/2 ||Y||^2 of
+    the data in channels, which stays fixed during the fit and is formed
+    when first asked for."""
 
     source: SnapshotPair
     X: np.ndarray
@@ -801,6 +805,19 @@ def _gram_eigenpairs(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[keep][::-1], V[:, keep][:, ::-1]
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """inv(L) of a lower-triangular L by halves, [[A, 0], [C, D]]^-1 =
+    [[A^-1, 0], [-D^-1 C A^-1, D^-1]]: numpy has no triangular solve, and
+    this takes a quarter of the time of ``np.linalg.inv`` at side 200."""
+    if len(L) <= 32:
+        return np.linalg.inv(L)
+    h = len(L) // 2
+    top, bottom = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    inverse = np.zeros_like(L)
+    inverse[:h, :h], inverse[h:, h:], inverse[h:, :h] = top, bottom, -bottom @ (L[h:, :h] @ top)
+    return inverse
+
+
 def _range_coordinates(A: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(Q'A, B) for a (channels, M, T) data tensor, A also the (channels,
     M*T) matrix of its transitions (:func:`_transitions` is A'), with Q an
@@ -808,18 +825,31 @@ def _range_coordinates(A: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]
 
     When the transitions are at least as many as the channels, Q is the
     identity and B is None: Q'A is A itself, copied at most once into the
-    layout :func:`_transitions` views without a copy.  Otherwise, with the
-    (M*T)^2 Gram A'A = V diag(lam) V' (:func:`_gram_eigenpairs`),
-    Q'A = diag(lam)^1/2 V' and B = V diag(lam)^-1/2, which is also
-    pinv(Q'A)'s transitions; directions of A whose eigenvalue is cut have
-    no rows, so Q'A has the numerical rank of A rows.  Q'A comes in the
-    (M, T, rows) memory layout, which :func:`_transitions` views.
+    layout :func:`_transitions` views without a copy.  Otherwise the
+    (M*T)^2 Gram A'A = LL' gives Q'A = L' and B = inv(L') (CholeskyQR,
+    Fukaya et al. 2014), also pinv(Q'A)'s transitions.  Where the Cholesky
+    fails or its smallest pivot^2 is at most sqrt(eps) times the largest,
+    the Gram is formed again and A'A = V diag(lam) V'
+    (:func:`_gram_eigenpairs`) gives Q'A = diag(lam)^1/2 V' and
+    B = V diag(lam)^-1/2, with no rows for the directions it cuts.  That
+    fallback is for rank: both bases lose orthogonality as eps cond(A'A),
+    and in 400 random Grams with an eigenvalue under the cut the pivot^2
+    ratio stayed below 1e-11.  Q'A comes in the (M, T, rows) memory
+    layout, which :func:`_transitions` views.
     """
     rows = _transitions(A)
     if rows.shape[1] <= rows.shape[0]:
         return np.ascontiguousarray(rows).reshape(*A.shape[1:], -1).transpose(2, 0, 1), None
-    lam, V = _gram_eigenpairs(rows @ rows.T)
-    return (V * np.sqrt(lam)).reshape(*A.shape[1:], len(lam)).transpose(2, 0, 1), V / np.sqrt(lam)
+    try:  # no name holds the Gram, so its buffer is free again before inv(L) is formed
+        L = np.linalg.cholesky(rows @ rows.T)
+    except np.linalg.LinAlgError:
+        L = np.zeros((1, 1))  # a zero pivot: the fallback
+    if L.diagonal().min() ** 2 > np.sqrt(np.finfo(float).eps) * L.diagonal().max() ** 2:
+        coordinates, basis = L, _lower_inverse(L).T
+    else:
+        lam, V = _gram_eigenpairs(rows @ rows.T)
+        coordinates, basis = V * np.sqrt(lam), V / np.sqrt(lam)
+    return coordinates.reshape(*A.shape[1:], -1).transpose(2, 0, 1), basis
 
 
 def _range_data(data: SnapshotPair) -> _RangeData:
@@ -889,9 +919,10 @@ def initialize(data, params: Hyperparams) -> CpFactors:
     (N, R), (N_in, R) and (T, R) in that order and projected onto the bases
     (:func:`_to_range`, no Q formed), which breaks the column symmetry.  ``fit``
     passes its range data (:func:`_range_data`) and gets the model in its
-    coordinates; a :class:`SnapshotPair` gets it lifted to the channels.
+    coordinates; a :class:`SnapshotPair` gets it lifted to the channels,
+    after the scale checks of ``fit`` (:class:`ExtremeScaleError`).
     """
-    work = data if isinstance(data, _RangeData) else _range_data(data)
+    work = data if isinstance(data, _RangeData) else _range_data(_check_scales(data, params))
     U1, U2, U3 = _spectral_factors(work, params.R)
     rng = np.random.default_rng(params.seed)
     noise = [(0.5 / np.sqrt(n)) * rng.standard_normal((n, params.R)) for n in (work.source.N, work.source.N_in, work.T)]
@@ -913,8 +944,9 @@ def _log2_square_norm(values: np.ndarray) -> float:
     return 2.0 * (math.log2(peak) + math.log2(float(np.linalg.norm(values / peak))))
 
 
-def _check_scales(data: SnapshotPair, params: Hyperparams) -> None:
-    """Reject data and hyperparameters whose squares are not normal float64s.
+def _check_scales(data: SnapshotPair, params: Hyperparams) -> SnapshotPair:
+    """``data``, once its squares and those of the hyperparameters are
+    normal float64s; :class:`ExtremeScaleError` otherwise.
 
     ||X||^2, ||Y||^2, (1/eta)^2 and, with an active spline or TV penalty,
     (4 beta)^2 set the scale of every quantity the fit forms; zero data is
@@ -932,6 +964,7 @@ def _check_scales(data: SnapshotPair, params: Hyperparams) -> None:
                 f"{name} = 2^{log2_value:.0f} is outside the float64 range [2^{low:.0f}, 2^{high:.0f}); "
                 "rescale the series (lrtvar.standardize) and eta and beta with it"
             )
+    return data
 
 
 def _live_components(model: CpFactors) -> np.ndarray:
@@ -1008,7 +1041,8 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
 
     The fit runs in orthonormal bases Q_x of range(X) and Q_y of range(Y):
     the identity when the transitions are at least as many as the channels,
-    else from one eigendecomposition of the (T*M)^2 Gram of the transitions
+    else from a Cholesky factor of the (T*M)^2 Gram of the transitions, or
+    its eigendecomposition where the factor says it is near singular
     (:func:`_range_coordinates`), the fit's only factorizations of the data.
     It initializes on Q_x'X and Q_y'Y (:func:`initialize`), runs every update
     on them and returns U2 = Q_x U2~ and U1 = Q_y U1~, each formed as a
@@ -1020,8 +1054,7 @@ def fit(data: SnapshotPair, params: Hyperparams) -> tuple[CpFactors, FitReport]:
     iteration.
     """
     t_start = time.perf_counter()
-    _check_scales(data, params)
-    work = _range_data(data)
+    work = _range_data(_check_scales(data, params))
     model = initialize(work, params)
     products = _products(model, work)
     value = _quadratic_loss(model, products, work.half_energy)

@@ -183,8 +183,10 @@ def gp_covariance(tau: int, lengthscale: float = 30.0) -> np.ndarray:
 
 def sample_gp_angle(tau: int, lengthscale: float = 30.0, seed_or_rng=0) -> np.ndarray:
     """Draw a smooth angle path from a centered Gaussian process with the
-    :func:`gp_covariance` kernel."""
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(seed_or_rng, np.random.Generator) else seed_or_rng
+    :func:`gp_covariance` kernel.  ``seed_or_rng`` is a ``Generator`` or a
+    seed, an integer >= 0 (:class:`InvalidHyperparameterError` otherwise)."""
+    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(
+        integer_at_least("seed", seed_or_rng, 0))
     L = np.linalg.cholesky(gp_covariance(tau, lengthscale))
     return L @ rng.standard_normal(tau)
 

@@ -326,10 +326,14 @@ def read_series_csv(path) -> TimeSeries:
 def write_series_csv(path, series: TimeSeries, manifest: Optional[str] = None) -> None:
     """Write a series as CSV (rows = samples, columns = channels), 17 significant digits.
 
-    Channel names whose header line would read back as a data row (all of
-    them numbers, such as ``['1', '2']``) raise :class:`ShapeMismatchError`
+    A channel name that would not read back, one holding a line break or
+    starting or ending in white space that :func:`read_csv` strips, and
+    names whose header line would read back as a data row (all of them
+    numbers, such as ``['1', '2']``) raise :class:`ShapeMismatchError`
     before anything is written."""
     names = series.channel_names or [f"ch{i}" for i in range(series.n_channels)]
+    if bad := [name for name in names if "\n" in name or "\r" in name or name != name.strip()]:
+        raise ShapeMismatchError(f"channel name {bad[0]!r} holds a line break or surrounding white space")
     if _is_data_row(_header_line(names)):
         raise ShapeMismatchError(f"channel names {names} would read back as a data row")
     write_csv(path, series.values.T, header=names, manifest=manifest)

@@ -13,6 +13,7 @@ import pytest
 
 from lrtvar.cp_model import CpFactors
 from lrtvar.errors import (
+    ExtremeScaleError,
     InvalidHyperparameterError,
     LrtvarError,
     NonFiniteError,
@@ -29,9 +30,9 @@ from lrtvar.evaluation import (
     truth_window_average,
 )
 from lrtvar.regularizers import tv_prox_columns
-from lrtvar.solver import Hyperparams, fit
-from lrtvar.synthetic import GroundTruth, simulate_switching
-from lrtvar.windowing import SnapshotPair, TimeSeries
+from lrtvar.solver import Hyperparams, fit, initialize
+from lrtvar.synthetic import GroundTruth, sample_gp_angle, simulate_switching
+from lrtvar.windowing import SnapshotPair, TimeSeries, build_snapshots
 
 
 def with_entry(a, value, index=0):
@@ -48,6 +49,12 @@ LEFT = np.ones((4, 3, 2))
 TRUTH = simulate_switching(N=3, tau=10, sigma=0.1, seed=17)
 MODEL = CpFactors(np.ones((3, 2)), np.ones((3, 2)), np.arange(10.0).reshape(5, 2))
 U3 = np.arange(12.0).reshape(6, 2)
+
+
+def scaled_pair(N, power):
+    """The switching pair of N channels (thin bases at N=300) with X times 2^power."""
+    data = build_snapshots(simulate_switching(N=N, tau=200, sigma=0.5, seed=0).series, M=20 if N == 10 else 10)
+    return SnapshotPair(np.ldexp(data.X, power), data.Y)
 
 
 def affine_pair():
@@ -75,6 +82,13 @@ CASES = {
     "pair-Y-inf": (lambda: SnapshotPair(X, with_entry(Y, np.inf, 7)), NonFiniteError, "Y contains"),
     "fit-nan-pair": (lambda: fit(SnapshotPair(with_entry(X, np.nan), Y), Hyperparams(R=1, eta=1.0)),
                      NonFiniteError, "X contains"),
+    # initialize once overflowed forming a Gram, or called the pair scaled down identically zero; fit did not
+    "initialize-overflow": (lambda: initialize(scaled_pair(10, 600), Hyperparams(R=4, eta=0.1)), ExtremeScaleError,
+                            r"\|\|X\|\|\^2 = 2\^1211 is outside"),
+    "initialize-thin-overflow": (lambda: initialize(scaled_pair(300, 600), Hyperparams(R=4, eta=0.1)),
+                                 ExtremeScaleError, r"\|\|X\|\|\^2 = 2\^1216 is outside"),
+    "initialize-thin-underflow": (lambda: initialize(scaled_pair(300, -560), Hyperparams(R=4, eta=0.1)),
+                                  ExtremeScaleError, r"\|\|X\|\|\^2 = 2\^-1104 is outside"),
     # M, T and P are read from the tensors, which must agree in them
     "pair-windows": (lambda: SnapshotPair(X, Y[:, :, :3]), ShapeMismatchError, "must cover the same nonempty windows"),
     "pair-rows": (lambda: SnapshotPair(np.ones((3, 3, 4)), Y), ShapeMismatchError,
@@ -152,6 +166,9 @@ CASES = {
                             "weight matrix must be a rectangular array"),
     "prox-weights-nan": (lambda: tv_prox_columns(np.ones((2, 1)), 0.5, [[1.0], [np.nan]]), NonFiniteError,
                          "^weight matrix contains non-finite entries$"),
+    # sample_gp_angle once raised numpy's bare "expected non-negative integer"
+    "gp-angle-seed": (lambda: sample_gp_angle(5, seed_or_rng=-1), InvalidHyperparameterError,
+                      "seed must be an integer >= 0"),
     # independent_fit's rank-truncated fit of lagged or affine data
     "indep-rank-affine": (lambda: independent_fit(affine_pair(), rank=1), InvalidHyperparameterError,
                           "need P=1, non-affine data"),

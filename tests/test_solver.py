@@ -1566,17 +1566,39 @@ def basis_case(name):
     return rng.standard_normal(({"thin": 40, "square": 20, "wide": 10}[name], 5, 4))
 
 
+def factorization_log(monkeypatch):
+    """A list to which every ``np.linalg.cholesky`` call appends ("cholesky",
+    side) and every eigendecomposition of a Gram (``np.linalg.eigh``) appends
+    ("eigh", side); ``np.linalg.qr`` and ``np.linalg.svd`` fail the test."""
+    log = []
+    for name in ("cholesky", "eigh"):
+        def spy(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            log.append((_name, a.shape[0]))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, **kwargs: pytest.fail(f"called np.linalg.{_name}"))
+    return log
+
+
 class TestRangeBases:
-    """Each data tensor's range coordinates come from one eigendecomposition
-    of its (M*T)^2 Gram when the channels outnumber the transitions, and the
-    basis is the identity otherwise; a test-side QR is the oracle."""
+    """Each data tensor's range coordinates come from a Cholesky factor of
+    its (M*T)^2 Gram when the channels outnumber the transitions, or from
+    one eigendecomposition of that Gram where the factor fails or its pivots
+    say the Gram is near singular; the basis is the identity otherwise.  A
+    test-side QR is the oracle."""
 
     @pytest.mark.parametrize("name", ["thin", "square", "wide", "affine-lags", "rank-deficient-thin"])
-    def test_bases_match_a_qr_oracle(self, name):
+    def test_bases_match_a_qr_oracle(self, name, monkeypatch):
         A = basis_case(name)
         channels, M, T = A.shape
         C = A.reshape(channels, M * T)
+        log = factorization_log(monkeypatch)
         coordinates, basis = _range_coordinates(A)
+        # the thin bases of full rank are Cholesky ones; the rank-6 Gram's factor falls back to eigh
+        path = {"thin": ["cholesky"], "affine-lags": ["cholesky"], "rank-deficient-thin": ["cholesky", "eigh"]}
+        assert [factorization for factorization, _ in log] == path.get(name, [])
+        monkeypatch.undo()
         oracle = range_basis_oracle(A)
         rows = coordinates.shape[0]
         assert (basis is None) == (channels <= M * T)
@@ -1591,6 +1613,18 @@ class TestRangeBases:
         assert np.linalg.norm(Q @ Q.T - oracle @ oracle.T) <= 1e-12
         assert np.linalg.norm(C - Q @ coordinate_rows.T) <= 1e-12 * np.linalg.norm(C)
         assert np.linalg.norm(_to_range(A, basis, C) - coordinate_rows.T) <= 1e-12 * np.linalg.norm(C)
+
+    @pytest.mark.parametrize("N", [500, 2000])
+    def test_large_n_cholesky_bases_are_orthonormal(self, N, monkeypatch):
+        # the large_n series (T*M = 200): 2.7e-13 / 2.8e-13 (N=500) and 1.6e-13 (N=2000) seen on X / Y,
+        # pivot^2 ratios 0.10-0.18
+        data = build_snapshots(simulate_switching(N=N, tau=200, sigma=0.5, seed=0).series, M=20)
+        log = factorization_log(monkeypatch)
+        for A in (data.X, data.Y):
+            coordinates, basis = _range_coordinates(A)
+            Q = _to_channels(A, basis, np.eye(coordinates.shape[0]))
+            assert np.linalg.norm(Q.T @ Q - np.eye(coordinates.shape[0])) <= 1e-12
+        assert log == [("cholesky", 200)] * 2
 
 
 class TestRangeSpaceFit:
@@ -1636,27 +1670,20 @@ class TestRangeSpaceFit:
         assert report.rmse_trace[-1] == rmse(model, data)
 
     def test_each_data_tensor_is_factored_once(self, monkeypatch):
-        # no QR and no SVD; one eigh per Gram of side <= min(channels, M*T): of
-        # both data tensors in thin bases (large_n, N=500), of X~X~' for the
-        # spectral start's pinv in square ones (the cli workload's N=200), and
-        # one of the spectral start's Gram
+        # no QR and no SVD.  In thin bases (large_n, N=500) one Cholesky factor
+        # of each data tensor's Gram and one eigh, of the spectral start's Gram;
+        # in square ones (the cli workload's N=200) no Cholesky and two eigh: of
+        # X~X~' for the start's pinv and of the start's Gram
         cli = build_snapshots(simulate_switching(N=200, tau=200, sigma=0.5, seed=0).series, M=20)
-        cases = (benchmark_setting("large_n") + (3,), (cli, Hyperparams(R=8, eta=1.0 / 200, max_outer_iters=5), 2))
-        sides, eigh = [], np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            sides.append(a.shape[0])
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: pytest.fail("fit called np.linalg.qr"))
-        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("fit called np.linalg.svd"))
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        for data, params, grams in cases:
-            sides.clear()
+        large_n = benchmark_setting("large_n")
+        cases = ((*large_n, [("cholesky", 200)] * 2 + [("eigh", 200)]),
+                 (cli, Hyperparams(R=8, eta=1.0 / 200, max_outer_iters=5), [("eigh", 200)] * 2))
+        log = factorization_log(monkeypatch)
+        for data, params, factorizations in cases:
+            log.clear()
             fit(data, params)
-            assert data.N_in == data.N and (data.N > data.M * data.T) == (grams == 3)
-            assert len(sides) == grams
-            assert all(side <= min(data.N, data.M * data.T) for side in sides)
+            assert data.N_in == data.N and data.M * data.T == 200
+            assert log == factorizations
 
     @pytest.mark.parametrize("seed", range(2))
     def test_ill_conditioned_thin_fit_matches_a_qr_basis_fit(self, seed, monkeypatch):
@@ -1670,10 +1697,9 @@ class TestRangeSpaceFit:
         # relative at seeds 0 and 1 (at most 1.0e-4 over seeds 0-5).  The
         # first sweep leaves little weight there: from the same start, the
         # same block updates in the QR basis give every later entry to at
-        # most 7.6e-13 and the final cost to 2e-16 (seeds 0-5).  The fit
-        # solves U2 by CG in 21 rows and the reference in 30, which with no
-        # forcing term is an exact solve.
-        monkeypatch.setattr(lrtvar.solver, "CG_FORCING", 0.0)
+        # most 1.1e-12 (7.6e-13 when Y too took the eigh basis) and the final
+        # cost to 2e-16 (seeds 0-5).  The fit solves U2 by CG in 21 rows and
+        # the reference in 30, which with no forcing term is an exact solve.
         rng = np.random.default_rng(seed)
         n, M, T = 60, 5, 6
         left = np.linalg.qr(rng.standard_normal((n, M * T)))[0]
@@ -1684,7 +1710,12 @@ class TestRangeSpaceFit:
         assert np.linalg.cond(X.reshape(n, -1)) == pytest.approx(1e10, rel=1e-3)
         params = Hyperparams(R=3, eta=0.5, reg=Regularizer("tv", 0.1), seed=seed, max_outer_iters=15,
                              rtol=0.0, atol=0.0)
+        log = factorization_log(monkeypatch)
         work = _range_data(data)
+        # the Cholesky factor of X'X fails or has pivots too small: X takes the eigh basis, Y the Cholesky one
+        assert [factorization for factorization, _ in log] == ["cholesky", "eigh", "cholesky"]
+        monkeypatch.undo()
+        monkeypatch.setattr(lrtvar.solver, "CG_FORCING", 0.0)
         assert (work.N_in, work.N) == (21, M * T)
         _, report = fit(data, params)
 

@@ -212,14 +212,21 @@ class TestSeriesCsv:
         assert back.channel_names == ["a", "b", "c"]
         assert np.array_equal(back.values, series.values)
 
-    @pytest.mark.parametrize("names", [["a,b", "c"], ['say "hi"', "c"], ["#a", "c"], [""], ["1", "2"]],
-                             ids=["comma", "quote", "hash", "one-empty", "numbers"])
+    @pytest.mark.parametrize("names", [["a,b", "c"], ['say "hi"', "c"], ["#a", "c"], [""], ["1", "2"],
+                                       [" a", "b "], ["a\nb", "c"], ["a\rb", "c"], ["a b", "c\td"]],
+                             ids=["comma", "quote", "hash", "one-empty", "numbers", "spaces-around",
+                                  "newline", "carriage-return", "spaces-inside"])
     def test_channel_names_survive_the_round_trip_or_nothing_is_written(self, tmp_path, names):
-        # these once read back as 3 names for 2 cells, as no names (twice), and as no names plus a sample [1, 2]
+        # these once read back as 3 names for 2 cells, as no names (twice), as no names plus a sample
+        # [1, 2], as ['a', 'b'], and (line breaks) failed to read: "line 2, column 1: could not convert"
         series = TimeSeries(values=np.arange(3.0 * len(names)).reshape(len(names), 3), channel_names=names)
         path = tmp_path / "series.csv"
-        if names == ["1", "2"]:  # a header line of numbers would read back as a data row
-            with pytest.raises(ShapeMismatchError, match=r"^channel names \['1', '2'\] would read back as a data row$"):
+        rejected = {"1": r"^channel names \['1', '2'\] would read back as a data row$",
+                    " a": r"^channel name ' a' holds a line break or surrounding white space$",
+                    "a\nb": r"^channel name 'a\\nb' holds a line break",
+                    "a\rb": r"^channel name 'a\\rb' holds a line break"}
+        if names[0] in rejected:
+            with pytest.raises(ShapeMismatchError, match=rejected[names[0]]):
                 write_series_csv(path, series)
             assert not path.exists()
             return
